@@ -69,7 +69,7 @@ from .scene import (
     integrate_beam_on_pd,
     simulate_scan,
 )
-from .solver import SolveReport, SolverConfig, SolverFailure, jacobian, residual, solve
+from .solver import SolveReport, SolverConfig, SolverFailure, jacobian, solve
 
 __version__ = "0.1.0"
 
@@ -125,7 +125,6 @@ __all__ = [
     "q_factor",
     "refine_plane_ranges",
     "report",
-    "residual",
     "rotation_matrix",
     "run_single",
     "run_sweep",

@@ -24,8 +24,6 @@ import numpy as np
 from .geometry import Pose6DOF, pose_to_matrix
 from .scene import AfeConfig, BoardModel, LidarModel, PdPlacement
 
-DEG = math.pi / 180.0
-
 DEFAULT_BASE_POSE = Pose6DOF(0.0, 0.0, 0.0, -0.7, -2.5, 0.0)
 CORNER_X = 0.38
 HORIZONTAL_ROW_DEG = 3.0

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import io
 from .bench import Scene, make_bench_scene
+from .geometry import DEG, MM
 from .harness import (
     SweepSpec,
     SweepStats,
@@ -173,7 +174,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    DEG_AXES = slice(0, 3)
     stats_list = []
     for path in args.inputs:
         rows = [line.split(",") for line in path.read_text().splitlines()[1:] if line]
@@ -185,10 +185,10 @@ def _cmd_report(args) -> int:
         bias = np.array([[float(x) for x in r[2:8]] for r in rows])
         std = np.array([[float(x) for x in r[8:14]] for r in rows])
         # point CSVs are in deg / mm; SweepStats stores rad / m
-        bias[:, :3] *= np.pi / 180
-        bias[:, 3:] *= 1e-3
-        std[:, :3] *= np.pi / 180
-        std[:, 3:] *= 1e-3
+        bias[:, :3] *= DEG
+        bias[:, 3:] *= MM
+        std[:, :3] *= DEG
+        std[:, 3:] *= MM
         label = path.stem.replace("sweep_", "").replace("_points", "").replace("_", " ")
         parameter = "yaw" if "yaw" in path.stem else "x_position"
         stats_list.append(

@@ -17,16 +17,12 @@ Three steps per photodetector:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PolarBeam
+from .geometry import DEG, MM, PolarBeam
 from .scene import PdPlacement
-
-DEG = math.pi / 180.0
-MM = 1e-3
 
 DEFAULT_DETECTION_MARGIN = 10.0  # reflectivity counts above the row median
 DEFAULT_SEARCH_WINDOW_M = 0.030
@@ -73,18 +69,18 @@ class AzimuthCenterModel:
 
 
 def find_pd_beam(
-    row_beams,
+    row_reflectivity,
     row_positions: np.ndarray,
     pd: PdPlacement,
     margin: float = DEFAULT_DETECTION_MARGIN,
     window: float = DEFAULT_SEARCH_WINDOW_M,
-) -> PolarBeam:
+) -> int:
     """Identify the beam that struck a PD module from its reflectivity.
 
     Parameters
     ----------
-    row_beams : list[PolarBeam]
-        All beams of the channel row crossing the module.
+    row_reflectivity : (N,) array
+        Reflectivity of every beam of the channel row crossing the module.
     row_positions : (N, 3) array
         Their nominal board-frame positions (from the rig's nominal pose).
     pd : PdPlacement
@@ -94,16 +90,21 @@ def find_pd_beam(
     window : float
         Search radius around the module center on the board, meters.
 
+    Returns
+    -------
+    int
+        Row index of the struck beam.
+
     Raises
     ------
     DetectionMiss
         If no beam in the window is elevated enough; the scan is skipped
         for this PD.
     """
-    if not row_beams:
+    refl = np.asarray(row_reflectivity, dtype=float)
+    if refl.size == 0:
         raise DetectionMiss(f"{pd.pd_id}: empty channel row")
     positions = np.atleast_2d(row_positions)
-    refl = np.array([b.reflectivity for b in row_beams])
     center = np.array([pd.offset[0], 0.0, pd.offset[1]])
     dist = np.linalg.norm(positions - center, axis=1)
     near = np.nonzero(dist <= window)[0]
@@ -123,7 +124,7 @@ def find_pd_beam(
         raise DetectionMiss(
             f"{pd.pd_id}: no local maximum exceeds median {row_median:.1f} + {margin:.0f}"
         )
-    return row_beams[int(best)]
+    return int(best)
 
 
 def _line_fit(a: np.ndarray, mu: np.ndarray) -> tuple[float, float]:

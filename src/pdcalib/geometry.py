@@ -23,6 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+DEG = math.pi / 180.0  # radians per degree
+MM = 1e-3  # meters per millimeter
 
 
 def wrap_angle(a: float) -> float:
@@ -82,20 +84,13 @@ class Pose6DOF:
         v = np.asarray(v, dtype=float).reshape(6)
         return cls(*v)
 
-    def compose(self, other: "Pose6DOF") -> "Pose6DOF":
-        """Pose equivalent to applying ``other`` first, then ``self``."""
-        ra, ta = rotation_matrix(self), self.translation
-        rb, tb = rotation_matrix(other), other.translation
-        return matrix_to_pose(np.column_stack([ra @ rb, ra @ tb + ta]))
-
-    def inverse(self) -> "Pose6DOF":
-        r = rotation_matrix(self)
-        return matrix_to_pose(np.column_stack([r.T, -r.T @ self.translation]))
-
 
 @dataclass(frozen=True)
 class PolarBeam:
     """One laser return in sensor polar coordinates.
+
+    Scans keep their returns as columns (``ScanFrame.beams``); this record
+    carries a single detected beam into a correspondence.
 
     Parameters
     ----------
@@ -256,9 +251,3 @@ def transform_array(m: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Apply a 3x4 rigid transform to an (N, 3) array of points."""
     pts = np.asarray(pts, dtype=float)
     return pts @ m[:, :3].T + m[:, 3]
-
-
-def invert_rigid(m: np.ndarray) -> np.ndarray:
-    """Inverse of a 3x4 rigid transform, again as 3x4."""
-    r = m[:, :3]
-    return np.column_stack([r.T, -r.T @ m[:, 3]])

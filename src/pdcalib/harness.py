@@ -9,7 +9,6 @@ standard deviation over the repeated scans.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,12 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from .bench import Scene
-from .geometry import Pose6DOF
+from .geometry import DEG, MM, Pose6DOF
 from .pipeline import BatchResult, PipelineError, PipelineOptions, calibrate_frames
 from .scene import SimulationError, simulate_scan
-
-DEG = math.pi / 180.0
-MM = 1e-3
 
 AXIS_NAMES = ("yaw_deg", "tilt_deg", "roll_deg", "dx_mm", "dy_mm", "dz_mm")
 STATS_FOOTER = (

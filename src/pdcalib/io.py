@@ -16,17 +16,15 @@ at this boundary; everything in memory is radians.
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 
 import numpy as np
 
 from .afe import PdSignalRecord, TiaParams
 from .bench import Scene
-from .geometry import PolarBeam, Pose6DOF
+from .geometry import DEG, Pose6DOF
 from .scene import AfeConfig, BoardModel, LidarModel, PdPlacement, ScanFrame
 
-DEG = math.pi / 180.0
 FRAME_MAGIC = "pdcalib-scanframe,v=1"
 
 BEAM_FIELDS = ("scan_id", "channel", "azimuth_index", "azimuth_deg", "omega_deg", "range_m", "reflectivity")
@@ -187,20 +185,14 @@ def frames_to_text(frames) -> str:
     lines = [FRAME_MAGIC]
     lines.append("# beam," + ",".join(BEAM_FIELDS))
     for frame in frames:
-        for b in sorted(frame.beams, key=lambda b: (b.channel, b.azimuth_index)):
+        omega, alpha, r, channel, azimuth_index, refl = frame.beam_arrays()
+        order = np.lexsort((azimuth_index, channel))
+        columns = (channel, azimuth_index, alpha / DEG, omega / DEG, r, refl)
+        # tolist() gives Python ints and floats, whose repr is the file form
+        rows = zip(*(c[order].tolist() for c in columns))
+        for ch, az, alpha_deg, omega_deg, range_m, reflectivity in rows:
             lines.append(
-                ",".join(
-                    [
-                        "beam",
-                        str(frame.scan_id),
-                        str(b.channel),
-                        str(b.azimuth_index),
-                        _fmt(b.alpha / DEG),
-                        _fmt(b.omega / DEG),
-                        _fmt(b.r),
-                        _fmt(b.reflectivity),
-                    ]
-                )
+                f"beam,{frame.scan_id},{ch},{az},{alpha_deg!r},{omega_deg!r},{range_m!r},{reflectivity!r}"
             )
     lines.append("# pd," + ",".join(PD_FIELDS) + ",v0,v1,...")
     for frame in frames:
@@ -261,13 +253,13 @@ def read_frames(path) -> list:
                     path, line_no, "beam", f"expected {len(BEAM_FIELDS)} fields, got {len(parts) - 1}"
                 )
             sid = _parse_int(path, line_no, "scan_id", parts[1])
-            beam = PolarBeam(
-                omega=_parse_float(path, line_no, "omega_deg", parts[5]) * DEG,
-                alpha=_parse_float(path, line_no, "azimuth_deg", parts[4]) * DEG,
-                r=_parse_float(path, line_no, "range_m", parts[6]),
-                channel=_parse_int(path, line_no, "channel", parts[2]),
-                azimuth_index=_parse_int(path, line_no, "azimuth_index", parts[3]),
-                reflectivity=_parse_float(path, line_no, "reflectivity", parts[7]),
+            beam = (
+                _parse_float(path, line_no, "omega_deg", parts[5]) * DEG,
+                _parse_float(path, line_no, "azimuth_deg", parts[4]) * DEG,
+                _parse_float(path, line_no, "range_m", parts[6]),
+                _parse_int(path, line_no, "channel", parts[2]),
+                _parse_int(path, line_no, "azimuth_index", parts[3]),
+                _parse_float(path, line_no, "reflectivity", parts[7]),
             )
             beams.setdefault(sid, []).append(beam)
         elif kind == "pd":
@@ -312,7 +304,10 @@ def read_frames(path) -> list:
                     noise_floor=floor,
                 )
             )
-        frames.append(ScanFrame(scan_id=sid, beams=beams[sid], pd_records=records))
+        try:
+            frames.append(ScanFrame(scan_id=sid, beams=beams[sid], pd_records=records))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
     return frames
 
 

@@ -1,10 +1,11 @@
 """End-to-end calibration of a batch of scan frames.
 
 One batch is a set of repeated scans of the rig at a fixed reference pose
-(the bench repeats 50 revolutions per test point). Stages per frame:
+(the bench repeats 50 revolutions per test point). Each frame is segmented
+once; the board plane is fit once from the pooled segments, because every
+scan sees the same board. Then per frame:
 
-1. segment the board, fit its plane, slide each return along its ray onto
-   the plane (range correction);
+1. slide each board return along its ray onto the plane (range correction);
 2. per PD module: pick the channel row crossing it, detect the struck beam
    by its reflectivity, fit the beam center from the module's voltages and
    keep the (azimuth, center) pair.
@@ -16,18 +17,22 @@ plus one joint estimate over all frames.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import beam_center, correspondence, preprocess, solver
 from .bench import Scene
-from .geometry import PolarBeam, Pose6DOF, polar_to_cartesian_array, pose_to_matrix, transform_array
+from .geometry import (
+    DEG,
+    MM,
+    PolarBeam,
+    Pose6DOF,
+    polar_to_cartesian_array,
+    pose_to_matrix,
+    transform_array,
+)
 from .scene import ScanFrame
-
-DEG = math.pi / 180.0
-MM = 1e-3
 
 
 class PipelineError(RuntimeError):
@@ -48,11 +53,6 @@ class PipelineOptions:
     search_window: float = correspondence.DEFAULT_SEARCH_WINDOW_M
     ransac_threshold_mm: float = correspondence.DEFAULT_RANSAC_THRESHOLD_MM
     ransac_iterations: int = correspondence.DEFAULT_RANSAC_ITERATIONS
-    range_correction: bool = True
-    # fit one plane from the whole batch instead of per scan: repeated scans
-    # at a fixed rig pose see the same board, and the per-scan plane's yaw
-    # error otherwise leaks into the x-translation through the ~2.5 m range
-    batch_plane: bool = True
     min_correspondences: int = 3
     solver: solver.SolverConfig = field(default_factory=solver.SolverConfig)
 
@@ -62,7 +62,7 @@ class FrameFeatures:
     """Per-frame intermediate products kept for correspondence assembly."""
 
     scan_id: int
-    key_beams: dict          # pd_id -> corrected PolarBeam
+    key_beams: dict          # pd_id -> detected PolarBeam, range corrected
     key_centers: dict        # pd_id -> fitted center, m (PD axis coordinate)
     plane: preprocess.PlaneModel
     roi_count: int
@@ -108,38 +108,38 @@ def _detection_windows(board, default: float) -> dict:
     return windows
 
 
+def board_plane(frames, rois) -> preprocess.PlaneModel:
+    """One board plane fit to the pooled ROIs of a batch.
+
+    Repeated scans at a fixed rig pose see the same board, and a per-scan
+    plane's yaw error would leak into the x-translation through the ~2.5 m
+    range. A one-frame batch gives that frame's own fit.
+    """
+    omega, alpha, r = np.concatenate(
+        [np.stack(f.beam_arrays()[:3])[:, roi] for f, roi in zip(frames, rois)], axis=1
+    )
+    tls = preprocess.fit_plane(polar_to_cartesian_array(omega, alpha, r))
+    return preprocess.refine_plane_ranges(omega, alpha, r, tls)
+
+
 def extract_frame_features(
     frame: ScanFrame,
+    roi: np.ndarray,
+    plane: preprocess.PlaneModel,
     scene: Scene,
     nominal_pose: Pose6DOF,
     options: PipelineOptions | None = None,
-    plane: preprocess.PlaneModel | None = None,
 ) -> FrameFeatures:
-    """Run segmentation, plane fit, detection and center fitting on one frame.
+    """Range correction, beam detection and center fitting on one frame.
 
-    A precomputed ``plane`` (e.g. fit from the pooled batch) overrides the
-    per-frame fit.
+    ``roi`` indexes the frame's board returns (from segmentation) and
+    ``plane`` is the board plane they are slid onto.
     """
     options = options or PipelineOptions()
     board = scene.board
-    roi = preprocess.segment_target(
-        frame,
-        board.width,
-        board.height,
-        cluster_tolerance=options.cluster_tolerance,
-        min_points=options.min_cluster_points,
-    )
     omega, alpha, r, channel, azimuth_index, refl = frame.beam_arrays()
-    if plane is None:
-        tls = preprocess.fit_plane(
-            polar_to_cartesian_array(omega[roi], alpha[roi], r[roi])
-        )
-        plane = preprocess.refine_plane_ranges(omega[roi], alpha[roi], r[roi], tls)
-    if options.range_correction:
-        r_corr = r.copy()
-        r_corr[roi] = preprocess.range_to_plane(omega[roi], alpha[roi], plane)
-    else:
-        r_corr = r
+    r_corr = r.copy()
+    r_corr[roi] = preprocess.range_to_plane(omega[roi], alpha[roi], plane)
 
     # nominal board positions of the corrected returns, for detection windows
     m_nom = pose_to_matrix(nominal_pose)
@@ -159,20 +159,9 @@ def extract_frame_features(
         ch = _row_channel(pd, board_xz, channel[roi])
         row_mask = channel[roi] == ch
         row_idx = roi[row_mask]
-        row_beams = [
-            PolarBeam(
-                omega=float(omega[i]),
-                alpha=float(alpha[i]),
-                r=float(r_corr[i]),
-                channel=int(channel[i]),
-                azimuth_index=int(azimuth_index[i]),
-                reflectivity=float(refl[i]),
-            )
-            for i in row_idx
-        ]
         try:
-            beam = correspondence.find_pd_beam(
-                row_beams,
+            hit = correspondence.find_pd_beam(
+                refl[row_idx],
                 pts_o[row_mask],
                 pd,
                 margin=options.detection_margin,
@@ -198,7 +187,15 @@ def extract_frame_features(
         except beam_center.GaussianFitError as exc:
             misses[pd.pd_id] = str(exc)
             continue
-        key_beams[pd.pd_id] = beam
+        i = row_idx[hit]
+        key_beams[pd.pd_id] = PolarBeam(
+            omega=float(omega[i]),
+            alpha=float(alpha[i]),
+            r=float(r_corr[i]),
+            channel=int(channel[i]),
+            azimuth_index=int(azimuth_index[i]),
+            reflectivity=float(refl[i]),
+        )
         key_centers[pd.pd_id] = fits[key].mu
     return FrameFeatures(
         scan_id=frame.scan_id,
@@ -224,34 +221,27 @@ def calibrate_frames(
     Raises
     ------
     PipelineError
-        If no PD collects enough (azimuth, center) pairs for a model, or no
-        scan yields enough correspondences to solve.
+        For an empty batch, if no PD collects enough (azimuth, center) pairs
+        for a model, or if no scan yields enough correspondences to solve.
     """
     options = options or PipelineOptions()
     nominal_pose = nominal_pose or scene.base_pose
-    shared_plane = None
-    if options.batch_plane and len(frames) > 1:
-        pooled_polar = []
-        for f in frames:
-            roi = preprocess.segment_target(
-                f,
-                scene.board.width,
-                scene.board.height,
-                cluster_tolerance=options.cluster_tolerance,
-                min_points=options.min_cluster_points,
-            )
-            omega, alpha, r, _, _, _ = f.beam_arrays()
-            pooled_polar.append(np.stack([omega[roi], alpha[roi], r[roi]], axis=-1))
-        pooled = np.vstack(pooled_polar)
-        tls = preprocess.fit_plane(
-            polar_to_cartesian_array(pooled[:, 0], pooled[:, 1], pooled[:, 2])
+    if not frames:
+        raise PipelineError("segmentation", "empty batch: no frames to calibrate")
+    rois = [
+        preprocess.segment_target(
+            f,
+            scene.board.width,
+            scene.board.height,
+            cluster_tolerance=options.cluster_tolerance,
+            min_points=options.min_cluster_points,
         )
-        shared_plane = preprocess.refine_plane_ranges(
-            pooled[:, 0], pooled[:, 1], pooled[:, 2], tls
-        )
-    features = [
-        extract_frame_features(f, scene, nominal_pose, options, plane=shared_plane)
         for f in frames
+    ]
+    plane = board_plane(frames, rois)
+    features = [
+        extract_frame_features(f, roi, plane, scene, nominal_pose, options)
+        for f, roi in zip(frames, rois)
     ]
 
     pairs: dict = {}

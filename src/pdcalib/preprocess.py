@@ -76,7 +76,7 @@ def segment_target(
     SegmentationError
         With per-cluster diagnostics if nothing matches.
     """
-    if not frame.beams:
+    if len(frame.beams) == 0:
         raise SegmentationError("empty frame: no clusters (0 points)")
     omega, alpha, r, _, _, _ = frame.beam_arrays()
     pts = polar_to_cartesian_array(omega, alpha, r)

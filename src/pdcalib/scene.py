@@ -22,9 +22,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .afe import TiaParams, currents_to_record
-from .geometry import CartesianPoint, PolarBeam, Pose6DOF, pose_to_matrix
-
-DEG = math.pi / 180.0
+from .geometry import DEG, TWO_PI, CartesianPoint, PolarBeam, Pose6DOF, pose_to_matrix
 
 # beams whose spot center lies this far beyond the array ends still produce a
 # usable voltage event; farther ones have their peak outside the sampled span
@@ -228,37 +226,61 @@ class SimTruth:
     pd_event_centers: dict               # pd_id -> (n_events, 3) true spot centers
 
 
+# one row per return; the columns of ScanFrame.beams
+BEAM_DTYPE = np.dtype(
+    [
+        ("omega", float),          # elevation, rad, |omega| < pi/2
+        ("alpha", float),          # azimuth, rad, in [0, 2 pi)
+        ("r", float),              # range, m, > 0
+        ("channel", int),          # vertical channel index
+        ("azimuth_index", int),    # firing-cycle index within the channel
+        ("reflectivity", float),   # return intensity, 0-255
+    ]
+)
+
+
 @dataclass
 class ScanFrame:
-    """One full sensor revolution over the scene."""
+    """One full sensor revolution over the scene.
+
+    ``beams`` holds the returns as a structured array of ``BEAM_DTYPE``
+    (anything convertible to one is accepted and copied). Construction
+    checks every return at once: finite angles and range, r > 0 and
+    |omega| < pi/2, no two returns sharing (channel, azimuth_index); azimuths
+    outside [0, 2 pi) are wrapped into it.
+    """
 
     scan_id: int
-    beams: list                          # list[PolarBeam]
+    beams: np.ndarray
     pd_records: list                     # list[PdSignalRecord]
     ground_truth_pose: Pose6DOF | None = None
     truth: SimTruth | None = None
 
     def __post_init__(self):
-        seen = set()
-        for b in self.beams:
-            key = (b.channel, b.azimuth_index)
-            if key in seen:
-                raise ValueError(f"duplicate beam (channel, azimuth_index) {key}")
-            seen.add(key)
+        b = np.array(self.beams, dtype=BEAM_DTYPE)
+        omega, alpha, r = b["omega"], b["alpha"], b["r"]
+        if not np.isfinite([omega, alpha, r]).all():
+            raise ValueError(f"scan {self.scan_id}: beam angles and ranges must be finite")
+        if np.any(r <= 0):
+            raise ValueError(f"scan {self.scan_id}: beam range must be > 0, got {r.min()}")
+        if np.any(np.abs(omega) >= math.pi / 2):
+            raise ValueError(f"scan {self.scan_id}: beam omega outside vertical FOV")
+        wrap = ~((alpha >= 0.0) & (alpha < TWO_PI))
+        alpha[wrap] %= TWO_PI
+        ch, az = b["channel"], b["azimuth_index"]
+        order = np.lexsort((az, ch))
+        dup = (np.diff(ch[order]) == 0) & (np.diff(az[order]) == 0)
+        if np.any(dup):
+            i = order[np.argmax(dup)]
+            raise ValueError(f"duplicate beam (channel, azimuth_index) {(int(ch[i]), int(az[i]))}")
+        self.beams = b
 
     def beam_arrays(self):
-        """(omega, alpha, r, channel, azimuth_index, reflectivity) arrays."""
-        n = len(self.beams)
-        omega = np.empty(n)
-        alpha = np.empty(n)
-        r = np.empty(n)
-        channel = np.empty(n, dtype=int)
-        azi = np.empty(n, dtype=int)
-        refl = np.empty(n)
-        for i, b in enumerate(self.beams):
-            omega[i], alpha[i], r[i] = b.omega, b.alpha, b.r
-            channel[i], azi[i], refl[i] = b.channel, b.azimuth_index, b.reflectivity
-        return omega, alpha, r, channel, azi, refl
+        """(omega, alpha, r, channel, azimuth_index, reflectivity) arrays.
+
+        Fresh contiguous copies of the columns: callers may modify them.
+        """
+        return tuple(np.ascontiguousarray(self.beams[name]) for name in BEAM_DTYPE.names)
 
 
 def _gauss_rect_fraction(center_a, center_c, half_a, half_c, sigma):
@@ -441,17 +463,13 @@ def simulate_scan(
     refl = refl + rng.uniform(-2.0, 2.0, size=refl.shape)
     refl = np.clip(refl, 0.0, 255.0)
 
-    beams = [
-        PolarBeam(
-            omega=float(omegas[c]),
-            alpha=float((j[a] * step + skews[c] + phase) % (2 * math.pi)),
-            r=float(ranges[i] + r_noise[i]),
-            channel=int(c),
-            azimuth_index=int(j[a]),
-            reflectivity=float(refl[i]),
-        )
-        for i, (c, a) in enumerate(zip(ch_idx, az_idx))
-    ]
+    beams = np.empty(len(ch_idx), dtype=BEAM_DTYPE)
+    beams["omega"] = omegas[ch_idx]
+    beams["alpha"] = (j[az_idx] * step + skews[ch_idx] + phase) % TWO_PI
+    beams["r"] = ranges + r_noise
+    beams["channel"] = ch_idx
+    beams["azimuth_index"] = j[az_idx]
+    beams["reflectivity"] = refl
 
     # PD voltage records: beams whose footprint reaches a module
     pd_records = []

@@ -18,9 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Pose6DOF, polar_to_cartesian_array, rotation_matrix
-
-_FD_STEP = 1e-6
+from .geometry import Pose6DOF, matrix_to_pose, polar_to_cartesian_array, rotation_matrix
 
 
 class SolverFailure(RuntimeError):
@@ -39,15 +37,12 @@ class SolverConfig:
     max_iters: int = 200
     grad_tol: float = 1e-10
     step_tol: float = 1e-12
-    jacobian_mode: str = "analytic"
 
     def __post_init__(self):
         if self.eta <= 0 or self.lambda0 <= 0:
             raise ValueError("eta and lambda0 must be positive")
         if self.grad_tol <= 0 or self.step_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.jacobian_mode not in ("analytic", "finite-difference"):
-            raise ValueError(f"unknown jacobian_mode {self.jacobian_mode!r}")
 
     @classmethod
     def paper_faithful(cls) -> "SolverConfig":
@@ -89,13 +84,6 @@ def _beam_points(correspondences) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return polar_to_cartesian_array(omega, alpha, r), p_o, w
 
 
-def residual(beta: Pose6DOF, c) -> np.ndarray:
-    """Residual 3-vector p_O - (R p_L + T) for one correspondence, meters."""
-    p_l, p_o, _ = _beam_points([c])
-    r = rotation_matrix(beta)
-    return (p_o - (p_l @ r.T + beta.translation))[0]
-
-
 def residuals(beta: Pose6DOF, correspondences) -> np.ndarray:
     """Stacked (N, 3) residuals."""
     p_l, p_o, _ = _beam_points(correspondences)
@@ -116,25 +104,13 @@ def _rotation_partials(beta: Pose6DOF) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return drz @ ry @ rx, rz @ dry @ rx, rz @ ry @ drx
 
 
-def jacobian(beta: Pose6DOF, correspondences, mode: str = "analytic") -> np.ndarray:
+def jacobian(beta: Pose6DOF, correspondences) -> np.ndarray:
     """(3N, 6) Jacobian of the stacked residual w.r.t. the pose vector.
 
     The translation block is -I for every correspondence; rotation columns
-    are -(dR/dangle) p_L. Finite-difference mode uses central differences.
+    are -(dR/dangle) p_L.
     """
     n = len(correspondences)
-    if mode == "finite-difference":
-        j = np.empty((3 * n, 6))
-        v0 = beta.as_vector()
-        for k in range(6):
-            dv = np.zeros(6)
-            dv[k] = _FD_STEP
-            f_plus = residuals(Pose6DOF.from_vector(v0 + dv), correspondences)
-            f_minus = residuals(Pose6DOF.from_vector(v0 - dv), correspondences)
-            j[:, k] = ((f_plus - f_minus) / (2 * _FD_STEP)).ravel()
-        return j
-    if mode != "analytic":
-        raise ValueError(f"unknown jacobian mode {mode!r}")
     p_l, _, _ = _beam_points(correspondences)
     d_phi, d_theta, d_psi = _rotation_partials(beta)
     j = np.zeros((3 * n, 6))
@@ -159,11 +135,7 @@ def rigid_fit_initializer(correspondences) -> Pose6DOF:
         return Pose6DOF()
     d = np.sign(np.linalg.det(vt.T @ u.T))
     r = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
-    theta = -math.asin(max(-1.0, min(1.0, r[2, 0])))
-    phi = math.atan2(r[1, 0], r[0, 0])
-    psi = math.atan2(r[2, 1], r[2, 2])
-    t = co_ - r @ cl
-    return Pose6DOF(phi, theta, psi, *t)
+    return matrix_to_pose(np.column_stack([r, co_ - r @ cl]))
 
 
 def solve(
@@ -197,7 +169,7 @@ def solve(
     iterations = 0
 
     for iterations in range(1, config.max_iters + 1):
-        j = jacobian(beta, correspondences, config.jacobian_mode) * sw[:, None]
+        j = jacobian(beta, correspondences) * sw[:, None]
         g = j.T @ f
         if np.max(np.abs(g)) < config.grad_tol:
             converged = True
@@ -227,7 +199,7 @@ def solve(
                 converged = True  # no downhill step exists at machine precision
                 break
 
-    j = jacobian(beta, correspondences, config.jacobian_mode) * sw[:, None]
+    j = jacobian(beta, correspondences) * sw[:, None]
     h = j.T @ j
     n = len(correspondences)
     dof = max(3 * n - 6, 1)

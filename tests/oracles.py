@@ -2,10 +2,14 @@
 
 These deliberately avoid the code paths they validate: the Gaussian-center
 oracle is a dense grid search over (mu, sigma) with the amplitude solved in
-closed form, and the rigid-fit oracle is the SVD (Kabsch) construction.
+closed form, the rigid-fit oracle is the SVD (Kabsch) construction, and
+the Jacobian oracle differentiates the solver's residual numerically.
 """
 
 import numpy as np
+
+from pdcalib.geometry import Pose6DOF
+from pdcalib.solver import residuals
 
 
 def gaussian_nls_grid(x, y, mu_range=(-0.002, 0.017), sigma_range=(0.001, 0.015)):
@@ -53,3 +57,16 @@ def rigid_fit_svd(src, dst):
     d = np.sign(np.linalg.det(vt.T @ u.T))
     r = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
     return np.column_stack([r, cd - r @ cs])
+
+
+def central_difference_jacobian(beta, correspondences, step=1e-6):
+    """(3N, 6) Jacobian of the stacked residual by central differences."""
+    v0 = beta.as_vector()
+    j = np.empty((3 * len(correspondences), 6))
+    for k in range(6):
+        dv = np.zeros(6)
+        dv[k] = step
+        f_plus = residuals(Pose6DOF.from_vector(v0 + dv), correspondences)
+        f_minus = residuals(Pose6DOF.from_vector(v0 - dv), correspondences)
+        j[:, k] = ((f_plus - f_minus) / (2 * step)).ravel()
+    return j

@@ -32,9 +32,8 @@ class TestFindPdBeam:
     PD = PdPlacement("pd", offset=(0.1, 0.05))
 
     def _row(self, reflectivities, x0=0.06, dx=0.009):
-        beams = [_beam(5 + 0.2 * i, refl, idx=i) for i, refl in enumerate(reflectivities)]
         pos = np.array([[x0 + dx * i, 0.0, 0.05] for i in range(len(reflectivities))])
-        return beams, pos
+        return np.asarray(reflectivities, dtype=float), pos
 
     def test_simulated_row_returns_marked_beam(self, horizontal_scene, horizontal_batch):
         frame = horizontal_batch[0]
@@ -45,26 +44,23 @@ class TestFindPdBeam:
             truth_idx = frame.truth.on_pd_beam[pd.pd_id]
             if truth_idx is None:
                 continue
-            row = ch == ch[truth_idx]
-            row_beams = [frame.beams[i] for i in np.nonzero(row)[0]]
-            found = find_pd_beam(row_beams, pts[row], pd)
-            assert found.azimuth_index == frame.beams[truth_idx].azimuth_index
+            row = np.nonzero(ch == ch[truth_idx])[0]
+            found = find_pd_beam(refl[row], pts[row], pd)
+            assert az[row[found]] == az[truth_idx]
 
     def test_uniform_row_misses(self):
-        beams, pos = self._row([20.0] * 9)
+        refl, pos = self._row([20.0] * 9)
         with pytest.raises(DetectionMiss):
-            find_pd_beam(beams, pos, self.PD)
+            find_pd_beam(refl, pos, self.PD)
 
     def test_two_elevated_takes_higher(self):
-        refl = [20, 20, 20, 55, 70, 20, 20, 20, 20]
-        beams, pos = self._row(refl)
-        assert find_pd_beam(beams, pos, self.PD).azimuth_index == 4
+        refl, pos = self._row([20, 20, 20, 55, 70, 20, 20, 20, 20])
+        assert find_pd_beam(refl, pos, self.PD) == 4
 
     def test_tie_takes_nearer_to_pd(self):
-        refl = [20, 20, 20, 70, 70, 20, 20, 20, 20]
-        beams, pos = self._row(refl)
+        refl, pos = self._row([20, 20, 20, 70, 70, 20, 20, 20, 20])
         # positions: beam 4 sits at 0.096, nearer the PD center x=0.1
-        assert find_pd_beam(beams, pos, self.PD).azimuth_index == 4
+        assert find_pd_beam(refl, pos, self.PD) == 4
 
     def test_empty_row(self):
         with pytest.raises(DetectionMiss):
@@ -155,8 +151,9 @@ class TestMakeCorrespondences:
         assert len(result.correspondences) == 200
         by_key = {}
         for frame in horizontal_batch:
-            for i, b in enumerate(frame.beams):
-                by_key[(frame.scan_id, b.channel, b.azimuth_index)] = frame.truth.board_positions[i]
+            _, _, _, ch, az, _ = frame.beam_arrays()
+            for i in range(len(frame.beams)):
+                by_key[(frame.scan_id, ch[i], az[i])] = frame.truth.board_positions[i]
         for c in result.correspondences:
             truth = by_key[(c.scan_id, c.beam.channel, c.beam.azimuth_index)]
             assert np.linalg.norm(c.p_o - truth) < 1.0 * MM
@@ -217,10 +214,8 @@ class TestYawShiftConsistency:
                     beam = ft.key_beams.get(pd.pd_id)
                     if beam is None:
                         continue
-                    bi = next(
-                        i for i, b in enumerate(frame.beams)
-                        if b.channel == beam.channel and b.azimuth_index == beam.azimuth_index
-                    )
+                    _, _, _, ch, az, _ = frame.beam_arrays()
+                    bi = np.flatnonzero((ch == beam.channel) & (az == beam.azimuth_index))[0]
                     a_list.append(beam.alpha / DEG)
                     x_list.append(frame.truth.board_positions[bi][0] / MM)
                 geo_tau[yaw_deg][pd.pd_id] = float(np.polyfit(a_list, x_list, 1)[0])

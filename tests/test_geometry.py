@@ -10,7 +10,6 @@ from pdcalib.geometry import (
     PolarBeam,
     Pose6DOF,
     cartesian_to_polar,
-    invert_rigid,
     matrix_to_pose,
     polar_to_cartesian,
     pose_to_matrix,
@@ -115,11 +114,6 @@ class TestPose:
             back = matrix_to_pose(pose_to_matrix(pose))
             np.testing.assert_allclose(back.as_vector(), pose.as_vector(), atol=1e-10)
 
-    def test_compose_inverse_identity(self):
-        pose = Pose6DOF(0.3, -0.2, 0.15, 1.0, -2.0, 0.5)
-        ident = pose.compose(pose.inverse())
-        np.testing.assert_allclose(ident.as_vector(), 0.0, atol=1e-12)
-
     def test_angle_normalization(self):
         p = Pose6DOF(phi=3 * math.pi)
         assert p.phi == pytest.approx(math.pi)
@@ -142,14 +136,6 @@ class TestTransform:
         m = pose_to_matrix(Pose6DOF(dx=1, dy=2, dz=3))
         q = transform_point(m, CartesianPoint(0, 0, 0, frame="L"))
         assert (q.x, q.y, q.z) == (1.0, 2.0, 3.0)
-
-    def test_inverse_recovers_points(self):
-        rng = np.random.default_rng(5)
-        pose = Pose6DOF(0.4, 0.1, -0.3, 0.5, -1.5, 2.0)
-        m = pose_to_matrix(pose)
-        pts = rng.uniform(-2, 2, (4, 3))
-        back = transform_array(invert_rigid(m), transform_array(m, pts))
-        np.testing.assert_allclose(back, pts, atol=1e-12)
 
     def test_rigidity_preserves_distances(self):
         rng = np.random.default_rng(9)

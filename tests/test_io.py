@@ -99,6 +99,40 @@ class TestFrameSerialization:
         assert err.value.field == "range_m"
         assert str(bad) in str(err.value)
 
+    @pytest.mark.parametrize(
+        "field, index, token",
+        [
+            ("range_m", 6, "0.0"),
+            ("range_m", 6, "-2.5"),
+            ("range_m", 6, "nan"),
+            ("omega_deg", 5, "90.0"),
+            ("omega_deg", 5, "-91.5"),
+        ],
+    )
+    def test_bad_beam_value_rejected(self, tmp_path, small_batch, field, index, token):
+        path = tmp_path / "frames.csv"
+        write_frames(small_batch, path)
+        lines = path.read_text().splitlines()
+        i = next(k for k, line in enumerate(lines) if line.startswith("beam,"))
+        parts = lines[i].split(",")
+        parts[index] = token
+        lines[i] = ",".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError):
+            read_frames(path)
+
+    def test_duplicate_beam_in_scan_rejected(self, tmp_path, small_batch):
+        path = tmp_path / "frames.csv"
+        write_frames(small_batch, path)
+        lines = path.read_text().splitlines()
+        i = next(k for k, line in enumerate(lines) if line.startswith("beam,"))
+        parts = lines[i].split(",")
+        parts[7] = "99.0"  # same scan, channel and azimuth index; other reflectivity
+        lines.insert(i + 1, ",".join(parts))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="duplicate"):
+            read_frames(path)
+
     def test_wrong_field_count(self, tmp_path):
         path = tmp_path / "f.csv"
         path.write_text(io.FRAME_MAGIC + "\nbeam,0,1\n")

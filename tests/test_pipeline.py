@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from pdcalib import preprocess
 from pdcalib.bench import make_bench_scene
 from pdcalib.pipeline import (
     PipelineError,
-    PipelineOptions,
+    board_plane,
     calibrate_frames,
     extract_frame_features,
 )
@@ -46,10 +47,8 @@ class TestFullBatch:
                 beam = ft.key_beams.get(pd.pd_id)
                 if beam is None:
                     continue
-                bi = next(
-                    i for i, b in enumerate(frame.beams)
-                    if b.channel == beam.channel and b.azimuth_index == beam.azimuth_index
-                )
+                _, _, _, ch, az, _ = frame.beam_arrays()
+                bi = np.flatnonzero((ch == beam.channel) & (az == beam.azimuth_index))[0]
                 truth_x = frame.truth.board_positions[bi][0]
                 claim = (
                     pd.offset[0] + ft.key_centers[pd.pd_id] - pd.center_local
@@ -82,25 +81,32 @@ class TestOptionsAndErrors:
             calibrate_frames(frames, bare)
         assert err.value.stage == "correspondence"
 
-    def test_per_scan_plane_option(self, horizontal_scene, horizontal_batch):
-        options = PipelineOptions(batch_plane=False)
-        result = calibrate_frames(horizontal_batch[:8], horizontal_scene, options=options)
+    def test_empty_batch_fails(self, horizontal_scene):
+        with pytest.raises(PipelineError):
+            calibrate_frames([], horizontal_scene)
+
+    def test_small_batch_solves_every_scan(self, horizontal_scene, horizontal_batch):
+        result = calibrate_frames(horizontal_batch[:8], horizontal_scene)
         assert sum(1 for _, rep, _ in result.scan_reports if rep is not None) == 8
 
-    def test_range_correction_toggle(self, horizontal_scene, horizontal_batch):
-        options = PipelineOptions(range_correction=False)
-        result = calibrate_frames(horizontal_batch[:8], horizontal_scene, options=options)
-        truth = horizontal_scene.base_pose.as_vector()
-        est = np.array([rep.beta.as_vector() for _, rep, _ in result.scan_reports if rep])
-        # still solves, but without the plane projection the raw 10 mm range
-        # noise on 4 points makes the angles ~30x noisier (roll noise alone
-        # is ~2 deg/scan over the 0.14 m lever): sanity-bound only
-        assert len(est) == 8
-        assert np.max(np.abs(est.mean(axis=0)[:3] - truth[:3])) < 2.0 * DEG
-        assert np.max(np.abs(est.mean(axis=0)[3:] - truth[3:])) < 0.10
+    def test_segments_each_frame_once(self, horizontal_scene, horizontal_batch, monkeypatch):
+        calls = []
+        segment = preprocess.segment_target
+
+        def counted(frame, *args, **kwargs):
+            calls.append(frame.scan_id)
+            return segment(frame, *args, **kwargs)
+
+        monkeypatch.setattr(preprocess, "segment_target", counted)
+        frames = horizontal_batch[:8]
+        calibrate_frames(frames, horizontal_scene)
+        assert sorted(calls) == [f.scan_id for f in frames]
 
     def test_feature_extraction_misses_recorded(self, horizontal_scene, horizontal_batch):
-        ft = extract_frame_features(horizontal_batch[0], horizontal_scene, horizontal_scene.base_pose)
+        frame = horizontal_batch[0]
+        roi = preprocess.segment_target(frame, horizontal_scene.board.width, horizontal_scene.board.height)
+        plane = board_plane([frame], [roi])
+        ft = extract_frame_features(frame, roi, plane, horizontal_scene, horizontal_scene.base_pose)
         assert set(ft.key_beams) == {pd.pd_id for pd in horizontal_scene.board.pd_modules}
         assert ft.misses == {}
         assert ft.roi_count > 500

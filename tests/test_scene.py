@@ -59,9 +59,25 @@ class TestModels:
             LidarModel(range_noise_sigma=-1.0)
 
     def test_duplicate_beam_keys_rejected(self):
-        b = PolarBeam(omega=0.01, alpha=0.0, r=1.0, channel=0, azimuth_index=0)
+        b = (0.01, 0.0, 1.0, 0, 0, 0.0)  # omega, alpha, r, channel, azimuth_index, reflectivity
         with pytest.raises(ValueError):
             ScanFrame(scan_id=0, beams=[b, b], pd_records=[])
+
+    def test_vectorized_checks_follow_the_polar_beam_rule(self):
+        # PolarBeam checks one return at a time; ScanFrame must accept,
+        # reject and wrap exactly as it does
+        rng = np.random.default_rng(4)
+        alpha = np.concatenate([rng.uniform(-10.0, 10.0, 200), [0.0, 2 * math.pi, -1e-300, -0.0]])
+        rows = [(0.1, a, 2.0, 0, k, 5.0) for k, a in enumerate(alpha)]
+        frame = ScanFrame(scan_id=0, beams=rows, pd_records=[])
+        expected = [PolarBeam(*row).alpha for row in rows]
+        assert frame.beam_arrays()[1].tolist() == expected
+        for bad in ((0.1, 0.0, 0.0, 0, 0, 5.0), (0.1, 0.0, float("nan"), 0, 0, 5.0),
+                    (math.pi / 2, 0.0, 2.0, 0, 0, 5.0), (0.1, float("inf"), 2.0, 0, 0, 5.0)):
+            with pytest.raises(ValueError):
+                PolarBeam(*bad)
+            with pytest.raises(ValueError):
+                ScanFrame(scan_id=0, beams=[bad], pd_records=[])
 
     def test_frame_offset_round_trip(self):
         # a PD at the board center maps its array-center measurement (7.5 mm)

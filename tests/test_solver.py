@@ -4,13 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from oracles import rigid_fit_svd
+from oracles import central_difference_jacobian, rigid_fit_svd
 from pdcalib.correspondence import Correspondence
 from pdcalib.geometry import PolarBeam, Pose6DOF, pose_to_matrix
 from pdcalib.solver import (
     SolverConfig,
     jacobian,
-    residual,
     residuals,
     rigid_fit_initializer,
     solve,
@@ -91,12 +90,12 @@ TRUTH = Pose6DOF(1 * DEG, 0.5 * DEG, -0.3 * DEG, 0.010, -0.005, 0.002)
 class TestResidual:
     def test_zero_at_ground_truth(self):
         for c in make_correspondences_from_pose(TRUTH, BOARD_POINTS_L):
-            np.testing.assert_allclose(residual(TRUTH, c), 0.0, atol=1e-12)
+            np.testing.assert_allclose(residuals(TRUTH, [c])[0], 0.0, atol=1e-12)
 
     def test_pure_translation_row(self):
         pose = Pose6DOF(dx=0.010)
         c = make_correspondences_from_pose(pose, BOARD_POINTS_L[:1])[0]
-        res = residual(Pose6DOF(), c)
+        res = residuals(Pose6DOF(), [c])[0]
         assert res[0] == pytest.approx(0.010, abs=1e-12)
         assert abs(res[1]) < 1e-12 and abs(res[2]) < 1e-12
 
@@ -113,7 +112,7 @@ class TestResidual:
                 "x", 0, p_o, PolarBeam(omega=omega, alpha=alpha, r=r)
             )
             np.testing.assert_allclose(
-                residual(beta, c),
+                residuals(beta, [c])[0],
                 expanded_residual_rows(beta, r, alpha, omega, p_o),
                 atol=1e-10,
             )
@@ -131,8 +130,8 @@ class TestJacobian:
         cs = make_correspondences_from_pose(TRUTH, BOARD_POINTS_L)
         for _ in range(100):
             beta = Pose6DOF(*rng.uniform(-1.2, 1.2, 3), *rng.uniform(-2, 2, 3))
-            ja = jacobian(beta, cs, "analytic")
-            jf = jacobian(beta, cs, "finite-difference")
+            ja = jacobian(beta, cs)
+            jf = central_difference_jacobian(beta, cs)
             assert np.max(np.abs(ja - jf)) < 1e-5
 
     def test_small_angle_rotation_columns(self):
@@ -146,11 +145,6 @@ class TestJacobian:
         np.testing.assert_allclose(j[:, 0], [y, -x, 0], atol=1e-12)       # phi
         np.testing.assert_allclose(j[:, 1], [-z, 0, x], atol=1e-12)       # theta
         np.testing.assert_allclose(j[:, 2], [0, z, -y], atol=1e-12)       # psi
-
-    def test_unknown_mode_rejected(self):
-        cs = make_correspondences_from_pose(TRUTH, BOARD_POINTS_L)
-        with pytest.raises(ValueError):
-            jacobian(Pose6DOF(), cs, "symbolic")
 
 
 class TestSolve:
@@ -248,5 +242,3 @@ class TestSolve:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(eta=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(jacobian_mode="nope")
