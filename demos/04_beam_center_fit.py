@@ -10,7 +10,15 @@ the ~9 mm beam spacing.
 
 import numpy as np
 
-from pdcalib import augment_samples, beams_on_pd, fit_gaussian_iterative, make_bench_scene, select_key_beam, simulate_scan
+from pdcalib import (
+    augment_samples,
+    beams_on_pd,
+    fit_gaussian_batch,
+    fit_gaussian_iterative,
+    make_bench_scene,
+    select_key_beam,
+    simulate_scan,
+)
 
 MM = 1e-3
 
@@ -32,23 +40,18 @@ pd = scene.board.pd_modules[0]
 rec = next(r for r in frame.pd_records if r.pd_id == pd.pd_id)
 positions = pd.element_positions()[list(rec.sampled_channels)]
 events = beams_on_pd(rec, scene.lidar.firing_period)
-fits = []
-for t, volts in events:
-    xa, ya = augment_samples(positions, volts)
-    try:
-        fits.append(fit_gaussian_iterative(xa, ya))
-    except Exception:
-        fits.append(None)
+volts = np.array([v for _, v in events])
+# all events of the module in one batched fit; a failed row reads NaN
+xa, ya = augment_samples(np.broadcast_to(positions, volts.shape), volts)
+centers = fit_gaussian_batch(xa, ya).mu
 
-truth_beams = frame.truth.pd_event_beams[pd.pd_id]
 truth_pts = frame.truth.pd_event_centers[pd.pd_id]
-for k, ((t, volts), f) in enumerate(zip(events, fits)):
+for k, mu in enumerate(centers):
     true_mu = truth_pts[k][0] - pd.offset[0] + pd.center_local
-    got = f.mu / MM if f else float("nan")
-    print(f"event {k}: fitted center {got:7.3f} mm | true {true_mu / MM:7.3f} mm "
-        f"| error {abs(f.mu - true_mu) / MM if f else float('nan'):.3f} mm")
+    print(f"event {k}: fitted center {mu / MM:7.3f} mm | true {true_mu / MM:7.3f} mm "
+        f"| error {abs(mu - true_mu) / MM:.3f} mm")
 
-key = select_key_beam(fits)
+key = select_key_beam(centers)
 print(f"key beam = event {key} (fitted center closest to the 7.5 mm array middle)")
 print()
 print("neighboring events sit near or beyond the array ends, where the fit")

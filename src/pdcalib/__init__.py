@@ -19,10 +19,12 @@ Typical use::
 
 from .afe import PdSignalRecord, TiaParams, currents_to_record, noise_gain, q_factor, tia_step_response
 from .beam_center import (
+    GaussianFitBatch,
     GaussianFitError,
     GaussianFitResult,
     augment_samples,
     beams_on_pd,
+    fit_gaussian_batch,
     fit_gaussian_iterative,
     select_key_beam,
 )
@@ -82,6 +84,7 @@ __all__ = [
     "Correspondence",
     "DetectionMiss",
     "FrameMismatchError",
+    "GaussianFitBatch",
     "GaussianFitError",
     "GaussianFitResult",
     "LidarModel",
@@ -111,6 +114,7 @@ __all__ = [
     "corner_error_bound",
     "currents_to_record",
     "find_pd_beam",
+    "fit_gaussian_batch",
     "fit_gaussian_iterative",
     "fit_plane",
     "integrate_beam_on_pd",

@@ -71,6 +71,8 @@ class PdSignalRecord:
         self.sample_times = np.atleast_1d(np.asarray(self.sample_times, dtype=float))
         if self.element_voltages.shape[0] != self.sample_times.shape[0]:
             raise ValueError("one sample time per beam event required")
+        if self.element_voltages.shape[1] != len(self.sampled_channels):
+            raise ValueError("one voltage column per sampled channel required")
         if np.any(self.element_voltages < 0) or np.any(self.element_voltages > SUPPLY_RAIL_V):
             raise ValueError("element voltages outside the 0-10 V supply range")
 

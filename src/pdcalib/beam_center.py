@@ -12,6 +12,9 @@ Because only four array elements are sampled by the DAQ, two synthetic
 anchor samples at the noise level are appended outside the array span
 before fitting; they keep the quadratic concave when the spot sits near
 an array end.
+
+``fit_gaussian_batch`` fits a stack of events at once, each row on its
+own; ``fit_gaussian_iterative`` is its one-row case.
 """
 
 from __future__ import annotations
@@ -35,11 +38,28 @@ class GaussianFitError(ValueError):
     """Log-quadratic fit failed (non-concave or singular system)."""
 
 
+# why a row of a batched fit failed: GaussianFitBatch.status indexes this
+# tuple, and status 0 marks a usable fit
+FIT_STATUS = (
+    "ok",
+    "element positions must be distinct",
+    "need at least 3 positive samples",
+    "singular normal matrix",
+    "non-concave log fit (a2 >= 0)",
+    "non-positive or non-finite sigma",
+    f"fitted center outside the usable [{MU_BOUNDS_M[0] * 1e3:.0f}, "
+    f"{MU_BOUNDS_M[1] * 1e3:.0f}] mm window",
+)
+_DUPLICATE, _TOO_FEW, _SINGULAR, _NON_CONCAVE, _BAD_SIGMA, _OUTSIDE = range(1, len(FIT_STATUS))
+
+
 @dataclass(frozen=True)
 class GaussianFitResult:
     """Result of one beam-center fit.
 
     mu and sigma are in meters along the PD axis, amplitude in volts.
+    ``converged`` means |delta mu| between the final two passes was below
+    ``CONVERGENCE_TOL_M``.
     """
 
     mu: float
@@ -49,8 +69,8 @@ class GaussianFitResult:
     converged: bool
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise GaussianFitError(f"non-positive sigma {self.sigma}")
+        if not (self.sigma > 0 and math.isfinite(self.sigma)):
+            raise GaussianFitError(f"non-positive or non-finite sigma {self.sigma}")
         if not (MU_BOUNDS_M[0] <= self.mu <= MU_BOUNDS_M[1]):
             raise GaussianFitError(
                 f"fitted center {self.mu * 1e3:.2f} mm outside the usable "
@@ -58,22 +78,153 @@ class GaussianFitResult:
             )
 
 
+@dataclass(frozen=True)
+class GaussianFitBatch:
+    """Column results of a batched fit, one entry per row.
+
+    ``status`` indexes ``FIT_STATUS``; mu, sigma and amplitude are NaN and
+    ``converged`` is False where a row's fit failed.
+    """
+
+    mu: np.ndarray
+    sigma: np.ndarray
+    amplitude: np.ndarray
+    converged: np.ndarray
+    status: np.ndarray
+
+    @property
+    def ok(self) -> np.ndarray:
+        return self.status == 0
+
+
 def augment_samples(x, y):
     """Append the two low-level anchor samples to a measurement set.
 
-    Adds (-5 mm, 0.1 V) and (20 mm, 0.1 V) exactly once; calling it on an
-    already-augmented set raises.
+    Adds (-5 mm, 0.1 V) and (20 mm, 0.1 V) exactly once, to a 1-D set or to
+    every row of an (n, m) stack; calling it on an already-augmented set
+    raises.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("augment_samples expects matching 1-D x and y")
+    if x.shape != y.shape or x.ndim not in (1, 2):
+        raise ValueError("augment_samples expects matching 1-D or 2-D x and y")
     for xa in AUGMENT_POSITIONS_M:
         if np.any(np.isclose(x, xa, rtol=0.0, atol=1e-12)):
             raise ValueError("samples already augmented")
-    x_out = np.concatenate([x, AUGMENT_POSITIONS_M])
-    y_out = np.concatenate([y, [AUGMENT_VALUE_V, AUGMENT_VALUE_V]])
+    anchors = x.shape[:-1] + (2,)
+    x_out = np.concatenate([x, np.broadcast_to(AUGMENT_POSITIONS_M, anchors)], axis=-1)
+    y_out = np.concatenate([y, np.full(anchors, AUGMENT_VALUE_V)], axis=-1)
     return x_out, y_out
+
+
+# normal matrix of the log-quadratic fit from the moments p[k] = sum(u^(4-k) w)
+_HANKEL = np.array([[0, 1, 2], [1, 2, 3], [2, 3, 4]])
+
+
+def _solve_rows(m: np.ndarray, b: np.ndarray):
+    """Solve the (n, 3, 3) systems m a = b; a singular row gives NaN and a flag."""
+    singular = np.zeros(len(m), dtype=bool)
+    try:
+        return np.linalg.solve(m, b[..., None])[..., 0], singular
+    except np.linalg.LinAlgError:
+        pass
+    a = np.full(b.shape, np.nan)
+    for i in range(len(m)):
+        try:
+            a[i] = np.linalg.solve(m[i : i + 1], b[i : i + 1, :, None])[0, :, 0]
+        except np.linalg.LinAlgError:
+            singular[i] = True
+    return a, singular
+
+
+def fit_gaussian_batch(
+    x,
+    y,
+    k_max: int = DEFAULT_ITERATIONS,
+    noise_floor=AUGMENT_VALUE_V,
+) -> GaussianFitBatch:
+    """Fit a Gaussian to each row of (position, peak-voltage) samples.
+
+    Parameters
+    ----------
+    x, y : (n, m) arrays
+        Element positions in meters and peak voltages in volts, one event
+        per row. Voltages at or below the row's noise floor are clamped to
+        it so the log is defined.
+    k_max : int
+        Number of reweighting passes (weights y_(k-1)^2; pass 0 uses the
+        measured values, later passes the model predictions). Every row runs
+        all passes.
+    noise_floor : float or (n,) array
+        One floor for all rows or one per row.
+
+    Returns
+    -------
+    GaussianFitBatch
+        With mu = -a1/(2 a2) and sigma^2 = -1/(2 a2) per row. A row fails
+        (and never disturbs the others) if its positions repeat, it has fewer
+        than 3 positive samples, a pass meets a singular normal matrix or
+        a2 >= 0, or the final sigma or center is unusable.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape or x.ndim != 2:
+        raise ValueError("fit_gaussian_batch expects matching (n, m) x and y")
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
+    n = len(x)
+    floor = np.broadcast_to(np.asarray(noise_floor, dtype=float), (n,))
+    y = np.maximum(y, floor[:, None])
+    status = np.zeros(n, dtype=np.int8)
+
+    def fail(mask, code):
+        status[(status == 0) & mask] = code
+
+    fail(np.any(np.diff(np.sort(x, axis=1), axis=1) == 0, axis=1), _DUPLICATE)
+    fail(np.count_nonzero(y > 0, axis=1) < 3, _TOO_FEW)
+
+    # center each row's abscissa so the normal equations stay well scaled
+    # and the estimate is shift-equivariant
+    x0 = 0.5 * (x.min(axis=1, initial=np.inf) + x.max(axis=1, initial=-np.inf))
+    u = x - x0[:, None]
+    powers = np.stack([u ** 4, u ** 3, u ** 2, u, np.ones_like(u)], axis=1)  # (n, 5, m)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ln_y = np.log(y)[:, None, :]
+        w = y * y  # pass 0: squared measurements
+        mu_local = mu_prev = np.full(n, np.nan)
+        identity = np.eye(3)
+        for _ in range(k_max):
+            weighted = powers * w[:, None, :]
+            p = weighted.sum(axis=2)  # moments sum(u^k w), k = 4 .. 0
+            m = p[:, _HANKEL]
+            b = (weighted[:, 2:] * ln_y).sum(axis=2)
+            # a failed row solves the identity instead, so it cannot make the
+            # stacked solve raise or spread NaN
+            dead = status != 0
+            if dead.any():
+                m[dead] = identity
+                b[dead] = 0.0
+            a, singular = _solve_rows(m, b)
+            a2, a1, a0 = a.T
+            fail(singular, _SINGULAR)
+            fail(a2 >= 0, _NON_CONCAVE)
+            mu_prev, mu_local = mu_local, -a1 / (2.0 * a2)
+            w = np.exp(a2[:, None] * u * u + a1[:, None] * u + a0[:, None]) ** 2
+
+        sigma = np.sqrt(-1.0 / (2.0 * a2))
+        amplitude = np.exp(a0 - a1 * a1 / (4.0 * a2))
+        mu = mu_local + x0
+        fail(~(np.isfinite(sigma) & (sigma > 0)), _BAD_SIGMA)
+        fail(~((mu >= MU_BOUNDS_M[0]) & (mu <= MU_BOUNDS_M[1])), _OUTSIDE)
+        converged = np.abs(mu_local - mu_prev) < CONVERGENCE_TOL_M
+    ok = status == 0
+    return GaussianFitBatch(
+        mu=np.where(ok, mu, np.nan),
+        sigma=np.where(ok, sigma, np.nan),
+        amplitude=np.where(ok, amplitude, np.nan),
+        converged=ok & converged,
+        status=status,
+    )
 
 
 def fit_gaussian_iterative(
@@ -82,23 +233,17 @@ def fit_gaussian_iterative(
     k_max: int = DEFAULT_ITERATIONS,
     noise_floor: float = AUGMENT_VALUE_V,
 ) -> GaussianFitResult:
-    """Fit a Gaussian to (position, peak-voltage) samples.
+    """Fit a Gaussian to one set of (position, peak-voltage) samples.
 
-    Parameters
-    ----------
-    x : array
-        Element positions in meters (distinct).
-    y : array
-        Peak voltages in volts. Values at or below ``noise_floor`` are
-        clamped to it so the log is always defined.
-    k_max : int
-        Number of reweighting passes (weights y_(k-1)^2; pass 0 uses the
-        measured values, later passes the model predictions).
+    The one-row case of ``fit_gaussian_batch``; see there for the
+    parameters. ``x`` and ``y`` are 1-D and the positions must be distinct.
 
-    Returns
-    -------
-    GaussianFitResult
-        With mu = -a1/(2 a2) and sigma^2 = -1/(2 a2).
+    Raises
+    ------
+    ValueError
+        For mismatched or non-1-D input, repeated positions or k_max < 1.
+    GaussianFitError
+        Where the batched fit marks the row failed, with the reason.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -106,74 +251,33 @@ def fit_gaussian_iterative(
         raise ValueError("fit_gaussian_iterative expects matching 1-D x and y")
     if len(np.unique(x)) != len(x):
         raise ValueError("element positions must be distinct")
-    y = np.maximum(y, noise_floor)
-    if np.count_nonzero(y > 0) < 3:
-        raise GaussianFitError("need at least 3 positive samples")
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-
-    # center the abscissa so the normal equations stay well scaled and the
-    # estimate is shift-equivariant
-    x0 = 0.5 * (x.min() + x.max())
-    u = x - x0
-    ln_y = np.log(y)
-
-    w = y * y  # pass 0: squared measurements
-    mu_prev = None
-    mu_local = math.nan
-    a2 = a1 = a0 = math.nan
-    converged = False
-    iterations = 0
-    for k in range(k_max):
-        p4 = np.sum(u ** 4 * w)
-        p3 = np.sum(u ** 3 * w)
-        p2 = np.sum(u ** 2 * w)
-        p1 = np.sum(u * w)
-        p0 = np.sum(w)
-        m = np.array([[p4, p3, p2], [p3, p2, p1], [p2, p1, p0]])
-        b = np.array(
-            [np.sum(u ** 2 * w * ln_y), np.sum(u * w * ln_y), np.sum(w * ln_y)]
-        )
-        try:
-            a2, a1, a0 = np.linalg.solve(m, b)
-        except np.linalg.LinAlgError as exc:
-            raise GaussianFitError(f"singular normal matrix at pass {k}") from exc
-        if a2 >= 0:
-            raise GaussianFitError("non-concave log fit (a2 >= 0)")
-        mu_local = -a1 / (2.0 * a2)
-        iterations = k + 1
-        if mu_prev is not None and abs(mu_local - mu_prev) < CONVERGENCE_TOL_M:
-            converged = True
-        mu_prev = mu_local
-        w = np.exp(a2 * u * u + a1 * u + a0) ** 2  # next pass: squared model
-
-    sigma_sq = -1.0 / (2.0 * a2)
-    amplitude = math.exp(a0 - a1 * a1 / (4.0 * a2))
+    fit = fit_gaussian_batch(x[None], y[None], k_max, noise_floor)
+    if not fit.ok[0]:
+        raise GaussianFitError(FIT_STATUS[fit.status[0]])
     return GaussianFitResult(
-        mu=float(mu_local + x0),
-        sigma=float(math.sqrt(sigma_sq)),
-        amplitude=float(amplitude),
-        iterations_used=iterations,
-        converged=converged,
+        mu=float(fit.mu[0]),
+        sigma=float(fit.sigma[0]),
+        amplitude=float(fit.amplitude[0]),
+        iterations_used=k_max,
+        converged=bool(fit.converged[0]),
     )
 
 
 ARRAY_CENTER_M = 0.0075  # midpoint of the 0-15 mm element span
 
 
-def select_key_beam(fits) -> int:
-    """Index of the fit whose center is closest to the 7.5 mm array center.
+def select_key_beam(centers) -> int:
+    """Index of the fitted center closest to the 7.5 mm array center.
 
-    Ties go to the earlier-fired beam (lower index). ``fits`` may contain
-    None entries for failed fits; raises if none succeeded.
+    Ties go to the earlier-fired beam (lower index). ``centers`` holds one
+    center per beam in meters, NaN for a failed fit; raises if none
+    succeeded.
     """
     best = None
     best_dist = math.inf
-    for i, f in enumerate(fits):
-        if f is None:
-            continue
-        d = abs(f.mu - ARRAY_CENTER_M)
-        if d < best_dist - 1e-15:
+    for i, mu in enumerate(centers):
+        d = abs(mu - ARRAY_CENTER_M)
+        if d < best_dist - 1e-15:  # false for NaN
             best, best_dist = i, d
     if best is None:
         raise GaussianFitError("no successful fit to select a key beam from")

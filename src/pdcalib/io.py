@@ -234,13 +234,18 @@ def _parse_int(path, line_no, field, token):
 
 
 def read_frames(path) -> list:
-    """Parse a scan-frame file back into ScanFrame objects (no sim truth)."""
+    """Parse a scan-frame file back into ScanFrame objects (no sim truth).
+
+    Raises FrameParseError for a malformed line and for a PD row whose scan
+    has no beam rows.
+    """
     text = Path(path).read_text()
     lines = text.splitlines()
     if not lines or lines[0].strip() != FRAME_MAGIC:
         raise FrameParseError(path, 1, "magic", f"expected {FRAME_MAGIC!r}")
     beams: dict = {}
     pd_rows: dict = {}
+    first_pd_line: dict = {}  # scan_id -> line of its first PD row
     for line_no, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -282,9 +287,14 @@ def read_frames(path) -> list:
                     f"{len(volts)} voltages for {len(channels)} sampled channels",
                 )
             pd_rows.setdefault((sid, pd_id), []).append((time_s, floor, channels, volts))
+            first_pd_line.setdefault(sid, line_no)
         else:
             raise FrameParseError(path, line_no, "record", f"unknown record type {kind!r}")
 
+    orphans = [(line_no, sid) for sid, line_no in first_pd_line.items() if sid not in beams]
+    if orphans:
+        line_no, sid = min(orphans)
+        raise FrameParseError(path, line_no, "scan_id", f"PD row of scan {sid}, which has no beam rows")
     frames = []
     for sid in sorted(beams):
         records = []

@@ -6,9 +6,10 @@ once; the board plane is fit once from the pooled segments, because every
 scan sees the same board. Then per frame:
 
 1. slide each board return along its ray onto the plane (range correction);
-2. per PD module: pick the channel row crossing it, detect the struck beam
-   by its reflectivity, fit the beam center from the module's voltages and
-   keep the (azimuth, center) pair.
+2. per PD module: pick the channel row crossing it and detect the struck
+   beam by its reflectivity;
+3. fit the beam centers of every event on the detected modules in one
+   batch, and keep each module's (azimuth, center) pair.
 
 The per-module pairs from the whole batch feed the RANSAC azimuth-center
 model; each frame then yields correspondences and its own pose estimate,
@@ -122,6 +123,26 @@ def board_plane(frames, rois) -> preprocess.PlaneModel:
     return preprocess.refine_plane_ranges(omega, alpha, r, tls)
 
 
+def _beam_centers(groups) -> list:
+    """Fitted center of every event, NaN where its fit failed, per group.
+
+    ``groups`` holds one (event voltages (n, m), sample positions (m,), noise
+    floor) per PD. The events of all PDs that sample the same number of
+    elements go through one batched fit, so a frame usually takes one call.
+    """
+    centers = [None] * len(groups)
+    for width in {len(positions) for _, positions, _ in groups}:
+        ks = [k for k, (_, positions, _) in enumerate(groups) if len(positions) == width]
+        volts = [groups[k][0] for k in ks]
+        x = np.concatenate([np.broadcast_to(groups[k][1], v.shape) for k, v in zip(ks, volts)])
+        floor = np.concatenate([np.full(len(v), groups[k][2]) for k, v in zip(ks, volts)])
+        x_aug, y_aug = beam_center.augment_samples(x, np.concatenate(volts))
+        mu = beam_center.fit_gaussian_batch(x_aug, y_aug, noise_floor=floor).mu
+        for k, part in zip(ks, np.split(mu, np.cumsum([len(v) for v in volts])[:-1])):
+            centers[k] = part
+    return centers
+
+
 def extract_frame_features(
     frame: ScanFrame,
     roi: np.ndarray,
@@ -132,8 +153,10 @@ def extract_frame_features(
 ) -> FrameFeatures:
     """Range correction, beam detection and center fitting on one frame.
 
-    ``roi`` indexes the frame's board returns (from segmentation) and
-    ``plane`` is the board plane they are slid onto.
+    Detection runs for every PD first; the events of all detected PDs are
+    then fit in one batch, and each PD keeps the event nearest its array
+    middle as the key beam. ``roi`` indexes the frame's board returns (from
+    segmentation) and ``plane`` is the board plane they are slid onto.
     """
     options = options or PipelineOptions()
     board = scene.board
@@ -151,6 +174,8 @@ def extract_frame_features(
     key_beams: dict = {}
     key_centers: dict = {}
     misses: dict = {}
+    detected = []  # (pd, struck beam row)
+    groups = []    # (event voltages, sample positions, noise floor) per detected PD
     for pd in board.pd_modules:
         rec = records.get(pd.pd_id)
         if rec is None or rec.n_events == 0:
@@ -171,23 +196,20 @@ def extract_frame_features(
             misses[pd.pd_id] = str(exc)
             continue
 
-        positions = pd.element_positions()[list(rec.sampled_channels)]
         events = beam_center.beams_on_pd(rec, scene.lidar.firing_period)
-        fits = []
-        for _, volts in events:
-            try:
-                x_aug, y_aug = beam_center.augment_samples(positions, volts)
-                fits.append(
-                    beam_center.fit_gaussian_iterative(x_aug, y_aug, noise_floor=rec.noise_floor)
-                )
-            except (beam_center.GaussianFitError, ValueError):
-                fits.append(None)
+        detected.append((pd, row_idx[hit]))
+        groups.append((
+            np.array([v for _, v in events]),
+            pd.element_positions()[list(rec.sampled_channels)],
+            rec.noise_floor,
+        ))
+
+    for (pd, i), mu in zip(detected, _beam_centers(groups)):
         try:
-            key = beam_center.select_key_beam(fits)
+            key = beam_center.select_key_beam(mu)
         except beam_center.GaussianFitError as exc:
             misses[pd.pd_id] = str(exc)
             continue
-        i = row_idx[hit]
         key_beams[pd.pd_id] = PolarBeam(
             omega=float(omega[i]),
             alpha=float(alpha[i]),
@@ -196,7 +218,7 @@ def extract_frame_features(
             azimuth_index=int(azimuth_index[i]),
             reflectivity=float(refl[i]),
         )
-        key_centers[pd.pd_id] = fits[key].mu
+        key_centers[pd.pd_id] = float(mu[key])
     return FrameFeatures(
         scan_id=frame.scan_id,
         key_beams=key_beams,
@@ -221,23 +243,28 @@ def calibrate_frames(
     Raises
     ------
     PipelineError
-        For an empty batch, if no PD collects enough (azimuth, center) pairs
-        for a model, or if no scan yields enough correspondences to solve.
+        For an empty batch, a frame with no board-sized cluster, if no PD
+        collects enough (azimuth, center) pairs for a model, or if no scan
+        yields enough correspondences to solve.
     """
     options = options or PipelineOptions()
     nominal_pose = nominal_pose or scene.base_pose
     if not frames:
         raise PipelineError("segmentation", "empty batch: no frames to calibrate")
-    rois = [
-        preprocess.segment_target(
-            f,
-            scene.board.width,
-            scene.board.height,
-            cluster_tolerance=options.cluster_tolerance,
-            min_points=options.min_cluster_points,
-        )
-        for f in frames
-    ]
+    rois = []
+    for f in frames:
+        try:
+            rois.append(
+                preprocess.segment_target(
+                    f,
+                    scene.board.width,
+                    scene.board.height,
+                    cluster_tolerance=options.cluster_tolerance,
+                    min_points=options.min_cluster_points,
+                )
+            )
+        except preprocess.SegmentationError as exc:
+            raise PipelineError("segmentation", f"scan {f.scan_id}: {exc}") from exc
     plane = board_plane(frames, rois)
     features = [
         extract_frame_features(f, roi, plane, scene, nominal_pose, options)

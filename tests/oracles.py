@@ -2,7 +2,8 @@
 
 These deliberately avoid the code paths they validate: the Gaussian-center
 oracle is a dense grid search over (mu, sigma) with the amplitude solved in
-closed form, the rigid-fit oracle is the SVD (Kabsch) construction, and
+closed form, the one-event Guo fit is a plain scalar loop with the same
+arithmetic as the batched library fit, the rigid-fit oracle is the SVD (Kabsch) construction, and
 the Jacobian oracle differentiates the solver's residual numerically.
 """
 
@@ -42,6 +43,42 @@ def gaussian_nls_grid(x, y, mu_range=(-0.002, 0.017), sigma_range=(0.001, 0.015)
     mus = np.arange(mu0 - 1.5e-4, mu0 + 1.5e-4 + 1e-12, 2e-6)
     sigmas = np.arange(max(s0 - 4e-4, 1e-4), s0 + 4e-4 + 1e-12, 1e-5)
     return scan(mus, sigmas)
+
+
+def guo_fit_scalar(x, y, k_max=10, noise_floor=0.1):
+    """One-event iteratively reweighted log-quadratic Gaussian fit (Guo 2011).
+
+    A per-event loop over 3x3 normal equations, in the order of operations
+    the batched fit uses, so centers agree bit for bit. Returns mu in meters,
+    or None where the fit fails: fewer than 3 positive samples, a singular
+    system or a2 >= 0 at any pass, a non-finite sigma or a center outside
+    [-10, 25] mm.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.maximum(np.asarray(y, dtype=float), noise_floor)
+    if len(np.unique(x)) != len(x) or np.count_nonzero(y > 0) < 3:
+        return None
+    x0 = 0.5 * (x.min() + x.max())
+    u = x - x0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ln_y = np.log(y)
+        w = y * y
+        for _ in range(k_max):
+            p = [np.sum(u ** k * w) for k in range(5)]
+            m = np.array([[p[4], p[3], p[2]], [p[3], p[2], p[1]], [p[2], p[1], p[0]]])
+            b = np.array([np.sum(u ** 2 * w * ln_y), np.sum(u * w * ln_y), np.sum(w * ln_y)])
+            try:
+                a2, a1, a0 = np.linalg.solve(m, b)
+            except np.linalg.LinAlgError:
+                return None
+            if a2 >= 0:
+                return None
+            w = np.exp(a2 * u * u + a1 * u + a0) ** 2
+        sigma = np.sqrt(-1.0 / (2.0 * a2))
+        mu = -a1 / (2.0 * a2) + x0
+    if not (np.isfinite(sigma) and sigma > 0 and -0.010 <= mu <= 0.025):
+        return None
+    return float(mu)
 
 
 def rigid_fit_svd(src, dst):

@@ -125,6 +125,10 @@ class TestCurrentsToRecord:
         with pytest.raises(ValueError):
             PdSignalRecord("p", 0, np.array([[1.0], [2.0]]), np.array([0.0]), (0,))
 
+    def test_voltage_columns_match_sampled_channels(self):
+        with pytest.raises(ValueError, match="sampled channel"):
+            PdSignalRecord("p", 0, np.array([[1.0, 2.0]]), np.array([0.0]), (0, 5, 10))
+
     def test_bad_pulse_width(self):
         with pytest.raises(ValueError):
             currents_to_record(np.zeros(16), TiaParams(), 0.0, 0.0, seed=0)

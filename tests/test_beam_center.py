@@ -1,17 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pdcalib.afe import PdSignalRecord
 from pdcalib.beam_center import (
     AUGMENT_VALUE_V,
+    CONVERGENCE_TOL_M,
+    FIT_STATUS,
     GaussianFitError,
     GaussianFitResult,
     augment_samples,
     beams_on_pd,
+    fit_gaussian_batch,
     fit_gaussian_iterative,
     select_key_beam,
 )
-from oracles import gaussian_nls_grid
+from oracles import gaussian_nls_grid, guo_fit_scalar
 
 MM = 1e-3
 X4 = np.array([0.0, 5.0, 10.0, 15.0]) * MM  # default sampled element positions
@@ -35,6 +39,15 @@ class TestAugmentation:
         x, y = augment_samples(X4, np.ones(4))
         with pytest.raises(ValueError):
             augment_samples(x, y)
+
+    def test_stack_gets_anchors_on_every_row(self):
+        y = np.arange(12.0).reshape(3, 4)
+        x, y_aug = augment_samples(np.broadcast_to(X4, y.shape), y)
+        assert x.shape == y_aug.shape == (3, 6)
+        for k in range(3):
+            x1, y1 = augment_samples(X4, y[k])
+            np.testing.assert_array_equal(x[k], x1)
+            np.testing.assert_array_equal(y_aug[k], y1)
 
 
 class TestGaussianFit:
@@ -137,25 +150,149 @@ class TestGaussianFit:
                               iterations_used=1, converged=True)
 
 
-class TestKeyBeamSelection:
-    def _fit(self, mu_mm):
-        return GaussianFitResult(mu=mu_mm * MM, sigma=5 * MM, amplitude=1.0,
-                                 iterations_used=1, converged=True)
+class TestConvergedFlag:
+    """``converged`` is |delta mu| between the final two passes, nothing else."""
 
+    def test_flag_matches_final_pass_delta(self):
+        rng = np.random.default_rng(11)
+        checked = 0
+        for _ in range(200):
+            clean = gaussian(X4, rng.uniform(0.0, 15.0) * MM, rng.uniform(2.0, 8.0) * MM, 2.9)
+            x, y = augment_samples(X4, np.clip(clean + rng.normal(0.0, 0.3, 4), 0.0, 10.0))
+            try:
+                last = fit_gaussian_iterative(x, y)
+                before = fit_gaussian_iterative(x, y, k_max=9)
+            except GaussianFitError:
+                continue
+            delta = abs(last.mu - before.mu)
+            if abs(delta - CONVERGENCE_TOL_M) < 1e-12:
+                continue  # too close to the tolerance to call
+            assert last.converged == (delta < CONVERGENCE_TOL_M)
+            checked += 1
+        assert checked > 150
+
+    def test_early_agreement_is_not_convergence(self):
+        # passes 1 and 2 agree to 0.8 um, then the center drifts by > 13 um
+        # per pass up to the last one
+        x, y = augment_samples(X4, np.array([2.962, 4.522, 5.436, 2.434]))
+        mus = [fit_gaussian_iterative(x, y, k_max=k).mu for k in range(1, 11)]
+        deltas = np.abs(np.diff(mus))
+        assert deltas[0] < CONVERGENCE_TOL_M < deltas[-1]
+        assert not fit_gaussian_iterative(x, y).converged
+
+    def test_single_pass_never_converged(self):
+        x, y = augment_samples(X4, gaussian(X4, 7.5 * MM, 5 * MM, 3.0))
+        assert not fit_gaussian_iterative(x, y, k_max=1).converged
+
+
+X6 = augment_samples(X4, np.zeros(4))[0]  # sampled positions plus the anchors
+BAD_ROWS = {
+    # name: (six voltages, noise floor, why the fit fails)
+    "non-concave": (np.array([1.0, 0.5, 0.5, 1.0, 5.0, 5.0]), 0.0, "non-concave"),
+    "all at the floor": (np.zeros(6), AUGMENT_VALUE_V, "non-concave"),
+    "center outside the window": (gaussian(X6, 40 * MM, 10 * MM, 3.0), 0.0, "outside"),
+    "zero voltages, zero floor": (np.zeros(6), 0.0, "at least 3 positive"),
+    # weights y^2 underflow to 0 although three samples are positive
+    "singular": (np.array([1e-200, 1e-200, 1e-200, 0.0, 0.0, 0.0]), 0.0, "singular"),
+    "not a number": (np.array([np.nan, 2.0, 3.0, 2.0, 0.1, 0.1]), AUGMENT_VALUE_V, "sigma"),
+}
+
+
+def scalar_fit(x, y, noise_floor):
+    try:
+        return fit_gaussian_iterative(x, y, noise_floor=noise_floor)
+    except GaussianFitError:
+        return None
+
+
+class TestBatchedFit:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2 ** 32 - 1),
+        n_good=st.integers(1, 12),
+        bad=st.lists(st.sampled_from(sorted(BAD_ROWS)), max_size=4),
+    )
+    def test_rows_match_the_one_row_fit(self, seed, n_good, bad):
+        rng = np.random.default_rng(seed)
+        mu = rng.uniform(-8.0, 23.0, n_good) * MM
+        sigma = rng.uniform(1.5, 9.0, n_good) * MM
+        amp = rng.uniform(0.05, 9.0, n_good)
+        noise = rng.uniform(0.0, 0.5, (n_good, 1)) * rng.normal(size=(n_good, 4))
+        clean = amp[:, None] * np.exp(-((X4 - mu[:, None]) ** 2) / (2 * sigma[:, None] ** 2))
+        x_good, y_good = augment_samples(
+            np.broadcast_to(X4, (n_good, 4)), np.clip(clean + noise, 0.0, 10.0)
+        )
+        floor_good = rng.choice([0.0, 0.05, AUGMENT_VALUE_V], n_good)
+
+        rows = [(y, f) for y, f in zip(y_good, floor_good)] + [BAD_ROWS[k][:2] for k in bad]
+        order = rng.permutation(len(rows))
+        y = np.array([rows[k][0] for k in order])
+        floor = np.array([rows[k][1] for k in order])
+        x = np.broadcast_to(X6, y.shape)
+        fit = fit_gaussian_batch(x, y, noise_floor=floor)
+
+        for i in range(len(y)):
+            one = scalar_fit(x[i], y[i], floor[i])
+            ref = guo_fit_scalar(x[i], y[i], noise_floor=floor[i])
+            assert fit.ok[i] == (one is not None) == (ref is not None), FIT_STATUS[fit.status[i]]
+            if one is None:
+                assert np.isnan(fit.mu[i]) and not fit.converged[i]
+                continue
+            assert fit.mu[i] == one.mu == ref
+            assert fit.sigma[i] == one.sigma
+            assert fit.converged[i] == one.converged
+
+        # the good rows come out the same with or without the bad ones
+        alone = fit_gaussian_batch(x_good, y_good, noise_floor=floor_good)
+        good = np.argsort(order)[:n_good]
+        for name in ("mu", "sigma", "amplitude", "converged", "status"):
+            np.testing.assert_array_equal(getattr(fit, name)[good], getattr(alone, name))
+
+    @pytest.mark.parametrize("name", sorted(BAD_ROWS))
+    def test_bad_row_fails_alone_and_in_a_stack(self, name):
+        y_bad, floor_bad, reason = BAD_ROWS[name]
+        with pytest.raises(GaussianFitError, match=reason):
+            fit_gaussian_iterative(X6, y_bad, noise_floor=floor_bad)
+        _, y_good = augment_samples(X4, gaussian(X4, 7.1 * MM, 5 * MM, 2.5))
+        y = np.array([y_good, y_bad, y_good])
+        fit = fit_gaussian_batch(np.broadcast_to(X6, y.shape), y, noise_floor=[0.1, floor_bad, 0.1])
+        assert list(fit.ok) == [True, False, True]
+        assert fit.mu[0] == fit.mu[2] == fit_gaussian_iterative(X6, y_good).mu
+
+    def test_repeated_positions_fail_the_row(self):
+        x = np.array([X6, [0.0, 0.0, 10 * MM, 15 * MM, -5 * MM, 20 * MM]])
+        y = np.broadcast_to(gaussian(X6, 7.5 * MM, 5 * MM, 3.0), x.shape)
+        assert list(fit_gaussian_batch(x, y).ok) == [True, False]
+
+    def test_empty_stack(self):
+        fit = fit_gaussian_batch(np.zeros((0, 6)), np.zeros((0, 6)))
+        assert fit.mu.shape == fit.ok.shape == (0,)
+
+    def test_input_checks(self):
+        with pytest.raises(ValueError):
+            fit_gaussian_batch(X6, X6)  # 1-D
+        with pytest.raises(ValueError):
+            fit_gaussian_batch(np.zeros((2, 6)), np.zeros((2, 5)))
+        with pytest.raises(ValueError):
+            fit_gaussian_batch(np.zeros((2, 6)), np.zeros((2, 6)), k_max=0)
+        with pytest.raises(ValueError):
+            fit_gaussian_batch(np.zeros((2, 6)), np.zeros((2, 6)), noise_floor=[0.1] * 3)
+
+
+class TestKeyBeamSelection:
     def test_closest_to_center(self):
-        fits = [self._fit(2.1), self._fit(7.0), self._fit(13.2)]
-        assert select_key_beam(fits) == 1
+        assert select_key_beam(np.array([2.1, 7.0, 13.2]) * MM) == 1
 
     def test_single_fit(self):
-        assert select_key_beam([self._fit(1.0)]) == 0
+        assert select_key_beam([1.0 * MM]) == 0
 
     def test_equidistant_tie_goes_to_earlier(self):
-        assert select_key_beam([self._fit(6.5), self._fit(8.5)]) == 0
+        assert select_key_beam(np.array([6.5, 8.5]) * MM) == 0
 
     def test_failed_fits_skipped(self):
-        assert select_key_beam([None, self._fit(9.0), None]) == 1
+        assert select_key_beam([np.nan, 9.0 * MM, np.nan]) == 1
         with pytest.raises(GaussianFitError):
-            select_key_beam([None, None])
+            select_key_beam([np.nan, np.nan])
 
 
 class TestBeamGrouping:

@@ -208,6 +208,23 @@ class TestCli:
             "--out", str(tmp_path / "o"),
         ]) == 2
 
+    def test_unsegmentable_frames_exit_code_2(self, tmp_path, capsys):
+        # the first 40 lines hold a few dozen returns of scan 0: no
+        # board-sized cluster
+        out = tmp_path / "sim"
+        assert cli.main(["simulate", "--scans", "2", "--out", str(out), "--seed", "3"]) == 0
+        lines = (out / "frames.csv").read_text().splitlines()[:40]
+        short = tmp_path / "short.csv"
+        short.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert cli.main([
+            "calibrate", "--frames", str(short), "--scene", str(out / "scene.json"),
+            "--out", str(tmp_path / "cal"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "[segmentation] scan 0: no cluster matches" in err
+        assert "Traceback" not in err
+
     def test_sweep_and_report(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(sweep_to_dict(MINI_SWEEP)))

@@ -133,6 +133,25 @@ class TestFrameSerialization:
         with pytest.raises(ValueError, match="duplicate"):
             read_frames(path)
 
+    def test_pd_rows_of_a_scan_without_beams_rejected(self, tmp_path, small_batch):
+        # keep only scan 0's beam rows: the PD rows of scans 1 and 2 belong
+        # to no frame and must not vanish silently
+        path = tmp_path / "frames.csv"
+        write_frames(small_batch, path)
+        lines = [
+            line for line in path.read_text().splitlines()
+            if not line.startswith("beam,") or line.split(",")[1] == "0"
+        ]
+        path.write_text("\n".join(lines) + "\n")
+        orphan = next(
+            k for k, line in enumerate(lines)
+            if line.startswith("pd,") and line.split(",")[2] != "0"
+        )
+        with pytest.raises(FrameParseError, match="scan 1") as err:
+            read_frames(path)
+        assert err.value.line_no == orphan + 1
+        assert err.value.field == "scan_id"
+
     def test_wrong_field_count(self, tmp_path):
         path = tmp_path / "f.csv"
         path.write_text(io.FRAME_MAGIC + "\nbeam,0,1\n")

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from pdcalib import preprocess
+from pdcalib import beam_center, preprocess
 from pdcalib.bench import make_bench_scene
 from pdcalib.pipeline import (
     PipelineError,
@@ -12,7 +12,8 @@ from pdcalib.pipeline import (
     calibrate_frames,
     extract_frame_features,
 )
-from pdcalib.scene import BoardModel, simulate_scan
+from pdcalib.scene import BoardModel, ScanFrame, simulate_scan
+from oracles import guo_fit_scalar
 
 DEG = math.pi / 180.0
 MM = 1e-3
@@ -110,6 +111,32 @@ class TestOptionsAndErrors:
         assert set(ft.key_beams) == {pd.pd_id for pd in horizontal_scene.board.pd_modules}
         assert ft.misses == {}
         assert ft.roi_count > 500
+
+    def test_key_centers_match_per_event_fits(self, horizontal_scene, horizontal_batch, horizontal_result):
+        # the batched fit over a frame's events picks the same key center,
+        # bit for bit, as the per-event reference loop
+        pds = {pd.pd_id: pd for pd in horizontal_scene.board.pd_modules}
+        for frame, ft in zip(horizontal_batch[:10], horizontal_result.features):
+            assert ft.key_centers
+            for rec in frame.pd_records:
+                if rec.pd_id not in ft.key_centers:
+                    continue
+                positions = pds[rec.pd_id].element_positions()[list(rec.sampled_channels)]
+                centers = []
+                for _, volts in beam_center.beams_on_pd(rec, horizontal_scene.lidar.firing_period):
+                    mu = guo_fit_scalar(
+                        *beam_center.augment_samples(positions, volts), noise_floor=rec.noise_floor
+                    )
+                    centers.append(math.nan if mu is None else mu)
+                key = beam_center.select_key_beam(centers)
+                assert ft.key_centers[rec.pd_id] == centers[key]
+
+    def test_unsegmentable_frame_names_its_scan(self, horizontal_scene, horizontal_batch):
+        frame = horizontal_batch[3]
+        stub = ScanFrame(scan_id=frame.scan_id, beams=frame.beams[:30], pd_records=[])
+        with pytest.raises(PipelineError, match=r"\[segmentation\] scan 3: ") as err:
+            calibrate_frames([horizontal_batch[0], stub], horizontal_scene)
+        assert err.value.stage == "segmentation"
 
     def test_three_point_scans_flagged_low_confidence(self, horizontal_scene, horizontal_batch):
         # drop one module's voltages: 3 correspondences still solve, flagged
