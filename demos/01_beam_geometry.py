@@ -14,21 +14,23 @@ from pdcalib import (
     LidarModel,
     PolarBeam,
     Pose6DOF,
-    cartesian_to_polar,
     corner_error_bound,
-    polar_to_cartesian,
+    polar_to_cartesian_array,
     pose_to_matrix,
-    transform_point,
+    transform_array,
 )
 
 DEG = math.pi / 180.0
 
 print("=== beam polar coordinates ===")
-beam = PolarBeam(omega=2 * DEG, alpha=15 * DEG, r=2.6, channel=8, azimuth_index=75)
-p = polar_to_cartesian(beam)
-print(f"beam (omega=2 deg, alpha=15 deg, r=2.6 m) -> x={p.x:.4f}  y={p.y:.4f}  z={p.z:.4f} m")
-print(f"round trip: {cartesian_to_polar(p)}")
-print(f"range preserved: |p| = {np.linalg.norm(p.as_array()):.6f} m")
+omega, alpha, r = 2 * DEG, 15 * DEG, 2.6
+p = polar_to_cartesian_array([omega], [alpha], [r])  # (1, 3), sensor frame L
+x, y, z = p[0]
+print(f"beam (omega=2 deg, alpha=15 deg, r=2.6 m) -> x={x:.4f}  y={y:.4f}  z={z:.4f} m")
+r_back = float(np.linalg.norm(p[0]))
+back = (math.asin(z / r_back), math.atan2(x, y) % (2 * math.pi), r_back)
+print(f"round trip: {back}")
+print(f"range preserved: |p| = {r_back:.6f} m")
 
 print()
 print("=== rigid pose: sensor frame -> board frame ===")
@@ -36,8 +38,8 @@ pose = Pose6DOF(phi=1.5 * DEG, theta=0.0, psi=-0.5 * DEG, dx=-0.7, dy=-2.5, dz=0
 m = pose_to_matrix(pose)
 print("rotation matrix:")
 print(np.array_str(m[:, :3], precision=6, suppress_small=True))
-q = transform_point(m, p)
-print(f"beam lands on the board at x={q.x:.4f}  y={q.y:.4f}  z={q.z:.4f} m (frame {q.frame})")
+qx, qy, qz = transform_array(m, p)[0]
+print(f"beam lands on the board at x={qx:.4f}  y={qy:.4f}  z={qz:.4f} m (frame O)")
 
 print()
 print("=== how badly can the nearest beam miss a corner? ===")

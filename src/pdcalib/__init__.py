@@ -5,6 +5,11 @@ relative to a planar target board instrumented with photodetector arrays,
 together with a deterministic test bench (sensor + board + analog front-end
 simulation) that reproduces the accuracy experiments offline.
 
+There is one procedure: every stage runs with the thresholds its module
+defines, and the solver's Levenberg-Marquardt settings are constants in
+``solver``. Geometry works on (N, 3) point arrays
+(``polar_to_cartesian_array``, ``transform_array``).
+
 Typical use::
 
     from pdcalib import make_bench_scene, run_single, run_sweep, SweepSpec
@@ -39,27 +44,17 @@ from .correspondence import (
     make_correspondences,
 )
 from .geometry import (
-    CartesianPoint,
-    FrameMismatchError,
     PolarBeam,
     Pose6DOF,
-    cartesian_to_polar,
     matrix_to_pose,
-    polar_to_cartesian,
+    polar_to_cartesian_array,
     pose_to_matrix,
     rotation_matrix,
-    transform_point,
+    transform_array,
 )
 from .harness import SweepSpec, SweepStats, report, run_single, run_sweep
-from .pipeline import BatchResult, PipelineError, PipelineOptions, calibrate_frames
-from .preprocess import (
-    PlaneModel,
-    SegmentationError,
-    fit_plane,
-    project_to_plane,
-    refine_plane_ranges,
-    segment_target,
-)
+from .pipeline import BatchResult, PipelineError, calibrate_frames
+from .preprocess import PlaneModel, SegmentationError, fit_plane, refine_plane_ranges, segment_target
 from .scene import (
     AfeConfig,
     BoardModel,
@@ -68,10 +63,9 @@ from .scene import (
     ScanFrame,
     SimulationError,
     corner_error_bound,
-    integrate_beam_on_pd,
     simulate_scan,
 )
-from .solver import SolveReport, SolverConfig, SolverFailure, jacobian, solve
+from .solver import SolveReport, SolverFailure, jacobian, solve
 
 __version__ = "0.1.0"
 
@@ -80,10 +74,8 @@ __all__ = [
     "AzimuthCenterModel",
     "BatchResult",
     "BoardModel",
-    "CartesianPoint",
     "Correspondence",
     "DetectionMiss",
-    "FrameMismatchError",
     "GaussianFitBatch",
     "GaussianFitError",
     "GaussianFitResult",
@@ -92,7 +84,6 @@ __all__ = [
     "PdPlacement",
     "PdSignalRecord",
     "PipelineError",
-    "PipelineOptions",
     "PlaneModel",
     "PolarBeam",
     "Pose6DOF",
@@ -101,7 +92,6 @@ __all__ = [
     "SegmentationError",
     "SimulationError",
     "SolveReport",
-    "SolverConfig",
     "SolverFailure",
     "SweepSpec",
     "SweepStats",
@@ -110,22 +100,19 @@ __all__ = [
     "beams_on_pd",
     "build_azimuth_center_model",
     "calibrate_frames",
-    "cartesian_to_polar",
     "corner_error_bound",
     "currents_to_record",
     "find_pd_beam",
     "fit_gaussian_batch",
     "fit_gaussian_iterative",
     "fit_plane",
-    "integrate_beam_on_pd",
     "jacobian",
     "make_bench_scene",
     "make_correspondences",
     "matrix_to_pose",
     "noise_gain",
-    "polar_to_cartesian",
+    "polar_to_cartesian_array",
     "pose_to_matrix",
-    "project_to_plane",
     "q_factor",
     "refine_plane_ranges",
     "report",
@@ -137,6 +124,6 @@ __all__ = [
     "simulate_scan",
     "solve",
     "tia_step_response",
-    "transform_point",
+    "transform_array",
     "__version__",
 ]

@@ -33,9 +33,8 @@ from .harness import (
     sweep_from_dict,
     write_sweep_outputs,
 )
-from .pipeline import PipelineError, PipelineOptions
+from .pipeline import PipelineError, calibrate_frames
 from .scene import SimulationError
-from .solver import SolverConfig
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -64,11 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
             choices=("horizontal", "vertical", "all"),
             default="horizontal",
             help="PD arrangement of the built-in bench scene",
-        )
-        p.add_argument(
-            "--paper-faithful",
-            action="store_true",
-            help="use the small-step solver mode (eta = 0.02)",
         )
 
     p_sim = sub.add_parser("simulate", help="write simulated scan frames")
@@ -101,11 +95,6 @@ def _load_scene(args) -> Scene:
     return scene
 
 
-def _options(args) -> PipelineOptions:
-    solver = SolverConfig.paper_faithful() if args.paper_faithful else SolverConfig()
-    return PipelineOptions(solver=solver)
-
-
 def _cmd_simulate(args) -> int:
     scene = _load_scene(args)
     # same seed chain run_single uses, so `calibrate --frames` on this output
@@ -125,14 +114,10 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     scene = _load_scene(args)
-    options = _options(args)
-    from .pipeline import calibrate_frames
-
     if args.frames is not None:
-        frames = io.read_frames(args.frames)
-        result = calibrate_frames(frames, scene, options=options)
+        result = calibrate_frames(io.read_frames(args.frames), scene)
     else:
-        result = run_single(scene, n_scans=args.scans, options=options)
+        result = run_single(scene, n_scans=args.scans)
     args.out.mkdir(parents=True, exist_ok=True)
     text = io.solve_report_text(result.joint)
     (args.out / "calibration.txt").write_text(text)
@@ -149,7 +134,6 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     scene = _load_scene(args)
-    options = _options(args)
     if args.sweep is not None:
         try:
             spec = sweep_from_dict(json.loads(args.sweep.read_text()))
@@ -161,7 +145,7 @@ def _cmd_sweep(args) -> int:
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
     label = ORIENTATION_LABEL.get(args.pd_orientation, "PD")
-    stats = run_sweep(scene, spec, options=options, label=label, workers=args.workers)
+    stats = run_sweep(scene, spec, label=label, workers=args.workers)
     paths = write_sweep_outputs(args.out, scene, spec, stats)
     table = report([stats])
     (args.out / f"sweep_{spec.parameter}_summary.txt").write_text(table)

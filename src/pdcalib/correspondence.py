@@ -46,13 +46,9 @@ class Correspondence:
     scan_id: int
     p_o: np.ndarray          # (3,) board-frame position, meters
     beam: PolarBeam
-    weight: float = 1.0
 
     def __post_init__(self):
-        p = np.asarray(self.p_o, dtype=float).reshape(3)
-        object.__setattr__(self, "p_o", p)
-        if not 0.0 <= self.weight <= 1.0:
-            raise ValueError("correspondence weight must be in [0, 1]")
+        object.__setattr__(self, "p_o", np.asarray(self.p_o, dtype=float).reshape(3))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,8 @@
 """Coordinate frames, rotations and rigid transforms shared by the whole pipeline.
 
+Points travel as (N, 3) arrays; the frame a point array lives in is fixed
+by the stage that holds it.
+
 Conventions (fixed throughout the package):
 
 * Frames: ``L`` = sensor (LiDAR), ``O`` = board/target, ``D`` = photodetector.
@@ -126,76 +129,17 @@ class PolarBeam:
             object.__setattr__(self, "alpha", self.alpha % TWO_PI)
 
 
-@dataclass(frozen=True)
-class CartesianPoint:
-    """A 3-D point tagged with the frame it lives in (L, O or D)."""
-
-    x: float
-    y: float
-    z: float
-    frame: str = "L"
-
-    def __post_init__(self):
-        if self.frame not in ("L", "O", "D"):
-            raise ValueError(f"unknown frame tag {self.frame!r}")
-        if not all(math.isfinite(v) for v in (self.x, self.y, self.z)):
-            raise ValueError("CartesianPoint coordinates must be finite")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
-    def require_frame(self, frame: str, op: str = "operation"):
-        if self.frame != frame:
-            raise FrameMismatchError(
-                f"{op} expects a point in frame {frame!r}, got {self.frame!r}"
-            )
-
-    def distance_to(self, other: "CartesianPoint") -> float:
-        if other.frame != self.frame:
-            raise FrameMismatchError(
-                f"distance between frames {self.frame!r} and {other.frame!r}"
-            )
-        return float(np.linalg.norm(self.as_array() - other.as_array()))
-
-
-class FrameMismatchError(ValueError):
-    """Binary operation attempted on points from different frames."""
-
-
-def polar_to_cartesian(b: PolarBeam) -> CartesianPoint:
-    """Convert a polar beam to sensor-frame Cartesian coordinates.
-
-    Uses x = r cos(omega) sin(alpha), y = r cos(omega) cos(alpha),
-    z = r sin(omega); azimuth is measured clockwise from the +y boresight
-    when viewed from above (compass convention).
-    """
-    co = math.cos(b.omega)
-    return CartesianPoint(
-        b.r * co * math.sin(b.alpha),
-        b.r * co * math.cos(b.alpha),
-        b.r * math.sin(b.omega),
-        frame="L",
-    )
-
-
 def polar_to_cartesian_array(omega, alpha, r) -> np.ndarray:
-    """Vectorized polar-to-Cartesian; returns an (N, 3) sensor-frame array."""
+    """Polar-to-Cartesian; returns an (N, 3) sensor-frame array.
+
+    Azimuth is measured clockwise from the +y boresight when viewed from
+    above (compass convention).
+    """
     omega = np.asarray(omega, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
     r = np.asarray(r, dtype=float)
     co = np.cos(omega)
     return np.stack([r * co * np.sin(alpha), r * co * np.cos(alpha), r * np.sin(omega)], axis=-1)
-
-
-def cartesian_to_polar(p: CartesianPoint) -> tuple[float, float, float]:
-    """Inverse of :func:`polar_to_cartesian`; returns (omega, alpha, r)."""
-    p.require_frame("L", "cartesian_to_polar")
-    r = math.sqrt(p.x * p.x + p.y * p.y + p.z * p.z)
-    if r == 0.0:
-        raise ValueError("cannot convert the origin to polar coordinates")
-    omega = math.asin(p.z / r)
-    alpha = math.atan2(p.x, p.y) % TWO_PI
-    return omega, alpha, r
 
 
 def rotation_matrix(p: Pose6DOF) -> np.ndarray:
@@ -237,14 +181,6 @@ def matrix_to_pose(m: np.ndarray) -> Pose6DOF:
     phi = math.atan2(r[1, 0], r[0, 0])
     psi = math.atan2(r[2, 1], r[2, 2])
     return Pose6DOF(phi, theta, psi, t[0], t[1], t[2])
-
-
-def transform_point(m: np.ndarray, p: CartesianPoint, dst_frame: str = "O") -> CartesianPoint:
-    """Apply a rigid transform [R|T] to a frame-L point, yielding ``dst_frame``."""
-    p.require_frame("L", "transform_point")
-    m = np.asarray(m, dtype=float)
-    v = m[:, :3] @ p.as_array() + m[:, 3]
-    return CartesianPoint(v[0], v[1], v[2], frame=dst_frame)
 
 
 def transform_array(m: np.ndarray, pts: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .bench import Scene
 from .geometry import DEG, MM, Pose6DOF
-from .pipeline import BatchResult, PipelineError, PipelineOptions, calibrate_frames
+from .pipeline import BatchResult, PipelineError, calibrate_frames
 from .scene import SimulationError, simulate_scan
 
 AXIS_NAMES = ("yaw_deg", "tilt_deg", "roll_deg", "dx_mm", "dy_mm", "dz_mm")
@@ -152,31 +152,24 @@ def simulate_point(scene: Scene, pose: Pose6DOF, n_scans: int, seed: int,
     ]
 
 
-def run_point(scene: Scene, pose: Pose6DOF, n_scans: int, seed: int, point_index: int,
-              options: PipelineOptions | None = None) -> BatchResult:
+def run_point(scene: Scene, pose: Pose6DOF, n_scans: int, seed: int, point_index: int) -> BatchResult:
     """Simulate and calibrate one reference point."""
     frames = simulate_point(scene, pose, n_scans, seed, point_index)
-    return calibrate_frames(frames, scene, nominal_pose=pose, options=options)
+    return calibrate_frames(frames, scene, nominal_pose=pose)
 
 
 def _sweep_worker(args):
-    scene, spec, options, point_index, value = args
+    scene, spec, point_index, value = args
     pose = spec.offset_pose(scene.base_pose, value)
     try:
-        result = run_point(scene, pose, spec.scans_per_point, spec.seed, point_index, options)
+        result = run_point(scene, pose, spec.scans_per_point, spec.seed, point_index)
     except (PipelineError, SimulationError) as exc:
         return point_index, None, str(exc)
     est = np.array([rep.beta.as_vector() for _, rep, _ in result.scan_reports if rep is not None])
     return point_index, est, ""
 
 
-def run_sweep(
-    scene: Scene,
-    spec: SweepSpec,
-    options: PipelineOptions | None = None,
-    label: str = "",
-    workers: int = 1,
-) -> SweepStats:
+def run_sweep(scene: Scene, spec: SweepSpec, label: str = "", workers: int = 1) -> SweepStats:
     """Run the full pipeline over every sweep point and collect statistics.
 
     Points are independent; with ``workers > 1`` they run in a process pool.
@@ -184,7 +177,7 @@ def run_sweep(
     Pipeline failures at a point are recorded and the sweep continues.
     """
     values = spec.values
-    jobs = [(scene, spec, options, i, float(v)) for i, v in enumerate(values)]
+    jobs = [(scene, spec, i, float(v)) for i, v in enumerate(values)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_sweep_worker, jobs))
@@ -224,16 +217,9 @@ def run_sweep(
     )
 
 
-def run_single(
-    scene: Scene,
-    n_scans: int = 50,
-    seed: int | None = None,
-    options: PipelineOptions | None = None,
-) -> BatchResult:
+def run_single(scene: Scene, n_scans: int = 50, seed: int | None = None) -> BatchResult:
     """One full calibration at the scene's base pose on simulated frames."""
-    return run_point(
-        scene, scene.base_pose, n_scans, scene.seed if seed is None else seed, 0, options
-    )
+    return run_point(scene, scene.base_pose, n_scans, scene.seed if seed is None else seed, 0)
 
 
 # ------------------------------------------------------------------ reporting

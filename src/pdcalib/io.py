@@ -236,15 +236,16 @@ def _parse_int(path, line_no, field, token):
 def read_frames(path) -> list:
     """Parse a scan-frame file back into ScanFrame objects (no sim truth).
 
-    Raises FrameParseError for a malformed line and for a PD row whose scan
-    has no beam rows.
+    Raises FrameParseError for a malformed line, for a PD row whose scan
+    has no beam rows, and for a PD row whose sampled channels or noise floor
+    differ from the earlier rows of its (scan, PD) record.
     """
     text = Path(path).read_text()
     lines = text.splitlines()
     if not lines or lines[0].strip() != FRAME_MAGIC:
         raise FrameParseError(path, 1, "magic", f"expected {FRAME_MAGIC!r}")
     beams: dict = {}
-    pd_rows: dict = {}
+    pd_records: dict = {}  # (scan_id, pd_id) -> (noise floor, channels, [(time, volts)])
     first_pd_line: dict = {}  # scan_id -> line of its first PD row
     for line_no, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
@@ -286,7 +287,19 @@ def read_frames(path) -> list:
                     path, line_no, "voltages",
                     f"{len(volts)} voltages for {len(channels)} sampled channels",
                 )
-            pd_rows.setdefault((sid, pd_id), []).append((time_s, floor, channels, volts))
+            rec = pd_records.setdefault((sid, pd_id), (floor, channels, []))
+            if channels != rec[1]:
+                raise FrameParseError(
+                    path, line_no, "sampled_channels",
+                    f"{parts[6]!r} differs from {'|'.join(map(str, rec[1]))!r} "
+                    f"in earlier rows of PD {pd_id!r}, scan {sid}",
+                )
+            if floor != rec[0]:
+                raise FrameParseError(
+                    path, line_no, "noise_floor_v",
+                    f"{floor!r} differs from {rec[0]!r} in earlier rows of PD {pd_id!r}, scan {sid}",
+                )
+            rec[2].append((time_s, volts))
             first_pd_line.setdefault(sid, line_no)
         else:
             raise FrameParseError(path, line_no, "record", f"unknown record type {kind!r}")
@@ -298,17 +311,15 @@ def read_frames(path) -> list:
     frames = []
     for sid in sorted(beams):
         records = []
-        for (rsid, pd_id), rows in sorted(pd_rows.items()):
+        for (rsid, pd_id), (floor, channels, rows) in sorted(pd_records.items()):
             if rsid != sid:
                 continue
             rows.sort(key=lambda r: r[0])
-            floor = rows[0][1]
-            channels = rows[0][2]
             records.append(
                 PdSignalRecord(
                     pd_id=pd_id,
                     scan_id=sid,
-                    element_voltages=np.array([r[3] for r in rows]),
+                    element_voltages=np.array([r[1] for r in rows]),
                     sample_times=np.array([r[0] for r in rows]),
                     sampled_channels=channels,
                     noise_floor=floor,

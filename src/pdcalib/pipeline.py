@@ -18,7 +18,7 @@ plus one joint estimate over all frames.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,20 +44,6 @@ class PipelineError(RuntimeError):
         self.stage = stage
 
 
-@dataclass(frozen=True)
-class PipelineOptions:
-    """Stage thresholds and solver settings for a calibration run."""
-
-    cluster_tolerance: float = preprocess.DEFAULT_CLUSTER_TOLERANCE
-    min_cluster_points: int = preprocess.DEFAULT_MIN_POINTS
-    detection_margin: float = correspondence.DEFAULT_DETECTION_MARGIN
-    search_window: float = correspondence.DEFAULT_SEARCH_WINDOW_M
-    ransac_threshold_mm: float = correspondence.DEFAULT_RANSAC_THRESHOLD_MM
-    ransac_iterations: int = correspondence.DEFAULT_RANSAC_ITERATIONS
-    min_correspondences: int = 3
-    solver: solver.SolverConfig = field(default_factory=solver.SolverConfig)
-
-
 @dataclass
 class FrameFeatures:
     """Per-frame intermediate products kept for correspondence assembly."""
@@ -81,10 +67,6 @@ class BatchResult:
     pairs: dict                      # pd_id -> (alpha_deg, mu_mm, scan_ids) arrays
     features: list                   # list[FrameFeatures]
 
-    @property
-    def scan_poses(self) -> list:
-        return [(sid, rep.beta) for sid, rep, _ in self.scan_reports if rep is not None]
-
 
 def _row_channel(pd, board_xz: np.ndarray, channels: np.ndarray) -> int:
     """Channel whose beams pass closest to the PD center on the board."""
@@ -93,9 +75,10 @@ def _row_channel(pd, board_xz: np.ndarray, channels: np.ndarray) -> int:
     return int(channels[np.argmin(d)])
 
 
-def _detection_windows(board, default: float) -> dict:
+def _detection_windows(board) -> dict:
     """Per-PD beam-search radius: capped below half the sibling distance so
     closely mounted modules never claim each other's beams."""
+    default = correspondence.DEFAULT_SEARCH_WINDOW_M
     centers = {pd.pd_id: np.asarray(pd.offset) for pd in board.pd_modules}
     windows = {}
     for pd in board.pd_modules:
@@ -104,8 +87,7 @@ def _detection_windows(board, default: float) -> dict:
             for pid, c in centers.items()
             if pid != pd.pd_id
         ]
-        cap = 0.45 * min(others) if others else default
-        windows[pd.pd_id] = min(default, cap)
+        windows[pd.pd_id] = min(default, 0.45 * min(others)) if others else default
     return windows
 
 
@@ -149,7 +131,6 @@ def extract_frame_features(
     plane: preprocess.PlaneModel,
     scene: Scene,
     nominal_pose: Pose6DOF,
-    options: PipelineOptions | None = None,
 ) -> FrameFeatures:
     """Range correction, beam detection and center fitting on one frame.
 
@@ -158,7 +139,6 @@ def extract_frame_features(
     middle as the key beam. ``roi`` indexes the frame's board returns (from
     segmentation) and ``plane`` is the board plane they are slid onto.
     """
-    options = options or PipelineOptions()
     board = scene.board
     omega, alpha, r, channel, azimuth_index, refl = frame.beam_arrays()
     r_corr = r.copy()
@@ -170,7 +150,7 @@ def extract_frame_features(
     board_xz = pts_o[:, [0, 2]]
 
     records = {rec.pd_id: rec for rec in frame.pd_records}
-    windows = _detection_windows(board, options.search_window)
+    windows = _detection_windows(board)
     key_beams: dict = {}
     key_centers: dict = {}
     misses: dict = {}
@@ -186,11 +166,7 @@ def extract_frame_features(
         row_idx = roi[row_mask]
         try:
             hit = correspondence.find_pd_beam(
-                refl[row_idx],
-                pts_o[row_mask],
-                pd,
-                margin=options.detection_margin,
-                window=windows[pd.pd_id],
+                refl[row_idx], pts_o[row_mask], pd, window=windows[pd.pd_id]
             )
         except correspondence.DetectionMiss as exc:
             misses[pd.pd_id] = str(exc)
@@ -229,12 +205,7 @@ def extract_frame_features(
     )
 
 
-def calibrate_frames(
-    frames,
-    scene: Scene,
-    nominal_pose: Pose6DOF | None = None,
-    options: PipelineOptions | None = None,
-) -> BatchResult:
+def calibrate_frames(frames, scene: Scene, nominal_pose: Pose6DOF | None = None) -> BatchResult:
     """Full calibration over a batch of frames taken at one rig pose.
 
     ``nominal_pose`` is the rig's intended pose (detection windows only; the
@@ -247,27 +218,18 @@ def calibrate_frames(
         collects enough (azimuth, center) pairs for a model, or if no scan
         yields enough correspondences to solve.
     """
-    options = options or PipelineOptions()
     nominal_pose = nominal_pose or scene.base_pose
     if not frames:
         raise PipelineError("segmentation", "empty batch: no frames to calibrate")
     rois = []
     for f in frames:
         try:
-            rois.append(
-                preprocess.segment_target(
-                    f,
-                    scene.board.width,
-                    scene.board.height,
-                    cluster_tolerance=options.cluster_tolerance,
-                    min_points=options.min_cluster_points,
-                )
-            )
+            rois.append(preprocess.segment_target(f, scene.board.width, scene.board.height))
         except preprocess.SegmentationError as exc:
             raise PipelineError("segmentation", f"scan {f.scan_id}: {exc}") from exc
     plane = board_plane(frames, rois)
     features = [
-        extract_frame_features(f, roi, plane, scene, nominal_pose, options)
+        extract_frame_features(f, roi, plane, scene, nominal_pose)
         for f, roi in zip(frames, rois)
     ]
 
@@ -286,12 +248,7 @@ def calibrate_frames(
         if len(a) < 5:
             continue
         try:
-            models[pd_id] = correspondence.build_azimuth_center_model(
-                a,
-                mu,
-                threshold=options.ransac_threshold_mm,
-                iterations=options.ransac_iterations,
-            )
+            models[pd_id] = correspondence.build_azimuth_center_model(a, mu)
         except correspondence.ModelError:
             continue
     if not models:
@@ -302,18 +259,14 @@ def calibrate_frames(
     for ft in features:
         try:
             corrs = correspondence.make_correspondences(
-                models,
-                ft.key_beams,
-                scene.board.pd_modules,
-                scan_id=ft.scan_id,
-                min_count=options.min_correspondences,
+                models, ft.key_beams, scene.board.pd_modules, scan_id=ft.scan_id
             )
         except correspondence.ModelError as exc:
             scan_reports.append((ft.scan_id, None, str(exc)))
             continue
         all_corrs.extend(corrs)
         try:
-            report = solver.solve(corrs, options.solver)
+            report = solver.solve(corrs)
         except (solver.SolverFailure, ValueError) as exc:
             scan_reports.append((ft.scan_id, None, str(exc)))
             continue
@@ -321,7 +274,7 @@ def calibrate_frames(
         scan_reports.append((ft.scan_id, report, note))
     if not all_corrs:
         raise PipelineError("correspondence", "no scan yielded enough correspondences")
-    joint = solver.solve(all_corrs, options.solver)
+    joint = solver.solve(all_corrs)
     return BatchResult(
         models=models,
         scan_reports=scan_reports,

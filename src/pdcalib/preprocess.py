@@ -2,8 +2,8 @@
 
 The board is pulled out of a raw scan by Euclidean clustering (single
 linkage within a distance threshold), its plane is fit by total least
-squares, and the ROI points are flattened onto that plane, which removes
-most of the ranging noise component normal to the board.
+squares and refined in range space, and the ROI returns are slid along
+their rays onto that plane, which removes most of the ranging noise.
 """
 
 from __future__ import annotations
@@ -130,14 +130,6 @@ def fit_plane(points: np.ndarray) -> PlaneModel:
     d = float(normal @ centroid)
     rms = float(np.sqrt(np.mean((centered @ normal) ** 2)))
     return PlaneModel(normal=normal, d=d, inlier_rms=rms, inlier_count=len(pts))
-
-
-def project_to_plane(points: np.ndarray, plane: PlaneModel) -> np.ndarray:
-    """Orthogonal (along-normal) projection of points onto the plane."""
-    pts = np.asarray(points, dtype=float)
-    dist = np.atleast_2d(pts) @ plane.normal - plane.d
-    out = pts - np.outer(dist, plane.normal).reshape(pts.shape)
-    return out
 
 
 def refine_plane_ranges(omega, alpha, r, plane0: PlaneModel, iterations: int = 3) -> PlaneModel:

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .afe import TiaParams, currents_to_record
-from .geometry import DEG, TWO_PI, CartesianPoint, PolarBeam, Pose6DOF, pose_to_matrix
+from .geometry import DEG, TWO_PI, PolarBeam, Pose6DOF, pose_to_matrix
 
 # beams whose spot center lies this far beyond the array ends still produce a
 # usable voltage event; farther ones have their peak outside the sampled span
@@ -106,14 +106,6 @@ class PdPlacement:
             return rel[:, 0], rel[:, 1]
         return rel[:, 1], rel[:, 0]
 
-    def axis_to_board(self, mu: float) -> np.ndarray:
-        """Board-frame (x, 0, z) of an axis coordinate ``mu`` on the centerline."""
-        d = mu - self.center_local
-        ox, oz = self.offset
-        if self.orientation == "horizontal":
-            return np.array([ox + d, 0.0, oz])
-        return np.array([ox, 0.0, oz + d])
-
 
 @dataclass(frozen=True)
 class BoardModel:
@@ -141,12 +133,6 @@ class BoardModel:
             hz = pd.half_span * az + 0.5 * pd.active_width * ax
             if abs(ox) + hx > 0.5 * self.width or abs(oz) + hz > 0.5 * self.height:
                 raise ValueError(f"PD {pd.pd_id!r} extends beyond the board")
-
-    def pd_by_id(self, pd_id: str) -> PdPlacement:
-        for pd in self.pd_modules:
-            if pd.pd_id == pd_id:
-                return pd
-        raise KeyError(pd_id)
 
 
 @dataclass(frozen=True)
@@ -179,6 +165,12 @@ class LidarModel:
             raise ValueError("azimuth_step must be positive")
         if self.range_noise_sigma < 0 or self.azimuth_jitter_sigma_deg < 0:
             raise ValueError("noise sigmas must be non-negative")
+        if self.beam_divergence <= 0:
+            raise ValueError(f"beam_divergence must be positive, got {self.beam_divergence}")
+        if self.firing_period <= 0:
+            raise ValueError(f"firing_period must be positive, got {self.firing_period}")
+        if self.pulse_burst_period < 0:
+            raise ValueError(f"pulse_burst_period must be non-negative, got {self.pulse_burst_period}")
 
     @property
     def vertical_angles(self) -> np.ndarray:
@@ -294,27 +286,14 @@ def _gauss_rect_fraction(center_a, center_c, half_a, half_c, sigma):
     return fa * fc
 
 
-def integrate_beam_on_pd(
-    spot_center: CartesianPoint,
-    spot_sigma: float,
-    pd: PdPlacement,
-    i_max: float = 100e-6,
-) -> np.ndarray:
+def _element_currents(along, cross, sigma, pd: PdPlacement, i_max):
     """Per-element photocurrents for a Gaussian spot on a PD module.
 
-    Each element integrates the spot irradiance over its active rectangle;
+    The spot, of Gaussian width ``sigma``, sits at (along, cross) from the
+    array center. Each element integrates it over its active rectangle;
     the scale is set so a spot centered exactly on an element (and on the
     array centerline) drives that element at ``i_max``.
     """
-    if spot_sigma <= 0:
-        raise ValueError("spot_sigma must be positive")
-    spot_center.require_frame("O", "integrate_beam_on_pd")
-    along, cross = pd.local_coords(np.array([[spot_center.x, spot_center.z]]))
-    return _element_currents(float(along[0]), float(cross[0]), spot_sigma, pd, i_max)
-
-
-def _element_currents(along, cross, sigma, pd: PdPlacement, i_max):
-    """Vector of element currents for a spot at (along, cross) from the center."""
     centers = pd.element_positions() - pd.center_local  # element centers, center origin
     half_pitch = 0.5 * pd.element_pitch
     half_width = 0.5 * pd.active_width

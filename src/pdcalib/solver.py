@@ -5,10 +5,9 @@ Minimizes the squared norm of the per-correspondence residual
     F_i(beta) = p_O,i - (R(phi, theta, psi) @ p_L,i + T)
 
 over beta = (phi, theta, psi, dx, dy, dz), with the damped normal-equation
-update ``beta <- beta - eta (J^T J + lambda diag(J^T J))^-1 J^T F``. The
-damping halves on accepted steps and doubles on rejected ones. The default
-step scale is the classic eta = 1; a small-step mode (eta = 0.02, matching
-the hardware tuning) is available and converges to the same minimizer.
+update ``beta <- beta - (J^T J + lambda diag(J^T J))^-1 J^T F``. The
+damping starts at ``LAMBDA0``, halves on accepted steps and doubles on
+rejected ones.
 """
 
 from __future__ import annotations
@@ -21,33 +20,15 @@ import numpy as np
 from .geometry import Pose6DOF, matrix_to_pose, polar_to_cartesian_array, rotation_matrix
 
 
+LAMBDA0 = 0.3          # initial damping
+MAX_ITERS = 200
+GRAD_TOL = 1e-10       # converged when max |J^T F| falls below this
+STEP_TOL = 1e-12       # converged when the step norm falls below this
+LAMBDA_CAP = 1e8       # damping beyond this means no downhill step is left
+
+
 class SolverFailure(RuntimeError):
     """Damped normal matrix stayed singular up to the damping cap."""
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Levenberg-Marquardt settings.
-
-    ``eta`` scales every accepted step; ``lambda0`` is the initial damping.
-    """
-
-    eta: float = 1.0
-    lambda0: float = 0.3
-    max_iters: int = 200
-    grad_tol: float = 1e-10
-    step_tol: float = 1e-12
-
-    def __post_init__(self):
-        if self.eta <= 0 or self.lambda0 <= 0:
-            raise ValueError("eta and lambda0 must be positive")
-        if self.grad_tol <= 0 or self.step_tol <= 0:
-            raise ValueError("tolerances must be positive")
-
-    @classmethod
-    def paper_faithful(cls) -> "SolverConfig":
-        """Small-step mode: eta = 0.02, lambda0 = 0.3, more iterations."""
-        return cls(eta=0.02, max_iters=5000)
 
 
 @dataclass
@@ -69,24 +50,22 @@ class SolveReport:
         return float(np.sqrt(np.mean(np.sum(self.residuals ** 2, axis=1))))
 
 
-def _beam_points(correspondences) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(p_L, p_O, weights) arrays for a correspondence list."""
+def _beam_points(correspondences) -> tuple[np.ndarray, np.ndarray]:
+    """(p_L, p_O) arrays for a correspondence list."""
     n = len(correspondences)
     omega = np.empty(n)
     alpha = np.empty(n)
     r = np.empty(n)
     p_o = np.empty((n, 3))
-    w = np.empty(n)
     for i, c in enumerate(correspondences):
         omega[i], alpha[i], r[i] = c.beam.omega, c.beam.alpha, c.beam.r
         p_o[i] = c.p_o
-        w[i] = c.weight
-    return polar_to_cartesian_array(omega, alpha, r), p_o, w
+    return polar_to_cartesian_array(omega, alpha, r), p_o
 
 
 def residuals(beta: Pose6DOF, correspondences) -> np.ndarray:
     """Stacked (N, 3) residuals."""
-    p_l, p_o, _ = _beam_points(correspondences)
+    p_l, p_o = _beam_points(correspondences)
     r = rotation_matrix(beta)
     return p_o - (p_l @ r.T + beta.translation)
 
@@ -111,7 +90,7 @@ def jacobian(beta: Pose6DOF, correspondences) -> np.ndarray:
     are -(dR/dangle) p_L.
     """
     n = len(correspondences)
-    p_l, _, _ = _beam_points(correspondences)
+    p_l, _ = _beam_points(correspondences)
     d_phi, d_theta, d_psi = _rotation_partials(beta)
     j = np.zeros((3 * n, 6))
     j[:, 0] = -(p_l @ d_phi.T).ravel()
@@ -127,7 +106,7 @@ def rigid_fit_initializer(correspondences) -> Pose6DOF:
 
     Falls back to the zero pose for degenerate (collinear) configurations.
     """
-    p_l, p_o, _ = _beam_points(correspondences)
+    p_l, p_o = _beam_points(correspondences)
     cl, co_ = p_l.mean(axis=0), p_o.mean(axis=0)
     h = (p_l - cl).T @ (p_o - co_)
     u, s, vt = np.linalg.svd(h)
@@ -138,68 +117,62 @@ def rigid_fit_initializer(correspondences) -> Pose6DOF:
     return matrix_to_pose(np.column_stack([r, co_ - r @ cl]))
 
 
-def solve(
-    correspondences,
-    config: SolverConfig | None = None,
-    beta0: Pose6DOF | None = None,
-) -> SolveReport:
+def solve(correspondences, beta0: Pose6DOF | None = None) -> SolveReport:
     """Estimate the sensor pose from >= 3 non-collinear correspondences.
 
     Deterministic for fixed inputs. ``beta0`` defaults to the closed-form
-    rigid fit (zero pose if degenerate).
+    rigid fit (zero pose if degenerate). ``converged`` is False when the
+    iteration cap is reached or when the damping passes ``LAMBDA_CAP``
+    without finding a downhill step (a stall).
 
     Raises
     ------
     ValueError
         For fewer than 3 correspondences.
     SolverFailure
-        If the damped system stays singular up to lambda = 1e8.
+        If the damped system stays singular up to ``LAMBDA_CAP``.
     """
-    config = config or SolverConfig()
     if len(correspondences) < 3:
         raise ValueError(f"need >= 3 correspondences, got {len(correspondences)}")
-    _, _, w = _beam_points(correspondences)
-    sw = np.repeat(np.sqrt(w), 3)
 
     beta = beta0 if beta0 is not None else rigid_fit_initializer(correspondences)
-    f = residuals(beta, correspondences).ravel() * sw
+    f = residuals(beta, correspondences).ravel()
     cost = float(f @ f)
-    lam = config.lambda0
+    lam = LAMBDA0
     converged = False
     iterations = 0
 
-    for iterations in range(1, config.max_iters + 1):
-        j = jacobian(beta, correspondences) * sw[:, None]
+    for iterations in range(1, MAX_ITERS + 1):
+        j = jacobian(beta, correspondences)
         g = j.T @ f
-        if np.max(np.abs(g)) < config.grad_tol:
+        if np.max(np.abs(g)) < GRAD_TOL:
             converged = True
             break
         h = j.T @ j
         dh = np.maximum(np.diag(h), 1e-300)
         while True:
             try:
-                step = -config.eta * np.linalg.solve(h + lam * np.diag(dh), g)
+                step = -np.linalg.solve(h + lam * np.diag(dh), g)
                 break
             except np.linalg.LinAlgError:
                 lam *= 10.0
-                if lam > 1e8:
+                if lam > LAMBDA_CAP:
                     raise SolverFailure("damped normal matrix singular at every damping level")
-        if np.linalg.norm(step) < config.step_tol:
+        if np.linalg.norm(step) < STEP_TOL:
             converged = True
             break
         candidate = Pose6DOF.from_vector(beta.as_vector() + step)
-        f_new = residuals(candidate, correspondences).ravel() * sw
+        f_new = residuals(candidate, correspondences).ravel()
         cost_new = float(f_new @ f_new)
         if cost_new <= cost:
             beta, f, cost = candidate, f_new, cost_new
             lam = max(lam * 0.5, 1e-12)
         else:
             lam *= 2.0
-            if lam > 1e8:
-                converged = True  # no downhill step exists at machine precision
-                break
+            if lam > LAMBDA_CAP:
+                break  # stalled: no downhill step at machine precision
 
-    j = jacobian(beta, correspondences) * sw[:, None]
+    j = jacobian(beta, correspondences)
     h = j.T @ j
     n = len(correspondences)
     dof = max(3 * n - 6, 1)
@@ -213,7 +186,7 @@ def solve(
         final_cost=cost,
         iterations=iterations,
         converged=converged,
-        residuals=residuals(beta, correspondences),
+        residuals=f.reshape(n, 3),
         covariance=cov,
         correspondence_count=n,
     )

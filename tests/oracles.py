@@ -3,9 +3,12 @@
 These deliberately avoid the code paths they validate: the Gaussian-center
 oracle is a dense grid search over (mu, sigma) with the amplitude solved in
 closed form, the one-event Guo fit is a plain scalar loop with the same
-arithmetic as the batched library fit, the rigid-fit oracle is the SVD (Kabsch) construction, and
-the Jacobian oracle differentiates the solver's residual numerically.
+arithmetic as the batched library fit, the rigid-fit oracle is the SVD (Kabsch) construction,
+the Jacobian oracle differentiates the solver's residual numerically, and
+the Cartesian-to-polar inverse checks the library's forward conversion.
 """
+
+import math
 
 import numpy as np
 
@@ -107,3 +110,9 @@ def central_difference_jacobian(beta, correspondences, step=1e-6):
         f_minus = residuals(Pose6DOF.from_vector(v0 - dv), correspondences)
         j[:, k] = ((f_plus - f_minus) / (2 * step)).ravel()
     return j
+
+
+def cartesian_to_polar(x, y, z):
+    """Inverse of the sensor polar convention: (omega, alpha, r) of a point."""
+    r = math.sqrt(x * x + y * y + z * z)
+    return math.asin(z / r), math.atan2(x, y) % (2 * math.pi), r

@@ -5,7 +5,6 @@ import pytest
 
 from pdcalib.correspondence import (
     AzimuthCenterModel,
-    Correspondence,
     DetectionMiss,
     ModelError,
     build_azimuth_center_model,
@@ -175,10 +174,6 @@ class TestMakeCorrespondences:
         assert [c.pd_id for c in out] == ["a"]
         with pytest.raises(ModelError):
             make_correspondences({"a": model}, beams, [pd_a, pd_b], min_count=3)
-
-    def test_weight_validation(self):
-        with pytest.raises(ValueError):
-            Correspondence("x", 0, np.zeros(3), _beam(5.0, 80), weight=1.5)
 
 
 class TestYawShiftConsistency:

@@ -4,42 +4,41 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import cartesian_to_polar
 from pdcalib.geometry import (
-    CartesianPoint,
-    FrameMismatchError,
     PolarBeam,
     Pose6DOF,
-    cartesian_to_polar,
     matrix_to_pose,
-    polar_to_cartesian,
+    polar_to_cartesian_array,
     pose_to_matrix,
     rotation_matrix,
     transform_array,
-    transform_point,
     wrap_angle,
 )
 
 DEG = math.pi / 180.0
 
 
+def to_cartesian(omega, alpha, r):
+    """One point through the array conversion, as an (x, y, z) tuple."""
+    return tuple(polar_to_cartesian_array([omega], [alpha], [r])[0])
+
+
 class TestPolarConversion:
     def test_boresight(self):
-        p = polar_to_cartesian(PolarBeam(omega=0.0, alpha=0.0, r=2.5))
-        assert (p.x, p.y, p.z) == (0.0, 2.5, 0.0)
-        assert p.frame == "L"
+        assert to_cartesian(0.0, 0.0, 2.5) == (0.0, 2.5, 0.0)
 
     def test_axis_permutation(self):
-        p = polar_to_cartesian(PolarBeam(omega=0.0, alpha=math.pi / 2, r=1.0))
-        assert p.x == pytest.approx(1.0, abs=1e-15)
-        assert p.y == pytest.approx(0.0, abs=1e-15)
-        assert p.z == 0.0
+        x, y, z = to_cartesian(0.0, math.pi / 2, 1.0)
+        assert x == pytest.approx(1.0, abs=1e-15)
+        assert y == pytest.approx(0.0, abs=1e-15)
+        assert z == 0.0
 
     def test_round_trip_spec_case(self):
-        b = PolarBeam(omega=2 * DEG, alpha=0.2 * DEG, r=2.5)
-        omega, alpha, r = cartesian_to_polar(polar_to_cartesian(b))
-        assert omega == pytest.approx(b.omega, abs=1e-12)
-        assert alpha == pytest.approx(b.alpha, abs=1e-12)
-        assert r == pytest.approx(b.r, abs=1e-12)
+        omega, alpha, r = cartesian_to_polar(*to_cartesian(2 * DEG, 0.2 * DEG, 2.5))
+        assert omega == pytest.approx(2 * DEG, abs=1e-12)
+        assert alpha == pytest.approx(0.2 * DEG, abs=1e-12)
+        assert r == pytest.approx(2.5, abs=1e-12)
 
     @given(
         omega=st.floats(-80 * DEG, 80 * DEG),
@@ -47,8 +46,7 @@ class TestPolarConversion:
         r=st.floats(0.1, 200.0),
     )
     def test_round_trip_property(self, omega, alpha, r):
-        b = PolarBeam(omega=omega, alpha=alpha, r=r)
-        o2, a2, r2 = cartesian_to_polar(polar_to_cartesian(b))
+        o2, a2, r2 = cartesian_to_polar(*to_cartesian(omega, alpha, r))
         assert o2 == pytest.approx(omega, abs=1e-9)
         assert r2 == pytest.approx(r, rel=1e-12)
         # azimuth is degenerate at the poles, compare via wrapped difference
@@ -56,8 +54,7 @@ class TestPolarConversion:
 
     def test_range_preserved(self):
         # the sin(omega) z-row keeps |p| == r; the misprinted sin(alpha) would not
-        b = PolarBeam(omega=10 * DEG, alpha=30 * DEG, r=3.7)
-        assert np.linalg.norm(polar_to_cartesian(b).as_array()) == pytest.approx(3.7, abs=1e-12)
+        assert np.linalg.norm(to_cartesian(10 * DEG, 30 * DEG, 3.7)) == pytest.approx(3.7, abs=1e-12)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
@@ -127,15 +124,12 @@ class TestPose:
 
 class TestTransform:
     def test_identity(self):
-        p = CartesianPoint(0.3, 1.2, -0.7, frame="L")
-        q = transform_point(pose_to_matrix(Pose6DOF()), p)
-        assert (q.x, q.y, q.z) == (p.x, p.y, p.z)
-        assert q.frame == "O"
+        p = np.array([[0.3, 1.2, -0.7], [-2.0, 0.5, 4.0]])
+        np.testing.assert_array_equal(transform_array(pose_to_matrix(Pose6DOF()), p), p)
 
     def test_pure_translation(self):
         m = pose_to_matrix(Pose6DOF(dx=1, dy=2, dz=3))
-        q = transform_point(m, CartesianPoint(0, 0, 0, frame="L"))
-        assert (q.x, q.y, q.z) == (1.0, 2.0, 3.0)
+        np.testing.assert_array_equal(transform_array(m, np.zeros((1, 3))), [[1.0, 2.0, 3.0]])
 
     def test_rigidity_preserves_distances(self):
         rng = np.random.default_rng(9)
@@ -145,10 +139,3 @@ class TestTransform:
         d_in = np.linalg.norm(pts[:, None] - pts[None, :], axis=-1)
         d_out = np.linalg.norm(out[:, None] - out[None, :], axis=-1)
         np.testing.assert_allclose(d_out, d_in, atol=1e-12)
-
-    def test_frame_mismatch_rejected(self):
-        m = pose_to_matrix(Pose6DOF())
-        with pytest.raises(FrameMismatchError):
-            transform_point(m, CartesianPoint(0, 0, 0, frame="O"))
-        with pytest.raises(FrameMismatchError):
-            CartesianPoint(0, 0, 0, "L").distance_to(CartesianPoint(0, 0, 0, "O"))

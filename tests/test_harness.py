@@ -193,6 +193,27 @@ class TestCli:
         bad.write_text("pdcalib-scanframe,v=1\nbeam,0,oops\n")
         assert cli.main(["calibrate", "--frames", str(bad)]) == 1
 
+    def test_pd_row_disagreeing_with_its_record_exit_code_1(self, tmp_path, capsys):
+        out = tmp_path / "sim"
+        assert cli.main(["simulate", "--scans", "2", "--out", str(out), "--seed", "3"]) == 0
+        lines = (out / "frames.csv").read_text().splitlines()
+        i = next(
+            k for k in range(1, len(lines))
+            if lines[k].startswith("pd,") and lines[k - 1].split(",")[:3] == lines[k].split(",")[:3]
+        )
+        parts = lines[i].split(",")
+        lines[i] = ",".join(parts[:6] + ["0|5|10"] + parts[7:10])  # three sampled channels
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert cli.main([
+            "calibrate", "--frames", str(bad), "--scene", str(out / "scene.json"),
+            "--out", str(tmp_path / "cal"),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert f"{bad}:{i + 1}: field 'sampled_channels'" in err
+        assert "Traceback" not in err
+
     def test_pipeline_failure_exit_code_2(self, tmp_path, horizontal_scene):
         # a board with no PD modules cannot produce correspondences
         scene = make_bench_scene("horizontal")

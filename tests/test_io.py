@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,18 @@ class TestSceneConfig:
         io.save_scene(scene, path)
         loaded = io.load_scene(path)
         assert loaded == scene
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("beam_divergence_rad", -0.0078), ("firing_period_s", 0.0), ("pulse_burst_period_s", -1e-9)],
+    )
+    def test_bad_lidar_value_rejected(self, tmp_path, horizontal_scene, key, value):
+        data = io.scene_to_dict(horizontal_scene)
+        data["lidar"][key] = value
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="bad scene config"):
+            io.load_scene(path)
 
     def test_bad_config_raises(self, tmp_path):
         path = tmp_path / "scene.json"
@@ -151,6 +165,33 @@ class TestFrameSerialization:
             read_frames(path)
         assert err.value.line_no == orphan + 1
         assert err.value.field == "scan_id"
+
+    @pytest.mark.parametrize(
+        "field, edit",
+        [
+            ("sampled_channels", lambda parts: parts[:6] + ["0|6|10|15"] + parts[7:]),
+            ("noise_floor_v", lambda parts: parts[:5] + ["0.2"] + parts[6:]),
+            ("sampled_channels", lambda parts: parts[:6] + ["0|5|10"] + parts[7:10]),
+        ],
+        ids=["other channels", "other noise floor", "shorter channel list"],
+    )
+    def test_pd_row_disagreeing_with_its_record_rejected(self, tmp_path, small_batch, field, edit):
+        path = tmp_path / "frames.csv"
+        write_frames(small_batch, path)
+        lines = path.read_text().splitlines()
+        # second row of a (scan, PD) record: the record's first row set the
+        # channels and the noise floor
+        i = next(
+            k for k in range(1, len(lines))
+            if lines[k].startswith("pd,") and lines[k - 1].split(",")[:3] == lines[k].split(",")[:3]
+        )
+        lines[i] = ",".join(edit(lines[i].split(",")))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FrameParseError) as err:
+            read_frames(path)
+        assert err.value.line_no == i + 1
+        assert err.value.field == field
+        assert f"{path}:{i + 1}:" in str(err.value)
 
     def test_wrong_field_count(self, tmp_path):
         path = tmp_path / "f.csv"

@@ -8,7 +8,6 @@ from pdcalib.preprocess import (
     PlaneModel,
     SegmentationError,
     fit_plane,
-    project_to_plane,
     range_to_plane,
     refine_plane_ranges,
     segment_target,
@@ -109,31 +108,6 @@ class TestPlaneFit:
             PlaneModel(normal=np.array([1.0, 1.0, 0.0]), d=0.0, inlier_rms=0.0, inlier_count=5)
         with pytest.raises(ValueError):
             PlaneModel(normal=np.array([1.0, 0.0, 0.0]), d=0.0, inlier_rms=0.0, inlier_count=2)
-
-
-class TestProjection:
-    PLANE = PlaneModel(normal=np.array([0.0, -1.0, 0.0]), d=2.5, inlier_rms=0.0, inlier_count=10)
-
-    def test_on_plane_point_unchanged(self):
-        p = np.array([[0.3, -2.5, 1.0]])
-        np.testing.assert_allclose(project_to_plane(p, self.PLANE), p, atol=1e-15)
-
-    def test_moves_exactly_by_normal_distance(self):
-        t = 0.37
-        p = np.array([[0.0, -2.5, 0.0]]) + t * self.PLANE.normal
-        proj = project_to_plane(p, self.PLANE)
-        assert np.linalg.norm(proj - p) == pytest.approx(t, abs=1e-12)
-
-    def test_idempotent_and_contractive(self):
-        rng = np.random.default_rng(3)
-        pts = rng.uniform(-3, 3, (50, 3))
-        once = project_to_plane(pts, self.PLANE)
-        twice = project_to_plane(once, self.PLANE)
-        np.testing.assert_allclose(twice, once, atol=1e-15)
-        assert np.max(np.abs(self.PLANE.signed_distance(once))) < 1e-12
-        moved = np.linalg.norm(once - pts, axis=1)
-        resid = np.abs(self.PLANE.signed_distance(pts))
-        assert np.all(moved <= resid + 1e-12)
 
 
 class TestRangeRefinement:

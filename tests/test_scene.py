@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pdcalib.bench import make_bench_scene
-from pdcalib.geometry import CartesianPoint, PolarBeam, Pose6DOF, polar_to_cartesian_array, pose_to_matrix, transform_array
+from pdcalib.geometry import PolarBeam, Pose6DOF, polar_to_cartesian_array, pose_to_matrix, transform_array
 from pdcalib.io import frames_to_text
 from pdcalib.scene import (
     AfeConfig,
@@ -13,8 +13,8 @@ from pdcalib.scene import (
     PdPlacement,
     ScanFrame,
     SimulationError,
+    _element_currents,
     corner_error_bound,
-    integrate_beam_on_pd,
     simulate_scan,
 )
 
@@ -57,6 +57,15 @@ class TestModels:
             LidarModel(azimuth_step_deg=0.0)
         with pytest.raises(ValueError):
             LidarModel(range_noise_sigma=-1.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("firing_period", 0.0), ("firing_period", -55e-6), ("pulse_burst_period", -1e-9)],
+    )
+    def test_lidar_timing_validated(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            LidarModel(**{field: value})
+        LidarModel(pulse_burst_period=0.0)  # no intra-cycle skew is allowed
 
     def test_duplicate_beam_keys_rejected(self):
         b = (0.01, 0.0, 1.0, 0, 0, 0.0)  # omega, alpha, r, channel, azimuth_index, reflectivity
@@ -189,26 +198,26 @@ class TestSimulation:
 
 
 class TestBeamIntegration:
+    # _element_currents takes the spot position (along, cross) from the array
+    # center; for a horizontal PD at the board center that is board (x, z)
+
     def test_boundary_symmetry(self):
         pd = PdPlacement("p", offset=(0.0, 0.0))
         # element 7 / element 8 boundary sits at 7.5 mm, i.e. board x = 0 for
         # a centered PD
-        center = CartesianPoint(0.0, 0.0, 0.0, frame="O")
-        currents = integrate_beam_on_pd(center, 4.9 * MM, pd)
+        currents = _element_currents(0.0, 0.0, 4.9 * MM, pd, 100e-6)
         for j in range(8):
             assert currents[7 - j] == pytest.approx(currents[8 + j], rel=1e-9)
 
     def test_far_field_negligible(self):
         pd = PdPlacement("p", offset=(0.0, 0.0))
-        far = CartesianPoint(50 * MM + pd.half_span, 0.0, 0.0, frame="O")
-        currents = integrate_beam_on_pd(far, 4.9 * MM, pd)
+        currents = _element_currents(50 * MM + pd.half_span, 0.0, 4.9 * MM, pd, 100e-6)
         assert np.all(currents < 1e-12)
 
     def test_centered_hit_peak_current(self):
         pd = PdPlacement("p", offset=(0.0, 0.0))
         # spot dead on element 3 (position 3 mm -> board x = 3 - 7.5 mm)
-        spot = CartesianPoint((3 - 7.5) * MM, 0.0, 0.0, frame="O")
-        currents = integrate_beam_on_pd(spot, 4.9 * MM, pd)
+        currents = _element_currents((3 - 7.5) * MM, 0.0, 4.9 * MM, pd, 100e-6)
         assert currents[3] == pytest.approx(100e-6, rel=1e-12)
         assert np.argmax(currents) == 3
 
@@ -216,8 +225,7 @@ class TestBeamIntegration:
         pd = PdPlacement("p", offset=(0.0, 0.0))
         sigma = 19.6 * MM / 4
         spot_local = 7.3 * MM  # inside element 7's [6.5, 7.5) mm cell
-        spot = CartesianPoint(spot_local - pd.center_local, 0.0, 0.0, frame="O")
-        currents = integrate_beam_on_pd(spot, sigma, pd)
+        currents = _element_currents(spot_local - pd.center_local, 0.0, sigma, pd, 100e-6)
 
         # brute-force Riemann integration at 10 um resolution
         def dense_current(k):
@@ -234,14 +242,11 @@ class TestBeamIntegration:
         )
 
     def test_invalid_sigma(self):
-        pd = PdPlacement("p", offset=(0.0, 0.0))
-        with pytest.raises(ValueError):
-            integrate_beam_on_pd(CartesianPoint(0, 0, 0, "O"), 0.0, pd)
-
-    def test_frame_tag_enforced(self):
-        pd = PdPlacement("p", offset=(0.0, 0.0))
-        with pytest.raises(ValueError):
-            integrate_beam_on_pd(CartesianPoint(0, 0, 0, "L"), 4.9 * MM, pd)
+        # the spot sigma is range * beam_divergence / 4, so a non-positive
+        # divergence is refused where it enters the program
+        for divergence in (0.0, -19.6e-3 / 2.5):
+            with pytest.raises(ValueError, match="beam_divergence"):
+                LidarModel(beam_divergence=divergence)
 
 
 class TestCornerErrorBound:
