@@ -10,12 +10,15 @@ Scan-frame files are line-oriented delimited text with a fixed field order:
 
 Beams are sorted by (channel, azimuth index) and PD events by (pd_id, time),
 so a frame always serializes byte-identically. Angles are stored in degrees
-at this boundary; everything in memory is radians.
+at this boundary; everything in memory is radians. Numbers are plain ASCII
+decimals as Python's ``repr`` writes them; a beam row holding ``1_0`` or
+non-ASCII digits is refused. A PD's event indices are unique within its scan.
 """
 
 from __future__ import annotations
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +26,7 @@ import numpy as np
 from .afe import PdSignalRecord, TiaParams
 from .bench import Scene
 from .geometry import DEG, Pose6DOF
-from .scene import AfeConfig, BoardModel, LidarModel, PdPlacement, ScanFrame
+from .scene import BEAM_DTYPE, AfeConfig, BoardModel, LidarModel, PdPlacement, ScanFrame
 
 FRAME_MAGIC = "pdcalib-scanframe,v=1"
 
@@ -233,76 +236,161 @@ def _parse_int(path, line_no, field, token):
         raise FrameParseError(path, line_no, field, f"not an integer: {token!r}")
 
 
+# A beam row as numpy's text reader parses it. All eight fields are read, so
+# a row with a field too many or too few is refused instead of cut to fit.
+_BEAM_ROW = np.dtype(
+    [
+        ("kind", "U4"),
+        ("scan_id", int),
+        ("channel", int),
+        ("azimuth_index", int),
+        ("azimuth_deg", float),
+        ("omega_deg", float),
+        ("range_m", float),
+        ("reflectivity", float),
+    ]
+)
+
+
+# what _loadtxt raises for a field it cannot read
+_REFUSED = (ValueError, DeprecationWarning)
+
+
+def _loadtxt(lines, dtype):
+    """``np.loadtxt`` of comma-separated lines; raises one of ``_REFUSED``."""
+    with warnings.catch_warnings():
+        # numpy 1.23-1.26 reads an int field such as "5.0" through float and
+        # only warns; refuse it, as later numpy does
+        warnings.simplefilter("error", DeprecationWarning)
+        return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+
+
+def _beam_row_error(path, rows, exc) -> FrameParseError:
+    """The error for the first malformed beam row, in file order.
+
+    A row is malformed when it has the wrong field count, when a field fails
+    the Python number checks, or when numpy's reader refuses a field that
+    Python accepts (``1_0``, non-ASCII digits, an int beyond 64 bits).
+    """
+    for line_no, line in rows:
+        parts = line.split(",")
+        if len(parts) != len(_BEAM_ROW.names):
+            return FrameParseError(
+                path, line_no, "beam", f"expected {len(BEAM_FIELDS)} fields, got {len(parts) - 1}"
+            )
+        tokens = list(zip(BEAM_FIELDS, parts[1:]))
+        for field, token in tokens:
+            parse = _parse_int if _BEAM_ROW[field].kind == "i" else _parse_float
+            parse(path, line_no, field, token)
+        try:
+            _loadtxt([line], _BEAM_ROW)
+        except _REFUSED:
+            for field, token in tokens:
+                try:
+                    _loadtxt([token], _BEAM_ROW[field])
+                except _REFUSED:
+                    return FrameParseError(
+                        path, line_no, field,
+                        f"{token!r} is not a plain ASCII decimal that fits {_BEAM_ROW[field]}",
+                    )
+    return FrameParseError(path, rows[0][0], "beam", str(exc))
+
+
+def _read_beams(path, rows) -> dict:
+    """Beam rows, as (line_no, line) in file order, to ``BEAM_DTYPE`` arrays by scan id.
+
+    Each scan's rows keep their file order.
+    """
+    if not rows:
+        return {}  # numpy's reader warns on empty input
+    try:
+        raw = _loadtxt([line for _, line in rows], _BEAM_ROW)
+    except _REFUSED as exc:
+        raise _beam_row_error(path, rows, exc) from None
+    beams = np.empty(len(raw), BEAM_DTYPE)
+    beams["omega"] = raw["omega_deg"] * DEG
+    beams["alpha"] = raw["azimuth_deg"] * DEG
+    beams["r"] = raw["range_m"]
+    beams["channel"] = raw["channel"]
+    beams["azimuth_index"] = raw["azimuth_index"]
+    beams["reflectivity"] = raw["reflectivity"]
+    order = np.argsort(raw["scan_id"], kind="stable")
+    scan_ids, starts = np.unique(raw["scan_id"][order], return_index=True)
+    return dict(zip(scan_ids.tolist(), np.split(beams[order], starts[1:])))
+
+
 def read_frames(path) -> list:
     """Parse a scan-frame file back into ScanFrame objects (no sim truth).
 
     Raises FrameParseError for a malformed line, for a PD row whose scan
-    has no beam rows, and for a PD row whose sampled channels or noise floor
-    differ from the earlier rows of its (scan, PD) record.
+    has no beam rows, for a PD row that repeats the (scan, PD, event) of an
+    earlier row, and for a PD row whose sampled channels or noise floor
+    differ from the earlier rows of its (scan, PD) record. When several lines
+    are malformed, the error names the first.
     """
     text = Path(path).read_text()
     lines = text.splitlines()
     if not lines or lines[0].strip() != FRAME_MAGIC:
         raise FrameParseError(path, 1, "magic", f"expected {FRAME_MAGIC!r}")
-    beams: dict = {}
+    beam_rows = []  # (line_no, line), parsed together after the loop
     pd_records: dict = {}  # (scan_id, pd_id) -> (noise floor, channels, [(time, volts)])
     first_pd_line: dict = {}  # scan_id -> line of its first PD row
-    for line_no, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(",")
-        kind = parts[0]
-        if kind == "beam":
-            if len(parts) != 1 + len(BEAM_FIELDS):
-                raise FrameParseError(
-                    path, line_no, "beam", f"expected {len(BEAM_FIELDS)} fields, got {len(parts) - 1}"
-                )
-            sid = _parse_int(path, line_no, "scan_id", parts[1])
-            beam = (
-                _parse_float(path, line_no, "omega_deg", parts[5]) * DEG,
-                _parse_float(path, line_no, "azimuth_deg", parts[4]) * DEG,
-                _parse_float(path, line_no, "range_m", parts[6]),
-                _parse_int(path, line_no, "channel", parts[2]),
-                _parse_int(path, line_no, "azimuth_index", parts[3]),
-                _parse_float(path, line_no, "reflectivity", parts[7]),
-            )
-            beams.setdefault(sid, []).append(beam)
-        elif kind == "pd":
-            if len(parts) < 1 + len(PD_FIELDS) + 1:
-                raise FrameParseError(path, line_no, "pd", "missing voltage fields")
-            pd_id = parts[1]
-            sid = _parse_int(path, line_no, "scan_id", parts[2])
-            time_s = _parse_float(path, line_no, "time_s", parts[4])
-            floor = _parse_float(path, line_no, "noise_floor_v", parts[5])
-            try:
-                channels = tuple(int(c) for c in parts[6].split("|"))
-            except ValueError:
-                raise FrameParseError(path, line_no, "sampled_channels", f"bad list: {parts[6]!r}")
-            volts = [
-                _parse_float(path, line_no, f"v{i}", tok) for i, tok in enumerate(parts[7:])
-            ]
-            if len(volts) != len(channels):
-                raise FrameParseError(
-                    path, line_no, "voltages",
-                    f"{len(volts)} voltages for {len(channels)} sampled channels",
-                )
-            rec = pd_records.setdefault((sid, pd_id), (floor, channels, []))
-            if channels != rec[1]:
-                raise FrameParseError(
-                    path, line_no, "sampled_channels",
-                    f"{parts[6]!r} differs from {'|'.join(map(str, rec[1]))!r} "
-                    f"in earlier rows of PD {pd_id!r}, scan {sid}",
-                )
-            if floor != rec[0]:
-                raise FrameParseError(
-                    path, line_no, "noise_floor_v",
-                    f"{floor!r} differs from {rec[0]!r} in earlier rows of PD {pd_id!r}, scan {sid}",
-                )
-            rec[2].append((time_s, volts))
-            first_pd_line.setdefault(sid, line_no)
-        else:
-            raise FrameParseError(path, line_no, "record", f"unknown record type {kind!r}")
+    event_lines: dict = {}  # (scan_id, pd_id, event) -> line of its row
+    try:
+        for line_no, raw in enumerate(lines[1:], start=2):
+            line = raw.strip()
+            kind = line.partition(",")[0]
+            if kind == "beam":
+                beam_rows.append((line_no, line))
+            elif not line or line.startswith("#"):
+                continue
+            elif kind == "pd":
+                parts = line.split(",")
+                if len(parts) < 1 + len(PD_FIELDS) + 1:
+                    raise FrameParseError(path, line_no, "pd", "missing voltage fields")
+                pd_id = parts[1]
+                sid = _parse_int(path, line_no, "scan_id", parts[2])
+                event = _parse_int(path, line_no, "event", parts[3])
+                time_s = _parse_float(path, line_no, "time_s", parts[4])
+                floor = _parse_float(path, line_no, "noise_floor_v", parts[5])
+                try:
+                    channels = tuple(int(c) for c in parts[6].split("|"))
+                except ValueError:
+                    raise FrameParseError(path, line_no, "sampled_channels", f"bad list: {parts[6]!r}")
+                volts = [
+                    _parse_float(path, line_no, f"v{i}", tok) for i, tok in enumerate(parts[7:])
+                ]
+                if len(volts) != len(channels):
+                    raise FrameParseError(
+                        path, line_no, "voltages",
+                        f"{len(volts)} voltages for {len(channels)} sampled channels",
+                    )
+                earlier = event_lines.setdefault((sid, pd_id, event), line_no)
+                if earlier != line_no:
+                    raise FrameParseError(
+                        path, line_no, "event",
+                        f"event {event} of PD {pd_id!r}, scan {sid} repeats line {earlier}",
+                    )
+                rec = pd_records.setdefault((sid, pd_id), (floor, channels, []))
+                if channels != rec[1]:
+                    raise FrameParseError(
+                        path, line_no, "sampled_channels",
+                        f"{parts[6]!r} differs from {'|'.join(map(str, rec[1]))!r} "
+                        f"in earlier rows of PD {pd_id!r}, scan {sid}",
+                    )
+                if floor != rec[0]:
+                    raise FrameParseError(
+                        path, line_no, "noise_floor_v",
+                        f"{floor!r} differs from {rec[0]!r} in earlier rows of PD {pd_id!r}, scan {sid}",
+                    )
+                rec[2].append((time_s, volts))
+                first_pd_line.setdefault(sid, line_no)
+            else:
+                raise FrameParseError(path, line_no, "record", f"unknown record type {kind!r}")
+    except FrameParseError:
+        _read_beams(path, beam_rows)  # a malformed beam row above this line comes first
+        raise
+    beams = _read_beams(path, beam_rows)
 
     orphans = [(line_no, sid) for sid, line_no in first_pd_line.items() if sid not in beams]
     if orphans:

@@ -1,13 +1,45 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pdcalib import io
 from pdcalib.bench import make_bench_scene
-from pdcalib.geometry import Pose6DOF
+from pdcalib.geometry import DEG, Pose6DOF
 from pdcalib.io import FrameParseError, frames_to_text, read_frames, write_frames
-from pdcalib.scene import AfeConfig, LidarModel, simulate_scan
+from pdcalib.scene import AfeConfig, LidarModel, ScanFrame, simulate_scan
+
+INT64 = st.integers(-(2 ** 63), 2 ** 63 - 1)
+HALF_PI_BELOW = math.nextafter(math.pi / 2, 0.0)
+
+
+def _floats(lo, hi, *edges):
+    """Floats in [lo, hi) (17 significant digits, subnormals) plus edge values."""
+    return st.floats(lo, hi, exclude_max=True, allow_subnormal=True) | st.sampled_from(edges)
+
+
+@st.composite
+def _scan_frames(draw):
+    keys = draw(st.lists(st.tuples(INT64, INT64), min_size=1, max_size=12, unique=True))
+    beams = [
+        (
+            draw(_floats(-HALF_PI_BELOW, math.pi / 2, -HALF_PI_BELOW, HALF_PI_BELOW, -0.0)),
+            draw(_floats(0.0, 2 * math.pi, math.nextafter(2 * math.pi, 0.0), 5e-324)),
+            draw(_floats(5e-324, 1e300, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308)),
+            channel,
+            azimuth_index,
+            draw(st.floats(allow_nan=False, allow_infinity=False)),
+        )
+        for channel, azimuth_index in keys
+    ]
+    return ScanFrame(scan_id=draw(INT64), beams=beams, pd_records=[])
+
+
+def _mid_beam_row(lines):
+    rows = [k for k, line in enumerate(lines) if line.startswith("beam,")]
+    return rows[len(rows) // 2]
 
 
 @pytest.fixture(scope="module")
@@ -97,21 +129,55 @@ class TestFrameSerialization:
             read_frames(path)
         assert err.value.field == "magic"
 
-    def test_error_names_line_and_field(self, tmp_path, small_batch):
+    @pytest.mark.parametrize(
+        "field, token",
+        [(field, "abc") for field in io.BEAM_FIELDS]
+        + [(field, "5.0") for field in ("scan_id", "channel", "azimuth_index")]
+        + [("range_m", "1_0"), ("channel", "1_0"), ("reflectivity", "\u0661\u0660")],
+    )
+    def test_error_names_line_and_field(self, tmp_path, small_batch, field, token):
+        # a row in the middle of the beam block, so the line number is not
+        # simply the first beam row's
         path = tmp_path / "frames.csv"
         write_frames(small_batch, path)
         lines = path.read_text().splitlines()
-        beam_line = next(i for i, l in enumerate(lines) if l.startswith("beam,"))
-        parts = lines[beam_line].split(",")
-        parts[6] = "abc"  # range_m
-        lines[beam_line] = ",".join(parts)
-        bad = tmp_path / "bad.csv"
-        bad.write_text("\n".join(lines) + "\n")
+        i = _mid_beam_row(lines)
+        parts = lines[i].split(",")
+        parts[1 + io.BEAM_FIELDS.index(field)] = token
+        lines[i] = ",".join(parts)
+        path.write_text("\n".join(lines) + "\n")
         with pytest.raises(FrameParseError) as err:
-            read_frames(bad)
-        assert err.value.line_no == beam_line + 1
-        assert err.value.field == "range_m"
-        assert str(bad) in str(err.value)
+            read_frames(path)
+        assert err.value.line_no == i + 1
+        assert err.value.field == field
+        assert f"{path}:{i + 1}:" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "edit", [lambda parts: parts + ["1.0"], lambda parts: parts[:-1]], ids=["9 fields", "7 fields"]
+    )
+    def test_beam_row_with_wrong_field_count_rejected(self, tmp_path, small_batch, edit):
+        path = tmp_path / "frames.csv"
+        write_frames(small_batch, path)
+        lines = path.read_text().splitlines()
+        i = _mid_beam_row(lines)
+        lines[i] = ",".join(edit(lines[i].split(",")))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FrameParseError) as err:
+            read_frames(path)
+        assert err.value.line_no == i + 1
+        assert err.value.field == "beam"
+
+    @pytest.mark.parametrize("pd_first", [False, True], ids=["beam row first", "pd row first"])
+    def test_first_malformed_line_is_named(self, tmp_path, pd_first):
+        beam = "beam,0,5,22,4.4,-5.0,abc,10.7"
+        pd = "pd,h_tl,0,0,abc,0.1,0|5|10|15,2.66,1.11,0.146,0.0"
+        rows = [pd, beam] if pd_first else [beam, pd]
+        path = tmp_path / "f.csv"
+        path.write_text("\n".join([io.FRAME_MAGIC, "beam,0,5,21,4.2,-5.0,2.5,10.7"] + rows) + "\n")
+        with pytest.raises(FrameParseError) as err:
+            read_frames(path)
+        assert err.value.line_no == 3
+        assert err.value.field == ("time_s" if pd_first else "range_m")
 
     @pytest.mark.parametrize(
         "field, index, token",
@@ -192,6 +258,78 @@ class TestFrameSerialization:
         assert err.value.line_no == i + 1
         assert err.value.field == field
         assert f"{path}:{i + 1}:" in str(err.value)
+
+    def test_pd_event_not_an_integer_rejected(self, tmp_path, small_batch):
+        path = tmp_path / "frames.csv"
+        write_frames(small_batch, path)
+        lines = path.read_text().splitlines()
+        i = next(k for k, line in enumerate(lines) if line.startswith("pd,"))
+        parts = lines[i].split(",")
+        parts[3] = "zz"
+        lines[i] = ",".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FrameParseError) as err:
+            read_frames(path)
+        assert err.value.line_no == i + 1
+        assert err.value.field == "event"
+
+    def test_repeated_pd_event_rejected(self, tmp_path, small_batch):
+        path = tmp_path / "frames.csv"
+        write_frames(small_batch, path)
+        lines = path.read_text().splitlines()
+        i = next(k for k, line in enumerate(lines) if line.startswith("pd,"))
+        lines.insert(i + 1, lines[i])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FrameParseError, match=f"repeats line {i + 1}$") as err:
+            read_frames(path)
+        assert err.value.line_no == i + 2
+        assert err.value.field == "event"
+
+    @settings(max_examples=40, deadline=None)
+    @given(frames=st.lists(_scan_frames(), max_size=3, unique_by=lambda f: f.scan_id))
+    def test_beams_read_back_bit_for_bit(self, tmp_path_factory, frames):
+        """The reader returns the written bits; angles pass through degrees."""
+        path = tmp_path_factory.mktemp("frames") / "frames.csv"
+        write_frames(frames, path)
+        expected = []
+        for frame in sorted(frames, key=lambda f: f.scan_id):
+            b = frame.beams[np.lexsort((frame.beams["azimuth_index"], frame.beams["channel"]))]
+            b["omega"] = b["omega"] / DEG * DEG
+            b["alpha"] = b["alpha"] / DEG * DEG
+            expected.append(ScanFrame(frame.scan_id, b, []).beams)  # wraps alpha as the reader does
+        back = read_frames(path)
+        assert [f.scan_id for f in back] == sorted(f.scan_id for f in frames)
+        assert [f.beams.tobytes() for f in back] == [b.tobytes() for b in expected]
+
+    def test_interleaved_scans_keep_file_order(self, tmp_path):
+        rows = [
+            "beam,1,3,7,1.0,0.0,2.0,10.0",
+            "beam,0,5,9,1.0,0.0,2.0,10.0",
+            "beam,1,0,2,1.0,0.0,2.0,10.0",
+            "beam,0,1,4,1.0,0.0,2.0,10.0",
+            "beam,1,3,1,1.0,0.0,2.0,10.0",
+            "beam,0,5,3,1.0,0.0,2.0,10.0",
+        ]
+        path = tmp_path / "f.csv"
+        path.write_text("\n".join([io.FRAME_MAGIC] + rows) + "\n")
+        frames = read_frames(path)
+        assert [f.scan_id for f in frames] == [0, 1]
+        keys = [list(zip(f.beams["channel"].tolist(), f.beams["azimuth_index"].tolist())) for f in frames]
+        assert keys == [[(5, 9), (1, 4), (5, 3)], [(3, 7), (0, 2), (3, 1)]]
+
+    @pytest.mark.filterwarnings("error")
+    def test_magic_only_file_has_no_frames(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text(io.FRAME_MAGIC + "\n# beam," + ",".join(io.BEAM_FIELDS) + "\n")
+        assert read_frames(path) == []
+
+    @pytest.mark.filterwarnings("error")
+    def test_pd_only_file_rejected(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text(io.FRAME_MAGIC + "\npd,h,0,0,0.0,0.1,0|5,1.0,2.0\n")
+        with pytest.raises(FrameParseError, match="no beam rows") as err:
+            read_frames(path)
+        assert err.value.line_no == 2
 
     def test_wrong_field_count(self, tmp_path):
         path = tmp_path / "f.csv"
