@@ -11,8 +11,9 @@ Scan-frame files are line-oriented delimited text with a fixed field order:
 Beams are sorted by (channel, azimuth index) and PD events by (pd_id, time),
 so a frame always serializes byte-identically. Angles are stored in degrees
 at this boundary; everything in memory is radians. Numbers are plain ASCII
-decimals as Python's ``repr`` writes them; a beam row holding ``1_0`` or
-non-ASCII digits is refused. A PD's event indices are unique within its scan.
+decimals as Python's ``repr`` writes them; a beam or PD row holding
+``1_0`` or non-ASCII digits is refused. A PD's event indices are unique
+within its scan.
 """
 
 from __future__ import annotations
@@ -222,7 +223,15 @@ def write_frames(frames, path):
     Path(path).write_text(frames_to_text(frames))
 
 
+def _check_plain(path, line_no, field, token):
+    # Python's int() and float() also take "1_0" and non-ASCII digits, which
+    # numpy's reader, and so the beam rows, refuse
+    if not token.isascii() or "_" in token:
+        raise FrameParseError(path, line_no, field, f"{token!r} is not a plain ASCII decimal")
+
+
 def _parse_float(path, line_no, field, token):
+    _check_plain(path, line_no, field, token)
     try:
         return float(token)
     except ValueError:
@@ -230,6 +239,7 @@ def _parse_float(path, line_no, field, token):
 
 
 def _parse_int(path, line_no, field, token):
+    _check_plain(path, line_no, field, token)
     try:
         return int(token)
     except ValueError:
@@ -269,8 +279,9 @@ def _beam_row_error(path, rows, exc) -> FrameParseError:
     """The error for the first malformed beam row, in file order.
 
     A row is malformed when it has the wrong field count, when a field fails
-    the Python number checks, or when numpy's reader refuses a field that
-    Python accepts (``1_0``, non-ASCII digits, an int beyond 64 bits).
+    the PD rows' number checks (which refuse ``1_0`` and non-ASCII digits),
+    or when numpy's reader refuses a field that those accept (an int beyond
+    64 bits).
     """
     for line_no, line in rows:
         parts = line.split(",")
@@ -353,10 +364,9 @@ def read_frames(path) -> list:
                 event = _parse_int(path, line_no, "event", parts[3])
                 time_s = _parse_float(path, line_no, "time_s", parts[4])
                 floor = _parse_float(path, line_no, "noise_floor_v", parts[5])
-                try:
-                    channels = tuple(int(c) for c in parts[6].split("|"))
-                except ValueError:
-                    raise FrameParseError(path, line_no, "sampled_channels", f"bad list: {parts[6]!r}")
+                channels = tuple(
+                    _parse_int(path, line_no, "sampled_channels", c) for c in parts[6].split("|")
+                )
                 volts = [
                     _parse_float(path, line_no, f"v{i}", tok) for i, tok in enumerate(parts[7:])
                 ]

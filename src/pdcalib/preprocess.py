@@ -1,9 +1,14 @@
 """Target segmentation, plane fitting and range-noise suppression.
 
-The board is pulled out of a raw scan by Euclidean clustering (single
-linkage within a distance threshold), its plane is fit by total least
-squares and refined in range space, and the ROI returns are slid along
-their rays onto that plane, which removes most of the ranging noise.
+The board is pulled out of a raw scan by clustering on the sensor's
+(channel, azimuth index) raster, the range-image idea of Bogoslavskyi and
+Stachniss (IROS 2016): neighbouring cells of the raster are linked when
+their returns lie within a distance threshold. Those links are a subset of
+single-linkage Euclidean clustering's, and give the same clusters except
+where an occluder spanning every row cuts the board in two, which is
+refused. The board's plane is fit by total least squares and refined in
+range space, and the ROI returns are slid along their rays onto that
+plane, which removes most of the ranging noise.
 """
 
 from __future__ import annotations
@@ -11,14 +16,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
-from scipy.spatial import cKDTree
 
 from .geometry import polar_to_cartesian_array
 
 DEFAULT_CLUSTER_TOLERANCE = 0.15  # > the ~87 mm inter-row gaps on the board
 DEFAULT_MIN_POINTS = 30
+# raster neighbours along a row: the next this many returns of a channel
+AZIMUTH_REACH = 2
 
 
 class SegmentationError(RuntimeError):
@@ -46,14 +52,37 @@ class PlaneModel:
         return np.atleast_2d(points) @ self.normal - self.d
 
 
-def _connected_components(points: np.ndarray, tol: float = 0.15) -> np.ndarray:
-    """Single-linkage component label per point (radius graph + union)."""
+def _raster_components(points, channel, azimuth_index, tol):
+    """Component label per return, linking raster neighbours within ``tol``.
+
+    Each return's candidate neighbours are the next ``AZIMUTH_REACH``
+    returns of its channel in azimuth order, and the returns of the next
+    channel at azimuth index -``AZIMUTH_REACH``..+``AZIMUTH_REACH`` from its
+    own. A candidate is linked when its 3-D distance is at most ``tol``.
+    """
     n = len(points)
-    pairs = cKDTree(points).query_pairs(r=tol, output_type="ndarray")
-    graph = coo_matrix(
-        (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n)
-    )
-    _, labels = connected_components(graph, directed=False)
+    order = np.lexsort((azimuth_index, channel))
+    ch = channel[order]
+    az = azimuth_index[order] - azimuth_index.min() + AZIMUTH_REACH
+    # one key per raster cell, ascending in this order; the padding keeps
+    # az + offset inside its own row
+    width = int(az.max()) + AZIMUTH_REACH + 1
+    key = (ch - ch[0]) * width + az
+
+    along = np.minimum(np.arange(n)[:, None] + np.arange(1, AZIMUTH_REACH + 1), n - 1)
+    target = key[:, None] + (width + np.arange(-AZIMUTH_REACH, AZIMUTH_REACH + 1))
+    across = np.minimum(np.searchsorted(key, target), n - 1)
+    # (n, 3 * AZIMUTH_REACH + 1) candidate positions; a clipped one links a
+    # return to itself, which changes no component
+    cand = np.hstack([along, across])
+    valid = np.hstack([ch[along] == ch[:, None], key[across] == target])
+
+    valid &= sum((c[cand] - c[:, None]) ** 2 for c in points[order].T) <= tol * tol
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.count_nonzero(valid, axis=1), out=indptr[1:])
+    graph = csr_matrix((np.ones(indptr[-1]), cand[valid], indptr), shape=(n, n))
+    labels = np.empty(n, dtype=np.intp)
+    labels[order] = connected_components(graph, directed=False)[1]
     return labels
 
 
@@ -67,41 +96,63 @@ def segment_target(
 ) -> np.ndarray:
     """Indices of the frame's beams that belong to the target board.
 
-    Clusters the scan with single-linkage Euclidean clustering and returns
-    the cluster whose bounding extents best match the configured board
-    dimensions (within ``extent_tolerance`` relative error).
+    Clusters the scan on its (channel, azimuth index) raster: a return is
+    linked to the next ``AZIMUTH_REACH`` returns of its channel in azimuth
+    order and to the next channel's returns within ``AZIMUTH_REACH`` azimuth
+    indices, wherever the two lie within ``cluster_tolerance`` in 3-D.
+    Returns the cluster whose bounding extents best match the configured
+    board dimensions (within ``extent_tolerance`` relative error).
+
+    Every raster link is also a link of single-linkage Euclidean clustering
+    at ``cluster_tolerance``, so raster clusters can only split those
+    clusters; dropouts are bridged, because the next returns in azimuth
+    order skip missing ones. An occluder in front of the board that spans
+    every row and is at least ``AZIMUTH_REACH`` returns wide does split the
+    board. The returned ROI is always a whole single-linkage cluster: a
+    board piece with a return outside it within ``cluster_tolerance``
+    raises instead.
 
     Raises
     ------
     SegmentationError
-        With per-cluster diagnostics if nothing matches.
+        With per-cluster diagnostics if nothing matches, or if the matching
+        cluster is a piece of a board split by an occluder.
     """
     if len(frame.beams) == 0:
         raise SegmentationError("empty frame: no clusters (0 points)")
-    omega, alpha, r, _, _, _ = frame.beam_arrays()
+    omega, alpha, r, channel, azimuth_index, _ = frame.beam_arrays()
     pts = polar_to_cartesian_array(omega, alpha, r)
-    labels = _connected_components(pts, tol=cluster_tolerance)
+    labels = _raster_components(pts, channel, azimuth_index, cluster_tolerance)
 
     diagnostics = []
     best = None
-    for lab in np.unique(labels):
+    for lab in np.flatnonzero(np.bincount(labels) >= min_points):
         idx = np.nonzero(labels == lab)[0]
-        if len(idx) < min_points:
-            continue
         cluster = pts[idx]
-        spread = cluster.max(axis=0) - cluster.min(axis=0)
+        lo, hi = cluster.min(axis=0), cluster.max(axis=0)
         # in-plane extents: the two largest spreads regardless of orientation
-        e1, e2 = np.sort(spread)[::-1][:2]
+        e1, e2 = np.sort(hi - lo)[::-1][:2]
         err = max(abs(e1 - board_width) / board_width, abs(e2 - board_height) / board_height)
         diagnostics.append((int(lab), len(idx), float(e1), float(e2)))
         if err <= extent_tolerance and (best is None or err < best[0]):
-            best = (err, idx)
+            best = (err, idx, lo, hi)
     if best is None:
         raise SegmentationError(
             f"no cluster matches the {board_width} x {board_height} m board; "
             f"clusters (label, count, extent1, extent2): {diagnostics}"
         )
-    return best[1]
+    _, roi, lo, hi = best
+    near = np.all((pts >= lo - cluster_tolerance) & (pts <= hi + cluster_tolerance), axis=1)
+    near[roi] = False
+    if np.any(near):
+        gap2 = sum((out[:, None] - inside) ** 2 for out, inside in zip(pts[near].T, pts[roi].T))
+        if gap2.min() <= cluster_tolerance ** 2:
+            raise SegmentationError(
+                f"the {len(roi)}-return cluster matching the {board_width} x {board_height} m "
+                f"board is a piece of it: a return outside it lies within {cluster_tolerance} m "
+                "(an occluder across every row splits the board)"
+            )
+    return roi
 
 
 def fit_plane(points: np.ndarray) -> PlaneModel:

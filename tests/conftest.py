@@ -1,9 +1,17 @@
+import os
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))  # for the oracles helper
+
+# HYPOTHESIS_PROFILE=ci: the same examples on every run, and a failure
+# prints the blob that reproduces it
+settings.register_profile("ci", derandomize=True, print_blob=True)
+if os.environ.get("HYPOTHESIS_PROFILE") == "ci":
+    settings.load_profile("ci")
 
 from pdcalib.bench import make_bench_scene
 from pdcalib.pipeline import calibrate_frames

@@ -4,15 +4,20 @@ These deliberately avoid the code paths they validate: the Gaussian-center
 oracle is a dense grid search over (mu, sigma) with the amplitude solved in
 closed form, the one-event Guo fit is a plain scalar loop with the same
 arithmetic as the batched library fit, the rigid-fit oracle is the SVD (Kabsch) construction,
-the Jacobian oracle differentiates the solver's residual numerically, and
-the Cartesian-to-polar inverse checks the library's forward conversion.
+the Jacobian oracle differentiates the solver's residual numerically, the
+segmentation oracle labels the full radius graph of a scan's Cartesian
+points, and the Cartesian-to-polar inverse checks the library's forward
+conversion.
 """
 
 import math
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
-from pdcalib.geometry import Pose6DOF
+from pdcalib.geometry import Pose6DOF, polar_to_cartesian_array
 from pdcalib.solver import residuals
 
 
@@ -110,6 +115,34 @@ def central_difference_jacobian(beta, correspondences, step=1e-6):
         f_minus = residuals(Pose6DOF.from_vector(v0 - dv), correspondences)
         j[:, k] = ((f_plus - f_minus) / (2 * step)).ravel()
     return j
+
+
+def radius_graph_labels(points, tol=0.15):
+    """Single-linkage component label per point: every pair within ``tol``."""
+    n = len(points)
+    pairs = cKDTree(points).query_pairs(r=tol, output_type="ndarray")
+    graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+    return connected_components(graph, directed=False)[1]
+
+
+def radius_graph_roi(frame, board_width, board_height, tol=0.15, min_points=30, extent_tolerance=0.2):
+    """The board ROI of single-linkage clustering at ``tol``, or None.
+
+    Among the clusters of at least ``min_points`` returns, the one whose two
+    largest axis spreads best match the board within ``extent_tolerance``.
+    """
+    pts = polar_to_cartesian_array(frame.beams["omega"], frame.beams["alpha"], frame.beams["r"])
+    labels = radius_graph_labels(pts, tol)
+    best = None
+    for lab in np.unique(labels):
+        idx = np.nonzero(labels == lab)[0]
+        if len(idx) < min_points:
+            continue
+        e1, e2 = np.sort(np.ptp(pts[idx], axis=0))[::-1][:2]
+        err = max(abs(e1 - board_width) / board_width, abs(e2 - board_height) / board_height)
+        if err <= extent_tolerance and (best is None or err < best[0]):
+            best = (err, idx)
+    return None if best is None else best[1]
 
 
 def cartesian_to_polar(x, y, z):

@@ -273,6 +273,33 @@ class TestFrameSerialization:
         assert err.value.line_no == i + 1
         assert err.value.field == "event"
 
+    @pytest.mark.parametrize(
+        "field, index, token",
+        [
+            ("scan_id", 2, "0_0"),
+            ("event", 3, "0_0"),
+            ("time_s", 4, "0.0_1"),
+            ("noise_floor_v", 5, "0.1_0"),
+            ("sampled_channels", 6, "0|5_0|10|15"),
+            ("v0", 7, "\u0662.0"),
+        ],
+        ids=["scan_id", "event", "time_s", "noise_floor_v", "sampled_channels", "v0"],
+    )
+    def test_pd_field_not_plain_ascii_rejected(self, tmp_path, small_batch, field, index, token):
+        # Python's int() and float() would read each of these tokens
+        path = tmp_path / "frames.csv"
+        write_frames(small_batch, path)
+        lines = path.read_text().splitlines()
+        i = next(k for k, line in enumerate(lines) if line.startswith("pd,"))
+        parts = lines[i].split(",")
+        parts[index] = token
+        lines[i] = ",".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FrameParseError, match="plain ASCII") as err:
+            read_frames(path)
+        assert err.value.line_no == i + 1
+        assert err.value.field == field
+
     def test_repeated_pd_event_rejected(self, tmp_path, small_batch):
         path = tmp_path / "frames.csv"
         write_frames(small_batch, path)

@@ -1,11 +1,19 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from oracles import radius_graph_labels, radius_graph_roi
 
 from pdcalib.geometry import Pose6DOF, polar_to_cartesian_array, pose_to_matrix
 from pdcalib.preprocess import (
+    AZIMUTH_REACH,
     PlaneModel,
+    _raster_components,
     SegmentationError,
     fit_plane,
     range_to_plane,
@@ -54,6 +62,154 @@ class TestSegmentation:
         with pytest.raises(SegmentationError) as err:
             segment_target(frame, 5.0, 3.0)
         assert "clusters" in str(err.value)
+
+
+def stripe(frame, columns, channels=None):
+    """Mask of the board returns at these azimuth indices (and channels)."""
+    b = frame.beams
+    hit = frame.truth.is_board & np.isin(b["azimuth_index"], columns)
+    return hit if channels is None else hit & np.isin(b["channel"], channels)
+
+
+def occlude(frame, hit, depth=0.5, keep=None):
+    """The frame with an occluder ``depth`` m in front of the ``hit`` returns.
+
+    Those returns move that far nearer along their rays; ``keep`` then drops
+    the returns it marks False. Returns the frame and the occluded mask.
+    """
+    b = frame.beams.copy()
+    b["r"][hit] -= depth
+    if keep is None:
+        keep = np.ones(len(b), dtype=bool)
+    return ScanFrame(scan_id=frame.scan_id, beams=b[keep], pd_records=[]), hit[keep]
+
+
+def board_columns(frame):
+    return np.unique(frame.beams["azimuth_index"][frame.truth.is_board])
+
+
+def stripe_cells(frame, pos, width, spare_a_row, keep, rng):
+    """Columns and channels of an occluding stripe ``width`` returns wide.
+
+    The stripe starts at fraction ``pos`` of the board's columns and spans
+    every row (channels None). With ``spare_a_row`` it instead keeps four
+    board columns clear on either side and leaves out one row that still
+    has board returns on both sides after the dropouts ``keep`` marks; that
+    row joins the sides.
+    """
+    cols = board_columns(frame)
+    margin = 4 if spare_a_row else 0
+    start = margin + int(pos * (len(cols) - width - 2 * margin))
+    columns = cols[start:start + width]
+    if not spare_a_row:
+        return columns, None
+    b, board = frame.beams, frame.truth.is_board & keep
+    both = np.intersect1d(
+        b["channel"][board & (b["azimuth_index"] < columns[0])],
+        b["channel"][board & (b["azimuth_index"] > columns[-1])],
+    )
+    if len(both) == 0:
+        return columns, None
+    rows = np.unique(b["channel"][frame.truth.is_board])
+    return columns, rows[rows != rng.choice(both)]
+
+
+class TestRasterSegmentation:
+    """The raster rule, with single-linkage clustering as the oracle."""
+
+    @pytest.mark.parametrize("width", [AZIMUTH_REACH, AZIMUTH_REACH + 2])
+    def test_stripe_across_every_row_raises(self, width):
+        frame = simulate_scan(BoardModel(), LidarModel(), POSE, seed=3)
+        cols = board_columns(frame)
+        mid = len(cols) // 2
+        occluded, _ = occlude(frame, stripe(frame, cols[mid:mid + width]))
+        assert radius_graph_roi(occluded, 1.0, 0.54) is not None  # joined across the stripe
+        with pytest.raises(SegmentationError, match="no cluster matches"):
+            segment_target(occluded, 1.0, 0.54)
+
+    def test_one_return_stripe_keeps_the_board_minus_the_stripe(self):
+        frame = simulate_scan(BoardModel(), LidarModel(), POSE, seed=3)
+        cols = board_columns(frame)
+        occluded, hit = occlude(frame, stripe(frame, cols[len(cols) // 2]))
+        roi = segment_target(occluded, 1.0, 0.54)
+        np.testing.assert_array_equal(roi, np.flatnonzero(~hit))
+
+    def test_stripe_sparing_one_row_keeps_the_board(self):
+        frame = simulate_scan(BoardModel(), LidarModel(), POSE, seed=3)
+        cols = board_columns(frame)
+        rows = np.unique(frame.beams["channel"])
+        mid = len(cols) // 2
+        occluded, hit = occlude(frame, stripe(frame, cols[mid:mid + 3], rows[1:]))
+        roi = segment_target(occluded, 1.0, 0.54)
+        np.testing.assert_array_equal(roi, np.flatnonzero(~hit))
+
+    def test_diagonal_stripe_keeps_the_board(self):
+        # two returns wide in every row, but each row's stripe starts two
+        # columns right of the row below: the next channel's diagonal
+        # neighbours join the sides
+        frame = simulate_scan(BoardModel(), LidarModel(), POSE, seed=3)
+        cols = board_columns(frame)
+        rows = np.unique(frame.beams["channel"])
+        start = len(cols) // 2 - len(rows)
+        hit = np.logical_or.reduce(
+            [stripe(frame, cols[start + 2 * k:start + 2 * k + 2], [row]) for k, row in enumerate(rows)]
+        )
+        occluded, hit = occlude(frame, hit)
+        roi = segment_target(occluded, 1.0, 0.54)
+        np.testing.assert_array_equal(roi, np.flatnonzero(~hit))
+
+    def test_board_sized_piece_of_a_split_board_raises(self):
+        # the stripe cuts a narrow piece off one side; the rest still has
+        # the board's extents but is not the whole single-linkage cluster
+        frame = simulate_scan(BoardModel(), LidarModel(), POSE, seed=3)
+        cols = board_columns(frame)
+        occluded, _ = occlude(frame, stripe(frame, cols[4:4 + AZIMUTH_REACH]))
+        with pytest.raises(SegmentationError, match="piece"):
+            segment_target(occluded, 1.0, 0.54)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2 ** 16),
+        yaw_deg=st.floats(-8.0, 8.0),
+        dx=st.floats(-0.9, -0.5),
+        dy=st.floats(-2.6, -1.5),
+        wall=st.sampled_from([None, 0.5, 1.0, 5.0]),
+        dropout=st.floats(0.0, 0.3),
+        occluder=st.none() | st.tuples(
+            st.floats(0.0, 1.0),      # position across the board's columns
+            st.integers(1, 4),        # width in returns
+            st.floats(0.3, 1.0),      # depth in front of the board, m
+            st.booleans(),            # spare a row
+        ),
+    )
+    def test_raster_clusters_refine_the_radius_graph(self, seed, yaw_deg, dx, dy, wall, dropout, occluder):
+        frame = simulate_scan(
+            BoardModel(), LidarModel(), Pose6DOF(yaw_deg * DEG, 0, 0, dx, dy, 0), seed=seed,
+            background_depth=wall,
+        )
+        rng = np.random.default_rng(seed)
+        keep = rng.random(len(frame.beams)) >= dropout
+        hit, every_row, depth = np.zeros(len(frame.beams), dtype=bool), False, 0.0
+        if occluder is not None:
+            pos, width, depth, spare_a_row = occluder
+            columns, channels = stripe_cells(frame, pos, width, spare_a_row, keep, rng)
+            hit, every_row = stripe(frame, columns, channels), channels is None
+        occluded, _ = occlude(frame, hit, depth, keep)
+
+        b = occluded.beams
+        pts = polar_to_cartesian_array(b["omega"], b["alpha"], b["r"])
+        raster = _raster_components(pts, b["channel"], b["azimuth_index"], 0.15)
+        oracle = radius_graph_labels(pts, 0.15)
+        # each raster cluster lies inside one oracle cluster
+        assert len(set(zip(raster.tolist(), oracle.tolist()))) == len(set(raster.tolist()))
+
+        expected = radius_graph_roi(occluded, 1.0, 0.54)
+        try:
+            roi = segment_target(occluded, 1.0, 0.54)
+        except SegmentationError:
+            assert expected is None or every_row
+        else:
+            np.testing.assert_array_equal(roi, expected)
 
 
 class TestPlaneFit:
@@ -148,3 +304,15 @@ class TestRangeRefinement:
         n_true, d_true = true_plane_in_sensor_frame(POSE)
         np.testing.assert_allclose(ref.normal, n_true, atol=1e-10)
         assert ref.d == pytest.approx(d_true, abs=1e-10)
+
+
+def test_import_leaves_scipy_spatial_unloaded():
+    # the radius graph, and with it scipy.spatial, lives in the test oracles
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, pdcalib; print('scipy.spatial' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "False"
