@@ -37,7 +37,6 @@ from .bench import Scene, make_bench_scene
 from .correspondence import (
     AzimuthCenterModel,
     Correspondence,
-    DetectionMiss,
     ModelError,
     build_azimuth_center_model,
     find_pd_beam,
@@ -75,7 +74,6 @@ __all__ = [
     "BatchResult",
     "BoardModel",
     "Correspondence",
-    "DetectionMiss",
     "GaussianFitBatch",
     "GaussianFitError",
     "GaussianFitResult",

@@ -4,7 +4,7 @@ Three steps per photodetector:
 
 1. ``find_pd_beam``: the beam that struck the module shows up as a local
    reflectivity maximum in its channel row (the module surface out-reflects
-   the black surround).
+   the black surround); one call searches every scan of a batch.
 2. ``build_azimuth_center_model``: over repeated scans the reported azimuth
    of that beam fluctuates with the head rotation, and the PD-measured
    center moves proportionally. A RANSAC line over (azimuth, center) pairs
@@ -28,10 +28,6 @@ DEFAULT_DETECTION_MARGIN = 10.0  # reflectivity counts above the row median
 DEFAULT_SEARCH_WINDOW_M = 0.030
 DEFAULT_RANSAC_THRESHOLD_MM = 2.0
 DEFAULT_RANSAC_ITERATIONS = 200
-
-
-class DetectionMiss(RuntimeError):
-    """No sufficiently elevated beam near the photodetector in this scan."""
 
 
 class ModelError(RuntimeError):
@@ -66,61 +62,90 @@ class AzimuthCenterModel:
 
 def find_pd_beam(
     row_reflectivity,
-    row_positions: np.ndarray,
+    row_positions,
+    row_scan,
     pd: PdPlacement,
+    n_scans: int,
     margin: float = DEFAULT_DETECTION_MARGIN,
     window: float = DEFAULT_SEARCH_WINDOW_M,
-) -> int:
-    """Identify the beam that struck a PD module from its reflectivity.
+) -> tuple[np.ndarray, dict]:
+    """Identify the beam that struck a PD module in each scan of a batch.
+
+    In each scan, the candidates are the beams of the row within ``window``
+    of the module center whose reflectivity is at least the scan's row
+    median plus ``margin``. The highest level wins; levels within 1e-12 of
+    it tie, and a tie goes to the beam nearer the module center, then to
+    the earlier one in row order.
 
     Parameters
     ----------
     row_reflectivity : (N,) array
-        Reflectivity of every beam of the channel row crossing the module.
+        Reflectivity of every beam of the channel row crossing the module,
+        in every scan.
     row_positions : (N, 3) array
         Their nominal board-frame positions (from the rig's nominal pose).
+    row_scan : (N,) int array
+        The scan, 0 .. ``n_scans`` - 1, each beam belongs to.
     pd : PdPlacement
         The module searched for.
+    n_scans : int
+        Scans in the batch; a scan with no beams in the row misses.
     margin : float
-        Required elevation of the peak above the row's median reflectivity.
+        Required elevation of the peak above the scan's row median.
     window : float
         Search radius around the module center on the board, meters.
 
     Returns
     -------
-    int
-        Row index of the struck beam.
-
-    Raises
-    ------
-    DetectionMiss
-        If no beam in the window is elevated enough; the scan is skipped
-        for this PD.
+    hits : (n_scans,) int array
+        Index into the N beams of each scan's struck beam, -1 on a miss.
+    misses : dict
+        Scan -> reason, for every scan with no sufficiently elevated beam
+        in the window; those scans are skipped for this PD.
     """
     refl = np.asarray(row_reflectivity, dtype=float)
-    if refl.size == 0:
-        raise DetectionMiss(f"{pd.pd_id}: empty channel row")
-    positions = np.atleast_2d(row_positions)
+    scan = np.asarray(row_scan, dtype=np.intp)
+    positions = np.asarray(row_positions, dtype=float).reshape(-1, 3)
+    if not refl.shape == scan.shape == positions.shape[:1]:
+        raise ValueError("one scan id and one position per row beam required")
+    if scan.size and not (0 <= scan.min() and scan.max() < n_scans):
+        raise ValueError(f"scan ids must lie in 0 .. {n_scans - 1}")
     center = np.array([pd.offset[0], 0.0, pd.offset[1]])
     dist = np.linalg.norm(positions - center, axis=1)
-    near = np.nonzero(dist <= window)[0]
-    if near.size == 0:
-        raise DetectionMiss(f"{pd.pd_id}: no beams within {window * 1e3:.0f} mm")
-    row_median = float(np.median(refl))
-    best = None
-    for i in near:
-        level = refl[i]
-        if level < row_median + margin:
-            continue
-        if best is None or level > refl[best] + 1e-12:
-            best = i
-        elif abs(level - refl[best]) <= 1e-12 and dist[i] < dist[best]:
-            best = i  # tie: prefer the beam nearer the expected position
-    if best is None:
-        raise DetectionMiss(
-            f"{pd.pd_id}: no local maximum exceeds median {row_median:.1f} + {margin:.0f}"
-        )
-    return int(best)
+
+    # per-scan row median: the middle one or two levels of each scan's block
+    count = np.bincount(scan, minlength=n_scans)
+    ranked = refl[np.lexsort((refl, scan))]
+    first = np.cumsum(count) - count
+    seen = count > 0
+    median = np.full(n_scans, np.nan)
+    low, high = (first + (count - 1) // 2)[seen], (first + count // 2)[seen]
+    median[seen] = (ranked[low] + ranked[high]) / 2
+
+    near = dist <= window
+    candidate = near & (refl >= median[scan] + margin)
+    top = np.full(n_scans, -np.inf)
+    np.maximum.at(top, scan[candidate], refl[candidate])
+    tied = candidate & (top[scan] - refl <= 1e-12)
+    nearest = np.full(n_scans, np.inf)
+    np.minimum.at(nearest, scan[tied], dist[tied])
+    winners = np.flatnonzero(tied & (dist == nearest[scan]))
+    hits = np.full(n_scans, -1, dtype=np.intp)
+    won, first_win = np.unique(scan[winners], return_index=True)
+    hits[won] = winners[first_win]
+
+    any_near = np.bincount(scan[near], minlength=n_scans) > 0
+    misses = {}
+    for k in np.flatnonzero(hits < 0).tolist():
+        if not seen[k]:
+            misses[k] = f"{pd.pd_id}: empty channel row"
+        elif not any_near[k]:
+            misses[k] = f"{pd.pd_id}: no beams within {window * 1e3:.0f} mm"
+        else:
+            misses[k] = (
+                f"{pd.pd_id}: no local maximum exceeds median {median[k]:.1f} + {margin:.0f}"
+            )
+    return hits, misses
 
 
 def _line_fit(a: np.ndarray, mu: np.ndarray) -> tuple[float, float]:
@@ -168,23 +193,22 @@ def build_azimuth_center_model(
         rms = float(np.sqrt(np.mean((mu[mask] - nu) ** 2)))
         return AzimuthCenterModel(nu=nu, tau=0.0, inlier_mask=mask, fit_rms=rms)
 
+    # every hypothesis line scored at once; a pair of equal azimuths draws
+    # no line, and the first line with the most inliers wins
     rng = np.random.default_rng(seed)
-    best_mask = None
-    for _ in range(iterations):
-        i, k = rng.choice(n, size=2, replace=False)
-        if abs(a[i] - a[k]) < 1e-12:
-            continue
-        tau = (mu[k] - mu[i]) / (a[k] - a[i])
+    draws = [rng.choice(n, size=2, replace=False) for _ in range(iterations)]
+    i, k = np.array(draws, dtype=np.intp).reshape(-1, 2).T
+    span = a[k] - a[i]
+    drawn = ~(np.abs(span) < 1e-12)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tau = (mu[k] - mu[i]) / span
         nu = mu[i] - tau * a[i]
-        resid = np.abs(mu - (nu + tau * a))
-        mask = resid <= threshold
-        if best_mask is None or mask.sum() > best_mask.sum():
-            best_mask = mask
-    if best_mask is None or best_mask.sum() < max(2, 0.5 * n):
-        raise ModelError(
-            f"RANSAC kept {0 if best_mask is None else int(best_mask.sum())}/{n} pairs; "
-            "systematic fault suspected"
-        )
+        masks = np.abs(mu - (nu[:, None] + tau[:, None] * a)) <= threshold
+    counts = np.where(drawn, masks.sum(axis=1), -1)
+    kept = max(int(counts.max(initial=-1)), 0)
+    if kept < max(2, 0.5 * n):
+        raise ModelError(f"RANSAC kept {kept}/{n} pairs; systematic fault suspected")
+    best_mask = masks[np.argmax(counts)]
     nu, tau = _line_fit(a[best_mask], mu[best_mask])
     resid = np.abs(mu - (nu + tau * a))
     mask = resid <= threshold

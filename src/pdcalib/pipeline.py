@@ -3,21 +3,27 @@
 One batch is a set of repeated scans of the rig at a fixed reference pose
 (the bench repeats 50 revolutions per test point). Each frame is segmented
 once; the board plane is fit once from the pooled segments, because every
-scan sees the same board. Then per frame:
+scan sees the same board. Then one feature pass runs over the whole batch,
+on a single table of every frame's board returns with a scan column:
 
 1. slide each board return along its ray onto the plane (range correction);
-2. per PD module: pick the channel row crossing it and detect the struck
-   beam by its reflectivity;
-3. fit the beam centers of every event on the detected modules in one
-   batch, and keep each module's (azimuth, center) pair.
+2. per PD module: pick, in every scan, the channel row crossing it, and
+   detect the struck beam of every scan by its reflectivity in one call;
+3. fit the beam centers of every event of every detection in one batch,
+   and keep each (scan, module) pair's (azimuth, center).
 
 The per-module pairs from the whole batch feed the RANSAC azimuth-center
 model; each frame then yields correspondences and its own pose estimate,
 plus one joint estimate over all frames.
+
+The ``pdcalib`` logger reports each PD's detection count and miss reasons at
+DEBUG level after the feature pass; it is silent unless configured.
 """
 
 from __future__ import annotations
 
+import logging
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +39,8 @@ from .geometry import (
     pose_to_matrix,
     transform_array,
 )
-from .scene import ScanFrame
+
+log = logging.getLogger("pdcalib")
 
 
 class PipelineError(RuntimeError):
@@ -68,11 +75,14 @@ class BatchResult:
     features: list                   # list[FrameFeatures]
 
 
-def _row_channel(pd, board_xz: np.ndarray, channels: np.ndarray) -> int:
-    """Channel whose beams pass closest to the PD center on the board."""
-    center = np.array([pd.offset[0], pd.offset[1]])
-    d = np.linalg.norm(board_xz - center, axis=1)
-    return int(channels[np.argmin(d)])
+def _row_channels(pd, board_xz: np.ndarray, channel: np.ndarray, scan: np.ndarray,
+                  starts: np.ndarray) -> np.ndarray:
+    """Per scan, the channel whose beams pass closest to the PD center on the
+    board. ``starts`` opens each scan's block of the batch table; within a
+    block the first of equally near returns decides, as ``np.argmin`` does."""
+    d = np.linalg.norm(board_xz - np.array([pd.offset[0], pd.offset[1]]), axis=1)
+    at_min = np.flatnonzero(d == np.minimum.reduceat(d, starts)[scan])
+    return channel[at_min[np.searchsorted(at_min, starts)]]
 
 
 def _detection_windows(board) -> dict:
@@ -109,8 +119,9 @@ def _beam_centers(groups) -> list:
     """Fitted center of every event, NaN where its fit failed, per group.
 
     ``groups`` holds one (event voltages (n, m), sample positions (m,), noise
-    floor) per PD. The events of all PDs that sample the same number of
-    elements go through one batched fit, so a frame usually takes one call.
+    floor) per detection. The events of all detections that sample the same
+    number of elements go through one batched fit, so a batch usually takes
+    one call.
     """
     centers = [None] * len(groups)
     for width in {len(positions) for _, positions, _ in groups}:
@@ -126,83 +137,100 @@ def _beam_centers(groups) -> list:
 
 
 def extract_frame_features(
-    frame: ScanFrame,
-    roi: np.ndarray,
+    frames,
+    rois,
     plane: preprocess.PlaneModel,
     scene: Scene,
     nominal_pose: Pose6DOF,
-) -> FrameFeatures:
-    """Range correction, beam detection and center fitting on one frame.
+) -> list:
+    """Range correction, beam detection and center fitting on a whole batch.
 
-    Detection runs for every PD first; the events of all detected PDs are
-    then fit in one batch, and each PD keeps the event nearest its array
-    middle as the key beam. ``roi`` indexes the frame's board returns (from
-    segmentation) and ``plane`` is the board plane they are slid onto.
+    ``rois[k]`` indexes the board returns of ``frames[k]`` (from
+    segmentation) and ``plane`` is the board plane they are slid onto. The
+    ROI returns of every frame form one table with a scan column. Each PD is
+    detected in all scans by one ``find_pd_beam`` call, the events of every
+    detection in the batch are fit together, and each (scan, PD) keeps the
+    event nearest the array middle as its key beam.
+
+    Returns one ``FrameFeatures`` per frame, in batch order.
     """
     board = scene.board
-    omega, alpha, r, channel, azimuth_index, refl = frame.beam_arrays()
-    r_corr = r.copy()
-    r_corr[roi] = preprocess.range_to_plane(omega[roi], alpha[roi], plane)
+    n = len(frames)
+    table = np.concatenate([f.beams[roi] for f, roi in zip(frames, rois)])
+    sizes = [len(roi) for roi in rois]
+    scan = np.repeat(np.arange(n), sizes)
+    starts = np.cumsum(sizes) - sizes
+    omega, alpha, channel, refl = (table[k] for k in ("omega", "alpha", "channel", "reflectivity"))
+    r_corr = preprocess.range_to_plane(omega, alpha, plane)
 
     # nominal board positions of the corrected returns, for detection windows
     m_nom = pose_to_matrix(nominal_pose)
-    pts_o = transform_array(m_nom, polar_to_cartesian_array(omega[roi], alpha[roi], r_corr[roi]))
+    pts_o = transform_array(m_nom, polar_to_cartesian_array(omega, alpha, r_corr))
     board_xz = pts_o[:, [0, 2]]
 
-    records = {rec.pd_id: rec for rec in frame.pd_records}
+    records = [{rec.pd_id: rec for rec in f.pd_records} for f in frames]
     windows = _detection_windows(board)
-    key_beams: dict = {}
-    key_centers: dict = {}
-    misses: dict = {}
-    detected = []  # (pd, struck beam row)
-    groups = []    # (event voltages, sample positions, noise floor) per detected PD
+    misses = [{} for _ in frames]
+    detected = []  # (scan, pd, struck table row), PD by PD
+    groups = []    # (event voltages, sample positions, noise floor) per detection
     for pd in board.pd_modules:
-        rec = records.get(pd.pd_id)
-        if rec is None or rec.n_events == 0:
-            misses[pd.pd_id] = "no voltage events"
-            continue
-        ch = _row_channel(pd, board_xz, channel[roi])
-        row_mask = channel[roi] == ch
-        row_idx = roi[row_mask]
-        try:
-            hit = correspondence.find_pd_beam(
-                refl[row_idx], pts_o[row_mask], pd, window=windows[pd.pd_id]
+        recs = [by_id.get(pd.pd_id) for by_id in records]
+        live = np.array([rec is not None and rec.n_events > 0 for rec in recs])
+        outcome = {}
+        if live.any():
+            row_channel = _row_channels(pd, board_xz, channel, scan, starts)
+            row = np.flatnonzero(live[scan] & (channel == row_channel[scan]))
+            hits, outcome = correspondence.find_pd_beam(
+                refl[row], pts_o[row], scan[row], pd, n, window=windows[pd.pd_id]
             )
-        except correspondence.DetectionMiss as exc:
-            misses[pd.pd_id] = str(exc)
-            continue
+        for k, rec in enumerate(recs):
+            if not live[k]:
+                misses[k][pd.pd_id] = "no voltage events"
+            elif k in outcome:
+                misses[k][pd.pd_id] = outcome[k]
+            else:
+                events = beam_center.beams_on_pd(rec, scene.lidar.firing_period)
+                detected.append((k, pd, row[hits[k]]))
+                groups.append((
+                    np.array([v for _, v in events]),
+                    pd.element_positions()[list(rec.sampled_channels)],
+                    rec.noise_floor,
+                ))
 
-        events = beam_center.beams_on_pd(rec, scene.lidar.firing_period)
-        detected.append((pd, row_idx[hit]))
-        groups.append((
-            np.array([v for _, v in events]),
-            pd.element_positions()[list(rec.sampled_channels)],
-            rec.noise_floor,
-        ))
-
-    for (pd, i), mu in zip(detected, _beam_centers(groups)):
+    key_beams = [{} for _ in frames]
+    key_centers = [{} for _ in frames]
+    for (k, pd, i), mu in zip(detected, _beam_centers(groups)):
         try:
             key = beam_center.select_key_beam(mu)
         except beam_center.GaussianFitError as exc:
-            misses[pd.pd_id] = str(exc)
+            misses[k][pd.pd_id] = str(exc)
             continue
-        key_beams[pd.pd_id] = PolarBeam(
+        key_beams[k][pd.pd_id] = PolarBeam(
             omega=float(omega[i]),
             alpha=float(alpha[i]),
             r=float(r_corr[i]),
             channel=int(channel[i]),
-            azimuth_index=int(azimuth_index[i]),
+            azimuth_index=int(table["azimuth_index"][i]),
             reflectivity=float(refl[i]),
         )
-        key_centers[pd.pd_id] = float(mu[key])
-    return FrameFeatures(
-        scan_id=frame.scan_id,
-        key_beams=key_beams,
-        key_centers=key_centers,
-        plane=plane,
-        roi_count=len(roi),
-        misses=misses,
-    )
+        key_centers[k][pd.pd_id] = float(mu[key])
+    features = [
+        FrameFeatures(
+            scan_id=f.scan_id,
+            key_beams=key_beams[k],
+            key_centers=key_centers[k],
+            plane=plane,
+            roi_count=sizes[k],
+            misses=misses[k],
+        )
+        for k, f in enumerate(frames)
+    ]
+    if log.isEnabledFor(logging.DEBUG):
+        for pd in board.pd_modules:
+            reasons = Counter(ft.misses[pd.pd_id] for ft in features if pd.pd_id in ft.misses)
+            found = sum(pd.pd_id in ft.key_beams for ft in features)
+            log.debug("%s detected in %d/%d scans; misses %s", pd.pd_id, found, n, dict(reasons))
+    return features
 
 
 def calibrate_frames(frames, scene: Scene, nominal_pose: Pose6DOF | None = None) -> BatchResult:
@@ -228,10 +256,7 @@ def calibrate_frames(frames, scene: Scene, nominal_pose: Pose6DOF | None = None)
         except preprocess.SegmentationError as exc:
             raise PipelineError("segmentation", f"scan {f.scan_id}: {exc}") from exc
     plane = board_plane(frames, rois)
-    features = [
-        extract_frame_features(f, roi, plane, scene, nominal_pose)
-        for f, roi in zip(frames, rois)
-    ]
+    features = extract_frame_features(frames, rois, plane, scene, nominal_pose)
 
     pairs: dict = {}
     for pd in scene.board.pd_modules:

@@ -6,13 +6,15 @@ Stachniss (IROS 2016): neighbouring cells of the raster are linked when
 their returns lie within a distance threshold. Those links are a subset of
 single-linkage Euclidean clustering's, and give the same clusters except
 where an occluder spanning every row cuts the board in two, which is
-refused. The board's plane is fit by total least squares and refined in
-range space, and the ROI returns are slid along their rays onto that
-plane, which removes most of the ranging noise.
+refused. The board is the cluster whose extents match what the raster can
+sample of it at the cluster's range. The board's plane is fit by total
+least squares and refined in range space, and the ROI returns are slid
+along their rays onto that plane, which removes most of the ranging noise.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,6 +88,39 @@ def _raster_components(points, channel, azimuth_index, tol):
     return labels
 
 
+def _extent_error(spread, omega, alpha, r, channel, azimuth_index, board_width, board_height):
+    """How far a cluster's extents lie from what a board can show on the raster.
+
+    ``spread`` is the cluster's (3,) bounding-box size and the columns are
+    its returns. The two largest spreads are its in-plane extents, compared
+    with the board's width and height. A board of extent B sampled at
+    spacing s (the cluster's mean range times the azimuth step across, and
+    times the row pitch up) shows a spread between S = (floor(B / s) - 1) s
+    and B, because each edge can fall short of the nearest row by up to one
+    spacing. An extent below S counts relative to S, one above B relative
+    to B. Returns the larger of the two relative errors, and the extents.
+    """
+    e1, e2 = np.sort(spread)[::-1][:2]
+    rng = float(np.mean(r))
+    # row pitch: the middle elevation step between the cluster's channels
+    _, first = np.unique(channel, return_index=True)
+    steps = np.sort(np.diff(np.sort(omega[first])))
+    pitch = float(steps[len(steps) // 2]) if len(steps) else 0.0
+    # azimuth step: the angle the cluster turns through per azimuth index
+    turn = np.ptp(alpha)
+    if turn > np.pi:  # the cluster straddles azimuth 0
+        turn = np.ptp(np.where(alpha < np.pi, alpha + 2 * np.pi, alpha))
+    columns = int(np.ptp(azimuth_index))
+    step = float(turn) / columns if columns else 0.0
+
+    def off(extent, board, spacing):
+        shortest = (math.floor(board / spacing) - 1) * spacing if spacing > 0 else board
+        short = (shortest - extent) / shortest if shortest > 0 else 0.0
+        return max(short, (extent - board) / board, 0.0)
+
+    return max(off(e1, board_width, rng * step), off(e2, board_height, rng * pitch)), e1, e2
+
+
 def segment_target(
     frame,
     board_width: float,
@@ -101,7 +136,9 @@ def segment_target(
     order and to the next channel's returns within ``AZIMUTH_REACH`` azimuth
     indices, wherever the two lie within ``cluster_tolerance`` in 3-D.
     Returns the cluster whose bounding extents best match the configured
-    board dimensions (within ``extent_tolerance`` relative error).
+    board dimensions (within ``extent_tolerance`` relative error of the
+    spreads the raster can sample at the cluster's range; see
+    ``_extent_error``).
 
     Every raster link is also a link of single-linkage Euclidean clustering
     at ``cluster_tolerance``, so raster clusters can only split those
@@ -130,9 +167,10 @@ def segment_target(
         idx = np.nonzero(labels == lab)[0]
         cluster = pts[idx]
         lo, hi = cluster.min(axis=0), cluster.max(axis=0)
-        # in-plane extents: the two largest spreads regardless of orientation
-        e1, e2 = np.sort(hi - lo)[::-1][:2]
-        err = max(abs(e1 - board_width) / board_width, abs(e2 - board_height) / board_height)
+        err, e1, e2 = _extent_error(
+            hi - lo, omega[idx], alpha[idx], r[idx], channel[idx], azimuth_index[idx],
+            board_width, board_height,
+        )
         diagnostics.append((int(lab), len(idx), float(e1), float(e2)))
         if err <= extent_tolerance and (best is None or err < best[0]):
             best = (err, idx, lo, hi)

@@ -6,7 +6,9 @@ closed form, the one-event Guo fit is a plain scalar loop with the same
 arithmetic as the batched library fit, the rigid-fit oracle is the SVD (Kabsch) construction,
 the Jacobian oracle differentiates the solver's residual numerically, the
 segmentation oracle labels the full radius graph of a scan's Cartesian
-points, and the Cartesian-to-polar inverse checks the library's forward
+points, the feature oracle detects and fits one frame at a time with a
+scalar beam-detection loop, the RANSAC oracle scores one hypothesis line at
+a time, and the Cartesian-to-polar inverse checks the library's forward
 conversion.
 """
 
@@ -17,7 +19,9 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from pdcalib.geometry import Pose6DOF, polar_to_cartesian_array
+from pdcalib import beam_center, preprocess
+from pdcalib.geometry import PolarBeam, Pose6DOF, polar_to_cartesian_array, pose_to_matrix, transform_array
+from pdcalib.pipeline import FrameFeatures, _beam_centers, _detection_windows
 from pdcalib.solver import residuals
 
 
@@ -129,17 +133,22 @@ def radius_graph_roi(frame, board_width, board_height, tol=0.15, min_points=30, 
     """The board ROI of single-linkage clustering at ``tol``, or None.
 
     Among the clusters of at least ``min_points`` returns, the one whose two
-    largest axis spreads best match the board within ``extent_tolerance``.
+    largest axis spreads best match the board within ``extent_tolerance``,
+    by the library's ``_extent_error``.
     """
-    pts = polar_to_cartesian_array(frame.beams["omega"], frame.beams["alpha"], frame.beams["r"])
+    b = frame.beams
+    pts = polar_to_cartesian_array(b["omega"], b["alpha"], b["r"])
     labels = radius_graph_labels(pts, tol)
     best = None
     for lab in np.unique(labels):
         idx = np.nonzero(labels == lab)[0]
         if len(idx) < min_points:
             continue
-        e1, e2 = np.sort(np.ptp(pts[idx], axis=0))[::-1][:2]
-        err = max(abs(e1 - board_width) / board_width, abs(e2 - board_height) / board_height)
+        c = b[idx]
+        err, _, _ = preprocess._extent_error(
+            np.ptp(pts[idx], axis=0), c["omega"], c["alpha"], c["r"], c["channel"],
+            c["azimuth_index"], board_width, board_height,
+        )
         if err <= extent_tolerance and (best is None or err < best[0]):
             best = (err, idx)
     return None if best is None else best[1]
@@ -149,3 +158,133 @@ def cartesian_to_polar(x, y, z):
     """Inverse of the sensor polar convention: (omega, alpha, r) of a point."""
     r = math.sqrt(x * x + y * y + z * z)
     return math.asin(z / r), math.atan2(x, y) % (2 * math.pi), r
+
+
+def find_pd_beam_scalar(row_reflectivity, row_positions, pd, margin=10.0, window=0.030):
+    """Struck-beam row index of one scan's channel row, or a miss reason.
+
+    A sequential scan of the row: a beam within ``window`` whose level is at
+    least the row median plus ``margin`` replaces the best so far when it is
+    higher by more than 1e-12, or within 1e-12 of it and strictly nearer the
+    module center. Returns (index, None) or (None, reason).
+    """
+    refl = np.asarray(row_reflectivity, dtype=float)
+    if refl.size == 0:
+        return None, f"{pd.pd_id}: empty channel row"
+    positions = np.atleast_2d(row_positions)
+    center = np.array([pd.offset[0], 0.0, pd.offset[1]])
+    dist = np.linalg.norm(positions - center, axis=1)
+    near = np.nonzero(dist <= window)[0]
+    if near.size == 0:
+        return None, f"{pd.pd_id}: no beams within {window * 1e3:.0f} mm"
+    row_median = float(np.median(refl))
+    best = None
+    for i in near:
+        level = refl[i]
+        if level < row_median + margin:
+            continue
+        if best is None or level > refl[best] + 1e-12:
+            best = i
+        elif abs(level - refl[best]) <= 1e-12 and dist[i] < dist[best]:
+            best = i
+    if best is None:
+        return None, f"{pd.pd_id}: no local maximum exceeds median {row_median:.1f} + {margin:.0f}"
+    return int(best), None
+
+
+def frame_features(frame, roi, plane, scene, nominal_pose):
+    """Range correction, beam detection and center fitting on one frame.
+
+    Per PD: the row is the channel of the ROI return nearest the module
+    center at the nominal pose, and ``find_pd_beam_scalar`` detects the
+    struck beam in it. The events of the frame's detected PDs are fit in one
+    batch, and each PD keeps the event nearest the array middle.
+    """
+    board = scene.board
+    omega, alpha, r, channel, azimuth_index, refl = frame.beam_arrays()
+    r_corr = r.copy()
+    r_corr[roi] = preprocess.range_to_plane(omega[roi], alpha[roi], plane)
+    m_nom = pose_to_matrix(nominal_pose)
+    pts_o = transform_array(m_nom, polar_to_cartesian_array(omega[roi], alpha[roi], r_corr[roi]))
+    board_xz = pts_o[:, [0, 2]]
+
+    records = {rec.pd_id: rec for rec in frame.pd_records}
+    windows = _detection_windows(board)
+    key_beams, key_centers, misses = {}, {}, {}
+    detected, groups = [], []
+    for pd in board.pd_modules:
+        rec = records.get(pd.pd_id)
+        if rec is None or rec.n_events == 0:
+            misses[pd.pd_id] = "no voltage events"
+            continue
+        d = np.linalg.norm(board_xz - np.array([pd.offset[0], pd.offset[1]]), axis=1)
+        row_mask = channel[roi] == channel[roi][np.argmin(d)]
+        row_idx = roi[row_mask]
+        hit, miss = find_pd_beam_scalar(refl[row_idx], pts_o[row_mask], pd, window=windows[pd.pd_id])
+        if miss is not None:
+            misses[pd.pd_id] = miss
+            continue
+        events = beam_center.beams_on_pd(rec, scene.lidar.firing_period)
+        detected.append((pd, row_idx[hit]))
+        groups.append((
+            np.array([v for _, v in events]),
+            pd.element_positions()[list(rec.sampled_channels)],
+            rec.noise_floor,
+        ))
+
+    for (pd, i), mu in zip(detected, _beam_centers(groups)):
+        try:
+            key = beam_center.select_key_beam(mu)
+        except beam_center.GaussianFitError as exc:
+            misses[pd.pd_id] = str(exc)
+            continue
+        key_beams[pd.pd_id] = PolarBeam(
+            omega=float(omega[i]), alpha=float(alpha[i]), r=float(r_corr[i]),
+            channel=int(channel[i]), azimuth_index=int(azimuth_index[i]),
+            reflectivity=float(refl[i]),
+        )
+        key_centers[pd.pd_id] = float(mu[key])
+    return FrameFeatures(
+        scan_id=frame.scan_id, key_beams=key_beams, key_centers=key_centers,
+        plane=plane, roi_count=len(roi), misses=misses,
+    )
+
+
+def azimuth_center_model_scalar(a, mu, threshold=2.0, iterations=200, seed=0):
+    """RANSAC line over (azimuth, center) pairs, one hypothesis at a time.
+
+    Draws ``iterations`` index pairs with ``rng.choice(n, 2, replace=False)``,
+    skips a pair of equal azimuths, and keeps the first consensus set larger
+    than every earlier one; then refits on it, re-selects inliers and refits
+    again. Returns (nu, tau, inlier mask, rms), or the ModelError message.
+    For non-degenerate azimuths (np.ptp(a) >= 1e-12) and n >= 5.
+    """
+    a = np.asarray(a, dtype=float)
+    mu = np.asarray(mu, dtype=float)
+    n = len(a)
+
+    def line(x, y):
+        if np.ptp(x) < 1e-12:
+            return float(np.mean(y)), 0.0
+        tau, nu = np.polyfit(x, y, 1)
+        return float(nu), float(tau)
+
+    rng = np.random.default_rng(seed)
+    best_mask = None
+    for _ in range(iterations):
+        i, k = rng.choice(n, size=2, replace=False)
+        if abs(a[i] - a[k]) < 1e-12:
+            continue
+        tau = (mu[k] - mu[i]) / (a[k] - a[i])
+        nu = mu[i] - tau * a[i]
+        mask = np.abs(mu - (nu + tau * a)) <= threshold
+        if best_mask is None or mask.sum() > best_mask.sum():
+            best_mask = mask
+    if best_mask is None or best_mask.sum() < max(2, 0.5 * n):
+        kept = 0 if best_mask is None else int(best_mask.sum())
+        return f"RANSAC kept {kept}/{n} pairs; systematic fault suspected"
+    nu, tau = line(a[best_mask], mu[best_mask])
+    mask = np.abs(mu - (nu + tau * a)) <= threshold
+    nu, tau = line(a[mask], mu[mask])
+    rms = float(np.sqrt(np.mean((mu[mask] - (nu + tau * a[mask])) ** 2)))
+    return nu, tau, mask, rms

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import azimuth_center_model_scalar, find_pd_beam_scalar
 from pdcalib.correspondence import (
     AzimuthCenterModel,
-    DetectionMiss,
     ModelError,
     build_azimuth_center_model,
     find_pd_beam,
@@ -32,38 +35,139 @@ class TestFindPdBeam:
 
     def _row(self, reflectivities, x0=0.06, dx=0.009):
         pos = np.array([[x0 + dx * i, 0.0, 0.05] for i in range(len(reflectivities))])
-        return np.asarray(reflectivities, dtype=float), pos
+        return np.asarray(reflectivities, dtype=float), pos.reshape(-1, 3)
+
+    def _scans(self, *rows):
+        """Rows of several scans stacked into one call's columns."""
+        refl, pos = zip(*(self._row(r) for r in rows))
+        scan = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
+        return np.concatenate(refl), np.concatenate(pos), scan
 
     def test_simulated_row_returns_marked_beam(self, horizontal_scene, horizontal_batch):
-        frame = horizontal_batch[0]
-        omega, alpha, r, ch, az, refl = frame.beam_arrays()
         m = pose_to_matrix(horizontal_scene.base_pose)
-        pts = transform_array(m, polar_to_cartesian_array(omega, alpha, r))
+        frames = horizontal_batch[:6]
         for pd in horizontal_scene.board.pd_modules:
-            truth_idx = frame.truth.on_pd_beam[pd.pd_id]
-            if truth_idx is None:
-                continue
-            row = np.nonzero(ch == ch[truth_idx])[0]
-            found = find_pd_beam(refl[row], pts[row], pd)
-            assert az[row[found]] == az[truth_idx]
+            refl, pos, scan, az, truth = [], [], [], [], []
+            for k, frame in enumerate(frames):
+                omega, alpha, r, ch, a_idx, rf = frame.beam_arrays()
+                truth_idx = frame.truth.on_pd_beam[pd.pd_id]
+                row = np.nonzero(ch == ch[truth_idx])[0]
+                pts = transform_array(m, polar_to_cartesian_array(omega[row], alpha[row], r[row]))
+                refl.append(rf[row])
+                pos.append(pts)
+                scan.append(np.full(len(row), k))
+                az.append(a_idx[row])
+                truth.append(a_idx[truth_idx])
+            hits, misses = find_pd_beam(
+                np.concatenate(refl), np.concatenate(pos), np.concatenate(scan), pd, len(frames)
+            )
+            assert misses == {}
+            assert np.array_equal(np.concatenate(az)[hits], truth)
 
     def test_uniform_row_misses(self):
         refl, pos = self._row([20.0] * 9)
-        with pytest.raises(DetectionMiss):
-            find_pd_beam(refl, pos, self.PD)
+        hits, misses = find_pd_beam(refl, pos, np.zeros(9, int), self.PD, 1)
+        assert hits.tolist() == [-1]
+        assert misses == {0: "pd: no local maximum exceeds median 20.0 + 10"}
+        # a uniform scan misses on its own median, between two scans that hit
+        refl, pos, scan = self._scans([20, 20, 20, 20, 70, 20, 20, 20, 20], [20.0] * 9,
+                                      [50, 50, 50, 50, 70, 50, 50, 50, 50])
+        hits, misses = find_pd_beam(refl, pos, scan, self.PD, 3)
+        assert hits.tolist() == [4, -1, 22]
+        assert misses == {1: "pd: no local maximum exceeds median 20.0 + 10"}
 
     def test_two_elevated_takes_higher(self):
         refl, pos = self._row([20, 20, 20, 55, 70, 20, 20, 20, 20])
-        assert find_pd_beam(refl, pos, self.PD) == 4
+        hits, _ = find_pd_beam(refl, pos, np.zeros(9, int), self.PD, 1)
+        assert hits.tolist() == [4]
+        refl, pos, scan = self._scans([20, 20, 20, 55, 70, 20, 20, 20, 20],
+                                      [20, 20, 20, 70, 55, 20, 20, 20, 20])
+        hits, _ = find_pd_beam(refl, pos, scan, self.PD, 2)
+        assert hits.tolist() == [4, 12]
 
     def test_tie_takes_nearer_to_pd(self):
         refl, pos = self._row([20, 20, 20, 70, 70, 20, 20, 20, 20])
         # positions: beam 4 sits at 0.096, nearer the PD center x=0.1
-        assert find_pd_beam(refl, pos, self.PD) == 4
+        hits, _ = find_pd_beam(refl, pos, np.zeros(9, int), self.PD, 1)
+        assert hits.tolist() == [4]
+        # the second scan ties beams 4 and 5 (4 and 5 mm off the center),
+        # the third within 1e-12 with the farther one higher
+        refl, pos, scan = self._scans([20, 20, 20, 70, 70, 20, 20, 20, 20],
+                                      [20, 20, 20, 20, 70, 70, 20, 20, 20],
+                                      [20, 20, 20, 20, 70, 70 + 1e-13, 20, 20, 20])
+        hits, _ = find_pd_beam(refl, pos, scan, self.PD, 3)
+        assert hits.tolist() == [4, 13, 22]
+
+    def test_equal_distance_tie_takes_earlier(self):
+        # two beams mirrored about the module center at the same level
+        # (dyadic positions, so both distances are exactly 1/64 m)
+        pd = PdPlacement("pd", offset=(0.0, 0.0))
+        refl = np.array([20.0, 70.0, 20.0, 70.0, 20.0])
+        pos = np.array([[x, 0.0, 0.0] for x in (-0.03125, -0.015625, 0.0, 0.015625, 0.03125)])
+        hits, _ = find_pd_beam(np.tile(refl, 2), np.tile(pos, (2, 1)), np.repeat([0, 1], 5), pd, 2)
+        assert hits.tolist() == [1, 6]
 
     def test_empty_row(self):
-        with pytest.raises(DetectionMiss):
-            find_pd_beam([], np.zeros((0, 3)), self.PD)
+        hits, misses = find_pd_beam([], np.zeros((0, 3)), np.zeros(0, int), self.PD, 1)
+        assert hits.tolist() == [-1]
+        assert misses == {0: "pd: empty channel row"}
+        # a scan with no beams in the row misses; the others are searched
+        refl, pos = self._row([20, 20, 20, 20, 70, 20, 20, 20, 20])
+        hits, misses = find_pd_beam(refl, pos, np.full(9, 2), self.PD, 3)
+        assert hits.tolist() == [-1, -1, 4]
+        assert misses == {0: "pd: empty channel row", 1: "pd: empty channel row"}
+
+    def test_scan_ids_checked(self):
+        refl, pos = self._row([20.0] * 3)
+        with pytest.raises(ValueError, match="scan ids"):
+            find_pd_beam(refl, pos, np.array([0, 1, 2]), self.PD, 2)
+        with pytest.raises(ValueError, match="one scan id"):
+            find_pd_beam(refl, pos, np.array([0, 1]), self.PD, 2)
+
+    def test_beams_outside_window_miss(self):
+        refl, pos = self._row([20, 20, 20, 20, 70, 20, 20, 20, 20], x0=0.3)
+        hits, misses = find_pd_beam(refl, pos, np.zeros(9, int), self.PD, 1)
+        assert hits.tolist() == [-1]
+        assert misses == {0: "pd: no beams within 30 mm"}
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        levels=st.lists(
+            st.lists(st.sampled_from([10.0, 11.5, 20.0, 24.0, 24.0 + 1e-13, 35.0, 70.0]),
+                     min_size=0, max_size=12),
+            min_size=1, max_size=5,
+        ),
+        x0=st.sampled_from([0.0625, 0.078125, 0.09375, 0.109375]),
+        dx=st.sampled_from([0.00390625, 0.0078125]),
+        mirror=st.booleans(),
+    )
+    def test_matches_scalar_loop(self, levels, x0, dx, mirror):
+        # exact and sub-1e-12 level ties and empty scans; a mirrored row is
+        # symmetric about the module center, so its equal levels also tie
+        # in distance (dyadic positions make the distances exact)
+        pd = PdPlacement("pd", offset=(0.125, 0.05))
+        refl, pos, scan = [], [], []
+        for k, row in enumerate(levels):
+            if mirror:
+                row = row + row[::-1]
+                x0 = 0.125 - dx * (len(row) - 1) / 2
+            r, p = self._row(row, x0=x0, dx=dx)
+            refl.append(r)
+            pos.append(p)
+            scan.append(np.full(len(row), k, dtype=int))
+        hits, misses = find_pd_beam(
+            np.concatenate(refl), np.concatenate(pos), np.concatenate(scan), pd, len(levels),
+        )
+        offset = 0
+        for k, (r, p) in enumerate(zip(refl, pos)):
+            expect, reason = find_pd_beam_scalar(r, p, pd)
+            if expect is None:
+                assert hits[k] == -1
+                assert misses[k] == reason
+            else:
+                assert hits[k] == offset + expect
+                assert k not in misses
+            offset += len(r)
 
 
 class TestAzimuthCenterModel:
@@ -114,6 +218,32 @@ class TestAzimuthCenterModel:
         raw_tau, raw_nu = np.polyfit(a, mu, 1)
         raw_rms = float(np.sqrt(np.mean((mu - (raw_nu + raw_tau * a)) ** 2)))
         assert model.fit_rms < raw_rms
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2 ** 16),
+        n=st.integers(5, 60),
+        steps=st.integers(1, 12),            # distinct azimuths: equal-azimuth pairs
+        outliers=st.floats(0.0, 0.7),
+        threshold=st.sampled_from([0.5, 2.0]),
+        iterations=st.sampled_from([0, 1, 5, 200]),
+    )
+    def test_matches_one_hypothesis_at_a_time(self, seed, n, steps, outliers, threshold, iterations):
+        rng = np.random.default_rng(seed)
+        a = 5.0 + 0.2 * rng.integers(0, steps, n) + rng.choice([0.0, 1e-13], n)
+        mu = 3.0 + 42.0 * a + rng.normal(0, 0.3, n)
+        mu[rng.random(n) < outliers] += rng.choice([-9.7, 9.7, 30.0])
+        if np.ptp(a) < 1e-12:
+            return
+        want = azimuth_center_model_scalar(a, mu, threshold, iterations)
+        try:
+            model = build_azimuth_center_model(a, mu, threshold=threshold, iterations=iterations)
+        except ModelError as exc:
+            assert str(exc) == want
+            return
+        nu, tau, mask, rms = want
+        assert (model.nu, model.tau, model.fit_rms) == (nu, tau, rms)
+        assert np.array_equal(model.inlier_mask, mask)
 
     def test_model_prediction(self):
         model = AzimuthCenterModel(nu=2.0, tau=40.0, inlier_mask=np.ones(5, bool), fit_rms=0.1)

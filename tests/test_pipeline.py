@@ -1,19 +1,25 @@
+import copy
 import dataclasses
+import logging
 import math
 
 import numpy as np
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from pdcalib import beam_center, preprocess
 from pdcalib.bench import make_bench_scene
+from pdcalib.geometry import Pose6DOF, polar_to_cartesian_array, pose_to_matrix, transform_array
 from pdcalib.pipeline import (
     PipelineError,
+    _row_channels,
     board_plane,
     calibrate_frames,
     extract_frame_features,
 )
-from pdcalib.scene import BoardModel, ScanFrame, simulate_scan
-from oracles import guo_fit_scalar
+from pdcalib.scene import BoardModel, PdPlacement, ScanFrame, simulate_scan
+from oracles import frame_features, guo_fit_scalar
 
 DEG = math.pi / 180.0
 MM = 1e-3
@@ -104,13 +110,30 @@ class TestOptionsAndErrors:
         assert sorted(calls) == [f.scan_id for f in frames]
 
     def test_feature_extraction_misses_recorded(self, horizontal_scene, horizontal_batch):
-        frame = horizontal_batch[0]
-        roi = preprocess.segment_target(frame, horizontal_scene.board.width, horizontal_scene.board.height)
-        plane = board_plane([frame], [roi])
-        ft = extract_frame_features(frame, roi, plane, horizontal_scene, horizontal_scene.base_pose)
-        assert set(ft.key_beams) == {pd.pd_id for pd in horizontal_scene.board.pd_modules}
-        assert ft.misses == {}
-        assert ft.roi_count > 500
+        frames = horizontal_batch[:4]
+        board = horizontal_scene.board
+        rois = [preprocess.segment_target(f, board.width, board.height) for f in frames]
+        plane = board_plane(frames, rois)
+        features = extract_frame_features(frames, rois, plane, horizontal_scene, horizontal_scene.base_pose)
+        assert [ft.scan_id for ft in features] == [f.scan_id for f in frames]
+        for ft in features:
+            assert set(ft.key_beams) == {pd.pd_id for pd in board.pd_modules}
+            assert ft.misses == {}
+            assert ft.roi_count > 500
+
+    def test_detection_counts_logged(self, horizontal_scene, horizontal_batch, caplog):
+        frames = [copy.copy(f) for f in horizontal_batch[:5]]
+        for g in frames:
+            g.pd_records = [r for r in g.pd_records if r.pd_id != "h_br"]
+        with caplog.at_level(logging.DEBUG, logger="pdcalib"):
+            calibrate_frames(frames, horizontal_scene)
+        lines = [rec.getMessage() for rec in caplog.records if rec.name == "pdcalib"]
+        assert "h_br detected in 0/5 scans; misses {'no voltage events': 5}" in lines
+        assert "h_tl detected in 5/5 scans; misses {}" in lines
+
+    def test_silent_by_default(self, horizontal_scene, horizontal_batch, caplog):
+        calibrate_frames(horizontal_batch[:5], horizontal_scene)
+        assert not [rec for rec in caplog.records if rec.name == "pdcalib"]
 
     def test_key_centers_match_per_event_fits(self, horizontal_scene, horizontal_batch, horizontal_result):
         # the batched fit over a frame's events picks the same key center,
@@ -140,8 +163,6 @@ class TestOptionsAndErrors:
 
     def test_three_point_scans_flagged_low_confidence(self, horizontal_scene, horizontal_batch):
         # drop one module's voltages: 3 correspondences still solve, flagged
-        import copy
-
         frames = []
         for f in horizontal_batch[:8]:
             g = copy.copy(f)
@@ -150,3 +171,91 @@ class TestOptionsAndErrors:
         result = calibrate_frames(frames, horizontal_scene)
         notes = [note for _, rep, note in result.scan_reports if rep is not None]
         assert all(n == "low-confidence (3 points)" for n in notes)
+
+
+SCENES = {o: make_bench_scene(o) for o in ("horizontal", "vertical", "all")}
+
+
+def _inject(frame, pose, pd, kind):
+    """One fault on one PD of a frame: its record deleted, its voltages flat
+    at the noise floor, the beams around it flattened to their row median,
+    or its two brightest row beams tied at one level."""
+    if kind == "delete":
+        frame.pd_records = [r for r in frame.pd_records if r.pd_id != pd.pd_id]
+        return
+    if kind == "flat-volts":
+        frame.pd_records = [
+            r if r.pd_id != pd.pd_id else dataclasses.replace(
+                r, element_voltages=np.full_like(r.element_voltages, r.noise_floor))
+            for r in frame.pd_records
+        ]
+        return
+    b = frame.beams
+    pts = transform_array(pose_to_matrix(pose), polar_to_cartesian_array(b["omega"], b["alpha"], b["r"]))
+    d = np.hypot(pts[:, 0] - pd.offset[0], pts[:, 2] - pd.offset[1])
+    if kind == "flatten":
+        for ch in np.unique(b["channel"][d < 0.04]):
+            row = b["channel"] == ch
+            b["reflectivity"][row & (d < 0.04)] = np.median(b["reflectivity"][row])
+        return
+    ch = b["channel"][np.argmin(d)]
+    near = np.flatnonzero((b["channel"] == ch) & (d < 0.03))
+    if len(near) > 1:
+        top = near[np.argsort(b["reflectivity"][near])[::-1][:2]]
+        b["reflectivity"][top[1]] = b["reflectivity"][top[0]]
+
+
+class TestBatchFeaturePass:
+    def test_row_channel_picked_per_scan(self):
+        # scan 0 is nearest the PD on channel 3, scan 1 on channel 5 and
+        # scan 2 on two equally near returns, where the first decides
+        pd = PdPlacement("pd", offset=(0.0, 0.0))
+        xz = np.array([[0.0, 0.1], [0.3, 0.0], [0.0, 0.5], [0.0, 0.125],
+                       [0.0, -0.25], [0.0, 0.25]])
+        channel = np.array([3, 5, 7, 5, 2, 9])
+        got = _row_channels(pd, xz, channel, np.array([0, 0, 1, 1, 2, 2]), np.array([0, 2, 4]))
+        assert got.tolist() == [3, 5, 2]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        orientation=st.sampled_from(sorted(SCENES)),
+        seed=st.integers(0, 2 ** 16),
+        n=st.integers(1, 5),
+        jitter=st.tuples(
+            st.floats(-1.0, 1.0),     # yaw, deg
+            st.floats(-0.02, 0.02),   # dx, m
+            st.floats(-0.05, 0.05),   # dy, m
+            st.floats(-0.02, 0.02),   # dz, m
+        ),
+        dropout=st.floats(0.0, 0.2),
+        faults=st.lists(
+            st.tuples(st.integers(0, 4), st.integers(0, 7),
+                      st.sampled_from(["delete", "flat-volts", "flatten", "tie"])),
+            max_size=6,
+        ),
+    )
+    def test_batch_pass_matches_per_frame_oracle(self, orientation, seed, n, jitter, dropout, faults):
+        scene = SCENES[orientation]
+        base = scene.base_pose
+        yaw, dx, dy, dz = jitter
+        pose = Pose6DOF(base.phi + yaw * DEG, base.theta, base.psi, base.dx + dx, base.dy + dy, base.dz + dz)
+        rng = np.random.default_rng(seed)
+        frames = []
+        for k in range(n):
+            f = simulate_scan(scene.board, scene.lidar, pose, seed=seed + k, scan_id=k,
+                              afe=scene.afe, with_truth=False)
+            frames.append(ScanFrame(k, f.beams[rng.random(len(f.beams)) >= dropout], f.pd_records))
+        pds = scene.board.pd_modules
+        for k, p, kind in faults:
+            _inject(frames[k % n], pose, pds[p % len(pds)], kind)
+        rois = [preprocess.segment_target(f, scene.board.width, scene.board.height) for f in frames]
+        plane = board_plane(frames, rois)
+
+        batch = extract_frame_features(frames, rois, plane, scene, base)
+        assert len(batch) == n
+        for ft, f, roi in zip(batch, frames, rois):
+            want = frame_features(f, roi, plane, scene, base)
+            assert ft.scan_id == want.scan_id and ft.roi_count == want.roi_count
+            assert list(ft.key_beams.items()) == list(want.key_beams.items())
+            assert list(ft.key_centers.items()) == list(want.key_centers.items())
+            assert list(ft.misses.items()) == list(want.misses.items())

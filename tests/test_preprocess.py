@@ -63,6 +63,22 @@ class TestSegmentation:
             segment_target(frame, 5.0, 3.0)
         assert "clusters" in str(err.value)
 
+    # 2-degree rows leave up to one row gap (87-140 mm here) short of each
+    # board edge; beyond about 3 m the 0.54 m board shows only 0.36-0.42 m
+    @pytest.mark.parametrize("dy", [-2.5, -3.2, -3.4, -4.0])
+    def test_board_only_scene_segments_at_range(self, dy):
+        frame = simulate_scan(BoardModel(), LidarModel(), Pose6DOF(0, 0, 0, -0.7, dy, 0), seed=0)
+        roi = segment_target(frame, 1.0, 0.54)
+        assert len(roi) == len(frame.beams)
+
+    @pytest.mark.parametrize("dy", [-2.5, -3.2, -4.0])
+    @pytest.mark.parametrize("board", [BoardModel(height=0.27), BoardModel(width=2.0)],
+                             ids=["half-height", "double-width"])
+    def test_misfit_board_refused_at_range(self, board, dy):
+        frame = simulate_scan(board, LidarModel(), Pose6DOF(0, 0, 0, -0.7, dy, 0), seed=0)
+        with pytest.raises(SegmentationError, match="no cluster matches"):
+            segment_target(frame, 1.0, 0.54)
+
 
 def stripe(frame, columns, channels=None):
     """Mask of the board returns at these azimuth indices (and channels)."""
