@@ -1,9 +1,10 @@
 """pdcalib: LiDAR-to-board extrinsic calibration with photodetector-array targets.
 
-A numpy/scipy library that estimates the 6-DOF pose of a spinning LiDAR
+A numpy library that estimates the 6-DOF pose of a spinning LiDAR
 relative to a planar target board instrumented with photodetector arrays,
 together with a deterministic test bench (sensor + board + analog front-end
-simulation) that reproduces the accuracy experiments offline.
+simulation) that reproduces the accuracy experiments offline. Only the
+simulator loads scipy, for its normal CDF, and only once it runs.
 
 There is one procedure: every stage runs with the thresholds its module
 defines, and the solver's Levenberg-Marquardt settings are constants in

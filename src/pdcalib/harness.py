@@ -9,7 +9,6 @@ standard deviation over the repeated scans.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -179,6 +178,8 @@ def run_sweep(scene: Scene, spec: SweepSpec, label: str = "", workers: int = 1) 
     values = spec.values
     jobs = [(scene, spec, i, float(v)) for i, v in enumerate(values)]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_sweep_worker, jobs))
     else:

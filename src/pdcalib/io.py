@@ -406,12 +406,13 @@ def read_frames(path) -> list:
     if orphans:
         line_no, sid = min(orphans)
         raise FrameParseError(path, line_no, "scan_id", f"PD row of scan {sid}, which has no beam rows")
+    by_scan: dict = {}  # scan_id -> [(pd_id, record)], in pd_id order
+    for (sid, pd_id), rec in sorted(pd_records.items()):
+        by_scan.setdefault(sid, []).append((pd_id, rec))
     frames = []
     for sid in sorted(beams):
         records = []
-        for (rsid, pd_id), (floor, channels, rows) in sorted(pd_records.items()):
-            if rsid != sid:
-                continue
+        for pd_id, (floor, channels, rows) in by_scan.get(sid, ()):
             rows.sort(key=lambda r: r[0])
             records.append(
                 PdSignalRecord(

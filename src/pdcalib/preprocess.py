@@ -3,13 +3,15 @@
 The board is pulled out of a raw scan by clustering on the sensor's
 (channel, azimuth index) raster, the range-image idea of Bogoslavskyi and
 Stachniss (IROS 2016): neighbouring cells of the raster are linked when
-their returns lie within a distance threshold. Those links are a subset of
-single-linkage Euclidean clustering's, and give the same clusters except
-where an occluder spanning every row cuts the board in two, which is
-refused. The board is the cluster whose extents match what the raster can
-sample of it at the cluster's range. The board's plane is fit by total
-least squares and refined in range space, and the ROI returns are slid
-along their rays onto that plane, which removes most of the ranging noise.
+their returns lie within a distance threshold, and the clusters are the
+components of those links, labelled in numpy by hook-and-jump (Shiloach and
+Vishkin, J. Algorithms 1982). The links are a subset of single-linkage
+Euclidean clustering's, and give the same clusters except where an
+occluder spanning every row cuts the board in two, which is refused. The
+board is the cluster whose extents match what the raster can sample of it
+at the cluster's range. The board's plane is fit by total least squares and
+refined in range space, and the ROI returns are slid along their rays onto
+that plane, which removes most of the ranging noise.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .geometry import polar_to_cartesian_array
 
@@ -61,6 +61,9 @@ def _raster_components(points, channel, azimuth_index, tol):
     returns of its channel in azimuth order, and the returns of the next
     channel at azimuth index -``AZIMUTH_REACH``..+``AZIMUTH_REACH`` from its
     own. A candidate is linked when its 3-D distance is at most ``tol``.
+    The links are labelled by ``_components``, so labels number the
+    components in order of their first return in (channel, azimuth index)
+    order.
     """
     n = len(points)
     order = np.lexsort((azimuth_index, channel))
@@ -80,12 +83,36 @@ def _raster_components(points, channel, azimuth_index, tol):
     valid = np.hstack([ch[along] == ch[:, None], key[across] == target])
 
     valid &= sum((c[cand] - c[:, None]) ** 2 for c in points[order].T) <= tol * tol
-    indptr = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.count_nonzero(valid, axis=1), out=indptr[1:])
-    graph = csr_matrix((np.ones(indptr[-1]), cand[valid], indptr), shape=(n, n))
     labels = np.empty(n, dtype=np.intp)
-    labels[order] = connected_components(graph, directed=False)[1]
+    labels[order] = _components(n, np.nonzero(valid)[0], cand[valid])
     return labels
+
+
+def _components(n, u, v):
+    """Connected-component label per node of the undirected graph on ``n``
+    nodes with edges ``(u[k], v[k])``.
+
+    Hook-and-jump labelling (Shiloach and Vishkin, J. Algorithms 1982): each
+    node points at a smaller or equal node of its component, starting at
+    itself. A round hooks every root onto the smallest root it shares an
+    edge with, then jumps pointers until each points at its root, and drops
+    the edges that now lie inside one tree. Every tree that still has an
+    edge out takes part in a merge, so the rounds are O(log n). The last
+    root of a component is its smallest node; components are numbered in
+    that order, as scipy's ``connected_components`` numbers them.
+    """
+    root = np.arange(n)
+    a, b = np.concatenate([u, v]), np.concatenate([v, u])
+    while len(a):
+        np.minimum.at(root, root[a], root[b])
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+        cross = root[a] != root[b]
+        a, b = a[cross], b[cross]
+    return np.unique(root, return_inverse=True)[1]
 
 
 def _extent_error(spread, omega, alpha, r, channel, azimuth_index, board_width, board_height):

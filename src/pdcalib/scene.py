@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 from .afe import TiaParams, currents_to_record
 from .geometry import DEG, TWO_PI, PolarBeam, Pose6DOF, pose_to_matrix
@@ -275,18 +274,19 @@ class ScanFrame:
         return tuple(np.ascontiguousarray(self.beams[name]) for name in BEAM_DTYPE.names)
 
 
-def _gauss_rect_fraction(center_a, center_c, half_a, half_c, sigma):
+def _gauss_rect_fraction(center_a, center_c, half_a, half_c, sigma, ndtr):
     """Energy fraction of a circular Gaussian spot inside a rectangle.
 
     Rectangle half-sizes (half_a, half_c) around the origin; spot center at
-    (center_a, center_c). Separable product of 1-D normal CDFs.
+    (center_a, center_c). Separable product of 1-D normal CDFs; ``ndtr`` is
+    the standard normal CDF, which ``simulate_scan`` imports.
     """
     fa = ndtr((half_a - center_a) / sigma) - ndtr((-half_a - center_a) / sigma)
     fc = ndtr((half_c - center_c) / sigma) - ndtr((-half_c - center_c) / sigma)
     return fa * fc
 
 
-def _element_currents(along, cross, sigma, pd: PdPlacement, i_max):
+def _element_currents(along, cross, sigma, pd: PdPlacement, i_max, ndtr):
     """Per-element photocurrents for a Gaussian spot on a PD module.
 
     The spot, of Gaussian width ``sigma``, sits at (along, cross) from the
@@ -297,8 +297,8 @@ def _element_currents(along, cross, sigma, pd: PdPlacement, i_max):
     centers = pd.element_positions() - pd.center_local  # element centers, center origin
     half_pitch = 0.5 * pd.element_pitch
     half_width = 0.5 * pd.active_width
-    frac = _gauss_rect_fraction(along - centers, cross, half_pitch, half_width, sigma)
-    ref = _gauss_rect_fraction(0.0, 0.0, half_pitch, half_width, sigma)
+    frac = _gauss_rect_fraction(along - centers, cross, half_pitch, half_width, sigma, ndtr)
+    ref = _gauss_rect_fraction(0.0, 0.0, half_pitch, half_width, sigma, ndtr)
     return i_max * frac / ref
 
 
@@ -341,6 +341,9 @@ def simulate_scan(
     SimulationError
         If the board is behind the sensor or viewed edge-on.
     """
+    # imported here, so that calibration, which never simulates, loads no scipy
+    from scipy.special import ndtr
+
     afe = afe or AfeConfig()
     rng = np.random.default_rng(seed)
     m = pose_to_matrix(pose)
@@ -429,8 +432,8 @@ def simulate_scan(
     on_pd_strict = {}
     for pd in board.pd_modules:
         along, cross = pd.local_coords(xz)
-        e = _gauss_rect_fraction(along, cross, pd.half_span, 0.5 * pd.active_width, sigma_spot)
-        e_ref = _gauss_rect_fraction(0.0, 0.0, pd.half_span, 0.5 * pd.active_width, sigma_spot)
+        e = _gauss_rect_fraction(along, cross, pd.half_span, 0.5 * pd.active_width, sigma_spot, ndtr)
+        e_ref = _gauss_rect_fraction(0.0, 0.0, pd.half_span, 0.5 * pd.active_width, sigma_spot, ndtr)
         boost = (board.pd_reflectivity - board.surround_reflectivity) * e / np.maximum(e_ref, 1e-300)
         refl = np.where(is_board, np.maximum(refl, board.surround_reflectivity + boost), refl)
         inside = is_board & (np.abs(along) <= pd.half_span) & (np.abs(cross) <= 0.5 * pd.active_width)
@@ -474,7 +477,7 @@ def simulate_scan(
         idx, times = idx[t_order], times[t_order]
         currents = np.stack(
             [
-                _element_currents(along[i], cross[i], sigma_spot[i], pd, afe.peak_current)
+                _element_currents(along[i], cross[i], sigma_spot[i], pd, afe.peak_current, ndtr)
                 for i in idx
             ]
         )

@@ -6,7 +6,8 @@ closed form, the one-event Guo fit is a plain scalar loop with the same
 arithmetic as the batched library fit, the rigid-fit oracle is the SVD (Kabsch) construction,
 the Jacobian oracle differentiates the solver's residual numerically, the
 segmentation oracle labels the full radius graph of a scan's Cartesian
-points, the feature oracle detects and fits one frame at a time with a
+points, the graph-labelling oracle is scipy's connected components, the
+feature oracle detects and fits one frame at a time with a
 scalar beam-detection loop, the RANSAC oracle scores one hypothesis line at
 a time, and the Cartesian-to-polar inverse checks the library's forward
 conversion.
@@ -121,12 +122,17 @@ def central_difference_jacobian(beta, correspondences, step=1e-6):
     return j
 
 
+def graph_labels(n, u, v):
+    """scipy's component label per node of the undirected graph on ``n`` nodes
+    with edges ``(u[k], v[k])``."""
+    graph = coo_matrix((np.ones(len(u)), (u, v)), shape=(n, n))
+    return connected_components(graph, directed=False)[1]
+
+
 def radius_graph_labels(points, tol=0.15):
     """Single-linkage component label per point: every pair within ``tol``."""
-    n = len(points)
     pairs = cKDTree(points).query_pairs(r=tol, output_type="ndarray")
-    graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
-    return connected_components(graph, directed=False)[1]
+    return graph_labels(len(points), pairs[:, 0], pairs[:, 1])
 
 
 def radius_graph_roi(frame, board_width, board_height, tol=0.15, min_points=30, extent_tolerance=0.2):

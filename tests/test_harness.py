@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +27,7 @@ DEG = math.pi / 180.0
 MINI_SWEEP = SweepSpec(parameter="yaw", start=-1.0, stop=1.0, step=1.0, scans_per_point=8, seed=5)
 
 GOLDEN = Path(__file__).parent / "golden"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -187,6 +191,23 @@ class TestCli:
         assert (tmp_path / "cal" / "calibration.txt").exists()
         assert (tmp_path / "cal" / "residuals.csv").exists()
         assert (tmp_path / "cal" / "correspondences.csv").exists()
+
+    def test_calibrate_frames_loads_no_scipy(self, tmp_path):
+        # a fresh interpreter: the oracles have loaded scipy into this one
+        assert cli.main(["simulate", "--scans", "6", "--out", str(tmp_path / "sim"), "--seed", "3"]) == 0
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        code = (
+            "import sys\n"
+            "from pdcalib.cli import main\n"
+            "code = main(['calibrate', '--frames', 'sim/frames.csv', '--out', 'cal'])\n"
+            "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True,
+            check=True,
+        )
+        assert done.stdout.splitlines()[-1] == "0 []"
 
     def test_malformed_frames_exit_code_1(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -344,6 +344,28 @@ class TestFrameSerialization:
         keys = [list(zip(f.beams["channel"].tolist(), f.beams["azimuth_index"].tolist())) for f in frames]
         assert keys == [[(5, 9), (1, 4), (5, 3)], [(3, 7), (0, 2), (3, 1)]]
 
+    def test_interleaved_pd_rows_come_back_in_pd_id_order(self, tmp_path):
+        rows = [
+            "beam,0,0,0,1.0,0.0,2.0,10.0",
+            "beam,1,0,0,1.0,0.0,2.0,10.0",
+            "pd,v,1,0,0.5,0.1,0|5,1.0,2.0",
+            "pd,h2,0,0,0.3,0.1,0|5,1.0,2.0",
+            "pd,h1,1,0,0.2,0.1,0|5,5.0,6.0",
+            "pd,h2,0,1,0.1,0.1,0|5,3.0,4.0",
+            "pd,a,0,0,0.4,0.1,0|5,7.0,8.0",
+            "pd,h1,1,1,0.1,0.1,0|5,1.5,2.5",
+        ]
+        path = tmp_path / "f.csv"
+        path.write_text("\n".join([io.FRAME_MAGIC] + rows) + "\n")
+        frames = read_frames(path)
+        assert [f.scan_id for f in frames] == [0, 1]
+        assert [[r.pd_id for r in f.pd_records] for f in frames] == [["a", "h2"], ["h1", "v"]]
+        h2, h1 = frames[0].pd_records[1], frames[1].pd_records[0]
+        assert h2.sample_times.tolist() == [0.1, 0.3]
+        assert h2.element_voltages.tolist() == [[3.0, 4.0], [1.0, 2.0]]
+        assert h1.sample_times.tolist() == [0.1, 0.2]
+        assert h1.element_voltages.tolist() == [[1.5, 2.5], [5.0, 6.0]]
+
     @pytest.mark.filterwarnings("error")
     def test_magic_only_file_has_no_frames(self, tmp_path):
         path = tmp_path / "f.csv"

@@ -6,13 +6,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from oracles import radius_graph_labels, radius_graph_roi
+from conftest import simulate_batch
+from hypothesis import example, given, settings, strategies as st
+from oracles import graph_labels, radius_graph_labels, radius_graph_roi
 
+from pdcalib import preprocess
+from pdcalib.bench import make_bench_scene
 from pdcalib.geometry import Pose6DOF, polar_to_cartesian_array, pose_to_matrix
 from pdcalib.preprocess import (
     AZIMUTH_REACH,
     PlaneModel,
+    _components,
     _raster_components,
     SegmentationError,
     fit_plane,
@@ -228,6 +232,65 @@ class TestRasterSegmentation:
             np.testing.assert_array_equal(roi, expected)
 
 
+@st.composite
+def edge_lists(draw):
+    """(n, u, v): a graph on 1..40 nodes, some isolated, with self-loops and
+    repeated edges among its edges, in a random order."""
+    n = draw(st.integers(1, 40))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=2 * n))
+    edges += [(k, k) for k in draw(st.lists(node, max_size=3))]
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=5))
+    u, v = np.array(draw(st.permutations(edges)), dtype=np.intp).reshape(-1, 2).T
+    return n, u, v
+
+
+class TestComponents:
+    """The hook-and-jump labelling, with scipy's connected components as the oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(graph=edge_lists())
+    @example(graph=(1, np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)))
+    @example(graph=(4, np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)))
+    @example(graph=(1, np.zeros(2, dtype=np.intp), np.zeros(2, dtype=np.intp)))
+    def test_labels_match_scipy(self, graph):
+        n, u, v = graph
+        np.testing.assert_array_equal(_components(n, u, v), graph_labels(n, u, v))
+
+    def test_long_path_in_scrambled_order(self):
+        # a path through 500 nodes in a random order takes many merge
+        # rounds; the last three nodes are isolated
+        path = np.random.default_rng(0).permutation(500)
+        n, u, v = 503, path[:-1], path[1:]
+        np.testing.assert_array_equal(_components(n, u, v), graph_labels(n, u, v))
+
+    def test_mixed_pd_batch_labels_match_scipy(self, monkeypatch):
+        # the edge tables segmentation labels on mixed-PD frames, half of
+        # them with a wall 1 m behind the board
+        scene = make_bench_scene("all")
+        frames = simulate_batch(scene, n=6, seed0=300)
+        frames += [
+            simulate_scan(scene.board, scene.lidar, scene.base_pose, seed=310 + k,
+                          scan_id=6 + k, afe=scene.afe, background_depth=1.0)
+            for k in range(6)
+        ]
+        calls = []
+
+        def spy(n, u, v):
+            labels = _components(n, u, v)
+            calls.append((n, u, v, labels))
+            return labels
+
+        monkeypatch.setattr(preprocess, "_components", spy)
+        for frame in frames:
+            segment_target(frame, scene.board.width, scene.board.height)
+        assert len(calls) == len(frames)
+        assert max(labels.max() for _, _, _, labels in calls) >= 1  # the walls split off
+        for n, u, v, labels in calls:
+            np.testing.assert_array_equal(labels, graph_labels(n, u, v))
+
+
 class TestPlaneFit:
     def test_four_corners_of_xy_plane(self):
         pts = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0.0]])
@@ -322,13 +385,14 @@ class TestRangeRefinement:
         assert ref.d == pytest.approx(d_true, abs=1e-10)
 
 
-def test_import_leaves_scipy_spatial_unloaded():
-    # the radius graph, and with it scipy.spatial, lives in the test oracles
+def test_import_loads_no_scipy():
+    # the radius graph lives in the test oracles, and the simulator imports
+    # its normal CDF from scipy only when it runs
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, pdcalib; print('scipy.spatial' in sys.modules)"
+    code = "import sys, pdcalib; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from pdcalib.bench import make_bench_scene
 from pdcalib.geometry import PolarBeam, Pose6DOF, polar_to_cartesian_array, pose_to_matrix, transform_array
@@ -205,19 +206,19 @@ class TestBeamIntegration:
         pd = PdPlacement("p", offset=(0.0, 0.0))
         # element 7 / element 8 boundary sits at 7.5 mm, i.e. board x = 0 for
         # a centered PD
-        currents = _element_currents(0.0, 0.0, 4.9 * MM, pd, 100e-6)
+        currents = _element_currents(0.0, 0.0, 4.9 * MM, pd, 100e-6, ndtr)
         for j in range(8):
             assert currents[7 - j] == pytest.approx(currents[8 + j], rel=1e-9)
 
     def test_far_field_negligible(self):
         pd = PdPlacement("p", offset=(0.0, 0.0))
-        currents = _element_currents(50 * MM + pd.half_span, 0.0, 4.9 * MM, pd, 100e-6)
+        currents = _element_currents(50 * MM + pd.half_span, 0.0, 4.9 * MM, pd, 100e-6, ndtr)
         assert np.all(currents < 1e-12)
 
     def test_centered_hit_peak_current(self):
         pd = PdPlacement("p", offset=(0.0, 0.0))
         # spot dead on element 3 (position 3 mm -> board x = 3 - 7.5 mm)
-        currents = _element_currents((3 - 7.5) * MM, 0.0, 4.9 * MM, pd, 100e-6)
+        currents = _element_currents((3 - 7.5) * MM, 0.0, 4.9 * MM, pd, 100e-6, ndtr)
         assert currents[3] == pytest.approx(100e-6, rel=1e-12)
         assert np.argmax(currents) == 3
 
@@ -225,7 +226,7 @@ class TestBeamIntegration:
         pd = PdPlacement("p", offset=(0.0, 0.0))
         sigma = 19.6 * MM / 4
         spot_local = 7.3 * MM  # inside element 7's [6.5, 7.5) mm cell
-        currents = _element_currents(spot_local - pd.center_local, 0.0, sigma, pd, 100e-6)
+        currents = _element_currents(spot_local - pd.center_local, 0.0, sigma, pd, 100e-6, ndtr)
 
         # brute-force Riemann integration at 10 um resolution
         def dense_current(k):

@@ -10,9 +10,11 @@ For each seed, each tree runs its own ``python3 perfbench/run.py --workload W
 --seed S --seconds N`` (N is ``run_seconds`` of the change's BENCHMARK.json),
 the parent first on even pairs and the change first on odd ones. The output
 file gets, per end-to-end metric, each side's runs, median and quartiles and
-the number of pairs the change won (ties count for neither side). With
-``--layers``, one ``--trace 1`` run per side on the first seed adds those
-per-layer metrics. Each workload is its own entry, so one file can hold
+the number of pairs the change won (ties count for neither side). It also
+gets each side's ``first_op_s``, the scaled time of each run's first op
+(``op_scaled_seconds[0]`` of the run's report in ``.perfbench_out/``), where
+work moved out of set-up into the first op shows. With ``--layers``, one
+``--trace 1`` run per side on the first seed adds those per-layer metrics. Each workload is its own entry, so one file can hold
 several workloads; the file is rewritten after every pair.
 """
 
@@ -49,6 +51,12 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) 
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def first_op_seconds(tree: Path, workload: str, seed: int) -> float:
+    """The scaled time of the first op of the last untraced run in ``tree``."""
+    report = tree / ".perfbench_out" / f"report-{workload}-{seed}-trace0.json"
+    return json.loads(report.read_text())["op_scaled_seconds"][0]
+
+
 def summary(values: list) -> dict:
     q1, _, q3 = (statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1
                  else (values[0],) * 3)
@@ -80,10 +88,12 @@ def main(argv=None) -> int:
     entry = doc.setdefault("workloads", {})[args.workload] = {}
 
     results = {side: [] for side in sides}
+    first_op = {side: [] for side in sides}
     for k, seed in enumerate(args.seeds):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         for side in order:
             results[side].append(run_bench(sides[side], args.workload, seed, seconds, 0))
+            first_op[side].append(first_op_seconds(sides[side], args.workload, seed))
         done = args.seeds[: k + 1]
         entry.update({
             "seeds": done,
@@ -102,6 +112,7 @@ def main(argv=None) -> int:
                 "change_wins": wins(vals["parent"], vals["change"], metric["better"]),
                 "pairs": len(done),
             }
+        entry["first_op_s"] = {"unit": "s", **{s: summary(first_op[s]) for s in sides}}
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
         op = entry["end_to_end"]["op_s_p50"]
         print(f"pair {k + 1}/{len(args.seeds)} seed {seed}: op_s_p50 parent "
