@@ -7,9 +7,9 @@ simulation) that reproduces the accuracy experiments offline. Only the
 simulator loads scipy, for its normal CDF, and only once it runs.
 
 There is one procedure: every stage runs with the thresholds its module
-defines, and the solver's Levenberg-Marquardt settings are constants in
-``solver``. Geometry works on (N, 3) point arrays
-(``polar_to_cartesian_array``, ``transform_array``).
+defines, and the pose is the closed-form least-squares rigid fit. Geometry
+works on (N, 3) point arrays (``polar_to_cartesian_array``,
+``transform_array``).
 
 Typical use::
 
@@ -65,7 +65,7 @@ from .scene import (
     corner_error_bound,
     simulate_scan,
 )
-from .solver import SolveReport, SolverFailure, jacobian, solve
+from .solver import DegenerateCorrespondences, SolveReport, jacobian, solve
 
 __version__ = "0.1.0"
 
@@ -75,6 +75,7 @@ __all__ = [
     "BatchResult",
     "BoardModel",
     "Correspondence",
+    "DegenerateCorrespondences",
     "GaussianFitBatch",
     "GaussianFitError",
     "GaussianFitResult",
@@ -91,7 +92,6 @@ __all__ = [
     "SegmentationError",
     "SimulationError",
     "SolveReport",
-    "SolverFailure",
     "SweepSpec",
     "SweepStats",
     "TiaParams",

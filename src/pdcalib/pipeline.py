@@ -13,8 +13,9 @@ on a single table of every frame's board returns with a scan column:
    and keep each (scan, module) pair's (azimuth, center).
 
 The per-module pairs from the whole batch feed the RANSAC azimuth-center
-model; each frame then yields correspondences and its own pose estimate,
-plus one joint estimate over all frames.
+model; each frame then yields correspondences. One stacked closed-form solve
+gives every frame its own pose estimate, and one more the joint estimate
+over all frames.
 
 The ``pdcalib`` logger reports each PD's detection count and miss reasons at
 DEBUG level after the feature pass; it is silent unless configured.
@@ -243,8 +244,8 @@ def calibrate_frames(frames, scene: Scene, nominal_pose: Pose6DOF | None = None)
     ------
     PipelineError
         For an empty batch, a frame with no board-sized cluster, if no PD
-        collects enough (azimuth, center) pairs for a model, or if no scan
-        yields enough correspondences to solve.
+        collects enough (azimuth, center) pairs for a model, if no scan
+        yields enough correspondences to solve, or if they are collinear.
     """
     nominal_pose = nominal_pose or scene.base_pose
     if not frames:
@@ -279,7 +280,8 @@ def calibrate_frames(frames, scene: Scene, nominal_pose: Pose6DOF | None = None)
     if not models:
         raise PipelineError("correspondence", "no PD produced an azimuth-center model")
 
-    scan_reports = []
+    scan_reports = []  # a None slot per scan awaiting its fit
+    sizes = []         # correspondence count per slot
     all_corrs = []
     for ft in features:
         try:
@@ -289,17 +291,22 @@ def calibrate_frames(frames, scene: Scene, nominal_pose: Pose6DOF | None = None)
         except correspondence.ModelError as exc:
             scan_reports.append((ft.scan_id, None, str(exc)))
             continue
+        scan_reports.append(None)
+        sizes.append(len(corrs))
         all_corrs.extend(corrs)
-        try:
-            report = solver.solve(corrs)
-        except (solver.SolverFailure, ValueError) as exc:
-            scan_reports.append((ft.scan_id, None, str(exc)))
-            continue
-        note = "low-confidence (3 points)" if len(corrs) == 3 else ""
-        scan_reports.append((ft.scan_id, report, note))
     if not all_corrs:
         raise PipelineError("correspondence", "no scan yielded enough correspondences")
-    joint = solver.solve(all_corrs)
+
+    slots = [k for k, rep in enumerate(scan_reports) if rep is None]
+    fits = solver.solve_groups(*solver.point_arrays(all_corrs), np.cumsum(sizes) - sizes)
+    for k, (report, note) in zip(slots, fits):
+        if report is not None and report.correspondence_count == 3:
+            note = "low-confidence (3 points)"
+        scan_reports[k] = (features[k].scan_id, report, note)
+    try:
+        joint = solver.solve(all_corrs)
+    except solver.DegenerateCorrespondences as exc:
+        raise PipelineError("solve", f"joint solve over {len(all_corrs)} correspondences: {exc}") from exc
     return BatchResult(
         models=models,
         scan_reports=scan_reports,

@@ -1,13 +1,16 @@
-"""6-DOF pose estimation from correspondences via Levenberg-Marquardt.
+"""6-DOF pose estimation from correspondences by the closed-form rigid fit.
 
-Minimizes the squared norm of the per-correspondence residual
+The pose minimizes sum_i ||F_i||^2 with ``F_i(beta) = p_O,i - (R(phi,
+theta, psi) @ p_L,i + T)`` over beta = (phi, theta, psi, dx, dy, dz). This
+unweighted point-to-point registration has an exact minimizer (Arun, Huang &
+Blostein, IEEE TPAMI 1987): with the centered cross-covariance ``H = sum
+(p_L - c_L)(p_O - c_O)^T = U S V^T``, ``R = V diag(1, 1, d) U^T`` and
+``T = c_O - R c_L``, where ``d = sign(det(V U^T))`` rules out a reflection
+(Umeyama, IEEE TPAMI 1991). No iteration can lower the cost further.
 
-    F_i(beta) = p_O,i - (R(phi, theta, psi) @ p_L,i + T)
-
-over beta = (phi, theta, psi, dx, dy, dz), with the damped normal-equation
-update ``beta <- beta - (J^T J + lambda diag(J^T J))^-1 J^T F``. The
-damping starts at ``LAMBDA0``, halves on accepted steps and doubles on
-rejected ones.
+``solve_groups`` fits many correspondence sets at once: the cross-covariances
+are summed per block of rows with ``np.add.reduceat`` and one
+``np.linalg.svd`` call factors the stack. ``solve`` is its one-block case.
 """
 
 from __future__ import annotations
@@ -17,23 +20,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Pose6DOF, matrix_to_pose, polar_to_cartesian_array, rotation_matrix
+from .geometry import Pose6DOF, polar_to_cartesian_array, rotation_matrix
 
 
-LAMBDA0 = 0.3          # initial damping
-MAX_ITERS = 200
-GRAD_TOL = 1e-10       # converged when max |J^T F| falls below this
-STEP_TOL = 1e-12       # converged when the step norm falls below this
-LAMBDA_CAP = 1e8       # damping beyond this means no downhill step is left
-
-
-class SolverFailure(RuntimeError):
-    """Damped normal matrix stayed singular up to the damping cap."""
+class DegenerateCorrespondences(ValueError):
+    """Fewer than 3 correspondences, or collinear (rank-deficient) ones: the
+    pose is not determined."""
 
 
 @dataclass
 class SolveReport:
-    """Solver output: pose, convergence info and per-correspondence residuals."""
+    """Solver output: pose, fit statistics and per-correspondence residuals.
+
+    ``converged`` is True: the pose is the exact minimizer of the cost.
+    ``iterations`` is 1: the closed-form fit is one step.
+    """
 
     beta: Pose6DOF
     final_cost: float          # sum of squared residual components, m^2
@@ -50,143 +51,130 @@ class SolveReport:
         return float(np.sqrt(np.mean(np.sum(self.residuals ** 2, axis=1))))
 
 
-def _beam_points(correspondences) -> tuple[np.ndarray, np.ndarray]:
-    """(p_L, p_O) arrays for a correspondence list."""
-    n = len(correspondences)
-    omega = np.empty(n)
-    alpha = np.empty(n)
-    r = np.empty(n)
-    p_o = np.empty((n, 3))
-    for i, c in enumerate(correspondences):
-        omega[i], alpha[i], r[i] = c.beam.omega, c.beam.alpha, c.beam.r
-        p_o[i] = c.p_o
-    return polar_to_cartesian_array(omega, alpha, r), p_o
+def point_arrays(correspondences) -> tuple[np.ndarray, np.ndarray]:
+    """(N, 3) sensor-frame ``p_L`` and board-frame ``p_O`` of a correspondence
+    list, in list order."""
+    polar = np.array([(c.beam.omega, c.beam.alpha, c.beam.r) for c in correspondences]).reshape(-1, 3)
+    p_o = np.array([c.p_o for c in correspondences]).reshape(-1, 3)
+    return polar_to_cartesian_array(*polar.T), p_o
 
 
-def residuals(beta: Pose6DOF, correspondences) -> np.ndarray:
-    """Stacked (N, 3) residuals."""
-    p_l, p_o = _beam_points(correspondences)
-    r = rotation_matrix(beta)
-    return p_o - (p_l @ r.T + beta.translation)
+def residuals(beta: Pose6DOF, p_l: np.ndarray, p_o: np.ndarray) -> np.ndarray:
+    """Stacked (N, 3) residuals ``p_O - (R p_L + T)``."""
+    return p_o - (p_l @ rotation_matrix(beta).T + beta.translation)
 
 
-def _rotation_partials(beta: Pose6DOF) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    cf, sf = math.cos(beta.phi), math.sin(beta.phi)
-    ct, st = math.cos(beta.theta), math.sin(beta.theta)
-    cp, sp = math.cos(beta.psi), math.sin(beta.psi)
-    rz = np.array([[cf, -sf, 0], [sf, cf, 0], [0, 0, 1.0]])
-    ry = np.array([[ct, 0, st], [0, 1.0, 0], [-st, 0, ct]])
-    rx = np.array([[1.0, 0, 0], [0, cp, -sp], [0, sp, cp]])
-    drz = np.array([[-sf, -cf, 0], [cf, -sf, 0], [0, 0, 0.0]])
-    dry = np.array([[-st, 0, ct], [0, 0.0, 0], [-ct, 0, -st]])
-    drx = np.array([[0.0, 0, 0], [0, -sp, -cp], [0, cp, -sp]])
-    return drz @ ry @ rx, rz @ dry @ rx, rz @ ry @ drx
+def _jacobian_blocks(rot: np.ndarray, phi: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """(N, 3, 6) residual Jacobian per correspondence from each row's rotation
+    R (N, 3, 3), yaw phi (N,) and rotated point q = R p_L (N, 3).
+
+    ``R = Rz(phi) Ry(theta) Rx(psi)`` turns by each angle about an axis w
+    fixed in frame O, so dR/dangle = [w]x R and the rotation columns are
+    -(w x q): w is z for phi, Rz(phi) y = (-sin phi, cos phi, 0) for theta
+    and R x (R's first column) for psi.
+    """
+    axes = np.stack([
+        np.broadcast_to([0.0, 0.0, 1.0], q.shape),
+        np.stack([-np.sin(phi), np.cos(phi), np.zeros_like(phi)], axis=1),
+        rot[:, :, 0],
+    ], axis=1)
+    j = np.empty((len(q), 3, 6))
+    j[:, :, :3] = -np.swapaxes(np.cross(axes, q[:, None, :]), 1, 2)
+    j[:, :, 3:] = -np.eye(3)
+    return j
 
 
-def jacobian(beta: Pose6DOF, correspondences) -> np.ndarray:
+def jacobian(beta: Pose6DOF, p_l: np.ndarray) -> np.ndarray:
     """(3N, 6) Jacobian of the stacked residual w.r.t. the pose vector.
 
     The translation block is -I for every correspondence; rotation columns
     are -(dR/dangle) p_L.
     """
-    n = len(correspondences)
-    p_l, _ = _beam_points(correspondences)
-    d_phi, d_theta, d_psi = _rotation_partials(beta)
-    j = np.zeros((3 * n, 6))
-    j[:, 0] = -(p_l @ d_phi.T).ravel()
-    j[:, 1] = -(p_l @ d_theta.T).ravel()
-    j[:, 2] = -(p_l @ d_psi.T).ravel()
-    eye = -np.eye(3)
-    j[:, 3:] = np.tile(eye, (n, 1))
-    return j
+    rot = rotation_matrix(beta)
+    n = len(p_l)
+    blocks = _jacobian_blocks(np.broadcast_to(rot, (n, 3, 3)), np.full(n, beta.phi), p_l @ rot.T)
+    return blocks.reshape(-1, 6)
 
 
-def rigid_fit_initializer(correspondences) -> Pose6DOF:
-    """Closed-form SVD rigid fit of the correspondence pairs as a start pose.
+def solve_groups(p_l: np.ndarray, p_o: np.ndarray, starts) -> list:
+    """Closed-form pose of every block of correspondence rows, in one stack.
 
-    Falls back to the zero pose for degenerate (collinear) configurations.
+    ``starts`` (from 0, increasing) opens each block of the (N, 3)
+    ``p_l``/``p_o`` rows; a block runs to the next start. Returns one ``(SolveReport, "")`` per block, or
+    ``(None, reason)`` for a block of fewer than 3 rows or of collinear
+    points (second singular value of H below 1e-12 of the first). A
+    degenerate block does not affect the others.
     """
-    p_l, p_o = _beam_points(correspondences)
-    cl, co_ = p_l.mean(axis=0), p_o.mean(axis=0)
-    h = (p_l - cl).T @ (p_o - co_)
+    starts = np.asarray(starts, dtype=int)
+    sizes = np.diff(np.append(starts, len(p_l)))
+    out = [(None, f"need >= 3 correspondences, got {n}") for n in sizes]
+    keep = np.flatnonzero(sizes >= 3)
+    if keep.size == 0:
+        return out
+    rows = np.repeat(sizes >= 3, sizes)
+    p_l, p_o, n = p_l[rows], p_o[rows], sizes[keep]
+    first = np.cumsum(n) - n
+    block = np.repeat(np.arange(len(n)), n)
+
+    c_l = np.add.reduceat(p_l, first) / n[:, None]
+    c_o = np.add.reduceat(p_o, first) / n[:, None]
+    d_l, d_o = p_l - c_l[block], p_o - c_o[block]
+    h = np.add.reduceat(d_l[:, :, None] * d_o[:, None, :], first)
     u, s, vt = np.linalg.svd(h)
-    if s[1] < 1e-12 * max(s[0], 1e-300):
-        return Pose6DOF()
-    d = np.sign(np.linalg.det(vt.T @ u.T))
-    r = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
-    return matrix_to_pose(np.column_stack([r, co_ - r @ cl]))
+    v, ut = np.swapaxes(vt, 1, 2).copy(), np.swapaxes(u, 1, 2)
+    v[:, :, 2] *= np.sign(np.linalg.det(v @ ut))[:, None]
+    r = v @ ut
+    t = c_o - (r @ c_l[:, :, None])[:, :, 0]
+
+    # Euler angles as geometry.matrix_to_pose reads them, minus its costly
+    # orthonormality check (an SVD's R passes it by construction), and the
+    # residuals at the rotation the angles rebuild
+    betas = [
+        Pose6DOF(math.atan2(m[1][0], m[0][0]), -math.asin(max(-1.0, min(1.0, m[2][0]))),
+                 math.atan2(m[2][1], m[2][2]), *tk)
+        for m, tk in zip(r.tolist(), t.tolist())
+    ]
+    rot = np.array([rotation_matrix(b) for b in betas])[block]
+    q = np.einsum("nij,nj->ni", rot, p_l)
+    f = p_o - (q + t[block])
+    cost = np.add.reduceat(np.sum(f * f, axis=1), first)
+
+    # (J^T J)^-1 sigma^2 with sigma^2 = cost / (3n - 6); a degenerate
+    # block's J^T J is singular, and its entry is not a report anyway
+    degenerate = s[:, 1] < 1e-12 * np.maximum(s[:, 0], 1e-300)
+    j = _jacobian_blocks(rot, np.array([b.phi for b in betas])[block], q)
+    jtj = np.add.reduceat(np.einsum("nai,naj->nij", j, j), first)
+    jtj[degenerate] = np.eye(6)
+    cov = (cost / np.maximum(3 * n - 6, 1))[:, None, None] * np.linalg.inv(jtj)
+
+    for g, k in enumerate(keep):
+        if degenerate[g]:
+            out[k] = (None, f"collinear or rank-deficient correspondences ({n[g]} points)")
+            continue
+        report = SolveReport(
+            beta=betas[g],
+            final_cost=float(cost[g]),
+            iterations=1,
+            converged=True,
+            residuals=f[first[g] : first[g] + n[g]],
+            covariance=cov[g],
+            correspondence_count=int(n[g]),
+        )
+        out[k] = (report, "")
+    return out
 
 
-def solve(correspondences, beta0: Pose6DOF | None = None) -> SolveReport:
+def solve(correspondences) -> SolveReport:
     """Estimate the sensor pose from >= 3 non-collinear correspondences.
 
-    Deterministic for fixed inputs. ``beta0`` defaults to the closed-form
-    rigid fit (zero pose if degenerate). ``converged`` is False when the
-    iteration cap is reached or when the damping passes ``LAMBDA_CAP``
-    without finding a downhill step (a stall).
+    The one-block case of ``solve_groups``; deterministic for fixed inputs.
 
     Raises
     ------
-    ValueError
-        For fewer than 3 correspondences.
-    SolverFailure
-        If the damped system stays singular up to ``LAMBDA_CAP``.
+    DegenerateCorrespondences
+        For fewer than 3 correspondences or collinear ones.
     """
-    if len(correspondences) < 3:
-        raise ValueError(f"need >= 3 correspondences, got {len(correspondences)}")
-
-    beta = beta0 if beta0 is not None else rigid_fit_initializer(correspondences)
-    f = residuals(beta, correspondences).ravel()
-    cost = float(f @ f)
-    lam = LAMBDA0
-    converged = False
-    iterations = 0
-
-    for iterations in range(1, MAX_ITERS + 1):
-        j = jacobian(beta, correspondences)
-        g = j.T @ f
-        if np.max(np.abs(g)) < GRAD_TOL:
-            converged = True
-            break
-        h = j.T @ j
-        dh = np.maximum(np.diag(h), 1e-300)
-        while True:
-            try:
-                step = -np.linalg.solve(h + lam * np.diag(dh), g)
-                break
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                if lam > LAMBDA_CAP:
-                    raise SolverFailure("damped normal matrix singular at every damping level")
-        if np.linalg.norm(step) < STEP_TOL:
-            converged = True
-            break
-        candidate = Pose6DOF.from_vector(beta.as_vector() + step)
-        f_new = residuals(candidate, correspondences).ravel()
-        cost_new = float(f_new @ f_new)
-        if cost_new <= cost:
-            beta, f, cost = candidate, f_new, cost_new
-            lam = max(lam * 0.5, 1e-12)
-        else:
-            lam *= 2.0
-            if lam > LAMBDA_CAP:
-                break  # stalled: no downhill step at machine precision
-
-    j = jacobian(beta, correspondences)
-    h = j.T @ j
-    n = len(correspondences)
-    dof = max(3 * n - 6, 1)
-    sigma_sq = cost / dof
-    try:
-        cov = sigma_sq * np.linalg.inv(h)
-    except np.linalg.LinAlgError:
-        cov = sigma_sq * np.linalg.pinv(h)
-    return SolveReport(
-        beta=beta,
-        final_cost=cost,
-        iterations=iterations,
-        converged=converged,
-        residuals=f.reshape(n, 3),
-        covariance=cov,
-        correspondence_count=n,
-    )
+    ((report, reason),) = solve_groups(*point_arrays(correspondences), [0])
+    if report is None:
+        raise DegenerateCorrespondences(reason)
+    return report

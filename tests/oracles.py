@@ -4,11 +4,12 @@ These deliberately avoid the code paths they validate: the Gaussian-center
 oracle is a dense grid search over (mu, sigma) with the amplitude solved in
 closed form, the one-event Guo fit is a plain scalar loop with the same
 arithmetic as the batched library fit, the rigid-fit oracle is the SVD (Kabsch) construction,
-the Jacobian oracle differentiates the solver's residual numerically, the
-segmentation oracle labels the full radius graph of a scan's Cartesian
-points, the graph-labelling oracle is scipy's connected components, the
-feature oracle detects and fits one frame at a time with a
-scalar beam-detection loop, the RANSAC oracle scores one hypothesis line at
+the pose oracle is the damped Gauss-Newton (Levenberg-Marquardt) loop the
+closed-form solver replaced, the Jacobian oracle differentiates the solver's
+residual numerically, the segmentation oracle labels the full radius graph
+of a scan's Cartesian points, the graph-labelling oracle is scipy's
+connected components, the feature oracle detects and fits one frame at a
+time with a scalar beam-detection loop, the RANSAC oracle scores one hypothesis line at
 a time, and the Cartesian-to-polar inverse checks the library's forward
 conversion.
 """
@@ -23,7 +24,7 @@ from scipy.spatial import cKDTree
 from pdcalib import beam_center, preprocess
 from pdcalib.geometry import PolarBeam, Pose6DOF, polar_to_cartesian_array, pose_to_matrix, transform_array
 from pdcalib.pipeline import FrameFeatures, _beam_centers, _detection_windows
-from pdcalib.solver import residuals
+from pdcalib.solver import jacobian, residuals
 
 
 def gaussian_nls_grid(x, y, mu_range=(-0.002, 0.017), sigma_range=(0.001, 0.015)):
@@ -109,17 +110,54 @@ def rigid_fit_svd(src, dst):
     return np.column_stack([r, cd - r @ cs])
 
 
-def central_difference_jacobian(beta, correspondences, step=1e-6):
+def central_difference_jacobian(beta, p_l, p_o, step=1e-6):
     """(3N, 6) Jacobian of the stacked residual by central differences."""
     v0 = beta.as_vector()
-    j = np.empty((3 * len(correspondences), 6))
+    j = np.empty((3 * len(p_l), 6))
     for k in range(6):
         dv = np.zeros(6)
         dv[k] = step
-        f_plus = residuals(Pose6DOF.from_vector(v0 + dv), correspondences)
-        f_minus = residuals(Pose6DOF.from_vector(v0 - dv), correspondences)
+        f_plus = residuals(Pose6DOF.from_vector(v0 + dv), p_l, p_o)
+        f_minus = residuals(Pose6DOF.from_vector(v0 - dv), p_l, p_o)
         j[:, k] = ((f_plus - f_minus) / (2 * step)).ravel()
     return j
+
+
+def levenberg_marquardt(p_l, p_o, beta0, max_iters=200, grad_tol=1e-10, step_tol=1e-12,
+                        lambda0=0.3, lambda_cap=1e8):
+    """Minimize the solver's cost from ``beta0`` by Levenberg-Marquardt.
+
+    The update is ``beta <- beta - (J^T J + lambda diag(J^T J))^-1 J^T F``;
+    the damping starts at ``lambda0``, halves on accepted steps and doubles
+    on rejected ones. It stops when max |J^T F| < ``grad_tol``, when the step
+    norm < ``step_tol`` (both converged), or when the damping passes
+    ``lambda_cap`` (a stall). Returns (beta, cost, iterations, converged).
+    """
+    beta = beta0
+    f = residuals(beta, p_l, p_o).ravel()
+    cost = float(f @ f)
+    lam = lambda0
+    iterations = 0
+    for iterations in range(1, max_iters + 1):
+        j = jacobian(beta, p_l)
+        g = j.T @ f
+        if np.max(np.abs(g)) < grad_tol:
+            return beta, cost, iterations, True
+        h = j.T @ j
+        step = -np.linalg.solve(h + lam * np.diag(np.maximum(np.diag(h), 1e-300)), g)
+        if np.linalg.norm(step) < step_tol:
+            return beta, cost, iterations, True
+        candidate = Pose6DOF.from_vector(beta.as_vector() + step)
+        f_new = residuals(candidate, p_l, p_o).ravel()
+        cost_new = float(f_new @ f_new)
+        if cost_new <= cost:
+            beta, f, cost = candidate, f_new, cost_new
+            lam = max(lam * 0.5, 1e-12)
+        else:
+            lam *= 2.0
+            if lam > lambda_cap:
+                break
+    return beta, cost, iterations, False
 
 
 def graph_labels(n, u, v):

@@ -19,6 +19,7 @@ from pdcalib.pipeline import (
     extract_frame_features,
 )
 from pdcalib.scene import BoardModel, PdPlacement, ScanFrame, simulate_scan
+from pdcalib.solver import DegenerateCorrespondences
 from oracles import frame_features, guo_fit_scalar
 
 DEG = math.pi / 180.0
@@ -87,6 +88,23 @@ class TestOptionsAndErrors:
         with pytest.raises(PipelineError) as err:
             calibrate_frames(frames, bare)
         assert err.value.stage == "correspondence"
+
+    def test_collinear_modules_fail_at_solve_stage(self, horizontal_scene):
+        # four modules on one row of the board give collinear board points:
+        # every scan's fit is degenerate, and so is the joint one
+        z = horizontal_scene.board.pd_modules[0].offset[1]
+        row = tuple(PdPlacement(f"h{k}", (x, z)) for k, x in enumerate((-0.38, -0.1, 0.2, 0.37)))
+        scene = dataclasses.replace(
+            horizontal_scene, board=dataclasses.replace(horizontal_scene.board, pd_modules=row)
+        )
+        frames = [
+            simulate_scan(scene.board, scene.lidar, scene.base_pose, seed=k, scan_id=k, afe=scene.afe)
+            for k in range(8)
+        ]
+        with pytest.raises(PipelineError, match=r"\[solve\] joint solve over 24 correspondences: collinear") as err:
+            calibrate_frames(frames, scene)
+        assert err.value.stage == "solve"
+        assert isinstance(err.value.__cause__, DegenerateCorrespondences)
 
     def test_empty_batch_fails(self, horizontal_scene):
         with pytest.raises(PipelineError):

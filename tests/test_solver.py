@@ -4,15 +4,19 @@ import math
 import numpy as np
 import pytest
 
-from oracles import central_difference_jacobian, rigid_fit_svd
+from hypothesis import assume, given, settings, strategies as st
+
+from oracles import central_difference_jacobian, levenberg_marquardt, rigid_fit_svd
 from pdcalib.correspondence import Correspondence
-from pdcalib.geometry import PolarBeam, Pose6DOF, pose_to_matrix
-from pdcalib import solver
+from pdcalib.geometry import PolarBeam, Pose6DOF, polar_to_cartesian_array, pose_to_matrix
 from pdcalib.solver import (
+    DegenerateCorrespondences,
+    SolveReport,
     jacobian,
+    point_arrays,
     residuals,
-    rigid_fit_initializer,
     solve,
+    solve_groups,
 )
 
 DEG = math.pi / 180.0
@@ -89,13 +93,13 @@ TRUTH = Pose6DOF(1 * DEG, 0.5 * DEG, -0.3 * DEG, 0.010, -0.005, 0.002)
 
 class TestResidual:
     def test_zero_at_ground_truth(self):
-        for c in make_correspondences_from_pose(TRUTH, BOARD_POINTS_L):
-            np.testing.assert_allclose(residuals(TRUTH, [c])[0], 0.0, atol=1e-12)
+        p_l, p_o = point_arrays(make_correspondences_from_pose(TRUTH, BOARD_POINTS_L))
+        np.testing.assert_allclose(residuals(TRUTH, p_l, p_o), 0.0, atol=1e-12)
 
     def test_pure_translation_row(self):
         pose = Pose6DOF(dx=0.010)
-        c = make_correspondences_from_pose(pose, BOARD_POINTS_L[:1])[0]
-        res = residuals(Pose6DOF(), [c])[0]
+        p_l, p_o = point_arrays(make_correspondences_from_pose(pose, BOARD_POINTS_L[:1]))
+        res = residuals(Pose6DOF(), p_l, p_o)[0]
         assert res[0] == pytest.approx(0.010, abs=1e-12)
         assert abs(res[1]) < 1e-12 and abs(res[2]) < 1e-12
 
@@ -108,11 +112,9 @@ class TestResidual:
             alpha = rng.uniform(0, 2 * math.pi)
             omega = rng.uniform(-0.4, 0.4)
             p_o = rng.uniform(-1, 1, 3)
-            c = Correspondence(
-                "x", 0, p_o, PolarBeam(omega=omega, alpha=alpha, r=r)
-            )
+            p_l = polar_to_cartesian_array([omega], [alpha], [r])
             np.testing.assert_allclose(
-                residuals(beta, [c])[0],
+                residuals(beta, p_l, p_o[None])[0],
                 expanded_residual_rows(beta, r, alpha, omega, p_o),
                 atol=1e-10,
             )
@@ -120,24 +122,24 @@ class TestResidual:
 
 class TestJacobian:
     def test_translation_block_is_negative_identity(self):
-        cs = make_correspondences_from_pose(TRUTH, BOARD_POINTS_L)
-        j = jacobian(Pose6DOF(0.3, -0.2, 0.1, 1, 2, 3), cs)
-        for i in range(len(cs)):
+        p_l, _ = point_arrays(make_correspondences_from_pose(TRUTH, BOARD_POINTS_L))
+        j = jacobian(Pose6DOF(0.3, -0.2, 0.1, 1, 2, 3), p_l)
+        for i in range(len(p_l)):
             np.testing.assert_array_equal(j[3 * i : 3 * i + 3, 3:], -np.eye(3))
 
     def test_analytic_matches_finite_difference(self):
         rng = np.random.default_rng(3)
-        cs = make_correspondences_from_pose(TRUTH, BOARD_POINTS_L)
+        p_l, p_o = point_arrays(make_correspondences_from_pose(TRUTH, BOARD_POINTS_L))
         for _ in range(100):
             beta = Pose6DOF(*rng.uniform(-1.2, 1.2, 3), *rng.uniform(-2, 2, 3))
-            ja = jacobian(beta, cs)
-            jf = central_difference_jacobian(beta, cs)
+            ja = jacobian(beta, p_l)
+            jf = central_difference_jacobian(beta, p_l, p_o)
             assert np.max(np.abs(ja - jf)) < 1e-5
 
     def test_small_angle_rotation_columns(self):
         # at beta = 0 the yaw column is -dRz/dphi @ p = (p_y, -p_x, 0)
         c = make_correspondences_from_pose(Pose6DOF(), BOARD_POINTS_L[:1])[0]
-        j = jacobian(Pose6DOF(), [c])
+        j = jacobian(Pose6DOF(), point_arrays([c])[0])
         r, alpha, omega = c.beam.r, c.beam.alpha, c.beam.omega
         x = r * math.cos(omega) * math.sin(alpha)
         y = r * math.cos(omega) * math.cos(alpha)
@@ -147,20 +149,36 @@ class TestJacobian:
         np.testing.assert_allclose(j[:, 2], [0, z, -y], atol=1e-12)       # psi
 
 
+def perturbed_starts(beta):
+    """Start poses 5 degrees and 50 mm off ``beta``, one angle and one
+    translation axis at a time, plus ``beta`` itself."""
+    for da, dt, kind in itertools.product((-5 * DEG, 0.0, 5 * DEG), (-0.050, 0.0, 0.050), range(3)):
+        v = beta.as_vector()
+        v[kind] += da
+        v[kind + 3] += dt
+        yield Pose6DOF.from_vector(v)
+
+
 class TestSolve:
     def test_exact_recovery_from_zero_start(self):
+        # the closed form and the LM oracle started at the zero pose agree on
+        # the truth
         cs = make_correspondences_from_pose(TRUTH, BOARD_POINTS_L)
-        report = solve(cs, beta0=Pose6DOF())
-        assert report.converged
-        np.testing.assert_allclose(report.beta.angles, TRUTH.angles, atol=1e-6 * DEG)
-        np.testing.assert_allclose(report.beta.translation, TRUTH.translation, atol=1e-6)
+        report = solve(cs)
+        beta_lm, _, _, converged = levenberg_marquardt(*point_arrays(cs), Pose6DOF())
+        assert report.converged and converged
+        for beta in (report.beta, beta_lm):
+            np.testing.assert_allclose(beta.angles, TRUTH.angles, atol=1e-6 * DEG)
+            np.testing.assert_allclose(beta.translation, TRUTH.translation, atol=1e-6)
         assert report.final_cost < 1e-18
 
     def test_identity_truth_converges_fast(self):
         cs = make_correspondences_from_pose(Pose6DOF(), BOARD_POINTS_L)
-        report = solve(cs, beta0=Pose6DOF())
-        assert report.iterations <= 3
+        report = solve(cs)
+        assert report.iterations == 1 and report.converged
         assert report.final_cost < 1e-24
+        _, _, iterations, _ = levenberg_marquardt(*point_arrays(cs), Pose6DOF())
+        assert iterations <= 3
 
     def test_noisy_correspondences_paper_scale(self):
         rng = np.random.default_rng(11)
@@ -174,11 +192,11 @@ class TestSolve:
 
     def test_matches_svd_oracle(self):
         cs = make_correspondences_from_pose(TRUTH, BOARD_POINTS_L)
-        report = solve(cs, beta0=Pose6DOF())
+        report = solve(cs)
         m_oracle = rigid_fit_svd(BOARD_POINTS_L, np.array([c.p_o for c in cs]))
-        m_lm = pose_to_matrix(report.beta)
-        assert np.linalg.norm(m_lm[:, :3] - m_oracle[:, :3]) < 1e-8
-        assert np.linalg.norm(m_lm[:, 3] - m_oracle[:, 3]) < 1e-8
+        m_fit = pose_to_matrix(report.beta)
+        assert np.linalg.norm(m_fit[:, :3] - m_oracle[:, :3]) < 1e-8
+        assert np.linalg.norm(m_fit[:, 3] - m_oracle[:, 3]) < 1e-8
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(5)
@@ -190,39 +208,44 @@ class TestSolve:
         np.testing.assert_allclose(a, b, atol=1e-10)
 
     def test_basin_of_attraction(self):
+        # LM started anywhere in the basin lands on the closed-form pose
         cs = make_correspondences_from_pose(TRUTH, BOARD_POINTS_L)
-        offsets_angle = (-5 * DEG, 0.0, 5 * DEG)
-        offsets_trans = (-0.050, 0.0, 0.050)
-        for da, dt, kind in itertools.product(offsets_angle, offsets_trans, range(3)):
-            v = TRUTH.as_vector()
-            v[kind] += da
-            v[kind + 3] += dt
-            report = solve(cs, beta0=Pose6DOF.from_vector(v))
-            np.testing.assert_allclose(report.beta.as_vector(), TRUTH.as_vector(), atol=1e-6)
+        p_l, p_o = point_arrays(cs)
+        np.testing.assert_allclose(solve(cs).beta.as_vector(), TRUTH.as_vector(), atol=1e-10)
+        for start in perturbed_starts(TRUTH):
+            beta, _, _, converged = levenberg_marquardt(p_l, p_o, start)
+            assert converged
+            np.testing.assert_allclose(beta.as_vector(), TRUTH.as_vector(), atol=1e-6)
 
     def test_cost_not_worse_than_start(self):
+        # the closed form is the minimizer: no start pose, and nothing LM
+        # reaches from it, has a lower cost
         rng = np.random.default_rng(13)
         cs = make_correspondences_from_pose(TRUTH, BOARD_POINTS_L, noise=5e-3, rng=rng)
+        p_l, p_o = point_arrays(cs)
+        report = solve(cs)
         start = Pose6DOF(0.05, -0.03, 0.02, 0.1, -0.1, 0.05)
-        f0 = residuals(start, cs).ravel()
-        report = solve(cs, beta0=start)
+        f0 = residuals(start, p_l, p_o).ravel()
+        _, cost_lm, _, _ = levenberg_marquardt(p_l, p_o, start)
         assert report.final_cost <= float(f0 @ f0)
+        assert report.final_cost <= cost_lm * (1 + 1e-12)
 
     def test_too_few_correspondences(self):
         cs = make_correspondences_from_pose(TRUTH, BOARD_POINTS_L[:2])
-        with pytest.raises(ValueError):
+        with pytest.raises(DegenerateCorrespondences, match="need >= 3 correspondences, got 2"):
             solve(cs)
+        with pytest.raises(ValueError):
+            solve([])
 
-    def test_initializer_matches_truth_on_exact_data(self):
+    def test_closed_form_matches_truth_on_exact_data(self):
         cs = make_correspondences_from_pose(TRUTH, BOARD_POINTS_L)
-        beta0 = rigid_fit_initializer(cs)
-        np.testing.assert_allclose(beta0.as_vector(), TRUTH.as_vector(), atol=1e-10)
+        np.testing.assert_allclose(solve(cs).beta.as_vector(), TRUTH.as_vector(), atol=1e-10)
 
-    def test_degenerate_initializer_falls_back(self):
+    def test_collinear_input_raises_typed_error(self):
         line = np.outer(np.linspace(1, 2, 4), np.array([0.1, 2.5, 0.0]))
         cs = make_correspondences_from_pose(TRUTH, line)
-        beta0 = rigid_fit_initializer(cs)
-        assert beta0 == Pose6DOF()
+        with pytest.raises(DegenerateCorrespondences, match="collinear"):
+            solve(cs)
 
     def test_covariance_shape_and_scale(self):
         rng = np.random.default_rng(21)
@@ -231,18 +254,108 @@ class TestSolve:
         assert report.covariance.shape == (6, 6)
         assert np.all(np.diag(report.covariance) >= 0)
 
-    def test_stall_at_damping_cap_not_converged(self, monkeypatch):
-        # every candidate step raises the cost, so the damping doubles past
-        # the cap without an accepted step: a stall, not convergence
-        cs = make_correspondences_from_pose(TRUTH, BOARD_POINTS_L)
-        start = Pose6DOF(0.05, -0.03, 0.02, 0.1, -0.1, 0.05)
 
-        def rising(beta, correspondences):
-            f = residuals(beta, correspondences)
-            return f if beta == start else f + 10.0
+def board_block(draw, coplanar: bool):
+    """(p_L, p_O) of one block: 3-8 board points seen from a sensor about
+    2.5 m off, with p_O on the board plane y = 0 or spread over 0.2 m in y,
+    and 1 mm of noise on p_L."""
+    n = draw(st.integers(3, 8))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    p_o = np.column_stack([
+        rng.uniform(-0.5, 0.5, n),
+        np.zeros(n) if coplanar else rng.uniform(-0.1, 0.1, n),
+        rng.uniform(-0.4, 0.4, n),
+    ])
+    spread = np.linalg.svd(p_o - p_o.mean(axis=0), compute_uv=False)
+    assume(spread[1] > 0.1 * spread[0])
+    pose = Pose6DOF(*rng.uniform(-0.3, 0.3, 3), rng.uniform(-0.5, 0.5), rng.uniform(-3.0, -2.0),
+                    rng.uniform(-0.3, 0.3))
+    m = pose_to_matrix(pose)
+    p_l = (p_o - m[:, 3]) @ m[:, :3] + rng.normal(0, 1e-3, (n, 3))
+    return p_l, p_o
 
-        monkeypatch.setattr(solver, "residuals", rising)
-        report = solve(cs, beta0=start)
-        assert not report.converged
-        assert report.beta == start
-        assert report.iterations < solver.MAX_ITERS
+
+@st.composite
+def stacked_blocks(draw):
+    """Blocks of correspondence rows with each block's rows permuted, the
+    blocks in drawn order, and the index of the one collinear block among
+    them, or None."""
+    blocks = [board_block(draw, draw(st.booleans())) for _ in range(draw(st.integers(1, 5)))]
+    bad = draw(st.none() | st.integers(0, len(blocks)))
+    if bad is not None:
+        n = draw(st.integers(3, 8))
+        direction = np.array([0.6, 0.0, 0.8])
+        p_o = np.outer(np.linspace(-0.4, 0.4, n), direction)
+        blocks.insert(bad, (p_o + np.array([0.2, 2.5, 0.1]), p_o))
+    order = [np.random.default_rng(k).permutation(len(b[0])) for k, b in enumerate(blocks)]
+    return [(p_l[o], p_o[o]) for (p_l, p_o), o in zip(blocks, order)], blocks, bad
+
+
+def stack(blocks):
+    sizes = [len(p_l) for p_l, _ in blocks]
+    p_l = np.concatenate([b[0] for b in blocks])
+    p_o = np.concatenate([b[1] for b in blocks])
+    return p_l, p_o, np.cumsum(sizes) - sizes
+
+
+class TestStackedFit:
+    @settings(max_examples=40, deadline=None)
+    @given(stacked_blocks())
+    def test_blocks_match_per_block_fits(self, case):
+        # every block's pose equals the SVD fit of its rows in drawn order
+        # and LM started 5 degrees and 50 mm off; only the collinear block
+        # fails. LM runs to a 1e-14 gradient: at its 1e-10 default, a
+        # 3-point block with 1 mm noise stops about 2e-8 short of the minimum.
+        blocks, drawn, bad = case
+        fits = solve_groups(*stack(blocks))
+        assert len(fits) == len(blocks)
+        for k, ((p_l, p_o), (fit, reason)) in enumerate(zip(blocks, fits)):
+            if k == bad:
+                assert fit is None
+                assert reason.startswith("collinear or rank-deficient correspondences")
+                continue
+            assert isinstance(fit, SolveReport) and reason == ""
+            assert fit.converged and fit.iterations == 1
+            assert fit.correspondence_count == len(p_l)
+            m_fit = pose_to_matrix(fit.beta)
+            np.testing.assert_allclose(m_fit, rigid_fit_svd(*drawn[k]), atol=1e-10)
+            start = fit.beta.as_vector() + np.array([5 * DEG, -5 * DEG, 5 * DEG, 0.05, -0.05, 0.05])
+            beta_lm, cost_lm, _, converged = levenberg_marquardt(
+                p_l, p_o, Pose6DOF.from_vector(start), grad_tol=1e-14
+            )
+            assert converged
+            m_lm = pose_to_matrix(beta_lm)
+            assert np.linalg.norm(m_fit[:, :3] - m_lm[:, :3]) < 1e-8
+            assert np.linalg.norm(m_fit[:, 3] - m_lm[:, 3]) < 1e-8
+            assert fit.final_cost <= cost_lm * (1 + 1e-9)
+            np.testing.assert_allclose(fit.residuals, residuals(fit.beta, p_l, p_o), atol=1e-14)
+
+    @settings(max_examples=40, deadline=None)
+    @given(stacked_blocks())
+    def test_covariance_matches_per_block_formula(self, case):
+        # each block's covariance is its own (J^T J)^-1 sigma^2, with
+        # sigma^2 = cost / (3n - 6), at the block's pose
+        blocks, _, bad = case
+        for k, ((p_l, p_o), (fit, _)) in enumerate(zip(blocks, solve_groups(*stack(blocks)))):
+            if k == bad:
+                continue
+            j = jacobian(fit.beta, p_l)
+            f = residuals(fit.beta, p_l, p_o).ravel()
+            expected = float(f @ f) / max(3 * len(p_l) - 6, 1) * np.linalg.inv(j.T @ j)
+            gap = np.max(np.abs(fit.covariance - expected)) / np.max(np.abs(expected))
+            assert gap < 1e-10
+
+    def test_short_blocks_fail_alone(self):
+        p_l, p_o = point_arrays(make_correspondences_from_pose(TRUTH, BOARD_POINTS_L))
+        (short, reason), (fit, _) = solve_groups(np.vstack([p_l[:2], p_l]), np.vstack([p_o[:2], p_o]), [0, 2])
+        assert short is None and reason == "need >= 3 correspondences, got 2"
+        np.testing.assert_allclose(fit.beta.as_vector(), TRUTH.as_vector(), atol=1e-10)
+
+    def test_one_block_is_solve(self):
+        rng = np.random.default_rng(8)
+        cs = make_correspondences_from_pose(TRUTH, BOARD_POINTS_L, noise=1e-3, rng=rng)
+        ((fit, _),) = solve_groups(*point_arrays(cs), [0])
+        report = solve(cs)
+        assert fit.beta == report.beta and fit.final_cost == report.final_cost
+        np.testing.assert_array_equal(fit.covariance, report.covariance)

@@ -14,8 +14,16 @@ the number of pairs the change won (ties count for neither side). It also
 gets each side's ``first_op_s``, the scaled time of each run's first op
 (``op_scaled_seconds[0]`` of the run's report in ``.perfbench_out/``), where
 work moved out of set-up into the first op shows. With ``--layers``, one
-``--trace 1`` run per side on the first seed adds those per-layer metrics. Each workload is its own entry, so one file can hold
-several workloads; the file is rewritten after every pair.
+``--trace 1`` run per side on the first seed adds those per-layer metrics.
+Each workload is its own entry, so one file can hold several workloads; the
+file is rewritten after every pair.
+
+With ``--accuracy``, each tree also runs the four acceptance sweeps once
+(``YAW_SPEC`` and ``X_SPEC`` of its ``tests/test_acceptance.py``, horizontal
+and vertical PDs) in a fresh interpreter on its own sources, and the file's
+``accuracy`` entry gets each side's ``per_axis_accuracy`` and
+``per_axis_precision`` per sweep, so a speedup cannot hide a loss of
+accuracy.
 """
 
 from __future__ import annotations
@@ -51,6 +59,35 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) 
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+ACCURACY_SCRIPT = """
+import json, sys
+sys.path[:0] = ["src", "tests"]
+from pdcalib.bench import make_bench_scene
+from pdcalib.harness import run_sweep
+from test_acceptance import X_SPEC, YAW_SPEC
+out = {}
+for orientation in ("horizontal", "vertical"):
+    scene = make_bench_scene(orientation)
+    for spec in (YAW_SPEC, X_SPEC):
+        stats = run_sweep(scene, spec)
+        out[f"{orientation} {spec.parameter}"] = {
+            "per_axis_accuracy": stats.per_axis_accuracy.tolist(),
+            "per_axis_precision": stats.per_axis_precision.tolist(),
+        }
+print(json.dumps(out))
+"""
+
+
+def run_accuracy(tree: Path) -> dict:
+    """Per-axis accuracy and precision of the four acceptance sweeps in ``tree``."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, "-c", ACCURACY_SCRIPT], cwd=tree, env=env,
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{tree}: acceptance sweeps failed:\n{proc.stderr}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
 def first_op_seconds(tree: Path, workload: str, seed: int) -> float:
     """The scaled time of the first op of the last untraced run in ``tree``."""
     report = tree / ".perfbench_out" / f"report-{workload}-{seed}-trace0.json"
@@ -76,6 +113,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=seed_range, required=True, help="A-B, inclusive")
     parser.add_argument("--out", type=Path, required=True, help="JSON file to write or update")
     parser.add_argument("--layers", default="", help="comma-separated per-layer metrics to trace")
+    parser.add_argument("--accuracy", action="store_true",
+                        help="also run the four acceptance sweeps once per tree")
     args = parser.parse_args(argv)
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
@@ -86,6 +125,13 @@ def main(argv=None) -> int:
     doc["machine"] = {"nproc": os.cpu_count(), "python": platform.python_version(),
                       "platform": platform.platform()}
     entry = doc.setdefault("workloads", {})[args.workload] = {}
+
+    if args.accuracy:
+        doc["accuracy"] = {
+            "axes": ["yaw_deg", "tilt_deg", "roll_deg", "dx_mm", "dy_mm", "dz_mm"],
+            **{side: run_accuracy(tree) for side, tree in sides.items()},
+        }
+        args.out.write_text(json.dumps(doc, indent=1) + "\n")
 
     results = {side: [] for side in sides}
     first_op = {side: [] for side in sides}
