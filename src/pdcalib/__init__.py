@@ -64,6 +64,7 @@ from .scene import (
     SimulationError,
     corner_error_bound,
     simulate_scan,
+    simulate_scans,
 )
 from .solver import DegenerateCorrespondences, SolveReport, jacobian, solve
 
@@ -121,6 +122,7 @@ __all__ = [
     "segment_target",
     "select_key_beam",
     "simulate_scan",
+    "simulate_scans",
     "solve",
     "tia_step_response",
     "transform_array",

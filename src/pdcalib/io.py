@@ -489,9 +489,16 @@ def solve_report_text(report, label: str = "calibration") -> str:
     return "\n".join(lines) + "\n"
 
 
+def _mm5(x: float) -> str:
+    """Meters as millimeters to 5 decimals; a value that rounds to zero is
+    ``0.00000`` whatever its sign, so rounding noise cannot flip the line."""
+    text = f"{x * 1e3:.5f}"
+    return "0.00000" if text == "-0.00000" else text
+
+
 def residual_table(report) -> str:
     """CSV of per-correspondence residuals at the solution."""
     lines = ["index,res_x_mm,res_y_mm,res_z_mm"]
     for i, row in enumerate(report.residuals):
-        lines.append(f"{i},{row[0] * 1e3:.5f},{row[1] * 1e3:.5f},{row[2] * 1e3:.5f}")
+        lines.append(f"{i}," + ",".join(_mm5(x) for x in row))
     return "\n".join(lines) + "\n"

@@ -279,7 +279,7 @@ def _gauss_rect_fraction(center_a, center_c, half_a, half_c, sigma, ndtr):
 
     Rectangle half-sizes (half_a, half_c) around the origin; spot center at
     (center_a, center_c). Separable product of 1-D normal CDFs; ``ndtr`` is
-    the standard normal CDF, which ``simulate_scan`` imports.
+    the standard normal CDF, which ``simulate_scans`` imports.
     """
     fa = ndtr((half_a - center_a) / sigma) - ndtr((-half_a - center_a) / sigma)
     fc = ndtr((half_c - center_c) / sigma) - ndtr((-half_c - center_c) / sigma)
@@ -287,13 +287,15 @@ def _gauss_rect_fraction(center_a, center_c, half_a, half_c, sigma, ndtr):
 
 
 def _element_currents(along, cross, sigma, pd: PdPlacement, i_max, ndtr):
-    """Per-element photocurrents for a Gaussian spot on a PD module.
+    """Per-element photocurrents for Gaussian spots on a PD module.
 
-    The spot, of Gaussian width ``sigma``, sits at (along, cross) from the
-    array center. Each element integrates it over its active rectangle;
-    the scale is set so a spot centered exactly on an element (and on the
-    array centerline) drives that element at ``i_max``.
+    Spot k, of Gaussian width ``sigma[k]``, sits at (along[k], cross[k]) from
+    the array center; inputs of shape (...) give currents of shape
+    (..., n_elements). Each element integrates the spot over its active
+    rectangle; the scale is set so a spot centered exactly on an element
+    (and on the array centerline) drives that element at ``i_max``.
     """
+    along, cross, sigma = (np.asarray(v)[..., None] for v in (along, cross, sigma))
     centers = pd.element_positions() - pd.center_local  # element centers, center origin
     half_pitch = 0.5 * pd.element_pitch
     half_width = 0.5 * pd.active_width
@@ -331,25 +333,75 @@ def simulate_scan(
 ) -> ScanFrame:
     """Simulate one revolution of the sensor viewing the board.
 
+    The one-scan case of ``simulate_scans``, which documents the arguments.
+    """
+    (frame,) = simulate_scans(
+        board, lidar, pose, [seed], [scan_id], afe=afe, background_depth=background_depth,
+        background_reflectivity=background_reflectivity, with_truth=with_truth,
+    )
+    return frame
+
+
+# scans simulated in one array pass: bounds the ray-grid temporaries; the
+# output does not depend on it, since every scan draws from its own generator
+_SCANS_PER_PASS = 10
+
+
+def simulate_scans(
+    board: BoardModel,
+    lidar: LidarModel,
+    pose: Pose6DOF,
+    seeds,
+    scan_ids,
+    afe: AfeConfig | None = None,
+    background_depth: float | None = None,
+    background_reflectivity: float = 40.0,
+    with_truth: bool = True,
+) -> list:
+    """Simulate revolutions of the sensor viewing the board, one per seed.
+
     ``pose`` is the ground truth mapping sensor-frame points into the board
-    frame. ``background_depth``, if given, adds an infinite wall parallel to
-    the board that many meters behind it. Identical seeds produce
-    bit-identical frames.
+    frame. Frame k has id ``scan_ids[k]`` and draws its azimuth phase, range
+    noise, reflectivity noise and PD voltage noise, in that order, from
+    ``np.random.default_rng(seeds[k])``, so its bits depend neither on the
+    other scans of the call nor on the block it falls in. ``background_depth``, if
+    given, adds an infinite wall parallel to the board that many meters
+    behind it. Scans run in blocks of ``_SCANS_PER_PASS``: each block casts
+    one (scans, channels, azimuths) ray grid and integrates each PD's events
+    in one call.
 
     Raises
     ------
     SimulationError
-        If the board is behind the sensor or viewed edge-on.
+        If the board is behind the sensor or viewed edge-on, or if every
+        ray of some scan misses the board (and the wall).
     """
     # imported here, so that calibration, which never simulates, loads no scipy
     from scipy.special import ndtr
 
+    seeds, scan_ids = list(seeds), list(scan_ids)
+    if len(seeds) != len(scan_ids):
+        raise ValueError(f"{len(seeds)} seeds for {len(scan_ids)} scan ids")
     afe = afe or AfeConfig()
-    rng = np.random.default_rng(seed)
     m = pose_to_matrix(pose)
     rot, t = m[:, :3], m[:, 3]
+    j = _azimuth_window(board, lidar, rot, t)
+    frames = []
+    for lo in range(0, len(seeds), _SCANS_PER_PASS):
+        hi = lo + _SCANS_PER_PASS
+        frames += _simulate_block(
+            board, lidar, pose, rot, t, j, seeds[lo:hi], scan_ids[lo:hi], afe,
+            background_depth, background_reflectivity, with_truth, ndtr,
+        )
+    return frames
 
-    # viewing geometry sanity: direction to the board center, in sensor frame
+
+def _azimuth_window(board: BoardModel, lidar: LidarModel, rot, t) -> np.ndarray:
+    """Azimuth cycle indices whose rays can reach the board, plus a margin.
+
+    Raises SimulationError on degenerate viewing geometry.
+    """
+    # direction to the board center, in sensor frame
     to_center = rot.T @ -t
     dist = np.linalg.norm(to_center)
     if dist < 0.25 or to_center[1] <= 0.05 * dist:
@@ -368,149 +420,177 @@ def simulate_scan(
     if np.min(ray_y) < 0.05:
         raise SimulationError("board viewed nearly edge-on")
 
-    # azimuth window covering the board, plus margin
     alphas_c = np.arctan2(corners_l[:, 0], corners_l[:, 1])
     step = lidar.azimuth_step
     j_lo = int(math.floor(alphas_c.min() / step)) - 3
     j_hi = int(math.ceil(alphas_c.max() / step)) + 3
-    j = np.arange(j_lo, j_hi + 1)
+    return np.arange(j_lo, j_hi + 1)
 
-    phase = rng.normal(0.0, lidar.azimuth_jitter_sigma_deg * DEG)
 
-    channels = np.arange(lidar.n_channels)
+def _cast_rays(board: BoardModel, lidar: LidarModel, rot, t, j, phase, background_depth):
+    """The returns of a block of scans, one azimuth phase per scan.
+
+    Casts the (scans, channels, azimuths) ray grid and returns, per return,
+    its grid cell ``(scan, channel, azimuth)`` indices, azimuth (unwrapped),
+    board flag, range and frame-O landing point. Returns come by scan, then
+    channel, then azimuth, the order of each scan's beams. The grid arrays
+    die with this call; one scratch grid serves every elementwise step.
+    """
+    step = lidar.azimuth_step
     omegas = lidar.vertical_angles
-    skews = lidar.channel_azimuth_skew(channels)
-
-    # (n_channels, n_az) ray grid
-    alpha = j[None, :] * step + skews[:, None] + phase
-    omega = np.broadcast_to(omegas[:, None], alpha.shape)
-    co = np.cos(omega)
-    d_l = np.stack([co * np.sin(alpha), co * np.cos(alpha), np.sin(omega)], axis=-1)
+    skews = lidar.channel_azimuth_skew(np.arange(lidar.n_channels))
+    alpha = (j[None, :] * step + skews[:, None]) + phase[:, None, None]
+    co = np.cos(omegas)[:, None]
+    d_l = np.empty(alpha.shape + (3,))
+    tmp = np.sin(alpha)
+    tmp *= co
+    d_l[..., 0] = tmp
+    np.cos(alpha, out=tmp)
+    tmp *= co
+    d_l[..., 1] = tmp
+    d_l[..., 2] = np.sin(omegas)[:, None]
     d_o = d_l @ rot.T
+    del d_l
 
     denom = d_o[..., 1]
     hits_plane = denom > 1e-9
     with np.errstate(divide="ignore", invalid="ignore"):
-        t_board = np.where(hits_plane, -t[1] / denom, np.inf)
-    landing = t[None, None, :] + t_board[..., None] * d_o
-    on_board = (
-        hits_plane
-        & (t_board > 0)
-        & (np.abs(landing[..., 0]) <= 0.5 * board.width)
-        & (np.abs(landing[..., 2]) <= 0.5 * board.height)
-    )
+        t_board = np.divide(-t[1], denom)
+        t_board[~hits_plane] = np.inf
+        on_board = hits_plane & (t_board > 0)
+        # the landing point's x and z, tested one at a time
+        for axis, half in ((0, 0.5 * board.width), (2, 0.5 * board.height)):
+            np.multiply(t_board, d_o[..., axis], out=tmp)
+            tmp += t[axis]
+            on_board &= np.abs(tmp, out=tmp) <= half
+        if background_depth is not None:
+            t_wall = np.divide(background_depth - t[1], denom)
+            t_wall[~hits_plane] = np.inf
+            hit = on_board | (hits_plane & (t_wall > 0))
+        else:
+            hit = on_board
 
+    cell = np.nonzero(hit)
+    is_board = on_board[cell]
+    ranges = t_board[cell]
     if background_depth is not None:
-        t_wall = np.where(hits_plane, (background_depth - t[1]) / denom, np.inf)
-        wall_pts = t[None, None, :] + t_wall[..., None] * d_o
-        on_wall = hits_plane & (t_wall > 0) & ~on_board
-    else:
-        on_wall = np.zeros_like(on_board)
+        ranges = np.where(is_board, ranges, t_wall[cell])
+    points = t + ranges[:, None] * d_o[cell]
+    return cell, alpha[cell], is_board, ranges, points
 
-    hit = on_board | on_wall
-    ch_idx, az_idx = np.nonzero(hit)
-    if ch_idx.size == 0:
+
+def _simulate_block(board, lidar, pose, rot, t, j, seeds, scan_ids, afe,
+                    background_depth, background_reflectivity, with_truth, ndtr) -> list:
+    """The frames of one block of scans at one pose (see ``simulate_scans``)."""
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    phase = np.array([rng.normal(0.0, lidar.azimuth_jitter_sigma_deg * DEG) for rng in rngs])
+    (s_idx, ch_idx, az_idx), alpha, is_board, ranges, points = _cast_rays(
+        board, lidar, rot, t, j, phase, background_depth
+    )
+    counts = np.bincount(s_idx, minlength=len(seeds))
+    if not counts.all():
         raise SimulationError("no ray reaches the board")
-    order = np.lexsort((j[az_idx], ch_idx))
-    ch_idx, az_idx = ch_idx[order], az_idx[order]
-    is_board = on_board[ch_idx, az_idx]
+    bounds = np.concatenate([[0], np.cumsum(counts)])
 
-    ranges = np.where(is_board, t_board[ch_idx, az_idx], 0.0)
-    if background_depth is not None:
-        ranges = np.where(is_board, ranges, t_wall[ch_idx, az_idx])
-    points = np.where(
-        is_board[:, None], landing[ch_idx, az_idx], (wall_pts[ch_idx, az_idx] if background_depth is not None else 0.0)
-    )
+    r_noise, refl_noise = [], []
+    for rng, n in zip(rngs, counts):
+        r_noise.append(
+            rng.normal(0.0, lidar.range_noise_sigma, size=n) if lidar.range_noise_sigma > 0 else np.zeros(n)
+        )
+        refl_noise.append(rng.uniform(-2.0, 2.0, size=n))
 
-    r_noise = rng.normal(0.0, lidar.range_noise_sigma, size=ranges.shape) if lidar.range_noise_sigma > 0 else np.zeros_like(ranges)
-
-    # reflectivity: black surround with PD-module elevations weighted by the
-    # fraction of the footprint energy landing on the active area
+    # per PD, over every return of the block: the reflectivity boost (black
+    # surround, PD surfaces weighted by the fraction of the footprint energy
+    # landing on the active area) and the events, the board returns whose
+    # footprint reaches the module, by scan then firing time (stable, as a
+    # per-scan sort), with their element currents
     sigma_spot = lidar.spot_sigma(ranges)
     refl = np.where(is_board, board.surround_reflectivity, background_reflectivity)
     xz = points[:, [0, 2]]
-    on_pd_strict = {}
+    events = []
+    e_ref = {}  # centered-spot fraction by active-area size, shared by equal modules
     for pd in board.pd_modules:
         along, cross = pd.local_coords(xz)
-        e = _gauss_rect_fraction(along, cross, pd.half_span, 0.5 * pd.active_width, sigma_spot, ndtr)
-        e_ref = _gauss_rect_fraction(0.0, 0.0, pd.half_span, 0.5 * pd.active_width, sigma_spot, ndtr)
-        boost = (board.pd_reflectivity - board.surround_reflectivity) * e / np.maximum(e_ref, 1e-300)
+        size = (pd.half_span, 0.5 * pd.active_width)
+        if size not in e_ref:
+            e_ref[size] = np.maximum(_gauss_rect_fraction(0.0, 0.0, *size, sigma_spot, ndtr), 1e-300)
+        e = _gauss_rect_fraction(along, cross, *size, sigma_spot, ndtr)
+        boost = (board.pd_reflectivity - board.surround_reflectivity) * e / e_ref[size]
         refl = np.where(is_board, np.maximum(refl, board.surround_reflectivity + boost), refl)
-        inside = is_board & (np.abs(along) <= pd.half_span) & (np.abs(cross) <= 0.5 * pd.active_width)
-        if np.any(inside):
-            cand = np.nonzero(inside)[0]
-            on_pd_strict[pd.pd_id] = int(cand[np.argmin(np.abs(along[cand]))])
-        else:
-            on_pd_strict[pd.pd_id] = None
-    refl = refl + rng.uniform(-2.0, 2.0, size=refl.shape)
-    refl = np.clip(refl, 0.0, 255.0)
 
-    beams = np.empty(len(ch_idx), dtype=BEAM_DTYPE)
-    beams["omega"] = omegas[ch_idx]
-    beams["alpha"] = (j[az_idx] * step + skews[ch_idx] + phase) % TWO_PI
-    beams["r"] = ranges + r_noise
-    beams["channel"] = ch_idx
-    beams["azimuth_index"] = j[az_idx]
-    beams["reflectivity"] = refl
-
-    # PD voltage records: beams whose footprint reaches a module
-    pd_records = []
-    event_beams: dict = {}
-    event_centers: dict = {}
-    for pd in board.pd_modules:
-        along, cross = pd.local_coords(xz)
         near = (
             is_board
             & (np.abs(along) <= pd.half_span + EVENT_AXIAL_MARGIN_M)
             & (np.abs(cross) <= EVENT_CROSS_WINDOW_M)
         )
-        idx = np.nonzero(near)[0]
-        if idx.size == 0:
-            event_beams[pd.pd_id] = []
-            event_centers[pd.pd_id] = np.zeros((0, 3))
-            continue
-        times = (
-            j[az_idx[idx]] * lidar.firing_period
-            + ch_idx[idx] * lidar.pulse_burst_period
-        )
-        t_order = np.argsort(times, kind="stable")
-        idx, times = idx[t_order], times[t_order]
-        currents = np.stack(
-            [
-                _element_currents(along[i], cross[i], sigma_spot[i], pd, afe.peak_current, ndtr)
-                for i in idx
-            ]
-        )
-        pd_records.append(
-            currents_to_record(
-                currents,
-                afe.tia,
-                afe.pulse_width,
-                afe.voltage_noise_sigma,
-                rng,
-                pd_id=pd.pd_id,
+        idx = np.flatnonzero(near)
+        times = j[az_idx[idx]] * lidar.firing_period + ch_idx[idx] * lidar.pulse_burst_period
+        order = np.lexsort((times, s_idx[idx]))
+        idx, times = idx[order], times[order]
+        currents = _element_currents(along[idx], cross[idx], sigma_spot[idx], pd, afe.peak_current, ndtr)
+        edges = np.searchsorted(s_idx[idx], np.arange(len(seeds) + 1))
+        events.append((pd, idx, times, currents, edges))
+    refl = np.clip(refl + np.concatenate(refl_noise), 0.0, 255.0)
+
+    beams = np.empty(len(s_idx), dtype=BEAM_DTYPE)
+    beams["omega"] = lidar.vertical_angles[ch_idx]
+    beams["alpha"] = alpha % TWO_PI
+    beams["r"] = ranges + np.concatenate(r_noise)
+    beams["channel"] = ch_idx
+    beams["azimuth_index"] = j[az_idx]
+    beams["reflectivity"] = refl
+
+    frames = []
+    for k, (rng, scan_id) in enumerate(zip(rngs, scan_ids)):
+        lo, hi = bounds[k], bounds[k + 1]
+        pd_records = []
+        for pd, idx, times, currents, edges in events:
+            a, b = edges[k], edges[k + 1]
+            if a == b:
+                continue
+            pd_records.append(
+                currents_to_record(
+                    currents[a:b],
+                    afe.tia,
+                    afe.pulse_width,
+                    afe.voltage_noise_sigma,
+                    rng,
+                    pd_id=pd.pd_id,
+                    scan_id=scan_id,
+                    sampled_channels=pd.sampled_channels,
+                    event_times=times[a:b],
+                    noise_floor=afe.noise_floor,
+                )
+            )
+        truth = None
+        if with_truth:
+            scan_events = [(pd, idx[edges[k]:edges[k + 1]]) for pd, idx, _, _, edges in events]
+            truth = SimTruth(
+                board_positions=points[lo:hi],
+                is_board=is_board[lo:hi],
+                on_pd_beam={
+                    pd.pd_id: _strict_on_pd_beam(pd, xz[lo:hi], is_board[lo:hi])
+                    for pd in board.pd_modules
+                },
+                pd_event_beams={pd.pd_id: [int(i - lo) for i in idx] for pd, idx in scan_events},
+                pd_event_centers={pd.pd_id: points[idx] for pd, idx in scan_events},
+            )
+        frames.append(
+            ScanFrame(
                 scan_id=scan_id,
-                sampled_channels=pd.sampled_channels,
-                event_times=times,
-                noise_floor=afe.noise_floor,
+                beams=beams[lo:hi],
+                pd_records=pd_records,
+                ground_truth_pose=pose,
+                truth=truth,
             )
         )
-        event_beams[pd.pd_id] = [int(i) for i in idx]
-        event_centers[pd.pd_id] = points[idx]
+    return frames
 
-    truth = None
-    if with_truth:
-        truth = SimTruth(
-            board_positions=points,
-            is_board=is_board,
-            on_pd_beam=on_pd_strict,
-            pd_event_beams=event_beams,
-            pd_event_centers=event_centers,
-        )
-    return ScanFrame(
-        scan_id=scan_id,
-        beams=beams,
-        pd_records=pd_records,
-        ground_truth_pose=pose,
-        truth=truth,
-    )
+
+def _strict_on_pd_beam(pd: PdPlacement, xz, is_board):
+    """Index of the board return whose spot center lies in the PD's active
+    rectangle nearest the array center, or None."""
+    along, cross = pd.local_coords(xz)
+    inside = is_board & (np.abs(along) <= pd.half_span) & (np.abs(cross) <= 0.5 * pd.active_width)
+    cand = np.flatnonzero(inside)
+    return int(cand[np.argmin(np.abs(along[cand]))]) if cand.size else None

@@ -10,8 +10,9 @@ residual numerically, the segmentation oracle labels the full radius graph
 of a scan's Cartesian points, the graph-labelling oracle is scipy's
 connected components, the feature oracle detects and fits one frame at a
 time with a scalar beam-detection loop, the RANSAC oracle scores one hypothesis line at
-a time, and the Cartesian-to-polar inverse checks the library's forward
-conversion.
+a time, the scene oracle simulates one scan at a time with one
+element-current call per PD event, and the Cartesian-to-polar inverse
+checks the library's forward conversion.
 """
 
 import math
@@ -20,10 +21,31 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
+from scipy.special import ndtr
 
 from pdcalib import beam_center, preprocess
-from pdcalib.geometry import PolarBeam, Pose6DOF, polar_to_cartesian_array, pose_to_matrix, transform_array
+from pdcalib.afe import currents_to_record
+from pdcalib.geometry import (
+    DEG,
+    TWO_PI,
+    PolarBeam,
+    Pose6DOF,
+    polar_to_cartesian_array,
+    pose_to_matrix,
+    transform_array,
+)
 from pdcalib.pipeline import FrameFeatures, _beam_centers, _detection_windows
+from pdcalib.scene import (
+    BEAM_DTYPE,
+    EVENT_AXIAL_MARGIN_M,
+    EVENT_CROSS_WINDOW_M,
+    AfeConfig,
+    BoardModel,
+    LidarModel,
+    ScanFrame,
+    SimTruth,
+    SimulationError,
+)
 from pdcalib.solver import jacobian, residuals
 
 
@@ -332,3 +354,209 @@ def azimuth_center_model_scalar(a, mu, threshold=2.0, iterations=200, seed=0):
     nu, tau = line(a[mask], mu[mask])
     rms = float(np.sqrt(np.mean((mu[mask] - (nu + tau * a[mask])) ** 2)))
     return nu, tau, mask, rms
+
+
+def gauss_rect_fraction(center_a, center_c, half_a, half_c, sigma):
+    """Energy fraction of a circular Gaussian spot inside a rectangle."""
+    fa = ndtr((half_a - center_a) / sigma) - ndtr((-half_a - center_a) / sigma)
+    fc = ndtr((half_c - center_c) / sigma) - ndtr((-half_c - center_c) / sigma)
+    return fa * fc
+
+
+def element_currents_scalar(along, cross, sigma, pd, i_max):
+    """Per-element photocurrents of one spot at (along, cross) on a PD module."""
+    centers = pd.element_positions() - pd.center_local
+    half_pitch = 0.5 * pd.element_pitch
+    half_width = 0.5 * pd.active_width
+    frac = gauss_rect_fraction(along - centers, cross, half_pitch, half_width, sigma)
+    ref = gauss_rect_fraction(0.0, 0.0, half_pitch, half_width, sigma)
+    return i_max * frac / ref
+
+
+def simulate_scan_reference(
+    board: BoardModel,
+    lidar: LidarModel,
+    pose: Pose6DOF,
+    seed: int,
+    scan_id: int = 0,
+    afe: AfeConfig | None = None,
+    background_depth: float | None = None,
+    background_reflectivity: float = 40.0,
+    with_truth: bool = True,
+) -> ScanFrame:
+    """One revolution of the sensor viewing the board, simulated on its own.
+
+    The per-scan simulator ``scene.simulate_scans`` replaced: its own ray
+    grid, reflectivity pass and one ``element_currents_scalar`` call per PD
+    event, drawing from ``default_rng(seed)`` in the same order.
+    """
+    afe = afe or AfeConfig()
+    rng = np.random.default_rng(seed)
+    m = pose_to_matrix(pose)
+    rot, t = m[:, :3], m[:, 3]
+
+    # viewing geometry sanity: direction to the board center, in sensor frame
+    to_center = rot.T @ -t
+    dist = np.linalg.norm(to_center)
+    if dist < 0.25 or to_center[1] <= 0.05 * dist:
+        raise SimulationError("board center is behind or beside the sensor")
+    corners = np.array(
+        [
+            [sx * 0.5 * board.width, 0.0, sz * 0.5 * board.height]
+            for sx in (-1, 1)
+            for sz in (-1, 1)
+        ]
+    )
+    corners_l = (corners - t) @ rot  # == rot.T @ (corner - t), rowwise
+    if np.any(corners_l[:, 1] <= 0.0):
+        raise SimulationError("board extends behind the sensor")
+    ray_y = corners_l[:, 1] / np.linalg.norm(corners_l, axis=1)
+    if np.min(ray_y) < 0.05:
+        raise SimulationError("board viewed nearly edge-on")
+
+    # azimuth window covering the board, plus margin
+    alphas_c = np.arctan2(corners_l[:, 0], corners_l[:, 1])
+    step = lidar.azimuth_step
+    j_lo = int(math.floor(alphas_c.min() / step)) - 3
+    j_hi = int(math.ceil(alphas_c.max() / step)) + 3
+    j = np.arange(j_lo, j_hi + 1)
+
+    phase = rng.normal(0.0, lidar.azimuth_jitter_sigma_deg * DEG)
+
+    channels = np.arange(lidar.n_channels)
+    omegas = lidar.vertical_angles
+    skews = lidar.channel_azimuth_skew(channels)
+
+    # (n_channels, n_az) ray grid
+    alpha = j[None, :] * step + skews[:, None] + phase
+    omega = np.broadcast_to(omegas[:, None], alpha.shape)
+    co = np.cos(omega)
+    d_l = np.stack([co * np.sin(alpha), co * np.cos(alpha), np.sin(omega)], axis=-1)
+    d_o = d_l @ rot.T
+
+    denom = d_o[..., 1]
+    hits_plane = denom > 1e-9
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_board = np.where(hits_plane, -t[1] / denom, np.inf)
+    landing = t[None, None, :] + t_board[..., None] * d_o
+    on_board = (
+        hits_plane
+        & (t_board > 0)
+        & (np.abs(landing[..., 0]) <= 0.5 * board.width)
+        & (np.abs(landing[..., 2]) <= 0.5 * board.height)
+    )
+
+    if background_depth is not None:
+        t_wall = np.where(hits_plane, (background_depth - t[1]) / denom, np.inf)
+        wall_pts = t[None, None, :] + t_wall[..., None] * d_o
+        on_wall = hits_plane & (t_wall > 0) & ~on_board
+    else:
+        on_wall = np.zeros_like(on_board)
+
+    hit = on_board | on_wall
+    ch_idx, az_idx = np.nonzero(hit)
+    if ch_idx.size == 0:
+        raise SimulationError("no ray reaches the board")
+    order = np.lexsort((j[az_idx], ch_idx))
+    ch_idx, az_idx = ch_idx[order], az_idx[order]
+    is_board = on_board[ch_idx, az_idx]
+
+    ranges = np.where(is_board, t_board[ch_idx, az_idx], 0.0)
+    if background_depth is not None:
+        ranges = np.where(is_board, ranges, t_wall[ch_idx, az_idx])
+    points = np.where(
+        is_board[:, None], landing[ch_idx, az_idx], (wall_pts[ch_idx, az_idx] if background_depth is not None else 0.0)
+    )
+
+    r_noise = rng.normal(0.0, lidar.range_noise_sigma, size=ranges.shape) if lidar.range_noise_sigma > 0 else np.zeros_like(ranges)
+
+    # reflectivity: black surround with PD-module elevations weighted by the
+    # fraction of the footprint energy landing on the active area
+    sigma_spot = lidar.spot_sigma(ranges)
+    refl = np.where(is_board, board.surround_reflectivity, background_reflectivity)
+    xz = points[:, [0, 2]]
+    on_pd_strict = {}
+    for pd in board.pd_modules:
+        along, cross = pd.local_coords(xz)
+        e = gauss_rect_fraction(along, cross, pd.half_span, 0.5 * pd.active_width, sigma_spot)
+        e_ref = gauss_rect_fraction(0.0, 0.0, pd.half_span, 0.5 * pd.active_width, sigma_spot)
+        boost = (board.pd_reflectivity - board.surround_reflectivity) * e / np.maximum(e_ref, 1e-300)
+        refl = np.where(is_board, np.maximum(refl, board.surround_reflectivity + boost), refl)
+        inside = is_board & (np.abs(along) <= pd.half_span) & (np.abs(cross) <= 0.5 * pd.active_width)
+        if np.any(inside):
+            cand = np.nonzero(inside)[0]
+            on_pd_strict[pd.pd_id] = int(cand[np.argmin(np.abs(along[cand]))])
+        else:
+            on_pd_strict[pd.pd_id] = None
+    refl = refl + rng.uniform(-2.0, 2.0, size=refl.shape)
+    refl = np.clip(refl, 0.0, 255.0)
+
+    beams = np.empty(len(ch_idx), dtype=BEAM_DTYPE)
+    beams["omega"] = omegas[ch_idx]
+    beams["alpha"] = (j[az_idx] * step + skews[ch_idx] + phase) % TWO_PI
+    beams["r"] = ranges + r_noise
+    beams["channel"] = ch_idx
+    beams["azimuth_index"] = j[az_idx]
+    beams["reflectivity"] = refl
+
+    # PD voltage records: beams whose footprint reaches a module
+    pd_records = []
+    event_beams: dict = {}
+    event_centers: dict = {}
+    for pd in board.pd_modules:
+        along, cross = pd.local_coords(xz)
+        near = (
+            is_board
+            & (np.abs(along) <= pd.half_span + EVENT_AXIAL_MARGIN_M)
+            & (np.abs(cross) <= EVENT_CROSS_WINDOW_M)
+        )
+        idx = np.nonzero(near)[0]
+        if idx.size == 0:
+            event_beams[pd.pd_id] = []
+            event_centers[pd.pd_id] = np.zeros((0, 3))
+            continue
+        times = (
+            j[az_idx[idx]] * lidar.firing_period
+            + ch_idx[idx] * lidar.pulse_burst_period
+        )
+        t_order = np.argsort(times, kind="stable")
+        idx, times = idx[t_order], times[t_order]
+        currents = np.stack(
+            [
+                element_currents_scalar(along[i], cross[i], sigma_spot[i], pd, afe.peak_current)
+                for i in idx
+            ]
+        )
+        pd_records.append(
+            currents_to_record(
+                currents,
+                afe.tia,
+                afe.pulse_width,
+                afe.voltage_noise_sigma,
+                rng,
+                pd_id=pd.pd_id,
+                scan_id=scan_id,
+                sampled_channels=pd.sampled_channels,
+                event_times=times,
+                noise_floor=afe.noise_floor,
+            )
+        )
+        event_beams[pd.pd_id] = [int(i) for i in idx]
+        event_centers[pd.pd_id] = points[idx]
+
+    truth = None
+    if with_truth:
+        truth = SimTruth(
+            board_positions=points,
+            is_board=is_board,
+            on_pd_beam=on_pd_strict,
+            pd_event_beams=event_beams,
+            pd_event_centers=event_centers,
+        )
+    return ScanFrame(
+        scan_id=scan_id,
+        beams=beams,
+        pd_records=pd_records,
+        ground_truth_pose=pose,
+        truth=truth,
+    )

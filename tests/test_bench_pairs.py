@@ -1,6 +1,7 @@
 """The pure helpers of tools/bench_pairs.py."""
 
 import argparse
+import json
 import importlib.util
 from pathlib import Path
 
@@ -43,3 +44,58 @@ class TestSeedRange:
     def test_empty_range_refused(self):
         with pytest.raises(argparse.ArgumentTypeError, match="empty seed range"):
             bench_pairs.seed_range("10-9")
+
+
+class TestWorkloadList:
+    def test_names(self):
+        assert bench_pairs.workload_list("simulate_file") == ["simulate_file"]
+        assert bench_pairs.workload_list("simulate_file,calibrate_file") == ["simulate_file", "calibrate_file"]
+
+    @pytest.mark.parametrize("text", ["", ",", "a,a"])
+    def test_empty_or_repeated_refused(self, text):
+        with pytest.raises(argparse.ArgumentTypeError, match="distinct workload names"):
+            bench_pairs.workload_list(text)
+
+
+class TestMain:
+    def test_every_workload_lands_in_the_one_file(self, tmp_path, monkeypatch):
+        spec = {"run_seconds": 1, "end_to_end": [
+            {"name": "op_s_p50", "unit": "s", "better": "lower", "bound": 0.25}]}
+        trees = {}
+        for side in ("parent", "change"):
+            trees[side] = tmp_path / side
+            trees[side].mkdir()
+            (trees[side] / "BENCHMARK.json").write_text(json.dumps(spec))
+        runs = []
+
+        def fake_run(tree, workload, seed, seconds, trace):
+            runs.append((tree.name, workload, seed, trace))
+            value = 0.2 if tree.name == "change" else 0.3
+            return {"failed": 0, "metrics": {"op_s_p50": {"value": value},
+                                              "x.calls": {"value": float(seed)}}}
+
+        monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
+        monkeypatch.setattr(bench_pairs, "first_op_seconds", lambda tree, workload, seed: 0.5)
+        out = tmp_path / "bench.json"
+        out.write_text(json.dumps({"workloads": {"older": {"seeds": [1]}}}))
+        assert bench_pairs.main([
+            "--parent", str(trees["parent"]), "--change", str(trees["change"]),
+            "--workload", "w1,w2", "--seeds", "4-6", "--out", str(out), "--layers", "x.calls",
+        ]) == 0
+
+        doc = json.loads(out.read_text())
+        assert list(doc["workloads"]) == ["older", "w1", "w2"]
+        for name in ("w1", "w2"):
+            entry = doc["workloads"][name]
+            assert entry["seeds"] == [4, 5, 6]
+            assert entry["first"] == ["parent", "change", "parent"]
+            op = entry["end_to_end"]["op_s_p50"]
+            assert (op["change_wins"], op["pairs"]) == (3, 3)
+            assert entry["trace"] == {"seed": 4, "parent": {"x.calls": 4.0}, "change": {"x.calls": 4.0}}
+        untraced = [r for r in runs if r[3] == 0]
+        assert untraced[:6] == [
+            ("parent", "w1", 4, 0), ("change", "w1", 4, 0),
+            ("change", "w1", 5, 0), ("parent", "w1", 5, 0),
+            ("parent", "w1", 6, 0), ("change", "w1", 6, 0),
+        ]
+        assert [r[1] for r in untraced[6:]] == ["w2"] * 6

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pdcalib import cli, io
+from pdcalib import cli, harness, io
 from pdcalib.bench import make_bench_scene
 from pdcalib.harness import (
     SweepSpec,
@@ -81,6 +81,19 @@ class TestRunSweep:
         par = run_sweep(horizontal_scene, MINI_SWEEP, label="Horizontal PD", workers=2)
         np.testing.assert_array_equal(par.bias, mini_stats.bias)
         np.testing.assert_array_equal(par.std, mini_stats.std)
+
+    def test_points_simulate_without_truth(self, horizontal_scene, monkeypatch):
+        # nothing in the pipeline reads SimTruth, so a sweep point builds none
+        seen = []
+        calibrate = harness.calibrate_frames
+
+        def spy(frames, *args, **kwargs):
+            seen.extend(frames)
+            return calibrate(frames, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "calibrate_frames", spy)
+        run_single(horizontal_scene, n_scans=12)
+        assert len(seen) == 12 and all(f.truth is None for f in seen)
 
     def test_partial_failure_markers(self, horizontal_scene):
         # swinging the sensor 70 deg takes the board out of view at the far

@@ -1,5 +1,6 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -418,6 +419,14 @@ class TestDumps:
         text = io.solve_report_text(horizontal_result.joint)
         assert "correspondences : 200" in text
         assert "yaw" in text and "dx" in text
+
+    def test_residual_table_prints_no_negative_zero(self):
+        # the board-normal residual is 0 up to rounding noise of either sign
+        report = SimpleNamespace(residuals=np.array([[1.25e-3, -1e-15, 1e-15], [-4e-9, 0.0, -2.5e-6]]))
+        assert io.residual_table(report).splitlines()[1:] == [
+            "0,1.25000,0.00000,0.00000",
+            "1,0.00000,0.00000,-0.00250",
+        ]
 
     def test_residual_table(self, horizontal_result):
         text = io.residual_table(horizontal_result.joint)

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from oracles import element_currents_scalar, simulate_scan_reference
+from pdcalib import scene
+from pdcalib.afe import PdSignalRecord
 from pdcalib.bench import make_bench_scene
 from pdcalib.geometry import PolarBeam, Pose6DOF, polar_to_cartesian_array, pose_to_matrix, transform_array
 from pdcalib.io import frames_to_text
@@ -17,6 +20,7 @@ from pdcalib.scene import (
     _element_currents,
     corner_error_bound,
     simulate_scan,
+    simulate_scans,
 )
 
 DEG = math.pi / 180.0
@@ -242,6 +246,19 @@ class TestBeamIntegration:
             currents / currents.max(), dense / dense.max(), atol=1e-4
         )
 
+    def test_event_rows_match_one_spot_at_a_time(self):
+        pd = PdPlacement("p", offset=(0.1, -0.05), orientation="vertical")
+        rng = np.random.default_rng(8)
+        along = rng.uniform(-15 * MM, 15 * MM, 40)
+        cross = rng.uniform(-8 * MM, 8 * MM, 40)
+        sigma = rng.uniform(3 * MM, 8 * MM, 40)
+        rows = _element_currents(along, cross, sigma, pd, 100e-6, ndtr)
+        assert rows.shape == (40, pd.n_elements)
+        for k in range(40):
+            one = element_currents_scalar(along[k], cross[k], sigma[k], pd, 100e-6)
+            assert rows[k].tobytes() == one.tobytes()
+        assert _element_currents(along[:0], cross[:0], sigma[:0], pd, 100e-6, ndtr).shape == (0, 16)
+
     def test_invalid_sigma(self):
         # the spot sigma is range * beam_divergence / 4, so a non-positive
         # divergence is refused where it enters the program
@@ -267,3 +284,138 @@ class TestCornerErrorBound:
         e2 = corner_error_bound(PolarBeam(omega=0, alpha=0, r=4.0), lidar)
         assert e2[0] == pytest.approx(2 * e1[0], rel=1e-12)
         assert e2[1] == pytest.approx(2 * e1[1], rel=1e-12)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_same_frames(frames, reference):
+    """Equal frame text, beam bits and SimTruth fields, scan for scan."""
+    assert len(frames) == len(reference)
+    # first differing line only: a diff of whole frame files is slow and long
+    text, ref_text = frames_to_text(frames).splitlines(), frames_to_text(reference).splitlines()
+    bad = next((k for k, (a, b) in enumerate(zip(text, ref_text)) if a != b), None)
+    assert bad is None, f"line {bad}: {text[bad]!r} != {ref_text[bad]!r}"
+    assert len(text) == len(ref_text)
+    for f, r in zip(frames, reference):
+        assert (f.scan_id, f.ground_truth_pose) == (r.scan_id, r.ground_truth_pose)
+        assert _same_bits(f.beams, r.beams)
+        assert [rec.pd_id for rec in f.pd_records] == [rec.pd_id for rec in r.pd_records]
+        for a, b in zip(f.pd_records, r.pd_records):
+            assert _same_bits(a.element_voltages, b.element_voltages)
+            assert _same_bits(a.sample_times, b.sample_times)
+        if r.truth is None:
+            assert f.truth is None
+            continue
+        assert _same_bits(f.truth.board_positions, r.truth.board_positions)
+        assert _same_bits(f.truth.is_board, r.truth.is_board)
+        assert f.truth.on_pd_beam == r.truth.on_pd_beam
+        assert f.truth.pd_event_beams == r.truth.pd_event_beams
+        assert all(type(i) is int for beams in f.truth.pd_event_beams.values() for i in beams)
+        assert f.truth.pd_event_centers.keys() == r.truth.pd_event_centers.keys()
+        for pd_id, centers in r.truth.pd_event_centers.items():
+            assert _same_bits(f.truth.pd_event_centers[pd_id], centers)
+
+
+def _bench_case(orientation, **kw):
+    sc = make_bench_scene(orientation)
+    return dict(board=sc.board, lidar=sc.lidar, pose=sc.base_pose, afe=sc.afe, **kw)
+
+
+CASES = {
+    "horizontal": lambda: _bench_case("horizontal"),
+    "vertical": lambda: _bench_case("vertical"),
+    "all PDs": lambda: _bench_case("all"),
+    "background wall": lambda: _bench_case("all", background_depth=0.4, background_reflectivity=55.0),
+    "no noise": lambda: dict(
+        _bench_case("horizontal"),
+        lidar=quiet_lidar(),
+        afe=AfeConfig(voltage_noise_sigma=0.0),
+    ),
+}
+
+
+class TestSimulateScansOracle:
+    # simulate_scans must give, scan for scan, the frames of the per-scan
+    # reference simulator, whatever the block a scan falls in
+
+    @pytest.mark.parametrize("n_scans", [1, scene._SCANS_PER_PASS, scene._SCANS_PER_PASS + 1])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_blocks_match_the_per_scan_reference(self, case, n_scans):
+        kw = CASES[case]()
+        seeds = [901 + 13 * k for k in range(n_scans)]
+        scan_ids = [5 + k for k in range(n_scans)]
+        frames = simulate_scans(seeds=seeds, scan_ids=scan_ids, **kw)
+        reference = [
+            simulate_scan_reference(seed=s, scan_id=i, **kw) for s, i in zip(seeds, scan_ids)
+        ]
+        assert_same_frames(frames, reference)
+        assert_same_frames([simulate_scan(seed=seeds[-1], scan_id=scan_ids[-1], **kw)], reference[-1:])
+
+    def test_without_truth(self):
+        kw = CASES["all PDs"]()
+        frames = simulate_scans(seeds=[3, 4], scan_ids=[0, 1], with_truth=False, **kw)
+        reference = [simulate_scan_reference(seed=s, scan_id=s - 3, with_truth=False, **kw) for s in (3, 4)]
+        assert all(f.truth is None for f in frames)
+        assert_same_frames(frames, reference)
+
+    def test_block_size_does_not_change_the_output(self, monkeypatch):
+        kw = CASES["horizontal"]()
+        seeds = list(range(40, 47))
+        whole = frames_to_text(simulate_scans(seeds=seeds, scan_ids=range(7), **kw))
+        monkeypatch.setattr(scene, "_SCANS_PER_PASS", 3)
+        assert frames_to_text(simulate_scans(seeds=seeds, scan_ids=range(7), **kw)) == whole
+
+    def test_one_record_per_scan_and_pd_with_events(self, monkeypatch):
+        # the AFE is called through the scene module, once per (scan, PD)
+        # that has events, and returns the record the frame keeps
+        kw = CASES["all PDs"]()
+        calls = []
+
+        def counting(*args, **kwargs):
+            record = currents_to_record(*args, **kwargs)
+            calls.append(record)
+            return record
+
+        currents_to_record = scene.currents_to_record
+        monkeypatch.setattr(scene, "currents_to_record", counting)
+        frames = simulate_scans(seeds=range(12), scan_ids=range(12), **kw)
+        kept = [rec for f in frames for rec in f.pd_records]
+        assert [id(r) for r in calls] == [id(r) for r in kept]
+        assert all(isinstance(r, PdSignalRecord) and r.n_events > 0 for r in kept)
+        assert len(kept) == sum(
+            len([b for b in f.truth.pd_event_beams.values() if b]) for f in frames
+        )
+
+    def test_scan_without_a_return_fails_its_block(self):
+        # one channel at the horizon and a board narrower than the azimuth
+        # spacing: with a wide azimuth jitter, some scans miss the board
+        kw = dict(
+            board=BoardModel(width=0.004, height=0.05),
+            lidar=LidarModel(n_channels=1, vertical_angles_deg=(0.0,), azimuth_jitter_sigma_deg=0.2),
+            pose=FRONTAL,
+        )
+        hit, miss = [], []
+        for seed in range(30):
+            try:
+                simulate_scan_reference(seed=seed, **kw)
+                hit.append(seed)
+            except SimulationError:
+                miss.append(seed)
+        assert hit and miss
+        assert_same_frames(
+            simulate_scans(seeds=hit, scan_ids=range(len(hit)), **kw),
+            [simulate_scan_reference(seed=s, scan_id=k, **kw) for k, s in enumerate(hit)],
+        )
+        with pytest.raises(SimulationError, match="no ray reaches the board"):
+            simulate_scans(seeds=hit[:3] + miss[:1], scan_ids=range(4), **kw)
+        with pytest.raises(SimulationError, match="no ray reaches the board"):
+            simulate_scan(seed=miss[0], **kw)
+
+    def test_arguments(self):
+        kw = CASES["horizontal"]()
+        assert simulate_scans(seeds=[], scan_ids=[], **kw) == []
+        with pytest.raises(ValueError, match="2 seeds for 1 scan ids"):
+            simulate_scans(seeds=[1, 2], scan_ids=[0], **kw)

@@ -3,19 +3,21 @@
 Run from anywhere, with two checkouts of the repository:
 
     python3 tools/bench_pairs.py --parent ../parent --change . \
-        --workload calibrate_file --seeds 301-310 --out BENCH.json \
+        --workload simulate_file,calibrate_file --seeds 301-310 --out BENCH.json \
         --layers pipeline.extract_frame_features.calls,correspondence.find_pd_beam.calls
 
-For each seed, each tree runs its own ``python3 perfbench/run.py --workload W
---seed S --seconds N`` (N is ``run_seconds`` of the change's BENCHMARK.json),
-the parent first on even pairs and the change first on odd ones. The output
-file gets, per end-to-end metric, each side's runs, median and quartiles and
-the number of pairs the change won (ties count for neither side). It also
-gets each side's ``first_op_s``, the scaled time of each run's first op
-(``op_scaled_seconds[0]`` of the run's report in ``.perfbench_out/``), where
-work moved out of set-up into the first op shows. With ``--layers``, one
-``--trace 1`` run per side on the first seed adds those per-layer metrics.
-Each workload is its own entry, so one file can hold several workloads; the
+``--workload`` takes one workload or a comma-separated list, run one after
+the other. For each workload and seed, each tree runs its own ``python3
+perfbench/run.py --workload W --seed S --seconds N`` (N is ``run_seconds`` of
+the change's BENCHMARK.json), the parent first on even pairs and the change
+first on odd ones. The output file gets, per end-to-end metric, each side's
+runs, median and quartiles and the number of pairs the change won (ties
+count for neither side). It also gets each side's ``first_op_s``, the scaled
+time of each run's first op (``op_scaled_seconds[0]`` of the run's report in
+``.perfbench_out/``), where work moved out of set-up into the first op shows.
+With ``--layers``, one ``--trace 1`` run per side on the first seed adds
+those per-layer metrics. Each workload is its own entry, so one file holds
+every workload of the command (and keeps those of earlier commands); the
 file is rewritten after every pair.
 
 With ``--accuracy``, each tree also runs the four acceptance sweeps once
@@ -105,42 +107,26 @@ def wins(parent: list, change: list, better: str) -> int:
     return sum(sign * (p - c) > 0 for p, c in zip(parent, change))
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
-    parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--seeds", type=seed_range, required=True, help="A-B, inclusive")
-    parser.add_argument("--out", type=Path, required=True, help="JSON file to write or update")
-    parser.add_argument("--layers", default="", help="comma-separated per-layer metrics to trace")
-    parser.add_argument("--accuracy", action="store_true",
-                        help="also run the four acceptance sweeps once per tree")
-    args = parser.parse_args(argv)
+def workload_list(text: str) -> list:
+    names = [name for name in text.split(",") if name]
+    if not names or len(set(names)) != len(names):
+        raise argparse.ArgumentTypeError(f"need distinct workload names, got {text!r}")
+    return names
 
-    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+
+def run_pairs(doc: dict, out: Path, sides: dict, spec: dict, workload: str, seeds: list,
+              layers: list):
+    """Alternating pairs of one workload, kept in ``doc["workloads"][workload]``."""
     seconds = spec["run_seconds"]
-    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-    doc["command"] = f"python3 perfbench/run.py --workload W --seed S --seconds {seconds}"
-    doc["machine"] = {"nproc": os.cpu_count(), "python": platform.python_version(),
-                      "platform": platform.platform()}
-    entry = doc.setdefault("workloads", {})[args.workload] = {}
-
-    if args.accuracy:
-        doc["accuracy"] = {
-            "axes": ["yaw_deg", "tilt_deg", "roll_deg", "dx_mm", "dy_mm", "dz_mm"],
-            **{side: run_accuracy(tree) for side, tree in sides.items()},
-        }
-        args.out.write_text(json.dumps(doc, indent=1) + "\n")
-
+    entry = doc.setdefault("workloads", {})[workload] = {}
     results = {side: [] for side in sides}
     first_op = {side: [] for side in sides}
-    for k, seed in enumerate(args.seeds):
+    for k, seed in enumerate(seeds):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         for side in order:
-            results[side].append(run_bench(sides[side], args.workload, seed, seconds, 0))
-            first_op[side].append(first_op_seconds(sides[side], args.workload, seed))
-        done = args.seeds[: k + 1]
+            results[side].append(run_bench(sides[side], workload, seed, seconds, 0))
+            first_op[side].append(first_op_seconds(sides[side], workload, seed))
+        done = seeds[: k + 1]
         entry.update({
             "seeds": done,
             "first": ["parent" if j % 2 == 0 else "change" for j in range(len(done))],
@@ -159,20 +145,51 @@ def main(argv=None) -> int:
                 "pairs": len(done),
             }
         entry["first_op_s"] = {"unit": "s", **{s: summary(first_op[s]) for s in sides}}
-        args.out.write_text(json.dumps(doc, indent=1) + "\n")
+        out.write_text(json.dumps(doc, indent=1) + "\n")
         op = entry["end_to_end"]["op_s_p50"]
-        print(f"pair {k + 1}/{len(args.seeds)} seed {seed}: op_s_p50 parent "
+        print(f"{workload} pair {k + 1}/{len(seeds)} seed {seed}: op_s_p50 parent "
               f"{op['parent']['runs'][-1]:.4f} change {op['change']['runs'][-1]:.4f}", flush=True)
 
-    layers = [name for name in args.layers.split(",") if name]
     if layers:
-        seed = args.seeds[0]
-        traced = {s: run_bench(sides[s], args.workload, seed, seconds, 1)["metrics"] for s in sides}
+        seed = seeds[0]
+        traced = {s: run_bench(sides[s], workload, seed, seconds, 1)["metrics"] for s in sides}
         entry["trace"] = {
             "seed": seed,
             **{s: {name: traced[s][name]["value"] for name in layers} for s in sides},
         }
+        out.write_text(json.dumps(doc, indent=1) + "\n")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
+    parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
+    parser.add_argument("--workload", type=workload_list, required=True,
+                        help="workload name, or comma-separated names run in turn")
+    parser.add_argument("--seeds", type=seed_range, required=True, help="A-B, inclusive")
+    parser.add_argument("--out", type=Path, required=True, help="JSON file to write or update")
+    parser.add_argument("--layers", default="", help="comma-separated per-layer metrics to trace")
+    parser.add_argument("--accuracy", action="store_true",
+                        help="also run the four acceptance sweeps once per tree")
+    args = parser.parse_args(argv)
+
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+    doc["command"] = f"python3 perfbench/run.py --workload W --seed S --seconds {spec['run_seconds']}"
+    doc["machine"] = {"nproc": os.cpu_count(), "python": platform.python_version(),
+                      "platform": platform.platform()}
+
+    if args.accuracy:
+        doc["accuracy"] = {
+            "axes": ["yaw_deg", "tilt_deg", "roll_deg", "dx_mm", "dy_mm", "dz_mm"],
+            **{side: run_accuracy(tree) for side, tree in sides.items()},
+        }
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
+
+    layers = [name for name in args.layers.split(",") if name]
+    for workload in args.workload:
+        run_pairs(doc, args.out, sides, spec, workload, args.seeds, layers)
     return 0
 
 
