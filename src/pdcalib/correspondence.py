@@ -18,6 +18,7 @@ Three steps per photodetector:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -156,6 +157,22 @@ def _line_fit(a: np.ndarray, mu: np.ndarray) -> tuple[float, float]:
     return float(nu), float(tau)
 
 
+@lru_cache(maxsize=16)
+def _ransac_pairs(n: int, iterations: int, seed: int) -> np.ndarray:
+    """The (iterations, 2) index pairs RANSAC draws from ``n`` points.
+
+    Each pair is ``rng.choice(n, 2, replace=False)`` of one
+    ``default_rng(seed)`` sequence, so the draw depends on its arguments
+    only, and the PDs of a batch that were detected in as many scans share
+    it. The array is read-only, since every caller gets the same one.
+    """
+    rng = np.random.default_rng(seed)
+    draws = [rng.choice(n, size=2, replace=False) for _ in range(iterations)]
+    pairs = np.array(draws, dtype=np.intp).reshape(-1, 2)
+    pairs.flags.writeable = False
+    return pairs
+
+
 def build_azimuth_center_model(
     alpha_deg,
     mu_mm,
@@ -167,7 +184,10 @@ def build_azimuth_center_model(
 
     Inliers lie within ``threshold`` mm of the line; the final (nu, tau) is
     a least-squares refit on the inliers. Outliers are expected to be
-    one-index azimuth slips showing ~9.7 mm jumps.
+    one-index azimuth slips showing ~9.7 mm jumps. The hypotheses are
+    ``iterations`` pairs drawn from ``np.random.default_rng(seed)`` for an
+    int ``seed``; calls with the same pair count, ``iterations`` and
+    ``seed`` draw the same pairs.
 
     Raises
     ------
@@ -195,9 +215,7 @@ def build_azimuth_center_model(
 
     # every hypothesis line scored at once; a pair of equal azimuths draws
     # no line, and the first line with the most inliers wins
-    rng = np.random.default_rng(seed)
-    draws = [rng.choice(n, size=2, replace=False) for _ in range(iterations)]
-    i, k = np.array(draws, dtype=np.intp).reshape(-1, 2).T
+    i, k = _ransac_pairs(n, iterations, seed).T
     span = a[k] - a[i]
     drawn = ~(np.abs(span) < 1e-12)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -278,10 +278,10 @@ def _loadtxt(lines, dtype):
 def _beam_row_error(path, rows, exc) -> FrameParseError:
     """The error for the first malformed beam row, in file order.
 
-    A row is malformed when it has the wrong field count, when a field fails
-    the PD rows' number checks (which refuse ``1_0`` and non-ASCII digits),
-    or when numpy's reader refuses a field that those accept (an int beyond
-    64 bits).
+    ``rows`` are the beam rows as (line_no, line). A row is malformed when it
+    has the wrong field count, when a field fails the PD rows' number checks
+    (which refuse ``1_0`` and non-ASCII digits), or when numpy's reader
+    refuses a field that those accept (an int beyond 64 bits).
     """
     for line_no, line in rows:
         parts = line.split(",")
@@ -307,17 +307,20 @@ def _beam_row_error(path, rows, exc) -> FrameParseError:
     return FrameParseError(path, rows[0][0], "beam", str(exc))
 
 
-def _read_beams(path, rows) -> dict:
-    """Beam rows, as (line_no, line) in file order, to ``BEAM_DTYPE`` arrays by scan id.
-
-    Each scan's rows keep their file order.
-    """
-    if not rows:
-        return {}  # numpy's reader warns on empty input
+def _parse_beam_rows(path, rows) -> np.ndarray:
+    """The beam rows among ``rows``, the stripped lines from line 2 on, as ``_BEAM_ROW`` records."""
+    lines = [row for row in rows if row.startswith("beam,")]
+    if not lines:
+        return np.empty(0, _BEAM_ROW)  # numpy's reader warns on empty input
     try:
-        raw = _loadtxt([line for _, line in rows], _BEAM_ROW)
+        return _loadtxt(lines, _BEAM_ROW)
     except _REFUSED as exc:
-        raise _beam_row_error(path, rows, exc) from None
+        numbered = [(line_no, row) for line_no, row in enumerate(rows, 2) if row.startswith("beam,")]
+        raise _beam_row_error(path, numbered, exc) from None
+
+
+def _beams_by_scan(raw) -> dict:
+    """Parsed beam rows to ``BEAM_DTYPE`` arrays by scan id; each scan's rows keep their file order."""
     beams = np.empty(len(raw), BEAM_DTYPE)
     beams["omega"] = raw["omega_deg"] * DEG
     beams["alpha"] = raw["azimuth_deg"] * DEG
@@ -328,6 +331,37 @@ def _read_beams(path, rows) -> dict:
     order = np.argsort(raw["scan_id"], kind="stable")
     scan_ids, starts = np.unique(raw["scan_id"][order], return_index=True)
     return dict(zip(scan_ids.tolist(), np.split(beams[order], starts[1:])))
+
+
+def _pd_numbers(path, line_no, parts) -> tuple:
+    """(scan_id, event, time_s, noise_floor_v, sampled_channels, voltages) of a PD row.
+
+    ``parts`` is the row split at commas. One check finds the fields after
+    the pd_id plain ASCII without ``_``. When that check or ``int()`` and
+    ``float()`` refuse the row, the field-by-field walk refuses it too and
+    names the first bad field.
+    """
+    numbers = ",".join(parts[2:])
+    if numbers.isascii() and "_" not in numbers:
+        try:
+            return (
+                int(parts[2]),
+                int(parts[3]),
+                float(parts[4]),
+                float(parts[5]),
+                tuple(map(int, parts[6].split("|"))),
+                list(map(float, parts[7:])),
+            )
+        except ValueError:
+            pass
+    return (
+        _parse_int(path, line_no, "scan_id", parts[2]),
+        _parse_int(path, line_no, "event", parts[3]),
+        _parse_float(path, line_no, "time_s", parts[4]),
+        _parse_float(path, line_no, "noise_floor_v", parts[5]),
+        tuple(_parse_int(path, line_no, "sampled_channels", c) for c in parts[6].split("|")),
+        [_parse_float(path, line_no, f"v{i}", tok) for i, tok in enumerate(parts[7:])],
+    )
 
 
 def read_frames(path) -> list:
@@ -343,33 +377,20 @@ def read_frames(path) -> list:
     lines = text.splitlines()
     if not lines or lines[0].strip() != FRAME_MAGIC:
         raise FrameParseError(path, 1, "magic", f"expected {FRAME_MAGIC!r}")
-    beam_rows = []  # (line_no, line), parsed together after the loop
+    rows = [line.strip() for line in lines[1:]]  # rows[k] is line k + 2
+    other_rows = [(line_no, row) for line_no, row in enumerate(rows, 2) if not row.startswith("beam,")]
     pd_records: dict = {}  # (scan_id, pd_id) -> (noise floor, channels, [(time, volts)])
     first_pd_line: dict = {}  # scan_id -> line of its first PD row
     event_lines: dict = {}  # (scan_id, pd_id, event) -> line of its row
     try:
-        for line_no, raw in enumerate(lines[1:], start=2):
-            line = raw.strip()
-            kind = line.partition(",")[0]
-            if kind == "beam":
-                beam_rows.append((line_no, line))
-            elif not line or line.startswith("#"):
-                continue
-            elif kind == "pd":
-                parts = line.split(",")
+        for line_no, row in other_rows:
+            kind = row.partition(",")[0]
+            if kind == "pd":
+                parts = row.split(",")
                 if len(parts) < 1 + len(PD_FIELDS) + 1:
                     raise FrameParseError(path, line_no, "pd", "missing voltage fields")
                 pd_id = parts[1]
-                sid = _parse_int(path, line_no, "scan_id", parts[2])
-                event = _parse_int(path, line_no, "event", parts[3])
-                time_s = _parse_float(path, line_no, "time_s", parts[4])
-                floor = _parse_float(path, line_no, "noise_floor_v", parts[5])
-                channels = tuple(
-                    _parse_int(path, line_no, "sampled_channels", c) for c in parts[6].split("|")
-                )
-                volts = [
-                    _parse_float(path, line_no, f"v{i}", tok) for i, tok in enumerate(parts[7:])
-                ]
+                sid, event, time_s, floor, channels, volts = _pd_numbers(path, line_no, parts)
                 if len(volts) != len(channels):
                     raise FrameParseError(
                         path, line_no, "voltages",
@@ -395,12 +416,14 @@ def read_frames(path) -> list:
                     )
                 rec[2].append((time_s, volts))
                 first_pd_line.setdefault(sid, line_no)
-            else:
+            elif kind == "beam":  # a beam row with no fields
+                raise FrameParseError(path, line_no, "beam", f"expected {len(BEAM_FIELDS)} fields, got 0")
+            elif row and not row.startswith("#"):
                 raise FrameParseError(path, line_no, "record", f"unknown record type {kind!r}")
-    except FrameParseError:
-        _read_beams(path, beam_rows)  # a malformed beam row above this line comes first
+    except FrameParseError as exc:
+        _parse_beam_rows(path, rows[: exc.line_no - 2])  # a malformed beam row above this line comes first
         raise
-    beams = _read_beams(path, beam_rows)
+    beams = _beams_by_scan(_parse_beam_rows(path, rows))
 
     orphans = [(line_no, sid) for sid, line_no in first_pd_line.items() if sid not in beams]
     if orphans:
@@ -412,14 +435,14 @@ def read_frames(path) -> list:
     frames = []
     for sid in sorted(beams):
         records = []
-        for pd_id, (floor, channels, rows) in by_scan.get(sid, ()):
-            rows.sort(key=lambda r: r[0])
+        for pd_id, (floor, channels, events) in by_scan.get(sid, ()):
+            events.sort(key=lambda r: r[0])
             records.append(
                 PdSignalRecord(
                     pd_id=pd_id,
                     scan_id=sid,
-                    element_voltages=np.array([r[1] for r in rows]),
-                    sample_times=np.array([r[0] for r in rows]),
+                    element_voltages=np.array([r[1] for r in events]),
+                    sample_times=np.array([r[0] for r in events]),
                     sampled_channels=channels,
                     noise_floor=floor,
                 )

@@ -125,7 +125,15 @@ class BoardModel:
         object.__setattr__(self, "pd_modules", tuple(self.pd_modules))
         if self.pd_reflectivity <= self.surround_reflectivity:
             raise ValueError("pd_reflectivity must exceed surround_reflectivity")
+        seen = set()
         for pd in self.pd_modules:
+            # the id keys the PD's records and is a field of the frame file
+            # and the dumps, which split at commas and line breaks
+            if pd.pd_id in seen:
+                raise ValueError(f"PD id {pd.pd_id!r} is used by more than one module")
+            if "," in pd.pd_id or "".join(pd.pd_id.splitlines()) != pd.pd_id:
+                raise ValueError(f"PD id {pd.pd_id!r} holds a comma or a line break")
+            seen.add(pd.pd_id)
             ox, oz = pd.offset
             ax, az = pd.axis
             hx = pd.half_span * ax + 0.5 * pd.active_width * az

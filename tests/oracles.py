@@ -11,11 +11,13 @@ of a scan's Cartesian points, the graph-labelling oracle is scipy's
 connected components, the feature oracle detects and fits one frame at a
 time with a scalar beam-detection loop, the RANSAC oracle scores one hypothesis line at
 a time, the scene oracle simulates one scan at a time with one
-element-current call per PD event, and the Cartesian-to-polar inverse
-checks the library's forward conversion.
+element-current call per PD event, the frame-file oracle sorts and parses
+a file line by line, and the Cartesian-to-polar inverse checks the
+library's forward conversion.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -23,8 +25,8 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 from scipy.special import ndtr
 
-from pdcalib import beam_center, preprocess
-from pdcalib.afe import currents_to_record
+from pdcalib import beam_center, io, preprocess
+from pdcalib.afe import PdSignalRecord, currents_to_record
 from pdcalib.geometry import (
     DEG,
     TWO_PI,
@@ -560,3 +562,111 @@ def simulate_scan_reference(
         ground_truth_pose=pose,
         truth=truth,
     )
+
+
+def _read_beams_reference(path, rows):
+    """Beam rows, as (line_no, line) in file order, to ``BEAM_DTYPE`` arrays by scan id."""
+    if not rows:
+        return {}
+    try:
+        raw = io._loadtxt([line for _, line in rows], io._BEAM_ROW)
+    except io._REFUSED as exc:
+        raise io._beam_row_error(path, rows, exc) from None
+    return io._beams_by_scan(raw)
+
+
+def read_frames_reference(path):
+    """``io.read_frames`` one line at a time.
+
+    Each line is stripped and sorted by its record type in one loop, every
+    PD row is parsed field by field with the reader's plain-ASCII checks,
+    and the beam rows seen so far are parsed together when the loop ends or
+    a PD row fails, so that the first malformed line is named.
+    """
+    FrameParseError = io.FrameParseError
+    parse_int, parse_float = io._parse_int, io._parse_float
+    lines = Path(path).read_text().splitlines()
+    if not lines or lines[0].strip() != io.FRAME_MAGIC:
+        raise FrameParseError(path, 1, "magic", f"expected {io.FRAME_MAGIC!r}")
+    beam_rows = []
+    pd_records = {}
+    first_pd_line = {}
+    event_lines = {}
+    try:
+        for line_no, raw in enumerate(lines[1:], start=2):
+            line = raw.strip()
+            kind = line.partition(",")[0]
+            if kind == "beam":
+                beam_rows.append((line_no, line))
+            elif not line or line.startswith("#"):
+                continue
+            elif kind == "pd":
+                parts = line.split(",")
+                if len(parts) < 1 + len(io.PD_FIELDS) + 1:
+                    raise FrameParseError(path, line_no, "pd", "missing voltage fields")
+                pd_id = parts[1]
+                sid = parse_int(path, line_no, "scan_id", parts[2])
+                event = parse_int(path, line_no, "event", parts[3])
+                time_s = parse_float(path, line_no, "time_s", parts[4])
+                floor = parse_float(path, line_no, "noise_floor_v", parts[5])
+                channels = tuple(parse_int(path, line_no, "sampled_channels", c) for c in parts[6].split("|"))
+                volts = [parse_float(path, line_no, f"v{i}", tok) for i, tok in enumerate(parts[7:])]
+                if len(volts) != len(channels):
+                    raise FrameParseError(
+                        path, line_no, "voltages",
+                        f"{len(volts)} voltages for {len(channels)} sampled channels",
+                    )
+                earlier = event_lines.setdefault((sid, pd_id, event), line_no)
+                if earlier != line_no:
+                    raise FrameParseError(
+                        path, line_no, "event",
+                        f"event {event} of PD {pd_id!r}, scan {sid} repeats line {earlier}",
+                    )
+                rec = pd_records.setdefault((sid, pd_id), (floor, channels, []))
+                if channels != rec[1]:
+                    raise FrameParseError(
+                        path, line_no, "sampled_channels",
+                        f"{parts[6]!r} differs from {'|'.join(map(str, rec[1]))!r} "
+                        f"in earlier rows of PD {pd_id!r}, scan {sid}",
+                    )
+                if floor != rec[0]:
+                    raise FrameParseError(
+                        path, line_no, "noise_floor_v",
+                        f"{floor!r} differs from {rec[0]!r} in earlier rows of PD {pd_id!r}, scan {sid}",
+                    )
+                rec[2].append((time_s, volts))
+                first_pd_line.setdefault(sid, line_no)
+            else:
+                raise FrameParseError(path, line_no, "record", f"unknown record type {kind!r}")
+    except FrameParseError:
+        _read_beams_reference(path, beam_rows)
+        raise
+    beams = _read_beams_reference(path, beam_rows)
+
+    orphans = [(line_no, sid) for sid, line_no in first_pd_line.items() if sid not in beams]
+    if orphans:
+        line_no, sid = min(orphans)
+        raise FrameParseError(path, line_no, "scan_id", f"PD row of scan {sid}, which has no beam rows")
+    by_scan = {}
+    for (sid, pd_id), rec in sorted(pd_records.items()):
+        by_scan.setdefault(sid, []).append((pd_id, rec))
+    frames = []
+    for sid in sorted(beams):
+        records = []
+        for pd_id, (floor, channels, rows) in by_scan.get(sid, ()):
+            rows.sort(key=lambda r: r[0])
+            records.append(
+                PdSignalRecord(
+                    pd_id=pd_id,
+                    scan_id=sid,
+                    element_voltages=np.array([r[1] for r in rows]),
+                    sample_times=np.array([r[0] for r in rows]),
+                    sampled_channels=channels,
+                    noise_floor=floor,
+                )
+            )
+        try:
+            frames.append(ScanFrame(scan_id=sid, beams=beams[sid], pd_records=records))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+    return frames

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import azimuth_center_model_scalar, find_pd_beam_scalar
+from pdcalib import correspondence
 from pdcalib.correspondence import (
     AzimuthCenterModel,
     ModelError,
@@ -236,14 +237,36 @@ class TestAzimuthCenterModel:
         if np.ptp(a) < 1e-12:
             return
         want = azimuth_center_model_scalar(a, mu, threshold, iterations)
-        try:
-            model = build_azimuth_center_model(a, mu, threshold=threshold, iterations=iterations)
-        except ModelError as exc:
-            assert str(exc) == want
-            return
-        nu, tau, mask, rms = want
-        assert (model.nu, model.tau, model.fit_rms) == (nu, tau, rms)
-        assert np.array_equal(model.inlier_mask, mask)
+        other = np.arange(float(n))
+        # the second pass reuses the first one's draw, after a draw for
+        # the same pair count and another iteration count
+        for _ in range(2):
+            try:
+                model = build_azimuth_center_model(a, mu, threshold=threshold, iterations=iterations)
+            except ModelError as exc:
+                assert str(exc) == want
+            else:
+                nu, tau, mask, rms = want
+                assert (model.nu, model.tau, model.fit_rms) == (nu, tau, rms)
+                assert np.array_equal(model.inlier_mask, mask)
+            build_azimuth_center_model(other, other, iterations=iterations + 1)
+
+    def test_shared_draw_is_read_only(self):
+        pairs = correspondence._ransac_pairs(50, 200, 0)
+        assert pairs.shape == (200, 2)
+        assert not pairs.flags.writeable
+        with pytest.raises(ValueError):
+            pairs[0, 0] = 1
+
+    def test_batch_calibrated_twice_gives_identical_models(self, horizontal_scene, horizontal_batch):
+        correspondence._ransac_pairs.cache_clear()
+        first, second = (calibrate_frames(horizontal_batch, horizontal_scene) for _ in range(2))
+        assert correspondence._ransac_pairs.cache_info().hits > 0
+        assert first.models.keys() == second.models.keys()
+        for pd_id, model in first.models.items():
+            again = second.models[pd_id]
+            assert (model.nu, model.tau, model.fit_rms) == (again.nu, again.tau, again.fit_rms)
+            assert np.array_equal(model.inlier_mask, again.inlier_mask)
 
     def test_model_prediction(self):
         model = AzimuthCenterModel(nu=2.0, tau=40.0, inlier_mask=np.ones(5, bool), fit_rms=0.1)

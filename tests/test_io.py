@@ -1,11 +1,13 @@
 import json
 import math
+import random
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import read_frames_reference
 from pdcalib import io
 from pdcalib.bench import make_bench_scene
 from pdcalib.geometry import DEG, Pose6DOF
@@ -41,6 +43,78 @@ def _scan_frames(draw):
 def _mid_beam_row(lines):
     rows = [k for k, line in enumerate(lines) if line.startswith("beam,")]
     return rows[len(rows) // 2]
+
+
+def _frame_bits(frames) -> list:
+    return [
+        (
+            f.scan_id,
+            f.beams.tobytes(),
+            [
+                (
+                    r.pd_id,
+                    r.scan_id,
+                    r.element_voltages.dtype.str,
+                    r.element_voltages.shape,
+                    r.element_voltages.tobytes(),
+                    r.sample_times.tobytes(),
+                    r.sampled_channels,
+                    r.noise_floor,
+                )
+                for r in f.pd_records
+            ],
+        )
+        for f in frames
+    ]
+
+
+def _outcome(reader, path):
+    """The frames' bits, or the error's type, line, field and message."""
+    try:
+        return _frame_bits(reader(path))
+    except ValueError as exc:
+        return type(exc), getattr(exc, "line_no", None), getattr(exc, "field", None), str(exc)
+
+
+TOKENS = ["abc", "1_0", "5.0", "\u0662"]
+
+
+@st.composite
+def _rewritten_frame_text(draw, text):
+    """A written frame file reshuffled into other valid forms, plus at most one fault.
+
+    Beam and PD rows are interleaved in a random order; blank lines,
+    comments and maybe a bare ``beam`` line are inserted; some lines are
+    padded with whitespace or end in CRLF. The fault, if any, sets one
+    field of one row to a token the reader must refuse or read alike, drops
+    or adds a field, or repeats a PD row.
+    """
+    magic, *body = text.splitlines()
+    rnd = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    rnd.shuffle(body)
+    fault = draw(st.sampled_from(["none", "missing field", "extra field", "repeated event"] + TOKENS))
+    kind = draw(st.sampled_from(["beam,", "pd,"]))  # PD rows are few: pick the kind first
+    k = rnd.choice([k for k, row in enumerate(body) if row.startswith(kind)])
+    parts = body[k].split(",")
+    i = rnd.randrange(len(parts))
+    if fault == "missing field":
+        del parts[i]
+    elif fault == "extra field":
+        parts.insert(i, "1.0")
+    elif fault in TOKENS:
+        parts[i] = fault
+    body[k] = ",".join(parts)
+    if fault == "repeated event":
+        body.insert(rnd.randrange(len(body) + 1), rnd.choice([row for row in body if row.startswith("pd,")]))
+    bare_beam = draw(st.sampled_from([False, False, True]))
+    extras = ["", "#", "# beam,scan_id", "   "] + (["beam"] if bare_beam else [])
+    for line in extras:
+        body.insert(rnd.randrange(len(body) + 1), line)
+    lines = [magic] + [
+        rnd.choice(["", " ", "\t "]) + line + rnd.choice(["", " ", " \t"]) if rnd.random() < 0.1 else line
+        for line in body
+    ]
+    return "".join(line + rnd.choice(["\n", "\r\n"]) for line in lines)
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +166,22 @@ class TestSceneConfig:
         path = tmp_path / "scene.json"
         path.write_text(json.dumps(data))
         with pytest.raises(ValueError, match="bad scene config"):
+            io.load_scene(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda pds: pds.__setitem__(1, {**pds[1], "pd_id": pds[0]["pd_id"]}),
+            lambda pds: pds[0].__setitem__("pd_id", "h,tl"),
+        ],
+        ids=["repeated id", "id with a comma"],
+    )
+    def test_bad_pd_id_rejected(self, tmp_path, horizontal_scene, edit):
+        data = io.scene_to_dict(horizontal_scene)
+        edit(data["board"]["pd_modules"])
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="bad scene config .*PD id"):
             io.load_scene(path)
 
     def test_bad_config_raises(self, tmp_path):
@@ -328,6 +418,15 @@ class TestFrameSerialization:
         back = read_frames(path)
         assert [f.scan_id for f in back] == sorted(f.scan_id for f in frames)
         assert [f.beams.tobytes() for f in back] == [b.tobytes() for b in expected]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_line_by_line_reader(self, tmp_path_factory, small_batch, data):
+        """The same frames bit for bit, or the same error on the same line and field."""
+        text = data.draw(_rewritten_frame_text(frames_to_text(small_batch[:2])))
+        path = tmp_path_factory.mktemp("frames") / "frames.csv"
+        path.write_bytes(text.encode())
+        assert _outcome(read_frames, path) == _outcome(read_frames_reference, path)
 
     def test_interleaved_scans_keep_file_order(self, tmp_path):
         rows = [

@@ -41,6 +41,16 @@ class TestModels:
         with pytest.raises(ValueError):
             BoardModel(pd_modules=(pd,))
 
+    def test_repeated_pd_id_refused(self):
+        pds = (PdPlacement("h_tl", offset=(-0.2, 0.1)), PdPlacement("h_tl", offset=(0.2, 0.1)))
+        with pytest.raises(ValueError, match="'h_tl' is used by more than one module"):
+            BoardModel(pd_modules=pds)
+
+    @pytest.mark.parametrize("pd_id", ["h,tl", "h\ntl", "h\r", "h\u2028tl"])
+    def test_pd_id_that_splits_a_frame_row_refused(self, pd_id):
+        with pytest.raises(ValueError, match="comma or a line break"):
+            BoardModel(pd_modules=(PdPlacement(pd_id, offset=(0.0, 0.0)),))
+
     def test_pd_reflectivity_ordering(self):
         with pytest.raises(ValueError):
             BoardModel(surround_reflectivity=80, pd_reflectivity=40)
