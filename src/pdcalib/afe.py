@@ -67,14 +67,19 @@ class PdSignalRecord:
     noise_floor: float = 0.1       # V
 
     def __post_init__(self):
-        self.element_voltages = np.atleast_2d(np.asarray(self.element_voltages, dtype=float))
-        self.sample_times = np.atleast_1d(np.asarray(self.sample_times, dtype=float))
-        if self.element_voltages.shape[0] != self.sample_times.shape[0]:
+        v = self.element_voltages = np.atleast_2d(np.asarray(self.element_voltages, dtype=float))
+        t = self.sample_times = np.atleast_1d(np.asarray(self.sample_times, dtype=float))
+        if v.shape[0] != t.shape[0]:
             raise ValueError("one sample time per beam event required")
-        if self.element_voltages.shape[1] != len(self.sampled_channels):
+        if v.shape[1] != len(self.sampled_channels):
             raise ValueError("one voltage column per sampled channel required")
-        if np.any(self.element_voltages < 0) or np.any(self.element_voltages > SUPPLY_RAIL_V):
+        # min and max propagate nan
+        if not (0.0 <= v.min(initial=0.0) and v.max(initial=0.0) <= SUPPLY_RAIL_V):
+            if not np.isfinite(v).all():
+                raise ValueError("element voltages must be finite")
             raise ValueError("element voltages outside the 0-10 V supply range")
+        if not (np.isfinite(t).all() and math.isfinite(self.noise_floor)):
+            raise ValueError("sample times and the noise floor must be finite")
 
     @property
     def n_events(self) -> int:
@@ -154,6 +159,22 @@ def q_factor(p: TiaParams) -> float:
     return q_from_phase_margin(phase_margin(p))
 
 
+def peak_voltages(currents, p: TiaParams, pulse_width: float, noise=None) -> np.ndarray:
+    """Sampled element peak voltages for photocurrents ``currents`` (A).
+
+    Each voltage is the step response at ``pulse_width`` plus ``noise`` (V,
+    an array of the same shape, if given), clamped to the supply rails. The
+    model is elementwise, so one call may cover the events of any number of
+    records.
+    """
+    if pulse_width <= 0:
+        raise ValueError("pulse_width must be positive")
+    peaks = tia_step_response(1.0, pulse_width, p) * currents
+    if noise is not None:
+        peaks = peaks + noise
+    return np.clip(peaks, 0.0, SUPPLY_RAIL_V)
+
+
 def currents_to_record(
     currents: np.ndarray,
     p: TiaParams,
@@ -168,20 +189,17 @@ def currents_to_record(
 ) -> PdSignalRecord:
     """Convert per-element photocurrents to a sampled peak-voltage record.
 
-    ``currents`` is (n_events, n_elements) or (n_elements,) in amperes. Each
-    element's peak voltage is the step response evaluated at ``pulse_width``
-    plus N(0, noise_sigma), clamped to the supply rails. Only the elements in
-    ``sampled_channels`` are recorded. ``seed`` may be an int or a Generator.
+    ``currents`` is (n_events, n_elements) or (n_elements,) in amperes. Only
+    the elements in ``sampled_channels`` are recorded, each as
+    ``peak_voltages`` with N(0, noise_sigma) noise drawn in row-major order.
+    ``seed`` may be an int or a Generator.
     """
-    if pulse_width <= 0:
-        raise ValueError("pulse_width must be positive")
     currents = np.atleast_2d(np.asarray(currents, dtype=float))
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     sampled = tuple(sampled_channels)
-    peaks = tia_step_response(1.0, pulse_width, p) * currents[:, sampled]
-    if noise_sigma > 0:
-        peaks = peaks + rng.normal(0.0, noise_sigma, size=peaks.shape)
-    peaks = np.clip(peaks, 0.0, SUPPLY_RAIL_V)
+    currents = currents[:, sampled]
+    noise = rng.normal(0.0, noise_sigma, size=currents.shape) if noise_sigma > 0 else None
+    peaks = peak_voltages(currents, p, pulse_width, noise)
     if event_times is None:
         event_times = np.zeros(peaks.shape[0])
     return PdSignalRecord(

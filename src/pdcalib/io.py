@@ -12,19 +12,20 @@ Beams are sorted by (channel, azimuth index) and PD events by (pd_id, time),
 so a frame always serializes byte-identically. Angles are stored in degrees
 at this boundary; everything in memory is radians. Numbers are plain ASCII
 decimals as Python's ``repr`` writes them; a beam or PD row holding
-``1_0`` or non-ASCII digits is refused. A PD's event indices are unique
-within its scan.
+``1_0``, non-ASCII digits or a number that is not finite is refused. A PD's
+event indices are unique within its scan.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from pathlib import Path
 
 import numpy as np
 
-from .afe import PdSignalRecord, TiaParams
+from .afe import SUPPLY_RAIL_V, PdSignalRecord, TiaParams
 from .bench import Scene
 from .geometry import DEG, Pose6DOF
 from .scene import BEAM_DTYPE, AfeConfig, BoardModel, LidarModel, PdPlacement, ScanFrame
@@ -278,12 +279,29 @@ def _loadtxt(lines, dtype):
 def _beam_row_error(path, rows, exc) -> FrameParseError:
     """The error for the first malformed beam row, in file order.
 
-    ``rows`` are the beam rows as (line_no, line). A row is malformed when it
-    has the wrong field count, when a field fails the PD rows' number checks
-    (which refuse ``1_0`` and non-ASCII digits), or when numpy's reader
-    refuses a field that those accept (an int beyond 64 bits).
+    ``rows`` are the beam rows as (line_no, line), which numpy's reader
+    refuses together. A row is malformed when it has the wrong field count,
+    when a field fails the PD rows' number checks (which refuse ``1_0`` and
+    non-ASCII digits), or when numpy's reader refuses a field that those
+    accept (an int beyond 64 bits). The first row the reader refuses is
+    found by bisection: each call parses the first half of the window known
+    to hold it, so about log2(n) calls parse n rows in all. A row above it,
+    which the reader takes, can fail only the number checks, and none does
+    when the text of them all is plain ASCII without ``_``; otherwise they
+    are checked row by row.
     """
-    for line_no, line in rows:
+    lines = [line for _, line in rows]
+    lo, hi = 0, len(lines)  # lines[:lo] parse; lines[lo:hi] hold one that does not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            _loadtxt(lines[lo:mid], _BEAM_ROW)
+            lo = mid
+        except _REFUSED:
+            hi = mid
+    above = "\n".join(lines[:lo])
+    first = 0 if not above.isascii() or "_" in above else lo
+    for line_no, line in rows[first:lo + 1]:
         parts = line.split(",")
         if len(parts) != len(_BEAM_ROW.names):
             return FrameParseError(
@@ -293,30 +311,42 @@ def _beam_row_error(path, rows, exc) -> FrameParseError:
         for field, token in tokens:
             parse = _parse_int if _BEAM_ROW[field].kind == "i" else _parse_float
             parse(path, line_no, field, token)
+    for field, token in tokens:  # of row lo, which the reader refuses
         try:
-            _loadtxt([line], _BEAM_ROW)
+            _loadtxt([token], _BEAM_ROW[field])
         except _REFUSED:
-            for field, token in tokens:
-                try:
-                    _loadtxt([token], _BEAM_ROW[field])
-                except _REFUSED:
-                    return FrameParseError(
-                        path, line_no, field,
-                        f"{token!r} is not a plain ASCII decimal that fits {_BEAM_ROW[field]}",
-                    )
-    return FrameParseError(path, rows[0][0], "beam", str(exc))
+            return FrameParseError(
+                path, line_no, field,
+                f"{token!r} is not a plain ASCII decimal that fits {_BEAM_ROW[field]}",
+            )
+    return FrameParseError(path, line_no, "beam", str(exc))
+
+
+_BEAM_FLOATS = [field for field in BEAM_FIELDS if _BEAM_ROW[field].kind == "f"]
 
 
 def _parse_beam_rows(path, rows) -> np.ndarray:
-    """The beam rows among ``rows``, the stripped lines from line 2 on, as ``_BEAM_ROW`` records."""
+    """The beam rows among ``rows``, the stripped lines from line 2 on, as ``_BEAM_ROW`` records.
+
+    A row holding a number that parses but is not finite (``nan``, ``inf``,
+    ``1e999``) is refused too.
+    """
     lines = [row for row in rows if row.startswith("beam,")]
     if not lines:
         return np.empty(0, _BEAM_ROW)  # numpy's reader warns on empty input
     try:
-        return _loadtxt(lines, _BEAM_ROW)
+        raw = _loadtxt(lines, _BEAM_ROW)
     except _REFUSED as exc:
         numbered = [(line_no, row) for line_no, row in enumerate(rows, 2) if row.startswith("beam,")]
         raise _beam_row_error(path, numbered, exc) from None
+    if not all(np.isfinite(raw[field]).all() for field in _BEAM_FLOATS):
+        bad = np.column_stack([~np.isfinite(raw[field]) for field in _BEAM_FLOATS])
+        k, f = divmod(int(np.argmax(bad)), len(_BEAM_FLOATS))  # the first row, then its first field
+        line_no = [n for n, row in enumerate(rows, 2) if row.startswith("beam,")][k]
+        field = _BEAM_FLOATS[f]
+        token = lines[k].split(",")[1 + BEAM_FIELDS.index(field)]
+        raise FrameParseError(path, line_no, field, f"{token!r} is not a finite number")
+    return raw
 
 
 def _beams_by_scan(raw) -> dict:
@@ -364,6 +394,46 @@ def _pd_numbers(path, line_no, parts) -> tuple:
     )
 
 
+def _pd_value_error(path, pd_records):
+    """The error for the first PD row, in file order, holding a number that
+    parses but is not finite (``nan``, ``inf``, ``1e999``) or a voltage off
+    the supply rails, or None."""
+    found = []
+    for floor, _, events in pd_records.values():
+        for time_s, volts, line_no in events:
+            bad = [(f, v) for f, v in (("time_s", time_s), ("noise_floor_v", floor)) if not math.isfinite(v)]
+            bad += [(f"v{i}", v) for i, v in enumerate(volts) if not 0.0 <= v <= SUPPLY_RAIL_V]
+            if bad:
+                field, value = bad[0]
+                why = "lies outside the 0-10 V supply range" if math.isfinite(value) else "is not a finite number"
+                found.append((line_no, field, f"{value!r} {why}"))
+    return FrameParseError(path, *min(found)) if found else None
+
+
+def _signal_records(path, pd_records) -> dict:
+    """The PD records by scan id, each scan's in pd_id order, their events by time."""
+    by_scan: dict = {}
+    try:
+        for (sid, pd_id), (floor, channels, events) in sorted(pd_records.items()):
+            events.sort(key=lambda r: r[0])
+            by_scan.setdefault(sid, []).append(
+                PdSignalRecord(
+                    pd_id=pd_id,
+                    scan_id=sid,
+                    element_voltages=np.array([r[1] for r in events]),
+                    sample_times=np.array([r[0] for r in events]),
+                    sampled_channels=channels,
+                    noise_floor=floor,
+                )
+            )
+    except ValueError:
+        error = _pd_value_error(path, pd_records)
+        if error is None:
+            raise
+        raise error from None
+    return by_scan
+
+
 def read_frames(path) -> list:
     """Parse a scan-frame file back into ScanFrame objects (no sim truth).
 
@@ -371,7 +441,9 @@ def read_frames(path) -> list:
     has no beam rows, for a PD row that repeats the (scan, PD, event) of an
     earlier row, and for a PD row whose sampled channels or noise floor
     differ from the earlier rows of its (scan, PD) record. When several lines
-    are malformed, the error names the first.
+    are malformed, the error names the first. A row holding a number that
+    parses but is not finite (``nan``, ``inf``, ``1e999``), or a PD row
+    holding a voltage off the supply rails, is malformed too.
     """
     text = Path(path).read_text()
     lines = text.splitlines()
@@ -409,46 +481,34 @@ def read_frames(path) -> list:
                         f"{parts[6]!r} differs from {'|'.join(map(str, rec[1]))!r} "
                         f"in earlier rows of PD {pd_id!r}, scan {sid}",
                     )
-                if floor != rec[0]:
+                # a nan floor is refused as not finite, not as differing from itself
+                if floor != rec[0] and not (math.isnan(floor) and math.isnan(rec[0])):
                     raise FrameParseError(
                         path, line_no, "noise_floor_v",
                         f"{floor!r} differs from {rec[0]!r} in earlier rows of PD {pd_id!r}, scan {sid}",
                     )
-                rec[2].append((time_s, volts))
+                rec[2].append((time_s, volts, line_no))
                 first_pd_line.setdefault(sid, line_no)
             elif kind == "beam":  # a beam row with no fields
                 raise FrameParseError(path, line_no, "beam", f"expected {len(BEAM_FIELDS)} fields, got 0")
             elif row and not row.startswith("#"):
                 raise FrameParseError(path, line_no, "record", f"unknown record type {kind!r}")
+        records = _signal_records(path, pd_records)
     except FrameParseError as exc:
-        _parse_beam_rows(path, rows[: exc.line_no - 2])  # a malformed beam row above this line comes first
-        raise
+        # the PD rows parsed so far lie above this line, and so does a bad value among them
+        error = _pd_value_error(path, pd_records) or exc
+        _parse_beam_rows(path, rows[: error.line_no - 2])  # a malformed beam row above it comes first
+        raise error from None
     beams = _beams_by_scan(_parse_beam_rows(path, rows))
 
     orphans = [(line_no, sid) for sid, line_no in first_pd_line.items() if sid not in beams]
     if orphans:
         line_no, sid = min(orphans)
         raise FrameParseError(path, line_no, "scan_id", f"PD row of scan {sid}, which has no beam rows")
-    by_scan: dict = {}  # scan_id -> [(pd_id, record)], in pd_id order
-    for (sid, pd_id), rec in sorted(pd_records.items()):
-        by_scan.setdefault(sid, []).append((pd_id, rec))
     frames = []
     for sid in sorted(beams):
-        records = []
-        for pd_id, (floor, channels, events) in by_scan.get(sid, ()):
-            events.sort(key=lambda r: r[0])
-            records.append(
-                PdSignalRecord(
-                    pd_id=pd_id,
-                    scan_id=sid,
-                    element_voltages=np.array([r[1] for r in events]),
-                    sample_times=np.array([r[0] for r in events]),
-                    sampled_channels=channels,
-                    noise_floor=floor,
-                )
-            )
         try:
-            frames.append(ScanFrame(scan_id=sid, beams=beams[sid], pd_records=records))
+            frames.append(ScanFrame(scan_id=sid, beams=beams[sid], pd_records=records.get(sid, [])))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
     return frames

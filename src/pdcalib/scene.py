@@ -20,7 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .afe import TiaParams, currents_to_record
+# currents_to_record, the one-record form of _pd_records' AFE pass, stays a
+# name of this module: perfbench traces the simulator's AFE calls by it
+from .afe import PdSignalRecord, TiaParams, currents_to_record, peak_voltages  # noqa: F401
 from .geometry import DEG, TWO_PI, PolarBeam, Pose6DOF, pose_to_matrix
 
 # beams whose spot center lies this far beyond the array ends still produce a
@@ -100,10 +102,14 @@ class PdPlacement:
     def local_coords(self, xz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(along, cross) coordinates of board-frame (x, z) points, center origin."""
         xz = np.atleast_2d(xz)
-        rel = xz - np.asarray(self.offset)
+        return self.along_cross(xz[:, 0], xz[:, 1])
+
+    def along_cross(self, x, z) -> tuple[np.ndarray, np.ndarray]:
+        """``local_coords`` of points given as x and z arrays."""
+        ox, oz = self.offset
         if self.orientation == "horizontal":
-            return rel[:, 0], rel[:, 1]
-        return rel[:, 1], rel[:, 0]
+            return x - ox, z - oz
+        return z - oz, x - ox
 
 
 @dataclass(frozen=True)
@@ -125,6 +131,8 @@ class BoardModel:
         object.__setattr__(self, "pd_modules", tuple(self.pd_modules))
         if self.pd_reflectivity <= self.surround_reflectivity:
             raise ValueError("pd_reflectivity must exceed surround_reflectivity")
+        if not 0.0 <= self.surround_reflectivity < self.pd_reflectivity <= 255.0:
+            raise ValueError("board reflectivities must lie on the 0-255 intensity scale")
         seen = set()
         for pd in self.pd_modules:
             # the id keys the PD's records and is a field of the frame file
@@ -244,9 +252,9 @@ class ScanFrame:
 
     ``beams`` holds the returns as a structured array of ``BEAM_DTYPE``
     (anything convertible to one is accepted and copied). Construction
-    checks every return at once: finite angles and range, r > 0 and
-    |omega| < pi/2, no two returns sharing (channel, azimuth_index); azimuths
-    outside [0, 2 pi) are wrapped into it.
+    checks every return at once: finite angles, range and reflectivity,
+    r > 0 and |omega| < pi/2, no two returns sharing (channel,
+    azimuth_index); azimuths outside [0, 2 pi) are wrapped into it.
     """
 
     scan_id: int
@@ -258,8 +266,8 @@ class ScanFrame:
     def __post_init__(self):
         b = np.array(self.beams, dtype=BEAM_DTYPE)
         omega, alpha, r = b["omega"], b["alpha"], b["r"]
-        if not np.isfinite([omega, alpha, r]).all():
-            raise ValueError(f"scan {self.scan_id}: beam angles and ranges must be finite")
+        if not np.isfinite([omega, alpha, r, b["reflectivity"]]).all():
+            raise ValueError(f"scan {self.scan_id}: beam angles, ranges and reflectivities must be finite")
         if np.any(r <= 0):
             raise ValueError(f"scan {self.scan_id}: beam range must be > 0, got {r.min()}")
         if np.any(np.abs(omega) >= math.pi / 2):
@@ -487,6 +495,48 @@ def _cast_rays(board: BoardModel, lidar: LidarModel, rot, t, j, phase, backgroun
     return cell, alpha[cell], is_board, ranges, points
 
 
+# a board return whose spot center lies farther than this many spot sigmas
+# beyond a module's active rectangle, on either axis, is left out of the
+# module's reflectivity boost when ``_reach_sigmas`` proves the boost rounds
+# away; beyond ``_ZERO_REACH_SIGMAS`` its energy fraction is exactly 0
+_REACH_SIGMAS = 10.0
+_ZERO_REACH_SIGMAS = 40.0
+
+
+def _reach_sigmas(board: BoardModel, size, sigma_max, ndtr) -> float:
+    """How many spot sigmas beyond a module's active rectangle its
+    reflectivity boost must be evaluated, for one block of returns.
+
+    ``size`` is the rectangle's half-sizes (h_a, h_c) and ``sigma_max`` is
+    at least the block's largest board-return spot sigma. The boost of a
+    board return is ``(p - s) * e / e_ref``, with p and s the PD and
+    surround reflectivities, e its spot's energy fraction in the rectangle
+    and e_ref the fraction of a centered spot of its sigma; the return keeps
+    ``max(refl, s + boost)``, and ``refl >= s``. Let the spot center lie more than k sigma beyond the
+    rectangle on one axis, say along > h_a + k sigma. Both ndtr arguments of
+    that axis are then below -k, so its factor of e is at most ndtr(-k);
+    the other factor is at most 1. (On the near side, along < -h_a - k sigma,
+    both arguments exceed k, and scipy's ndtr is exactly 1.0 above 8.3, so
+    the factor is exactly 0.) e_ref falls as sigma grows, so no board
+    return's e_ref is below e_ref(sigma_max), and every such boost is at most
+    ``(p - s) * ndtr(-k) / e_ref(sigma_max)``. When twice that bound (room
+    for the rounding of e, e_ref and the boost) is below half the spacing
+    of doubles above s, ``s + boost`` rounds to s, ``max(refl, s)`` is
+    refl, and leaving the return out keeps its bits: k = 10, where
+    ndtr(-10) = 7.6e-24, passes with orders of magnitude to spare on the
+    bench (boost at most 2e-20 against a half spacing of 8.9e-16 at s = 10
+    and 6 m range). Otherwise, as for s = 0, where the spacing is the
+    smallest subnormal, k = 40: every ndtr argument then lies below -40 or
+    above 40, where ndtr is exactly 0.0 or 1.0 (it already is below -37.7
+    and above 8.3), so e and the boost are exactly 0 and s + 0 is s.
+    """
+    e_ref = max(_gauss_rect_fraction(0.0, 0.0, *size, sigma_max, ndtr), 1e-300)
+    bound = 2.0 * (board.pd_reflectivity - board.surround_reflectivity) * ndtr(-_REACH_SIGMAS) / e_ref
+    if bound < 0.5 * np.spacing(board.surround_reflectivity):
+        return _REACH_SIGMAS
+    return _ZERO_REACH_SIGMAS
+
+
 def _simulate_block(board, lidar, pose, rot, t, j, seeds, scan_ids, afe,
                     background_depth, background_reflectivity, with_truth, ndtr) -> list:
     """The frames of one block of scans at one pose (see ``simulate_scans``)."""
@@ -507,35 +557,39 @@ def _simulate_block(board, lidar, pose, rot, t, j, seeds, scan_ids, afe,
         )
         refl_noise.append(rng.uniform(-2.0, 2.0, size=n))
 
-    # per PD, over every return of the block: the reflectivity boost (black
-    # surround, PD surfaces weighted by the fraction of the footprint energy
-    # landing on the active area) and the events, the board returns whose
-    # footprint reaches the module, by scan then firing time (stable, as a
-    # per-scan sort), with their element currents
+    # per PD, over the board returns of the block: the reflectivity boost
+    # (black surround, PD surfaces weighted by the fraction of the footprint
+    # energy landing on the active area), evaluated only where it can change
+    # a bit (see _reach_sigmas), and the events, the returns whose footprint
+    # reaches the module, by scan then firing time (stable, as a per-scan
+    # sort), with their sampled elements' currents
     sigma_spot = lidar.spot_sigma(ranges)
     refl = np.where(is_board, board.surround_reflectivity, background_reflectivity)
-    xz = points[:, [0, 2]]
+    on_board = np.flatnonzero(is_board)
+    x_b, z_b, sigma_b = points[on_board, 0], points[on_board, 2], sigma_spot[on_board]
+    sigma_max = sigma_spot.max()  # no board return's is larger; a block has a return
     events = []
-    e_ref = {}  # centered-spot fraction by active-area size, shared by equal modules
     for pd in board.pd_modules:
-        along, cross = pd.local_coords(xz)
+        along, cross = pd.along_cross(x_b, z_b)
         size = (pd.half_span, 0.5 * pd.active_width)
-        if size not in e_ref:
-            e_ref[size] = np.maximum(_gauss_rect_fraction(0.0, 0.0, *size, sigma_spot, ndtr), 1e-300)
-        e = _gauss_rect_fraction(along, cross, *size, sigma_spot, ndtr)
-        boost = (board.pd_reflectivity - board.surround_reflectivity) * e / e_ref[size]
-        refl = np.where(is_board, np.maximum(refl, board.surround_reflectivity + boost), refl)
+        reach = _reach_sigmas(board, size, sigma_max, ndtr) * sigma_b
+        lit = np.flatnonzero((np.abs(along) <= size[0] + reach) & (np.abs(cross) <= size[1] + reach))
+        sigma_lit = sigma_b[lit]
+        e_ref = np.maximum(_gauss_rect_fraction(0.0, 0.0, *size, sigma_lit, ndtr), 1e-300)
+        e = _gauss_rect_fraction(along[lit], cross[lit], *size, sigma_lit, ndtr)
+        boost = (board.pd_reflectivity - board.surround_reflectivity) * e / e_ref
+        i = on_board[lit]
+        refl[i] = np.maximum(refl[i], board.surround_reflectivity + boost)
 
-        near = (
-            is_board
-            & (np.abs(along) <= pd.half_span + EVENT_AXIAL_MARGIN_M)
-            & (np.abs(cross) <= EVENT_CROSS_WINDOW_M)
+        near = np.flatnonzero(
+            (np.abs(along) <= pd.half_span + EVENT_AXIAL_MARGIN_M) & (np.abs(cross) <= EVENT_CROSS_WINDOW_M)
         )
-        idx = np.flatnonzero(near)
+        idx = on_board[near]
         times = j[az_idx[idx]] * lidar.firing_period + ch_idx[idx] * lidar.pulse_burst_period
         order = np.lexsort((times, s_idx[idx]))
-        idx, times = idx[order], times[order]
-        currents = _element_currents(along[idx], cross[idx], sigma_spot[idx], pd, afe.peak_current, ndtr)
+        near, idx, times = near[order], idx[order], times[order]
+        currents = _element_currents(along[near], cross[near], sigma_b[near], pd, afe.peak_current, ndtr)
+        currents = currents[:, list(pd.sampled_channels)]
         edges = np.searchsorted(s_idx[idx], np.arange(len(seeds) + 1))
         events.append((pd, idx, times, currents, edges))
     refl = np.clip(refl + np.concatenate(refl_noise), 0.0, 255.0)
@@ -549,35 +603,17 @@ def _simulate_block(board, lidar, pose, rot, t, j, seeds, scan_ids, afe,
     beams["reflectivity"] = refl
 
     frames = []
-    for k, (rng, scan_id) in enumerate(zip(rngs, scan_ids)):
+    for k, (scan_id, pd_records) in enumerate(zip(scan_ids, _pd_records(events, rngs, scan_ids, afe))):
         lo, hi = bounds[k], bounds[k + 1]
-        pd_records = []
-        for pd, idx, times, currents, edges in events:
-            a, b = edges[k], edges[k + 1]
-            if a == b:
-                continue
-            pd_records.append(
-                currents_to_record(
-                    currents[a:b],
-                    afe.tia,
-                    afe.pulse_width,
-                    afe.voltage_noise_sigma,
-                    rng,
-                    pd_id=pd.pd_id,
-                    scan_id=scan_id,
-                    sampled_channels=pd.sampled_channels,
-                    event_times=times[a:b],
-                    noise_floor=afe.noise_floor,
-                )
-            )
         truth = None
         if with_truth:
+            xz = points[lo:hi, ::2]
             scan_events = [(pd, idx[edges[k]:edges[k + 1]]) for pd, idx, _, _, edges in events]
             truth = SimTruth(
                 board_positions=points[lo:hi],
                 is_board=is_board[lo:hi],
                 on_pd_beam={
-                    pd.pd_id: _strict_on_pd_beam(pd, xz[lo:hi], is_board[lo:hi])
+                    pd.pd_id: _strict_on_pd_beam(pd, xz, is_board[lo:hi])
                     for pd in board.pd_modules
                 },
                 pd_event_beams={pd.pd_id: [int(i - lo) for i in idx] for pd, idx in scan_events},
@@ -593,6 +629,52 @@ def _simulate_block(board, lidar, pose, rot, t, j, seeds, scan_ids, afe,
             )
         )
     return frames
+
+
+def _pd_records(events, rngs, scan_ids, afe: AfeConfig) -> list:
+    """Each scan's PD records, in board order, from one AFE pass per block.
+
+    ``events`` holds per PD (pd, beam indices, times, sampled currents,
+    per-scan edges), as ``_simulate_block`` builds it. Scan k has one record
+    per PD with events in it. Its voltage noise is one normal draw from its
+    generator, covering its records' (event, sampled element) cells in
+    board order, then row-major: the cells, in the order, of one draw per
+    record, and so the same stream. The gain, noise and rail clamp are
+    ``afe.peak_voltages`` over every cell of the block at once.
+    """
+    parts, sizes = [], []  # per record (scan, pd, event times, sampled currents); cells per scan
+    for k in range(len(rngs)):
+        n = 0
+        for pd, _, times, currents, edges in events:
+            a, b = edges[k], edges[k + 1]
+            if a < b:
+                parts.append((k, pd, times[a:b], currents[a:b]))
+                n += currents[a:b].size
+        sizes.append(n)
+    records = [[] for _ in rngs]
+    if not parts:
+        return records
+    noise = None
+    if afe.voltage_noise_sigma > 0:
+        noise = np.concatenate(
+            [rng.normal(0.0, afe.voltage_noise_sigma, size=n) for rng, n in zip(rngs, sizes) if n]
+        )
+    currents = np.concatenate([c.ravel() for *_, c in parts])
+    volts = peak_voltages(currents, afe.tia, afe.pulse_width, noise)
+    start = 0
+    for k, pd, times, c in parts:
+        records[k].append(
+            PdSignalRecord(
+                pd_id=pd.pd_id,
+                scan_id=scan_ids[k],
+                element_voltages=volts[start:start + c.size].reshape(c.shape),
+                sample_times=times,
+                sampled_channels=tuple(pd.sampled_channels),
+                noise_floor=afe.noise_floor,
+            )
+        )
+        start += c.size
+    return records
 
 
 def _strict_on_pd_beam(pd: PdPlacement, xz, is_board):

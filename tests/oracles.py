@@ -564,6 +564,39 @@ def simulate_scan_reference(
     )
 
 
+def beam_row_error_reference(path, rows, exc):
+    """``io._beam_row_error`` one row at a time: one ``io._loadtxt`` call per row
+    until the first malformed one.
+
+    ``rows`` are the beam rows as (line_no, line). A row is malformed when it
+    has the wrong field count, when a field fails the PD rows' number checks
+    (which refuse ``1_0`` and non-ASCII digits), or when numpy's reader
+    refuses a field that those accept (an int beyond 64 bits).
+    """
+    for line_no, line in rows:
+        parts = line.split(",")
+        if len(parts) != len(io._BEAM_ROW.names):
+            return io.FrameParseError(
+                path, line_no, "beam", f"expected {len(io.BEAM_FIELDS)} fields, got {len(parts) - 1}"
+            )
+        tokens = list(zip(io.BEAM_FIELDS, parts[1:]))
+        for field, token in tokens:
+            parse = io._parse_int if io._BEAM_ROW[field].kind == "i" else io._parse_float
+            parse(path, line_no, field, token)
+        try:
+            io._loadtxt([line], io._BEAM_ROW)
+        except io._REFUSED:
+            for field, token in tokens:
+                try:
+                    io._loadtxt([token], io._BEAM_ROW[field])
+                except io._REFUSED:
+                    return io.FrameParseError(
+                        path, line_no, field,
+                        f"{token!r} is not a plain ASCII decimal that fits {io._BEAM_ROW[field]}",
+                    )
+    return io.FrameParseError(path, rows[0][0], "beam", str(exc))
+
+
 def _read_beams_reference(path, rows):
     """Beam rows, as (line_no, line) in file order, to ``BEAM_DTYPE`` arrays by scan id."""
     if not rows:
@@ -571,7 +604,7 @@ def _read_beams_reference(path, rows):
     try:
         raw = io._loadtxt([line for _, line in rows], io._BEAM_ROW)
     except io._REFUSED as exc:
-        raise io._beam_row_error(path, rows, exc) from None
+        raise beam_row_error_reference(path, rows, exc) from None
     return io._beams_by_scan(raw)
 
 

@@ -9,6 +9,7 @@ from pdcalib.afe import (
     currents_to_record,
     noise_gain,
     noise_gain_corners,
+    peak_voltages,
     phase_margin,
     q_factor,
     q_from_phase_margin,
@@ -132,3 +133,36 @@ class TestCurrentsToRecord:
     def test_bad_pulse_width(self):
         with pytest.raises(ValueError):
             currents_to_record(np.zeros(16), TiaParams(), 0.0, 0.0, seed=0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_values_refused(self, value):
+        with pytest.raises(ValueError, match="voltages must be finite"):
+            PdSignalRecord("p", 0, np.array([[1.0, value]]), np.array([0.0]), (0, 5))
+        with pytest.raises(ValueError, match="must be finite"):
+            PdSignalRecord("p", 0, np.array([[1.0], [2.0]]), np.array([0.0, value]), (0,))
+        with pytest.raises(ValueError, match="must be finite"):
+            PdSignalRecord("p", 0, np.array([[1.0]]), np.array([0.0]), (0,), noise_floor=value)
+        assert PdSignalRecord("p", 0, np.zeros((0, 2)), np.zeros(0), (0, 5)).n_events == 0
+
+
+class TestPeakVoltages:
+    def test_one_call_for_many_records_gives_each_records_bits(self):
+        # the simulator's block pass: one noise draw and one call over the
+        # cells of several records, in order, as one draw and call per record
+        rng = np.random.default_rng(3)
+        blocks = [rng.uniform(0.0, 500e-6, (n, 16)) for n in (1, 3, 2)]
+        blocks[0][:] = 0.0  # noise alone: some voltages clamp at 0 V
+        sampled = (0, 5, 10, 15)
+        one_by_one = np.random.default_rng(9)
+        single = [
+            currents_to_record(c, TiaParams(), 2.3e-6, 0.1, one_by_one, sampled_channels=sampled) for c in blocks
+        ]
+        cells = np.concatenate([c[:, sampled].ravel() for c in blocks])
+        noise = np.random.default_rng(9).normal(0.0, 0.1, size=cells.size)
+        volts = peak_voltages(cells, TiaParams(), 2.3e-6, noise)
+        assert volts.tobytes() == b"".join(r.element_voltages.tobytes() for r in single)
+        assert volts.max() == 10.0 and volts.min() == 0.0  # both rails clamp
+
+    def test_bad_pulse_width(self):
+        with pytest.raises(ValueError, match="pulse_width"):
+            peak_voltages(np.zeros(4), TiaParams(), -1e-6)

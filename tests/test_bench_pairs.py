@@ -80,22 +80,32 @@ class TestMain:
         out.write_text(json.dumps({"workloads": {"older": {"seeds": [1]}}}))
         assert bench_pairs.main([
             "--parent", str(trees["parent"]), "--change", str(trees["change"]),
-            "--workload", "w1,w2", "--seeds", "4-6", "--out", str(out), "--layers", "x.calls",
+            "--workload", "w1,w2", "--seeds", "4-7", "--out", str(out), "--layers", "x.calls",
         ]) == 0
 
         doc = json.loads(out.read_text())
         assert list(doc["workloads"]) == ["older", "w1", "w2"]
         for name in ("w1", "w2"):
             entry = doc["workloads"][name]
-            assert entry["seeds"] == [4, 5, 6]
-            assert entry["first"] == ["parent", "change", "parent"]
+            assert entry["seeds"] == [4, 5, 6, 7]
+            assert entry["first"] == ["parent", "change", "parent", "change"]
             op = entry["end_to_end"]["op_s_p50"]
-            assert (op["change_wins"], op["pairs"]) == (3, 3)
-            assert entry["trace"] == {"seed": 4, "parent": {"x.calls": 4.0}, "change": {"x.calls": 4.0}}
+            assert (op["change_wins"], op["pairs"]) == (4, 4)
+            # the first three seeds are traced, each side once per seed
+            layer = {"x.calls": {"runs": [4.0, 5.0, 6.0], "median": 5.0}}
+            assert entry["trace"] == {"seeds": [4, 5, 6], "parent": layer, "change": layer}
+        traced = [r for r in runs if r[3] == 1]
+        assert traced[:6] == [
+            ("parent", "w1", 4, 1), ("change", "w1", 4, 1),
+            ("change", "w1", 5, 1), ("parent", "w1", 5, 1),
+            ("parent", "w1", 6, 1), ("change", "w1", 6, 1),
+        ]
+        assert [r[1] for r in traced[6:]] == ["w2"] * 6
         untraced = [r for r in runs if r[3] == 0]
-        assert untraced[:6] == [
+        assert untraced[:8] == [
             ("parent", "w1", 4, 0), ("change", "w1", 4, 0),
             ("change", "w1", 5, 0), ("parent", "w1", 5, 0),
             ("parent", "w1", 6, 0), ("change", "w1", 6, 0),
+            ("change", "w1", 7, 0), ("parent", "w1", 7, 0),
         ]
-        assert [r[1] for r in untraced[6:]] == ["w2"] * 6
+        assert [r[1] for r in untraced[8:]] == ["w2"] * 8

@@ -292,6 +292,99 @@ class TestFrameSerialization:
         with pytest.raises(ValueError):
             read_frames(path)
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999"])
+    @pytest.mark.parametrize("field", ["azimuth_deg", "omega_deg", "range_m", "reflectivity"])
+    def test_non_finite_beam_value_names_line_and_field(self, tmp_path, small_batch, field, token):
+        path = tmp_path / "frames.csv"
+        write_frames(small_batch, path)
+        lines = path.read_text().splitlines()
+        i = _mid_beam_row(lines)
+        parts = lines[i].split(",")
+        parts[1 + io.BEAM_FIELDS.index(field)] = token
+        lines[i] = ",".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FrameParseError, match="not a finite number") as err:
+            read_frames(path)
+        assert (err.value.line_no, err.value.field) == (i + 1, field)
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999"])
+    @pytest.mark.parametrize("field, index", [("time_s", 4), ("noise_floor_v", 5), ("v2", 9)])
+    def test_non_finite_pd_value_names_line_and_field(self, tmp_path, small_batch, field, index, token):
+        # the last row of a record, so an equal noise floor on its earlier
+        # rows does not decide the error
+        path = tmp_path / "frames.csv"
+        write_frames(small_batch, path)
+        lines = path.read_text().splitlines()
+        i = next(
+            k for k in range(1, len(lines) - 1)
+            if lines[k].startswith("pd,") and lines[k + 1].split(",")[:3] != lines[k].split(",")[:3]
+        )
+        for k in ([i] if field != "noise_floor_v" else
+                  [k for k, line in enumerate(lines) if line.split(",")[:3] == lines[i].split(",")[:3]]):
+            parts = lines[k].split(",")
+            parts[index] = token
+            lines[k] = ",".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FrameParseError, match="not a finite number") as err:
+            read_frames(path)
+        first = min(k for k, line in enumerate(lines) if token in line.split(","))
+        assert (err.value.line_no, err.value.field) == (first + 1, field)
+
+    def test_non_finite_pd_row_above_a_malformed_line_comes_first(self, tmp_path):
+        pd = "pd,h_tl,0,{event},{time},0.1,0|5|10|15,2.66,1.11,0.146,0.0"
+        path = tmp_path / "f.csv"
+        path.write_text("\n".join([
+            io.FRAME_MAGIC, "beam,0,5,21,4.2,-5.0,2.5,10.7",
+            pd.format(event=0, time="nan"), pd.format(event=1, time="0.5"), "beam,0,5,22,4.4,-5.0,abc,10.7",
+        ]) + "\n")
+        with pytest.raises(FrameParseError) as err:
+            read_frames(path)
+        assert (err.value.line_no, err.value.field) == (3, "time_s")
+        path.write_text(path.read_text().replace(",0,1,0.5,", ",0,0,0.5,"))
+        with pytest.raises(FrameParseError) as err:  # a repeated event below it
+            read_frames(path)
+        assert (err.value.line_no, err.value.field) == (3, "time_s")
+
+    def test_voltage_off_the_rails_names_line_and_field(self, tmp_path, small_batch):
+        path = tmp_path / "frames.csv"
+        write_frames(small_batch, path)
+        lines = path.read_text().splitlines()
+        i = next(k for k, line in enumerate(lines) if line.startswith("pd,"))
+        parts = lines[i].split(",")
+        parts[8] = "10.5"
+        lines[i] = ",".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FrameParseError, match="outside the 0-10 V supply range") as err:
+            read_frames(path)
+        assert (err.value.line_no, err.value.field) == (i + 1, "v1")
+
+    @pytest.mark.parametrize(
+        "field, token", [("channel", "1_0"), ("azimuth_index", str(2 ** 70)), ("reflectivity", "abc")]
+    )
+    def test_late_bad_beam_row_found_in_log_calls(self, tmp_path, monkeypatch, small_batch, field, token):
+        path = tmp_path / "frames.csv"
+        write_frames(small_batch, path)
+        lines = path.read_text().splitlines()
+        i = max(k for k, line in enumerate(lines) if line.startswith("beam,"))
+        parts = lines[i].split(",")
+        parts[1 + io.BEAM_FIELDS.index(field)] = token
+        lines[i] = ",".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        expected = _outcome(read_frames_reference, path)
+        assert expected[1:3] == (i + 1, field)
+        calls = []
+        loadtxt = io._loadtxt
+
+        def counting(rows, dtype):
+            calls.append(len(rows))
+            return loadtxt(rows, dtype)
+
+        monkeypatch.setattr(io, "_loadtxt", counting)
+        assert _outcome(read_frames, path) == expected
+        n = sum(line.startswith("beam,") for line in lines)
+        assert len(calls) <= 2 * math.ceil(math.log2(n)) + 4
+        assert sum(calls) <= 3 * n
+
     def test_duplicate_beam_in_scan_rejected(self, tmp_path, small_batch):
         path = tmp_path / "frames.csv"
         write_frames(small_batch, path)

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -55,6 +57,14 @@ class TestModels:
         with pytest.raises(ValueError):
             BoardModel(surround_reflectivity=80, pd_reflectivity=40)
 
+    @pytest.mark.parametrize(
+        "surround, pd", [(-1.0, 80.0), (10.0, 255.5), (float("nan"), 80.0), (10.0, float("inf"))]
+    )
+    def test_reflectivities_on_the_sensor_scale(self, surround, pd):
+        with pytest.raises(ValueError, match="0-255 intensity scale"):
+            BoardModel(surround_reflectivity=surround, pd_reflectivity=pd)
+        BoardModel(surround_reflectivity=0.0, pd_reflectivity=255.0)
+
     def test_pitch_length_consistency(self):
         with pytest.raises(ValueError):
             PdPlacement("p", offset=(0, 0), element_pitch=2e-3)
@@ -102,6 +112,14 @@ class TestModels:
                 PolarBeam(*bad)
             with pytest.raises(ValueError):
                 ScanFrame(scan_id=0, beams=[bad], pd_records=[])
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), float("1e999")])
+    def test_non_finite_reflectivity_refused(self, value):
+        rows = [(0.1, 0.01 * k, 2.0, 0, k, 5.0) for k in range(9)]
+        ScanFrame(scan_id=0, beams=rows, pd_records=[])
+        rows[7] = rows[7][:5] + (value,)
+        with pytest.raises(ValueError, match="reflectivities must be finite"):
+            ScanFrame(scan_id=0, beams=rows, pd_records=[])
 
     def test_frame_offset_round_trip(self):
         # a PD at the board center maps its array-center measurement (7.5 mm)
@@ -334,8 +352,27 @@ def _bench_case(orientation, **kw):
     return dict(board=sc.board, lidar=sc.lidar, pose=sc.base_pose, afe=sc.afe, **kw)
 
 
+def _moved_case(orientation, dy, surround, pd_reflectivity, **kw):
+    """A bench case at another range, with other board reflectivities."""
+    case = _bench_case(orientation, **kw)
+    case["board"] = dataclasses.replace(
+        case["board"], surround_reflectivity=surround, pd_reflectivity=pd_reflectivity
+    )
+    case["pose"] = dataclasses.replace(case["pose"], dy=dy)
+    return case
+
+
+# the bound on the reflectivity boost (scene._reach_sigmas) depends on the
+# surround (its spacing) and on the spot size (the range); at 6 m the PD
+# rows of the 2.5 m bench catch no events, at 1.2 m some modules do
 CASES = {
     "horizontal": lambda: _bench_case("horizontal"),
+    "near board, black surround": lambda: _moved_case("all", -1.2, 0.0, 255.0),
+    "near board, grey surround, wall": lambda: _moved_case(
+        "horizontal", -1.2, 120.0, 255.0, background_depth=0.6, background_reflectivity=200.0
+    ),
+    "far board, grey surround": lambda: _moved_case("all", -6.0, 120.0, 255.0),
+    "far board, black surround, wall": lambda: _moved_case("vertical", -6.0, 0.0, 255.0, background_depth=1.5),
     "vertical": lambda: _bench_case("vertical"),
     "all PDs": lambda: _bench_case("all"),
     "background wall": lambda: _bench_case("all", background_depth=0.4, background_reflectivity=55.0),
@@ -378,26 +415,25 @@ class TestSimulateScansOracle:
         monkeypatch.setattr(scene, "_SCANS_PER_PASS", 3)
         assert frames_to_text(simulate_scans(seeds=seeds, scan_ids=range(7), **kw)) == whole
 
-    def test_one_record_per_scan_and_pd_with_events(self, monkeypatch):
-        # the AFE is called through the scene module, once per (scan, PD)
-        # that has events, and returns the record the frame keeps
-        kw = CASES["all PDs"]()
-        calls = []
+    def test_one_record_per_scan_and_pd_with_events(self):
+        # each frame keeps one record per PD with events in its scan, in
+        # board order; a PD without events in a scan has no record there
+        for case in ("all PDs", "near board, black surround"):
+            kw = CASES[case]()
+            frames = simulate_scans(seeds=range(12), scan_ids=range(12), **kw)
+            board_order = [pd.pd_id for pd in kw["board"].pd_modules]
+            for f in frames:
+                beams = f.truth.pd_event_beams
+                with_events = [pd_id for pd_id in board_order if beams[pd_id]]
+                assert [r.pd_id for r in f.pd_records] == with_events
+                assert [r.n_events for r in f.pd_records] == [len(beams[pd_id]) for pd_id in with_events]
+                assert all(isinstance(r, PdSignalRecord) and r.scan_id == f.scan_id for r in f.pd_records)
+        assert any(len(f.pd_records) < len(board_order) for f in frames)
 
-        def counting(*args, **kwargs):
-            record = currents_to_record(*args, **kwargs)
-            calls.append(record)
-            return record
-
-        currents_to_record = scene.currents_to_record
-        monkeypatch.setattr(scene, "currents_to_record", counting)
-        frames = simulate_scans(seeds=range(12), scan_ids=range(12), **kw)
-        kept = [rec for f in frames for rec in f.pd_records]
-        assert [id(r) for r in calls] == [id(r) for r in kept]
-        assert all(isinstance(r, PdSignalRecord) and r.n_events > 0 for r in kept)
-        assert len(kept) == sum(
-            len([b for b in f.truth.pd_event_beams.values() if b]) for f in frames
-        )
+    def test_no_event_in_a_block(self):
+        kw = CASES["far board, grey surround"]()
+        frames = simulate_scans(seeds=range(3), scan_ids=range(3), **kw)
+        assert [f.pd_records for f in frames] == [[], [], []]
 
     def test_scan_without_a_return_fails_its_block(self):
         # one channel at the horizon and a board narrower than the azimuth
@@ -424,8 +460,69 @@ class TestSimulateScansOracle:
         with pytest.raises(SimulationError, match="no ray reaches the board"):
             simulate_scan(seed=miss[0], **kw)
 
+    def test_block_without_a_board_return(self):
+        # one channel passing above a small board with a PD: every return
+        # is the wall's, and no board return bounds the boost
+        kw = dict(
+            board=BoardModel(width=0.02, height=0.05, pd_modules=(PdPlacement("p", offset=(0.0, 0.0)),)),
+            lidar=LidarModel(n_channels=1, vertical_angles_deg=(2.0,)),
+            pose=FRONTAL,
+            background_depth=1.0,
+        )
+        seeds = list(range(3))
+        assert not any(simulate_scan_reference(seed=s, **kw).truth.is_board.any() for s in seeds)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            frames = simulate_scans(seeds=seeds, scan_ids=range(len(seeds)), **kw)
+        assert_same_frames(frames, [simulate_scan_reference(seed=s, scan_id=k, **kw) for k, s in enumerate(seeds)])
+
     def test_arguments(self):
         kw = CASES["horizontal"]()
         assert simulate_scans(seeds=[], scan_ids=[], **kw) == []
         with pytest.raises(ValueError, match="2 seeds for 1 scan ids"):
             simulate_scans(seeds=[1, 2], scan_ids=[0], **kw)
+
+
+class TestReflectivityBound:
+    # scene._reach_sigmas leaves a board return out of a module's boost when
+    # the boost provably rounds away in surround + boost
+
+    def test_ndtr_saturates_where_the_proof_says(self):
+        x = np.linspace(8.3, 80.0, 20001)
+        assert np.all(ndtr(x) == 1.0)
+        assert np.all(ndtr(-x[x >= 37.7]) == 0.0)
+        assert 0.0 < ndtr(-scene._REACH_SIGMAS) < 1e-23
+        assert np.all(np.diff(ndtr(-x[x >= scene._REACH_SIGMAS])) <= 0.0)
+
+    def test_reach(self):
+        size, sigma = (8e-3, 0.725e-3), LidarModel().spot_sigma(6.0)
+        for surround in (10.0, 120.0, 254.0):
+            board = BoardModel(surround_reflectivity=surround, pd_reflectivity=255.0)
+            assert scene._reach_sigmas(board, size, sigma, ndtr) == scene._REACH_SIGMAS
+        # the spacing of doubles above 0 is the smallest subnormal
+        board = BoardModel(surround_reflectivity=0.0, pd_reflectivity=255.0)
+        assert scene._reach_sigmas(board, size, sigma, ndtr) == scene._ZERO_REACH_SIGMAS
+
+    @pytest.mark.parametrize("case", ["all PDs", "near board, black surround", "far board, grey surround"])
+    def test_boost_beyond_the_reach_rounds_away(self, case):
+        kw = CASES[case]()
+        board, lidar = kw["board"], kw["lidar"]
+        m = pose_to_matrix(kw["pose"])
+        rot, t = m[:, :3], m[:, 3]
+        j = scene._azimuth_window(board, lidar, rot, t)
+        _, _, is_board, ranges, points = scene._cast_rays(board, lidar, rot, t, j, np.zeros(3), None)
+        sigma, x, z = lidar.spot_sigma(ranges[is_board]), points[is_board, 0], points[is_board, 2]
+        s, p = board.surround_reflectivity, board.pd_reflectivity
+        beyond_any = 0
+        for pd in board.pd_modules:
+            along, cross = pd.along_cross(x, z)
+            size = (pd.half_span, 0.5 * pd.active_width)
+            reach = scene._reach_sigmas(board, size, sigma.max(), ndtr) * sigma
+            beyond = (np.abs(along) > size[0] + reach) | (np.abs(cross) > size[1] + reach)
+            e = scene._gauss_rect_fraction(along, cross, *size, sigma, ndtr)
+            e_ref = np.maximum(scene._gauss_rect_fraction(0.0, 0.0, *size, sigma, ndtr), 1e-300)
+            boost = (p - s) * e / e_ref
+            assert np.all(s + boost[beyond] == s)
+            assert np.any(s + boost[~beyond] > s)
+            beyond_any += beyond.sum()
+        assert beyond_any > 0

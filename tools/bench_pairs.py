@@ -15,8 +15,9 @@ runs, median and quartiles and the number of pairs the change won (ties
 count for neither side). It also gets each side's ``first_op_s``, the scaled
 time of each run's first op (``op_scaled_seconds[0]`` of the run's report in
 ``.perfbench_out/``), where work moved out of set-up into the first op shows.
-With ``--layers``, one ``--trace 1`` run per side on the first seed adds
-those per-layer metrics. Each workload is its own entry, so one file holds
+With ``--layers``, ``--trace 1`` runs on each of the first three seeds,
+alternating which side goes first as the pairs do, add those per-layer
+metrics: every run's value and each side's median. Each workload is its own entry, so one file holds
 every workload of the command (and keeps those of earlier commands); the
 file is rewritten after every pair.
 
@@ -38,6 +39,10 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+
+# traced runs per side with --layers: the first seeds of the pairs
+TRACED_SEEDS = 3
 
 
 def seed_range(text: str) -> list:
@@ -151,12 +156,16 @@ def run_pairs(doc: dict, out: Path, sides: dict, spec: dict, workload: str, seed
               f"{op['parent']['runs'][-1]:.4f} change {op['change']['runs'][-1]:.4f}", flush=True)
 
     if layers:
-        seed = seeds[0]
-        traced = {s: run_bench(sides[s], workload, seed, seconds, 1)["metrics"] for s in sides}
-        entry["trace"] = {
-            "seed": seed,
-            **{s: {name: traced[s][name]["value"] for name in layers} for s in sides},
-        }
+        traced = {side: [] for side in sides}
+        for k, seed in enumerate(seeds[:TRACED_SEEDS]):
+            for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
+                traced[side].append(run_bench(sides[side], workload, seed, seconds, 1)["metrics"])
+        entry["trace"] = {"seeds": seeds[:TRACED_SEEDS]}
+        for side, runs in traced.items():
+            values = {name: [r[name]["value"] for r in runs] for name in layers}
+            entry["trace"][side] = {
+                name: {"runs": v, "median": statistics.median(v)} for name, v in values.items()
+            }
         out.write_text(json.dumps(doc, indent=1) + "\n")
 
 
