@@ -263,47 +263,25 @@ def fit_gaussian_iterative(
     )
 
 
-ARRAY_CENTER_M = 0.0075  # midpoint of the 0-15 mm element span
+def select_key_beam(centers, reflectivity) -> int:
+    """Index of the key event: the one with a usable fit whose beam reads the
+    highest reflectivity.
 
-
-def select_key_beam(centers) -> int:
-    """Index of the fitted center closest to the 7.5 mm array center.
-
-    Ties go to the earlier-fired beam (lower index). ``centers`` holds one
-    center per beam in meters, NaN for a failed fit; raises if none
-    succeeded.
+    ``centers`` holds each event's fitted center (NaN for a failed fit) and
+    ``reflectivity`` the level of the beam that made it. Ties go to the
+    earlier event (lower index); raises if no fit succeeded.
     """
-    best = None
-    best_dist = math.inf
-    for i, mu in enumerate(centers):
-        d = abs(mu - ARRAY_CENTER_M)
-        if d < best_dist - 1e-15:  # false for NaN
-            best, best_dist = i, d
-    if best is None:
+    level = np.where(np.isnan(centers), -np.inf, np.asarray(reflectivity, dtype=float))
+    if not np.isfinite(level).any():
         raise GaussianFitError("no successful fit to select a key beam from")
-    return best
+    return int(np.argmax(level))
 
 
-def beams_on_pd(record, firing_period: float, merge_tol: float = 10e-6):
-    """Split a PD record into per-beam voltage groups by firing time.
+def beams_on_pd(record):
+    """A PD record's events in firing order, one per event.
 
-    Events separated by roughly the firing period (~55 us between azimuth
-    cycles) are distinct beams; events closer than ``merge_tol`` are merged
-    by taking the element-wise peak (they belong to the same pulse group).
-
-    Returns a list of (time, voltage-vector) tuples in firing order.
+    Returns (times (n,), voltages (n, m)), sorted on time by a sort that
+    keeps the order of equal times.
     """
-    times = np.asarray(record.sample_times, dtype=float)
-    volts = np.atleast_2d(np.asarray(record.element_voltages, dtype=float))
-    if times.size == 0:
-        return []
-    order = np.argsort(times, kind="stable")
-    groups = []
-    for idx in order:
-        t, v = times[idx], volts[idx]
-        if groups and t - groups[-1][0] < merge_tol:
-            t0, v0 = groups[-1]
-            groups[-1] = (t0, np.maximum(v0, v))
-        else:
-            groups.append((t, v.copy()))
-    return groups
+    order = np.argsort(record.sample_times, kind="stable")
+    return record.sample_times[order], record.element_voltages[order]

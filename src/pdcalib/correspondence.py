@@ -2,9 +2,9 @@
 
 Three steps per photodetector:
 
-1. ``find_pd_beam``: the beam that struck the module shows up as a local
-   reflectivity maximum in its channel row (the module surface out-reflects
-   the black surround); one call searches every scan of a batch.
+1. ``find_pd_beam``: each PD event's firing time names the beam that made
+   it, (channel, azimuth index) on the sensor's scan clock; one call joins
+   every event of a batch to its board return.
 2. ``build_azimuth_center_model``: over repeated scans the reported azimuth
    of that beam fluctuates with the head rotation, and the PD-measured
    center moves proportionally. A RANSAC line over (azimuth, center) pairs
@@ -23,10 +23,9 @@ from functools import lru_cache
 import numpy as np
 
 from .geometry import DEG, MM, PolarBeam
-from .scene import PdPlacement
+from .scene import LidarModel, PdPlacement
 
 DEFAULT_DETECTION_MARGIN = 10.0  # reflectivity counts above the row median
-DEFAULT_SEARCH_WINDOW_M = 0.030
 DEFAULT_RANSAC_THRESHOLD_MM = 2.0
 DEFAULT_RANSAC_ITERATIONS = 200
 
@@ -61,92 +60,63 @@ class AzimuthCenterModel:
         return self.nu + self.tau * np.asarray(alpha_deg)
 
 
-def find_pd_beam(
-    row_reflectivity,
-    row_positions,
-    row_scan,
-    pd: PdPlacement,
-    n_scans: int,
-    margin: float = DEFAULT_DETECTION_MARGIN,
-    window: float = DEFAULT_SEARCH_WINDOW_M,
-) -> tuple[np.ndarray, dict]:
-    """Identify the beam that struck a PD module in each scan of a batch.
+def find_pd_beam(times, scans, table, table_scan, lidar: LidarModel) -> np.ndarray:
+    """Row of the batch table whose firing made each PD event, -1 where none.
 
-    In each scan, the candidates are the beams of the row within ``window``
-    of the module center whose reflectivity is at least the scan's row
-    median plus ``margin``. The highest level wins; levels within 1e-12 of
-    it tie, and a tie goes to the beam nearer the module center, then to
-    the earlier one in row order.
+    The sensor fires channel c of azimuth index j at ``j * firing_period +
+    c * pulse_burst_period`` on its scan clock, and PD event times are read
+    on that clock. So an event at t names the cell j = floor((t + pbp / 2) /
+    fp), c = round((t - j fp) / pbp) of its scan. An event gets no row when
+    its remainder lies more than a quarter burst period from a channel slot,
+    when c is not a channel of the sensor, or when the table holds no return
+    in that cell.
 
     Parameters
     ----------
-    row_reflectivity : (N,) array
-        Reflectivity of every beam of the channel row crossing the module,
-        in every scan.
-    row_positions : (N, 3) array
-        Their nominal board-frame positions (from the rig's nominal pose).
-    row_scan : (N,) int array
-        The scan, 0 .. ``n_scans`` - 1, each beam belongs to.
-    pd : PdPlacement
-        The module searched for.
-    n_scans : int
-        Scans in the batch; a scan with no beams in the row misses.
-    margin : float
-        Required elevation of the peak above the scan's row median.
-    window : float
-        Search radius around the module center on the board, meters.
-
-    Returns
-    -------
-    hits : (n_scans,) int array
-        Index into the N beams of each scan's struck beam, -1 on a miss.
-    misses : dict
-        Scan -> reason, for every scan with no sufficiently elevated beam
-        in the window; those scans are skipped for this PD.
+    times : (E,) array
+        Event firing times, s.
+    scans : (E,) int array
+        The scan of each event, as numbered in ``table_scan``.
+    table : structured array
+        The batch's board returns, with ``channel`` and ``azimuth_index``
+        columns; a (scan, channel, azimuth index) cell holds one return.
+    table_scan : (N,) int array
+        The scan of each table row.
+    lidar : LidarModel
+        Firing schedule and channel count of the sensor.
     """
-    refl = np.asarray(row_reflectivity, dtype=float)
-    scan = np.asarray(row_scan, dtype=np.intp)
-    positions = np.asarray(row_positions, dtype=float).reshape(-1, 3)
-    if not refl.shape == scan.shape == positions.shape[:1]:
-        raise ValueError("one scan id and one position per row beam required")
-    if scan.size and not (0 <= scan.min() and scan.max() < n_scans):
-        raise ValueError(f"scan ids must lie in 0 .. {n_scans - 1}")
-    center = np.array([pd.offset[0], 0.0, pd.offset[1]])
-    dist = np.linalg.norm(positions - center, axis=1)
+    t = np.asarray(times, dtype=float)
+    s = np.asarray(scans, dtype=np.int64)
+    table_scan = np.asarray(table_scan, dtype=np.int64)
+    if t.shape != s.shape or table_scan.shape != table.shape:
+        raise ValueError("one scan id per event and per table row required")
+    fp, pbp = lidar.firing_period, lidar.pulse_burst_period
+    j = np.floor((t + pbp / 2) / fp)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slot = (t - j * fp) / pbp
+        c = np.rint(slot)
+        named = (np.abs(slot - c) <= 0.25) & (c >= 0) & (c < lidar.n_channels)
+    rows = np.full(t.shape, -1, dtype=np.intp)
+    if not table.size or not named.any():
+        return rows
 
-    # per-scan row median: the middle one or two levels of each scan's block
-    count = np.bincount(scan, minlength=n_scans)
-    ranked = refl[np.lexsort((refl, scan))]
-    first = np.cumsum(count) - count
-    seen = count > 0
-    median = np.full(n_scans, np.nan)
-    low, high = (first + (count - 1) // 2)[seen], (first + count // 2)[seen]
-    median[seen] = (ranked[low] + ranked[high]) / 2
+    # one sorted integer key over the (scan, channel, azimuth index) cells
+    channel = table["channel"].astype(np.int64)
+    azimuth = table["azimuth_index"].astype(np.int64)
+    c_lo, a_lo = channel.min(), azimuth.min()
+    c_span, a_span = channel.max() - c_lo + 1, azimuth.max() - a_lo + 1
+    cells = (table_scan * c_span + channel - c_lo) * a_span + azimuth - a_lo
+    order = np.argsort(cells, kind="stable")
+    cells = cells[order]
 
-    near = dist <= window
-    candidate = near & (refl >= median[scan] + margin)
-    top = np.full(n_scans, -np.inf)
-    np.maximum.at(top, scan[candidate], refl[candidate])
-    tied = candidate & (top[scan] - refl <= 1e-12)
-    nearest = np.full(n_scans, np.inf)
-    np.minimum.at(nearest, scan[tied], dist[tied])
-    winners = np.flatnonzero(tied & (dist == nearest[scan]))
-    hits = np.full(n_scans, -1, dtype=np.intp)
-    won, first_win = np.unique(scan[winners], return_index=True)
-    hits[won] = winners[first_win]
-
-    any_near = np.bincount(scan[near], minlength=n_scans) > 0
-    misses = {}
-    for k in np.flatnonzero(hits < 0).tolist():
-        if not seen[k]:
-            misses[k] = f"{pd.pd_id}: empty channel row"
-        elif not any_near[k]:
-            misses[k] = f"{pd.pd_id}: no beams within {window * 1e3:.0f} mm"
-        else:
-            misses[k] = (
-                f"{pd.pd_id}: no local maximum exceeds median {median[k]:.1f} + {margin:.0f}"
-            )
-    return hits, misses
+    e = np.flatnonzero(named)
+    ec, ej = c[e].astype(np.int64) - c_lo, j[e].astype(np.int64) - a_lo
+    inside = (ec >= 0) & (ec < c_span) & (ej >= 0) & (ej < a_span)
+    e, key = e[inside], ((s[e] * c_span + ec) * a_span + ej)[inside]
+    at = np.minimum(np.searchsorted(cells, key), len(cells) - 1)
+    found = cells[at] == key
+    rows[e[found]] = order[at[found]]
+    return rows
 
 
 def _line_fit(a: np.ndarray, mu: np.ndarray) -> tuple[float, float]:

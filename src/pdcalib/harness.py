@@ -74,13 +74,22 @@ def sweep_to_dict(spec: SweepSpec) -> dict:
 
 
 def sweep_from_dict(data: dict) -> SweepSpec:
+    """A sweep spec from its JSON object; a missing key takes its default.
+
+    Raises ValueError naming the key for a document that is not an object or
+    a field of the wrong type.
+    """
+    # imported here: `import pdcalib` does not load io (and json) otherwise
+    from .io import NUMBER, config_reader
+
+    get = config_reader(data)
     return SweepSpec(
-        parameter=data.get("parameter", "yaw"),
-        start=float(data.get("start", -3.0)),
-        stop=float(data.get("stop", 3.0)),
-        step=float(data.get("step", 0.5)),
-        scans_per_point=int(data.get("scans_per_point", 50)),
-        seed=int(data.get("seed", 0)),
+        parameter=get("parameter", str, "yaw"),
+        start=float(get("start", NUMBER, -3.0)),
+        stop=float(get("stop", NUMBER, 3.0)),
+        step=float(get("step", NUMBER, 0.5)),
+        scans_per_point=get("scans_per_point", int, 50),
+        seed=get("seed", int, 0),
     )
 
 
@@ -153,7 +162,7 @@ def simulate_point(scene: Scene, pose: Pose6DOF, n_scans: int, seed: int,
 def run_point(scene: Scene, pose: Pose6DOF, n_scans: int, seed: int, point_index: int) -> BatchResult:
     """Simulate and calibrate one reference point (no ground truth is kept)."""
     frames = simulate_point(scene, pose, n_scans, seed, point_index, with_truth=False)
-    return calibrate_frames(frames, scene, nominal_pose=pose)
+    return calibrate_frames(frames, scene)
 
 
 def _sweep_worker(args):

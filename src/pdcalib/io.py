@@ -110,66 +110,115 @@ def scene_to_dict(scene: Scene) -> dict:
     }
 
 
+NUMBER = (int, float)
+_KIND_NAMES = {  # singular, plural
+    NUMBER: ("a number", "numbers"),
+    int: ("an integer", "integers"),
+    str: ("a string", "strings"),
+    dict: ("an object", "objects"),
+}
+_REQUIRED = object()
+
+
+def config_reader(data, where: str = ""):
+    """A reader of the fields of the JSON object ``data``, the section
+    ``where`` of its document; ValueError if ``data`` is not an object.
+
+    ``read(key, kind, default, many)`` is ``data[key]`` checked to be of type
+    ``kind`` (with ``many``, a list of them; a bool is never a number), or
+    ``default`` where the key is absent. It raises ValueError naming the key
+    if the key is absent with no default or holds a value of another type.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object, got {type(data).__name__}")
+
+    def read(key: str, kind, default=_REQUIRED, many: bool = False):
+        name = f"{where}.{key}" if where else key
+        if key not in data:
+            if default is _REQUIRED:
+                raise ValueError(f"missing key {name!r}")
+            return default
+        value = data[key]
+        items = value if many and isinstance(value, list) else [value]
+        if (many and not isinstance(value, list)) or not all(
+            isinstance(v, kind) and not isinstance(v, bool) for v in items
+        ):
+            one, several = _KIND_NAMES[kind]
+            raise ValueError(f"{name!r} must be {'a list of ' + several if many else one}, got {value!r}")
+        return value
+
+    return read
+
+
 def scene_from_dict(data: dict) -> Scene:
-    b = data["board"]
-    pds = tuple(
-        PdPlacement(
-            pd_id=p["pd_id"],
-            offset=tuple(p["offset_m"]),
-            orientation=p.get("orientation", "horizontal"),
-            n_elements=p.get("n_elements", 16),
-            element_pitch=p.get("element_pitch_m", 1e-3),
-            active_length=p.get("active_length_m", 16e-3),
-            active_width=p.get("active_width_m", 1.45e-3),
-            sampled_channels=tuple(p.get("sampled_channels", (0, 5, 10, 15))),
-        )
-        for p in b.get("pd_modules", [])
-    )
+    """A scene from its config; every key but the board and its PD ids and
+    offsets takes a default.
+
+    Raises ValueError naming the key for a document or section that is not
+    an object, a missing required key or a field of the wrong type.
+    """
+    doc = config_reader(data)
+    b = config_reader(doc("board", dict), "board")
+    pds = []
+    for k, p in enumerate(b("pd_modules", dict, [], many=True)):
+        pd = config_reader(p, f"board.pd_modules[{k}]")
+        pds.append(PdPlacement(
+            pd_id=pd("pd_id", str),
+            offset=tuple(pd("offset_m", NUMBER, many=True)),
+            orientation=pd("orientation", str, "horizontal"),
+            n_elements=pd("n_elements", int, 16),
+            element_pitch=pd("element_pitch_m", NUMBER, 1e-3),
+            active_length=pd("active_length_m", NUMBER, 16e-3),
+            active_width=pd("active_width_m", NUMBER, 1.45e-3),
+            sampled_channels=tuple(pd("sampled_channels", int, (0, 5, 10, 15), many=True)),
+        ))
     board = BoardModel(
-        width=b.get("width_m", 1.0),
-        height=b.get("height_m", 0.54),
-        pd_modules=pds,
-        surround_reflectivity=b.get("surround_reflectivity", 10.0),
-        pd_reflectivity=b.get("pd_reflectivity", 80.0),
+        width=b("width_m", NUMBER, 1.0),
+        height=b("height_m", NUMBER, 0.54),
+        pd_modules=tuple(pds),
+        surround_reflectivity=b("surround_reflectivity", NUMBER, 10.0),
+        pd_reflectivity=b("pd_reflectivity", NUMBER, 80.0),
     )
-    ld = data.get("lidar", {})
+    ld = config_reader(doc("lidar", dict, {}), "lidar")
     lidar = LidarModel(
-        n_channels=ld.get("n_channels", 16),
-        vertical_angles_deg=tuple(ld.get("vertical_angles_deg", tuple(float(a) for a in range(-15, 16, 2)))),
-        azimuth_step_deg=ld.get("azimuth_step_deg", 0.2),
-        range_noise_sigma=ld.get("range_noise_sigma_m", 0.010),
-        azimuth_jitter_sigma_deg=ld.get("azimuth_jitter_sigma_deg", 0.02),
-        beam_divergence=ld.get("beam_divergence_rad", 19.6e-3 / 2.5),
-        firing_period=ld.get("firing_period_s", 55e-6),
-        pulse_burst_period=ld.get("pulse_burst_period_s", 2.3e-6),
+        n_channels=ld("n_channels", int, 16),
+        vertical_angles_deg=tuple(
+            ld("vertical_angles_deg", NUMBER, tuple(float(a) for a in range(-15, 16, 2)), many=True)
+        ),
+        azimuth_step_deg=ld("azimuth_step_deg", NUMBER, 0.2),
+        range_noise_sigma=ld("range_noise_sigma_m", NUMBER, 0.010),
+        azimuth_jitter_sigma_deg=ld("azimuth_jitter_sigma_deg", NUMBER, 0.02),
+        beam_divergence=ld("beam_divergence_rad", NUMBER, 19.6e-3 / 2.5),
+        firing_period=ld("firing_period_s", NUMBER, 55e-6),
+        pulse_burst_period=ld("pulse_burst_period_s", NUMBER, 2.3e-6),
     )
-    af = data.get("afe", {})
-    tia_d = af.get("tia", {})
+    af = config_reader(doc("afe", dict, {}), "afe")
+    tia = config_reader(af("tia", dict, {}), "afe.tia")
     afe = AfeConfig(
         tia=TiaParams(
-            r_f=tia_d.get("r_f_ohm", 1e5),
-            c_f=tia_d.get("c_f_farad", 68e-12),
-            r_sh=tia_d.get("r_sh_ohm", 250e9),
-            c_pd=tia_d.get("c_pd_farad", 200e-12),
-            c_i_amp=tia_d.get("c_i_amp_farad", 1.4e-12),
-            gbwp=tia_d.get("gbwp_hz", 1e6),
-            a_ol=tia_d.get("a_ol_db", 106.0),
+            r_f=tia("r_f_ohm", NUMBER, 1e5),
+            c_f=tia("c_f_farad", NUMBER, 68e-12),
+            r_sh=tia("r_sh_ohm", NUMBER, 250e9),
+            c_pd=tia("c_pd_farad", NUMBER, 200e-12),
+            c_i_amp=tia("c_i_amp_farad", NUMBER, 1.4e-12),
+            gbwp=tia("gbwp_hz", NUMBER, 1e6),
+            a_ol=tia("a_ol_db", NUMBER, 106.0),
         ),
-        pulse_width=af.get("pulse_width_s", 2.3e-6),
-        voltage_noise_sigma=af.get("voltage_noise_sigma_v", 0.1),
-        noise_floor=af.get("noise_floor_v", 0.1),
-        peak_current=af.get("peak_current_a", 100e-6),
+        pulse_width=af("pulse_width_s", NUMBER, 2.3e-6),
+        voltage_noise_sigma=af("voltage_noise_sigma_v", NUMBER, 0.1),
+        noise_floor=af("noise_floor_v", NUMBER, 0.1),
+        peak_current=af("peak_current_a", NUMBER, 100e-6),
     )
-    p = data.get("base_pose", {})
+    p = config_reader(doc("base_pose", dict, {}), "base_pose")
     pose = Pose6DOF(
-        p.get("phi_deg", 0.0) * DEG,
-        p.get("theta_deg", 0.0) * DEG,
-        p.get("psi_deg", 0.0) * DEG,
-        p.get("dx_m", -0.7),
-        p.get("dy_m", -2.5),
-        p.get("dz_m", 0.0),
+        p("phi_deg", NUMBER, 0.0) * DEG,
+        p("theta_deg", NUMBER, 0.0) * DEG,
+        p("psi_deg", NUMBER, 0.0) * DEG,
+        p("dx_m", NUMBER, -0.7),
+        p("dy_m", NUMBER, -2.5),
+        p("dz_m", NUMBER, 0.0),
     )
-    return Scene(board=board, lidar=lidar, afe=afe, base_pose=pose, seed=int(data.get("seed", 0)))
+    return Scene(board=board, lidar=lidar, afe=afe, base_pose=pose, seed=doc("seed", int, 0))
 
 
 def save_scene(scene: Scene, path):
@@ -531,7 +580,7 @@ def correspondence_dump(result, board) -> str:
         for k in range(len(alpha_deg)):
             if model is not None:
                 p_o = pd_measurement_to_board(pd, float(model.predict(alpha_deg[k])) * 1e-3)
-                inlier = int(model.inlier_mask[k]) if k < len(model.inlier_mask) else 1
+                inlier = int(model.inlier_mask[k])
             else:
                 p_o = pd_measurement_to_board(pd, mu_mm[k] * 1e-3)
                 inlier = 0

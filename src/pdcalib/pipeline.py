@@ -7,10 +7,11 @@ scan sees the same board. Then one feature pass runs over the whole batch,
 on a single table of every frame's board returns with a scan column:
 
 1. slide each board return along its ray onto the plane (range correction);
-2. per PD module: pick, in every scan, the channel row crossing it, and
-   detect the struck beam of every scan by its reflectivity in one call;
-3. fit the beam centers of every event of every detection in one batch,
-   and keep each (scan, module) pair's (azimuth, center).
+2. join every PD event of the batch to the board return its firing time
+   names, (scan, channel, azimuth index), in one call;
+3. fit the beam centers of every joined event in one batch, and keep per
+   (scan, module) the event whose beam reads the highest reflectivity: its
+   (azimuth, center) pair.
 
 The per-module pairs from the whole batch feed the RANSAC azimuth-center
 model; each frame then yields correspondences. One stacked closed-form solve
@@ -31,15 +32,7 @@ import numpy as np
 
 from . import beam_center, correspondence, preprocess, solver
 from .bench import Scene
-from .geometry import (
-    DEG,
-    MM,
-    PolarBeam,
-    Pose6DOF,
-    polar_to_cartesian_array,
-    pose_to_matrix,
-    transform_array,
-)
+from .geometry import DEG, MM, PolarBeam, polar_to_cartesian_array
 
 log = logging.getLogger("pdcalib")
 
@@ -76,30 +69,16 @@ class BatchResult:
     features: list                   # list[FrameFeatures]
 
 
-def _row_channels(pd, board_xz: np.ndarray, channel: np.ndarray, scan: np.ndarray,
-                  starts: np.ndarray) -> np.ndarray:
-    """Per scan, the channel whose beams pass closest to the PD center on the
-    board. ``starts`` opens each scan's block of the batch table; within a
-    block the first of equally near returns decides, as ``np.argmin`` does."""
-    d = np.linalg.norm(board_xz - np.array([pd.offset[0], pd.offset[1]]), axis=1)
-    at_min = np.flatnonzero(d == np.minimum.reduceat(d, starts)[scan])
-    return channel[at_min[np.searchsorted(at_min, starts)]]
-
-
-def _detection_windows(board) -> dict:
-    """Per-PD beam-search radius: capped below half the sibling distance so
-    closely mounted modules never claim each other's beams."""
-    default = correspondence.DEFAULT_SEARCH_WINDOW_M
-    centers = {pd.pd_id: np.asarray(pd.offset) for pd in board.pd_modules}
-    windows = {}
-    for pd in board.pd_modules:
-        others = [
-            np.linalg.norm(centers[pd.pd_id] - c)
-            for pid, c in centers.items()
-            if pid != pd.pd_id
-        ]
-        windows[pd.pd_id] = min(default, 0.45 * min(others)) if others else default
-    return windows
+def _row_medians(refl: np.ndarray, row: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Median reflectivity of the row of each table entry ``at``: the mean of
+    the middle one or two levels. ``row`` numbers every entry's row; only
+    the rows asked for are sorted."""
+    kept = np.flatnonzero(np.isin(row, row[at]))
+    order = kept[np.lexsort((refl[kept], row[kept]))]
+    ranked, rows = refl[order], row[order]
+    lo = np.searchsorted(rows, row[at], "left")
+    hi = np.searchsorted(rows, row[at], "right")
+    return (ranked[(lo + hi - 1) // 2] + ranked[(lo + hi) // 2]) / 2
 
 
 def board_plane(frames, rois) -> preprocess.PlaneModel:
@@ -137,21 +116,22 @@ def _beam_centers(groups) -> list:
     return centers
 
 
-def extract_frame_features(
-    frames,
-    rois,
-    plane: preprocess.PlaneModel,
-    scene: Scene,
-    nominal_pose: Pose6DOF,
-) -> list:
-    """Range correction, beam detection and center fitting on a whole batch.
+def extract_frame_features(frames, rois, plane: preprocess.PlaneModel, scene: Scene) -> list:
+    """Range correction, beam association and center fitting on a whole batch.
 
     ``rois[k]`` indexes the board returns of ``frames[k]`` (from
     segmentation) and ``plane`` is the board plane they are slid onto. The
-    ROI returns of every frame form one table with a scan column. Each PD is
-    detected in all scans by one ``find_pd_beam`` call, the events of every
-    detection in the batch are fit together, and each (scan, PD) keeps the
-    event nearest the array middle as its key beam.
+    ROI returns of every frame form one table with a scan column, and one
+    ``find_pd_beam`` call joins every PD event of the batch to its table row
+    by firing time. The joined events are fit together. Each (scan, PD)
+    keeps as its key beam the joined beam with the highest reflectivity
+    among its usable fits, and that event's center.
+
+    A (scan, PD) misses when none of its events joins, or when its key beam
+    reads less than its (scan, channel) row median plus
+    ``DEFAULT_DETECTION_MARGIN``: a board return joined to a PD event that
+    is no brighter than the black surround means the PD clock is off the
+    sensor's.
 
     Returns one ``FrameFeatures`` per frame, in batch order.
     """
@@ -160,51 +140,64 @@ def extract_frame_features(
     table = np.concatenate([f.beams[roi] for f, roi in zip(frames, rois)])
     sizes = [len(roi) for roi in rois]
     scan = np.repeat(np.arange(n), sizes)
-    starts = np.cumsum(sizes) - sizes
     omega, alpha, channel, refl = (table[k] for k in ("omega", "alpha", "channel", "reflectivity"))
     r_corr = preprocess.range_to_plane(omega, alpha, plane)
 
-    # nominal board positions of the corrected returns, for detection windows
-    m_nom = pose_to_matrix(nominal_pose)
-    pts_o = transform_array(m_nom, polar_to_cartesian_array(omega, alpha, r_corr))
-    board_xz = pts_o[:, [0, 2]]
-
     records = [{rec.pd_id: rec for rec in f.pd_records} for f in frames]
-    windows = _detection_windows(board)
     misses = [{} for _ in frames]
-    detected = []  # (scan, pd, struck table row), PD by PD
-    groups = []    # (event voltages, sample positions, noise floor) per detection
+    live = []  # (scan, pd, record), PD by PD
     for pd in board.pd_modules:
-        recs = [by_id.get(pd.pd_id) for by_id in records]
-        live = np.array([rec is not None and rec.n_events > 0 for rec in recs])
-        outcome = {}
-        if live.any():
-            row_channel = _row_channels(pd, board_xz, channel, scan, starts)
-            row = np.flatnonzero(live[scan] & (channel == row_channel[scan]))
-            hits, outcome = correspondence.find_pd_beam(
-                refl[row], pts_o[row], scan[row], pd, n, window=windows[pd.pd_id]
-            )
-        for k, rec in enumerate(recs):
-            if not live[k]:
+        for k, by_id in enumerate(records):
+            rec = by_id.get(pd.pd_id)
+            if rec is None or rec.n_events == 0:
                 misses[k][pd.pd_id] = "no voltage events"
-            elif k in outcome:
-                misses[k][pd.pd_id] = outcome[k]
             else:
-                events = beam_center.beams_on_pd(rec, scene.lidar.firing_period)
-                detected.append((k, pd, row[hits[k]]))
-                groups.append((
-                    np.array([v for _, v in events]),
-                    pd.element_positions()[list(rec.sampled_channels)],
-                    rec.noise_floor,
-                ))
+                live.append((k, pd, rec))
+    events = [beam_center.beams_on_pd(rec) for _, _, rec in live]
+    counts = [len(times) for times, _ in events]
+    rows = correspondence.find_pd_beam(
+        np.concatenate([np.zeros(0)] + [times for times, _ in events]),
+        np.repeat([k for k, _, _ in live], counts),
+        table,
+        scan,
+        scene.lidar,
+    )
+
+    detected = []  # (scan, pd, joined table rows), PD by PD
+    groups = []    # (joined event voltages, sample positions, noise floor) per detection
+    for (k, pd, rec), (_, volts), hits in zip(live, events, np.split(rows, np.cumsum(counts)[:-1])):
+        joined = hits >= 0
+        if not joined.any():
+            misses[k][pd.pd_id] = f"{pd.pd_id}: no event time names a board return; PD clock offset?"
+            continue
+        detected.append((k, pd, hits[joined]))
+        groups.append((
+            volts[joined],
+            pd.element_positions()[list(rec.sampled_channels)],
+            rec.noise_floor,
+        ))
+
+    keys = []  # (scan, pd, key table row, key center)
+    for (k, pd, hits), mu in zip(detected, _beam_centers(groups)):
+        try:
+            key = beam_center.select_key_beam(mu, refl[hits])
+        except beam_center.GaussianFitError as exc:
+            misses[k][pd.pd_id] = str(exc)
+            continue
+        keys.append((k, pd, hits[key], mu[key]))
+    c = channel - channel.min(initial=0)
+    row = scan * (c.max(initial=0) + 1) + c
+    medians = _row_medians(refl, row, np.array([i for _, _, i, _ in keys], dtype=np.intp))
+    margin = correspondence.DEFAULT_DETECTION_MARGIN
 
     key_beams = [{} for _ in frames]
     key_centers = [{} for _ in frames]
-    for (k, pd, i), mu in zip(detected, _beam_centers(groups)):
-        try:
-            key = beam_center.select_key_beam(mu)
-        except beam_center.GaussianFitError as exc:
-            misses[k][pd.pd_id] = str(exc)
+    for (k, pd, i, mu), median in zip(keys, medians):
+        if not refl[i] >= median + margin:
+            misses[k][pd.pd_id] = (
+                f"{pd.pd_id}: struck beam reads {refl[i]:.1f}, below its row median "
+                f"{median:.1f} + {margin:.0f}; PD clock offset?"
+            )
             continue
         key_beams[k][pd.pd_id] = PolarBeam(
             omega=float(omega[i]),
@@ -214,7 +207,7 @@ def extract_frame_features(
             azimuth_index=int(table["azimuth_index"][i]),
             reflectivity=float(refl[i]),
         )
-        key_centers[k][pd.pd_id] = float(mu[key])
+        key_centers[k][pd.pd_id] = float(mu)
     features = [
         FrameFeatures(
             scan_id=f.scan_id,
@@ -222,7 +215,7 @@ def extract_frame_features(
             key_centers=key_centers[k],
             plane=plane,
             roi_count=sizes[k],
-            misses=misses[k],
+            misses={pd.pd_id: misses[k][pd.pd_id] for pd in board.pd_modules if pd.pd_id in misses[k]},
         )
         for k, f in enumerate(frames)
     ]
@@ -234,11 +227,10 @@ def extract_frame_features(
     return features
 
 
-def calibrate_frames(frames, scene: Scene, nominal_pose: Pose6DOF | None = None) -> BatchResult:
+def calibrate_frames(frames, scene: Scene) -> BatchResult:
     """Full calibration over a batch of frames taken at one rig pose.
 
-    ``nominal_pose`` is the rig's intended pose (detection windows only; the
-    estimate itself is unconstrained). Defaults to the scene's base pose.
+    Nothing about the pose is assumed: the PD event times name the beams.
 
     Raises
     ------
@@ -247,7 +239,6 @@ def calibrate_frames(frames, scene: Scene, nominal_pose: Pose6DOF | None = None)
         collects enough (azimuth, center) pairs for a model, if no scan
         yields enough correspondences to solve, or if they are collinear.
     """
-    nominal_pose = nominal_pose or scene.base_pose
     if not frames:
         raise PipelineError("segmentation", "empty batch: no frames to calibrate")
     rois = []
@@ -257,7 +248,7 @@ def calibrate_frames(frames, scene: Scene, nominal_pose: Pose6DOF | None = None)
         except preprocess.SegmentationError as exc:
             raise PipelineError("segmentation", f"scan {f.scan_id}: {exc}") from exc
     plane = board_plane(frames, rois)
-    features = extract_frame_features(frames, rois, plane, scene, nominal_pose)
+    features = extract_frame_features(frames, rois, plane, scene)
 
     pairs: dict = {}
     for pd in scene.board.pd_modules:

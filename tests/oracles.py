@@ -8,8 +8,8 @@ the pose oracle is the damped Gauss-Newton (Levenberg-Marquardt) loop the
 closed-form solver replaced, the Jacobian oracle differentiates the solver's
 residual numerically, the segmentation oracle labels the full radius graph
 of a scan's Cartesian points, the graph-labelling oracle is scipy's
-connected components, the feature oracle detects and fits one frame at a
-time with a scalar beam-detection loop, the RANSAC oracle scores one hypothesis line at
+connected components, the feature oracle joins each PD event of one frame
+to its beam through a dict and fits it on its own, the RANSAC oracle scores one hypothesis line at
 a time, the scene oracle simulates one scan at a time with one
 element-current call per PD event, the frame-file oracle sorts and parses
 a file line by line, and the Cartesian-to-polar inverse checks the
@@ -34,9 +34,8 @@ from pdcalib.geometry import (
     Pose6DOF,
     polar_to_cartesian_array,
     pose_to_matrix,
-    transform_array,
 )
-from pdcalib.pipeline import FrameFeatures, _beam_centers, _detection_windows
+from pdcalib.pipeline import FrameFeatures
 from pdcalib.scene import (
     BEAM_DTYPE,
     EVENT_AXIAL_MARGIN_M,
@@ -228,90 +227,77 @@ def cartesian_to_polar(x, y, z):
     return math.asin(z / r), math.atan2(x, y) % (2 * math.pi), r
 
 
-def find_pd_beam_scalar(row_reflectivity, row_positions, pd, margin=10.0, window=0.030):
-    """Struck-beam row index of one scan's channel row, or a miss reason.
-
-    A sequential scan of the row: a beam within ``window`` whose level is at
-    least the row median plus ``margin`` replaces the best so far when it is
-    higher by more than 1e-12, or within 1e-12 of it and strictly nearer the
-    module center. Returns (index, None) or (None, reason).
-    """
-    refl = np.asarray(row_reflectivity, dtype=float)
-    if refl.size == 0:
-        return None, f"{pd.pd_id}: empty channel row"
-    positions = np.atleast_2d(row_positions)
-    center = np.array([pd.offset[0], 0.0, pd.offset[1]])
-    dist = np.linalg.norm(positions - center, axis=1)
-    near = np.nonzero(dist <= window)[0]
-    if near.size == 0:
-        return None, f"{pd.pd_id}: no beams within {window * 1e3:.0f} mm"
-    row_median = float(np.median(refl))
-    best = None
-    for i in near:
-        level = refl[i]
-        if level < row_median + margin:
-            continue
-        if best is None or level > refl[best] + 1e-12:
-            best = i
-        elif abs(level - refl[best]) <= 1e-12 and dist[i] < dist[best]:
-            best = i
-    if best is None:
-        return None, f"{pd.pd_id}: no local maximum exceeds median {row_median:.1f} + {margin:.0f}"
-    return int(best), None
+def event_cell(t, lidar):
+    """(channel, azimuth index) of the firing at time ``t``, or None when the
+    time lies more than a quarter burst period off every channel slot of
+    the sensor."""
+    fp, pbp = lidar.firing_period, lidar.pulse_burst_period
+    if pbp == 0:
+        return None
+    j = math.floor((t + pbp / 2) / fp)
+    slot = (t - j * fp) / pbp
+    c = round(slot)
+    if abs(slot - c) > 0.25 or not 0 <= c < lidar.n_channels:
+        return None
+    return c, j
 
 
-def frame_features(frame, roi, plane, scene, nominal_pose):
-    """Range correction, beam detection and center fitting on one frame.
+def frame_features(frame, roi, plane, scene, margin=10.0):
+    """Range correction, beam association and center fitting on one frame.
 
-    Per PD: the row is the channel of the ROI return nearest the module
-    center at the nominal pose, and ``find_pd_beam_scalar`` detects the
-    struck beam in it. The events of the frame's detected PDs are fit in one
-    batch, and each PD keeps the event nearest the array middle.
+    Per PD, each event is looked up in a dict of the frame's board returns
+    keyed by (channel, azimuth index), and fit on its own. The key event is
+    the first of the joined events with a usable fit whose beam reads the
+    highest level; its beam must reach the median of its channel's board
+    returns plus ``margin``.
     """
     board = scene.board
     omega, alpha, r, channel, azimuth_index, refl = frame.beam_arrays()
     r_corr = r.copy()
     r_corr[roi] = preprocess.range_to_plane(omega[roi], alpha[roi], plane)
-    m_nom = pose_to_matrix(nominal_pose)
-    pts_o = transform_array(m_nom, polar_to_cartesian_array(omega[roi], alpha[roi], r_corr[roi]))
-    board_xz = pts_o[:, [0, 2]]
+    cells = {(int(channel[i]), int(azimuth_index[i])): int(i) for i in roi}
 
     records = {rec.pd_id: rec for rec in frame.pd_records}
-    windows = _detection_windows(board)
     key_beams, key_centers, misses = {}, {}, {}
-    detected, groups = [], []
     for pd in board.pd_modules:
         rec = records.get(pd.pd_id)
         if rec is None or rec.n_events == 0:
             misses[pd.pd_id] = "no voltage events"
             continue
-        d = np.linalg.norm(board_xz - np.array([pd.offset[0], pd.offset[1]]), axis=1)
-        row_mask = channel[roi] == channel[roi][np.argmin(d)]
-        row_idx = roi[row_mask]
-        hit, miss = find_pd_beam_scalar(refl[row_idx], pts_o[row_mask], pd, window=windows[pd.pd_id])
-        if miss is not None:
-            misses[pd.pd_id] = miss
+        positions = pd.element_positions()[list(rec.sampled_channels)]
+        joined = []
+        for e in sorted(range(rec.n_events), key=lambda e: rec.sample_times[e]):
+            i = cells.get(event_cell(float(rec.sample_times[e]), scene.lidar))
+            if i is not None:
+                joined.append((e, i))
+        if not joined:
+            misses[pd.pd_id] = f"{pd.pd_id}: no event time names a board return; PD clock offset?"
             continue
-        events = beam_center.beams_on_pd(rec, scene.lidar.firing_period)
-        detected.append((pd, row_idx[hit]))
-        groups.append((
-            np.array([v for _, v in events]),
-            pd.element_positions()[list(rec.sampled_channels)],
-            rec.noise_floor,
-        ))
-
-    for (pd, i), mu in zip(detected, _beam_centers(groups)):
-        try:
-            key = beam_center.select_key_beam(mu)
-        except beam_center.GaussianFitError as exc:
-            misses[pd.pd_id] = str(exc)
+        best = None
+        for e, i in joined:
+            mu = guo_fit_scalar(
+                *beam_center.augment_samples(positions, rec.element_voltages[e]),
+                noise_floor=rec.noise_floor,
+            )
+            if mu is not None and (best is None or refl[i] > refl[best[0]]):
+                best = (i, mu)
+        if best is None:
+            misses[pd.pd_id] = "no successful fit to select a key beam from"
+            continue
+        i, mu = best
+        median = np.median(refl[roi][channel[roi] == channel[i]])
+        if not refl[i] >= median + margin:
+            misses[pd.pd_id] = (
+                f"{pd.pd_id}: struck beam reads {refl[i]:.1f}, below its row median "
+                f"{median:.1f} + {margin:.0f}; PD clock offset?"
+            )
             continue
         key_beams[pd.pd_id] = PolarBeam(
             omega=float(omega[i]), alpha=float(alpha[i]), r=float(r_corr[i]),
             channel=int(channel[i]), azimuth_index=int(azimuth_index[i]),
             reflectivity=float(refl[i]),
         )
-        key_centers[pd.pd_id] = float(mu[key])
+        key_centers[pd.pd_id] = mu
     return FrameFeatures(
         scan_id=frame.scan_id, key_beams=key_beams, key_centers=key_centers,
         plane=plane, roi_count=len(roi), misses=misses,

@@ -280,19 +280,21 @@ class TestBatchedFit:
 
 
 class TestKeyBeamSelection:
-    def test_closest_to_center(self):
-        assert select_key_beam(np.array([2.1, 7.0, 13.2]) * MM) == 1
+    def test_brightest_beam_wins(self):
+        # the event nearest the array middle reads the dimmer beam here
+        assert select_key_beam(np.array([2.1, 7.0, 13.2]) * MM, [70.0, 40.0, 20.0]) == 0
+        assert select_key_beam(np.array([2.1, 7.0, 13.2]) * MM, [20.0, 40.0, 70.0]) == 2
 
     def test_single_fit(self):
-        assert select_key_beam([1.0 * MM]) == 0
+        assert select_key_beam([1.0 * MM], [30.0]) == 0
 
-    def test_equidistant_tie_goes_to_earlier(self):
-        assert select_key_beam(np.array([6.5, 8.5]) * MM) == 0
+    def test_tie_goes_to_earlier(self):
+        assert select_key_beam(np.array([6.5, 8.5, 9.0]) * MM, [20.0, 70.0, 70.0]) == 1
 
     def test_failed_fits_skipped(self):
-        assert select_key_beam([np.nan, 9.0 * MM, np.nan]) == 1
+        assert select_key_beam([np.nan, 9.0 * MM, 3.0 * MM], [90.0, 20.0, 30.0]) == 2
         with pytest.raises(GaussianFitError):
-            select_key_beam([np.nan, np.nan])
+            select_key_beam([np.nan, np.nan], [90.0, 20.0])
 
 
 class TestBeamGrouping:
@@ -306,22 +308,26 @@ class TestBeamGrouping:
             [0.0, 55e-6, 110e-6],
             [[1, 2, 1, 0.2], [0.5, 2, 2, 0.5], [0.2, 1, 2, 1]],
         )
-        assert len(beams_on_pd(rec, 55e-6)) == 3
+        assert len(beams_on_pd(rec)[0]) == 3
 
     def test_single_event(self):
         rec = self._record([0.0], [[1, 2, 1, 0.2]])
-        groups = beams_on_pd(rec, 55e-6)
-        assert len(groups) == 1
+        times, volts = beams_on_pd(rec)
+        assert times.tolist() == [0.0] and volts.shape == (1, 4)
 
-    def test_close_events_merged(self):
-        rec = self._record(
-            [0.0, 4e-6, 55e-6],
-            [[1, 0.1, 0.1, 0.1], [0.1, 2, 0.1, 0.1], [0.1, 0.1, 3, 0.1]],
-        )
-        groups = beams_on_pd(rec, 55e-6)
-        assert len(groups) == 2
-        np.testing.assert_array_equal(groups[0][1], [1, 2, 0.1, 0.1])
+    def test_one_entry_per_event_in_firing_order(self):
+        # events 4 us apart stay two events: each names its own firing
+        volts = [[1, 2, 1, 0.2], [0.5, 2, 2, 0.5], [0.2, 1, 2, 1], [0.1, 0.1, 3, 0.1]]
+        rec = self._record([55e-6, 0.0, 110e-6, 4e-6], volts)
+        times, got = beams_on_pd(rec)
+        assert times.tolist() == [0.0, 4e-6, 55e-6, 110e-6]
+        np.testing.assert_array_equal(got, np.array(volts)[[1, 3, 0, 2]])
+
+    def test_equal_times_keep_record_order(self):
+        rec = self._record([0.0, 0.0], [[1, 2, 1, 0.2], [0.2, 1, 2, 1]])
+        np.testing.assert_array_equal(beams_on_pd(rec)[1], rec.element_voltages)
 
     def test_empty_record(self):
         rec = self._record(np.zeros((0,)), np.zeros((0, 4)))
-        assert beams_on_pd(rec, 55e-6) == []
+        times, volts = beams_on_pd(rec)
+        assert times.shape == (0,) and volts.shape == (0, 4)

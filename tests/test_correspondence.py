@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import azimuth_center_model_scalar, find_pd_beam_scalar
+from oracles import azimuth_center_model_scalar, event_cell
 from pdcalib import correspondence
 from pdcalib.correspondence import (
     AzimuthCenterModel,
@@ -16,9 +16,9 @@ from pdcalib.correspondence import (
     make_correspondences,
     pd_measurement_to_board,
 )
-from pdcalib.geometry import PolarBeam, polar_to_cartesian_array, pose_to_matrix, transform_array
+from pdcalib.geometry import PolarBeam
 from pdcalib.pipeline import calibrate_frames
-from pdcalib.scene import PdPlacement
+from pdcalib.scene import BEAM_DTYPE, LidarModel, PdPlacement
 
 DEG = math.pi / 180.0
 MM = 1e-3
@@ -32,143 +32,101 @@ def _beam(alpha_deg, reflectivity, idx=0):
 
 
 class TestFindPdBeam:
-    PD = PdPlacement("pd", offset=(0.1, 0.05))
+    LIDAR = LidarModel()
+    FP, PBP = LIDAR.firing_period, LIDAR.pulse_burst_period
 
-    def _row(self, reflectivities, x0=0.06, dx=0.009):
-        pos = np.array([[x0 + dx * i, 0.0, 0.05] for i in range(len(reflectivities))])
-        return np.asarray(reflectivities, dtype=float), pos.reshape(-1, 3)
+    def _table(self, cells):
+        """A batch table holding one return per (scan, channel, azimuth index)."""
+        table = np.zeros(len(cells), dtype=BEAM_DTYPE)
+        scan = np.array([c[0] for c in cells], dtype=int)
+        table["channel"] = [c[1] for c in cells]
+        table["azimuth_index"] = [c[2] for c in cells]
+        return table, scan
 
-    def _scans(self, *rows):
-        """Rows of several scans stacked into one call's columns."""
-        refl, pos = zip(*(self._row(r) for r in rows))
-        scan = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
-        return np.concatenate(refl), np.concatenate(pos), scan
+    def _time(self, channel, azimuth_index, slip=0.0):
+        return azimuth_index * self.FP + (channel + slip) * self.PBP
 
-    def test_simulated_row_returns_marked_beam(self, horizontal_scene, horizontal_batch):
-        m = pose_to_matrix(horizontal_scene.base_pose)
-        frames = horizontal_batch[:6]
-        for pd in horizontal_scene.board.pd_modules:
-            refl, pos, scan, az, truth = [], [], [], [], []
-            for k, frame in enumerate(frames):
-                omega, alpha, r, ch, a_idx, rf = frame.beam_arrays()
-                truth_idx = frame.truth.on_pd_beam[pd.pd_id]
-                row = np.nonzero(ch == ch[truth_idx])[0]
-                pts = transform_array(m, polar_to_cartesian_array(omega[row], alpha[row], r[row]))
-                refl.append(rf[row])
-                pos.append(pts)
-                scan.append(np.full(len(row), k))
-                az.append(a_idx[row])
-                truth.append(a_idx[truth_idx])
-            hits, misses = find_pd_beam(
-                np.concatenate(refl), np.concatenate(pos), np.concatenate(scan), pd, len(frames)
-            )
-            assert misses == {}
-            assert np.array_equal(np.concatenate(az)[hits], truth)
+    def test_simulated_events_join_their_beams(self, horizontal_batch, horizontal_scene):
+        frames = horizontal_batch[:10]
+        table = np.concatenate([f.beams for f in frames])
+        table_scan = np.repeat(np.arange(len(frames)), [len(f.beams) for f in frames])
+        starts = np.cumsum([len(f.beams) for f in frames]) - [len(f.beams) for f in frames]
+        times, scans, want = [], [], []
+        for k, frame in enumerate(frames):
+            for rec in frame.pd_records:
+                times.extend(rec.sample_times)
+                scans.extend([k] * rec.n_events)
+                want.extend(starts[k] + np.array(frame.truth.pd_event_beams[rec.pd_id]))
+        rows = find_pd_beam(np.array(times), np.array(scans), table, table_scan, horizontal_scene.lidar)
+        assert want and rows.tolist() == want
 
-    def test_uniform_row_misses(self):
-        refl, pos = self._row([20.0] * 9)
-        hits, misses = find_pd_beam(refl, pos, np.zeros(9, int), self.PD, 1)
-        assert hits.tolist() == [-1]
-        assert misses == {0: "pd: no local maximum exceeds median 20.0 + 10"}
-        # a uniform scan misses on its own median, between two scans that hit
-        refl, pos, scan = self._scans([20, 20, 20, 20, 70, 20, 20, 20, 20], [20.0] * 9,
-                                      [50, 50, 50, 50, 70, 50, 50, 50, 50])
-        hits, misses = find_pd_beam(refl, pos, scan, self.PD, 3)
-        assert hits.tolist() == [4, -1, 22]
-        assert misses == {1: "pd: no local maximum exceeds median 20.0 + 10"}
+    def test_time_names_channel_and_azimuth_index(self):
+        table, scan = self._table([(0, 3, 40), (0, 4, 40), (0, 3, 41), (0, 0, -2), (0, 15, 7)])
+        times = [self._time(3, 41), self._time(3, 40), self._time(4, 40), self._time(0, -2), self._time(15, 7)]
+        rows = find_pd_beam(np.array(times), np.zeros(5, int), table, scan, self.LIDAR)
+        assert rows.tolist() == [2, 0, 1, 3, 4]
 
-    def test_two_elevated_takes_higher(self):
-        refl, pos = self._row([20, 20, 20, 55, 70, 20, 20, 20, 20])
-        hits, _ = find_pd_beam(refl, pos, np.zeros(9, int), self.PD, 1)
-        assert hits.tolist() == [4]
-        refl, pos, scan = self._scans([20, 20, 20, 55, 70, 20, 20, 20, 20],
-                                      [20, 20, 20, 70, 55, 20, 20, 20, 20])
-        hits, _ = find_pd_beam(refl, pos, scan, self.PD, 2)
-        assert hits.tolist() == [4, 12]
+    def test_quarter_burst_tolerance(self):
+        table, scan = self._table([(0, 5, 12)])
+        slips = [-0.24, -0.1, 0.0, 0.1, 0.24, -0.26, 0.26, 0.5]
+        times = np.array([self._time(5, 12, slip) for slip in slips])
+        rows = find_pd_beam(times, np.zeros(len(slips), int), table, scan, self.LIDAR)
+        assert rows.tolist() == [0, 0, 0, 0, 0, -1, -1, -1]
 
-    def test_tie_takes_nearer_to_pd(self):
-        refl, pos = self._row([20, 20, 20, 70, 70, 20, 20, 20, 20])
-        # positions: beam 4 sits at 0.096, nearer the PD center x=0.1
-        hits, _ = find_pd_beam(refl, pos, np.zeros(9, int), self.PD, 1)
-        assert hits.tolist() == [4]
-        # the second scan ties beams 4 and 5 (4 and 5 mm off the center),
-        # the third within 1e-12 with the farther one higher
-        refl, pos, scan = self._scans([20, 20, 20, 70, 70, 20, 20, 20, 20],
-                                      [20, 20, 20, 20, 70, 70, 20, 20, 20],
-                                      [20, 20, 20, 20, 70, 70 + 1e-13, 20, 20, 20])
-        hits, _ = find_pd_beam(refl, pos, scan, self.PD, 3)
-        assert hits.tolist() == [4, 13, 22]
+    def test_channel_outside_sensor(self):
+        # channel 16 of a 16-channel sensor and a time before channel 0's
+        # slot name no beam, even where the table has such a cell
+        table, scan = self._table([(0, 16, 3), (0, 0, 3)])
+        times = np.array([self._time(16, 3), self._time(-1, 4)])
+        rows = find_pd_beam(times, np.zeros(2, int), table, scan, self.LIDAR)
+        assert rows.tolist() == [-1, -1]
 
-    def test_equal_distance_tie_takes_earlier(self):
-        # two beams mirrored about the module center at the same level
-        # (dyadic positions, so both distances are exactly 1/64 m)
-        pd = PdPlacement("pd", offset=(0.0, 0.0))
-        refl = np.array([20.0, 70.0, 20.0, 70.0, 20.0])
-        pos = np.array([[x, 0.0, 0.0] for x in (-0.03125, -0.015625, 0.0, 0.015625, 0.03125)])
-        hits, _ = find_pd_beam(np.tile(refl, 2), np.tile(pos, (2, 1)), np.repeat([0, 1], 5), pd, 2)
-        assert hits.tolist() == [1, 6]
+    def test_zero_burst_period_names_no_channel(self):
+        # every channel fires at once: a time names no channel
+        table, scan = self._table([(0, 0, 3), (0, 1, 3)])
+        rows = find_pd_beam(np.array([3 * self.FP]), np.zeros(1, int), table, scan,
+                            LidarModel(pulse_burst_period=0.0))
+        assert rows.tolist() == [-1]
 
-    def test_empty_row(self):
-        hits, misses = find_pd_beam([], np.zeros((0, 3)), np.zeros(0, int), self.PD, 1)
-        assert hits.tolist() == [-1]
-        assert misses == {0: "pd: empty channel row"}
-        # a scan with no beams in the row misses; the others are searched
-        refl, pos = self._row([20, 20, 20, 20, 70, 20, 20, 20, 20])
-        hits, misses = find_pd_beam(refl, pos, np.full(9, 2), self.PD, 3)
-        assert hits.tolist() == [-1, -1, 4]
-        assert misses == {0: "pd: empty channel row", 1: "pd: empty channel row"}
+    def test_no_return_in_cell(self):
+        table, scan = self._table([(0, 2, 10), (1, 2, 11), (1, 3, 10)])
+        times = np.array([self._time(2, 11), self._time(2, 10), self._time(2, 11), self._time(2, 12)])
+        rows = find_pd_beam(times, np.array([0, 0, 1, 1]), table, scan, self.LIDAR)
+        assert rows.tolist() == [-1, 0, 1, -1]
 
-    def test_scan_ids_checked(self):
-        refl, pos = self._row([20.0] * 3)
-        with pytest.raises(ValueError, match="scan ids"):
-            find_pd_beam(refl, pos, np.array([0, 1, 2]), self.PD, 2)
+    def test_empty_inputs(self):
+        table, scan = self._table([(0, 2, 10)])
+        assert find_pd_beam(np.zeros(0), np.zeros(0, int), table, scan, self.LIDAR).tolist() == []
+        empty, empty_scan = self._table([])
+        rows = find_pd_beam(np.array([self._time(2, 10)]), np.zeros(1, int), empty, empty_scan, self.LIDAR)
+        assert rows.tolist() == [-1]
+
+    def test_shapes_checked(self):
+        table, scan = self._table([(0, 2, 10)])
         with pytest.raises(ValueError, match="one scan id"):
-            find_pd_beam(refl, pos, np.array([0, 1]), self.PD, 2)
-
-    def test_beams_outside_window_miss(self):
-        refl, pos = self._row([20, 20, 20, 20, 70, 20, 20, 20, 20], x0=0.3)
-        hits, misses = find_pd_beam(refl, pos, np.zeros(9, int), self.PD, 1)
-        assert hits.tolist() == [-1]
-        assert misses == {0: "pd: no beams within 30 mm"}
+            find_pd_beam(np.zeros(2), np.zeros(1, int), table, scan, self.LIDAR)
+        with pytest.raises(ValueError, match="one scan id"):
+            find_pd_beam(np.zeros(1), np.zeros(1, int), table, np.zeros(2, int), self.LIDAR)
 
     @settings(max_examples=150, deadline=None)
     @given(
-        levels=st.lists(
-            st.lists(st.sampled_from([10.0, 11.5, 20.0, 24.0, 24.0 + 1e-13, 35.0, 70.0]),
-                     min_size=0, max_size=12),
-            min_size=1, max_size=5,
+        cells=st.sets(st.tuples(st.integers(0, 3), st.integers(0, 17), st.integers(-5, 30)), max_size=40),
+        events=st.lists(
+            st.tuples(st.integers(0, 3), st.integers(-2, 18), st.integers(-6, 31),
+                      st.sampled_from([0.0, 0.1, -0.24, 0.26, 0.5, -0.5])),
+            max_size=30,
         ),
-        x0=st.sampled_from([0.0625, 0.078125, 0.09375, 0.109375]),
-        dx=st.sampled_from([0.00390625, 0.0078125]),
-        mirror=st.booleans(),
     )
-    def test_matches_scalar_loop(self, levels, x0, dx, mirror):
-        # exact and sub-1e-12 level ties and empty scans; a mirrored row is
-        # symmetric about the module center, so its equal levels also tie
-        # in distance (dyadic positions make the distances exact)
-        pd = PdPlacement("pd", offset=(0.125, 0.05))
-        refl, pos, scan = [], [], []
-        for k, row in enumerate(levels):
-            if mirror:
-                row = row + row[::-1]
-                x0 = 0.125 - dx * (len(row) - 1) / 2
-            r, p = self._row(row, x0=x0, dx=dx)
-            refl.append(r)
-            pos.append(p)
-            scan.append(np.full(len(row), k, dtype=int))
-        hits, misses = find_pd_beam(
-            np.concatenate(refl), np.concatenate(pos), np.concatenate(scan), pd, len(levels),
-        )
-        offset = 0
-        for k, (r, p) in enumerate(zip(refl, pos)):
-            expect, reason = find_pd_beam_scalar(r, p, pd)
-            if expect is None:
-                assert hits[k] == -1
-                assert misses[k] == reason
-            else:
-                assert hits[k] == offset + expect
-                assert k not in misses
-            offset += len(r)
+    def test_matches_dict_lookup(self, cells, events):
+        cells = sorted(cells)
+        table, scan = self._table(cells)
+        times = np.array([self._time(c, j, slip) for _, c, j, slip in events])
+        scans = np.array([k for k, *_ in events], dtype=int)
+        rows = find_pd_beam(times, scans, table, scan, self.LIDAR)
+        lookup = {cell: i for i, cell in enumerate(cells)}
+        for row, t, k in zip(rows, times, scans):
+            named = event_cell(float(t), self.LIDAR)
+            assert row == (-1 if named is None else lookup.get((int(k), *named), -1))
 
 
 class TestAzimuthCenterModel:
@@ -353,7 +311,7 @@ class TestYawShiftConsistency:
                 simulate_scan(scene.board, scene.lidar, pose, seed=3000 + 300 * step + k, scan_id=k, afe=scene.afe)
                 for k in range(100)
             ]
-            result = calibrate_frames(frames, scene, pose)
+            result = calibrate_frames(frames, scene)
             fit_tau[yaw_deg] = {k: m.tau for k, m in result.models.items()}
             geo_tau[yaw_deg] = {}
             for pd in scene.board.pd_modules:

@@ -296,3 +296,32 @@ class TestCli:
         spec_path = tmp_path / "spec.json"
         spec_path.write_text('{"parameter": "nope"}')
         assert cli.main(["sweep", "--sweep", str(spec_path), "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize(
+        "command, option, document, names",
+        [
+            ("sweep", "--sweep", [1, 2], "bad sweep spec: expected a JSON object, got list"),
+            ("sweep", "--sweep", {"start": [1]}, "'start' must be a number, got [1]"),
+            ("sweep", "--sweep", {"scans_per_point": "50"}, "'scans_per_point' must be an integer"),
+            ("calibrate", "--scene", {"board": []}, "'board' must be an object, got []"),
+            ("calibrate", "--scene", [], "expected a JSON object, got list"),
+            ("calibrate", "--scene", {"board": {}, "lidar": 3}, "'lidar' must be an object, got 3"),
+            ("calibrate", "--scene", {"board": {"pd_modules": [{"pd_id": "a", "offset_m": [0, "x"]}]}},
+             "'board.pd_modules[0].offset_m' must be a list of numbers"),
+            ("calibrate", "--scene", {"board": {"width_m": True}}, "'board.width_m' must be a number, got True"),
+            ("calibrate", "--scene", {}, "missing key 'board'"),
+            ("calibrate", "--scene", {"board": {"pd_modules": [{"offset_m": [0, 0]}]}},
+             "missing key 'board.pd_modules[0].pd_id'"),
+        ],
+        ids=["list sweep", "list start", "string scans", "list board", "list scene", "number lidar",
+             "string offset", "bool width", "no board", "no pd id"],
+    )
+    def test_config_of_wrong_shape_exit_code_1(self, tmp_path, capsys, command, option, document, names):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(document))
+        capsys.readouterr()
+        assert cli.main([command, option, str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad ")
+        assert names in err
+        assert "Traceback" not in err

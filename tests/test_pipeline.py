@@ -11,16 +11,11 @@ from hypothesis import given, settings, strategies as st
 from pdcalib import beam_center, preprocess
 from pdcalib.bench import make_bench_scene
 from pdcalib.geometry import Pose6DOF, polar_to_cartesian_array, pose_to_matrix, transform_array
-from pdcalib.pipeline import (
-    PipelineError,
-    _row_channels,
-    board_plane,
-    calibrate_frames,
-    extract_frame_features,
-)
+from pdcalib.harness import simulate_point
+from pdcalib.pipeline import PipelineError, board_plane, calibrate_frames, extract_frame_features
 from pdcalib.scene import BoardModel, PdPlacement, ScanFrame, simulate_scan
 from pdcalib.solver import DegenerateCorrespondences
-from oracles import frame_features, guo_fit_scalar
+from oracles import event_cell, frame_features, guo_fit_scalar
 
 DEG = math.pi / 180.0
 MM = 1e-3
@@ -132,7 +127,7 @@ class TestOptionsAndErrors:
         board = horizontal_scene.board
         rois = [preprocess.segment_target(f, board.width, board.height) for f in frames]
         plane = board_plane(frames, rois)
-        features = extract_frame_features(frames, rois, plane, horizontal_scene, horizontal_scene.base_pose)
+        features = extract_frame_features(frames, rois, plane, horizontal_scene)
         assert [ft.scan_id for ft in features] == [f.scan_id for f in frames]
         for ft in features:
             assert set(ft.key_beams) == {pd.pd_id for pd in board.pd_modules}
@@ -154,23 +149,24 @@ class TestOptionsAndErrors:
         assert not [rec for rec in caplog.records if rec.name == "pdcalib"]
 
     def test_key_centers_match_per_event_fits(self, horizontal_scene, horizontal_batch, horizontal_result):
-        # the batched fit over a frame's events picks the same key center,
-        # bit for bit, as the per-event reference loop
+        # the batched fit gives the key event the same center, bit for bit,
+        # as a fit of that event alone; the key event is the one whose
+        # firing time names the key beam
         pds = {pd.pd_id: pd for pd in horizontal_scene.board.pd_modules}
         for frame, ft in zip(horizontal_batch[:10], horizontal_result.features):
             assert ft.key_centers
             for rec in frame.pd_records:
                 if rec.pd_id not in ft.key_centers:
                     continue
+                beam = ft.key_beams[rec.pd_id]
+                cells = [event_cell(t, horizontal_scene.lidar) for t in rec.sample_times]
+                (e,) = [e for e, cell in enumerate(cells) if cell == (beam.channel, beam.azimuth_index)]
                 positions = pds[rec.pd_id].element_positions()[list(rec.sampled_channels)]
-                centers = []
-                for _, volts in beam_center.beams_on_pd(rec, horizontal_scene.lidar.firing_period):
-                    mu = guo_fit_scalar(
-                        *beam_center.augment_samples(positions, volts), noise_floor=rec.noise_floor
-                    )
-                    centers.append(math.nan if mu is None else mu)
-                key = beam_center.select_key_beam(centers)
-                assert ft.key_centers[rec.pd_id] == centers[key]
+                mu = guo_fit_scalar(
+                    *beam_center.augment_samples(positions, rec.element_voltages[e]),
+                    noise_floor=rec.noise_floor,
+                )
+                assert ft.key_centers[rec.pd_id] == mu
 
     def test_unsegmentable_frame_names_its_scan(self, horizontal_scene, horizontal_batch):
         frame = horizontal_batch[3]
@@ -194,10 +190,11 @@ class TestOptionsAndErrors:
 SCENES = {o: make_bench_scene(o) for o in ("horizontal", "vertical", "all")}
 
 
-def _inject(frame, pose, pd, kind):
+def _inject(frame, pose, pd, kind, lidar):
     """One fault on one PD of a frame: its record deleted, its voltages flat
-    at the noise floor, the beams around it flattened to their row median,
-    or its two brightest row beams tied at one level."""
+    at the noise floor, its clock half a firing period late, the beams
+    around it flattened to their row median, or its two brightest row beams
+    tied at one level."""
     if kind == "delete":
         frame.pd_records = [r for r in frame.pd_records if r.pd_id != pd.pd_id]
         return
@@ -205,6 +202,13 @@ def _inject(frame, pose, pd, kind):
         frame.pd_records = [
             r if r.pd_id != pd.pd_id else dataclasses.replace(
                 r, element_voltages=np.full_like(r.element_voltages, r.noise_floor))
+            for r in frame.pd_records
+        ]
+        return
+    if kind == "clock":
+        frame.pd_records = [
+            r if r.pd_id != pd.pd_id else dataclasses.replace(
+                r, sample_times=r.sample_times + lidar.firing_period / 2)
             for r in frame.pd_records
         ]
         return
@@ -224,16 +228,6 @@ def _inject(frame, pose, pd, kind):
 
 
 class TestBatchFeaturePass:
-    def test_row_channel_picked_per_scan(self):
-        # scan 0 is nearest the PD on channel 3, scan 1 on channel 5 and
-        # scan 2 on two equally near returns, where the first decides
-        pd = PdPlacement("pd", offset=(0.0, 0.0))
-        xz = np.array([[0.0, 0.1], [0.3, 0.0], [0.0, 0.5], [0.0, 0.125],
-                       [0.0, -0.25], [0.0, 0.25]])
-        channel = np.array([3, 5, 7, 5, 2, 9])
-        got = _row_channels(pd, xz, channel, np.array([0, 0, 1, 1, 2, 2]), np.array([0, 2, 4]))
-        assert got.tolist() == [3, 5, 2]
-
     @settings(max_examples=60, deadline=None)
     @given(
         orientation=st.sampled_from(sorted(SCENES)),
@@ -248,7 +242,7 @@ class TestBatchFeaturePass:
         dropout=st.floats(0.0, 0.2),
         faults=st.lists(
             st.tuples(st.integers(0, 4), st.integers(0, 7),
-                      st.sampled_from(["delete", "flat-volts", "flatten", "tie"])),
+                      st.sampled_from(["delete", "flat-volts", "clock", "flatten", "tie"])),
             max_size=6,
         ),
     )
@@ -265,15 +259,67 @@ class TestBatchFeaturePass:
             frames.append(ScanFrame(k, f.beams[rng.random(len(f.beams)) >= dropout], f.pd_records))
         pds = scene.board.pd_modules
         for k, p, kind in faults:
-            _inject(frames[k % n], pose, pds[p % len(pds)], kind)
+            _inject(frames[k % n], pose, pds[p % len(pds)], kind, scene.lidar)
         rois = [preprocess.segment_target(f, scene.board.width, scene.board.height) for f in frames]
         plane = board_plane(frames, rois)
 
-        batch = extract_frame_features(frames, rois, plane, scene, base)
+        batch = extract_frame_features(frames, rois, plane, scene)
         assert len(batch) == n
         for ft, f, roi in zip(batch, frames, rois):
-            want = frame_features(f, roi, plane, scene, base)
+            want = frame_features(f, roi, plane, scene)
             assert ft.scan_id == want.scan_id and ft.roi_count == want.roi_count
             assert list(ft.key_beams.items()) == list(want.key_beams.items())
             assert list(ft.key_centers.items()) == list(want.key_centers.items())
             assert list(ft.misses.items()) == list(want.misses.items())
+
+
+class TestBlindCalibration:
+    """The pipeline is told nothing of the pose: frames taken away from the
+    scene's base pose calibrate as well as frames taken at it."""
+
+    SEED = 12
+
+    def _joint_error(self, orientation, yaw_deg=0.0, dx_mm=0.0):
+        scene = SCENES[orientation]
+        base = scene.base_pose
+        pose = Pose6DOF(base.phi + yaw_deg * DEG, base.theta, base.psi, base.dx + dx_mm * MM, base.dy, base.dz)
+        frames = simulate_point(scene, pose, 50, self.SEED, with_truth=False)
+        result = calibrate_frames(frames, scene)
+        assert all(rep is not None for _, rep, _ in result.scan_reports)
+        return result.joint.beta.as_vector() - pose.as_vector()
+
+    @pytest.mark.parametrize("orientation", sorted(SCENES))
+    @pytest.mark.parametrize("yaw_deg", [-3.0, -1.0, 1.0, 3.0])
+    def test_yaw_offsets_solve(self, orientation, yaw_deg):
+        err = self._joint_error(orientation, yaw_deg=yaw_deg)
+        assert abs(err[0]) < 0.05 * DEG
+        assert abs(err[3]) < 1.0 * MM
+
+    @pytest.mark.parametrize("orientation", sorted(SCENES))
+    @pytest.mark.parametrize(
+        "offset", [{"dx_mm": -5.0}, {"dx_mm": 5.0}, {"yaw_deg": 0.75}], ids=["dx-5mm", "dx+5mm", "yaw+0.75deg"]
+    )
+    def test_off_grid_offsets_keep_dx(self, orientation, offset):
+        # a 5 mm shift or a yaw between azimuth steps moves the struck
+        # columns; the event times still name them
+        assert abs(self._joint_error(orientation, **offset)[3]) < 1.0 * MM
+
+    def test_half_period_clock_offset_misses(self, horizontal_scene, horizontal_batch):
+        # a PD whose clock runs half a firing period late names no board
+        # return that PD lit: every scan misses it for a clock offset
+        late = "h_tl"
+        frames = []
+        for f in horizontal_batch[:12]:
+            g = copy.copy(f)
+            g.pd_records = [
+                r if r.pd_id != late else dataclasses.replace(
+                    r, sample_times=r.sample_times + horizontal_scene.lidar.firing_period / 2)
+                for r in f.pd_records
+            ]
+            frames.append(g)
+        result = calibrate_frames(frames, horizontal_scene)
+        assert late not in result.models
+        for ft in result.features:
+            assert late not in ft.key_beams
+            assert "PD clock offset" in ft.misses[late]
+        assert all(rep is not None for _, rep, _ in result.scan_reports)
