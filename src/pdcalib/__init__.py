@@ -37,7 +37,6 @@ from .beam_center import (
 from .bench import Scene, make_bench_scene
 from .correspondence import (
     AzimuthCenterModel,
-    Correspondence,
     ModelError,
     build_azimuth_center_model,
     find_pd_beam,
@@ -46,7 +45,6 @@ from .correspondence import (
 from .geometry import (
     PolarBeam,
     Pose6DOF,
-    matrix_to_pose,
     polar_to_cartesian_array,
     pose_to_matrix,
     rotation_matrix,
@@ -75,7 +73,6 @@ __all__ = [
     "AzimuthCenterModel",
     "BatchResult",
     "BoardModel",
-    "Correspondence",
     "DegenerateCorrespondences",
     "GaussianFitBatch",
     "GaussianFitError",
@@ -109,7 +106,6 @@ __all__ = [
     "jacobian",
     "make_bench_scene",
     "make_correspondences",
-    "matrix_to_pose",
     "noise_gain",
     "polar_to_cartesian_array",
     "pose_to_matrix",

@@ -12,7 +12,8 @@ Three steps per photodetector:
    one full beam interval (~9.7 mm).
 3. ``make_correspondences``: the smoothed center, converted to the board
    frame through the module's mounting offset, is paired with the beam's
-   polar measurement for the pose solver.
+   polar measurement for the pose solver, for a whole batch's key table in
+   one call.
 """
 
 from __future__ import annotations
@@ -22,29 +23,21 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import DEG, MM, PolarBeam
-from .scene import LidarModel, PdPlacement
+from .geometry import DEG, MM
+from .scene import BEAM_DTYPE, LidarModel, PdPlacement
 
 DEFAULT_DETECTION_MARGIN = 10.0  # reflectivity counts above the row median
 DEFAULT_RANSAC_THRESHOLD_MM = 2.0
 DEFAULT_RANSAC_ITERATIONS = 200
 
+# One row per (scan, PD) key detection of a batch: the key beam, its range
+# slid onto the board plane, the scan's index in the batch, the PD's index
+# on the board and the key event's fitted center (m, along the PD axis).
+KEY_DTYPE = np.dtype(BEAM_DTYPE.descr + [("scan", int), ("pd", int), ("mu", float)])
+
 
 class ModelError(RuntimeError):
     """Azimuth-center model could not be built (systematic fault likely)."""
-
-
-@dataclass(frozen=True)
-class Correspondence:
-    """One paired feature point: board-frame position vs sensor beam."""
-
-    pd_id: str
-    scan_id: int
-    p_o: np.ndarray          # (3,) board-frame position, meters
-    beam: PolarBeam
-
-    def __post_init__(self):
-        object.__setattr__(self, "p_o", np.asarray(self.p_o, dtype=float).reshape(3))
 
 
 @dataclass(frozen=True)
@@ -205,49 +198,38 @@ def build_azimuth_center_model(
     return AzimuthCenterModel(nu=nu, tau=tau, inlier_mask=mask, fit_rms=rms)
 
 
-def pd_measurement_to_board(pd: PdPlacement, mu_m: float) -> np.ndarray:
-    """Board-frame position of a PD-axis measurement at the centerline.
+def pd_measurement_to_board(pd: PdPlacement, mu_m) -> np.ndarray:
+    """Board-frame position of PD-axis measurements at the centerline.
 
     Equivalent to the frame-conversion convention o_p = d_p - P_offset with
     d_p = (mu, 0, centerline) for horizontal modules (axes swapped for
-    vertical ones).
+    vertical ones). A scalar ``mu_m`` gives a (3,) point, an (n,) array an
+    (n, 3) array.
     """
-    d_p = np.array([mu_m, 0.0, 0.0]) if pd.orientation == "horizontal" else np.array([0.0, 0.0, mu_m])
+    mu = np.asarray(mu_m, dtype=float)
+    d_p = np.zeros(mu.shape + (3,))
+    d_p[..., 0 if pd.orientation == "horizontal" else 2] = mu
     return d_p - pd.frame_offset
 
 
-def make_correspondences(
-    models: dict,
-    key_beams: dict,
-    placements,
-    scan_id: int = 0,
-    min_count: int = 3,
-) -> list:
-    """Assemble solver-ready correspondences for one scan.
+def make_correspondences(models: dict, keys: np.ndarray, placements) -> tuple[np.ndarray, np.ndarray]:
+    """Pair every key detection of a batch with its board-frame position.
 
-    Parameters
-    ----------
-    models : dict
-        pd_id -> AzimuthCenterModel (PDs without a model are skipped).
-    key_beams : dict
-        pd_id -> detected PolarBeam for this scan.
-    placements : iterable[PdPlacement]
-        Modules to consider.
-    scan_id : int
-        Scan the key beams came from.
-    min_count : int
-        Minimum correspondences required downstream (the pose solver needs
-        at least 3 non-collinear points).
+    ``keys`` is a key table (``KEY_DTYPE``) whose ``pd`` column indexes
+    ``placements``; ``models`` maps pd_id to its ``AzimuthCenterModel``. A
+    row is kept when its PD has a model, and its position is the model's
+    smoothed center at the row's azimuth, on the module's centerline.
+
+    Returns the kept rows, in table order, and their (n, 3) board-frame
+    positions in meters.
     """
-    out = []
-    for pd in placements:
+    kept = np.zeros(len(keys), dtype=bool)
+    p_o = np.zeros((len(keys), 3))
+    for p, pd in enumerate(placements):
         model = models.get(pd.pd_id)
-        beam = key_beams.get(pd.pd_id)
-        if model is None or beam is None:
+        if model is None:
             continue
-        mu_m = float(model.predict(beam.alpha / DEG)) * MM
-        p_o = pd_measurement_to_board(pd, mu_m)
-        out.append(Correspondence(pd_id=pd.pd_id, scan_id=scan_id, p_o=p_o, beam=beam))
-    if len(out) < min_count:
-        raise ModelError(f"only {len(out)} correspondences available, need {min_count}")
-    return out
+        rows = keys["pd"] == p
+        kept |= rows
+        p_o[rows] = pd_measurement_to_board(pd, model.predict(keys["alpha"][rows] / DEG) * MM)
+    return keys[kept], p_o[kept]

@@ -92,8 +92,8 @@ class Pose6DOF:
 class PolarBeam:
     """One laser return in sensor polar coordinates.
 
-    Scans keep their returns as columns (``ScanFrame.beams``); this record
-    carries a single detected beam into a correspondence.
+    Scans and the key table keep their returns as columns (``ScanFrame.beams``,
+    ``correspondence.KEY_DTYPE``); this record checks a single return.
 
     Parameters
     ----------
@@ -159,28 +159,6 @@ def rotation_matrix(p: Pose6DOF) -> np.ndarray:
 def pose_to_matrix(p: Pose6DOF) -> np.ndarray:
     """3x4 rigid transform [R | T] mapping frame-L points to frame O."""
     return np.column_stack([rotation_matrix(p), p.translation])
-
-
-def matrix_to_pose(m: np.ndarray) -> Pose6DOF:
-    """Recover a Pose6DOF from a 3x4 (or 3x3 rotation-only) matrix.
-
-    Valid away from the gimbal-lock region |theta| = pi/2.
-    """
-    m = np.asarray(m, dtype=float)
-    if m.shape == (3, 3):
-        r, t = m, np.zeros(3)
-    elif m.shape == (3, 4):
-        r, t = m[:, :3], m[:, 3]
-    elif m.shape == (4, 4):
-        r, t = m[:3, :3], m[:3, 3]
-    else:
-        raise ValueError(f"expected a 3x3, 3x4 or 4x4 matrix, got shape {m.shape}")
-    if not np.allclose(r.T @ r, np.eye(3), atol=1e-8):
-        raise ValueError("matrix_to_pose: rotation block is not orthonormal")
-    theta = -math.asin(max(-1.0, min(1.0, r[2, 0])))
-    phi = math.atan2(r[1, 0], r[0, 0])
-    psi = math.atan2(r[2, 1], r[2, 2])
-    return Pose6DOF(phi, theta, psi, t[0], t[1], t[2])
 
 
 def transform_array(m: np.ndarray, pts: np.ndarray) -> np.ndarray:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .afe import SUPPLY_RAIL_V, PdSignalRecord, TiaParams
 from .bench import Scene
-from .geometry import DEG, Pose6DOF
+from .geometry import DEG, MM, Pose6DOF
 from .scene import BEAM_DTYPE, AfeConfig, BoardModel, LidarModel, PdPlacement, ScanFrame
 
 FRAME_MAGIC = "pdcalib-scanframe,v=1"
@@ -573,28 +573,30 @@ def correspondence_dump(result, board) -> str:
     """
     from .correspondence import pd_measurement_to_board
 
+    scan_ids = [ft.scan_id for ft in result.features]
     lines = ["pd_id,scan_id,alpha_deg,mu_mm,op_x_m,op_y_m,op_z_m,inlier"]
-    for pd in board.pd_modules:
-        alpha_deg, mu_mm, scan_ids = result.pairs.get(pd.pd_id, ((), (), ()))
+    for p, pd in enumerate(board.pd_modules):
+        keys = result.keys[result.keys["pd"] == p]
+        alpha_deg, mu_mm = keys["alpha"] / DEG, keys["mu"] / MM
         model = result.models.get(pd.pd_id)
-        for k in range(len(alpha_deg)):
-            if model is not None:
-                p_o = pd_measurement_to_board(pd, float(model.predict(alpha_deg[k])) * 1e-3)
-                inlier = int(model.inlier_mask[k])
-            else:
-                p_o = pd_measurement_to_board(pd, mu_mm[k] * 1e-3)
-                inlier = 0
+        if model is not None:
+            p_o = pd_measurement_to_board(pd, model.predict(alpha_deg) * 1e-3)
+            inlier = model.inlier_mask.astype(int)
+        else:
+            p_o = pd_measurement_to_board(pd, mu_mm * 1e-3)
+            inlier = np.zeros(len(keys), dtype=int)
+        for k, key in enumerate(keys):
             lines.append(
                 ",".join(
                     [
                         pd.pd_id,
-                        str(int(scan_ids[k])),
+                        str(scan_ids[key["scan"]]),
                         f"{alpha_deg[k]:.6f}",
                         f"{mu_mm[k]:.4f}",
-                        f"{p_o[0]:.6f}",
-                        f"{p_o[1]:.6f}",
-                        f"{p_o[2]:.6f}",
-                        str(inlier),
+                        f"{p_o[k, 0]:.6f}",
+                        f"{p_o[k, 1]:.6f}",
+                        f"{p_o[k, 2]:.6f}",
+                        str(inlier[k]),
                     ]
                 )
             )

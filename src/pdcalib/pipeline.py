@@ -6,17 +6,18 @@ once; the board plane is fit once from the pooled segments, because every
 scan sees the same board. Then one feature pass runs over the whole batch,
 on a single table of every frame's board returns with a scan column:
 
-1. slide each board return along its ray onto the plane (range correction);
-2. join every PD event of the batch to the board return its firing time
+1. join every PD event of the batch to the board return its firing time
    names, (scan, channel, azimuth index), in one call;
-3. fit the beam centers of every joined event in one batch, and keep per
-   (scan, module) the event whose beam reads the highest reflectivity: its
-   (azimuth, center) pair.
+2. fit the beam centers of every joined event in one batch, and keep per
+   (scan, module) the event whose beam reads the highest reflectivity;
+3. slide each kept beam along its ray onto the plane (range correction).
 
-The per-module pairs from the whole batch feed the RANSAC azimuth-center
-model; each frame then yields correspondences. One stacked closed-form solve
-gives every frame its own pose estimate, and one more the joint estimate
-over all frames.
+The pass emits one key table (``correspondence.KEY_DTYPE``): a row per
+detected (scan, module) holding the key beam and its center. Each module's
+rows feed its RANSAC azimuth-center model; one call turns the rows of every
+modelled module into correspondences. One stacked closed-form solve gives
+every frame its own pose estimate, and one more the joint estimate over all
+frames.
 
 The ``pdcalib`` logger reports each PD's detection count and miss reasons at
 DEBUG level after the feature pass; it is silent unless configured.
@@ -32,7 +33,7 @@ import numpy as np
 
 from . import beam_center, correspondence, preprocess, solver
 from .bench import Scene
-from .geometry import DEG, MM, PolarBeam, polar_to_cartesian_array
+from .geometry import DEG, MM, polar_to_cartesian_array
 
 log = logging.getLogger("pdcalib")
 
@@ -47,14 +48,11 @@ class PipelineError(RuntimeError):
 
 @dataclass
 class FrameFeatures:
-    """Per-frame intermediate products kept for correspondence assembly."""
+    """One frame's share of the batch's key detections."""
 
     scan_id: int
-    key_beams: dict          # pd_id -> detected PolarBeam, range corrected
-    key_centers: dict        # pd_id -> fitted center, m (PD axis coordinate)
-    plane: preprocess.PlaneModel
-    roi_count: int
-    misses: dict             # pd_id -> reason string
+    key_beams: np.ndarray    # this scan's rows of the key table (KEY_DTYPE)
+    misses: dict             # pd_id -> reason string, in board order
 
 
 @dataclass
@@ -64,8 +62,9 @@ class BatchResult:
     models: dict                     # pd_id -> AzimuthCenterModel
     scan_reports: list               # (scan_id, SolveReport | None, note)
     joint: solver.SolveReport
-    correspondences: list            # all correspondences, every scan
-    pairs: dict                      # pd_id -> (alpha_deg, mu_mm, scan_ids) arrays
+    keys: np.ndarray                 # the key table: every (scan, PD) detection
+    correspondences: np.ndarray      # the key rows of the joint solve
+    p_o: np.ndarray                  # (n, 3) their board-frame positions, m
     features: list                   # list[FrameFeatures]
 
 
@@ -116,16 +115,16 @@ def _beam_centers(groups) -> list:
     return centers
 
 
-def extract_frame_features(frames, rois, plane: preprocess.PlaneModel, scene: Scene) -> list:
-    """Range correction, beam association and center fitting on a whole batch.
+def extract_frame_features(frames, rois, plane: preprocess.PlaneModel, scene: Scene):
+    """Beam association, center fitting and range correction on a whole batch.
 
     ``rois[k]`` indexes the board returns of ``frames[k]`` (from
-    segmentation) and ``plane`` is the board plane they are slid onto. The
-    ROI returns of every frame form one table with a scan column, and one
-    ``find_pd_beam`` call joins every PD event of the batch to its table row
-    by firing time. The joined events are fit together. Each (scan, PD)
-    keeps as its key beam the joined beam with the highest reflectivity
-    among its usable fits, and that event's center.
+    segmentation) and ``plane`` is the board plane the key beams are slid
+    onto. The ROI returns of every frame form one table with a scan column,
+    and one ``find_pd_beam`` call joins every PD event of the batch to its
+    table row by firing time. The joined events are fit together. Each
+    (scan, PD) keeps as its key beam the joined beam with the highest
+    reflectivity among its usable fits, and that event's center.
 
     A (scan, PD) misses when none of its events joins, or when its key beam
     reads less than its (scan, channel) row median plus
@@ -133,26 +132,26 @@ def extract_frame_features(frames, rois, plane: preprocess.PlaneModel, scene: Sc
     is no brighter than the black surround means the PD clock is off the
     sensor's.
 
-    Returns one ``FrameFeatures`` per frame, in batch order.
+    Returns the key table (``correspondence.KEY_DTYPE``), one row per
+    detected (scan, PD) sorted by scan and then board order, with ``scan``
+    the frame's index in ``frames``; and per frame a dict of pd_id -> miss
+    reason, in board order.
     """
-    board = scene.board
-    n = len(frames)
+    pds = scene.board.pd_modules
     table = np.concatenate([f.beams[roi] for f, roi in zip(frames, rois)])
-    sizes = [len(roi) for roi in rois]
-    scan = np.repeat(np.arange(n), sizes)
-    omega, alpha, channel, refl = (table[k] for k in ("omega", "alpha", "channel", "reflectivity"))
-    r_corr = preprocess.range_to_plane(omega, alpha, plane)
+    scan = np.repeat(np.arange(len(frames)), [len(roi) for roi in rois])
+    channel, refl = table["channel"], table["reflectivity"]
 
     records = [{rec.pd_id: rec for rec in f.pd_records} for f in frames]
     misses = [{} for _ in frames]
-    live = []  # (scan, pd, record), PD by PD
-    for pd in board.pd_modules:
+    live = []  # (scan, pd index, record), PD by PD
+    for p, pd in enumerate(pds):
         for k, by_id in enumerate(records):
             rec = by_id.get(pd.pd_id)
             if rec is None or rec.n_events == 0:
                 misses[k][pd.pd_id] = "no voltage events"
             else:
-                live.append((k, pd, rec))
+                live.append((k, p, rec))
     events = [beam_center.beams_on_pd(rec) for _, _, rec in live]
     counts = [len(times) for times, _ in events]
     rows = correspondence.find_pd_beam(
@@ -163,68 +162,50 @@ def extract_frame_features(frames, rois, plane: preprocess.PlaneModel, scene: Sc
         scene.lidar,
     )
 
-    detected = []  # (scan, pd, joined table rows), PD by PD
+    detected = []  # (scan, pd index, joined table rows), PD by PD
     groups = []    # (joined event voltages, sample positions, noise floor) per detection
-    for (k, pd, rec), (_, volts), hits in zip(live, events, np.split(rows, np.cumsum(counts)[:-1])):
+    for (k, p, rec), (_, volts), hits in zip(live, events, np.split(rows, np.cumsum(counts)[:-1])):
         joined = hits >= 0
         if not joined.any():
-            misses[k][pd.pd_id] = f"{pd.pd_id}: no event time names a board return; PD clock offset?"
+            misses[k][pds[p].pd_id] = f"{pds[p].pd_id}: no event time names a board return; PD clock offset?"
             continue
-        detected.append((k, pd, hits[joined]))
+        detected.append((k, p, hits[joined]))
         groups.append((
             volts[joined],
-            pd.element_positions()[list(rec.sampled_channels)],
+            pds[p].element_positions()[list(rec.sampled_channels)],
             rec.noise_floor,
         ))
 
-    keys = []  # (scan, pd, key table row, key center)
-    for (k, pd, hits), mu in zip(detected, _beam_centers(groups)):
+    keys = []  # (scan, pd index, key table row, key center) per detection
+    for (k, p, hits), mu in zip(detected, _beam_centers(groups)):
         try:
             key = beam_center.select_key_beam(mu, refl[hits])
         except beam_center.GaussianFitError as exc:
-            misses[k][pd.pd_id] = str(exc)
+            misses[k][pds[p].pd_id] = str(exc)
             continue
-        keys.append((k, pd, hits[key], mu[key]))
-    c = channel - channel.min(initial=0)
-    row = scan * (c.max(initial=0) + 1) + c
-    medians = _row_medians(refl, row, np.array([i for _, _, i, _ in keys], dtype=np.intp))
-    margin = correspondence.DEFAULT_DETECTION_MARGIN
+        keys.append((k, p, hits[key], mu[key]))
+    at = np.array([i for _, _, i, _ in keys], dtype=np.intp)
+    out = np.zeros(len(keys), dtype=correspondence.KEY_DTYPE)
+    for name in table.dtype.names:
+        out[name] = table[name][at]
+    out["scan"] = [k for k, _, _, _ in keys]
+    out["pd"] = [p for _, p, _, _ in keys]
+    out["mu"] = [mu for _, _, _, mu in keys]
 
-    key_beams = [{} for _ in frames]
-    key_centers = [{} for _ in frames]
-    for (k, pd, i, mu), median in zip(keys, medians):
-        if not refl[i] >= median + margin:
-            misses[k][pd.pd_id] = (
-                f"{pd.pd_id}: struck beam reads {refl[i]:.1f}, below its row median "
-                f"{median:.1f} + {margin:.0f}; PD clock offset?"
-            )
-            continue
-        key_beams[k][pd.pd_id] = PolarBeam(
-            omega=float(omega[i]),
-            alpha=float(alpha[i]),
-            r=float(r_corr[i]),
-            channel=int(channel[i]),
-            azimuth_index=int(table["azimuth_index"][i]),
-            reflectivity=float(refl[i]),
+    c = channel - channel.min(initial=0)
+    medians = _row_medians(refl, scan * (c.max(initial=0) + 1) + c, at)
+    margin = correspondence.DEFAULT_DETECTION_MARGIN
+    dim = ~(out["reflectivity"] >= medians + margin)
+    for row, median in zip(out[dim], medians[dim]):
+        pd_id = pds[row["pd"]].pd_id
+        misses[row["scan"]][pd_id] = (
+            f"{pd_id}: struck beam reads {row['reflectivity']:.1f}, below its row median "
+            f"{median:.1f} + {margin:.0f}; PD clock offset?"
         )
-        key_centers[k][pd.pd_id] = float(mu)
-    features = [
-        FrameFeatures(
-            scan_id=f.scan_id,
-            key_beams=key_beams[k],
-            key_centers=key_centers[k],
-            plane=plane,
-            roi_count=sizes[k],
-            misses={pd.pd_id: misses[k][pd.pd_id] for pd in board.pd_modules if pd.pd_id in misses[k]},
-        )
-        for k, f in enumerate(frames)
-    ]
-    if log.isEnabledFor(logging.DEBUG):
-        for pd in board.pd_modules:
-            reasons = Counter(ft.misses[pd.pd_id] for ft in features if pd.pd_id in ft.misses)
-            found = sum(pd.pd_id in ft.key_beams for ft in features)
-            log.debug("%s detected in %d/%d scans; misses %s", pd.pd_id, found, n, dict(reasons))
-    return features
+    out = out[~dim]
+    out = out[np.lexsort((out["pd"], out["scan"]))]
+    out["r"] = preprocess.range_to_plane(out["omega"], out["alpha"], plane)
+    return out, [{pd.pd_id: m[pd.pd_id] for pd in pds if pd.pd_id in m} for m in misses]
 
 
 def calibrate_frames(frames, scene: Scene) -> BatchResult:
@@ -248,61 +229,53 @@ def calibrate_frames(frames, scene: Scene) -> BatchResult:
         except preprocess.SegmentationError as exc:
             raise PipelineError("segmentation", f"scan {f.scan_id}: {exc}") from exc
     plane = board_plane(frames, rois)
-    features = extract_frame_features(frames, rois, plane, scene)
+    keys, misses = extract_frame_features(frames, rois, plane, scene)
+    n = len(frames)
+    bounds = np.searchsorted(keys["scan"], np.arange(n + 1))
+    features = [
+        FrameFeatures(f.scan_id, keys[bounds[k] : bounds[k + 1]], misses[k]) for k, f in enumerate(frames)
+    ]
 
-    pairs: dict = {}
-    for pd in scene.board.pd_modules:
-        a, mu, sids = [], [], []
-        for ft in features:
-            if pd.pd_id in ft.key_beams:
-                a.append(ft.key_beams[pd.pd_id].alpha / DEG)
-                mu.append(ft.key_centers[pd.pd_id] / MM)
-                sids.append(ft.scan_id)
-        pairs[pd.pd_id] = (np.array(a), np.array(mu), np.array(sids))
-
+    pds = scene.board.pd_modules
+    found = np.bincount(keys["pd"], minlength=len(pds))
+    reasons = [Counter(m[pd.pd_id] for m in misses if pd.pd_id in m) for pd in pds]
+    if log.isEnabledFor(logging.DEBUG):
+        for pd, hits, why in zip(pds, found, reasons):
+            log.debug("%s detected in %d/%d scans; misses %s", pd.pd_id, hits, n, dict(why))
     models: dict = {}
-    for pd_id, (a, mu, _) in pairs.items():
-        if len(a) < 5:
-            continue
+    refused = []  # why each PD got no model
+    for p, pd in enumerate(pds):
+        mine = keys[keys["pd"] == p]
         try:
-            models[pd_id] = correspondence.build_azimuth_center_model(a, mu)
-        except correspondence.ModelError:
-            continue
-    if not models:
-        raise PipelineError("correspondence", "no PD produced an azimuth-center model")
-
-    scan_reports = []  # a None slot per scan awaiting its fit
-    sizes = []         # correspondence count per slot
-    all_corrs = []
-    for ft in features:
-        try:
-            corrs = correspondence.make_correspondences(
-                models, ft.key_beams, scene.board.pd_modules, scan_id=ft.scan_id
-            )
+            models[pd.pd_id] = correspondence.build_azimuth_center_model(mine["alpha"] / DEG, mine["mu"] / MM)
         except correspondence.ModelError as exc:
-            scan_reports.append((ft.scan_id, None, str(exc)))
-            continue
-        scan_reports.append(None)
-        sizes.append(len(corrs))
-        all_corrs.extend(corrs)
-    if not all_corrs:
-        raise PipelineError("correspondence", "no scan yielded enough correspondences")
+            most = f", most often missed as {reasons[p].most_common(1)[0][0]!r}" if reasons[p] else ""
+            refused.append(f"{pd.pd_id} detected in {found[p]}/{n} scans ({exc}){most}")
+    if not models:
+        raise PipelineError("correspondence", "; ".join(["no PD produced an azimuth-center model", *refused]))
 
-    slots = [k for k, rep in enumerate(scan_reports) if rep is None]
-    fits = solver.solve_groups(*solver.point_arrays(all_corrs), np.cumsum(sizes) - sizes)
-    for k, (report, note) in zip(slots, fits):
+    rows, p_o = correspondence.make_correspondences(models, keys, pds)
+    p_l = polar_to_cartesian_array(rows["omega"], rows["alpha"], rows["r"])
+    sizes = np.bincount(rows["scan"], minlength=n)
+    scan_reports = []  # (scan_id, SolveReport | None, note)
+    for f, (report, note) in zip(frames, solver.solve_groups(p_l, p_o, np.cumsum(sizes) - sizes)):
         if report is not None and report.correspondence_count == 3:
             note = "low-confidence (3 points)"
-        scan_reports[k] = (features[k].scan_id, report, note)
+        scan_reports.append((f.scan_id, report, note))
+    # a scan of fewer than 3 correspondences gets no fit, and adds none to the joint one
+    joint_rows = np.repeat(sizes >= 3, sizes)
+    if not joint_rows.any():
+        raise PipelineError("correspondence", "no scan yielded enough correspondences")
     try:
-        joint = solver.solve(all_corrs)
+        joint = solver.solve(p_l[joint_rows], p_o[joint_rows])
     except solver.DegenerateCorrespondences as exc:
-        raise PipelineError("solve", f"joint solve over {len(all_corrs)} correspondences: {exc}") from exc
+        raise PipelineError("solve", f"joint solve over {joint_rows.sum()} correspondences: {exc}") from exc
     return BatchResult(
         models=models,
         scan_reports=scan_reports,
         joint=joint,
-        correspondences=all_corrs,
-        pairs=pairs,
+        keys=keys,
+        correspondences=rows[joint_rows],
+        p_o=p_o[joint_rows],
         features=features,
     )

@@ -259,11 +259,8 @@ def refine_plane_ranges(omega, alpha, r, plane0: PlaneModel, iterations: int = 3
     of that errors-in-variables bias. ``plane0`` (typically the TLS fit)
     seeds the iteration.
     """
-    omega = np.asarray(omega, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
     r = np.asarray(r, dtype=float)
-    co = np.cos(omega)
-    dirs = np.stack([co * np.sin(alpha), co * np.cos(alpha), np.sin(omega)], axis=-1)
+    dirs = polar_to_cartesian_array(omega, alpha, 1.0)
 
     # gauge-fixed plane (a, -1, b) . p = e: the sensor-facing normal has a
     # negative boresight component, so m_y = -1 removes the scale freedom
@@ -302,11 +299,7 @@ def range_to_plane(omega, alpha, plane: PlaneModel) -> np.ndarray:
     own ray onto the fitted plane, correcting the range component of the
     measurement noise while keeping the recorded angles untouched.
     """
-    omega = np.asarray(omega, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    co = np.cos(omega)
-    d = np.stack([co * np.sin(alpha), co * np.cos(alpha), np.sin(omega)], axis=-1)
-    denom = d @ plane.normal
+    denom = polar_to_cartesian_array(omega, alpha, 1.0) @ plane.normal
     if np.any(np.abs(denom) < 1e-12):
         raise ValueError("beam parallel to the fitted plane")
     return plane.d / denom

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Pose6DOF, polar_to_cartesian_array, rotation_matrix
+from .geometry import Pose6DOF, rotation_matrix
 
 
 class DegenerateCorrespondences(ValueError):
@@ -49,14 +49,6 @@ class SolveReport:
         if self.residuals.size == 0:
             return 0.0
         return float(np.sqrt(np.mean(np.sum(self.residuals ** 2, axis=1))))
-
-
-def point_arrays(correspondences) -> tuple[np.ndarray, np.ndarray]:
-    """(N, 3) sensor-frame ``p_L`` and board-frame ``p_O`` of a correspondence
-    list, in list order."""
-    polar = np.array([(c.beam.omega, c.beam.alpha, c.beam.r) for c in correspondences]).reshape(-1, 3)
-    p_o = np.array([c.p_o for c in correspondences]).reshape(-1, 3)
-    return polar_to_cartesian_array(*polar.T), p_o
 
 
 def residuals(beta: Pose6DOF, p_l: np.ndarray, p_o: np.ndarray) -> np.ndarray:
@@ -126,9 +118,8 @@ def solve_groups(p_l: np.ndarray, p_o: np.ndarray, starts) -> list:
     r = v @ ut
     t = c_o - (r @ c_l[:, :, None])[:, :, 0]
 
-    # Euler angles as geometry.matrix_to_pose reads them, minus its costly
-    # orthonormality check (an SVD's R passes it by construction), and the
-    # residuals at the rotation the angles rebuild
+    # Z-Y-X Euler angles of each R (valid away from |theta| = pi/2), and
+    # the residuals at the rotation the angles rebuild
     betas = [
         Pose6DOF(math.atan2(m[1][0], m[0][0]), -math.asin(max(-1.0, min(1.0, m[2][0]))),
                  math.atan2(m[2][1], m[2][2]), *tk)
@@ -164,8 +155,9 @@ def solve_groups(p_l: np.ndarray, p_o: np.ndarray, starts) -> list:
     return out
 
 
-def solve(correspondences) -> SolveReport:
-    """Estimate the sensor pose from >= 3 non-collinear correspondences.
+def solve(p_l: np.ndarray, p_o: np.ndarray) -> SolveReport:
+    """Estimate the sensor pose from >= 3 non-collinear correspondences:
+    the (N, 3) sensor-frame points ``p_l`` and their board-frame ``p_o``.
 
     The one-block case of ``solve_groups``; deterministic for fixed inputs.
 
@@ -174,7 +166,7 @@ def solve(correspondences) -> SolveReport:
     DegenerateCorrespondences
         For fewer than 3 correspondences or collinear ones.
     """
-    ((report, reason),) = solve_groups(*point_arrays(correspondences), [0])
+    ((report, reason),) = solve_groups(p_l, p_o, [0])
     if report is None:
         raise DegenerateCorrespondences(reason)
     return report

@@ -27,15 +27,14 @@ from scipy.special import ndtr
 
 from pdcalib import beam_center, io, preprocess
 from pdcalib.afe import PdSignalRecord, currents_to_record
+from pdcalib.correspondence import KEY_DTYPE
 from pdcalib.geometry import (
     DEG,
     TWO_PI,
-    PolarBeam,
     Pose6DOF,
     polar_to_cartesian_array,
     pose_to_matrix,
 )
-from pdcalib.pipeline import FrameFeatures
 from pdcalib.scene import (
     BEAM_DTYPE,
     EVENT_AXIAL_MARGIN_M,
@@ -242,7 +241,7 @@ def event_cell(t, lidar):
     return c, j
 
 
-def frame_features(frame, roi, plane, scene, margin=10.0):
+def frame_features(frame, roi, plane, scene, scan=0, margin=10.0):
     """Range correction, beam association and center fitting on one frame.
 
     Per PD, each event is looked up in a dict of the frame's board returns
@@ -250,6 +249,9 @@ def frame_features(frame, roi, plane, scene, margin=10.0):
     the first of the joined events with a usable fit whose beam reads the
     highest level; its beam must reach the median of its channel's board
     returns plus ``margin``.
+
+    Returns the frame's key-table rows (``KEY_DTYPE``, ``scan`` set to
+    ``scan``) in board order, and a dict of pd_id -> miss reason.
     """
     board = scene.board
     omega, alpha, r, channel, azimuth_index, refl = frame.beam_arrays()
@@ -258,8 +260,8 @@ def frame_features(frame, roi, plane, scene, margin=10.0):
     cells = {(int(channel[i]), int(azimuth_index[i])): int(i) for i in roi}
 
     records = {rec.pd_id: rec for rec in frame.pd_records}
-    key_beams, key_centers, misses = {}, {}, {}
-    for pd in board.pd_modules:
+    keys, misses = [], {}
+    for p, pd in enumerate(board.pd_modules):
         rec = records.get(pd.pd_id)
         if rec is None or rec.n_events == 0:
             misses[pd.pd_id] = "no voltage events"
@@ -292,16 +294,8 @@ def frame_features(frame, roi, plane, scene, margin=10.0):
                 f"{median:.1f} + {margin:.0f}; PD clock offset?"
             )
             continue
-        key_beams[pd.pd_id] = PolarBeam(
-            omega=float(omega[i]), alpha=float(alpha[i]), r=float(r_corr[i]),
-            channel=int(channel[i]), azimuth_index=int(azimuth_index[i]),
-            reflectivity=float(refl[i]),
-        )
-        key_centers[pd.pd_id] = mu
-    return FrameFeatures(
-        scan_id=frame.scan_id, key_beams=key_beams, key_centers=key_centers,
-        plane=plane, roi_count=len(roi), misses=misses,
-    )
+        keys.append((omega[i], alpha[i], r_corr[i], channel[i], azimuth_index[i], refl[i], scan, p, mu))
+    return np.array(keys, dtype=KEY_DTYPE), misses
 
 
 def azimuth_center_model_scalar(a, mu, threshold=2.0, iterations=200, seed=0):

@@ -24,7 +24,7 @@ from pdcalib.correspondence import build_azimuth_center_model
 from pdcalib.geometry import Pose6DOF, pose_to_matrix
 from pdcalib.harness import SweepSpec, run_sweep, sweep_csvs
 from pdcalib.scene import BoardModel, LidarModel, simulate_scan
-from pdcalib.solver import jacobian, point_arrays, solve
+from pdcalib.solver import jacobian, solve
 from test_solver import BOARD_POINTS_L, TRUTH, make_correspondences_from_pose, perturbed_starts
 
 DEG = math.pi / 180.0
@@ -171,9 +171,8 @@ class TestCriterion4SolverOracle:
     def test_lm_matches_svd_rigid_fit(self):
         # the closed-form pose against Levenberg-Marquardt started 5 degrees
         # and 50 mm away from the answer, and against the SVD oracle
-        cs = make_correspondences_from_pose(TRUTH, BOARD_POINTS_L)
-        p_l, p_o = point_arrays(cs)
-        m_fit = pose_to_matrix(solve(cs).beta)
+        p_l, p_o = make_correspondences_from_pose(TRUTH, BOARD_POINTS_L)
+        m_fit = pose_to_matrix(solve(p_l, p_o).beta)
         m_svd = rigid_fit_svd(BOARD_POINTS_L, p_o)
         rot_err = float(np.linalg.norm(m_fit[:, :3] - m_svd[:, :3]))
         trans_err = float(np.linalg.norm(m_fit[:, 3] - m_svd[:, 3]))
@@ -192,7 +191,7 @@ class TestCriterion4SolverOracle:
 
     def test_jacobian_matches_central_differences(self):
         rng = np.random.default_rng(444)
-        p_l, p_o = point_arrays(make_correspondences_from_pose(TRUTH, BOARD_POINTS_L))
+        p_l, p_o = make_correspondences_from_pose(TRUTH, BOARD_POINTS_L)
         worst = 0.0
         for _ in range(100):
             beta = Pose6DOF(*rng.uniform(-1.2, 1.2, 3), *rng.uniform(-2, 2, 3))

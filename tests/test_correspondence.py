@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from oracles import azimuth_center_model_scalar, event_cell
 from pdcalib import correspondence
 from pdcalib.correspondence import (
+    KEY_DTYPE,
     AzimuthCenterModel,
     ModelError,
     build_azimuth_center_model,
@@ -16,7 +17,6 @@ from pdcalib.correspondence import (
     make_correspondences,
     pd_measurement_to_board,
 )
-from pdcalib.geometry import PolarBeam
 from pdcalib.pipeline import calibrate_frames
 from pdcalib.scene import BEAM_DTYPE, LidarModel, PdPlacement
 
@@ -24,11 +24,13 @@ DEG = math.pi / 180.0
 MM = 1e-3
 
 
-def _beam(alpha_deg, reflectivity, idx=0):
-    return PolarBeam(
-        omega=0.05, alpha=alpha_deg * DEG, r=2.6, channel=3,
-        azimuth_index=idx, reflectivity=reflectivity,
-    )
+def _keys(rows):
+    """A key table of (scan, pd index, azimuth in degrees) rows."""
+    keys = np.zeros(len(rows), dtype=KEY_DTYPE)
+    keys["omega"], keys["r"], keys["channel"], keys["reflectivity"] = 0.05, 2.6, 3, 80.0
+    keys["scan"], keys["pd"], keys["alpha"] = np.array(rows).T
+    keys["alpha"] *= DEG
+    return keys
 
 
 class TestFindPdBeam:
@@ -258,33 +260,48 @@ class TestMakeCorrespondences:
     def test_full_simulation_claims_near_truth(self, horizontal_scene, horizontal_batch, horizontal_result):
         # 4 PDs x 50 scans: every claim within 1 mm of the true spot position
         result = horizontal_result
-        assert len(result.correspondences) == 200
+        assert len(result.correspondences) == len(result.p_o) == 200
         by_key = {}
-        for frame in horizontal_batch:
+        for k, frame in enumerate(horizontal_batch):
             _, _, _, ch, az, _ = frame.beam_arrays()
             for i in range(len(frame.beams)):
-                by_key[(frame.scan_id, ch[i], az[i])] = frame.truth.board_positions[i]
-        for c in result.correspondences:
-            truth = by_key[(c.scan_id, c.beam.channel, c.beam.azimuth_index)]
-            assert np.linalg.norm(c.p_o - truth) < 1.0 * MM
+                by_key[(k, ch[i], az[i])] = frame.truth.board_positions[i]
+        for row, p_o in zip(result.correspondences, result.p_o):
+            truth = by_key[(row["scan"], row["channel"], row["azimuth_index"])]
+            assert np.linalg.norm(p_o - truth) < 1.0 * MM
 
     def test_detected_beams_satisfy_reflectivity_rule(self, horizontal_scene, horizontal_batch, horizontal_result):
-        frames = {f.scan_id: f for f in horizontal_batch}
-        for c in horizontal_result.correspondences:
-            frame = frames[c.scan_id]
-            _, _, _, ch, _, refl = frame.beam_arrays()
-            row_median = np.median(refl[ch == c.beam.channel])
-            assert c.beam.reflectivity > row_median + 10
+        for row in horizontal_result.correspondences:
+            _, _, _, ch, _, refl = horizontal_batch[row["scan"]].beam_arrays()
+            row_median = np.median(refl[ch == row["channel"]])
+            assert row["reflectivity"] > row_median + 10
 
     def test_missing_model_skips_pd(self):
         pd_a = PdPlacement("a", offset=(-0.2, 0.0))
         pd_b = PdPlacement("b", offset=(0.2, 0.0))
         model = AzimuthCenterModel(nu=7.5, tau=0.0, inlier_mask=np.ones(5, bool), fit_rms=0.0)
-        beams = {"a": _beam(5.0, 80), "b": _beam(6.0, 80)}
-        out = make_correspondences({"a": model}, beams, [pd_a, pd_b], min_count=1)
-        assert [c.pd_id for c in out] == ["a"]
-        with pytest.raises(ModelError):
-            make_correspondences({"a": model}, beams, [pd_a, pd_b], min_count=3)
+        keys = _keys([(0, 1, 6.0), (0, 0, 5.0), (1, 1, 6.5), (1, 0, 5.5)])
+        rows, p_o = make_correspondences({"a": model}, keys, [pd_a, pd_b])
+        assert rows.tolist() == keys[[1, 3]].tolist()
+        np.testing.assert_allclose(p_o, [pd_measurement_to_board(pd_a, 7.5 * MM)] * 2, atol=1e-15)
+        rows, p_o = make_correspondences({}, keys, [pd_a, pd_b])
+        assert len(rows) == 0 and p_o.shape == (0, 3)
+
+    def test_positions_follow_each_pds_model(self):
+        # the smoothed center at each row's azimuth, on its module's
+        # centerline, as the one-point conversion gives it
+        pds = [PdPlacement("h", offset=(-0.2, 0.1)), PdPlacement("v", offset=(0.2, -0.1), orientation="vertical")]
+        models = {
+            "h": AzimuthCenterModel(nu=2.0, tau=40.0, inlier_mask=np.ones(5, bool), fit_rms=0.0),
+            "v": AzimuthCenterModel(nu=9.0, tau=-3.0, inlier_mask=np.ones(5, bool), fit_rms=0.0),
+        }
+        keys = _keys([(0, 0, 5.0), (0, 1, 6.0), (3, 0, 5.1), (3, 1, 6.1)])
+        rows, p_o = make_correspondences(models, keys, pds)
+        assert rows.tolist() == keys.tolist()
+        for row, got in zip(rows, p_o):
+            pd = pds[row["pd"]]
+            mu = float(models[pd.pd_id].predict(row["alpha"] / DEG)) * MM
+            np.testing.assert_array_equal(got, pd_measurement_to_board(pd, mu))
 
 
 class TestYawShiftConsistency:
@@ -314,15 +331,13 @@ class TestYawShiftConsistency:
             result = calibrate_frames(frames, scene)
             fit_tau[yaw_deg] = {k: m.tau for k, m in result.models.items()}
             geo_tau[yaw_deg] = {}
-            for pd in scene.board.pd_modules:
+            for p, pd in enumerate(scene.board.pd_modules):
                 a_list, x_list = [], []
-                for frame, ft in zip(frames, result.features):
-                    beam = ft.key_beams.get(pd.pd_id)
-                    if beam is None:
-                        continue
+                for key in result.keys[result.keys["pd"] == p]:
+                    frame = frames[key["scan"]]
                     _, _, _, ch, az, _ = frame.beam_arrays()
-                    bi = np.flatnonzero((ch == beam.channel) & (az == beam.azimuth_index))[0]
-                    a_list.append(beam.alpha / DEG)
+                    bi = np.flatnonzero((ch == key["channel"]) & (az == key["azimuth_index"]))[0]
+                    a_list.append(key["alpha"] / DEG)
                     x_list.append(frame.truth.board_positions[bi][0] / MM)
                 geo_tau[yaw_deg][pd.pd_id] = float(np.polyfit(a_list, x_list, 1)[0])
         for pd_id in geo_tau[0.0]:

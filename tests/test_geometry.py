@@ -8,13 +8,13 @@ from oracles import cartesian_to_polar
 from pdcalib.geometry import (
     PolarBeam,
     Pose6DOF,
-    matrix_to_pose,
     polar_to_cartesian_array,
     pose_to_matrix,
     rotation_matrix,
     transform_array,
     wrap_angle,
 )
+from pdcalib.solver import solve_groups
 
 DEG = math.pi / 180.0
 
@@ -101,25 +101,25 @@ class TestPose:
             got = rotation_matrix(Pose6DOF(phi, theta, psi))
             np.testing.assert_allclose(got, expected, atol=1e-12)
 
-    def test_matrix_pose_round_trip(self):
+    def test_solve_groups_recovers_random_poses(self):
+        # the stacked fit reads back the Z-Y-X angles and translation of
+        # every pose that maps a fixed non-collinear point set exactly
         rng = np.random.default_rng(3)
-        for _ in range(100):
-            pose = Pose6DOF(
-                *rng.uniform(-math.pi / 2 + 0.05, math.pi / 2 - 0.05, 3),
-                *rng.uniform(-3, 3, 3),
-            )
-            back = matrix_to_pose(pose_to_matrix(pose))
-            np.testing.assert_allclose(back.as_vector(), pose.as_vector(), atol=1e-10)
+        p_l = np.array([[0.3, 2.5, 0.2], [1.1, 2.5, 0.2], [0.3, 2.5, -0.2], [1.1, 2.4, -0.2]])
+        poses = [
+            Pose6DOF(*rng.uniform(-math.pi / 2 + 0.05, math.pi / 2 - 0.05, 3), *rng.uniform(-3, 3, 3))
+            for _ in range(100)
+        ]
+        p_o = np.concatenate([transform_array(pose_to_matrix(pose), p_l) for pose in poses])
+        fits = solve_groups(np.tile(p_l, (len(poses), 1)), p_o, np.arange(len(poses)) * len(p_l))
+        for pose, (fit, _) in zip(poses, fits):
+            np.testing.assert_allclose(fit.beta.as_vector(), pose.as_vector(), atol=1e-10)
 
     def test_angle_normalization(self):
         p = Pose6DOF(phi=3 * math.pi)
         assert p.phi == pytest.approx(math.pi)
         with pytest.raises(ValueError):
             Pose6DOF(phi=float("inf"))
-
-    def test_bad_matrix_rejected(self):
-        with pytest.raises(ValueError):
-            matrix_to_pose(np.ones((3, 3)))
 
 
 class TestTransform:

@@ -188,6 +188,15 @@ class TestRunSingleGolden:
         golden_path = GOLDEN / "single_horizontal.txt"
         assert text == golden_path.read_text()
 
+    @pytest.mark.parametrize("orientation, name", [("all", "mixed"), ("vertical", "vertical")])
+    def test_calibrate_frames_matches_committed_goldens(self, tmp_path, orientation, name):
+        sim, cal = tmp_path / "sim", tmp_path / "cal"
+        common = ["--pd-orientation", orientation, "--seed", "7"]
+        assert cli.main(["simulate", "--scans", "10", "--out", str(sim), *common]) == 0
+        assert cli.main(["calibrate", "--frames", str(sim / "frames.csv"), "--out", str(cal), *common]) == 0
+        for f in ("calibration.txt", "residuals.csv", "correspondences.csv"):
+            assert (cal / f).read_text() == (GOLDEN / f"calibrate_frames_{name}_{f}").read_text(), f
+
 
 class TestCli:
     def test_simulate_and_calibrate_round_trip(self, tmp_path):
@@ -278,6 +287,28 @@ class TestCli:
         ]) == 2
         err = capsys.readouterr().err
         assert "[segmentation] scan 0: no cluster matches" in err
+        assert "Traceback" not in err
+
+    def test_half_period_clock_offset_exit_code_2(self, tmp_path, capsys):
+        # every PD time half a firing period late names no struck beam: no
+        # PD gets a model, and the failure says why for each
+        out = tmp_path / "sim"
+        common = ["--pd-orientation", "all", "--seed", "7"]
+        assert cli.main(["simulate", "--scans", "10", "--out", str(out), *common]) == 0
+        late = make_bench_scene("all").lidar.firing_period / 2
+        lines = (out / "frames.csv").read_text().splitlines()
+        for i, line in enumerate(lines):
+            if line.startswith("pd,"):
+                parts = line.split(",")
+                parts[4] = repr(float(parts[4]) + late)
+                lines[i] = ",".join(parts)
+        shifted = tmp_path / "late.csv"
+        shifted.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert cli.main(["calibrate", "--frames", str(shifted), "--out", str(tmp_path / "cal"), *common]) == 2
+        err = capsys.readouterr().err
+        assert "no PD produced an azimuth-center model" in err
+        assert "PD clock offset" in err
         assert "Traceback" not in err
 
     def test_sweep_and_report(self, tmp_path):

@@ -602,9 +602,7 @@ class TestDumps:
         text = io.correspondence_dump(horizontal_result, horizontal_scene.board)
         lines = text.strip().splitlines()
         assert lines[0] == "pd_id,scan_id,alpha_deg,mu_mm,op_x_m,op_y_m,op_z_m,inlier"
-        assert len(lines) == 1 + sum(
-            len(v[0]) for v in horizontal_result.pairs.values()
-        )
+        assert len(lines) == 1 + len(horizontal_result.keys)
         assert all(line.split(",")[7] in ("0", "1") for line in lines[1:])
 
     def test_solve_report_text(self, horizontal_result):

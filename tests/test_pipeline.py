@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from pdcalib import beam_center, preprocess
 from pdcalib.bench import make_bench_scene
+from pdcalib.correspondence import KEY_DTYPE
 from pdcalib.geometry import Pose6DOF, polar_to_cartesian_array, pose_to_matrix, transform_array
 from pdcalib.harness import simulate_point
 from pdcalib.pipeline import PipelineError, board_plane, calibrate_frames, extract_frame_features
@@ -45,18 +46,15 @@ class TestFullBatch:
         # fitted centers track the true spot centers an order of magnitude
         # below the ~9 mm azimuth quantization
         errs = []
-        for frame, ft in zip(horizontal_batch, horizontal_result.features):
-            for pd in horizontal_scene.board.pd_modules:
-                beam = ft.key_beams.get(pd.pd_id)
-                if beam is None:
-                    continue
-                _, _, _, ch, az, _ = frame.beam_arrays()
-                bi = np.flatnonzero((ch == beam.channel) & (az == beam.azimuth_index))[0]
-                truth_x = frame.truth.board_positions[bi][0]
-                claim = (
-                    pd.offset[0] + ft.key_centers[pd.pd_id] - pd.center_local
-                )
-                errs.append(abs(claim - truth_x))
+        pds = horizontal_scene.board.pd_modules
+        for key in horizontal_result.keys:
+            frame = horizontal_batch[key["scan"]]
+            _, _, _, ch, az, _ = frame.beam_arrays()
+            bi = np.flatnonzero((ch == key["channel"]) & (az == key["azimuth_index"]))[0]
+            truth_x = frame.truth.board_positions[bi][0]
+            pd = pds[key["pd"]]
+            errs.append(abs(pd.offset[0] + key["mu"] - pd.center_local - truth_x))
+        assert len(errs) == 200
         assert np.median(errs) < 0.5 * MM
 
     def test_vertical_scene_solves(self, vertical_scene):
@@ -101,6 +99,14 @@ class TestOptionsAndErrors:
         assert err.value.stage == "solve"
         assert isinstance(err.value.__cause__, DegenerateCorrespondences)
 
+    def test_no_model_names_each_pds_detections(self, horizontal_scene, horizontal_batch):
+        # two scans are too few pairs for any PD's model; the error says so
+        # per PD, with its detection count
+        with pytest.raises(PipelineError, match="no PD produced an azimuth-center model") as err:
+            calibrate_frames(horizontal_batch[:2], horizontal_scene)
+        for pd in horizontal_scene.board.pd_modules:
+            assert f"{pd.pd_id} detected in 2/2 scans (need at least 5 scan pairs, got 2)" in str(err.value)
+
     def test_empty_batch_fails(self, horizontal_scene):
         with pytest.raises(PipelineError):
             calibrate_frames([], horizontal_scene)
@@ -127,12 +133,12 @@ class TestOptionsAndErrors:
         board = horizontal_scene.board
         rois = [preprocess.segment_target(f, board.width, board.height) for f in frames]
         plane = board_plane(frames, rois)
-        features = extract_frame_features(frames, rois, plane, horizontal_scene)
-        assert [ft.scan_id for ft in features] == [f.scan_id for f in frames]
-        for ft in features:
-            assert set(ft.key_beams) == {pd.pd_id for pd in board.pd_modules}
-            assert ft.misses == {}
-            assert ft.roi_count > 500
+        keys, misses = extract_frame_features(frames, rois, plane, horizontal_scene)
+        n_pd = len(board.pd_modules)
+        assert keys["scan"].tolist() == np.repeat(np.arange(4), n_pd).tolist()
+        assert keys["pd"].tolist() == list(range(n_pd)) * 4
+        assert misses == [{}] * 4
+        assert all(len(roi) > 500 for roi in rois)
 
     def test_detection_counts_logged(self, horizontal_scene, horizontal_batch, caplog):
         frames = [copy.copy(f) for f in horizontal_batch[:5]]
@@ -152,21 +158,19 @@ class TestOptionsAndErrors:
         # the batched fit gives the key event the same center, bit for bit,
         # as a fit of that event alone; the key event is the one whose
         # firing time names the key beam
-        pds = {pd.pd_id: pd for pd in horizontal_scene.board.pd_modules}
-        for frame, ft in zip(horizontal_batch[:10], horizontal_result.features):
-            assert ft.key_centers
-            for rec in frame.pd_records:
-                if rec.pd_id not in ft.key_centers:
-                    continue
-                beam = ft.key_beams[rec.pd_id]
-                cells = [event_cell(t, horizontal_scene.lidar) for t in rec.sample_times]
-                (e,) = [e for e, cell in enumerate(cells) if cell == (beam.channel, beam.azimuth_index)]
-                positions = pds[rec.pd_id].element_positions()[list(rec.sampled_channels)]
-                mu = guo_fit_scalar(
-                    *beam_center.augment_samples(positions, rec.element_voltages[e]),
-                    noise_floor=rec.noise_floor,
-                )
-                assert ft.key_centers[rec.pd_id] == mu
+        pds = horizontal_scene.board.pd_modules
+        keys = horizontal_result.keys
+        for key in keys[keys["scan"] < 10]:
+            pd = pds[key["pd"]]
+            (rec,) = [r for r in horizontal_batch[key["scan"]].pd_records if r.pd_id == pd.pd_id]
+            cells = [event_cell(t, horizontal_scene.lidar) for t in rec.sample_times]
+            (e,) = [e for e, cell in enumerate(cells) if cell == (key["channel"], key["azimuth_index"])]
+            positions = pd.element_positions()[list(rec.sampled_channels)]
+            mu = guo_fit_scalar(
+                *beam_center.augment_samples(positions, rec.element_voltages[e]),
+                noise_floor=rec.noise_floor,
+            )
+            assert key["mu"] == mu
 
     def test_unsegmentable_frame_names_its_scan(self, horizontal_scene, horizontal_batch):
         frame = horizontal_batch[3]
@@ -176,15 +180,23 @@ class TestOptionsAndErrors:
         assert err.value.stage == "segmentation"
 
     def test_three_point_scans_flagged_low_confidence(self, horizontal_scene, horizontal_batch):
-        # drop one module's voltages: 3 correspondences still solve, flagged
+        # drop one module's voltages in every scan: 3 correspondences still
+        # solve, flagged; drop two in scan 5: that scan gets no report and
+        # a note, and its 2 rows stay out of the joint solve
         frames = []
-        for f in horizontal_batch[:8]:
+        for k, f in enumerate(horizontal_batch[:8]):
             g = copy.copy(f)
-            g.pd_records = [r for r in f.pd_records if r.pd_id != "h_br"]
+            dropped = ("h_br", "h_tl") if k == 5 else ("h_br",)
+            g.pd_records = [r for r in f.pd_records if r.pd_id not in dropped]
             frames.append(g)
         result = calibrate_frames(frames, horizontal_scene)
         notes = [note for _, rep, note in result.scan_reports if rep is not None]
+        assert len(notes) == 7
         assert all(n == "low-confidence (3 points)" for n in notes)
+        assert result.scan_reports[5] == (5, None, "need >= 3 correspondences, got 2")
+        assert result.joint.correspondence_count == 21
+        assert 5 not in result.correspondences["scan"]
+        assert len(result.keys) == 23
 
 
 SCENES = {o: make_bench_scene(o) for o in ("horizontal", "vertical", "all")}
@@ -263,14 +275,12 @@ class TestBatchFeaturePass:
         rois = [preprocess.segment_target(f, scene.board.width, scene.board.height) for f in frames]
         plane = board_plane(frames, rois)
 
-        batch = extract_frame_features(frames, rois, plane, scene)
-        assert len(batch) == n
-        for ft, f, roi in zip(batch, frames, rois):
-            want = frame_features(f, roi, plane, scene)
-            assert ft.scan_id == want.scan_id and ft.roi_count == want.roi_count
-            assert list(ft.key_beams.items()) == list(want.key_beams.items())
-            assert list(ft.key_centers.items()) == list(want.key_centers.items())
-            assert list(ft.misses.items()) == list(want.misses.items())
+        keys, misses = extract_frame_features(frames, rois, plane, scene)
+        assert len(misses) == n
+        want = [frame_features(f, roi, plane, scene, scan=k) for k, (f, roi) in enumerate(zip(frames, rois))]
+        assert keys.dtype == KEY_DTYPE
+        assert keys.tolist() == np.concatenate([rows for rows, _ in want]).tolist()
+        assert [list(m.items()) for m in misses] == [list(m.items()) for _, m in want]
 
 
 class TestBlindCalibration:
@@ -319,7 +329,9 @@ class TestBlindCalibration:
             frames.append(g)
         result = calibrate_frames(frames, horizontal_scene)
         assert late not in result.models
+        p = [pd.pd_id for pd in horizontal_scene.board.pd_modules].index(late)
+        assert p not in result.keys["pd"]
         for ft in result.features:
-            assert late not in ft.key_beams
+            assert len(ft.key_beams) == 3
             assert "PD clock offset" in ft.misses[late]
         assert all(rep is not None for _, rep, _ in result.scan_reports)

@@ -7,13 +7,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from oracles import central_difference_jacobian, levenberg_marquardt, rigid_fit_svd
-from pdcalib.correspondence import Correspondence
-from pdcalib.geometry import PolarBeam, Pose6DOF, polar_to_cartesian_array, pose_to_matrix
+from pdcalib.geometry import Pose6DOF, polar_to_cartesian_array, pose_to_matrix, transform_array
 from pdcalib.solver import (
     DegenerateCorrespondences,
     SolveReport,
     jacobian,
-    point_arrays,
     residuals,
     solve,
     solve_groups,
@@ -58,25 +56,12 @@ def expanded_residual_rows(beta, r, alpha, omega, p_o):
 
 
 def make_correspondences_from_pose(pose, points_l, noise=0.0, rng=None):
-    """Exact (or noised) correspondences consistent with ``pose``."""
-    m = pose_to_matrix(pose)
-    out = []
-    for i, p in enumerate(np.atleast_2d(points_l)):
-        r = np.linalg.norm(p)
-        omega = math.asin(p[2] / r)
-        alpha = math.atan2(p[0], p[1]) % (2 * math.pi)
-        p_o = m[:, :3] @ p + m[:, 3]
-        if noise and rng is not None:
-            p_o = p_o + rng.normal(0, noise, 3)
-        out.append(
-            Correspondence(
-                pd_id=f"pd{i}",
-                scan_id=0,
-                p_o=p_o,
-                beam=PolarBeam(omega=omega, alpha=alpha, r=float(r), channel=i),
-            )
-        )
-    return out
+    """(p_l, p_o) of exact (or noised) correspondences consistent with ``pose``."""
+    p_l = np.atleast_2d(np.asarray(points_l, dtype=float))
+    p_o = transform_array(pose_to_matrix(pose), p_l)
+    if noise and rng is not None:
+        p_o = p_o + rng.normal(0, noise, p_o.shape)
+    return p_l, p_o
 
 
 BOARD_POINTS_L = np.array(
@@ -93,12 +78,12 @@ TRUTH = Pose6DOF(1 * DEG, 0.5 * DEG, -0.3 * DEG, 0.010, -0.005, 0.002)
 
 class TestResidual:
     def test_zero_at_ground_truth(self):
-        p_l, p_o = point_arrays(make_correspondences_from_pose(TRUTH, BOARD_POINTS_L))
+        p_l, p_o = make_correspondences_from_pose(TRUTH, BOARD_POINTS_L)
         np.testing.assert_allclose(residuals(TRUTH, p_l, p_o), 0.0, atol=1e-12)
 
     def test_pure_translation_row(self):
         pose = Pose6DOF(dx=0.010)
-        p_l, p_o = point_arrays(make_correspondences_from_pose(pose, BOARD_POINTS_L[:1]))
+        p_l, p_o = make_correspondences_from_pose(pose, BOARD_POINTS_L[:1])
         res = residuals(Pose6DOF(), p_l, p_o)[0]
         assert res[0] == pytest.approx(0.010, abs=1e-12)
         assert abs(res[1]) < 1e-12 and abs(res[2]) < 1e-12
@@ -122,14 +107,14 @@ class TestResidual:
 
 class TestJacobian:
     def test_translation_block_is_negative_identity(self):
-        p_l, _ = point_arrays(make_correspondences_from_pose(TRUTH, BOARD_POINTS_L))
+        p_l, _ = make_correspondences_from_pose(TRUTH, BOARD_POINTS_L)
         j = jacobian(Pose6DOF(0.3, -0.2, 0.1, 1, 2, 3), p_l)
         for i in range(len(p_l)):
             np.testing.assert_array_equal(j[3 * i : 3 * i + 3, 3:], -np.eye(3))
 
     def test_analytic_matches_finite_difference(self):
         rng = np.random.default_rng(3)
-        p_l, p_o = point_arrays(make_correspondences_from_pose(TRUTH, BOARD_POINTS_L))
+        p_l, p_o = make_correspondences_from_pose(TRUTH, BOARD_POINTS_L)
         for _ in range(100):
             beta = Pose6DOF(*rng.uniform(-1.2, 1.2, 3), *rng.uniform(-2, 2, 3))
             ja = jacobian(beta, p_l)
@@ -138,12 +123,9 @@ class TestJacobian:
 
     def test_small_angle_rotation_columns(self):
         # at beta = 0 the yaw column is -dRz/dphi @ p = (p_y, -p_x, 0)
-        c = make_correspondences_from_pose(Pose6DOF(), BOARD_POINTS_L[:1])[0]
-        j = jacobian(Pose6DOF(), point_arrays([c])[0])
-        r, alpha, omega = c.beam.r, c.beam.alpha, c.beam.omega
-        x = r * math.cos(omega) * math.sin(alpha)
-        y = r * math.cos(omega) * math.cos(alpha)
-        z = r * math.sin(omega)
+        p_l, _ = make_correspondences_from_pose(Pose6DOF(), BOARD_POINTS_L[:1])
+        j = jacobian(Pose6DOF(), p_l)
+        x, y, z = p_l[0]
         np.testing.assert_allclose(j[:, 0], [y, -x, 0], atol=1e-12)       # phi
         np.testing.assert_allclose(j[:, 1], [-z, 0, x], atol=1e-12)       # theta
         np.testing.assert_allclose(j[:, 2], [0, z, -y], atol=1e-12)       # psi
@@ -163,9 +145,9 @@ class TestSolve:
     def test_exact_recovery_from_zero_start(self):
         # the closed form and the LM oracle started at the zero pose agree on
         # the truth
-        cs = make_correspondences_from_pose(TRUTH, BOARD_POINTS_L)
-        report = solve(cs)
-        beta_lm, _, _, converged = levenberg_marquardt(*point_arrays(cs), Pose6DOF())
+        p_l, p_o = make_correspondences_from_pose(TRUTH, BOARD_POINTS_L)
+        report = solve(p_l, p_o)
+        beta_lm, _, _, converged = levenberg_marquardt(p_l, p_o, Pose6DOF())
         assert report.converged and converged
         for beta in (report.beta, beta_lm):
             np.testing.assert_allclose(beta.angles, TRUTH.angles, atol=1e-6 * DEG)
@@ -173,27 +155,27 @@ class TestSolve:
         assert report.final_cost < 1e-18
 
     def test_identity_truth_converges_fast(self):
-        cs = make_correspondences_from_pose(Pose6DOF(), BOARD_POINTS_L)
-        report = solve(cs)
+        p_l, p_o = make_correspondences_from_pose(Pose6DOF(), BOARD_POINTS_L)
+        report = solve(p_l, p_o)
         assert report.iterations == 1 and report.converged
         assert report.final_cost < 1e-24
-        _, _, iterations, _ = levenberg_marquardt(*point_arrays(cs), Pose6DOF())
+        _, _, iterations, _ = levenberg_marquardt(p_l, p_o, Pose6DOF())
         assert iterations <= 3
 
     def test_noisy_correspondences_paper_scale(self):
         rng = np.random.default_rng(11)
         pts = np.vstack([BOARD_POINTS_L + rng.normal(0, 0.2, 3) for _ in range(50)])
-        cs = make_correspondences_from_pose(TRUTH, pts, noise=2e-3, rng=rng)
-        assert len(cs) == 200
-        report = solve(cs)
+        p_l, p_o = make_correspondences_from_pose(TRUTH, pts, noise=2e-3, rng=rng)
+        assert len(p_l) == 200
+        report = solve(p_l, p_o)
         err = report.beta.as_vector() - TRUTH.as_vector()
         assert np.max(np.abs(err[:3])) <= 0.1 * DEG
         assert abs(err[3]) <= 3e-3
 
     def test_matches_svd_oracle(self):
-        cs = make_correspondences_from_pose(TRUTH, BOARD_POINTS_L)
-        report = solve(cs)
-        m_oracle = rigid_fit_svd(BOARD_POINTS_L, np.array([c.p_o for c in cs]))
+        p_l, p_o = make_correspondences_from_pose(TRUTH, BOARD_POINTS_L)
+        report = solve(p_l, p_o)
+        m_oracle = rigid_fit_svd(BOARD_POINTS_L, p_o)
         m_fit = pose_to_matrix(report.beta)
         assert np.linalg.norm(m_fit[:, :3] - m_oracle[:, :3]) < 1e-8
         assert np.linalg.norm(m_fit[:, 3] - m_oracle[:, 3]) < 1e-8
@@ -201,17 +183,16 @@ class TestSolve:
     def test_permutation_invariance(self):
         rng = np.random.default_rng(5)
         pts = np.vstack([BOARD_POINTS_L, BOARD_POINTS_L + rng.normal(0, 0.1, (4, 3))])
-        cs = make_correspondences_from_pose(TRUTH, pts, noise=1e-3, rng=rng)
-        a = solve(cs).beta.as_vector()
-        order = rng.permutation(len(cs))
-        b = solve([cs[i] for i in order]).beta.as_vector()
+        p_l, p_o = make_correspondences_from_pose(TRUTH, pts, noise=1e-3, rng=rng)
+        a = solve(p_l, p_o).beta.as_vector()
+        order = rng.permutation(len(p_l))
+        b = solve(p_l[order], p_o[order]).beta.as_vector()
         np.testing.assert_allclose(a, b, atol=1e-10)
 
     def test_basin_of_attraction(self):
         # LM started anywhere in the basin lands on the closed-form pose
-        cs = make_correspondences_from_pose(TRUTH, BOARD_POINTS_L)
-        p_l, p_o = point_arrays(cs)
-        np.testing.assert_allclose(solve(cs).beta.as_vector(), TRUTH.as_vector(), atol=1e-10)
+        p_l, p_o = make_correspondences_from_pose(TRUTH, BOARD_POINTS_L)
+        np.testing.assert_allclose(solve(p_l, p_o).beta.as_vector(), TRUTH.as_vector(), atol=1e-10)
         for start in perturbed_starts(TRUTH):
             beta, _, _, converged = levenberg_marquardt(p_l, p_o, start)
             assert converged
@@ -221,9 +202,8 @@ class TestSolve:
         # the closed form is the minimizer: no start pose, and nothing LM
         # reaches from it, has a lower cost
         rng = np.random.default_rng(13)
-        cs = make_correspondences_from_pose(TRUTH, BOARD_POINTS_L, noise=5e-3, rng=rng)
-        p_l, p_o = point_arrays(cs)
-        report = solve(cs)
+        p_l, p_o = make_correspondences_from_pose(TRUTH, BOARD_POINTS_L, noise=5e-3, rng=rng)
+        report = solve(p_l, p_o)
         start = Pose6DOF(0.05, -0.03, 0.02, 0.1, -0.1, 0.05)
         f0 = residuals(start, p_l, p_o).ravel()
         _, cost_lm, _, _ = levenberg_marquardt(p_l, p_o, start)
@@ -231,26 +211,26 @@ class TestSolve:
         assert report.final_cost <= cost_lm * (1 + 1e-12)
 
     def test_too_few_correspondences(self):
-        cs = make_correspondences_from_pose(TRUTH, BOARD_POINTS_L[:2])
+        p_l, p_o = make_correspondences_from_pose(TRUTH, BOARD_POINTS_L[:2])
         with pytest.raises(DegenerateCorrespondences, match="need >= 3 correspondences, got 2"):
-            solve(cs)
+            solve(p_l, p_o)
         with pytest.raises(ValueError):
-            solve([])
+            solve(np.zeros((0, 3)), np.zeros((0, 3)))
 
     def test_closed_form_matches_truth_on_exact_data(self):
-        cs = make_correspondences_from_pose(TRUTH, BOARD_POINTS_L)
-        np.testing.assert_allclose(solve(cs).beta.as_vector(), TRUTH.as_vector(), atol=1e-10)
+        p_l, p_o = make_correspondences_from_pose(TRUTH, BOARD_POINTS_L)
+        np.testing.assert_allclose(solve(p_l, p_o).beta.as_vector(), TRUTH.as_vector(), atol=1e-10)
 
     def test_collinear_input_raises_typed_error(self):
         line = np.outer(np.linspace(1, 2, 4), np.array([0.1, 2.5, 0.0]))
-        cs = make_correspondences_from_pose(TRUTH, line)
+        p_l, p_o = make_correspondences_from_pose(TRUTH, line)
         with pytest.raises(DegenerateCorrespondences, match="collinear"):
-            solve(cs)
+            solve(p_l, p_o)
 
     def test_covariance_shape_and_scale(self):
         rng = np.random.default_rng(21)
-        cs = make_correspondences_from_pose(TRUTH, BOARD_POINTS_L, noise=2e-3, rng=rng)
-        report = solve(cs)
+        p_l, p_o = make_correspondences_from_pose(TRUTH, BOARD_POINTS_L, noise=2e-3, rng=rng)
+        report = solve(p_l, p_o)
         assert report.covariance.shape == (6, 6)
         assert np.all(np.diag(report.covariance) >= 0)
 
@@ -347,15 +327,15 @@ class TestStackedFit:
             assert gap < 1e-10
 
     def test_short_blocks_fail_alone(self):
-        p_l, p_o = point_arrays(make_correspondences_from_pose(TRUTH, BOARD_POINTS_L))
+        p_l, p_o = make_correspondences_from_pose(TRUTH, BOARD_POINTS_L)
         (short, reason), (fit, _) = solve_groups(np.vstack([p_l[:2], p_l]), np.vstack([p_o[:2], p_o]), [0, 2])
         assert short is None and reason == "need >= 3 correspondences, got 2"
         np.testing.assert_allclose(fit.beta.as_vector(), TRUTH.as_vector(), atol=1e-10)
 
     def test_one_block_is_solve(self):
         rng = np.random.default_rng(8)
-        cs = make_correspondences_from_pose(TRUTH, BOARD_POINTS_L, noise=1e-3, rng=rng)
-        ((fit, _),) = solve_groups(*point_arrays(cs), [0])
-        report = solve(cs)
+        p_l, p_o = make_correspondences_from_pose(TRUTH, BOARD_POINTS_L, noise=1e-3, rng=rng)
+        ((fit, _),) = solve_groups(p_l, p_o, [0])
+        report = solve(p_l, p_o)
         assert fit.beta == report.beta and fit.final_cost == report.final_cost
         np.testing.assert_array_equal(fit.covariance, report.covariance)
