@@ -298,8 +298,14 @@ def range_to_plane(omega, alpha, plane: PlaneModel) -> np.ndarray:
     Replacing a measured range with this value slides each return along its
     own ray onto the fitted plane, correcting the range component of the
     measurement noise while keeping the recorded angles untouched.
+
+    Each beam's range depends on that beam alone, bit for bit: the dot
+    product is written out per component, since a matrix product may round
+    a row differently depending on how many rows come with it.
     """
-    denom = polar_to_cartesian_array(omega, alpha, 1.0) @ plane.normal
+    u = polar_to_cartesian_array(omega, alpha, 1.0)
+    n = plane.normal
+    denom = u[..., 0] * n[0] + u[..., 1] * n[1] + u[..., 2] * n[2]
     if np.any(np.abs(denom) < 1e-12):
         raise ValueError("beam parallel to the fitted plane")
     return plane.d / denom
