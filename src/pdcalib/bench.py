@@ -123,27 +123,18 @@ def make_bench_scene(
     lidar: LidarModel | None = None,
     afe: AfeConfig | None = None,
     base_pose: Pose6DOF = DEFAULT_BASE_POSE,
-    width: float = 1.0,
-    height: float = 0.54,
-    surround_reflectivity: float = 10.0,
-    pd_reflectivity: float = 80.0,
     seed: int = 0,
 ) -> Scene:
     """Build the reference bench scene with four PD modules near the corners.
 
     ``pd_orientation`` selects all-horizontal, all-vertical, or the mixed
     arrangement ("all": vertical on the top-left/bottom-right corners,
-    horizontal on the other two).
+    horizontal on the other two). The board has ``BoardModel``'s default
+    size and reflectivities.
     """
     lidar = lidar or LidarModel()
     afe = afe or AfeConfig()
-    shell = BoardModel(
-        width=width,
-        height=height,
-        pd_modules=(),
-        surround_reflectivity=surround_reflectivity,
-        pd_reflectivity=pd_reflectivity,
-    )
+    shell = BoardModel()
     top, bottom = HORIZONTAL_ROW_DEG, -HORIZONTAL_ROW_DEG
     vtop, vbottom = VERTICAL_ROW_DEG, -VERTICAL_ROW_DEG
 
@@ -171,11 +162,4 @@ def make_bench_scene(
     else:
         raise ValueError(f"unknown pd_orientation {pd_orientation!r}")
 
-    board = BoardModel(
-        width=width,
-        height=height,
-        pd_modules=pds,
-        surround_reflectivity=surround_reflectivity,
-        pd_reflectivity=pd_reflectivity,
-    )
-    return Scene(board=board, lidar=lidar, afe=afe, base_pose=base_pose, seed=seed)
+    return Scene(board=BoardModel(pd_modules=pds), lidar=lidar, afe=afe, base_pose=base_pose, seed=seed)

@@ -30,7 +30,6 @@ from .harness import (
     run_single,
     run_sweep,
     simulate_point,
-    sweep_from_dict,
     write_sweep_outputs,
 )
 from .pipeline import PipelineError, calibrate_frames
@@ -136,7 +135,7 @@ def _cmd_sweep(args) -> int:
     scene = _load_scene(args)
     if args.sweep is not None:
         try:
-            spec = sweep_from_dict(json.loads(args.sweep.read_text()))
+            spec = io.sweep_from_dict(json.loads(args.sweep.read_text()))
         except (ValueError, OSError, json.JSONDecodeError) as exc:
             print(f"error: bad sweep spec: {exc}", file=sys.stderr)
             return EXIT_INPUT

@@ -29,6 +29,7 @@ from .scene import BEAM_DTYPE, LidarModel, PdPlacement
 DEFAULT_DETECTION_MARGIN = 10.0  # reflectivity counts above the row median
 DEFAULT_RANSAC_THRESHOLD_MM = 2.0
 DEFAULT_RANSAC_ITERATIONS = 200
+RANSAC_SEED = 0  # of the generator that draws every RANSAC's hypotheses
 
 # One row per (scan, PD) key detection of a batch: the key beam, its range
 # slid onto the board plane, the scan's index in the batch, the PD's index
@@ -121,15 +122,16 @@ def _line_fit(a: np.ndarray, mu: np.ndarray) -> tuple[float, float]:
 
 
 @lru_cache(maxsize=16)
-def _ransac_pairs(n: int, iterations: int, seed: int) -> np.ndarray:
+def _ransac_pairs(n: int, iterations: int) -> np.ndarray:
     """The (iterations, 2) index pairs RANSAC draws from ``n`` points.
 
     Each pair is ``rng.choice(n, 2, replace=False)`` of one
-    ``default_rng(seed)`` sequence, so the draw depends on its arguments
-    only, and the PDs of a batch that were detected in as many scans share
-    it. The array is read-only, since every caller gets the same one.
+    ``default_rng(RANSAC_SEED)`` sequence, so the draw depends on its
+    arguments only, and the PDs of a batch that were detected in as many
+    scans share it. The array is read-only, since every caller gets the
+    same one.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(RANSAC_SEED)
     draws = [rng.choice(n, size=2, replace=False) for _ in range(iterations)]
     pairs = np.array(draws, dtype=np.intp).reshape(-1, 2)
     pairs.flags.writeable = False
@@ -141,16 +143,14 @@ def build_azimuth_center_model(
     mu_mm,
     threshold: float = DEFAULT_RANSAC_THRESHOLD_MM,
     iterations: int = DEFAULT_RANSAC_ITERATIONS,
-    seed: int = 0,
 ) -> AzimuthCenterModel:
     """RANSAC + refit of the linear azimuth-to-center relation for one PD.
 
     Inliers lie within ``threshold`` mm of the line; the final (nu, tau) is
     a least-squares refit on the inliers. Outliers are expected to be
     one-index azimuth slips showing ~9.7 mm jumps. The hypotheses are
-    ``iterations`` pairs drawn from ``np.random.default_rng(seed)`` for an
-    int ``seed``; calls with the same pair count, ``iterations`` and
-    ``seed`` draw the same pairs.
+    ``iterations`` pairs drawn from ``np.random.default_rng(RANSAC_SEED)``;
+    calls with the same pair count and ``iterations`` draw the same pairs.
 
     Raises
     ------
@@ -178,7 +178,7 @@ def build_azimuth_center_model(
 
     # every hypothesis line scored at once; a pair of equal azimuths draws
     # no line, and the first line with the most inliers wins
-    i, k = _ransac_pairs(n, iterations, seed).T
+    i, k = _ransac_pairs(n, iterations).T
     span = a[k] - a[i]
     drawn = ~(np.abs(span) < 1e-12)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -62,37 +62,6 @@ class SweepSpec:
         return Pose6DOF(base.phi, base.theta, base.psi, base.dx + value * MM, base.dy, base.dz)
 
 
-def sweep_to_dict(spec: SweepSpec) -> dict:
-    return {
-        "parameter": spec.parameter,
-        "start": spec.start,
-        "stop": spec.stop,
-        "step": spec.step,
-        "scans_per_point": spec.scans_per_point,
-        "seed": spec.seed,
-    }
-
-
-def sweep_from_dict(data: dict) -> SweepSpec:
-    """A sweep spec from its JSON object; a missing key takes its default.
-
-    Raises ValueError naming the key for a document that is not an object or
-    a field of the wrong type.
-    """
-    # imported here: `import pdcalib` does not load io (and json) otherwise
-    from .io import NUMBER, config_reader
-
-    get = config_reader(data)
-    return SweepSpec(
-        parameter=get("parameter", str, "yaw"),
-        start=float(get("start", NUMBER, -3.0)),
-        stop=float(get("stop", NUMBER, 3.0)),
-        step=float(get("step", NUMBER, 0.5)),
-        scans_per_point=get("scans_per_point", int, 50),
-        seed=get("seed", int, 0),
-    )
-
-
 @dataclass
 class SweepStats:
     """Per-point and overall error statistics of one sweep."""
@@ -127,17 +96,6 @@ class SweepStats:
     def per_axis_precision(self) -> np.ndarray:
         """(6,) mean per-point std per axis, in deg / mm."""
         return self._scaled(self.std).mean(axis=0)
-
-    @property
-    def overall_accuracy(self) -> float:
-        """Accuracy of the swept degree of freedom (deg or mm)."""
-        axis = 0 if self.parameter == "yaw" else 3
-        return float(self.per_axis_accuracy[axis])
-
-    @property
-    def overall_precision(self) -> float:
-        axis = 0 if self.parameter == "yaw" else 3
-        return float(self.per_axis_precision[axis])
 
 
 def _point_seed(master: int, point_index: int, scan_index: int) -> int:

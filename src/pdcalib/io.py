@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ import numpy as np
 from .afe import SUPPLY_RAIL_V, PdSignalRecord, TiaParams
 from .bench import Scene
 from .geometry import DEG, MM, Pose6DOF
+from .harness import SweepSpec
 from .scene import BEAM_DTYPE, AfeConfig, BoardModel, LidarModel, PdPlacement, ScanFrame
 
 FRAME_MAGIC = "pdcalib-scanframe,v=1"
@@ -50,65 +52,7 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-# ---------------------------------------------------------------- scene config
-
-def scene_to_dict(scene: Scene) -> dict:
-    return {
-        "board": {
-            "width_m": scene.board.width,
-            "height_m": scene.board.height,
-            "surround_reflectivity": scene.board.surround_reflectivity,
-            "pd_reflectivity": scene.board.pd_reflectivity,
-            "pd_modules": [
-                {
-                    "pd_id": pd.pd_id,
-                    "offset_m": list(pd.offset),
-                    "orientation": pd.orientation,
-                    "n_elements": pd.n_elements,
-                    "element_pitch_m": pd.element_pitch,
-                    "active_length_m": pd.active_length,
-                    "active_width_m": pd.active_width,
-                    "sampled_channels": list(pd.sampled_channels),
-                }
-                for pd in scene.board.pd_modules
-            ],
-        },
-        "lidar": {
-            "n_channels": scene.lidar.n_channels,
-            "vertical_angles_deg": list(scene.lidar.vertical_angles_deg),
-            "azimuth_step_deg": scene.lidar.azimuth_step_deg,
-            "range_noise_sigma_m": scene.lidar.range_noise_sigma,
-            "azimuth_jitter_sigma_deg": scene.lidar.azimuth_jitter_sigma_deg,
-            "beam_divergence_rad": scene.lidar.beam_divergence,
-            "firing_period_s": scene.lidar.firing_period,
-            "pulse_burst_period_s": scene.lidar.pulse_burst_period,
-        },
-        "afe": {
-            "tia": {
-                "r_f_ohm": scene.afe.tia.r_f,
-                "c_f_farad": scene.afe.tia.c_f,
-                "r_sh_ohm": scene.afe.tia.r_sh,
-                "c_pd_farad": scene.afe.tia.c_pd,
-                "c_i_amp_farad": scene.afe.tia.c_i_amp,
-                "gbwp_hz": scene.afe.tia.gbwp,
-                "a_ol_db": scene.afe.tia.a_ol,
-            },
-            "pulse_width_s": scene.afe.pulse_width,
-            "voltage_noise_sigma_v": scene.afe.voltage_noise_sigma,
-            "noise_floor_v": scene.afe.noise_floor,
-            "peak_current_a": scene.afe.peak_current,
-        },
-        "base_pose": {
-            "phi_deg": scene.base_pose.phi / DEG,
-            "theta_deg": scene.base_pose.theta / DEG,
-            "psi_deg": scene.base_pose.psi / DEG,
-            "dx_m": scene.base_pose.dx,
-            "dy_m": scene.base_pose.dy,
-            "dz_m": scene.base_pose.dz,
-        },
-        "seed": scene.seed,
-    }
-
+# ---------------------------------------------------------------- configs
 
 NUMBER = (int, float)
 _KIND_NAMES = {  # singular, plural
@@ -150,75 +94,138 @@ def config_reader(data, where: str = ""):
     return read
 
 
+# number kinds beyond config_reader's, each with its file-to-model conversion:
+# float takes any number as a float, DEGREES takes degrees to radians
+DEGREES = "degrees"
+_NUMBERS = {float: float, DEGREES: lambda deg: deg * DEG}
+
+# One table per config section, keyed by its model dataclass, with one row
+# per field: (JSON key, field name, kind, list or not). A kind is one of
+# config_reader's or of _NUMBERS, or a model of this table (a nested
+# section). A list is a tuple in the model.
+_KEYS = {
+    PdPlacement: (
+        ("pd_id", "pd_id", str, False),
+        ("offset_m", "offset", NUMBER, True),
+        ("orientation", "orientation", str, False),
+        ("n_elements", "n_elements", int, False),
+        ("element_pitch_m", "element_pitch", NUMBER, False),
+        ("active_length_m", "active_length", NUMBER, False),
+        ("active_width_m", "active_width", NUMBER, False),
+        ("sampled_channels", "sampled_channels", int, True),
+    ),
+    BoardModel: (
+        ("pd_modules", "pd_modules", PdPlacement, True),
+        ("width_m", "width", NUMBER, False),
+        ("height_m", "height", NUMBER, False),
+        ("surround_reflectivity", "surround_reflectivity", NUMBER, False),
+        ("pd_reflectivity", "pd_reflectivity", NUMBER, False),
+    ),
+    LidarModel: (
+        ("n_channels", "n_channels", int, False),
+        ("vertical_angles_deg", "vertical_angles_deg", NUMBER, True),
+        ("azimuth_step_deg", "azimuth_step_deg", NUMBER, False),
+        ("range_noise_sigma_m", "range_noise_sigma", NUMBER, False),
+        ("azimuth_jitter_sigma_deg", "azimuth_jitter_sigma_deg", NUMBER, False),
+        ("beam_divergence_rad", "beam_divergence", NUMBER, False),
+        ("firing_period_s", "firing_period", NUMBER, False),
+        ("pulse_burst_period_s", "pulse_burst_period", NUMBER, False),
+    ),
+    TiaParams: (
+        ("r_f_ohm", "r_f", NUMBER, False), ("c_f_farad", "c_f", NUMBER, False),
+        ("r_sh_ohm", "r_sh", NUMBER, False), ("c_pd_farad", "c_pd", NUMBER, False),
+        ("c_i_amp_farad", "c_i_amp", NUMBER, False),
+        ("gbwp_hz", "gbwp", NUMBER, False), ("a_ol_db", "a_ol", NUMBER, False),
+    ),
+    AfeConfig: (
+        ("tia", "tia", TiaParams, False),
+        ("pulse_width_s", "pulse_width", NUMBER, False),
+        ("voltage_noise_sigma_v", "voltage_noise_sigma", NUMBER, False),
+        ("noise_floor_v", "noise_floor", NUMBER, False),
+        ("peak_current_a", "peak_current", NUMBER, False),
+    ),
+    Pose6DOF: (
+        ("phi_deg", "phi", DEGREES, False), ("theta_deg", "theta", DEGREES, False),
+        ("psi_deg", "psi", DEGREES, False),
+        ("dx_m", "dx", NUMBER, False), ("dy_m", "dy", NUMBER, False), ("dz_m", "dz", NUMBER, False),
+    ),
+    Scene: (
+        ("board", "board", BoardModel, False),
+        ("lidar", "lidar", LidarModel, False),
+        ("afe", "afe", AfeConfig, False),
+        ("base_pose", "base_pose", Pose6DOF, False),
+        ("seed", "seed", int, False),
+    ),
+    SweepSpec: (
+        ("parameter", "parameter", str, False),
+        ("start", "start", float, False), ("stop", "stop", float, False), ("step", "step", float, False),
+        ("scans_per_point", "scans_per_point", int, False),
+        ("seed", "seed", int, False),
+    ),
+}
+
+
+def _to_dict(obj) -> dict:
+    out = {}
+    for key, name, kind, many in _KEYS[type(obj)]:
+        value = getattr(obj, name)
+        if kind in _KEYS:
+            value = [_to_dict(v) for v in value] if many else _to_dict(value)
+        out[key] = list(value) if many else value / DEG if kind is DEGREES else value
+    return out
+
+
+def _from_dict(data, model, where: str = "", base=None):
+    """A ``model`` from its JSON object ``data``, the section ``where`` of
+    its document. An absent key takes its field's value in ``base``, or else
+    its field's default; a field with neither is required. A nested
+    section's base is its field's default value, if it has one.
+    """
+    read = config_reader(data, where)
+    spec = {f.name: f for f in fields(model)}
+    values = {}
+    for key, name, kind, many in _KEYS[model]:
+        default = spec[name].default
+        if key not in data and (default is not MISSING or spec[name].default_factory is not MISSING):
+            continue
+        at = f"{where}.{key}" if where else key
+        if kind in _KEYS and many:
+            items = read(key, dict, many=True)
+            values[name] = tuple(_from_dict(item, kind, f"{at}[{k}]") for k, item in enumerate(items))
+        elif kind in _KEYS:
+            values[name] = _from_dict(read(key, dict), kind, at, None if default is MISSING else default)
+        else:
+            value = read(key, NUMBER if kind in _NUMBERS else kind, many=many)
+            values[name] = tuple(value) if many else _NUMBERS[kind](value) if kind in _NUMBERS else value
+    return model(**values) if base is None else replace(base, **values)
+
+
+def scene_to_dict(scene: Scene) -> dict:
+    return _to_dict(scene)
+
+
 def scene_from_dict(data: dict) -> Scene:
     """A scene from its config; every key but the board and its PD ids and
-    offsets takes a default.
+    offsets takes the model's default, and a base pose's keys take those of
+    ``bench.DEFAULT_BASE_POSE``.
 
     Raises ValueError naming the key for a document or section that is not
     an object, a missing required key or a field of the wrong type.
     """
-    doc = config_reader(data)
-    b = config_reader(doc("board", dict), "board")
-    pds = []
-    for k, p in enumerate(b("pd_modules", dict, [], many=True)):
-        pd = config_reader(p, f"board.pd_modules[{k}]")
-        pds.append(PdPlacement(
-            pd_id=pd("pd_id", str),
-            offset=tuple(pd("offset_m", NUMBER, many=True)),
-            orientation=pd("orientation", str, "horizontal"),
-            n_elements=pd("n_elements", int, 16),
-            element_pitch=pd("element_pitch_m", NUMBER, 1e-3),
-            active_length=pd("active_length_m", NUMBER, 16e-3),
-            active_width=pd("active_width_m", NUMBER, 1.45e-3),
-            sampled_channels=tuple(pd("sampled_channels", int, (0, 5, 10, 15), many=True)),
-        ))
-    board = BoardModel(
-        width=b("width_m", NUMBER, 1.0),
-        height=b("height_m", NUMBER, 0.54),
-        pd_modules=tuple(pds),
-        surround_reflectivity=b("surround_reflectivity", NUMBER, 10.0),
-        pd_reflectivity=b("pd_reflectivity", NUMBER, 80.0),
-    )
-    ld = config_reader(doc("lidar", dict, {}), "lidar")
-    lidar = LidarModel(
-        n_channels=ld("n_channels", int, 16),
-        vertical_angles_deg=tuple(
-            ld("vertical_angles_deg", NUMBER, tuple(float(a) for a in range(-15, 16, 2)), many=True)
-        ),
-        azimuth_step_deg=ld("azimuth_step_deg", NUMBER, 0.2),
-        range_noise_sigma=ld("range_noise_sigma_m", NUMBER, 0.010),
-        azimuth_jitter_sigma_deg=ld("azimuth_jitter_sigma_deg", NUMBER, 0.02),
-        beam_divergence=ld("beam_divergence_rad", NUMBER, 19.6e-3 / 2.5),
-        firing_period=ld("firing_period_s", NUMBER, 55e-6),
-        pulse_burst_period=ld("pulse_burst_period_s", NUMBER, 2.3e-6),
-    )
-    af = config_reader(doc("afe", dict, {}), "afe")
-    tia = config_reader(af("tia", dict, {}), "afe.tia")
-    afe = AfeConfig(
-        tia=TiaParams(
-            r_f=tia("r_f_ohm", NUMBER, 1e5),
-            c_f=tia("c_f_farad", NUMBER, 68e-12),
-            r_sh=tia("r_sh_ohm", NUMBER, 250e9),
-            c_pd=tia("c_pd_farad", NUMBER, 200e-12),
-            c_i_amp=tia("c_i_amp_farad", NUMBER, 1.4e-12),
-            gbwp=tia("gbwp_hz", NUMBER, 1e6),
-            a_ol=tia("a_ol_db", NUMBER, 106.0),
-        ),
-        pulse_width=af("pulse_width_s", NUMBER, 2.3e-6),
-        voltage_noise_sigma=af("voltage_noise_sigma_v", NUMBER, 0.1),
-        noise_floor=af("noise_floor_v", NUMBER, 0.1),
-        peak_current=af("peak_current_a", NUMBER, 100e-6),
-    )
-    p = config_reader(doc("base_pose", dict, {}), "base_pose")
-    pose = Pose6DOF(
-        p("phi_deg", NUMBER, 0.0) * DEG,
-        p("theta_deg", NUMBER, 0.0) * DEG,
-        p("psi_deg", NUMBER, 0.0) * DEG,
-        p("dx_m", NUMBER, -0.7),
-        p("dy_m", NUMBER, -2.5),
-        p("dz_m", NUMBER, 0.0),
-    )
-    return Scene(board=board, lidar=lidar, afe=afe, base_pose=pose, seed=doc("seed", int, 0))
+    return _from_dict(data, Scene)
+
+
+def sweep_to_dict(spec: SweepSpec) -> dict:
+    return _to_dict(spec)
+
+
+def sweep_from_dict(data: dict) -> SweepSpec:
+    """A sweep spec from its JSON object; a missing key takes its default.
+
+    Raises ValueError naming the key for a document that is not an object or
+    a field of the wrong type.
+    """
+    return _from_dict(data, SweepSpec)
 
 
 def save_scene(scene: Scene, path):
@@ -240,10 +247,9 @@ def frames_to_text(frames) -> str:
     lines.append("# beam," + ",".join(BEAM_FIELDS))
     for frame in frames:
         omega, alpha, r, channel, azimuth_index, refl = frame.beam_arrays()
-        order = np.lexsort((azimuth_index, channel))
         columns = (channel, azimuth_index, alpha / DEG, omega / DEG, r, refl)
         # tolist() gives Python ints and floats, whose repr is the file form
-        rows = zip(*(c[order].tolist() for c in columns))
+        rows = zip(*(c.tolist() for c in columns))
         for ch, az, alpha_deg, omega_deg, range_m, reflectivity in rows:
             lines.append(
                 f"beam,{frame.scan_id},{ch},{az},{alpha_deg!r},{omega_deg!r},{range_m!r},{reflectivity!r}"

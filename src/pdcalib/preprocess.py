@@ -23,8 +23,10 @@ import numpy as np
 
 from .geometry import polar_to_cartesian_array
 
-DEFAULT_CLUSTER_TOLERANCE = 0.15  # > the ~87 mm inter-row gaps on the board
-DEFAULT_MIN_POINTS = 30
+CLUSTER_TOLERANCE = 0.15  # m, > the ~87 mm inter-row gaps on the board
+MIN_POINTS = 30  # returns of the smallest cluster that can be the board
+EXTENT_TOLERANCE = 0.2  # relative extent error of a cluster that matches the board
+PLANE_REFINE_ITERATIONS = 3  # Gauss-Newton steps of refine_plane_ranges
 # raster neighbours along a row: the next this many returns of a channel
 AZIMUTH_REACH = 2
 
@@ -57,22 +59,20 @@ class PlaneModel:
 def _raster_components(points, channel, azimuth_index, tol):
     """Component label per return, linking raster neighbours within ``tol``.
 
-    Each return's candidate neighbours are the next ``AZIMUTH_REACH``
-    returns of its channel in azimuth order, and the returns of the next
+    The returns come in (channel, azimuth index) order, as a ``ScanFrame``
+    holds them. Each return's candidate neighbours are the next
+    ``AZIMUTH_REACH`` returns of its channel, and the returns of the next
     channel at azimuth index -``AZIMUTH_REACH``..+``AZIMUTH_REACH`` from its
     own. A candidate is linked when its 3-D distance is at most ``tol``.
     The links are labelled by ``_components``, so labels number the
-    components in order of their first return in (channel, azimuth index)
-    order.
+    components in order of their first return.
     """
     n = len(points)
-    order = np.lexsort((azimuth_index, channel))
-    ch = channel[order]
-    az = azimuth_index[order] - azimuth_index.min() + AZIMUTH_REACH
+    az = azimuth_index - azimuth_index.min() + AZIMUTH_REACH
     # one key per raster cell, ascending in this order; the padding keeps
     # az + offset inside its own row
     width = int(az.max()) + AZIMUTH_REACH + 1
-    key = (ch - ch[0]) * width + az
+    key = (channel - channel[0]) * width + az
 
     along = np.minimum(np.arange(n)[:, None] + np.arange(1, AZIMUTH_REACH + 1), n - 1)
     target = key[:, None] + (width + np.arange(-AZIMUTH_REACH, AZIMUTH_REACH + 1))
@@ -80,12 +80,10 @@ def _raster_components(points, channel, azimuth_index, tol):
     # (n, 3 * AZIMUTH_REACH + 1) candidate positions; a clipped one links a
     # return to itself, which changes no component
     cand = np.hstack([along, across])
-    valid = np.hstack([ch[along] == ch[:, None], key[across] == target])
+    valid = np.hstack([channel[along] == channel[:, None], key[across] == target])
 
-    valid &= sum((c[cand] - c[:, None]) ** 2 for c in points[order].T) <= tol * tol
-    labels = np.empty(n, dtype=np.intp)
-    labels[order] = _components(n, np.nonzero(valid)[0], cand[valid])
-    return labels
+    valid &= sum((c[cand] - c[:, None]) ** 2 for c in points.T) <= tol * tol
+    return _components(n, np.nonzero(valid)[0], cand[valid])
 
 
 def _components(n, u, v):
@@ -148,32 +146,25 @@ def _extent_error(spread, omega, alpha, r, channel, azimuth_index, board_width, 
     return max(off(e1, board_width, rng * step), off(e2, board_height, rng * pitch)), e1, e2
 
 
-def segment_target(
-    frame,
-    board_width: float,
-    board_height: float,
-    cluster_tolerance: float = DEFAULT_CLUSTER_TOLERANCE,
-    min_points: int = DEFAULT_MIN_POINTS,
-    extent_tolerance: float = 0.2,
-) -> np.ndarray:
+def segment_target(frame, board_width: float, board_height: float) -> np.ndarray:
     """Indices of the frame's beams that belong to the target board.
 
     Clusters the scan on its (channel, azimuth index) raster: a return is
     linked to the next ``AZIMUTH_REACH`` returns of its channel in azimuth
     order and to the next channel's returns within ``AZIMUTH_REACH`` azimuth
-    indices, wherever the two lie within ``cluster_tolerance`` in 3-D.
+    indices, wherever the two lie within ``CLUSTER_TOLERANCE`` in 3-D.
     Returns the cluster whose bounding extents best match the configured
-    board dimensions (within ``extent_tolerance`` relative error of the
+    board dimensions (within ``EXTENT_TOLERANCE`` relative error of the
     spreads the raster can sample at the cluster's range; see
     ``_extent_error``).
 
     Every raster link is also a link of single-linkage Euclidean clustering
-    at ``cluster_tolerance``, so raster clusters can only split those
+    at ``CLUSTER_TOLERANCE``, so raster clusters can only split those
     clusters; dropouts are bridged, because the next returns in azimuth
     order skip missing ones. An occluder in front of the board that spans
     every row and is at least ``AZIMUTH_REACH`` returns wide does split the
     board. The returned ROI is always a whole single-linkage cluster: a
-    board piece with a return outside it within ``cluster_tolerance``
+    board piece with a return outside it within ``CLUSTER_TOLERANCE``
     raises instead.
 
     Raises
@@ -186,11 +177,11 @@ def segment_target(
         raise SegmentationError("empty frame: no clusters (0 points)")
     omega, alpha, r, channel, azimuth_index, _ = frame.beam_arrays()
     pts = polar_to_cartesian_array(omega, alpha, r)
-    labels = _raster_components(pts, channel, azimuth_index, cluster_tolerance)
+    labels = _raster_components(pts, channel, azimuth_index, CLUSTER_TOLERANCE)
 
     diagnostics = []
     best = None
-    for lab in np.flatnonzero(np.bincount(labels) >= min_points):
+    for lab in np.flatnonzero(np.bincount(labels) >= MIN_POINTS):
         idx = np.nonzero(labels == lab)[0]
         cluster = pts[idx]
         lo, hi = cluster.min(axis=0), cluster.max(axis=0)
@@ -199,7 +190,7 @@ def segment_target(
             board_width, board_height,
         )
         diagnostics.append((int(lab), len(idx), float(e1), float(e2)))
-        if err <= extent_tolerance and (best is None or err < best[0]):
+        if err <= EXTENT_TOLERANCE and (best is None or err < best[0]):
             best = (err, idx, lo, hi)
     if best is None:
         raise SegmentationError(
@@ -207,14 +198,14 @@ def segment_target(
             f"clusters (label, count, extent1, extent2): {diagnostics}"
         )
     _, roi, lo, hi = best
-    near = np.all((pts >= lo - cluster_tolerance) & (pts <= hi + cluster_tolerance), axis=1)
+    near = np.all((pts >= lo - CLUSTER_TOLERANCE) & (pts <= hi + CLUSTER_TOLERANCE), axis=1)
     near[roi] = False
     if np.any(near):
         gap2 = sum((out[:, None] - inside) ** 2 for out, inside in zip(pts[near].T, pts[roi].T))
-        if gap2.min() <= cluster_tolerance ** 2:
+        if gap2.min() <= CLUSTER_TOLERANCE ** 2:
             raise SegmentationError(
                 f"the {len(roi)}-return cluster matching the {board_width} x {board_height} m "
-                f"board is a piece of it: a return outside it lies within {cluster_tolerance} m "
+                f"board is a piece of it: a return outside it lies within {CLUSTER_TOLERANCE} m "
                 "(an occluder across every row splits the board)"
             )
     return roi
@@ -248,7 +239,7 @@ def fit_plane(points: np.ndarray) -> PlaneModel:
     return PlaneModel(normal=normal, d=d, inlier_rms=rms, inlier_count=len(pts))
 
 
-def refine_plane_ranges(omega, alpha, r, plane0: PlaneModel, iterations: int = 3) -> PlaneModel:
+def refine_plane_ranges(omega, alpha, r, plane0: PlaneModel) -> PlaneModel:
     """Refit the plane by least squares on the range residuals.
 
     A ranging sensor's noise lives along each beam, not isotropically; the
@@ -271,7 +262,7 @@ def refine_plane_ranges(omega, alpha, r, plane0: PlaneModel, iterations: int = 3
         raise ValueError("plane nearly contains the boresight; cannot refine")
     a, b = n0[0] / -n0[1], n0[2] / -n0[1]
     e = d0 / -n0[1]
-    for _ in range(iterations):
+    for _ in range(PLANE_REFINE_ITERATIONS):
         c = a * dirs[:, 0] - dirs[:, 1] + b * dirs[:, 2]
         if np.any(np.abs(c) < 1e-9):
             raise ValueError("beam parallel to the plane during refinement")

@@ -251,10 +251,11 @@ class ScanFrame:
     """One full sensor revolution over the scene.
 
     ``beams`` holds the returns as a structured array of ``BEAM_DTYPE``
-    (anything convertible to one is accepted and copied). Construction
-    checks every return at once: finite angles, range and reflectivity,
-    r > 0 and |omega| < pi/2, no two returns sharing (channel,
-    azimuth_index); azimuths outside [0, 2 pi) are wrapped into it.
+    (anything convertible to one is accepted and copied), stored in
+    (channel, azimuth_index) order. Construction checks every return at
+    once: finite angles, range and reflectivity, r > 0 and |omega| < pi/2,
+    no two returns sharing (channel, azimuth_index); azimuths outside
+    [0, 2 pi) are wrapped into it.
     """
 
     scan_id: int
@@ -274,11 +275,11 @@ class ScanFrame:
             raise ValueError(f"scan {self.scan_id}: beam omega outside vertical FOV")
         wrap = ~((alpha >= 0.0) & (alpha < TWO_PI))
         alpha[wrap] %= TWO_PI
+        b = b[np.lexsort((b["azimuth_index"], b["channel"]))]
         ch, az = b["channel"], b["azimuth_index"]
-        order = np.lexsort((az, ch))
-        dup = (np.diff(ch[order]) == 0) & (np.diff(az[order]) == 0)
+        dup = (np.diff(ch) == 0) & (np.diff(az) == 0)
         if np.any(dup):
-            i = order[np.argmax(dup)]
+            i = np.argmax(dup)
             raise ValueError(f"duplicate beam (channel, azimuth_index) {(int(ch[i]), int(az[i]))}")
         self.beams = b
 

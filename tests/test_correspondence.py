@@ -212,7 +212,7 @@ class TestAzimuthCenterModel:
             build_azimuth_center_model(other, other, iterations=iterations + 1)
 
     def test_shared_draw_is_read_only(self):
-        pairs = correspondence._ransac_pairs(50, 200, 0)
+        pairs = correspondence._ransac_pairs(50, 200)
         assert pairs.shape == (200, 2)
         assert not pairs.flags.writeable
         with pytest.raises(ValueError):

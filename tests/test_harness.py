@@ -17,10 +17,9 @@ from pdcalib.harness import (
     run_single,
     run_sweep,
     sweep_csvs,
-    sweep_from_dict,
-    sweep_to_dict,
     write_sweep_outputs,
 )
+from pdcalib.io import sweep_from_dict, sweep_to_dict
 
 DEG = math.pi / 180.0
 
@@ -60,6 +59,9 @@ class TestSweepSpec:
     def test_dict_round_trip(self):
         spec = SweepSpec(parameter="x_position", start=-30, stop=30, step=5, scans_per_point=7, seed=2)
         assert sweep_from_dict(sweep_to_dict(spec)) == spec
+
+    def test_absent_keys_take_the_spec_defaults(self):
+        assert sweep_from_dict({}) == SweepSpec()
 
 
 class TestRunSweep:

@@ -1,6 +1,10 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,10 +13,11 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import read_frames_reference
 from pdcalib import io
-from pdcalib.bench import make_bench_scene
+from pdcalib.afe import TiaParams
+from pdcalib.bench import DEFAULT_BASE_POSE, Scene, make_bench_scene
 from pdcalib.geometry import DEG, Pose6DOF
 from pdcalib.io import FrameParseError, frames_to_text, read_frames, write_frames
-from pdcalib.scene import AfeConfig, LidarModel, ScanFrame, simulate_scan
+from pdcalib.scene import AfeConfig, BoardModel, LidarModel, PdPlacement, ScanFrame, simulate_scan
 
 INT64 = st.integers(-(2 ** 63), 2 ** 63 - 1)
 HALF_PI_BELOW = math.nextafter(math.pi / 2, 0.0)
@@ -189,6 +194,35 @@ class TestSceneConfig:
         path.write_text("{not json")
         with pytest.raises(ValueError):
             io.load_scene(path)
+
+    def test_absent_keys_take_the_model_defaults(self):
+        pd = PdPlacement(pd_id="a", offset=(0.1, -0.1))
+        data = {"board": {"pd_modules": [{"pd_id": "a", "offset_m": [0.1, -0.1]}]}}
+        assert io.scene_from_dict(data) == Scene(
+            board=BoardModel(pd_modules=(pd,)),
+            lidar=LidarModel(),
+            afe=AfeConfig(tia=TiaParams()),
+            base_pose=DEFAULT_BASE_POSE,
+            seed=0,
+        )
+        # a base pose given in part keeps the bench's pose for the rest
+        data["base_pose"] = {"phi_deg": 2, "dz_m": 0.1}
+        pose = io.scene_from_dict(data).base_pose
+        assert pose == Pose6DOF(2 * DEG, 0.0, 0.0, DEFAULT_BASE_POSE.dx, DEFAULT_BASE_POSE.dy, 0.1)
+
+
+def test_bench_scene_loads_no_json_io_or_scipy():
+    # the config reader (and json with it) loads only when a file is read
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys, pdcalib\n"
+        "pdcalib.make_bench_scene('all')\n"
+        "print(sorted(m for m in sys.modules if m in ('json', 'pdcalib.io') or m.split('.')[0] == 'scipy'))"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 class TestFrameSerialization:
@@ -535,7 +569,8 @@ class TestFrameSerialization:
         frames = read_frames(path)
         assert [f.scan_id for f in frames] == [0, 1]
         keys = [list(zip(f.beams["channel"].tolist(), f.beams["azimuth_index"].tolist())) for f in frames]
-        assert keys == [[(5, 9), (1, 4), (5, 3)], [(3, 7), (0, 2), (3, 1)]]
+        # each scan gets its own rows, which its frame holds in (channel, azimuth index) order
+        assert keys == [[(1, 4), (5, 3), (5, 9)], [(0, 2), (3, 1), (3, 7)]]
 
     def test_interleaved_pd_rows_come_back_in_pd_id_order(self, tmp_path):
         rows = [

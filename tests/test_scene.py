@@ -96,6 +96,31 @@ class TestModels:
         b = (0.01, 0.0, 1.0, 0, 0, 0.0)  # omega, alpha, r, channel, azimuth_index, reflectivity
         with pytest.raises(ValueError):
             ScanFrame(scan_id=0, beams=[b, b], pd_records=[])
+        rows = [(0.01, 0.0, 1.0, 1, 3, 0.0), (0.01, 0.0, 1.0, 0, 5, 0.0), (0.01, 0.1, 2.0, 1, 3, 1.0)]
+        with pytest.raises(ValueError, match=r"duplicate beam \(channel, azimuth_index\) \(1, 3\)"):
+            ScanFrame(scan_id=0, beams=rows, pd_records=[])
+
+    def test_beams_held_in_cell_order(self):
+        rows = [(0.1, 0.2, 2.0, 1, 3, 5.0), (0.1, 0.1, 2.0, 0, 9, 6.0), (0.1, 0.3, 2.0, 1, -2, 7.0),
+                (0.1, 0.4, 2.0, 0, 4, 8.0)]
+        frame = ScanFrame(scan_id=0, beams=rows, pd_records=[])
+        cells = list(zip(frame.beams["channel"].tolist(), frame.beams["azimuth_index"].tolist()))
+        assert cells == [(0, 4), (0, 9), (1, -2), (1, 3)]
+        assert frame.beams["reflectivity"].tolist() == [8.0, 6.0, 7.0, 5.0]
+
+    def test_simulated_truth_rows_match_the_held_beams(self, horizontal_scene):
+        # the truth indexes the returns in the order the simulator casts
+        # them; the frame's cell order must be that order, so each truth
+        # landing point lies along its return's ray
+        sc = horizontal_scene
+        for pose, wall in ((sc.base_pose, None), (Pose6DOF(6 * DEG, 0.02, -0.03, -0.9, -1.8, 0.05), 1.0)):
+            m = pose_to_matrix(pose)
+            for frame in simulate_scans(sc.board, sc.lidar, pose, seeds=[3, 4], scan_ids=[0, 1],
+                                        afe=sc.afe, background_depth=wall):
+                b = frame.beams
+                ray = (frame.truth.board_positions - m[:, 3]) @ m[:, :3]
+                ray /= np.linalg.norm(ray, axis=1)[:, None]
+                np.testing.assert_allclose(ray, polar_to_cartesian_array(b["omega"], b["alpha"], 1.0), atol=1e-9)
 
     def test_vectorized_checks_follow_the_polar_beam_rule(self):
         # PolarBeam checks one return at a time; ScanFrame must accept,
