@@ -173,10 +173,8 @@ def _cmd_report(args) -> int:
         std[:, :3] *= DEG
         std[:, 3:] *= MM
         label = path.stem.replace("sweep_", "").replace("_points", "").replace("_", " ")
-        parameter = "yaw" if "yaw" in path.stem else "x_position"
         stats_list.append(
             SweepStats(
-                parameter=parameter,
                 label=label,
                 values=values,
                 bias=bias,

@@ -64,9 +64,8 @@ class SweepSpec:
 
 @dataclass
 class SweepStats:
-    """Per-point and overall error statistics of one sweep."""
+    """Per-point and per-axis error statistics of one sweep."""
 
-    parameter: str
     label: str                    # e.g. "Horizontal PD"
     values: np.ndarray            # (P,) reference grid, deg or mm
     bias: np.ndarray              # (P, 6) mean error per point (rad / m)
@@ -173,7 +172,6 @@ def run_sweep(scene: Scene, spec: SweepSpec, label: str = "", workers: int = 1) 
     # points that failed entirely keep NaN rows; drop them from the stats
     ok = solved > 0
     return SweepStats(
-        parameter=spec.parameter,
         label=label or "PD",
         values=values[ok],
         bias=bias[ok],

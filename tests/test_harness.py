@@ -63,6 +63,10 @@ class TestSweepSpec:
     def test_absent_keys_take_the_spec_defaults(self):
         assert sweep_from_dict({}) == SweepSpec()
 
+    def test_grid_bounds_read_as_floats(self):
+        spec = sweep_from_dict({"start": -1, "stop": 1, "step": 1, "scans_per_point": 5})
+        assert [type(v) for v in (spec.start, spec.stop, spec.step, spec.scans_per_point)] == [float] * 3 + [int]
+
 
 class TestRunSweep:
     def test_stats_shape_and_tracking(self, mini_stats):
@@ -145,7 +149,6 @@ class TestReport:
     def test_stats_validation(self):
         with pytest.raises(ValueError):
             SweepStats(
-                parameter="yaw",
                 label="x",
                 values=np.zeros(2),
                 bias=np.zeros((2, 6)),
