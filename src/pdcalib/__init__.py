@@ -33,6 +33,7 @@ from .beam_center import (
     fit_gaussian_batch,
     fit_gaussian_iterative,
     select_key_beam,
+    select_key_beams,
 )
 from .bench import Scene, make_bench_scene
 from .correspondence import (
@@ -117,6 +118,7 @@ __all__ = [
     "run_sweep",
     "segment_target",
     "select_key_beam",
+    "select_key_beams",
     "simulate_scan",
     "simulate_scans",
     "solve",

@@ -14,7 +14,9 @@ before fitting; they keep the quadratic concave when the spot sits near
 an array end.
 
 ``fit_gaussian_batch`` fits a stack of events at once, each row on its
-own; ``fit_gaussian_iterative`` is its one-row case.
+own; ``fit_gaussian_iterative`` is its one-row case. Likewise
+``select_key_beams`` picks the key event of many groups of events at once,
+and ``select_key_beam`` is its one-group case.
 """
 
 from __future__ import annotations
@@ -263,18 +265,32 @@ def fit_gaussian_iterative(
     )
 
 
-def select_key_beam(centers, reflectivity) -> int:
-    """Index of the key event: the one with a usable fit whose beam reads the
-    highest reflectivity.
+def select_key_beams(centers, reflectivity, times, group, n_groups) -> np.ndarray:
+    """Index of each group's key event, -1 for a group with no usable fit.
 
-    ``centers`` holds each event's fitted center (NaN for a failed fit) and
-    ``reflectivity`` the level of the beam that made it. Ties go to the
-    earlier event (lower index); raises if no fit succeeded.
+    Event i of group ``group[i]`` (below ``n_groups``) has the fitted center
+    ``centers[i]`` (NaN for a failed fit), beam level ``reflectivity[i]`` and
+    firing time ``times[i]``. The key event is the one with a usable fit whose
+    beam reads the highest level; ties go to the earlier-fired event, and
+    equal times to the lower index.
     """
     level = np.where(np.isnan(centers), -np.inf, np.asarray(reflectivity, dtype=float))
-    if not np.isfinite(level).any():
+    group = np.asarray(group, dtype=np.intp)
+    order = np.lexsort((times, -level, group))  # stable: equal times keep their index order
+    first = order[np.flatnonzero(np.diff(group[order], prepend=-1))]  # the best event of each group
+    keys = np.full(n_groups, -1, dtype=np.intp)
+    keys[group[first]] = np.where(level[first] > -np.inf, first, -1)
+    return keys
+
+
+def select_key_beam(centers, reflectivity) -> int:
+    """Index of the key event among one record's events in firing order: the
+    one-group case of ``select_key_beams``. Raises if no fit succeeded."""
+    n = len(centers)
+    (key,) = select_key_beams(centers, reflectivity, np.zeros(n), np.zeros(n, dtype=np.intp), 1)
+    if key < 0:
         raise GaussianFitError("no successful fit to select a key beam from")
-    return int(np.argmax(level))
+    return int(key)
 
 
 def beams_on_pd(record):

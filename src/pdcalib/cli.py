@@ -159,28 +159,19 @@ def _cmd_sweep(args) -> int:
 def _cmd_report(args) -> int:
     stats_list = []
     for path in args.inputs:
-        rows = [line.split(",") for line in path.read_text().splitlines()[1:] if line]
-        if not rows:
+        points = io.read_sweep_points(path)
+        if not len(points):
             print(f"error: {path} holds no sweep points", file=sys.stderr)
             return EXIT_INPUT
-        values = np.array([float(r[0]) for r in rows])
-        solved = np.array([int(r[1]) for r in rows])
-        bias = np.array([[float(x) for x in r[2:8]] for r in rows])
-        std = np.array([[float(x) for x in r[8:14]] for r in rows])
-        # point CSVs are in deg / mm; SweepStats stores rad / m
-        bias[:, :3] *= DEG
-        bias[:, 3:] *= MM
-        std[:, :3] *= DEG
-        std[:, 3:] *= MM
-        label = path.stem.replace("sweep_", "").replace("_points", "").replace("_", " ")
+        to_si = np.repeat([DEG, MM], 3)  # point CSVs are in deg / mm; SweepStats stores rad / m
         stats_list.append(
             SweepStats(
-                label=label,
-                values=values,
-                bias=bias,
-                std=std,
-                solved=solved,
-                estimates=[np.zeros((0, 6))] * len(values),
+                label=path.stem.replace("sweep_", "").replace("_points", "").replace("_", " "),
+                values=points[:, 0],
+                bias=points[:, 2:8] * to_si,
+                std=points[:, 8:14] * to_si,
+                solved=points[:, 1].astype(int),
+                estimates=[np.zeros((0, 6))] * len(points),
                 failures=[],
             )
         )
@@ -196,6 +187,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "scans", 1) < 1:  # checked here: argparse would exit 2, the pipeline-failure code
+            raise ValueError(f"--scans must be at least 1, got {args.scans}")
         if args.command == "simulate":
             return _cmd_simulate(args)
         if args.command == "calibrate":

@@ -22,6 +22,8 @@ from .pipeline import BatchResult, PipelineError, calibrate_frames
 from .scene import SimulationError, simulate_scan, simulate_scans  # noqa: F401
 
 AXIS_NAMES = ("yaw_deg", "tilt_deg", "roll_deg", "dx_mm", "dy_mm", "dz_mm")
+# the columns of a sweep's points CSV, one row per reference point
+POINT_FIELDS = ("point_value", "solved", *(f"bias_{n}" for n in AXIS_NAMES), *(f"std_{n}" for n in AXIS_NAMES))
 STATS_FOOTER = (
     "accuracy = mean over reference points of |mean error|; "
     "precision = mean over reference points of the per-point std over scans"
@@ -206,12 +208,7 @@ def sweep_csvs(scene: Scene, spec: SweepSpec, stats: SweepStats) -> dict:
                 f"{v:g},{k},"
                 + ",".join(_fmt_cell(x) for x in np.concatenate([e[:3] / DEG, e[3:] / MM]))
             )
-    point_lines = [
-        "point_value,solved,"
-        + ",".join(f"bias_{n}" for n in AXIS_NAMES)
-        + ","
-        + ",".join(f"std_{n}" for n in AXIS_NAMES)
-    ]
+    point_lines = [",".join(POINT_FIELDS)]
     for i, v in enumerate(stats.values):
         b = np.concatenate([stats.bias[i, :3] / DEG, stats.bias[i, 3:] / MM])
         s = np.concatenate([stats.std[i, :3] / DEG, stats.std[i, 3:] / MM])

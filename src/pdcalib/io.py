@@ -29,7 +29,7 @@ import numpy as np
 from .afe import SUPPLY_RAIL_V, PdSignalRecord, TiaParams
 from .bench import Scene
 from .geometry import DEG, MM, Pose6DOF
-from .harness import SweepSpec
+from .harness import POINT_FIELDS, SweepSpec
 from .scene import BEAM_DTYPE, AfeConfig, BoardModel, LidarModel, PdPlacement, ScanFrame
 
 FRAME_MAGIC = "pdcalib-scanframe,v=1"
@@ -39,7 +39,7 @@ PD_FIELDS = ("pd_id", "scan_id", "event", "time_s", "noise_floor_v", "sampled_ch
 
 
 class FrameParseError(ValueError):
-    """Malformed frame file; carries the offending line and field."""
+    """Malformed frame file or sweep points CSV; carries the offending line and field."""
 
     def __init__(self, path, line_no: int, field: str, message: str):
         super().__init__(f"{path}:{line_no}: field {field!r}: {message}")
@@ -449,43 +449,15 @@ def _pd_numbers(path, line_no, parts) -> tuple:
     )
 
 
-def _pd_value_error(path, pd_records):
-    """The error for the first PD row, in file order, holding a number that
-    parses but is not finite (``nan``, ``inf``, ``1e999``) or a voltage off
-    the supply rails, or None."""
-    found = []
-    for floor, _, events in pd_records.values():
-        for time_s, volts, line_no in events:
-            bad = [(f, v) for f, v in (("time_s", time_s), ("noise_floor_v", floor)) if not math.isfinite(v)]
-            bad += [(f"v{i}", v) for i, v in enumerate(volts) if not 0.0 <= v <= SUPPLY_RAIL_V]
-            if bad:
-                field, value = bad[0]
-                why = "lies outside the 0-10 V supply range" if math.isfinite(value) else "is not a finite number"
-                found.append((line_no, field, f"{value!r} {why}"))
-    return FrameParseError(path, *min(found)) if found else None
-
-
-def _signal_records(path, pd_records) -> dict:
+def _signal_records(pd_records) -> dict:
     """The PD records by scan id, each scan's in pd_id order, their events by time."""
     by_scan: dict = {}
-    try:
-        for (sid, pd_id), (floor, channels, events) in sorted(pd_records.items()):
-            events.sort(key=lambda r: r[0])
-            by_scan.setdefault(sid, []).append(
-                PdSignalRecord(
-                    pd_id=pd_id,
-                    scan_id=sid,
-                    element_voltages=np.array([r[1] for r in events]),
-                    sample_times=np.array([r[0] for r in events]),
-                    sampled_channels=channels,
-                    noise_floor=floor,
-                )
-            )
-    except ValueError:
-        error = _pd_value_error(path, pd_records)
-        if error is None:
-            raise
-        raise error from None
+    for (sid, pd_id), (floor, channels, events) in sorted(pd_records.items()):
+        times, volts = zip(*sorted(events, key=lambda r: r[0]))
+        by_scan.setdefault(sid, []).append(PdSignalRecord(
+            pd_id=pd_id, scan_id=sid, element_voltages=np.array(volts), sample_times=np.array(times),
+            sampled_channels=channels, noise_floor=floor,
+        ))
     return by_scan
 
 
@@ -500,8 +472,7 @@ def read_frames(path) -> list:
     parses but is not finite (``nan``, ``inf``, ``1e999``), or a PD row
     holding a voltage off the supply rails, is malformed too.
     """
-    text = Path(path).read_text()
-    lines = text.splitlines()
+    lines = Path(path).read_text().splitlines()
     if not lines or lines[0].strip() != FRAME_MAGIC:
         raise FrameParseError(path, 1, "magic", f"expected {FRAME_MAGIC!r}")
     rows = [line.strip() for line in lines[1:]]  # rows[k] is line k + 2
@@ -536,24 +507,28 @@ def read_frames(path) -> list:
                         f"{parts[6]!r} differs from {'|'.join(map(str, rec[1]))!r} "
                         f"in earlier rows of PD {pd_id!r}, scan {sid}",
                     )
-                # a nan floor is refused as not finite, not as differing from itself
-                if floor != rec[0] and not (math.isnan(floor) and math.isnan(rec[0])):
+                # a record's first row sets its floor, which the value checks below find finite
+                if rec[2] and floor != rec[0]:
                     raise FrameParseError(
                         path, line_no, "noise_floor_v",
                         f"{floor!r} differs from {rec[0]!r} in earlier rows of PD {pd_id!r}, scan {sid}",
                     )
-                rec[2].append((time_s, volts, line_no))
+                bad = [(f, v) for f, v in (("time_s", time_s), ("noise_floor_v", floor)) if not math.isfinite(v)]
+                bad += [(f"v{i}", v) for i, v in enumerate(volts) if not 0.0 <= v <= SUPPLY_RAIL_V]
+                if bad:
+                    field, value = bad[0]
+                    why = "lies outside the 0-10 V supply range" if math.isfinite(value) else "is not a finite number"
+                    raise FrameParseError(path, line_no, field, f"{value!r} {why}")
+                rec[2].append((time_s, volts))
                 first_pd_line.setdefault(sid, line_no)
             elif kind == "beam":  # a beam row with no fields
                 raise FrameParseError(path, line_no, "beam", f"expected {len(BEAM_FIELDS)} fields, got 0")
             elif row and not row.startswith("#"):
                 raise FrameParseError(path, line_no, "record", f"unknown record type {kind!r}")
-        records = _signal_records(path, pd_records)
     except FrameParseError as exc:
-        # the PD rows parsed so far lie above this line, and so does a bad value among them
-        error = _pd_value_error(path, pd_records) or exc
-        _parse_beam_rows(path, rows[: error.line_no - 2])  # a malformed beam row above it comes first
-        raise error from None
+        _parse_beam_rows(path, rows[: exc.line_no - 2])  # a malformed beam row above it comes first
+        raise
+    records = _signal_records(pd_records)
     beams = _beams_by_scan(_parse_beam_rows(path, rows))
 
     orphans = [(line_no, sid) for sid, line_no in first_pd_line.items() if sid not in beams]
@@ -567,6 +542,24 @@ def read_frames(path) -> list:
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
     return frames
+
+
+def read_sweep_points(path) -> np.ndarray:
+    """The rows of a sweep points CSV, one column per ``POINT_FIELDS`` entry.
+
+    Raises FrameParseError for a row with the wrong number of fields or a
+    field that is not a number (``solved``: an integer).
+    """
+    parse = [_parse_int if f == "solved" else _parse_float for f in POINT_FIELDS]
+    rows = []
+    for line_no, line in enumerate(Path(path).read_text().splitlines()[1:], 2):
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != len(POINT_FIELDS):
+            raise FrameParseError(path, line_no, "row", f"expected {len(POINT_FIELDS)} fields, got {len(parts)}")
+        rows.append([read(path, line_no, f, t) for read, f, t in zip(parse, POINT_FIELDS, parts)])
+    return np.array(rows, dtype=float).reshape(-1, len(POINT_FIELDS))
 
 
 # ---------------------------------------------------------------- dumps

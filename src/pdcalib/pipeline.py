@@ -2,22 +2,23 @@
 
 One batch is a set of repeated scans of the rig at a fixed reference pose
 (the bench repeats 50 revolutions per test point). Each frame is segmented
-once; the board plane is fit once from the pooled segments, because every
-scan sees the same board. Then one feature pass runs over the whole batch,
-on a single table of every frame's board returns with a scan column:
+once, and the board returns of every frame form one ROI table with a scan
+column. The board plane is fit once to that table, because every scan sees
+the same board. Then one feature pass runs over the whole batch:
 
-1. join every PD event of the batch to the board return its firing time
-   names, (scan, channel, azimuth index), in one call;
-2. fit the beam centers of every joined event in one batch, and keep per
-   (scan, module) the event whose beam reads the highest reflectivity;
-3. slide each kept beam along its ray onto the plane (range correction).
+1. the PD events of every frame form one event table, and one call joins
+   each event to the ROI row its firing time names;
+2. the joined events are fit in one batch per sample width, and one grouped
+   selection keeps per (scan, module) the event whose beam reads the highest
+   reflectivity;
+3. each kept beam slides along its ray onto the plane (range correction).
 
-The pass emits one key table (``correspondence.KEY_DTYPE``): a row per
-detected (scan, module) holding the key beam and its center. Each module's
-rows feed its RANSAC azimuth-center model; one call turns the rows of every
-modelled module into correspondences. One stacked closed-form solve gives
-every frame its own pose estimate, and one more the joint estimate over all
-frames.
+The pass emits one key table (``correspondence.KEY_DTYPE``), a row per
+detected (scan, module) holding the key beam and its center, and a miss code
+per (scan, module). Each module's rows feed its RANSAC azimuth-center model;
+one call turns the rows of every modelled module into correspondences. One
+stacked closed-form solve gives every frame its own pose estimate, and one
+more the joint estimate over all frames.
 
 The ``pdcalib`` logger reports each PD's detection count and miss reasons at
 DEBUG level after the feature pass; it is silent unless configured.
@@ -80,132 +81,124 @@ def _row_medians(refl: np.ndarray, row: np.ndarray, at: np.ndarray) -> np.ndarra
     return (ranked[(lo + hi - 1) // 2] + ranked[(lo + hi) // 2]) / 2
 
 
-def board_plane(frames, rois) -> preprocess.PlaneModel:
-    """One board plane fit to the pooled ROIs of a batch.
+def board_plane(table) -> preprocess.PlaneModel:
+    """One board plane fit to the ROI table of a batch.
 
     Repeated scans at a fixed rig pose see the same board, and a per-scan
     plane's yaw error would leak into the x-translation through the ~2.5 m
     range. A one-frame batch gives that frame's own fit.
     """
-    omega, alpha, r = np.concatenate(
-        [np.stack(f.beam_arrays()[:3])[:, roi] for f, roi in zip(frames, rois)], axis=1
-    )
+    omega, alpha, r = np.stack([table["omega"], table["alpha"], table["r"]])
     tls = preprocess.fit_plane(polar_to_cartesian_array(omega, alpha, r))
     return preprocess.refine_plane_ranges(omega, alpha, r, tls)
 
 
-def _beam_centers(groups) -> list:
-    """Fitted center of every event, NaN where its fit failed, per group.
-
-    ``groups`` holds one (event voltages (n, m), sample positions (m,), noise
-    floor) per detection. The events of all detections that sample the same
-    number of elements go through one batched fit, so a batch usually takes
-    one call.
-    """
-    centers = [None] * len(groups)
-    for width in {len(positions) for _, positions, _ in groups}:
-        ks = [k for k, (_, positions, _) in enumerate(groups) if len(positions) == width]
-        volts = [groups[k][0] for k in ks]
-        x = np.concatenate([np.broadcast_to(groups[k][1], v.shape) for k, v in zip(ks, volts)])
-        floor = np.concatenate([np.full(len(v), groups[k][2]) for k, v in zip(ks, volts)])
-        x_aug, y_aug = beam_center.augment_samples(x, np.concatenate(volts))
-        mu = beam_center.fit_gaussian_batch(x_aug, y_aug, noise_floor=floor).mu
-        for k, part in zip(ks, np.split(mu, np.cumsum([len(v) for v in volts])[:-1])):
-            centers[k] = part
-    return centers
+def roi_table(frames, rois):
+    """The board returns of a batch as one table, and the scan of each row:
+    ``rois[k]`` indexes the returns of ``frames[k]``."""
+    table = np.concatenate([f.beams[roi] for f, roi in zip(frames, rois)])
+    return table, np.repeat(np.arange(len(frames)), [len(roi) for roi in rois])
 
 
-def extract_frame_features(frames, rois, plane: preprocess.PlaneModel, scene: Scene):
+# why a (scan, PD) has no key row: MISS_DTYPE's code indexes this tuple, and
+# code 0 marks a detection; the dim-beam reason also reads the level and median
+MISS_REASONS = (
+    "",
+    "no voltage events",
+    "{pd}: no event time names a board return; PD clock offset?",
+    "no successful fit to select a key beam from",
+    "{pd}: struck beam reads {level:.1f}, below its row median {median:.1f} + {margin:.0f}; PD clock offset?",
+)
+_NO_EVENTS, _UNJOINED, _NO_FIT, _DIM = range(1, len(MISS_REASONS))
+MISS_DTYPE = np.dtype([("code", np.int8), ("level", float), ("median", float)])
+
+
+def miss_reasons(miss, pds) -> list:
+    """Per scan, a dict of pd_id -> reason, in board order, from the
+    ``(n_scans, n_pds)`` miss table of ``extract_frame_features``."""
+    margin = correspondence.DEFAULT_DETECTION_MARGIN
+    return [
+        {
+            pd.pd_id: MISS_REASONS[m["code"]].format(pd=pd.pd_id, level=m["level"], median=m["median"], margin=margin)
+            for pd, m in zip(pds, row)
+            if m["code"]
+        }
+        for row in miss
+    ]
+
+
+def extract_frame_features(frames, table, scan, plane: preprocess.PlaneModel, scene: Scene):
     """Beam association, center fitting and range correction on a whole batch.
 
-    ``rois[k]`` indexes the board returns of ``frames[k]`` (from
-    segmentation) and ``plane`` is the board plane the key beams are slid
-    onto. The ROI returns of every frame form one table with a scan column,
-    and one ``find_pd_beam`` call joins every PD event of the batch to its
-    table row by firing time. The joined events are fit together. Each
-    (scan, PD) keeps as its key beam the joined beam with the highest
-    reflectivity among its usable fits, and that event's center.
+    ``table`` and ``scan`` are the batch's ROI table and the frame index of
+    each row (``roi_table``); ``plane`` is the board plane the key beams are
+    slid onto. Each (scan, PD) keeps as its key beam the joined beam with the
+    highest reflectivity among its usable fits, and that event's center. A
+    frame's last record for a PD wins; a record of a PD not on the board is
+    ignored.
 
-    A (scan, PD) misses when none of its events joins, or when its key beam
-    reads less than its (scan, channel) row median plus
-    ``DEFAULT_DETECTION_MARGIN``: a board return joined to a PD event that
-    is no brighter than the black surround means the PD clock is off the
-    sensor's.
+    A (scan, PD) misses when it has no events, when none of its events joins,
+    when none of its fits is usable, or when its key beam reads less than its
+    (scan, channel) row median plus ``DEFAULT_DETECTION_MARGIN``: a board
+    return joined to a PD event that is no brighter than the black surround
+    means the PD clock is off the sensor's.
 
-    Returns the key table (``correspondence.KEY_DTYPE``), one row per
-    detected (scan, PD) sorted by scan and then board order, with ``scan``
-    the frame's index in ``frames``; and per frame a dict of pd_id -> miss
-    reason, in board order.
+    Returns the key table (``correspondence.KEY_DTYPE``), one row per detected
+    (scan, PD) sorted by scan and then board order; and the (n_scans, n_pds)
+    miss table (``MISS_DTYPE``), which ``miss_reasons`` spells out.
     """
     pds = scene.board.pd_modules
-    table = np.concatenate([f.beams[roi] for f, roi in zip(frames, rois)])
-    scan = np.repeat(np.arange(len(frames)), [len(roi) for roi in rois])
-    channel, refl = table["channel"], table["reflectivity"]
+    n_pds = len(pds)
+    index = {pd.pd_id: p for p, pd in enumerate(pds)}
+    latest = {(k, index[r.pd_id]): r for k, f in enumerate(frames) for r in f.pd_records if r.pd_id in index}
+    records = list(latest.values())
+    record_cell = np.array([k * n_pds + p for k, p in latest], dtype=np.intp)  # a (scan, PD) cell is scan * n_pds + PD
+    sizes = np.array([r.n_events for r in records], dtype=np.intp)
+    record = np.repeat(np.arange(len(records)), sizes)  # the event table: record, cell, time
+    cell = record_cell[record]
+    times = np.concatenate([np.zeros(0)] + [r.sample_times for r in records])
 
-    records = [{rec.pd_id: rec for rec in f.pd_records} for f in frames]
-    misses = [{} for _ in frames]
-    live = []  # (scan, pd index, record), PD by PD
-    for p, pd in enumerate(pds):
-        for k, by_id in enumerate(records):
-            rec = by_id.get(pd.pd_id)
-            if rec is None or rec.n_events == 0:
-                misses[k][pd.pd_id] = "no voltage events"
-            else:
-                live.append((k, p, rec))
-    events = [beam_center.beams_on_pd(rec) for _, _, rec in live]
-    counts = [len(times) for times, _ in events]
-    rows = correspondence.find_pd_beam(
-        np.concatenate([np.zeros(0)] + [times for times, _ in events]),
-        np.repeat([k for k, _, _ in live], counts),
-        table,
-        scan,
-        scene.lidar,
-    )
+    miss = np.zeros(len(frames) * n_pds, MISS_DTYPE)
+    miss["code"] = _NO_EVENTS
+    miss["code"][cell] = _UNJOINED
+    rows = correspondence.find_pd_beam(times, cell // n_pds, table, scan, scene.lidar)
+    joined = np.flatnonzero(rows >= 0)
+    miss["code"][cell[joined]] = _NO_FIT
 
-    detected = []  # (scan, pd index, joined table rows), PD by PD
-    groups = []    # (joined event voltages, sample positions, noise floor) per detection
-    for (k, p, rec), (_, volts), hits in zip(live, events, np.split(rows, np.cumsum(counts)[:-1])):
-        joined = hits >= 0
-        if not joined.any():
-            misses[k][pds[p].pd_id] = f"{pds[p].pd_id}: no event time names a board return; PD clock offset?"
-            continue
-        detected.append((k, p, hits[joined]))
-        groups.append((
-            volts[joined],
-            pds[p].element_positions()[list(rec.sampled_channels)],
-            rec.noise_floor,
-        ))
+    mu = np.full(len(times), np.nan)
+    widths = np.array([len(r.sampled_channels) for r in records], dtype=np.intp)
+    for width in np.unique(widths):
+        mine = np.flatnonzero(widths == width)
+        events = np.flatnonzero(widths[record] == width)  # the events of ``mine``, stacked in record order
+        use = rows[events] >= 0
+        stacked = np.repeat(np.arange(len(mine)), sizes[mine])[use]
+        x = np.array([pds[record_cell[k] % n_pds].element_positions()[list(records[k].sampled_channels)] for k in mine])
+        volts = np.concatenate([records[k].element_voltages for k in mine])[use]
+        floor = np.array([records[k].noise_floor for k in mine])[stacked]
+        mu[events[use]] = beam_center.fit_gaussian_batch(
+            *beam_center.augment_samples(x[stacked], volts), noise_floor=floor
+        ).mu
 
-    keys = []  # (scan, pd index, key table row, key center) per detection
-    for (k, p, hits), mu in zip(detected, _beam_centers(groups)):
-        try:
-            key = beam_center.select_key_beam(mu, refl[hits])
-        except beam_center.GaussianFitError as exc:
-            misses[k][pds[p].pd_id] = str(exc)
-            continue
-        keys.append((k, p, hits[key], mu[key]))
-    at = np.array([i for _, _, i, _ in keys], dtype=np.intp)
-    out = np.zeros(len(keys), dtype=correspondence.KEY_DTYPE)
+    refl = table["reflectivity"]
+    key = beam_center.select_key_beams(mu[joined], refl[rows[joined]], times[joined], cell[joined], len(miss))
+    hit = np.flatnonzero(key >= 0)  # the (scan, PD) cells with a key event
+    event = joined[key[hit]]
+    at = rows[event]
+    out = np.zeros(len(hit), dtype=correspondence.KEY_DTYPE)
     for name in table.dtype.names:
         out[name] = table[name][at]
-    out["scan"] = [k for k, _, _, _ in keys]
-    out["pd"] = [p for _, p, _, _ in keys]
-    out["mu"] = [mu for _, _, _, mu in keys]
+    out["scan"], out["pd"] = np.divmod(hit, n_pds)
+    out["mu"] = mu[event]
 
-    c = channel - channel.min(initial=0)
+    c = table["channel"] - table["channel"].min(initial=0)
     medians = _row_medians(refl, scan * (c.max(initial=0) + 1) + c, at)
-    margin = correspondence.DEFAULT_DETECTION_MARGIN
-    dim = ~(out["reflectivity"] >= medians + margin)
-    for row, median in zip(out[dim], medians[dim]):
-        pd_id = pds[row["pd"]].pd_id
-        misses[row["scan"]][pd_id] = (
-            f"{pd_id}: struck beam reads {row['reflectivity']:.1f}, below its row median "
-            f"{median:.1f} + {margin:.0f}; PD clock offset?"
-        )
+    dim = ~(out["reflectivity"] >= medians + correspondence.DEFAULT_DETECTION_MARGIN)
+    miss["code"][hit] = np.where(dim, _DIM, 0)
+    miss["level"][hit[dim]] = out["reflectivity"][dim]
+    miss["median"][hit[dim]] = medians[dim]
     out = out[~dim]
-    out = out[np.lexsort((out["pd"], out["scan"]))]
     out["r"] = preprocess.range_to_plane(out["omega"], out["alpha"], plane)
-    return out, [{pd.pd_id: m[pd.pd_id] for pd in pds if pd.pd_id in m} for m in misses]
+    return out, miss.reshape(len(frames), n_pds)
 
 
 def calibrate_frames(frames, scene: Scene) -> BatchResult:
@@ -228,15 +221,17 @@ def calibrate_frames(frames, scene: Scene) -> BatchResult:
             rois.append(preprocess.segment_target(f, scene.board.width, scene.board.height))
         except preprocess.SegmentationError as exc:
             raise PipelineError("segmentation", f"scan {f.scan_id}: {exc}") from exc
-    plane = board_plane(frames, rois)
-    keys, misses = extract_frame_features(frames, rois, plane, scene)
+    table, scan = roi_table(frames, rois)
+    plane = board_plane(table)
+    pds = scene.board.pd_modules
+    keys, miss = extract_frame_features(frames, table, scan, plane, scene)
+    misses = miss_reasons(miss, pds)
     n = len(frames)
     bounds = np.searchsorted(keys["scan"], np.arange(n + 1))
     features = [
         FrameFeatures(f.scan_id, keys[bounds[k] : bounds[k + 1]], misses[k]) for k, f in enumerate(frames)
     ]
 
-    pds = scene.board.pd_modules
     found = np.bincount(keys["pd"], minlength=len(pds))
     reasons = [Counter(m[pd.pd_id] for m in misses if pd.pd_id in m) for pd in pds]
     if log.isEnabledFor(logging.DEBUG):

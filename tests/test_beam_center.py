@@ -14,6 +14,7 @@ from pdcalib.beam_center import (
     fit_gaussian_batch,
     fit_gaussian_iterative,
     select_key_beam,
+    select_key_beams,
 )
 from oracles import gaussian_nls_grid, guo_fit_scalar
 
@@ -295,6 +296,34 @@ class TestKeyBeamSelection:
         assert select_key_beam([np.nan, 9.0 * MM, 3.0 * MM], [90.0, 20.0, 30.0]) == 2
         with pytest.raises(GaussianFitError):
             select_key_beam([np.nan, np.nan], [90.0, 20.0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n_groups=st.integers(1, 6),
+        # few distinct levels and times, so ties are common; NaN centers make
+        # some groups hold no usable fit
+        events=st.lists(
+            st.tuples(
+                st.integers(0, 5),
+                st.sampled_from([np.nan, 2.0 * MM, 7.5 * MM]),
+                st.sampled_from([20.0, 45.0, 70.0]),
+                st.sampled_from([0.0, 1e-6, 2e-6]),
+            ),
+            max_size=25,
+        ),
+    )
+    def test_grouped_selection_matches_one_group_case(self, n_groups, events):
+        group, centers, refl, times = (np.array(c) for c in zip(*events)) if events else [np.zeros(0)] * 4
+        group = (group % n_groups).astype(int)
+        keys = select_key_beams(centers, refl, times, group, n_groups)
+        for g in range(n_groups):
+            mine = np.flatnonzero(group == g)
+            fired = mine[np.argsort(times[mine], kind="stable")]  # firing order, as beams_on_pd gives it
+            try:
+                want = fired[select_key_beam(centers[fired], refl[fired])]
+            except GaussianFitError:
+                want = -1
+            assert keys[g] == want
 
 
 class TestBeamGrouping:

@@ -328,6 +328,34 @@ class TestCli:
         assert points.exists()
         assert cli.main(["report", str(points)]) == 0
 
+    @pytest.mark.parametrize(
+        "edit, names",
+        [
+            (lambda parts: parts[:5], ":3: field 'row': expected 14 fields, got 5"),
+            (lambda parts: [parts[0], "fifty", *parts[2:]], ":3: field 'solved': not an integer: 'fifty'"),
+            (lambda parts: [*parts[:4], "x", *parts[5:]], ":3: field 'bias_roll_deg': not a number: 'x'"),
+        ],
+        ids=["short row", "word solved", "word bias"],
+    )
+    def test_malformed_points_row_exit_code_1(self, tmp_path, capsys, horizontal_scene, mini_stats, edit, names):
+        lines = sweep_csvs(horizontal_scene, MINI_SWEEP, mini_stats)["points"].splitlines()
+        lines[2] = ",".join(edit(lines[2].split(",")))
+        points = tmp_path / "sweep_yaw_points.csv"
+        points.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert cli.main(["report", str(points)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {points}{names}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["simulate", "calibrate"])
+    @pytest.mark.parametrize("scans", [0, -2])
+    def test_scans_below_one_exit_code_1(self, tmp_path, capsys, command, scans):
+        capsys.readouterr()
+        assert cli.main([command, "--scans", str(scans), "--out", str(tmp_path / "o")]) == 1
+        assert f"error: --scans must be at least 1, got {scans}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_bad_sweep_spec_exit_code_1(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text('{"parameter": "nope"}')

@@ -13,7 +13,9 @@ from pdcalib.bench import make_bench_scene
 from pdcalib.correspondence import KEY_DTYPE
 from pdcalib.geometry import Pose6DOF, polar_to_cartesian_array, pose_to_matrix, transform_array
 from pdcalib.harness import simulate_point
-from pdcalib.pipeline import PipelineError, board_plane, calibrate_frames, extract_frame_features
+from pdcalib.pipeline import (
+    PipelineError, board_plane, calibrate_frames, extract_frame_features, miss_reasons, roi_table,
+)
 from pdcalib.scene import BoardModel, PdPlacement, ScanFrame, simulate_scan
 from pdcalib.solver import DegenerateCorrespondences
 from oracles import event_cell, frame_features, guo_fit_scalar
@@ -132,8 +134,10 @@ class TestOptionsAndErrors:
         frames = horizontal_batch[:4]
         board = horizontal_scene.board
         rois = [preprocess.segment_target(f, board.width, board.height) for f in frames]
-        plane = board_plane(frames, rois)
-        keys, misses = extract_frame_features(frames, rois, plane, horizontal_scene)
+        table, scan = roi_table(frames, rois)
+        plane = board_plane(table)
+        keys, miss = extract_frame_features(frames, table, scan, plane, horizontal_scene)
+        misses = miss_reasons(miss, board.pd_modules)
         n_pd = len(board.pd_modules)
         assert keys["scan"].tolist() == np.repeat(np.arange(4), n_pd).tolist()
         assert keys["pd"].tolist() == list(range(n_pd)) * 4
@@ -202,26 +206,40 @@ class TestOptionsAndErrors:
 SCENES = {o: make_bench_scene(o) for o in ("horizontal", "vertical", "all")}
 
 
+RECORD_FAULTS = ("delete", "flat-volts", "clock", "drop-channel", "same-time", "no-events", "off-board", "repeat")
+
+
+def _faulty_records(r, kind, lidar):
+    """The records that replace PD record ``r`` under a record fault."""
+    if kind == "delete":
+        return []
+    if kind == "flat-volts":
+        return [dataclasses.replace(r, element_voltages=np.full_like(r.element_voltages, r.noise_floor))]
+    if kind == "clock":
+        return [dataclasses.replace(r, sample_times=r.sample_times + lidar.firing_period / 2)]
+    if kind == "drop-channel" and len(r.sampled_channels) > 2:  # a second sample width in the batch
+        return [dataclasses.replace(r, element_voltages=np.delete(r.element_voltages, 1, axis=1),
+                                    sampled_channels=r.sampled_channels[:1] + r.sampled_channels[2:])]
+    if kind == "same-time" and r.n_events > 1:  # both events name the second one's beam
+        return [dataclasses.replace(r, sample_times=np.r_[r.sample_times[1], r.sample_times[1:]])]
+    if kind == "no-events":
+        return [dataclasses.replace(r, element_voltages=r.element_voltages[:0], sample_times=r.sample_times[:0])]
+    if kind == "off-board":
+        return [r, dataclasses.replace(r, pd_id="off-board")]
+    if kind == "repeat":  # the later record, dimmer, is the one that counts
+        return [r, dataclasses.replace(r, element_voltages=r.element_voltages * 0.9)]
+    return [r]
+
+
 def _inject(frame, pose, pd, kind, lidar):
     """One fault on one PD of a frame: its record deleted, its voltages flat
-    at the noise floor, its clock half a firing period late, the beams
-    around it flattened to their row median, or its two brightest row beams
-    tied at one level."""
-    if kind == "delete":
-        frame.pd_records = [r for r in frame.pd_records if r.pd_id != pd.pd_id]
-        return
-    if kind == "flat-volts":
+    at the noise floor, its clock half a firing period late, one element
+    unsampled, two events at one time, no events, a copy under an id not on
+    the board, the record repeated, the beams around it flattened to their
+    row median, or its two brightest row beams tied at one level."""
+    if kind in RECORD_FAULTS:
         frame.pd_records = [
-            r if r.pd_id != pd.pd_id else dataclasses.replace(
-                r, element_voltages=np.full_like(r.element_voltages, r.noise_floor))
-            for r in frame.pd_records
-        ]
-        return
-    if kind == "clock":
-        frame.pd_records = [
-            r if r.pd_id != pd.pd_id else dataclasses.replace(
-                r, sample_times=r.sample_times + lidar.firing_period / 2)
-            for r in frame.pd_records
+            out for r in frame.pd_records for out in (_faulty_records(r, kind, lidar) if r.pd_id == pd.pd_id else [r])
         ]
         return
     b = frame.beams
@@ -254,7 +272,7 @@ class TestBatchFeaturePass:
         dropout=st.floats(0.0, 0.2),
         faults=st.lists(
             st.tuples(st.integers(0, 4), st.integers(0, 7),
-                      st.sampled_from(["delete", "flat-volts", "clock", "flatten", "tie"])),
+                      st.sampled_from([*RECORD_FAULTS, "flatten", "tie"])),
             max_size=6,
         ),
     )
@@ -273,9 +291,11 @@ class TestBatchFeaturePass:
         for k, p, kind in faults:
             _inject(frames[k % n], pose, pds[p % len(pds)], kind, scene.lidar)
         rois = [preprocess.segment_target(f, scene.board.width, scene.board.height) for f in frames]
-        plane = board_plane(frames, rois)
+        table, scan = roi_table(frames, rois)
+        plane = board_plane(table)
 
-        keys, misses = extract_frame_features(frames, rois, plane, scene)
+        keys, miss = extract_frame_features(frames, table, scan, plane, scene)
+        misses = miss_reasons(miss, pds)
         assert len(misses) == n
         want = [frame_features(f, roi, plane, scene, scan=k) for k, (f, roi) in enumerate(zip(frames, rois))]
         assert keys.dtype == KEY_DTYPE
