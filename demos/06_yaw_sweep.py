@@ -19,7 +19,7 @@ for orientation, label in (("horizontal", "Horizontal PD"), ("vertical", "Vertic
     all_stats.append(stats)
     print()
     print(f"=== {label}: commanded vs estimated yaw ===")
-    for v, est in zip(stats.values, stats.estimates):
+    for v, est in zip(stats.points[:, 0], stats.estimates):
         import math
 
         deg = 180 / math.pi

@@ -18,11 +18,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import io
 from .bench import Scene, make_bench_scene
-from .geometry import DEG, MM
 from .harness import (
     SweepSpec,
     SweepStats,
@@ -163,18 +160,8 @@ def _cmd_report(args) -> int:
         if not len(points):
             print(f"error: {path} holds no sweep points", file=sys.stderr)
             return EXIT_INPUT
-        to_si = np.repeat([DEG, MM], 3)  # point CSVs are in deg / mm; SweepStats stores rad / m
-        stats_list.append(
-            SweepStats(
-                label=path.stem.replace("sweep_", "").replace("_points", "").replace("_", " "),
-                values=points[:, 0],
-                bias=points[:, 2:8] * to_si,
-                std=points[:, 8:14] * to_si,
-                solved=points[:, 1].astype(int),
-                estimates=[np.zeros((0, 6))] * len(points),
-                failures=[],
-            )
-        )
+        label = path.stem.replace("sweep_", "").replace("_points", "").replace("_", " ")
+        stats_list.append(SweepStats(label, points))
     table = report(stats_list)
     print(table, end="")
     if args.out is not None:

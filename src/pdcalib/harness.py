@@ -9,7 +9,7 @@ standard deviation over the repeated scans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +22,11 @@ from .pipeline import BatchResult, PipelineError, calibrate_frames
 from .scene import SimulationError, simulate_scan, simulate_scans  # noqa: F401
 
 AXIS_NAMES = ("yaw_deg", "tilt_deg", "roll_deg", "dx_mm", "dy_mm", "dz_mm")
-# the columns of a sweep's points CSV, one row per reference point
+# the columns of a sweep's points table and its CSV, one row per reference point
 POINT_FIELDS = ("point_value", "solved", *(f"bias_{n}" for n in AXIS_NAMES), *(f"std_{n}" for n in AXIS_NAMES))
+BIAS = slice(2, 8)   # the bias_* columns of a points table
+STD = slice(8, 14)   # the std_* columns
+TO_DEG_MM = np.repeat([DEG, MM], 3)  # divides a pose vector or error (rad / m) into deg / mm
 STATS_FOOTER = (
     "accuracy = mean over reference points of |mean error|; "
     "precision = mean over reference points of the per-point std over scans"
@@ -66,37 +69,33 @@ class SweepSpec:
 
 @dataclass
 class SweepStats:
-    """Per-point and per-axis error statistics of one sweep."""
+    """Per-point and per-axis error statistics of one sweep.
+
+    ``points`` is the points table: one row per reference point with a
+    solved scan, one column per ``POINT_FIELDS`` entry, angles in deg and
+    displacements in mm, as the points CSV holds it. ``estimates`` holds
+    each row's (n_scans, 6) raw pose estimates in rad / m; a table read
+    back from a points CSV has none.
+    """
 
     label: str                    # e.g. "Horizontal PD"
-    values: np.ndarray            # (P,) reference grid, deg or mm
-    bias: np.ndarray              # (P, 6) mean error per point (rad / m)
-    std: np.ndarray               # (P, 6) per-point std (rad / m)
-    solved: np.ndarray            # (P,) scans solved per point
-    estimates: list               # per point: (n_scans, 6) raw estimates
-    failures: list                # (point value, stage/message) tuples
+    points: np.ndarray            # (P, 14) points table, deg / mm
+    estimates: list = field(default_factory=list)
+    failures: list = field(default_factory=list)  # (point value, stage/message) tuples
 
     def __post_init__(self):
-        if np.any(self.std < 0):
+        if np.any(self.points[:, STD] < 0):
             raise ValueError("negative std")
-        if len(self.values) != len(self.bias):
-            raise ValueError("point count mismatch")
-
-    def _scaled(self, arr):
-        out = arr.copy()
-        out[:, :3] /= DEG
-        out[:, 3:] /= MM
-        return out
 
     @property
     def per_axis_accuracy(self) -> np.ndarray:
         """(6,) mean |bias| per axis, in deg / mm."""
-        return np.abs(self._scaled(self.bias)).mean(axis=0)
+        return np.abs(self.points[:, BIAS]).mean(axis=0)
 
     @property
     def per_axis_precision(self) -> np.ndarray:
         """(6,) mean per-point std per axis, in deg / mm."""
-        return self._scaled(self.std).mean(axis=0)
+        return self.points[:, STD].mean(axis=0)
 
 
 def _point_seed(master: int, point_index: int, scan_index: int) -> int:
@@ -153,35 +152,17 @@ def run_sweep(scene: Scene, spec: SweepSpec, label: str = "", workers: int = 1) 
         outcomes = [_sweep_worker(j) for j in jobs]
     outcomes.sort(key=lambda t: t[0])
 
-    bias = np.full((len(values), 6), np.nan)
-    std = np.full((len(values), 6), np.nan)
-    solved = np.zeros(len(values), dtype=int)
-    estimates = []
-    failures = []
-    for (i, est, err), v in zip(outcomes, values):
-        ref = spec.offset_pose(scene.base_pose, float(v)).as_vector()
+    rows, estimates, failures = [], [], []
+    for (_, est, err), v in zip(outcomes, values):
         if est is None or len(est) == 0:
             failures.append((float(v), err or "no scan solved"))
-            estimates.append(np.zeros((0, 6)))
             continue
-        errs = est - ref
-        bias[i] = errs.mean(axis=0)
-        std[i] = errs.std(axis=0)
-        solved[i] = len(est)
+        errs = est - spec.offset_pose(scene.base_pose, float(v)).as_vector()
+        rows.append([v, len(est), *(errs.mean(axis=0) / TO_DEG_MM), *(errs.std(axis=0) / TO_DEG_MM)])
         estimates.append(est)
-    if not np.any(solved > 0):
+    if not rows:
         raise PipelineError("sweep", f"every point failed: {failures}")
-    # points that failed entirely keep NaN rows; drop them from the stats
-    ok = solved > 0
-    return SweepStats(
-        label=label or "PD",
-        values=values[ok],
-        bias=bias[ok],
-        std=std[ok],
-        solved=solved[ok],
-        estimates=[e for e, k in zip(estimates, ok) if k],
-        failures=failures,
-    )
+    return SweepStats(label or "PD", np.array(rows), estimates, failures)
 
 
 def run_single(scene: Scene, n_scans: int = 50, seed: int | None = None) -> BatchResult:
@@ -200,24 +181,13 @@ def sweep_csvs(scene: Scene, spec: SweepSpec, stats: SweepStats) -> dict:
     est_lines = [
         "point_value,scan,err_yaw_deg,err_tilt_deg,err_roll_deg,err_dx_mm,err_dy_mm,err_dz_mm"
     ]
-    for v, est in zip(stats.values, stats.estimates):
-        ref = spec.offset_pose(scene.base_pose, float(v)).as_vector()
-        for k, row in enumerate(est):
-            e = row - ref
-            est_lines.append(
-                f"{v:g},{k},"
-                + ",".join(_fmt_cell(x) for x in np.concatenate([e[:3] / DEG, e[3:] / MM]))
-            )
+    for v, est in zip(stats.points[:, 0], stats.estimates):
+        errs = (est - spec.offset_pose(scene.base_pose, float(v)).as_vector()) / TO_DEG_MM
+        est_lines.extend(f"{v:g},{k}," + ",".join(_fmt_cell(x) for x in e) for k, e in enumerate(errs))
     point_lines = [",".join(POINT_FIELDS)]
-    for i, v in enumerate(stats.values):
-        b = np.concatenate([stats.bias[i, :3] / DEG, stats.bias[i, 3:] / MM])
-        s = np.concatenate([stats.std[i, :3] / DEG, stats.std[i, 3:] / MM])
-        point_lines.append(
-            f"{v:g},{stats.solved[i]},"
-            + ",".join(_fmt_cell(x) for x in b)
-            + ","
-            + ",".join(_fmt_cell(x) for x in s)
-        )
+    point_lines.extend(
+        f"{row[0]:g},{int(row[1])}," + ",".join(_fmt_cell(x) for x in row[BIAS.start:]) for row in stats.points
+    )
     summary_lines = ["label,metric," + ",".join(AXIS_NAMES)]
     summary_lines.append(
         f"{stats.label},accuracy," + ",".join(_fmt_cell(x) for x in stats.per_axis_accuracy)

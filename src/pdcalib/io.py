@@ -29,7 +29,7 @@ import numpy as np
 from .afe import SUPPLY_RAIL_V, PdSignalRecord, TiaParams
 from .bench import Scene
 from .geometry import DEG, MM, Pose6DOF
-from .harness import POINT_FIELDS, SweepSpec
+from .harness import POINT_FIELDS, STD, SweepSpec
 from .scene import BEAM_DTYPE, AfeConfig, BoardModel, LidarModel, PdPlacement, ScanFrame
 
 FRAME_MAGIC = "pdcalib-scanframe,v=1"
@@ -377,14 +377,22 @@ def _beam_row_error(path, rows, exc) -> FrameParseError:
     return FrameParseError(path, line_no, "beam", str(exc))
 
 
-_BEAM_FLOATS = [field for field in BEAM_FIELDS if _BEAM_ROW[field].kind == "f"]
+# the beam row values ScanFrame accepts, per float field; the elevation is
+# tested in radians, as ScanFrame tests it, so the two agree at 90 deg
+_BEAM_VALUES = {
+    "azimuth_deg": (np.isfinite, "is not a finite number"),
+    "omega_deg": (lambda deg: np.abs(deg * DEG) < math.pi / 2, "is not an elevation inside (-90, 90) deg"),
+    "range_m": (lambda r: (r > 0) & (r < np.inf), "is not a positive range"),
+    "reflectivity": (np.isfinite, "is not a finite number"),
+}
 
 
 def _parse_beam_rows(path, rows) -> np.ndarray:
     """The beam rows among ``rows``, the stripped lines from line 2 on, as ``_BEAM_ROW`` records.
 
     A row holding a number that parses but is not finite (``nan``, ``inf``,
-    ``1e999``) is refused too.
+    ``1e999``), a range that is not positive or an elevation at or beyond
+    +-90 deg is refused too.
     """
     lines = [row for row in rows if row.startswith("beam,")]
     if not lines:
@@ -394,13 +402,14 @@ def _parse_beam_rows(path, rows) -> np.ndarray:
     except _REFUSED as exc:
         numbered = [(line_no, row) for line_no, row in enumerate(rows, 2) if row.startswith("beam,")]
         raise _beam_row_error(path, numbered, exc) from None
-    if not all(np.isfinite(raw[field]).all() for field in _BEAM_FLOATS):
-        bad = np.column_stack([~np.isfinite(raw[field]) for field in _BEAM_FLOATS])
-        k, f = divmod(int(np.argmax(bad)), len(_BEAM_FLOATS))  # the first row, then its first field
+    ok = np.column_stack([accept(raw[field]) for field, (accept, _) in _BEAM_VALUES.items()])
+    if not ok.all():
+        k, f = divmod(int(np.argmin(ok)), len(_BEAM_VALUES))  # the first row, then its first field
         line_no = [n for n, row in enumerate(rows, 2) if row.startswith("beam,")][k]
-        field = _BEAM_FLOATS[f]
+        field = list(_BEAM_VALUES)[f]
         token = lines[k].split(",")[1 + BEAM_FIELDS.index(field)]
-        raise FrameParseError(path, line_no, field, f"{token!r} is not a finite number")
+        why = _BEAM_VALUES[field][1] if np.isfinite(raw[field][k]) else "is not a finite number"
+        raise FrameParseError(path, line_no, field, f"{token!r} {why}")
     return raw
 
 
@@ -544,21 +553,38 @@ def read_frames(path) -> list:
     return frames
 
 
-def read_sweep_points(path) -> np.ndarray:
-    """The rows of a sweep points CSV, one column per ``POINT_FIELDS`` entry.
+# the least value a points CSV accepts per field
+_POINT_FLOORS = {**dict.fromkeys(POINT_FIELDS, -math.inf), "solved": 1, **dict.fromkeys(POINT_FIELDS[STD], 0.0)}
 
-    Raises FrameParseError for a row with the wrong number of fields or a
-    field that is not a number (``solved``: an integer).
+
+def read_sweep_points(path) -> np.ndarray:
+    """The points table of a sweep points CSV, one column per ``POINT_FIELDS`` entry.
+
+    Raises FrameParseError for a header other than ``POINT_FIELDS``, a row
+    with the wrong number of fields, a field that is not a number
+    (``solved``: an integer) or not finite, a negative ``std_*`` and a
+    ``solved`` below 1.
     """
+    lines = Path(path).read_text().splitlines()
+    if not lines or lines[0] != ",".join(POINT_FIELDS):
+        raise FrameParseError(path, 1, "header", f"expected {','.join(POINT_FIELDS)!r}")
     parse = [_parse_int if f == "solved" else _parse_float for f in POINT_FIELDS]
     rows = []
-    for line_no, line in enumerate(Path(path).read_text().splitlines()[1:], 2):
+    for line_no, line in enumerate(lines[1:], 2):
         if not line:
             continue
         parts = line.split(",")
         if len(parts) != len(POINT_FIELDS):
             raise FrameParseError(path, line_no, "row", f"expected {len(POINT_FIELDS)} fields, got {len(parts)}")
-        rows.append([read(path, line_no, f, t) for read, f, t in zip(parse, POINT_FIELDS, parts)])
+        row = []
+        for read, field, token in zip(parse, POINT_FIELDS, parts):
+            x = read(path, line_no, field, token)
+            if not math.isfinite(x):
+                raise FrameParseError(path, line_no, field, f"{token!r} is not a finite number")
+            if x < _POINT_FLOORS[field]:
+                raise FrameParseError(path, line_no, field, f"{token!r} is below {_POINT_FLOORS[field]}")
+            row.append(x)
+        rows.append(row)
     return np.array(rows, dtype=float).reshape(-1, len(POINT_FIELDS))
 
 

@@ -280,7 +280,7 @@ class ScanFrame:
         dup = (np.diff(ch) == 0) & (np.diff(az) == 0)
         if np.any(dup):
             i = np.argmax(dup)
-            raise ValueError(f"duplicate beam (channel, azimuth_index) {(int(ch[i]), int(az[i]))}")
+            raise ValueError(f"scan {self.scan_id}: duplicate beam (channel, azimuth_index) {(int(ch[i]), int(az[i]))}")
         self.beams = b
 
     def beam_arrays(self):

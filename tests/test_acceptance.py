@@ -6,7 +6,6 @@ displacement, horizontal and vertical PD arrangements) computed once per
 session.
 """
 
-import math
 import time
 
 import numpy as np
@@ -22,12 +21,11 @@ from pdcalib.beam_center import (
 from pdcalib.bench import make_bench_scene
 from pdcalib.correspondence import build_azimuth_center_model
 from pdcalib.geometry import Pose6DOF, pose_to_matrix
-from pdcalib.harness import SweepSpec, run_sweep, sweep_csvs
+from pdcalib.harness import BIAS, SweepSpec, run_sweep, sweep_csvs
 from pdcalib.scene import BoardModel, LidarModel, simulate_scan
 from pdcalib.solver import jacobian, solve
 from test_solver import BOARD_POINTS_L, TRUTH, make_correspondences_from_pose, perturbed_starts
 
-DEG = math.pi / 180.0
 MM = 1e-3
 
 YAW_SPEC = SweepSpec(parameter="yaw", start=-3.0, stop=3.0, step=0.5, scans_per_point=50, seed=101)
@@ -69,7 +67,7 @@ class TestCriterion1TableII:
                 and float(acc[3]) <= ACCURACY_DX_MM
                 and float(pre[:3].max()) <= PRECISION_ANGLE_DEG
                 and float(pre[3]) <= PRECISION_DX_MM
-                and np.all(stats.solved == 50)
+                and np.all(stats.points[:, 1] == 50)
             )
             worst.append(ok)
             verdict(
@@ -94,7 +92,7 @@ class TestCriterion2YawWorstCase:
     def test_max_per_point_yaw_bias(self, bench_sweeps):
         for orientation in ("horizontal", "vertical"):
             stats, _ = bench_sweeps[(orientation, "yaw")]
-            worst = float(np.max(np.abs(stats.bias[:, 0]))) / DEG
+            worst = float(np.max(np.abs(stats.points[:, BIAS][:, 0])))
             verdict(
                 f"criterion 2 [{orientation}]",
                 worst <= 0.2,
@@ -110,7 +108,7 @@ class TestCriterion2YawWorstCase:
     def test_displacement_error_under_3mm_at_every_point(self, bench_sweeps):
         for orientation in ("horizontal", "vertical"):
             stats, _ = bench_sweeps[(orientation, "x_position")]
-            worst = float(np.max(np.abs(stats.bias[:, 3]))) * 1e3
+            worst = float(np.max(np.abs(stats.points[:, BIAS][:, 3])))
             verdict(
                 f"criterion 2 displacement [{orientation}]",
                 worst < 3.0,

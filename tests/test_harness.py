@@ -11,6 +11,8 @@ import pytest
 from pdcalib import cli, harness, io
 from pdcalib.bench import make_bench_scene
 from pdcalib.harness import (
+    BIAS,
+    STD,
     SweepSpec,
     SweepStats,
     report,
@@ -70,8 +72,8 @@ class TestSweepSpec:
 
 class TestRunSweep:
     def test_stats_shape_and_tracking(self, mini_stats):
-        assert len(mini_stats.values) == 3
-        assert np.all(mini_stats.solved == MINI_SWEEP.scans_per_point)
+        assert mini_stats.points.shape == (3, 14)
+        assert np.all(mini_stats.points[:, 1] == MINI_SWEEP.scans_per_point)
         # reference-tracking monotonicity: estimated yaw increases with the
         # commanded yaw
         est_yaw = np.array([e[:, 0].mean() for e in mini_stats.estimates])
@@ -85,8 +87,7 @@ class TestRunSweep:
 
     def test_worker_pool_matches_serial(self, horizontal_scene, mini_stats):
         par = run_sweep(horizontal_scene, MINI_SWEEP, label="Horizontal PD", workers=2)
-        np.testing.assert_array_equal(par.bias, mini_stats.bias)
-        np.testing.assert_array_equal(par.std, mini_stats.std)
+        np.testing.assert_array_equal(par.points, mini_stats.points)
 
     def test_points_simulate_without_truth(self, horizontal_scene, monkeypatch):
         # nothing in the pipeline reads SimTruth, so a sweep point builds none
@@ -108,7 +109,7 @@ class TestRunSweep:
         spec = SweepSpec(parameter="yaw", start=0.0, stop=140.0, step=70.0, scans_per_point=6, seed=3)
         stats = run_sweep(horizontal_scene, spec, label="Horizontal PD")
         assert len(stats.failures) == 2
-        assert len(stats.values) == 1 and stats.values[0] == 0.0
+        assert stats.points[:, 0].tolist() == [0.0]
         csvs = sweep_csvs(horizontal_scene, spec, stats)
         assert csvs["summary"].count("# FAILED point") == 2
 
@@ -147,16 +148,11 @@ class TestReport:
             report([])
 
     def test_stats_validation(self):
-        with pytest.raises(ValueError):
-            SweepStats(
-                label="x",
-                values=np.zeros(2),
-                bias=np.zeros((2, 6)),
-                std=-np.ones((2, 6)),
-                solved=np.ones(2, dtype=int),
-                estimates=[np.zeros((1, 6))] * 2,
-                failures=[],
-            )
+        points = np.zeros((2, 14))
+        points[:, 1] = 1
+        points[:, STD] = -1.0
+        with pytest.raises(ValueError, match="negative std"):
+            SweepStats(label="x", points=points)
 
 
 class TestZeroNoiseSweep:
@@ -179,11 +175,12 @@ class TestZeroNoiseSweep:
         )
         spec = SweepSpec(parameter="yaw", start=-1.5, stop=1.5, step=0.5, scans_per_point=6, seed=1)
         stats = run_sweep(scene, spec, label="Horizontal PD")
-        base = np.nonzero(stats.values == 0.0)[0][0]
-        assert np.max(np.abs(stats.bias[base, :3])) < 1e-3 * DEG
-        assert np.max(np.abs(stats.bias[base, 3:])) < 1e-5
-        assert np.max(np.abs(stats.bias[:, :3])) < 0.08 * DEG
-        assert np.max(np.abs(stats.bias[:, 3:])) < 2.5e-3
+        bias = stats.points[:, BIAS]  # deg / mm
+        base = np.nonzero(stats.points[:, 0] == 0.0)[0][0]
+        assert np.max(np.abs(bias[base, :3])) < 1e-3
+        assert np.max(np.abs(bias[base, 3:])) < 1e-2
+        assert np.max(np.abs(bias[:, :3])) < 0.08
+        assert np.max(np.abs(bias[:, 3:])) < 2.5
 
 
 class TestRunSingleGolden:
@@ -316,7 +313,7 @@ class TestCli:
         assert "PD clock offset" in err
         assert "Traceback" not in err
 
-    def test_sweep_and_report(self, tmp_path):
+    def test_sweep_and_report(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(sweep_to_dict(MINI_SWEEP)))
         out = tmp_path / "sweep"
@@ -326,7 +323,17 @@ class TestCli:
         ]) == 0
         points = out / "sweep_yaw_horizontal_pd_points.csv"
         assert points.exists()
+        capsys.readouterr()
         assert cli.main(["report", str(points)]) == 0
+
+        # the points CSV holds 4 decimals, the tables print 3 (2 for dX):
+        # reading it back gives the numbers of the sweep's own table
+        def numbers(table):
+            return [line.split()[-4:] for line in table.splitlines() if "Accuracy" in line or "Precision" in line]
+
+        sweep_numbers = numbers((out / "sweep_yaw_summary.txt").read_text())
+        assert len(sweep_numbers) == 2
+        assert numbers(capsys.readouterr().out) == sweep_numbers
 
     @pytest.mark.parametrize(
         "edit, names",
@@ -334,8 +341,12 @@ class TestCli:
             (lambda parts: parts[:5], ":3: field 'row': expected 14 fields, got 5"),
             (lambda parts: [parts[0], "fifty", *parts[2:]], ":3: field 'solved': not an integer: 'fifty'"),
             (lambda parts: [*parts[:4], "x", *parts[5:]], ":3: field 'bias_roll_deg': not a number: 'x'"),
+            (lambda parts: [*parts[:4], "nan", *parts[5:]], ":3: field 'bias_roll_deg': 'nan' is not a finite number"),
+            (lambda parts: ["inf", *parts[1:]], ":3: field 'point_value': 'inf' is not a finite number"),
+            (lambda parts: [*parts[:8], "-0.0100", *parts[9:]], ":3: field 'std_yaw_deg': '-0.0100' is below 0.0"),
+            (lambda parts: [parts[0], "0", *parts[2:]], ":3: field 'solved': '0' is below 1"),
         ],
-        ids=["short row", "word solved", "word bias"],
+        ids=["short row", "word solved", "word bias", "nan bias", "inf point", "negative std", "no scan solved"],
     )
     def test_malformed_points_row_exit_code_1(self, tmp_path, capsys, horizontal_scene, mini_stats, edit, names):
         lines = sweep_csvs(horizontal_scene, MINI_SWEEP, mini_stats)["points"].splitlines()
@@ -346,6 +357,22 @@ class TestCli:
         assert cli.main(["report", str(points)]) == 1
         err = capsys.readouterr().err
         assert f"error: {points}{names}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda lines: [lines[0].replace("solved", "scans"), *lines[1:]], lambda lines: lines[1:], lambda lines: []],
+        ids=["renamed column", "no header", "empty file"],
+    )
+    def test_points_header_other_than_point_fields_exit_code_1(self, tmp_path, capsys, horizontal_scene, mini_stats,
+                                                              edit):
+        lines = edit(sweep_csvs(horizontal_scene, MINI_SWEEP, mini_stats)["points"].splitlines())
+        points = tmp_path / "sweep_yaw_points.csv"
+        points.write_text("".join(line + "\n" for line in lines))
+        capsys.readouterr()
+        assert cli.main(["report", str(points)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {points}:1: field 'header': expected 'point_value,solved,bias_yaw_deg," in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["simulate", "calibrate"])

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -326,9 +327,21 @@ class TestFrameSerialization:
         with pytest.raises(ValueError):
             read_frames(path)
 
-    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999"])
-    @pytest.mark.parametrize("field", ["azimuth_deg", "omega_deg", "range_m", "reflectivity"])
-    def test_non_finite_beam_value_names_line_and_field(self, tmp_path, small_batch, field, token):
+    @pytest.mark.parametrize(
+        "field, token, message",
+        [
+            pytest.param(field, token, "is not a finite number", id=f"{field}-{token}")
+            for field in ("azimuth_deg", "omega_deg", "range_m", "reflectivity")
+            for token in ("nan", "inf", "-inf", "1e999")
+        ]
+        + [
+            pytest.param("range_m", "0.0", "is not a positive range", id="range_m-0.0"),
+            pytest.param("range_m", "-1.0", "is not a positive range", id="range_m--1.0"),
+            pytest.param("omega_deg", "90.0", "is not an elevation inside (-90, 90) deg", id="omega_deg-90.0"),
+            pytest.param("omega_deg", "-91.5", "is not an elevation inside (-90, 90) deg", id="omega_deg--91.5"),
+        ],
+    )
+    def test_non_finite_beam_value_names_line_and_field(self, tmp_path, small_batch, field, token, message):
         path = tmp_path / "frames.csv"
         write_frames(small_batch, path)
         lines = path.read_text().splitlines()
@@ -337,7 +350,7 @@ class TestFrameSerialization:
         parts[1 + io.BEAM_FIELDS.index(field)] = token
         lines[i] = ",".join(parts)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(FrameParseError, match="not a finite number") as err:
+        with pytest.raises(FrameParseError, match=re.escape(f"{token!r} {message}")) as err:
             read_frames(path)
         assert (err.value.line_no, err.value.field) == (i + 1, field)
 
