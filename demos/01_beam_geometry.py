@@ -12,7 +12,6 @@ import numpy as np
 
 from pdcalib import (
     LidarModel,
-    PolarBeam,
     Pose6DOF,
     corner_error_bound,
     polar_to_cartesian_array,
@@ -45,7 +44,7 @@ print()
 print("=== how badly can the nearest beam miss a corner? ===")
 lidar = LidarModel()
 for r in (1.0, 2.5, 5.0):
-    ex, ez = corner_error_bound(PolarBeam(omega=0.0, alpha=0.0, r=r), lidar)
+    ex, ez = corner_error_bound(r, lidar)
     print(f"at {r:.1f} m: horizontal bound {ex * 1e3:5.1f} mm, vertical bound {ez * 1e3:6.1f} mm")
 print()
 print("the vertical bound is an order of magnitude coarser - that is why the")

@@ -61,27 +61,24 @@ _KIND_NAMES = {  # singular, plural
     str: ("a string", "strings"),
     dict: ("an object", "objects"),
 }
-_REQUIRED = object()
 
 
 def config_reader(data, where: str = ""):
     """A reader of the fields of the JSON object ``data``, the section
     ``where`` of its document; ValueError if ``data`` is not an object.
 
-    ``read(key, kind, default, many)`` is ``data[key]`` checked to be of type
-    ``kind`` (with ``many``, a list of them; a bool is never a number), or
-    ``default`` where the key is absent. It raises ValueError naming the key
-    if the key is absent with no default or holds a value of another type.
+    ``read(key, kind, many)`` is ``data[key]`` checked to be of type
+    ``kind`` (with ``many``, a list of them; a bool is never a number). It
+    raises ValueError naming the key if the key is absent or holds a value
+    of another type.
     """
     if not isinstance(data, dict):
         raise ValueError(f"expected a JSON object, got {type(data).__name__}")
 
-    def read(key: str, kind, default=_REQUIRED, many: bool = False):
+    def read(key: str, kind, many: bool = False):
         name = f"{where}.{key}" if where else key
         if key not in data:
-            if default is _REQUIRED:
-                raise ValueError(f"missing key {name!r}")
-            return default
+            raise ValueError(f"missing key {name!r}")
         value = data[key]
         items = value if many and isinstance(value, list) else [value]
         if (many and not isinstance(value, list)) or not all(

@@ -23,7 +23,7 @@ import numpy as np
 # currents_to_record, the one-record form of _pd_records' AFE pass, stays a
 # name of this module: perfbench traces the simulator's AFE calls by it
 from .afe import PdSignalRecord, TiaParams, currents_to_record, peak_voltages  # noqa: F401
-from .geometry import DEG, TWO_PI, PolarBeam, Pose6DOF, pose_to_matrix
+from .geometry import DEG, TWO_PI, Pose6DOF, pose_to_matrix
 
 # beams whose spot center lies this far beyond the array ends still produce a
 # usable voltage event; farther ones have their peak outside the sampled span
@@ -321,14 +321,12 @@ def _element_currents(along, cross, sigma, pd: PdPlacement, i_max, ndtr):
     return i_max * frac / ref
 
 
-def corner_error_bound(b, lidar: LidarModel) -> tuple[float, float]:
+def corner_error_bound(r: float, lidar: LidarModel) -> tuple[float, float]:
     """Worst-case (x, z) offset of the nearest beam from a target corner.
 
     The miss is bounded by one azimuth / vertical resolution cell at the
-    beam's range: (r tan(d_alpha), r tan(d_omega)). ``b`` is a PolarBeam or
-    a bare range in meters.
+    beam's range ``r`` in meters: (r tan(d_alpha), r tan(d_omega)).
     """
-    r = b.r if isinstance(b, PolarBeam) else float(b)
     if r < 0:
         raise ValueError("range must be non-negative")
     return (

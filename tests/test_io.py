@@ -306,28 +306,6 @@ class TestFrameSerialization:
         assert err.value.field == ("time_s" if pd_first else "range_m")
 
     @pytest.mark.parametrize(
-        "field, index, token",
-        [
-            ("range_m", 6, "0.0"),
-            ("range_m", 6, "-2.5"),
-            ("range_m", 6, "nan"),
-            ("omega_deg", 5, "90.0"),
-            ("omega_deg", 5, "-91.5"),
-        ],
-    )
-    def test_bad_beam_value_rejected(self, tmp_path, small_batch, field, index, token):
-        path = tmp_path / "frames.csv"
-        write_frames(small_batch, path)
-        lines = path.read_text().splitlines()
-        i = next(k for k, line in enumerate(lines) if line.startswith("beam,"))
-        parts = lines[i].split(",")
-        parts[index] = token
-        lines[i] = ",".join(parts)
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError):
-            read_frames(path)
-
-    @pytest.mark.parametrize(
         "field, token, message",
         [
             pytest.param(field, token, "is not a finite number", id=f"{field}-{token}")
@@ -337,22 +315,24 @@ class TestFrameSerialization:
         + [
             pytest.param("range_m", "0.0", "is not a positive range", id="range_m-0.0"),
             pytest.param("range_m", "-1.0", "is not a positive range", id="range_m--1.0"),
+            pytest.param("range_m", "-2.5", "is not a positive range", id="range_m--2.5"),
             pytest.param("omega_deg", "90.0", "is not an elevation inside (-90, 90) deg", id="omega_deg-90.0"),
             pytest.param("omega_deg", "-91.5", "is not an elevation inside (-90, 90) deg", id="omega_deg--91.5"),
         ],
     )
     def test_non_finite_beam_value_names_line_and_field(self, tmp_path, small_batch, field, token, message):
+        # the first beam row and one in the middle of the beam block
         path = tmp_path / "frames.csv"
         write_frames(small_batch, path)
         lines = path.read_text().splitlines()
-        i = _mid_beam_row(lines)
-        parts = lines[i].split(",")
-        parts[1 + io.BEAM_FIELDS.index(field)] = token
-        lines[i] = ",".join(parts)
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(FrameParseError, match=re.escape(f"{token!r} {message}")) as err:
-            read_frames(path)
-        assert (err.value.line_no, err.value.field) == (i + 1, field)
+        first = next(k for k, line in enumerate(lines) if line.startswith("beam,"))
+        for i in (first, _mid_beam_row(lines)):
+            parts = lines[i].split(",")
+            parts[1 + io.BEAM_FIELDS.index(field)] = token
+            path.write_text("\n".join(lines[:i] + [",".join(parts)] + lines[i + 1:]) + "\n")
+            with pytest.raises(FrameParseError, match=re.escape(f"{token!r} {message}")) as err:
+                read_frames(path)
+            assert (err.value.line_no, err.value.field) == (i + 1, field)
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999"])
     @pytest.mark.parametrize("field, index", [("time_s", 4), ("noise_floor_v", 5), ("v2", 9)])

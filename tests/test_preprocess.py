@@ -387,11 +387,17 @@ class TestRangeRefinement:
 
 def test_import_loads_no_scipy():
     # the radius graph lives in the test oracles, and the simulator imports
-    # its normal CDF from scipy only when it runs
+    # its normal CDF from scipy only when it runs; building the bench scenes
+    # casts rays but simulates no scan, so it loads none either
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, pdcalib; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    code = (
+        "import sys, pdcalib\n"
+        "for o in ('horizontal', 'vertical', 'all'):\n"
+        "    pdcalib.make_bench_scene(o)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )

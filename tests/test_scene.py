@@ -1,15 +1,16 @@
 import dataclasses
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
 from oracles import element_currents_scalar, simulate_scan_reference
-from pdcalib import scene
+from pdcalib import io, scene
 from pdcalib.afe import PdSignalRecord
-from pdcalib.bench import make_bench_scene
+from pdcalib.bench import DEFAULT_BASE_POSE, make_bench_scene
 from pdcalib.geometry import PolarBeam, Pose6DOF, polar_to_cartesian_array, pose_to_matrix, transform_array
 from pdcalib.io import frames_to_text
 from pdcalib.scene import (
@@ -322,8 +323,7 @@ class TestBeamIntegration:
 
 class TestCornerErrorBound:
     def test_reference_values(self):
-        b = PolarBeam(omega=0.0, alpha=0.0, r=2.5)
-        ex, ez = corner_error_bound(b, LidarModel())
+        ex, ez = corner_error_bound(2.5, LidarModel())
         assert ex == pytest.approx(8.73 * MM, abs=0.005 * MM)
         assert ez == pytest.approx(87.3 * MM, abs=0.05 * MM)
 
@@ -333,10 +333,35 @@ class TestCornerErrorBound:
 
     def test_linear_in_range(self):
         lidar = LidarModel()
-        e1 = corner_error_bound(PolarBeam(omega=0, alpha=0, r=2.0), lidar)
-        e2 = corner_error_bound(PolarBeam(omega=0, alpha=0, r=4.0), lidar)
+        e1 = corner_error_bound(2.0, lidar)
+        e2 = corner_error_bound(4.0, lidar)
         assert e2[0] == pytest.approx(2 * e1[0], rel=1e-12)
         assert e2[1] == pytest.approx(2 * e1[1], rel=1e-12)
+
+
+class TestBenchScene:
+    @pytest.mark.parametrize("orientation", ["horizontal", "vertical", "all"])
+    def test_matches_committed_golden_scene(self, tmp_path, orientation):
+        # the scene.json `pdcalib simulate --pd-orientation <orientation>`
+        # writes; floats are written with repr, so a 1-ulp drift of a
+        # module offset fails
+        path = tmp_path / "scene.json"
+        io.save_scene(make_bench_scene(orientation), path)
+        golden = Path(__file__).parent / "golden" / f"bench_scene_{orientation}.json"
+        assert path.read_bytes() == golden.read_bytes()
+
+    @pytest.mark.parametrize(
+        "pose",
+        [Pose6DOF(dx=-0.7, dy=2.5), dataclasses.replace(DEFAULT_BASE_POSE, phi=1.5)],
+        ids=["board behind", "1.5 rad yaw"],
+    )
+    def test_pose_the_simulator_refuses_is_refused_at_build_time(self, pose):
+        with pytest.raises(SimulationError, match="behind or beside"):
+            make_bench_scene("horizontal", base_pose=pose)
+
+    def test_unknown_arrangement_rejected_before_casting(self):
+        with pytest.raises(ValueError, match="unknown pd_orientation 'diagonal'"):
+            make_bench_scene("diagonal", base_pose=Pose6DOF(dx=-0.7, dy=2.5))
 
 
 def _same_bits(a, b):
