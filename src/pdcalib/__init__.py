@@ -53,7 +53,7 @@ from .geometry import (
 )
 from .harness import SweepSpec, SweepStats, report, run_single, run_sweep
 from .pipeline import BatchResult, PipelineError, calibrate_frames
-from .preprocess import PlaneModel, SegmentationError, fit_plane, refine_plane_ranges, segment_target
+from .preprocess import PlaneModel, SegmentationError, fit_plane, refine_plane_ranges, segment_frames, segment_target
 from .scene import (
     AfeConfig,
     BoardModel,
@@ -116,6 +116,7 @@ __all__ = [
     "rotation_matrix",
     "run_single",
     "run_sweep",
+    "segment_frames",
     "segment_target",
     "select_key_beam",
     "select_key_beams",

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import Pose6DOF, pose_to_matrix
-from .scene import AfeConfig, BoardModel, LidarModel, PdPlacement, _azimuth_window, _cast_rays
+from .scene import AfeConfig, BoardModel, LidarModel, PdPlacement, SimulationError, _azimuth_window, _cast_rays
 
 DEFAULT_BASE_POSE = Pose6DOF(0.0, 0.0, 0.0, -0.7, -2.5, 0.0)
 CORNER_X = 0.38
@@ -78,10 +78,17 @@ def _channel_for(lidar: LidarModel, angle_deg: float) -> int:
     return int(np.argmin(np.abs(angles - angle_deg)))
 
 
-def _place(pd_id: str, lidar: LidarModel, channel, points) -> PdPlacement:
-    """Module ``pd_id`` on the landing grid of returns ``channel`` and ``points``."""
+def _place(pd_id: str, lidar: LidarModel, channel, points, pose: Pose6DOF) -> PdPlacement:
+    """Module ``pd_id`` on the landing grid of returns ``channel`` and ``points``
+    of the board at ``pose``."""
     orientation, x_target, row_deg, phase = _MODULES[pd_id]
-    row = channel == _channel_for(lidar, row_deg)
+    c = _channel_for(lidar, row_deg)
+    row = channel == c
+    if not row.any():
+        raise SimulationError(
+            f"module {pd_id}: no beam of its {lidar.vertical_angles_deg[c]:+g} deg channel row "
+            f"lands on the board at base pose {pose}"
+        )
     xs, zs = points[row, 0], points[row, 2]
     k = int(np.argmin(np.abs(xs - x_target)))
     k1 = min(k + 1, len(xs) - 1)
@@ -103,8 +110,9 @@ def make_bench_scene(
     horizontal on the other two). The board has ``BoardModel``'s default
     size and reflectivities.
 
-    Raises ValueError for an unknown ``pd_orientation`` and SimulationError
-    for a ``base_pose`` with the board behind, beside or edge-on to the sensor.
+    Raises ValueError for an unknown ``pd_orientation``, and SimulationError
+    for a ``base_pose`` with the board behind, beside or edge-on to the sensor,
+    or with no beam of a module's channel row landing on the board.
     """
     if pd_orientation not in _ARRANGEMENTS:
         raise ValueError(f"unknown pd_orientation {pd_orientation!r}")
@@ -115,5 +123,5 @@ def make_bench_scene(
     rot, t = m[:, :3], m[:, 3]
     j = _azimuth_window(shell, lidar, rot, t)
     (_, channel, _), _, _, _, points = _cast_rays(shell, lidar, rot, t, j, np.zeros(1), None)
-    pds = tuple(_place(pd_id, lidar, channel, points) for pd_id in _ARRANGEMENTS[pd_orientation])
+    pds = tuple(_place(pd_id, lidar, channel, points, base_pose) for pd_id in _ARRANGEMENTS[pd_orientation])
     return Scene(board=BoardModel(pd_modules=pds), lidar=lidar, afe=afe, base_pose=base_pose, seed=seed)

@@ -1,10 +1,11 @@
 """End-to-end calibration of a batch of scan frames.
 
 One batch is a set of repeated scans of the rig at a fixed reference pose
-(the bench repeats 50 revolutions per test point). Each frame is segmented
-once, and the board returns of every frame form one ROI table with a scan
-column. The board plane is fit once to that table, because every scan sees
-the same board. Then one feature pass runs over the whole batch:
+(the bench repeats 50 revolutions per test point). One segmentation pass
+over the batch finds every frame's board returns, and they form one ROI
+table with a scan column. The board plane is fit once to that table,
+because every scan sees the same board. Then one feature pass runs over the
+whole batch:
 
 1. the PD events of every frame form one event table, and one call joins
    each event to the ROI row its firing time names;
@@ -93,13 +94,6 @@ def board_plane(table) -> preprocess.PlaneModel:
     return preprocess.refine_plane_ranges(omega, alpha, r, tls)
 
 
-def roi_table(frames, rois):
-    """The board returns of a batch as one table, and the scan of each row:
-    ``rois[k]`` indexes the returns of ``frames[k]``."""
-    table = np.concatenate([f.beams[roi] for f, roi in zip(frames, rois)])
-    return table, np.repeat(np.arange(len(frames)), [len(roi) for roi in rois])
-
-
 # why a (scan, PD) has no key row: MISS_DTYPE's code indexes this tuple, and
 # code 0 marks a detection; the dim-beam reason also reads the level and median
 MISS_REASONS = (
@@ -131,11 +125,11 @@ def extract_frame_features(frames, table, scan, plane: preprocess.PlaneModel, sc
     """Beam association, center fitting and range correction on a whole batch.
 
     ``table`` and ``scan`` are the batch's ROI table and the frame index of
-    each row (``roi_table``); ``plane`` is the board plane the key beams are
-    slid onto. Each (scan, PD) keeps as its key beam the joined beam with the
-    highest reflectivity among its usable fits, and that event's center. A
-    frame's last record for a PD wins; a record of a PD not on the board is
-    ignored.
+    each row (from ``preprocess.segment_frames``); ``plane`` is the board
+    plane the key beams are slid onto. Each (scan, PD) keeps as its key beam
+    the joined beam with the highest reflectivity among its usable fits, and
+    that event's center. A frame's last record for a PD wins; a record of a
+    PD not on the board is ignored.
 
     A (scan, PD) misses when it has no events, when none of its events joins,
     when none of its fits is usable, or when its key beam reads less than its
@@ -215,13 +209,13 @@ def calibrate_frames(frames, scene: Scene) -> BatchResult:
     """
     if not frames:
         raise PipelineError("segmentation", "empty batch: no frames to calibrate")
-    rois = []
-    for f in frames:
-        try:
-            rois.append(preprocess.segment_target(f, scene.board.width, scene.board.height))
-        except preprocess.SegmentationError as exc:
-            raise PipelineError("segmentation", f"scan {f.scan_id}: {exc}") from exc
-    table, scan = roi_table(frames, rois)
+    sizes = [len(f.beams) for f in frames]
+    beams = np.concatenate([f.beams for f in frames])
+    try:
+        rows = preprocess.segment_frames(beams, sizes, scene.board.width, scene.board.height)
+    except preprocess.SegmentationError as exc:
+        raise PipelineError("segmentation", f"scan {frames[exc.frame].scan_id}: {exc}") from exc
+    table, scan = beams[rows], np.repeat(np.arange(len(frames)), sizes)[rows]
     plane = board_plane(table)
     pds = scene.board.pd_modules
     keys, miss = extract_frame_features(frames, table, scan, plane, scene)

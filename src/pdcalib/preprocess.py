@@ -4,19 +4,22 @@ The board is pulled out of a raw scan by clustering on the sensor's
 (channel, azimuth index) raster, the range-image idea of Bogoslavskyi and
 Stachniss (IROS 2016): neighbouring cells of the raster are linked when
 their returns lie within a distance threshold, and the clusters are the
-components of those links, labelled in numpy by hook-and-jump (Shiloach and
+components of those links. Linked returns that follow each other along a
+channel form runs, and only the links between runs are labelled, by
+hook-and-jump in numpy (He, Chao and Suzuki, IEEE TIP 2008; Shiloach and
 Vishkin, J. Algorithms 1982). The links are a subset of single-linkage
 Euclidean clustering's, and give the same clusters except where an
 occluder spanning every row cuts the board in two, which is refused. The
 board is the cluster whose extents match what the raster can sample of it
-at the cluster's range. The board's plane is fit by total least squares and
-refined in range space, and the ROI returns are slid along their rays onto
-that plane, which removes most of the ranging noise.
+at the cluster's range. ``segment_frames`` segments every frame of a batch
+in one such pass, on one raster whose rows are (frame, channel) pairs;
+``segment_target`` is its one-frame case. The board's plane is fit by total
+least squares and refined in range space, and the ROI returns are slid
+along their rays onto that plane, which removes most of the ranging noise.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +35,14 @@ AZIMUTH_REACH = 2
 
 
 class SegmentationError(RuntimeError):
-    """No cluster matching the board dimensions was found."""
+    """No cluster matching the board dimensions was found.
+
+    ``frame`` is the index, within its batch, of the frame that was refused.
+    """
+
+    def __init__(self, message: str, frame: int = 0):
+        super().__init__(message)
+        self.frame = frame
 
 
 @dataclass(frozen=True)
@@ -56,34 +66,53 @@ class PlaneModel:
         return np.atleast_2d(points) @ self.normal - self.d
 
 
-def _raster_components(points, channel, azimuth_index, tol):
+def _raster_components(points, row, azimuth_index, tol):
     """Component label per return, linking raster neighbours within ``tol``.
 
-    The returns come in (channel, azimuth index) order, as a ``ScanFrame``
-    holds them. Each return's candidate neighbours are the next
-    ``AZIMUTH_REACH`` returns of its channel, and the returns of the next
-    channel at azimuth index -``AZIMUTH_REACH``..+``AZIMUTH_REACH`` from its
-    own. A candidate is linked when its 3-D distance is at most ``tol``.
-    The links are labelled by ``_components``, so labels number the
-    components in order of their first return.
+    The returns come in (row, azimuth index) order, as a ``ScanFrame`` holds
+    them by channel. Each return's candidate neighbours are the next
+    ``AZIMUTH_REACH`` returns of its row, and the returns of the next row at
+    azimuth index -``AZIMUTH_REACH``..+``AZIMUTH_REACH`` from its own. A
+    candidate is linked when its 3-D distance is at most ``tol``.
+
+    The links are labelled by runs (He, Chao and Suzuki, IEEE TIP 2008): a
+    return linked to the next one of its row continues that return's run,
+    so one cumulative sum numbers the runs. Only the links between two runs
+    go to ``_components``, less each one that repeats the run pair before
+    it. Runs are numbered in order of their first return, so labels number
+    the components in that order too.
     """
     n = len(points)
-    az = azimuth_index - azimuth_index.min() + AZIMUTH_REACH
+    x, y, z = np.ascontiguousarray(points.T)
+
+    def linked(i, j):
+        return (x[j] - x[i]) ** 2 + (y[j] - y[i]) ** 2 + (z[j] - z[i]) ** 2 <= tol * tol
+
+    along = [(row[:-d] == row[d:]) & linked(slice(None, -d), slice(d, None)) for d in range(1, AZIMUTH_REACH + 1)]
+    run = np.concatenate([[0], np.cumsum(~along[0])])
+    src = [np.flatnonzero(ok) for ok in along[1:]]
+    dst = [i + d for d, i in enumerate(src, start=2)]
+
     # one key per raster cell, ascending in this order; the padding keeps
-    # az + offset inside its own row
+    # the next row's window of a return inside that row
+    az = azimuth_index - azimuth_index.min() + AZIMUTH_REACH
     width = int(az.max()) + AZIMUTH_REACH + 1
-    key = (channel - channel[0]) * width + az
+    key = (row - row[0]) * width + az
+    # the next row's returns near return i sit at first[i] onwards, at most
+    # 2 * AZIMUTH_REACH + 1 of them, in its window of keys
+    first = np.searchsorted(key, key + width - AZIMUTH_REACH)
+    last = key + width + AZIMUTH_REACH
+    for k in range(2 * AZIMUTH_REACH + 1):
+        m = np.searchsorted(first, n - k)  # first is ascending
+        j = first[:m] + k
+        i = np.flatnonzero((key[j] <= last[:m]) & linked(slice(None, m), j))
+        src.append(i)
+        dst.append(j[i])
 
-    along = np.minimum(np.arange(n)[:, None] + np.arange(1, AZIMUTH_REACH + 1), n - 1)
-    target = key[:, None] + (width + np.arange(-AZIMUTH_REACH, AZIMUTH_REACH + 1))
-    across = np.minimum(np.searchsorted(key, target), n - 1)
-    # (n, 3 * AZIMUTH_REACH + 1) candidate positions; a clipped one links a
-    # return to itself, which changes no component
-    cand = np.hstack([along, across])
-    valid = np.hstack([channel[along] == channel[:, None], key[across] == target])
-
-    valid &= sum((c[cand] - c[:, None]) ** 2 for c in points.T) <= tol * tol
-    return _components(n, np.nonzero(valid)[0], cand[valid])
+    u, v = run[np.concatenate(src)], run[np.concatenate(dst)]
+    keep = u != v
+    keep[1:] &= (u[1:] != u[:-1]) | (v[1:] != v[:-1])
+    return _components(int(run[-1]) + 1, u[keep], v[keep])[run]
 
 
 def _components(n, u, v):
@@ -113,37 +142,147 @@ def _components(n, u, v):
     return np.unique(root, return_inverse=True)[1]
 
 
-def _extent_error(spread, omega, alpha, r, channel, azimuth_index, board_width, board_height):
-    """How far a cluster's extents lie from what a board can show on the raster.
+def _extent_error(spread, omega, alpha, r, channel, azimuth_index, bounds, board_width, board_height):
+    """How far each cluster's extents lie from what a board can show on the raster.
 
-    ``spread`` is the cluster's (3,) bounding-box size and the columns are
-    its returns. The two largest spreads are its in-plane extents, compared
-    with the board's width and height. A board of extent B sampled at
-    spacing s (the cluster's mean range times the azimuth step across, and
-    times the row pitch up) shows a spread between S = (floor(B / s) - 1) s
-    and B, because each edge can fall short of the nearest row by up to one
-    spacing. An extent below S counts relative to S, one above B relative
-    to B. Returns the larger of the two relative errors, and the extents.
+    The columns hold the clusters' returns one cluster after another, each
+    in (channel, azimuth index) order: cluster k is ``bounds[k]:bounds[k + 1]``,
+    and ``spread[k]`` its (3,) bounding-box size. A cluster's two largest
+    spreads are its in-plane extents, compared with the board's width and
+    height. A board of extent B sampled at spacing s (the cluster's mean range
+    times the azimuth step across, and times the row pitch up) shows a spread
+    between S = (floor(B / s) - 1) s and B, because each edge can fall short
+    of the nearest row by up to one spacing. An extent below S counts
+    relative to S, one above B relative to B. Returns per cluster the larger
+    of the two relative errors, and the extents.
     """
-    e1, e2 = np.sort(spread)[::-1][:2]
-    rng = float(np.mean(r))
+    start, size = bounds[:-1], np.diff(bounds)
+    e1, e2 = np.sort(spread, axis=1)[:, :0:-1].T
+    rng = np.array([r[a:b].mean() for a, b in zip(start, bounds[1:])])  # summed as np.mean sums
+    cluster = np.repeat(np.arange(len(size)), size)
+
     # row pitch: the middle elevation step between the cluster's channels
-    _, first = np.unique(channel, return_index=True)
-    steps = np.sort(np.diff(np.sort(omega[first])))
-    pitch = float(steps[len(steps) // 2]) if len(steps) else 0.0
+    first = np.ones(len(channel), dtype=bool)
+    first[1:] = channel[1:] != channel[:-1]
+    first[start] = True
+    at = np.flatnonzero(first)
+    levels = omega[at][np.lexsort((omega[at], cluster[at]))]
+    same = cluster[at][1:] == cluster[at][:-1]
+    owner = cluster[at][1:][same]
+    steps = (levels[1:] - levels[:-1])[same]
+    steps = steps[np.lexsort((steps, owner))]
+    count = np.bincount(owner, minlength=len(size))
+    pitch = np.zeros(len(size))
+    has = count > 0
+    pitch[has] = steps[(np.cumsum(count) - count + count // 2)[has]]
+
     # azimuth step: the angle the cluster turns through per azimuth index
-    turn = np.ptp(alpha)
-    if turn > np.pi:  # the cluster straddles azimuth 0
-        turn = np.ptp(np.where(alpha < np.pi, alpha + 2 * np.pi, alpha))
-    columns = int(np.ptp(azimuth_index))
-    step = float(turn) / columns if columns else 0.0
+    def ptp(v):
+        return np.maximum.reduceat(v, start) - np.minimum.reduceat(v, start)
+
+    turn = ptp(alpha)
+    # a cluster that straddles azimuth 0
+    turn = np.where(turn > np.pi, ptp(np.where(alpha < np.pi, alpha + 2 * np.pi, alpha)), turn)
+    columns = ptp(azimuth_index)
+    step = np.divide(turn, columns, out=np.zeros(len(size)), where=columns > 0)
 
     def off(extent, board, spacing):
-        shortest = (math.floor(board / spacing) - 1) * spacing if spacing > 0 else board
-        short = (shortest - extent) / shortest if shortest > 0 else 0.0
-        return max(short, (extent - board) / board, 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            shortest = np.where(spacing > 0, (np.floor(board / spacing) - 1) * spacing, board)
+            short = np.where(shortest > 0, (shortest - extent) / shortest, 0.0)
+        return np.maximum(np.maximum(short, (extent - board) / board), 0.0)
 
-    return max(off(e1, board_width, rng * step), off(e2, board_height, rng * pitch)), e1, e2
+    return np.maximum(off(e1, board_width, rng * step), off(e2, board_height, rng * pitch)), e1, e2
+
+
+def segment_frames(beams, sizes, board_width: float, board_height: float) -> np.ndarray:
+    """Row indices of every frame's board returns in a batch of frames.
+
+    ``beams`` holds the batch's returns (``BEAM_DTYPE``) frame after frame,
+    each frame's in (channel, azimuth index) order: the concatenation of the
+    frames' ``beams``. Frame k holds ``sizes[k]`` of them. Each frame is
+    segmented as ``segment_target`` segments it, in one pass over the batch.
+    A raster row is a (frame, channel) pair, and an empty row between two
+    frames keeps links from crossing them. One labelling and one extent
+    check cover the clusters of every frame; only a frame with returns near
+    its board's box gets the pairwise gap check.
+
+    Raises
+    ------
+    SegmentationError
+        For the first frame in batch order that ``segment_target`` refuses,
+        with that frame's message and its index as ``frame``.
+    """
+    sizes = np.asarray(sizes, dtype=np.intp)
+    if len(sizes) == 0:
+        return np.zeros(0, dtype=np.intp)
+    if len(beams) == 0:
+        raise SegmentationError("empty frame: no clusters (0 points)", 0)
+    offset = np.cumsum(sizes) - sizes
+    scan = np.repeat(np.arange(len(sizes)), sizes)
+    omega, alpha, r, channel, azimuth_index = (
+        np.ascontiguousarray(beams[name]) for name in ("omega", "alpha", "r", "channel", "azimuth_index")
+    )
+    pts = polar_to_cartesian_array(omega, alpha, r)
+    span = int(channel.max() - channel.min())
+    labels = _raster_components(pts, scan * (span + 2) + channel, azimuth_index, CLUSTER_TOLERANCE)
+
+    # the clusters of at least MIN_POINTS returns, in label order, each
+    # cluster's returns in batch order
+    counts = np.bincount(labels)
+    member = np.flatnonzero(counts[labels] >= MIN_POINTS)
+    at = member[np.argsort(labels[member], kind="stable")]
+    label = np.flatnonzero(counts >= MIN_POINTS)
+    bounds = np.concatenate([[0], np.cumsum(counts[label])])
+    frame = scan[at[bounds[:-1]]]
+    grouped = pts[at]
+    lo = np.minimum.reduceat(grouped, bounds[:-1], axis=0)
+    hi = np.maximum.reduceat(grouped, bounds[:-1], axis=0)
+    err, e1, e2 = _extent_error(
+        hi - lo, omega[at], alpha[at], r[at], channel[at], azimuth_index[at], bounds, board_width, board_height,
+    )
+
+    # per frame, the matching cluster of least error, the first one on a
+    # tie; a frame with none gets index len(label): no label and no box
+    fits = np.flatnonzero(err <= EXTENT_TOLERANCE)
+    fits = fits[np.lexsort((fits, err[fits], frame[fits]))]
+    fits = fits[np.diff(frame[fits], prepend=-1) != 0]
+    best = np.full(len(sizes), len(label))
+    best[frame[fits]] = fits
+    unmatched = np.flatnonzero(best == len(label))
+    refused = unmatched[0] if len(unmatched) else len(sizes)
+    box = best[scan]
+    roi = labels == np.append(label, -1)[box]
+
+    # a board piece with a return outside it within CLUSTER_TOLERANCE;
+    # returns inside the box grown by that much are the only candidates
+    boxed = (pts >= np.vstack([lo - CLUSTER_TOLERANCE, [np.inf] * 3])[box]) & (
+        pts <= np.vstack([hi + CLUSTER_TOLERANCE, [-np.inf] * 3])[box]
+    )
+    near = boxed[:, 0] & boxed[:, 1] & boxed[:, 2] & ~roi
+    for k in np.unique(scan[near & (scan < refused)]):
+        inside, out = pts[roi & (scan == k)], pts[near & (scan == k)]
+        gap2 = sum((o[:, None] - i) ** 2 for o, i in zip(out.T, inside.T))
+        if gap2.min() <= CLUSTER_TOLERANCE ** 2:
+            raise SegmentationError(
+                f"the {len(inside)}-return cluster matching the {board_width} x {board_height} m "
+                f"board is a piece of it: a return outside it lies within {CLUSTER_TOLERANCE} m "
+                "(an occluder across every row splits the board)",
+                int(k),
+            )
+    if refused < len(sizes):
+        if sizes[refused] == 0:
+            raise SegmentationError("empty frame: no clusters (0 points)", int(refused))
+        mine = np.flatnonzero(frame == refused)
+        diagnostics = [
+            (int(label[c] - labels[offset[refused]]), int(counts[label[c]]), float(e1[c]), float(e2[c])) for c in mine
+        ]
+        raise SegmentationError(
+            f"no cluster matches the {board_width} x {board_height} m board; "
+            f"clusters (label, count, extent1, extent2): {diagnostics}",
+            int(refused),
+        )
+    return np.flatnonzero(roi)
 
 
 def segment_target(frame, board_width: float, board_height: float) -> np.ndarray:
@@ -152,11 +291,13 @@ def segment_target(frame, board_width: float, board_height: float) -> np.ndarray
     Clusters the scan on its (channel, azimuth index) raster: a return is
     linked to the next ``AZIMUTH_REACH`` returns of its channel in azimuth
     order and to the next channel's returns within ``AZIMUTH_REACH`` azimuth
-    indices, wherever the two lie within ``CLUSTER_TOLERANCE`` in 3-D.
+    indices, wherever the two lie within ``CLUSTER_TOLERANCE`` in 3-D. The
+    links are labelled by runs along each channel (``_raster_components``).
     Returns the cluster whose bounding extents best match the configured
     board dimensions (within ``EXTENT_TOLERANCE`` relative error of the
     spreads the raster can sample at the cluster's range; see
-    ``_extent_error``).
+    ``_extent_error``). This is the one-frame case of ``segment_frames``,
+    which segments a whole batch in one pass.
 
     Every raster link is also a link of single-linkage Euclidean clustering
     at ``CLUSTER_TOLERANCE``, so raster clusters can only split those
@@ -173,42 +314,7 @@ def segment_target(frame, board_width: float, board_height: float) -> np.ndarray
         With per-cluster diagnostics if nothing matches, or if the matching
         cluster is a piece of a board split by an occluder.
     """
-    if len(frame.beams) == 0:
-        raise SegmentationError("empty frame: no clusters (0 points)")
-    omega, alpha, r, channel, azimuth_index, _ = frame.beam_arrays()
-    pts = polar_to_cartesian_array(omega, alpha, r)
-    labels = _raster_components(pts, channel, azimuth_index, CLUSTER_TOLERANCE)
-
-    diagnostics = []
-    best = None
-    for lab in np.flatnonzero(np.bincount(labels) >= MIN_POINTS):
-        idx = np.nonzero(labels == lab)[0]
-        cluster = pts[idx]
-        lo, hi = cluster.min(axis=0), cluster.max(axis=0)
-        err, e1, e2 = _extent_error(
-            hi - lo, omega[idx], alpha[idx], r[idx], channel[idx], azimuth_index[idx],
-            board_width, board_height,
-        )
-        diagnostics.append((int(lab), len(idx), float(e1), float(e2)))
-        if err <= EXTENT_TOLERANCE and (best is None or err < best[0]):
-            best = (err, idx, lo, hi)
-    if best is None:
-        raise SegmentationError(
-            f"no cluster matches the {board_width} x {board_height} m board; "
-            f"clusters (label, count, extent1, extent2): {diagnostics}"
-        )
-    _, roi, lo, hi = best
-    near = np.all((pts >= lo - CLUSTER_TOLERANCE) & (pts <= hi + CLUSTER_TOLERANCE), axis=1)
-    near[roi] = False
-    if np.any(near):
-        gap2 = sum((out[:, None] - inside) ** 2 for out, inside in zip(pts[near].T, pts[roi].T))
-        if gap2.min() <= CLUSTER_TOLERANCE ** 2:
-            raise SegmentationError(
-                f"the {len(roi)}-return cluster matching the {board_width} x {board_height} m "
-                f"board is a piece of it: a return outside it lies within {CLUSTER_TOLERANCE} m "
-                "(an occluder across every row splits the board)"
-            )
-    return roi
+    return segment_frames(frame.beams, [len(frame.beams)], board_width, board_height)
 
 
 def fit_plane(points: np.ndarray) -> PlaneModel:

@@ -7,7 +7,9 @@ arithmetic as the batched library fit, the rigid-fit oracle is the SVD (Kabsch) 
 the pose oracle is the damped Gauss-Newton (Levenberg-Marquardt) loop the
 closed-form solver replaced, the Jacobian oracle differentiates the solver's
 residual numerically, the segmentation oracle labels the full radius graph
-of a scan's Cartesian points, the graph-labelling oracle is scipy's
+of a scan's Cartesian points, the raster-link oracle builds every
+return-level link the run labelling compresses, the extent oracle checks one
+cluster at a time, the graph-labelling oracle is scipy's
 connected components, the feature oracle joins each PD event of one frame
 to its beam through a dict and fits it on its own, the RANSAC oracle scores one hypothesis line at
 a time, the scene oracle simulates one scan at a time with one
@@ -189,6 +191,51 @@ def graph_labels(n, u, v):
     return connected_components(graph, directed=False)[1]
 
 
+def raster_links(points, row, azimuth_index, tol=0.15):
+    """Every return-level raster link ``(u[k], v[k])`` within ``tol``.
+
+    The returns come in (row, azimuth index) order. Each return's candidates
+    are the next ``AZIMUTH_REACH`` returns of its row, and the returns of the
+    next row at azimuth index -``AZIMUTH_REACH``..+``AZIMUTH_REACH`` from its
+    own, found by a sorted-key lookup; a clipped candidate links a return to
+    itself.
+    """
+    reach = preprocess.AZIMUTH_REACH
+    n = len(points)
+    az = azimuth_index - azimuth_index.min() + reach
+    width = int(az.max()) + reach + 1
+    key = (row - row[0]) * width + az
+    along = np.minimum(np.arange(n)[:, None] + np.arange(1, reach + 1), n - 1)
+    target = key[:, None] + (width + np.arange(-reach, reach + 1))
+    across = np.minimum(np.searchsorted(key, target), n - 1)
+    cand = np.hstack([along, across])
+    valid = np.hstack([row[along] == row[:, None], key[across] == target])
+    valid &= sum((c[cand] - c[:, None]) ** 2 for c in points.T) <= tol * tol
+    return np.nonzero(valid)[0], cand[valid]
+
+
+def extent_error_scalar(spread, omega, alpha, r, channel, azimuth_index, board_width, board_height):
+    """The library's ``_extent_error`` for one cluster, one step at a time:
+    the error and the two largest spreads."""
+    e1, e2 = np.sort(spread)[::-1][:2]
+    rng = float(np.mean(r))
+    _, first = np.unique(channel, return_index=True)
+    steps = np.sort(np.diff(np.sort(omega[first])))
+    pitch = float(steps[len(steps) // 2]) if len(steps) else 0.0
+    turn = np.ptp(alpha)
+    if turn > np.pi:
+        turn = np.ptp(np.where(alpha < np.pi, alpha + 2 * np.pi, alpha))
+    columns = int(np.ptp(azimuth_index))
+    step = float(turn) / columns if columns else 0.0
+
+    def off(extent, board, spacing):
+        shortest = (math.floor(board / spacing) - 1) * spacing if spacing > 0 else board
+        short = (shortest - extent) / shortest if shortest > 0 else 0.0
+        return max(short, (extent - board) / board, 0.0)
+
+    return max(off(e1, board_width, rng * step), off(e2, board_height, rng * pitch)), e1, e2
+
+
 def radius_graph_labels(points, tol=0.15):
     """Single-linkage component label per point: every pair within ``tol``."""
     pairs = cKDTree(points).query_pairs(r=tol, output_type="ndarray")
@@ -200,7 +247,7 @@ def radius_graph_roi(frame, board_width, board_height, tol=0.15, min_points=30, 
 
     Among the clusters of at least ``min_points`` returns, the one whose two
     largest axis spreads best match the board within ``extent_tolerance``,
-    by the library's ``_extent_error``.
+    by ``extent_error_scalar``.
     """
     b = frame.beams
     pts = polar_to_cartesian_array(b["omega"], b["alpha"], b["r"])
@@ -211,7 +258,7 @@ def radius_graph_roi(frame, board_width, board_height, tol=0.15, min_points=30, 
         if len(idx) < min_points:
             continue
         c = b[idx]
-        err, _, _ = preprocess._extent_error(
+        err, _, _ = extent_error_scalar(
             np.ptp(pts[idx], axis=0), c["omega"], c["alpha"], c["r"], c["channel"],
             c["azimuth_index"], board_width, board_height,
         )

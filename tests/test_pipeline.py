@@ -14,7 +14,7 @@ from pdcalib.correspondence import KEY_DTYPE
 from pdcalib.geometry import Pose6DOF, polar_to_cartesian_array, pose_to_matrix, transform_array
 from pdcalib.harness import simulate_point
 from pdcalib.pipeline import (
-    PipelineError, board_plane, calibrate_frames, extract_frame_features, miss_reasons, roi_table,
+    PipelineError, board_plane, calibrate_frames, extract_frame_features, miss_reasons,
 )
 from pdcalib.scene import BoardModel, PdPlacement, ScanFrame, simulate_scan
 from pdcalib.solver import DegenerateCorrespondences
@@ -22,6 +22,15 @@ from oracles import event_cell, frame_features, guo_fit_scalar
 
 DEG = math.pi / 180.0
 MM = 1e-3
+
+
+def batch_roi(frames, board):
+    """The ROI table of a batch and the frame of each row, from one
+    segmentation pass as ``calibrate_frames`` makes it."""
+    beams = np.concatenate([f.beams for f in frames])
+    sizes = [len(f.beams) for f in frames]
+    rows = preprocess.segment_frames(beams, sizes, board.width, board.height)
+    return beams[rows], np.repeat(np.arange(len(frames)), sizes)[rows]
 
 
 class TestFullBatch:
@@ -117,24 +126,24 @@ class TestOptionsAndErrors:
         result = calibrate_frames(horizontal_batch[:8], horizontal_scene)
         assert sum(1 for _, rep, _ in result.scan_reports if rep is not None) == 8
 
-    def test_segments_each_frame_once(self, horizontal_scene, horizontal_batch, monkeypatch):
+    def test_segments_each_batch_once(self, horizontal_scene, horizontal_batch, monkeypatch):
         calls = []
-        segment = preprocess.segment_target
+        segment = preprocess.segment_frames
 
-        def counted(frame, *args, **kwargs):
-            calls.append(frame.scan_id)
-            return segment(frame, *args, **kwargs)
+        def counted(beams, sizes, *args, **kwargs):
+            calls.append(list(sizes))
+            return segment(beams, sizes, *args, **kwargs)
 
-        monkeypatch.setattr(preprocess, "segment_target", counted)
+        monkeypatch.setattr(preprocess, "segment_frames", counted)
+        monkeypatch.setattr(preprocess, "segment_target", None)
         frames = horizontal_batch[:8]
         calibrate_frames(frames, horizontal_scene)
-        assert sorted(calls) == [f.scan_id for f in frames]
+        assert calls == [[len(f.beams) for f in frames]]
 
     def test_feature_extraction_misses_recorded(self, horizontal_scene, horizontal_batch):
         frames = horizontal_batch[:4]
         board = horizontal_scene.board
-        rois = [preprocess.segment_target(f, board.width, board.height) for f in frames]
-        table, scan = roi_table(frames, rois)
+        table, scan = batch_roi(frames, board)
         plane = board_plane(table)
         keys, miss = extract_frame_features(frames, table, scan, plane, horizontal_scene)
         misses = miss_reasons(miss, board.pd_modules)
@@ -142,7 +151,7 @@ class TestOptionsAndErrors:
         assert keys["scan"].tolist() == np.repeat(np.arange(4), n_pd).tolist()
         assert keys["pd"].tolist() == list(range(n_pd)) * 4
         assert misses == [{}] * 4
-        assert all(len(roi) > 500 for roi in rois)
+        assert np.all(np.bincount(scan) > 500)
 
     def test_detection_counts_logged(self, horizontal_scene, horizontal_batch, caplog):
         frames = [copy.copy(f) for f in horizontal_batch[:5]]
@@ -290,9 +299,9 @@ class TestBatchFeaturePass:
         pds = scene.board.pd_modules
         for k, p, kind in faults:
             _inject(frames[k % n], pose, pds[p % len(pds)], kind, scene.lidar)
-        rois = [preprocess.segment_target(f, scene.board.width, scene.board.height) for f in frames]
-        table, scan = roi_table(frames, rois)
+        table, scan = batch_roi(frames, scene.board)
         plane = board_plane(table)
+        rois = [preprocess.segment_target(f, scene.board.width, scene.board.height) for f in frames]
 
         keys, miss = extract_frame_features(frames, table, scan, plane, scene)
         misses = miss_reasons(miss, pds)

@@ -1,27 +1,26 @@
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import simulate_batch
 from hypothesis import example, given, settings, strategies as st
-from oracles import graph_labels, radius_graph_labels, radius_graph_roi
+from oracles import extent_error_scalar, graph_labels, radius_graph_labels, radius_graph_roi, raster_links
 
 from pdcalib import preprocess
 from pdcalib.bench import make_bench_scene
 from pdcalib.geometry import Pose6DOF, polar_to_cartesian_array, pose_to_matrix
 from pdcalib.preprocess import (
     AZIMUTH_REACH,
+    MIN_POINTS,
     PlaneModel,
     _components,
+    _extent_error,
     _raster_components,
     SegmentationError,
     fit_plane,
     range_to_plane,
     refine_plane_ranges,
+    segment_frames,
     segment_target,
 )
 from pdcalib.scene import AfeConfig, BoardModel, LidarModel, ScanFrame, simulate_scan
@@ -134,6 +133,48 @@ def stripe_cells(frame, pos, width, spare_a_row, keep, rng):
     return columns, rows[rows != rng.choice(both)]
 
 
+# a scene frame: seed, yaw (deg), dx, dy, background wall depth, dropout
+# fraction, and an occluding stripe or none
+FRAME_PARAMS = st.tuples(
+    st.integers(0, 2 ** 16),
+    st.floats(-8.0, 8.0),
+    st.floats(-0.9, -0.5),
+    st.floats(-2.6, -1.5),
+    st.sampled_from([None, 0.5, 1.0, 5.0]),
+    st.floats(0.0, 0.3),
+    st.none() | st.tuples(
+        st.floats(0.0, 1.0),      # position across the board's columns
+        st.integers(1, 4),        # width in returns
+        st.floats(0.3, 1.0),      # depth in front of the board, m
+        st.booleans(),            # spare a row
+    ),
+)
+
+
+def scene_frame(seed, yaw_deg, dx, dy, wall, dropout, occluder, scan_id=0):
+    """A frame of ``FRAME_PARAMS``, and whether its occluder spans every row."""
+    frame = simulate_scan(
+        BoardModel(), LidarModel(), Pose6DOF(yaw_deg * DEG, 0, 0, dx, dy, 0), seed=seed,
+        scan_id=scan_id, background_depth=wall,
+    )
+    rng = np.random.default_rng(seed)
+    keep = rng.random(len(frame.beams)) >= dropout
+    hit, every_row, depth = np.zeros(len(frame.beams), dtype=bool), False, 0.0
+    if occluder is not None:
+        pos, width, depth, spare_a_row = occluder
+        columns, channels = stripe_cells(frame, pos, width, spare_a_row, keep, rng)
+        hit, every_row = stripe(frame, columns, channels), channels is None
+    occluded, _ = occlude(frame, hit, depth, keep)
+    return occluded, every_row
+
+
+def batch_rows(beams, sizes):
+    """The frame of each return of a batch, and its raster row."""
+    scan = np.repeat(np.arange(len(sizes)), sizes)
+    span = int(np.ptp(beams["channel"]))
+    return scan, scan * (span + 2) + beams["channel"]
+
+
 class TestRasterSegmentation:
     """The raster rule, with single-linkage clustering as the oracle."""
 
@@ -188,37 +229,15 @@ class TestRasterSegmentation:
             segment_target(occluded, 1.0, 0.54)
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        seed=st.integers(0, 2 ** 16),
-        yaw_deg=st.floats(-8.0, 8.0),
-        dx=st.floats(-0.9, -0.5),
-        dy=st.floats(-2.6, -1.5),
-        wall=st.sampled_from([None, 0.5, 1.0, 5.0]),
-        dropout=st.floats(0.0, 0.3),
-        occluder=st.none() | st.tuples(
-            st.floats(0.0, 1.0),      # position across the board's columns
-            st.integers(1, 4),        # width in returns
-            st.floats(0.3, 1.0),      # depth in front of the board, m
-            st.booleans(),            # spare a row
-        ),
-    )
-    def test_raster_clusters_refine_the_radius_graph(self, seed, yaw_deg, dx, dy, wall, dropout, occluder):
-        frame = simulate_scan(
-            BoardModel(), LidarModel(), Pose6DOF(yaw_deg * DEG, 0, 0, dx, dy, 0), seed=seed,
-            background_depth=wall,
-        )
-        rng = np.random.default_rng(seed)
-        keep = rng.random(len(frame.beams)) >= dropout
-        hit, every_row, depth = np.zeros(len(frame.beams), dtype=bool), False, 0.0
-        if occluder is not None:
-            pos, width, depth, spare_a_row = occluder
-            columns, channels = stripe_cells(frame, pos, width, spare_a_row, keep, rng)
-            hit, every_row = stripe(frame, columns, channels), channels is None
-        occluded, _ = occlude(frame, hit, depth, keep)
-
+    @given(params=FRAME_PARAMS)
+    def test_raster_clusters_refine_the_radius_graph(self, params):
+        occluded, every_row = scene_frame(*params)
         b = occluded.beams
         pts = polar_to_cartesian_array(b["omega"], b["alpha"], b["r"])
         raster = _raster_components(pts, b["channel"], b["azimuth_index"], 0.15)
+        # the run labelling labels the whole return-level link graph
+        links = raster_links(pts, b["channel"], b["azimuth_index"], 0.15)
+        np.testing.assert_array_equal(raster, graph_labels(len(pts), *links))
         oracle = radius_graph_labels(pts, 0.15)
         # each raster cluster lies inside one oracle cluster
         assert len(set(zip(raster.tolist(), oracle.tolist()))) == len(set(raster.tolist()))
@@ -230,6 +249,52 @@ class TestRasterSegmentation:
             assert expected is None or every_row
         else:
             np.testing.assert_array_equal(roi, expected)
+
+    @settings(max_examples=30, deadline=None)
+    @given(params=st.lists(FRAME_PARAMS, min_size=1, max_size=6), empty=st.none() | st.integers(0, 6))
+    def test_batch_segments_each_frame_as_alone(self, params, empty):
+        frames = [scene_frame(*p, scan_id=k)[0] for k, p in enumerate(params)]
+        if empty is not None:
+            frames.insert(min(empty, len(frames)), ScanFrame(scan_id=len(frames), beams=[], pd_records=[]))
+        beams = np.concatenate([f.beams for f in frames])
+        sizes = [len(f.beams) for f in frames]
+        offset = np.cumsum(sizes) - sizes
+        rois, refused = [], None
+        for k, frame in enumerate(frames):
+            try:
+                rois.append(segment_target(frame, 1.0, 0.54) + offset[k])
+            except SegmentationError as exc:
+                refused = (k, str(exc))
+                break
+        if refused is None:
+            np.testing.assert_array_equal(segment_frames(beams, sizes, 1.0, 0.54), np.concatenate(rois))
+        else:
+            with pytest.raises(SegmentationError) as err:
+                segment_frames(beams, sizes, 1.0, 0.54)
+            assert (err.value.frame, str(err.value)) == refused
+
+        if len(beams) == 0:
+            return
+        # the batch's raster links join no two frames, and the run labelling
+        # labels their whole graph; the extent errors of its clusters match
+        # the one-cluster oracle bit for bit
+        scan, row = batch_rows(beams, sizes)
+        pts = polar_to_cartesian_array(beams["omega"], beams["alpha"], beams["r"])
+        u, v = raster_links(pts, row, beams["azimuth_index"], 0.15)
+        assert np.array_equal(scan[u], scan[v])
+        labels = _raster_components(pts, row, beams["azimuth_index"], 0.15)
+        np.testing.assert_array_equal(labels, graph_labels(len(pts), u, v))
+        big = np.flatnonzero(np.bincount(labels) >= MIN_POINTS)
+        at = np.concatenate([np.flatnonzero(labels == lab) for lab in big] + [np.zeros(0, dtype=np.intp)])
+        bounds = np.concatenate([[0], np.cumsum(np.bincount(labels)[big])])
+        spread = np.array([np.ptp(pts[labels == lab], axis=0) for lab in big]).reshape(-1, 3)
+        c = beams[at]
+        got = _extent_error(spread, c["omega"], c["alpha"], c["r"], c["channel"], c["azimuth_index"], bounds, 1.0, 0.54)
+        for k, lab in enumerate(big):
+            one = beams[labels == lab]
+            want = extent_error_scalar(spread[k], one["omega"], one["alpha"], one["r"], one["channel"],
+                                       one["azimuth_index"], 1.0, 0.54)
+            assert tuple(float(x[k]) for x in got) == tuple(float(x) for x in want)
 
 
 @st.composite
@@ -384,21 +449,3 @@ class TestRangeRefinement:
         np.testing.assert_allclose(ref.normal, n_true, atol=1e-10)
         assert ref.d == pytest.approx(d_true, abs=1e-10)
 
-
-def test_import_loads_no_scipy():
-    # the radius graph lives in the test oracles, and the simulator imports
-    # its normal CDF from scipy only when it runs; building the bench scenes
-    # casts rays but simulates no scan, so it loads none either
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = (
-        "import sys, pdcalib\n"
-        "for o in ('horizontal', 'vertical', 'all'):\n"
-        "    pdcalib.make_bench_scene(o)\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    )
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert done.stdout.strip() == "[]"

@@ -359,6 +359,12 @@ class TestBenchScene:
         with pytest.raises(SimulationError, match="behind or beside"):
             make_bench_scene("horizontal", base_pose=pose)
 
+    def test_module_row_off_the_board_is_refused(self):
+        # at dz +0.2 m the sensor sees the board 0.2 m lower: no beam of the
+        # +3 deg row the top modules sit on lands on it
+        with pytest.raises(SimulationError, match=r"module h_tl: no beam of its \+3 deg channel row .*dz=0\.2\)"):
+            make_bench_scene("horizontal", base_pose=Pose6DOF(0, 0, 0, -0.7, -2.5, 0.2))
+
     def test_unknown_arrangement_rejected_before_casting(self):
         with pytest.raises(ValueError, match="unknown pd_orientation 'diagonal'"):
             make_bench_scene("diagonal", base_pose=Pose6DOF(dx=-0.7, dy=2.5))
