@@ -78,20 +78,29 @@ def _raster_components(points, row, azimuth_index, tol):
     The links are labelled by runs (He, Chao and Suzuki, IEEE TIP 2008): a
     return linked to the next one of its row continues that return's run,
     so one cumulative sum numbers the runs. Only the links between two runs
-    go to ``_components``, less each one that repeats the run pair before
-    it. Runs are numbered in order of their first return, so labels number
-    the components in that order too.
+    go to ``_components``, as run pairs. Runs are numbered in order of their
+    first return, so labels number the components in that order too.
     """
     n = len(points)
-    x, y, z = np.ascontiguousarray(points.T)
+    x, y, z = points.T
 
     def linked(i, j):
         return (x[j] - x[i]) ** 2 + (y[j] - y[i]) ** 2 + (z[j] - z[i]) ** 2 <= tol * tol
 
     along = [(row[:-d] == row[d:]) & linked(slice(None, -d), slice(d, None)) for d in range(1, AZIMUTH_REACH + 1)]
     run = np.concatenate([[0], np.cumsum(~along[0])])
-    src = [np.flatnonzero(ok) for ok in along[1:]]
-    dst = [i + d for d, i in enumerate(src, start=2)]
+    links = []
+
+    def join(i, j):
+        # the run pairs of links i -> j, less each that repeats the pair before it
+        u, v = run[i], run[j]
+        keep = u != v
+        keep[1:] &= (u[1:] != u[:-1]) | (v[1:] != v[:-1])
+        links.append((u[keep], v[keep]))
+
+    for d, ok in enumerate(along[1:], start=2):
+        i = np.flatnonzero(ok)
+        join(i, i + d)
 
     # one key per raster cell, ascending in this order; the padding keeps
     # the next row's window of a return inside that row
@@ -106,13 +115,10 @@ def _raster_components(points, row, azimuth_index, tol):
         m = np.searchsorted(first, n - k)  # first is ascending
         j = first[:m] + k
         i = np.flatnonzero((key[j] <= last[:m]) & linked(slice(None, m), j))
-        src.append(i)
-        dst.append(j[i])
+        join(i, j[i])
 
-    u, v = run[np.concatenate(src)], run[np.concatenate(dst)]
-    keep = u != v
-    keep[1:] &= (u[1:] != u[:-1]) | (v[1:] != v[:-1])
-    return _components(int(run[-1]) + 1, u[keep], v[keep])[run]
+    u, v = (np.concatenate(side) for side in zip(*links))
+    return _components(int(run[-1]) + 1, u, v)[run]
 
 
 def _components(n, u, v):
@@ -166,10 +172,10 @@ def _extent_error(spread, omega, alpha, r, channel, azimuth_index, bounds, board
     first[1:] = channel[1:] != channel[:-1]
     first[start] = True
     at = np.flatnonzero(first)
-    levels = omega[at][np.lexsort((omega[at], cluster[at]))]
-    same = cluster[at][1:] == cluster[at][:-1]
-    owner = cluster[at][1:][same]
-    steps = (levels[1:] - levels[:-1])[same]
+    c = cluster[at]
+    levels = omega[at][np.lexsort((omega[at], c))]
+    same = c[1:] == c[:-1]
+    steps, owner = (levels[1:] - levels[:-1])[same], c[1:][same]
     steps = steps[np.lexsort((steps, owner))]
     count = np.bincount(owner, minlength=len(size))
     pitch = np.zeros(len(size))
@@ -256,10 +262,11 @@ def segment_frames(beams, sizes, board_width: float, board_height: float) -> np.
 
     # a board piece with a return outside it within CLUSTER_TOLERANCE;
     # returns inside the box grown by that much are the only candidates
-    boxed = (pts >= np.vstack([lo - CLUSTER_TOLERANCE, [np.inf] * 3])[box]) & (
-        pts <= np.vstack([hi + CLUSTER_TOLERANCE, [-np.inf] * 3])[box]
-    )
-    near = boxed[:, 0] & boxed[:, 1] & boxed[:, 2] & ~roi
+    low = np.vstack([lo - CLUSTER_TOLERANCE, [np.inf] * 3])
+    high = np.vstack([hi + CLUSTER_TOLERANCE, [-np.inf] * 3])
+    near = ~roi
+    for c in range(3):
+        near &= (pts[:, c] >= low[box, c]) & (pts[:, c] <= high[box, c])
     for k in np.unique(scan[near & (scan < refused)]):
         inside, out = pts[roi & (scan == k)], pts[near & (scan == k)]
         gap2 = sum((o[:, None] - i) ** 2 for o, i in zip(out.T, inside.T))
