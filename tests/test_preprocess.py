@@ -135,20 +135,21 @@ def stripe_cells(frame, pos, width, spare_a_row, keep, rng):
 
 # a scene frame: seed, yaw (deg), dx, dy, background wall depth, dropout
 # fraction, and an occluding stripe or none
-FRAME_PARAMS = st.tuples(
-    st.integers(0, 2 ** 16),
-    st.floats(-8.0, 8.0),
-    st.floats(-0.9, -0.5),
-    st.floats(-2.6, -1.5),
-    st.sampled_from([None, 0.5, 1.0, 5.0]),
-    st.floats(0.0, 0.3),
-    st.none() | st.tuples(
+FRAME_FIELDS = dict(
+    seed=st.integers(0, 2 ** 16),
+    yaw_deg=st.floats(-8.0, 8.0),
+    dx=st.floats(-0.9, -0.5),
+    dy=st.floats(-2.6, -1.5),
+    wall=st.sampled_from([None, 0.5, 1.0, 5.0]),
+    dropout=st.floats(0.0, 0.3),
+    occluder=st.none() | st.tuples(
         st.floats(0.0, 1.0),      # position across the board's columns
         st.integers(1, 4),        # width in returns
         st.floats(0.3, 1.0),      # depth in front of the board, m
         st.booleans(),            # spare a row
     ),
 )
+FRAME_PARAMS = st.tuples(*FRAME_FIELDS.values())
 
 
 def scene_frame(seed, yaw_deg, dx, dy, wall, dropout, occluder, scan_id=0):
@@ -229,9 +230,9 @@ class TestRasterSegmentation:
             segment_target(occluded, 1.0, 0.54)
 
     @settings(max_examples=60, deadline=None)
-    @given(params=FRAME_PARAMS)
-    def test_raster_clusters_refine_the_radius_graph(self, params):
-        occluded, every_row = scene_frame(*params)
+    @given(**FRAME_FIELDS)
+    def test_raster_clusters_refine_the_radius_graph(self, seed, yaw_deg, dx, dy, wall, dropout, occluder):
+        occluded, every_row = scene_frame(seed, yaw_deg, dx, dy, wall, dropout, occluder)
         b = occluded.beams
         pts = polar_to_cartesian_array(b["omega"], b["alpha"], b["r"])
         raster = _raster_components(pts, b["channel"], b["azimuth_index"], 0.15)
