@@ -218,8 +218,12 @@ def segment_frames(beams, sizes, board_width: float, board_height: float) -> np.
     SegmentationError
         For the first frame in batch order that ``segment_target`` refuses,
         with that frame's message and its index as ``frame``.
+    ValueError
+        If ``sizes`` do not split ``beams``.
     """
     sizes = np.asarray(sizes, dtype=np.intp)
+    if sizes.sum() != len(beams) or np.any(sizes < 0):
+        raise ValueError(f"frame sizes {sizes.tolist()} do not split the batch's {len(beams)} returns")
     if len(sizes) == 0:
         return np.zeros(0, dtype=np.intp)
     if len(beams) == 0:

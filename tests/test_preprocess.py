@@ -60,6 +60,13 @@ class TestSegmentation:
         with pytest.raises(SegmentationError):
             segment_target(frame, 1.0, 0.54)
 
+    def test_batch_sizes_must_split_the_returns(self):
+        frame = simulate_scan(BoardModel(), QUIET, POSE, seed=0, afe=AFE0)
+        n = len(frame.beams)
+        for sizes in ([n - 1], [n, 1], [n + 1, -1]):
+            with pytest.raises(ValueError, match="do not split"):
+                segment_frames(frame.beams, sizes, 1.0, 0.54)
+
     def test_no_matching_extent_rejected(self):
         frame = simulate_scan(BoardModel(), QUIET, POSE, seed=0, afe=AFE0)
         with pytest.raises(SegmentationError) as err:
