@@ -32,10 +32,9 @@ class TiaParams:
     c_pd: float = 200e-12     # photodiode junction capacitance, F
     c_i_amp: float = 1.4e-12  # op-amp input capacitance, F
     gbwp: float = 1e6         # op-amp gain-bandwidth product, Hz
-    a_ol: float = 106.0       # op-amp DC open-loop gain, dB
 
     def __post_init__(self):
-        for name in ("r_f", "c_f", "r_sh", "c_pd", "c_i_amp", "gbwp", "a_ol"):
+        for name in ("r_f", "c_f", "r_sh", "c_pd", "c_i_amp", "gbwp"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"TiaParams.{name} must be positive")
 
@@ -52,7 +51,7 @@ class TiaParams:
 
 @dataclass
 class PdSignalRecord:
-    """Per-diode peak voltages captured from one photodetector in one scan.
+    """Per-diode peak voltages of one photodetector in the scan of its ``ScanFrame``.
 
     ``element_voltages`` has one row per beam event (a laser pulse group on
     the detector) and one column per sampled element; ``sample_times`` gives
@@ -60,7 +59,6 @@ class PdSignalRecord:
     """
 
     pd_id: str
-    scan_id: int
     element_voltages: np.ndarray   # (n_events, n_sampled), V
     sample_times: np.ndarray       # (n_events,), s
     sampled_channels: tuple        # element indices the DAQ captured
@@ -182,7 +180,6 @@ def currents_to_record(
     noise_sigma: float,
     seed,
     pd_id: str = "pd",
-    scan_id: int = 0,
     sampled_channels=(0, 5, 10, 15),
     event_times=None,
     noise_floor: float = 0.1,
@@ -192,7 +189,7 @@ def currents_to_record(
     ``currents`` is (n_events, n_elements) or (n_elements,) in amperes. Only
     the elements in ``sampled_channels`` are recorded, each as
     ``peak_voltages`` with N(0, noise_sigma) noise drawn in row-major order.
-    ``seed`` may be an int or a Generator.
+    ``seed`` may be an int or a Generator; the record's scan is its frame's.
     """
     currents = np.atleast_2d(np.asarray(currents, dtype=float))
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
@@ -204,7 +201,6 @@ def currents_to_record(
         event_times = np.zeros(peaks.shape[0])
     return PdSignalRecord(
         pd_id=pd_id,
-        scan_id=scan_id,
         element_voltages=peaks,
         sample_times=np.asarray(event_times, dtype=float),
         sampled_channels=sampled,

@@ -68,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cal = sub.add_parser("calibrate", help="run one calibration")
     common(p_cal)
     p_cal.add_argument("--frames", type=Path, help="scan-frame file (otherwise simulate)")
-    p_cal.add_argument("--scans", type=int, default=50, help="frames to simulate")
+    p_cal.add_argument("--scans", type=int, default=None, help="frames to simulate (default 50; not with --frames)")
 
     p_sweep = sub.add_parser("sweep", help="run a reference sweep")
     common(p_sweep)
@@ -109,11 +109,15 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    # both only steer the simulation, which a frame file replaces
+    given = [flag for flag, value in (("--scans", args.scans), ("--seed", args.seed)) if value is not None]
+    if args.frames is not None and given:
+        raise ValueError(f"{given[0]} sets up simulated scans and cannot be used with --frames")
     scene = _load_scene(args)
     if args.frames is not None:
         result = calibrate_frames(io.read_frames(args.frames), scene)
     else:
-        result = run_single(scene, n_scans=args.scans)
+        result = run_single(scene, n_scans=50 if args.scans is None else args.scans)
     args.out.mkdir(parents=True, exist_ok=True)
     text = io.solve_report_text(result.joint)
     (args.out / "calibration.txt").write_text(text)
@@ -174,8 +178,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "scans", 1) < 1:  # checked here: argparse would exit 2, the pipeline-failure code
-            raise ValueError(f"--scans must be at least 1, got {args.scans}")
+        scans = getattr(args, "scans", None)
+        if scans is not None and scans < 1:  # checked here: argparse would exit 2, the pipeline-failure code
+            raise ValueError(f"--scans must be at least 1, got {scans}")
         if args.command == "simulate":
             return _cmd_simulate(args)
         if args.command == "calibrate":

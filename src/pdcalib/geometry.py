@@ -71,21 +71,12 @@ class Pose6DOF:
         object.__setattr__(self, "psi", wrap_angle(self.psi))
 
     @property
-    def angles(self) -> np.ndarray:
-        return np.array([self.phi, self.theta, self.psi])
-
-    @property
     def translation(self) -> np.ndarray:
         return np.array([self.dx, self.dy, self.dz])
 
     def as_vector(self) -> np.ndarray:
         """Pose as the 6-vector (phi, theta, psi, dx, dy, dz)."""
         return np.array([self.phi, self.theta, self.psi, self.dx, self.dy, self.dz])
-
-    @classmethod
-    def from_vector(cls, v) -> "Pose6DOF":
-        v = np.asarray(v, dtype=float).reshape(6)
-        return cls(*v)
 
 
 @dataclass(frozen=True)

@@ -107,7 +107,6 @@ _KEYS = {
         ("orientation", "orientation", str, False),
         ("n_elements", "n_elements", int, False),
         ("element_pitch_m", "element_pitch", NUMBER, False),
-        ("active_length_m", "active_length", NUMBER, False),
         ("active_width_m", "active_width", NUMBER, False),
         ("sampled_channels", "sampled_channels", int, True),
     ),
@@ -119,7 +118,6 @@ _KEYS = {
         ("pd_reflectivity", "pd_reflectivity", NUMBER, False),
     ),
     LidarModel: (
-        ("n_channels", "n_channels", int, False),
         ("vertical_angles_deg", "vertical_angles_deg", NUMBER, True),
         ("azimuth_step_deg", "azimuth_step_deg", NUMBER, False),
         ("range_noise_sigma_m", "range_noise_sigma", NUMBER, False),
@@ -132,7 +130,7 @@ _KEYS = {
         ("r_f_ohm", "r_f", NUMBER, False), ("c_f_farad", "c_f", NUMBER, False),
         ("r_sh_ohm", "r_sh", NUMBER, False), ("c_pd_farad", "c_pd", NUMBER, False),
         ("c_i_amp_farad", "c_i_amp", NUMBER, False),
-        ("gbwp_hz", "gbwp", NUMBER, False), ("a_ol_db", "a_ol", NUMBER, False),
+        ("gbwp_hz", "gbwp", NUMBER, False),
     ),
     AfeConfig: (
         ("tia", "tia", TiaParams, False),
@@ -461,7 +459,7 @@ def _signal_records(pd_records) -> dict:
     for (sid, pd_id), (floor, channels, events) in sorted(pd_records.items()):
         times, volts = zip(*sorted(events, key=lambda r: r[0]))
         by_scan.setdefault(sid, []).append(PdSignalRecord(
-            pd_id=pd_id, scan_id=sid, element_voltages=np.array(volts), sample_times=np.array(times),
+            pd_id=pd_id, element_voltages=np.array(volts), sample_times=np.array(times),
             sampled_channels=channels, noise_floor=floor,
         ))
     return by_scan
@@ -595,7 +593,7 @@ def correspondence_dump(result, board) -> str:
     """
     from .correspondence import pd_measurement_to_board
 
-    scan_ids = [ft.scan_id for ft in result.features]
+    scan_ids = [sid for sid, _, _ in result.scan_reports]
     lines = ["pd_id,scan_id,alpha_deg,mu_mm,op_x_m,op_y_m,op_z_m,inlier"]
     for p, pd in enumerate(board.pd_modules):
         keys = result.keys[result.keys["pd"] == p]

@@ -52,7 +52,6 @@ class PipelineError(RuntimeError):
 class FrameFeatures:
     """One frame's share of the batch's key detections."""
 
-    scan_id: int
     key_beams: np.ndarray    # this scan's rows of the key table (KEY_DTYPE)
     misses: dict             # pd_id -> reason string, in board order
 
@@ -223,7 +222,7 @@ def calibrate_frames(frames, scene: Scene) -> BatchResult:
     n = len(frames)
     bounds = np.searchsorted(keys["scan"], np.arange(n + 1))
     features = [
-        FrameFeatures(f.scan_id, keys[bounds[k] : bounds[k + 1]], misses[k]) for k, f in enumerate(frames)
+        FrameFeatures(keys[bounds[k] : bounds[k + 1]], misses[k]) for k in range(n)
     ]
 
     found = np.bincount(keys["pd"], minlength=len(pds))

@@ -62,9 +62,6 @@ class PlaneModel:
             raise ValueError("a plane fit needs at least 3 points")
         object.__setattr__(self, "normal", n)
 
-    def signed_distance(self, points: np.ndarray) -> np.ndarray:
-        return np.atleast_2d(points) @ self.normal - self.d
-
 
 def _raster_components(points, row, azimuth_index, tol):
     """Component label per return, linking raster neighbours within ``tol``.

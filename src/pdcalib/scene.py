@@ -42,7 +42,8 @@ class PdPlacement:
     ``offset`` is the board-frame (x, z) position of the active-area center
     measured from the board center. The PD's own coordinate runs 0..15 mm
     along the array with element CH1 at 0 and axes aligned to the board
-    (+x for horizontal modules, +z for vertical ones).
+    (+x for horizontal modules, +z for vertical ones). The active length is
+    ``n_elements * element_pitch``: the elements tile the array end to end.
     """
 
     pd_id: str
@@ -50,15 +51,12 @@ class PdPlacement:
     orientation: str = "horizontal"  # or "vertical"
     n_elements: int = 16
     element_pitch: float = 1e-3
-    active_length: float = 16e-3
     active_width: float = 1.45e-3
     sampled_channels: tuple = (0, 5, 10, 15)
 
     def __post_init__(self):
         if self.orientation not in ("horizontal", "vertical"):
             raise ValueError(f"unknown PD orientation {self.orientation!r}")
-        if abs(self.n_elements * self.element_pitch - self.active_length) > 1e-12:
-            raise ValueError("n_elements * element_pitch must equal active_length")
         ch = tuple(self.sampled_channels)
         if not ch or list(ch) != sorted(set(ch)) or ch[0] < 0 or ch[-1] >= self.n_elements:
             raise ValueError("sampled_channels must be sorted, unique and in range")
@@ -71,7 +69,7 @@ class PdPlacement:
     @property
     def half_span(self) -> float:
         """Half of the active length (center to active-area end)."""
-        return 0.5 * self.active_length
+        return 0.5 * (self.n_elements * self.element_pitch)
 
     @property
     def center_local(self) -> float:
@@ -99,13 +97,8 @@ class PdPlacement:
             ]
         )
 
-    def local_coords(self, xz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(along, cross) coordinates of board-frame (x, z) points, center origin."""
-        xz = np.atleast_2d(xz)
-        return self.along_cross(xz[:, 0], xz[:, 1])
-
     def along_cross(self, x, z) -> tuple[np.ndarray, np.ndarray]:
-        """``local_coords`` of points given as x and z arrays."""
+        """(along, cross) coordinates, center origin, of board-frame x and z arrays."""
         ox, oz = self.offset
         if self.orientation == "horizontal":
             return x - ox, z - oz
@@ -156,11 +149,11 @@ class LidarModel:
 
     Defaults match a 16-channel, 0.2-degree-azimuth-resolution unit. Angles
     in the config are degrees (sensor datasheet convention); radian views
-    are provided for the math. ``beam_divergence`` is the full angle giving
-    a 19.6 mm spot diameter at 2.5 m by default.
+    are provided for the math; the channel count is the number of vertical
+    angles. ``beam_divergence`` is the full angle giving a 19.6 mm spot
+    diameter at 2.5 m by default.
     """
 
-    n_channels: int = 16
     vertical_angles_deg: tuple = tuple(float(a) for a in range(-15, 16, 2))
     azimuth_step_deg: float = 0.2
     range_noise_sigma: float = 0.010
@@ -171,11 +164,9 @@ class LidarModel:
 
     def __post_init__(self):
         object.__setattr__(self, "vertical_angles_deg", tuple(self.vertical_angles_deg))
-        if len(self.vertical_angles_deg) != self.n_channels:
-            raise ValueError("one vertical angle per channel required")
         diffs = np.diff(self.vertical_angles_deg)
-        if np.any(diffs <= 0):
-            raise ValueError("vertical_angles must be strictly increasing")
+        if not self.vertical_angles_deg or np.any(diffs <= 0):
+            raise ValueError("vertical_angles must be non-empty and strictly increasing")
         if self.azimuth_step_deg <= 0:
             raise ValueError("azimuth_step must be positive")
         if self.range_noise_sigma < 0 or self.azimuth_jitter_sigma_deg < 0:
@@ -186,6 +177,10 @@ class LidarModel:
             raise ValueError(f"firing_period must be positive, got {self.firing_period}")
         if self.pulse_burst_period < 0:
             raise ValueError(f"pulse_burst_period must be non-negative, got {self.pulse_burst_period}")
+
+    @property
+    def n_channels(self) -> int:
+        return len(self.vertical_angles_deg)
 
     @property
     def vertical_angles(self) -> np.ndarray:
@@ -255,13 +250,13 @@ class ScanFrame:
     (channel, azimuth_index) order. Construction checks every return at
     once: finite angles, range and reflectivity, r > 0 and |omega| < pi/2,
     no two returns sharing (channel, azimuth_index); azimuths outside
-    [0, 2 pi) are wrapped into it.
+    [0, 2 pi) are wrapped into it. ``pd_records`` are this scan's PD records;
+    ``truth`` is the simulator's, None for a frame read from a file.
     """
 
     scan_id: int
     beams: np.ndarray
     pd_records: list                     # list[PdSignalRecord]
-    ground_truth_pose: Pose6DOF | None = None
     truth: SimTruth | None = None
 
     def __post_init__(self):
@@ -405,7 +400,7 @@ def simulate_scans(
     for lo in range(0, len(seeds), _SCANS_PER_PASS):
         hi = lo + _SCANS_PER_PASS
         frames += _simulate_block(
-            board, lidar, pose, rot, t, j, seeds[lo:hi], scan_ids[lo:hi], afe,
+            board, lidar, rot, t, j, seeds[lo:hi], scan_ids[lo:hi], afe,
             background_depth, background_reflectivity, with_truth, ndtr,
         )
     return frames
@@ -536,7 +531,7 @@ def _reach_sigmas(board: BoardModel, size, sigma_max, ndtr) -> float:
     return _ZERO_REACH_SIGMAS
 
 
-def _simulate_block(board, lidar, pose, rot, t, j, seeds, scan_ids, afe,
+def _simulate_block(board, lidar, rot, t, j, seeds, scan_ids, afe,
                     background_depth, background_reflectivity, with_truth, ndtr) -> list:
     """The frames of one block of scans at one pose (see ``simulate_scans``)."""
     rngs = [np.random.default_rng(seed) for seed in seeds]
@@ -602,7 +597,7 @@ def _simulate_block(board, lidar, pose, rot, t, j, seeds, scan_ids, afe,
     beams["reflectivity"] = refl
 
     frames = []
-    for k, (scan_id, pd_records) in enumerate(zip(scan_ids, _pd_records(events, rngs, scan_ids, afe))):
+    for k, (scan_id, pd_records) in enumerate(zip(scan_ids, _pd_records(events, rngs, afe))):
         lo, hi = bounds[k], bounds[k + 1]
         truth = None
         if with_truth:
@@ -623,14 +618,13 @@ def _simulate_block(board, lidar, pose, rot, t, j, seeds, scan_ids, afe,
                 scan_id=scan_id,
                 beams=beams[lo:hi],
                 pd_records=pd_records,
-                ground_truth_pose=pose,
                 truth=truth,
             )
         )
     return frames
 
 
-def _pd_records(events, rngs, scan_ids, afe: AfeConfig) -> list:
+def _pd_records(events, rngs, afe: AfeConfig) -> list:
     """Each scan's PD records, in board order, from one AFE pass per block.
 
     ``events`` holds per PD (pd, beam indices, times, sampled currents,
@@ -665,7 +659,6 @@ def _pd_records(events, rngs, scan_ids, afe: AfeConfig) -> list:
         records[k].append(
             PdSignalRecord(
                 pd_id=pd.pd_id,
-                scan_id=scan_ids[k],
                 element_voltages=volts[start:start + c.size].reshape(c.shape),
                 sample_times=times,
                 sampled_channels=tuple(pd.sampled_channels),
@@ -679,7 +672,7 @@ def _pd_records(events, rngs, scan_ids, afe: AfeConfig) -> list:
 def _strict_on_pd_beam(pd: PdPlacement, xz, is_board):
     """Index of the board return whose spot center lies in the PD's active
     rectangle nearest the array center, or None."""
-    along, cross = pd.local_coords(xz)
+    along, cross = pd.along_cross(xz[:, 0], xz[:, 1])
     inside = is_board & (np.abs(along) <= pd.half_span) & (np.abs(cross) <= 0.5 * pd.active_width)
     cand = np.flatnonzero(inside)
     return int(cand[np.argmin(np.abs(along[cand]))]) if cand.size else None

@@ -141,8 +141,8 @@ def central_difference_jacobian(beta, p_l, p_o, step=1e-6):
     for k in range(6):
         dv = np.zeros(6)
         dv[k] = step
-        f_plus = residuals(Pose6DOF.from_vector(v0 + dv), p_l, p_o)
-        f_minus = residuals(Pose6DOF.from_vector(v0 - dv), p_l, p_o)
+        f_plus = residuals(Pose6DOF(*v0 + dv), p_l, p_o)
+        f_minus = residuals(Pose6DOF(*v0 - dv), p_l, p_o)
         j[:, k] = ((f_plus - f_minus) / (2 * step)).ravel()
     return j
 
@@ -171,7 +171,7 @@ def levenberg_marquardt(p_l, p_o, beta0, max_iters=200, grad_tol=1e-10, step_tol
         step = -np.linalg.solve(h + lam * np.diag(np.maximum(np.diag(h), 1e-300)), g)
         if np.linalg.norm(step) < step_tol:
             return beta, cost, iterations, True
-        candidate = Pose6DOF.from_vector(beta.as_vector() + step)
+        candidate = Pose6DOF(*beta.as_vector() + step)
         f_new = residuals(candidate, p_l, p_o).ravel()
         cost_new = float(f_new @ f_new)
         if cost_new <= cost:
@@ -506,7 +506,7 @@ def simulate_scan_reference(
     xz = points[:, [0, 2]]
     on_pd_strict = {}
     for pd in board.pd_modules:
-        along, cross = pd.local_coords(xz)
+        along, cross = pd.along_cross(xz[:, 0], xz[:, 1])
         e = gauss_rect_fraction(along, cross, pd.half_span, 0.5 * pd.active_width, sigma_spot)
         e_ref = gauss_rect_fraction(0.0, 0.0, pd.half_span, 0.5 * pd.active_width, sigma_spot)
         boost = (board.pd_reflectivity - board.surround_reflectivity) * e / np.maximum(e_ref, 1e-300)
@@ -533,7 +533,7 @@ def simulate_scan_reference(
     event_beams: dict = {}
     event_centers: dict = {}
     for pd in board.pd_modules:
-        along, cross = pd.local_coords(xz)
+        along, cross = pd.along_cross(xz[:, 0], xz[:, 1])
         near = (
             is_board
             & (np.abs(along) <= pd.half_span + EVENT_AXIAL_MARGIN_M)
@@ -564,7 +564,6 @@ def simulate_scan_reference(
                 afe.voltage_noise_sigma,
                 rng,
                 pd_id=pd.pd_id,
-                scan_id=scan_id,
                 sampled_channels=pd.sampled_channels,
                 event_times=times,
                 noise_floor=afe.noise_floor,
@@ -586,7 +585,6 @@ def simulate_scan_reference(
         scan_id=scan_id,
         beams=beams,
         pd_records=pd_records,
-        ground_truth_pose=pose,
         truth=truth,
     )
 
@@ -718,7 +716,6 @@ def read_frames_reference(path):
             records.append(
                 PdSignalRecord(
                     pd_id=pd_id,
-                    scan_id=sid,
                     element_voltages=np.array([r[1] for r in rows]),
                     sample_times=np.array([r[0] for r in rows]),
                     sampled_channels=channels,

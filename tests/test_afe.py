@@ -122,13 +122,13 @@ class TestCurrentsToRecord:
 
     def test_record_validation(self):
         with pytest.raises(ValueError):
-            PdSignalRecord("p", 0, np.array([[11.0]]), np.array([0.0]), (0,))
+            PdSignalRecord("p", np.array([[11.0]]), np.array([0.0]), (0,))
         with pytest.raises(ValueError):
-            PdSignalRecord("p", 0, np.array([[1.0], [2.0]]), np.array([0.0]), (0,))
+            PdSignalRecord("p", np.array([[1.0], [2.0]]), np.array([0.0]), (0,))
 
     def test_voltage_columns_match_sampled_channels(self):
         with pytest.raises(ValueError, match="sampled channel"):
-            PdSignalRecord("p", 0, np.array([[1.0, 2.0]]), np.array([0.0]), (0, 5, 10))
+            PdSignalRecord("p", np.array([[1.0, 2.0]]), np.array([0.0]), (0, 5, 10))
 
     def test_bad_pulse_width(self):
         with pytest.raises(ValueError):
@@ -137,12 +137,12 @@ class TestCurrentsToRecord:
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_values_refused(self, value):
         with pytest.raises(ValueError, match="voltages must be finite"):
-            PdSignalRecord("p", 0, np.array([[1.0, value]]), np.array([0.0]), (0, 5))
+            PdSignalRecord("p", np.array([[1.0, value]]), np.array([0.0]), (0, 5))
         with pytest.raises(ValueError, match="must be finite"):
-            PdSignalRecord("p", 0, np.array([[1.0], [2.0]]), np.array([0.0, value]), (0,))
+            PdSignalRecord("p", np.array([[1.0], [2.0]]), np.array([0.0, value]), (0,))
         with pytest.raises(ValueError, match="must be finite"):
-            PdSignalRecord("p", 0, np.array([[1.0]]), np.array([0.0]), (0,), noise_floor=value)
-        assert PdSignalRecord("p", 0, np.zeros((0, 2)), np.zeros(0), (0, 5)).n_events == 0
+            PdSignalRecord("p", np.array([[1.0]]), np.array([0.0]), (0,), noise_floor=value)
+        assert PdSignalRecord("p", np.zeros((0, 2)), np.zeros(0), (0, 5)).n_events == 0
 
 
 class TestPeakVoltages:

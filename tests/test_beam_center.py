@@ -329,7 +329,7 @@ class TestKeyBeamSelection:
 class TestBeamGrouping:
     def _record(self, times, volts):
         return PdSignalRecord(
-            "pd", 0, np.asarray(volts, dtype=float), np.asarray(times, dtype=float), (0, 5, 10, 15)
+            "pd", np.asarray(volts, dtype=float), np.asarray(times, dtype=float), (0, 5, 10, 15)
         )
 
     def test_three_cycles_three_events(self):

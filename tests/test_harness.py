@@ -193,8 +193,8 @@ class TestRunSingleGolden:
     @pytest.mark.parametrize("orientation, name", [("all", "mixed"), ("vertical", "vertical")])
     def test_calibrate_frames_matches_committed_goldens(self, tmp_path, orientation, name):
         sim, cal = tmp_path / "sim", tmp_path / "cal"
-        common = ["--pd-orientation", orientation, "--seed", "7"]
-        assert cli.main(["simulate", "--scans", "10", "--out", str(sim), *common]) == 0
+        common = ["--pd-orientation", orientation]
+        assert cli.main(["simulate", "--scans", "10", "--seed", "7", "--out", str(sim), *common]) == 0
         assert cli.main(["calibrate", "--frames", str(sim / "frames.csv"), "--out", str(cal), *common]) == 0
         for f in ("calibration.txt", "residuals.csv", "correspondences.csv"):
             assert (cal / f).read_text() == (GOLDEN / f"calibrate_frames_{name}_{f}").read_text(), f
@@ -232,6 +232,20 @@ class TestCli:
             check=True,
         )
         assert done.stdout.splitlines()[-1] == "0 []"
+
+    @pytest.mark.parametrize("flag, value", [("--scans", "10"), ("--seed", "7")])
+    def test_simulation_flag_with_frames_exit_code_1(self, tmp_path, capsys, flag, value):
+        # a frame file fixes the scans, so a flag that only steers the
+        # simulation would change nothing: it is refused, not ignored
+        out = tmp_path / "sim"
+        assert cli.main(["simulate", "--scans", "2", "--out", str(out), "--seed", "3"]) == 0
+        capsys.readouterr()
+        assert cli.main([
+            "calibrate", "--frames", str(out / "frames.csv"), flag, value, "--out", str(tmp_path / "cal"),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert f"{flag} sets up simulated scans and cannot be used with --frames" in err
+        assert not (tmp_path / "cal").exists()
 
     def test_malformed_frames_exit_code_1(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -295,8 +309,8 @@ class TestCli:
         # every PD time half a firing period late names no struck beam: no
         # PD gets a model, and the failure says why for each
         out = tmp_path / "sim"
-        common = ["--pd-orientation", "all", "--seed", "7"]
-        assert cli.main(["simulate", "--scans", "10", "--out", str(out), *common]) == 0
+        common = ["--pd-orientation", "all"]
+        assert cli.main(["simulate", "--scans", "10", "--seed", "7", "--out", str(out), *common]) == 0
         late = make_bench_scene("all").lidar.firing_period / 2
         lines = (out / "frames.csv").read_text().splitlines()
         for i, line in enumerate(lines):

@@ -20,6 +20,8 @@ from pdcalib.geometry import DEG, Pose6DOF
 from pdcalib.io import FrameParseError, frames_to_text, read_frames, write_frames
 from pdcalib.scene import AfeConfig, BoardModel, LidarModel, PdPlacement, ScanFrame, simulate_scan
 
+GOLDEN = Path(__file__).parent / "golden"
+
 INT64 = st.integers(-(2 ** 63), 2 ** 63 - 1)
 HALF_PI_BELOW = math.nextafter(math.pi / 2, 0.0)
 
@@ -59,7 +61,6 @@ def _frame_bits(frames) -> list:
             [
                 (
                     r.pd_id,
-                    r.scan_id,
                     r.element_voltages.dtype.str,
                     r.element_voltages.shape,
                     r.element_voltages.tobytes(),
@@ -210,6 +211,45 @@ class TestSceneConfig:
         data["base_pose"] = {"phi_deg": 2, "dz_m": 0.1}
         pose = io.scene_from_dict(data).base_pose
         assert pose == Pose6DOF(2 * DEG, 0.0, 0.0, DEFAULT_BASE_POSE.dx, DEFAULT_BASE_POSE.dy, 0.1)
+
+    @pytest.mark.parametrize("orientation", ["horizontal", "vertical", "all"])
+    def test_file_with_the_retired_keys_loads(self, tmp_path, orientation):
+        # scene.json once held the channel count, each PD's active length and
+        # the op-amp's open-loop gain; such a file loads to the same scene
+        data = json.loads((GOLDEN / f"bench_scene_{orientation}.json").read_text())
+        data["lidar"]["n_channels"] = 16
+        data["afe"]["tia"]["a_ol_db"] = 106.0
+        for pd in data["board"]["pd_modules"]:
+            pd["active_length_m"] = 0.016
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+        assert io.load_scene(path) == make_bench_scene(orientation)
+
+    def test_channel_count_and_active_length_follow_the_config(self, tmp_path):
+        # 8 vertical angles make 8 channels, and 8 elements at a 2 mm pitch
+        # make a 16 mm active length, with no key of their own
+        data = {
+            "board": {"pd_modules": [{
+                "pd_id": "p", "offset_m": [0.2, 0.044], "n_elements": 8, "element_pitch_m": 0.002,
+                "sampled_channels": [0, 2, 5, 7],
+            }]},
+            "lidar": {"vertical_angles_deg": [float(a) for a in range(-7, 8, 2)]},
+        }
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(data))
+        scene = io.load_scene(path)
+        (pd,) = scene.board.pd_modules
+        assert scene.lidar.n_channels == 8
+        assert pd.half_span == 8e-3
+        io.save_scene(scene, path)
+        saved = json.loads(path.read_text())
+        assert "n_channels" not in saved["lidar"] and "a_ol_db" not in saved["afe"]["tia"]
+        assert "active_length_m" not in saved["board"]["pd_modules"][0]
+        assert io.load_scene(path) == scene
+        frame = simulate_scan(scene.board, scene.lidar, scene.base_pose, seed=1, afe=scene.afe)
+        assert 0 <= frame.beams["channel"].min() and frame.beams["channel"].max() < 8
+        (record,) = frame.pd_records
+        assert record.n_events > 0 and record.element_voltages.shape[1] == 4
 
 
 def test_bench_scenes_load_no_scipy_json_or_io():

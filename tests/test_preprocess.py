@@ -252,6 +252,10 @@ class TestRasterSegmentation:
             st.booleans(),            # spare a row
         ),
     )
+    # dropouts cut a corner piece off the board cluster on the raster, though
+    # the stripe spares a row
+    @example(seed=359, yaw_deg=1.375, dx=-0.671875, dy=-1.6328125, wall=None, dropout=0.25,
+             occluder=(0.0, 2, 1.0, True))
     def test_raster_clusters_refine_the_radius_graph(self, seed, yaw_deg, dx, dy, wall, dropout, occluder):
         frame = simulate_scan(
             BoardModel(), LidarModel(), Pose6DOF(yaw_deg * DEG, 0, 0, dx, dy, 0), seed=seed,
@@ -259,11 +263,11 @@ class TestRasterSegmentation:
         )
         rng = np.random.default_rng(seed)
         keep = rng.random(len(frame.beams)) >= dropout
-        hit, every_row, depth = np.zeros(len(frame.beams), dtype=bool), False, 0.0
+        hit, depth = np.zeros(len(frame.beams), dtype=bool), 0.0
         if occluder is not None:
             pos, width, depth, spare_a_row = occluder
             columns, channels = stripe_cells(frame, pos, width, spare_a_row, keep, rng)
-            hit, every_row = stripe(frame, columns, channels), channels is None
+            hit = stripe(frame, columns, channels)
         occluded, _ = occlude(frame, hit, depth, keep)
 
         b = occluded.beams
@@ -277,7 +281,9 @@ class TestRasterSegmentation:
         try:
             roi = segment_target(occluded, 1.0, 0.54)
         except SegmentationError:
-            assert expected is None or every_row
+            # refused exactly when the raster splits the single-linkage board
+            # cluster, the documented safe outcome
+            assert expected is None or len(np.unique(raster[expected])) > 1
         else:
             np.testing.assert_array_equal(roi, expected)
 
@@ -425,7 +431,7 @@ class TestPlaneFit:
         # d transforms consistently: pick a point on plane a
         p_on = plane_a.d * plane_a.normal
         p_mapped = m[:, :3] @ p_on + m[:, 3]
-        assert plane_b.signed_distance(p_mapped[None, :])[0] == pytest.approx(0.0, abs=1e-9)
+        assert p_mapped @ plane_b.normal - plane_b.d == pytest.approx(0.0, abs=1e-9)
 
     def test_degenerate_inputs(self):
         with pytest.raises(ValueError):
@@ -448,7 +454,7 @@ class TestRangeRefinement:
         plane = fit_plane(polar_to_cartesian_array(omega, alpha, r))
         r_corr = range_to_plane(omega, alpha, plane)
         pts = polar_to_cartesian_array(omega, alpha, r_corr)
-        assert np.max(np.abs(plane.signed_distance(pts))) < 1e-9
+        assert np.max(np.abs(pts @ plane.normal - plane.d)) < 1e-9
 
     def test_refinement_removes_tls_yaw_bias(self):
         # ray-aligned range noise tilts the TLS normal deterministically

@@ -66,10 +66,6 @@ class TestModels:
             BoardModel(surround_reflectivity=surround, pd_reflectivity=pd)
         BoardModel(surround_reflectivity=0.0, pd_reflectivity=255.0)
 
-    def test_pitch_length_consistency(self):
-        with pytest.raises(ValueError):
-            PdPlacement("p", offset=(0, 0), element_pitch=2e-3)
-
     def test_sampled_channel_validation(self):
         with pytest.raises(ValueError):
             PdPlacement("p", offset=(0, 0), sampled_channels=(5, 0))
@@ -77,8 +73,9 @@ class TestModels:
             PdPlacement("p", offset=(0, 0), sampled_channels=(0, 16))
 
     def test_lidar_validation(self):
-        with pytest.raises(ValueError):
-            LidarModel(vertical_angles_deg=(1.0, 1.0), n_channels=2)
+        for angles in [(1.0, 1.0), ()]:  # () would be a lidar of no channels
+            with pytest.raises(ValueError, match="non-empty and strictly increasing"):
+                LidarModel(vertical_angles_deg=angles)
         with pytest.raises(ValueError):
             LidarModel(azimuth_step_deg=0.0)
         with pytest.raises(ValueError):
@@ -183,7 +180,7 @@ class TestResolutionGeometry:
         # with zero noise every return lies on the y = -T_y plane; the beam
         # fired straight down the boresight reads exactly 2.5 m of range
         # (channel 0 carries no firing-order azimuth skew)
-        lidar = quiet_lidar(n_channels=3, vertical_angles_deg=(0.0, 1.0, 2.0))
+        lidar = quiet_lidar(vertical_angles_deg=(0.0, 1.0, 2.0))
         frame = simulate_scan(BoardModel(), lidar, FRONTAL, seed=0)
         omega, alpha, r, ch, az, _ = frame.beam_arrays()
         pts = polar_to_cartesian_array(omega, alpha, r)
@@ -384,7 +381,7 @@ def assert_same_frames(frames, reference):
     assert bad is None, f"line {bad}: {text[bad]!r} != {ref_text[bad]!r}"
     assert len(text) == len(ref_text)
     for f, r in zip(frames, reference):
-        assert (f.scan_id, f.ground_truth_pose) == (r.scan_id, r.ground_truth_pose)
+        assert f.scan_id == r.scan_id
         assert _same_bits(f.beams, r.beams)
         assert [rec.pd_id for rec in f.pd_records] == [rec.pd_id for rec in r.pd_records]
         for a, b in zip(f.pd_records, r.pd_records):
@@ -483,7 +480,7 @@ class TestSimulateScansOracle:
                 with_events = [pd_id for pd_id in board_order if beams[pd_id]]
                 assert [r.pd_id for r in f.pd_records] == with_events
                 assert [r.n_events for r in f.pd_records] == [len(beams[pd_id]) for pd_id in with_events]
-                assert all(isinstance(r, PdSignalRecord) and r.scan_id == f.scan_id for r in f.pd_records)
+                assert all(isinstance(r, PdSignalRecord) for r in f.pd_records)
         assert any(len(f.pd_records) < len(board_order) for f in frames)
 
     def test_no_event_in_a_block(self):
@@ -496,7 +493,7 @@ class TestSimulateScansOracle:
         # spacing: with a wide azimuth jitter, some scans miss the board
         kw = dict(
             board=BoardModel(width=0.004, height=0.05),
-            lidar=LidarModel(n_channels=1, vertical_angles_deg=(0.0,), azimuth_jitter_sigma_deg=0.2),
+            lidar=LidarModel(vertical_angles_deg=(0.0,), azimuth_jitter_sigma_deg=0.2),
             pose=FRONTAL,
         )
         hit, miss = [], []
@@ -521,7 +518,7 @@ class TestSimulateScansOracle:
         # is the wall's, and no board return bounds the boost
         kw = dict(
             board=BoardModel(width=0.02, height=0.05, pd_modules=(PdPlacement("p", offset=(0.0, 0.0)),)),
-            lidar=LidarModel(n_channels=1, vertical_angles_deg=(2.0,)),
+            lidar=LidarModel(vertical_angles_deg=(2.0,)),
             pose=FRONTAL,
             background_depth=1.0,
         )
