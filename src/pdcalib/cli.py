@@ -4,7 +4,7 @@ Subcommands:
 
 * ``simulate``  - generate scan-frame files for a scene
 * ``calibrate`` - run one full calibration (simulated or from frame files)
-* ``sweep``     - reproduce a yaw / x-displacement sweep and its statistics
+* ``sweep``     - reproduce a sweep along one pose axis and its statistics
 * ``report``    - re-render the summary table from sweep point CSVs
 
 Exit codes: 0 success, 1 input error, 2 pipeline failure.
@@ -36,13 +36,6 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_PIPELINE = 2
 
-ORIENTATION_LABEL = {
-    "horizontal": "Horizontal PD",
-    "vertical": "Vertical PD",
-    "all": "Mixed PD",
-}
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pdcalib",
@@ -57,8 +50,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--pd-orientation",
             choices=("horizontal", "vertical", "all"),
-            default="horizontal",
-            help="PD arrangement of the built-in bench scene",
+            default=None,
+            help="PD arrangement of the built-in bench scene (default horizontal; not with --scene)",
         )
 
     p_sim = sub.add_parser("simulate", help="write simulated scan frames")
@@ -83,9 +76,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_scene(args) -> Scene:
     if args.scene is not None:
+        # a scene file fixes its own PD arrangement
+        if args.pd_orientation is not None:
+            raise ValueError("--pd-orientation selects a built-in bench scene and cannot be used with --scene")
         scene = io.load_scene(args.scene)
     else:
-        scene = make_bench_scene(args.pd_orientation)
+        scene = make_bench_scene(args.pd_orientation or "horizontal")
     if args.seed is not None:
         scene = replace(scene, seed=args.seed)
     return scene
@@ -144,8 +140,7 @@ def _cmd_sweep(args) -> int:
         spec = SweepSpec()
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
-    label = ORIENTATION_LABEL.get(args.pd_orientation, "PD")
-    stats = run_sweep(scene, spec, label=label, workers=args.workers)
+    stats = run_sweep(scene, spec, workers=args.workers)
     paths = write_sweep_outputs(args.out, scene, spec, stats)
     table = report([stats])
     (args.out / f"sweep_{spec.parameter}_summary.txt").write_text(table)

@@ -1,10 +1,11 @@
 """Sweep bench: repeat the full pipeline over a grid of reference poses.
 
-Mirrors the physical test rig: a motor stage steps the sensor through yaw
-angles or x positions, 50 revolutions are recorded per step, and the
-estimates are compared against the commanded reference. Accuracy is the
-mean over reference points of |mean error|; precision is the mean per-point
-standard deviation over the repeated scans.
+Mirrors the physical test rig: a motor stage steps the sensor along one
+axis of its pose (any of ``SWEEP_PARAMETERS``), 50 revolutions are recorded
+per step, and the estimates are compared against the commanded reference.
+A sweep is labelled by its board's PD arrangement (``arrangement_label``).
+Accuracy is the mean over reference points of |mean error|; precision is
+the mean per-point standard deviation over the repeated scans.
 """
 
 from __future__ import annotations
@@ -22,6 +23,9 @@ from .pipeline import BatchResult, PipelineError, calibrate_frames
 from .scene import SimulationError, simulate_scan, simulate_scans  # noqa: F401
 
 AXIS_NAMES = ("yaw_deg", "tilt_deg", "roll_deg", "dx_mm", "dy_mm", "dz_mm")
+# the axis a sweep moves, one per AXIS_NAMES entry and in its order; grid
+# values are in that axis's unit
+SWEEP_PARAMETERS = ("yaw", "tilt", "roll", "x_position", "y_position", "z_position")
 # the columns of a sweep's points table and its CSV, one row per reference point
 POINT_FIELDS = ("point_value", "solved", *(f"bias_{n}" for n in AXIS_NAMES), *(f"std_{n}" for n in AXIS_NAMES))
 BIAS = slice(2, 8)   # the bias_* columns of a points table
@@ -35,9 +39,9 @@ STATS_FOOTER = (
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One bench sweep: which stage moves, over what grid, how many scans."""
+    """One bench sweep: which pose axis moves, over what grid, how many scans."""
 
-    parameter: str = "yaw"         # "yaw" (deg) or "x_position" (mm)
+    parameter: str = "yaw"         # one of SWEEP_PARAMETERS; deg for angles, mm for positions
     start: float = -3.0
     stop: float = 3.0
     step: float = 0.5
@@ -45,7 +49,7 @@ class SweepSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.parameter not in ("yaw", "x_position"):
+        if self.parameter not in SWEEP_PARAMETERS:
             raise ValueError(f"unknown sweep parameter {self.parameter!r}")
         if self.step <= 0:
             raise ValueError("sweep step must be positive")
@@ -62,9 +66,10 @@ class SweepSpec:
 
     def offset_pose(self, base: Pose6DOF, value: float) -> Pose6DOF:
         """Reference pose for one grid value (the stage moves the sensor)."""
-        if self.parameter == "yaw":
-            return Pose6DOF(base.phi + value * DEG, base.theta, base.psi, base.dx, base.dy, base.dz)
-        return Pose6DOF(base.phi, base.theta, base.psi, base.dx + value * MM, base.dy, base.dz)
+        v = base.as_vector()
+        k = SWEEP_PARAMETERS.index(self.parameter)
+        v[k] += value * TO_DEG_MM[k]
+        return Pose6DOF(*v.tolist())
 
 
 @dataclass
@@ -78,7 +83,7 @@ class SweepStats:
     back from a points CSV has none.
     """
 
-    label: str                    # e.g. "Horizontal PD"
+    label: str                    # e.g. "Horizontal PD", see arrangement_label
     points: np.ndarray            # (P, 14) points table, deg / mm
     estimates: list = field(default_factory=list)
     failures: list = field(default_factory=list)  # (point value, stage/message) tuples
@@ -96,6 +101,13 @@ class SweepStats:
     def per_axis_precision(self) -> np.ndarray:
         """(6,) mean per-point std per axis, in deg / mm."""
         return self.points[:, STD].mean(axis=0)
+
+
+def arrangement_label(board) -> str:
+    """The name of a board's PD arrangement: "Horizontal PD" or "Vertical PD"
+    when every module has that orientation, else "Mixed PD"."""
+    orientations = {pd.orientation for pd in board.pd_modules}
+    return f"{orientations.pop().capitalize()} PD" if len(orientations) == 1 else "Mixed PD"
 
 
 def _point_seed(master: int, point_index: int, scan_index: int) -> int:
@@ -134,8 +146,9 @@ def _sweep_worker(args):
     return point_index, est, ""
 
 
-def run_sweep(scene: Scene, spec: SweepSpec, label: str = "", workers: int = 1) -> SweepStats:
-    """Run the full pipeline over every sweep point and collect statistics.
+def run_sweep(scene: Scene, spec: SweepSpec, workers: int = 1) -> SweepStats:
+    """Run the full pipeline over every sweep point and collect statistics,
+    labelled by the scene's PD arrangement.
 
     Points are independent; with ``workers > 1`` they run in a process pool.
     Results are keyed by point index, so the output is identical either way.
@@ -162,7 +175,7 @@ def run_sweep(scene: Scene, spec: SweepSpec, label: str = "", workers: int = 1) 
         estimates.append(est)
     if not rows:
         raise PipelineError("sweep", f"every point failed: {failures}")
-    return SweepStats(label or "PD", np.array(rows), estimates, failures)
+    return SweepStats(arrangement_label(scene.board), np.array(rows), estimates, failures)
 
 
 def run_single(scene: Scene, n_scans: int = 50, seed: int | None = None) -> BatchResult:

@@ -158,6 +158,8 @@ _KEYS = {
         ("seed", "seed", int, False),
     ),
 }
+# keys an older format held and this one ignores, so that its files still load
+_RETIRED = {LidarModel: ("n_channels",), PdPlacement: ("active_length_m",), TiaParams: ("a_ol_db",)}
 
 
 def _to_dict(obj) -> dict:
@@ -174,9 +176,14 @@ def _from_dict(data, model, where: str = "", base=None):
     """A ``model`` from its JSON object ``data``, the section ``where`` of
     its document. An absent key takes its field's value in ``base``, or else
     its field's default; a field with neither is required. A nested
-    section's base is its field's default value, if it has one.
+    section's base is its field's default value, if it has one. A key
+    outside the format, other than a retired one, is refused.
     """
     read = config_reader(data, where)
+    unknown = sorted(set(data) - {row[0] for row in _KEYS[model]} - set(_RETIRED.get(model, ())))
+    if unknown:
+        name = f"{where}.{unknown[0]}" if where else unknown[0]
+        raise ValueError(f"unknown key {name!r}")
     spec = {f.name: f for f in fields(model)}
     values = {}
     for key, name, kind, many in _KEYS[model]:
@@ -205,7 +212,9 @@ def scene_from_dict(data: dict) -> Scene:
     ``bench.DEFAULT_BASE_POSE``.
 
     Raises ValueError naming the key for a document or section that is not
-    an object, a missing required key or a field of the wrong type.
+    an object, a missing required key, a key outside the format or a field
+    of the wrong type. The keys an older format held (``lidar.n_channels``,
+    a module's ``active_length_m`` and ``afe.tia.a_ol_db``) are ignored.
     """
     return _from_dict(data, Scene)
 
@@ -217,8 +226,8 @@ def sweep_to_dict(spec: SweepSpec) -> dict:
 def sweep_from_dict(data: dict) -> SweepSpec:
     """A sweep spec from its JSON object; a missing key takes its default.
 
-    Raises ValueError naming the key for a document that is not an object or
-    a field of the wrong type.
+    Raises ValueError naming the key for a document that is not an object, a
+    key outside the format or a field of the wrong type.
     """
     return _from_dict(data, SweepSpec)
 

@@ -51,7 +51,7 @@ def bench_sweeps():
         scene = make_bench_scene(orientation)
         for spec in (YAW_SPEC, X_SPEC):
             t0 = time.perf_counter()
-            stats = run_sweep(scene, spec, label=f"{orientation.capitalize()} PD")
+            stats = run_sweep(scene, spec)
             out[(orientation, spec.parameter)] = (stats, time.perf_counter() - t0)
     return out
 
@@ -260,7 +260,7 @@ class TestCriterion8Determinism:
         spec = SweepSpec(parameter="yaw", start=-1.0, stop=1.0, step=1.0, scans_per_point=10, seed=7)
         runs = []
         for _ in range(2):
-            stats = run_sweep(scene, spec, label="Horizontal PD")
+            stats = run_sweep(scene, spec)
             runs.append(sweep_csvs(scene, spec, stats))
         ok = runs[0] == runs[1]
         verdict(

@@ -13,8 +13,11 @@ from pdcalib.bench import make_bench_scene
 from pdcalib.harness import (
     BIAS,
     STD,
+    SWEEP_PARAMETERS,
+    TO_DEG_MM,
     SweepSpec,
     SweepStats,
+    arrangement_label,
     report,
     run_single,
     run_sweep,
@@ -33,7 +36,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.fixture(scope="module")
 def mini_stats(horizontal_scene):
-    return run_sweep(horizontal_scene, MINI_SWEEP, label="Horizontal PD")
+    return run_sweep(horizontal_scene, MINI_SWEEP)
 
 
 class TestSweepSpec:
@@ -49,7 +52,7 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             SweepSpec(scans_per_point=0)
         with pytest.raises(ValueError):
-            SweepSpec(parameter="roll")
+            SweepSpec(parameter="pitch")
 
     def test_offset_pose_units(self, horizontal_scene):
         base = horizontal_scene.base_pose
@@ -57,6 +60,20 @@ class TestSweepSpec:
         assert yaw.phi - base.phi == pytest.approx(2.0 * DEG)
         x = SweepSpec(parameter="x_position", start=-30, stop=30, step=5).offset_pose(base, 10.0)
         assert x.dx - base.dx == pytest.approx(0.010)
+
+    @pytest.mark.parametrize("k, parameter", list(enumerate(SWEEP_PARAMETERS)))
+    def test_offset_pose_moves_one_axis(self, horizontal_scene, k, parameter):
+        base = horizontal_scene.base_pose.as_vector()
+        moved = SweepSpec(parameter=parameter).offset_pose(horizontal_scene.base_pose, 0.25).as_vector()
+        assert moved[k] == base[k] + 0.25 * TO_DEG_MM[k]
+        others = np.arange(6) != k
+        np.testing.assert_array_equal(moved[others], base[others])
+
+    @pytest.mark.parametrize(
+        "orientation, label", [("horizontal", "Horizontal PD"), ("vertical", "Vertical PD"), ("all", "Mixed PD")]
+    )
+    def test_arrangement_label(self, orientation, label):
+        assert arrangement_label(make_bench_scene(orientation).board) == label
 
     def test_dict_round_trip(self):
         spec = SweepSpec(parameter="x_position", start=-30, stop=30, step=5, scans_per_point=7, seed=2)
@@ -80,13 +97,13 @@ class TestRunSweep:
         assert np.all(np.diff(est_yaw) > 0)
 
     def test_determinism_byte_identical(self, horizontal_scene, mini_stats, tmp_path):
-        again = run_sweep(horizontal_scene, MINI_SWEEP, label="Horizontal PD")
+        again = run_sweep(horizontal_scene, MINI_SWEEP)
         a = sweep_csvs(horizontal_scene, MINI_SWEEP, mini_stats)
         b = sweep_csvs(horizontal_scene, MINI_SWEEP, again)
         assert a == b
 
     def test_worker_pool_matches_serial(self, horizontal_scene, mini_stats):
-        par = run_sweep(horizontal_scene, MINI_SWEEP, label="Horizontal PD", workers=2)
+        par = run_sweep(horizontal_scene, MINI_SWEEP, workers=2)
         np.testing.assert_array_equal(par.points, mini_stats.points)
 
     def test_points_simulate_without_truth(self, horizontal_scene, monkeypatch):
@@ -107,7 +124,7 @@ class TestRunSweep:
         # points: those fail, the surviving point still reports, and the
         # failures are marked
         spec = SweepSpec(parameter="yaw", start=0.0, stop=140.0, step=70.0, scans_per_point=6, seed=3)
-        stats = run_sweep(horizontal_scene, spec, label="Horizontal PD")
+        stats = run_sweep(horizontal_scene, spec)
         assert len(stats.failures) == 2
         assert stats.points[:, 0].tolist() == [0.0]
         csvs = sweep_csvs(horizontal_scene, spec, stats)
@@ -118,7 +135,15 @@ class TestRunSweep:
 
         spec = SweepSpec(parameter="yaw", start=70.0, stop=140.0, step=70.0, scans_per_point=6, seed=3)
         with pytest.raises(PipelineError):
-            run_sweep(horizontal_scene, spec, label="Horizontal PD")
+            run_sweep(horizontal_scene, spec)
+
+    def test_tilt_sweep_of_the_mixed_scene(self, tmp_path):
+        scene = make_bench_scene("all")
+        spec = SweepSpec(parameter="tilt", start=-0.1, stop=0.1, step=0.1, scans_per_point=8, seed=5)
+        stats = run_sweep(scene, spec)
+        assert stats.label == "Mixed PD" and stats.points.shape == (3, 14)
+        names = {p.name for p in write_sweep_outputs(tmp_path, scene, spec, stats)}
+        assert names == {f"sweep_tilt_mixed_pd_{stem}.csv" for stem in ("estimates", "points", "summary")}
 
     def test_csv_artifacts(self, horizontal_scene, mini_stats, tmp_path):
         paths = write_sweep_outputs(tmp_path, horizontal_scene, MINI_SWEEP, mini_stats)
@@ -174,7 +199,7 @@ class TestZeroNoiseSweep:
             afe=AfeConfig(voltage_noise_sigma=0.0),
         )
         spec = SweepSpec(parameter="yaw", start=-1.5, stop=1.5, step=0.5, scans_per_point=6, seed=1)
-        stats = run_sweep(scene, spec, label="Horizontal PD")
+        stats = run_sweep(scene, spec)
         bias = stats.points[:, BIAS]  # deg / mm
         base = np.nonzero(stats.points[:, 0] == 0.0)[0][0]
         assert np.max(np.abs(bias[base, :3])) < 1e-3
@@ -349,6 +374,33 @@ class TestCli:
         assert len(sweep_numbers) == 2
         assert numbers(capsys.readouterr().out) == sweep_numbers
 
+    def test_sweep_of_a_scene_file_is_labelled_by_it(self, tmp_path, capsys):
+        # a vertical bench's scene.json sweeps as "Vertical PD" with no flag
+        sim = tmp_path / "sim"
+        assert cli.main(["simulate", "--scans", "1", "--pd-orientation", "vertical", "--out", str(sim)]) == 0
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(sweep_to_dict(MINI_SWEEP)))
+        out = tmp_path / "sweep"
+        capsys.readouterr()
+        assert cli.main(["sweep", "--scene", str(sim / "scene.json"), "--sweep", str(spec_path), "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines()[2].startswith("Vertical PD")
+        assert sorted(p.name for p in out.glob("sweep_yaw_*.csv")) == [
+            f"sweep_yaw_vertical_pd_{stem}.csv" for stem in ("estimates", "points", "summary")
+        ]
+
+    @pytest.mark.parametrize("command", ["simulate", "calibrate", "sweep"])
+    def test_pd_orientation_with_scene_exit_code_1(self, tmp_path, capsys, command):
+        # a scene file fixes the PD arrangement, so the flag is refused, not ignored
+        sim = tmp_path / "sim"
+        assert cli.main(["simulate", "--scans", "1", "--out", str(sim)]) == 0
+        capsys.readouterr()
+        assert cli.main([
+            command, "--scene", str(sim / "scene.json"), "--pd-orientation", "vertical", "--out", str(tmp_path / "o"),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert "--pd-orientation selects a built-in bench scene and cannot be used with --scene" in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "edit, names",
         [
@@ -417,9 +469,16 @@ class TestCli:
             ("calibrate", "--scene", {}, "missing key 'board'"),
             ("calibrate", "--scene", {"board": {"pd_modules": [{"offset_m": [0, 0]}]}},
              "missing key 'board.pd_modules[0].pd_id'"),
+            ("sweep", "--sweep", {"paramter": "tilt"}, "bad sweep spec: unknown key 'paramter'"),
+            ("calibrate", "--scene", {"board": {"widht_m": 2.0, "pd_modules": []}}, "unknown key 'board.widht_m'"),
+            ("calibrate", "--scene", {"board": {"pd_modules": [{"pd_id": "a", "offset_m": [0, 0], "orientaton": "x"}]}},
+             "unknown key 'board.pd_modules[0].orientaton'"),
+            # retired from the lidar section only: the board never held it
+            ("calibrate", "--scene", {"board": {"pd_modules": [], "n_channels": 16}}, "unknown key 'board.n_channels'"),
         ],
         ids=["list sweep", "list start", "string scans", "list board", "list scene", "number lidar",
-             "string offset", "bool width", "no board", "no pd id"],
+             "string offset", "bool width", "no board", "no pd id", "misspelled sweep key", "misspelled board key",
+             "misspelled module key", "retired key elsewhere"],
     )
     def test_config_of_wrong_shape_exit_code_1(self, tmp_path, capsys, command, option, document, names):
         path = tmp_path / "config.json"

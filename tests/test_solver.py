@@ -311,6 +311,32 @@ class TestStackedFit:
             assert fit.final_cost <= cost_lm * (1 + 1e-9)
             np.testing.assert_allclose(fit.residuals, residuals(fit.beta, p_l, p_o), atol=1e-14)
 
+    def test_ill_conditioned_block_matches_lm(self):
+        # a generic 4-point block with cond(J^T J) about 4.9e3, drawn by the
+        # test above: LM's damped steps fall below its step tolerance at
+        # max |J^T F| 1.3e-10, short of the 1e-14 asked and 1.06e-8 m from
+        # the closed form; undamped steps from there reach the minimum
+        p_l = np.array([
+            [0.5188284187984125, 2.4545949572673873, 0.35719135535596147],
+            [0.33802774371727373, 2.367510764391741, 0.6649440734874549],
+            [0.3222660767403918, 2.345636483506563, 0.5598784486367768],
+            [0.8940483476496914, 2.318316923447092, 0.4966459094230637],
+        ])
+        p_o = np.array([
+            [0.14371487242319947, 0.058756599703032486, -0.07748289783559559],
+            [-0.07870019876114154, -0.029452213874479743, 0.20025408767019093],
+            [-0.06150959171070369, -0.0672033563560922, 0.09943156689392252],
+            [0.49698790901380774, 0.06021852170395223, 0.15647200531702354],
+        ])
+        fit = solve(p_l, p_o)
+        start = fit.beta.as_vector() + np.array([5 * DEG, -5 * DEG, 5 * DEG, 0.05, -0.05, 0.05])
+        beta_lm, cost_lm, _, converged = levenberg_marquardt(p_l, p_o, Pose6DOF(*start), grad_tol=1e-14)
+        assert converged
+        m_fit, m_lm = pose_to_matrix(fit.beta), pose_to_matrix(beta_lm)
+        assert np.linalg.norm(m_fit[:, :3] - m_lm[:, :3]) < 1e-8
+        assert np.linalg.norm(m_fit[:, 3] - m_lm[:, 3]) < 1e-8
+        assert fit.final_cost <= cost_lm * (1 + 1e-9)
+
     @settings(max_examples=40, deadline=None)
     @given(stacked_blocks())
     def test_covariance_matches_per_block_formula(self, case):
