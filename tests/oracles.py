@@ -148,16 +148,16 @@ def central_difference_jacobian(beta, p_l, p_o, step=1e-6):
 
 
 def levenberg_marquardt(p_l, p_o, beta0, max_iters=200, grad_tol=1e-10, step_tol=1e-12,
-                        lambda0=0.3, lambda_cap=1e8, polish_steps=5):
+                        lambda0=0.3, lambda_cap=1e8):
     """Minimize the solver's cost from ``beta0`` by Levenberg-Marquardt.
 
     The update is ``beta <- beta - (J^T J + lambda diag(J^T J))^-1 J^T F``;
     the damping starts at ``lambda0``, halves on accepted steps and doubles
     on rejected ones. It stops when max |J^T F| < ``grad_tol`` (converged),
     when the step norm < ``step_tol``, or when the damping passes
-    ``lambda_cap`` (a stall). On the step-norm exit it takes up to
-    ``polish_steps`` undamped Gauss-Newton steps while max |J^T F| falls,
-    and it has converged only if that then lies below ``grad_tol``. Returns
+    ``lambda_cap`` (a stall). On the step-norm exit it takes up to five
+    undamped Gauss-Newton steps while max |J^T F| falls, and it has
+    converged only if that then lies below ``grad_tol``. Returns
     (beta, cost, iterations, converged).
     """
     beta = beta0
@@ -175,7 +175,7 @@ def levenberg_marquardt(p_l, p_o, beta0, max_iters=200, grad_tol=1e-10, step_tol
         if np.linalg.norm(step) < step_tol:
             # a tiny damped step is not a small gradient: on an ill-conditioned
             # block it stalls short of grad_tol, where Gauss-Newton still gains
-            for _ in range(polish_steps):
+            for _ in range(5):
                 candidate = Pose6DOF(*beta.as_vector() - np.linalg.solve(h, g))
                 f_new = residuals(candidate, p_l, p_o).ravel()
                 j_new = jacobian(candidate, p_l)
