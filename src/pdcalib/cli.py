@@ -13,7 +13,6 @@ Exit codes: 0 success, 1 input error, 2 pipeline failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -27,6 +26,7 @@ from .harness import (
     run_single,
     run_sweep,
     simulate_point,
+    sweep_stem,
     write_sweep_outputs,
 )
 from .pipeline import PipelineError, calibrate_frames
@@ -66,7 +66,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run a reference sweep")
     common(p_sweep)
     p_sweep.add_argument("--sweep", type=Path, help="sweep spec JSON (default: yaw -3..3 deg)")
-    p_sweep.add_argument("--workers", type=int, default=1, help="parallel sweep points")
+    p_sweep.add_argument(
+        "--workers", type=int, default=1, help="processes running sweep points (at least 1; at most one per point)"
+    )
 
     p_rep = sub.add_parser("report", help="summarize sweep point CSVs")
     p_rep.add_argument("inputs", nargs="+", type=Path, help="sweep *_points.csv files")
@@ -130,20 +132,13 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     scene = _load_scene(args)
-    if args.sweep is not None:
-        try:
-            spec = io.sweep_from_dict(json.loads(args.sweep.read_text()))
-        except (ValueError, OSError, json.JSONDecodeError) as exc:
-            print(f"error: bad sweep spec: {exc}", file=sys.stderr)
-            return EXIT_INPUT
-    else:
-        spec = SweepSpec()
+    spec = SweepSpec() if args.sweep is None else io.load_sweep(args.sweep)
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
     stats = run_sweep(scene, spec, workers=args.workers)
     paths = write_sweep_outputs(args.out, scene, spec, stats)
     table = report([stats])
-    (args.out / f"sweep_{spec.parameter}_summary.txt").write_text(table)
+    (args.out / f"{sweep_stem(spec, stats)}_summary.txt").write_text(table)
     print(table, end="")
     for p in paths:
         print(f"wrote {p}")
@@ -173,9 +168,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        scans = getattr(args, "scans", None)
-        if scans is not None and scans < 1:  # checked here: argparse would exit 2, the pipeline-failure code
-            raise ValueError(f"--scans must be at least 1, got {scans}")
+        for flag in ("scans", "workers"):  # checked here: argparse would exit 2, the pipeline-failure code
+            value = getattr(args, flag, None)
+            if value is not None and value < 1:
+                raise ValueError(f"--{flag} must be at least 1, got {value}")
         if args.command == "simulate":
             return _cmd_simulate(args)
         if args.command == "calibrate":

@@ -61,8 +61,10 @@ class SweepSpec:
 
     @property
     def values(self) -> np.ndarray:
+        """The grid; a value that is zero up to rounding (within 1e-9 steps) is exactly +0.0."""
         n = int(round((self.stop - self.start) / self.step)) + 1
-        return self.start + self.step * np.arange(n)
+        values = self.start + self.step * np.arange(n)
+        return np.where(np.abs(values) <= 1e-9 * self.step, 0.0, values)
 
     def offset_pose(self, base: Pose6DOF, value: float) -> Pose6DOF:
         """Reference pose for one grid value (the stage moves the sensor)."""
@@ -150,7 +152,8 @@ def run_sweep(scene: Scene, spec: SweepSpec, workers: int = 1) -> SweepStats:
     """Run the full pipeline over every sweep point and collect statistics,
     labelled by the scene's PD arrangement.
 
-    Points are independent; with ``workers > 1`` they run in a process pool.
+    Points are independent; with ``workers > 1`` they run in a process pool
+    of at most one process per point.
     Results are keyed by point index, so the output is identical either way.
     Pipeline failures at a point are recorded and the sweep continues.
     """
@@ -159,7 +162,8 @@ def run_sweep(scene: Scene, spec: SweepSpec, workers: int = 1) -> SweepStats:
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # a pool may start all its workers at its first task: no more than one per point
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             outcomes = list(pool.map(_sweep_worker, jobs))
     else:
         outcomes = [_sweep_worker(j) for j in jobs]
@@ -242,14 +246,20 @@ def report(stats_list) -> str:
     return "\n".join(lines) + "\n"
 
 
+def sweep_stem(spec: SweepSpec, stats: SweepStats) -> str:
+    """The start of the names of a sweep's output files, from its axis and
+    its arrangement label: e.g. ``sweep_yaw_horizontal_pd``."""
+    return f"sweep_{spec.parameter}_{stats.label.lower().replace(' ', '_')}"
+
+
 def write_sweep_outputs(out_dir, scene: Scene, spec: SweepSpec, stats: SweepStats) -> list:
     """Write the sweep CSV artifacts; returns the paths written."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    tag = f"{spec.parameter}_{stats.label.lower().replace(' ', '_')}"
+    stem = sweep_stem(spec, stats)
     paths = []
-    for stem, text in sweep_csvs(scene, spec, stats).items():
-        p = out / f"sweep_{tag}_{stem}.csv"
+    for kind, text in sweep_csvs(scene, spec, stats).items():
+        p = out / f"{stem}_{kind}.csv"
         p.write_text(text)
         paths.append(p)
     return paths

@@ -13,7 +13,8 @@ so a frame always serializes byte-identically. Angles are stored in degrees
 at this boundary; everything in memory is radians. Numbers are plain ASCII
 decimals as Python's ``repr`` writes them; a beam or PD row holding
 ``1_0``, non-ASCII digits or a number that is not finite is refused. A PD's
-event indices are unique within its scan.
+event indices are unique within its scan, and its sampled channels are
+element indices in strictly increasing order.
 """
 
 from __future__ import annotations
@@ -34,8 +35,22 @@ from .scene import BEAM_DTYPE, AfeConfig, BoardModel, LidarModel, PdPlacement, S
 
 FRAME_MAGIC = "pdcalib-scanframe,v=1"
 
-BEAM_FIELDS = ("scan_id", "channel", "azimuth_index", "azimuth_deg", "omega_deg", "range_m", "reflectivity")
-PD_FIELDS = ("pd_id", "scan_id", "event", "time_s", "noise_floor_v", "sampled_channels")
+# A beam row after its scan_id, one (file field, BEAM_DTYPE column, divisor
+# from the column's unit to the file's) per field, in file order.
+_BEAM_COLUMNS = (
+    ("channel", "channel", 1),
+    ("azimuth_index", "azimuth_index", 1),
+    ("azimuth_deg", "alpha", DEG),
+    ("omega_deg", "omega", DEG),
+    ("range_m", "r", 1),
+    ("reflectivity", "reflectivity", 1),
+)
+# A PD row after its pd_id, one (field, type) per field, in file order. The
+# sampled channels are "|"-separated, and the voltages v0, v1, ... (floats)
+# follow them, one per sampled channel.
+_PD_NUMBERS = (("scan_id", int), ("event", int), ("time_s", float), ("noise_floor_v", float), ("sampled_channels", int))
+BEAM_FIELDS = ("scan_id", *(field for field, _, _ in _BEAM_COLUMNS))
+PD_FIELDS = ("pd_id", *(field for field, _ in _PD_NUMBERS))
 
 
 class FrameParseError(ValueError):
@@ -47,59 +62,25 @@ class FrameParseError(ValueError):
         self.field = field
 
 
-def _fmt(x: float) -> str:
-    """Shortest round-trip decimal form; deterministic for a given value."""
-    return repr(float(x))
-
-
 # ---------------------------------------------------------------- configs
 
 NUMBER = (int, float)
-_KIND_NAMES = {  # singular, plural
+_KIND_NAMES = {  # the kinds a value is checked to be, each named singular and plural
     NUMBER: ("a number", "numbers"),
     int: ("an integer", "integers"),
     str: ("a string", "strings"),
     dict: ("an object", "objects"),
 }
 
-
-def config_reader(data, where: str = ""):
-    """A reader of the fields of the JSON object ``data``, the section
-    ``where`` of its document; ValueError if ``data`` is not an object.
-
-    ``read(key, kind, many)`` is ``data[key]`` checked to be of type
-    ``kind`` (with ``many``, a list of them; a bool is never a number). It
-    raises ValueError naming the key if the key is absent or holds a value
-    of another type.
-    """
-    if not isinstance(data, dict):
-        raise ValueError(f"expected a JSON object, got {type(data).__name__}")
-
-    def read(key: str, kind, many: bool = False):
-        name = f"{where}.{key}" if where else key
-        if key not in data:
-            raise ValueError(f"missing key {name!r}")
-        value = data[key]
-        items = value if many and isinstance(value, list) else [value]
-        if (many and not isinstance(value, list)) or not all(
-            isinstance(v, kind) and not isinstance(v, bool) for v in items
-        ):
-            one, several = _KIND_NAMES[kind]
-            raise ValueError(f"{name!r} must be {'a list of ' + several if many else one}, got {value!r}")
-        return value
-
-    return read
-
-
-# number kinds beyond config_reader's, each with its file-to-model conversion:
-# float takes any number as a float, DEGREES takes degrees to radians
+# number kinds beyond those of _KIND_NAMES, each with its file-to-model
+# conversion: float takes any number as a float, DEGREES takes degrees to radians
 DEGREES = "degrees"
 _NUMBERS = {float: float, DEGREES: lambda deg: deg * DEG}
 
 # One table per config section, keyed by its model dataclass, with one row
 # per field: (JSON key, field name, kind, list or not). A kind is one of
-# config_reader's or of _NUMBERS, or a model of this table (a nested
-# section). A list is a tuple in the model.
+# _KIND_NAMES or of _NUMBERS, or a model of this table (a nested section).
+# A list is a tuple in the model.
 _KEYS = {
     PdPlacement: (
         ("pd_id", "pd_id", str, False),
@@ -178,8 +159,14 @@ def _from_dict(data, model, where: str = "", base=None):
     its field's default; a field with neither is required. A nested
     section's base is its field's default value, if it has one. A key
     outside the format, other than a retired one, is refused.
+
+    Raises ValueError if ``data`` is not an object, and naming the key for a
+    key outside the format, a missing required key or a value of another
+    kind than its row's (with ``many``, a list of them; a bool is never a
+    number).
     """
-    read = config_reader(data, where)
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object, got {type(data).__name__}")
     unknown = sorted(set(data) - {row[0] for row in _KEYS[model]} - set(_RETIRED.get(model, ())))
     if unknown:
         name = f"{where}.{unknown[0]}" if where else unknown[0]
@@ -188,16 +175,24 @@ def _from_dict(data, model, where: str = "", base=None):
     values = {}
     for key, name, kind, many in _KEYS[model]:
         default = spec[name].default
-        if key not in data and (default is not MISSING or spec[name].default_factory is not MISSING):
-            continue
         at = f"{where}.{key}" if where else key
+        if key not in data:
+            if default is MISSING and spec[name].default_factory is MISSING:
+                raise ValueError(f"missing key {at!r}")
+            continue
+        value = data[key]
+        want = dict if kind in _KEYS else NUMBER if kind in _NUMBERS else kind
+        items = value if many and isinstance(value, list) else [value]
+        if (many and not isinstance(value, list)) or not all(
+            isinstance(v, want) and not isinstance(v, bool) for v in items
+        ):
+            one, several = _KIND_NAMES[want]
+            raise ValueError(f"{at!r} must be {'a list of ' + several if many else one}, got {value!r}")
         if kind in _KEYS and many:
-            items = read(key, dict, many=True)
-            values[name] = tuple(_from_dict(item, kind, f"{at}[{k}]") for k, item in enumerate(items))
+            values[name] = tuple(_from_dict(item, kind, f"{at}[{k}]") for k, item in enumerate(value))
         elif kind in _KEYS:
-            values[name] = _from_dict(read(key, dict), kind, at, None if default is MISSING else default)
+            values[name] = _from_dict(value, kind, at, None if default is MISSING else default)
         else:
-            value = read(key, NUMBER if kind in _NUMBERS else kind, many=many)
             values[name] = tuple(value) if many else _NUMBERS[kind](value) if kind in _NUMBERS else value
     return model(**values) if base is None else replace(base, **values)
 
@@ -243,39 +238,37 @@ def load_scene(path) -> Scene:
         raise ValueError(f"bad scene config {path}: {exc}") from exc
 
 
+def load_sweep(path) -> SweepSpec:
+    """The sweep spec of a JSON file; ValueError for a file that cannot be read or is not a spec."""
+    try:
+        return sweep_from_dict(json.loads(Path(path).read_text()))
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"bad sweep spec: {exc}") from exc
+
+
 # ---------------------------------------------------------------- scan frames
 
 def frames_to_text(frames) -> str:
     """Serialize frames to the delimited-text format (deterministic)."""
-    lines = [FRAME_MAGIC]
-    lines.append("# beam," + ",".join(BEAM_FIELDS))
+    lines = [FRAME_MAGIC, "# beam," + ",".join(BEAM_FIELDS)]
     for frame in frames:
-        omega, alpha, r, channel, azimuth_index, refl = frame.beam_arrays()
-        columns = (channel, azimuth_index, alpha / DEG, omega / DEG, r, refl)
+        b = frame.beams
+        columns = (b["channel"], b["azimuth_index"], b["alpha"] / DEG, b["omega"] / DEG, b["r"], b["reflectivity"])
         # tolist() gives Python ints and floats, whose repr is the file form
-        rows = zip(*(c.tolist() for c in columns))
-        for ch, az, alpha_deg, omega_deg, range_m, reflectivity in rows:
-            lines.append(
-                f"beam,{frame.scan_id},{ch},{az},{alpha_deg!r},{omega_deg!r},{range_m!r},{reflectivity!r}"
-            )
+        lines.extend(
+            f"beam,{frame.scan_id},{ch},{az},{alpha_deg!r},{omega_deg!r},{range_m!r},{reflectivity!r}"
+            for ch, az, alpha_deg, omega_deg, range_m, reflectivity in zip(*(c.tolist() for c in columns))
+        )
     lines.append("# pd," + ",".join(PD_FIELDS) + ",v0,v1,...")
     for frame in frames:
         for rec in sorted(frame.pd_records, key=lambda r: r.pd_id):
-            for e in range(rec.n_events):
-                lines.append(
-                    ",".join(
-                        [
-                            "pd",
-                            rec.pd_id,
-                            str(frame.scan_id),
-                            str(e),
-                            _fmt(rec.sample_times[e]),
-                            _fmt(rec.noise_floor),
-                            "|".join(str(c) for c in rec.sampled_channels),
-                        ]
-                        + [_fmt(v) for v in rec.element_voltages[e]]
-                    )
-                )
+            head = f"pd,{rec.pd_id},{frame.scan_id}"
+            tail = f"{float(rec.noise_floor)!r},{'|'.join(map(str, rec.sampled_channels))}"
+            events = zip(rec.sample_times.tolist(), rec.element_voltages.tolist())
+            lines.extend(
+                f"{head},{e},{time_s!r},{tail}," + ",".join(map(repr, volts))
+                for e, (time_s, volts) in enumerate(events)
+            )
     return "\n".join(lines) + "\n"
 
 
@@ -306,19 +299,13 @@ def _parse_int(path, line_no, field, token):
         raise FrameParseError(path, line_no, field, f"not an integer: {token!r}")
 
 
+_PARSE = {int: _parse_int, float: _parse_float}
+
+
 # A beam row as numpy's text reader parses it. All eight fields are read, so
 # a row with a field too many or too few is refused instead of cut to fit.
 _BEAM_ROW = np.dtype(
-    [
-        ("kind", "U4"),
-        ("scan_id", int),
-        ("channel", int),
-        ("azimuth_index", int),
-        ("azimuth_deg", float),
-        ("omega_deg", float),
-        ("range_m", float),
-        ("reflectivity", float),
-    ]
+    [("kind", "U4"), ("scan_id", int), *((field, BEAM_DTYPE[column]) for field, column, _ in _BEAM_COLUMNS)]
 )
 
 
@@ -420,45 +407,39 @@ def _parse_beam_rows(path, rows) -> np.ndarray:
 def _beams_by_scan(raw) -> dict:
     """Parsed beam rows to ``BEAM_DTYPE`` arrays by scan id; each scan's rows keep their file order."""
     beams = np.empty(len(raw), BEAM_DTYPE)
-    beams["omega"] = raw["omega_deg"] * DEG
-    beams["alpha"] = raw["azimuth_deg"] * DEG
-    beams["r"] = raw["range_m"]
-    beams["channel"] = raw["channel"]
-    beams["azimuth_index"] = raw["azimuth_index"]
-    beams["reflectivity"] = raw["reflectivity"]
+    for field, column, divisor in _BEAM_COLUMNS:
+        beams[column] = raw[field] * divisor
     order = np.argsort(raw["scan_id"], kind="stable")
     scan_ids, starts = np.unique(raw["scan_id"][order], return_index=True)
     return dict(zip(scan_ids.tolist(), np.split(beams[order], starts[1:])))
 
 
 def _pd_numbers(path, line_no, parts) -> tuple:
-    """(scan_id, event, time_s, noise_floor_v, sampled_channels, voltages) of a PD row.
+    """(scan_id, event, time_s, noise_floor_v, sampled_channels, voltages) of
+    a PD row, typed by ``_PD_NUMBERS``: the sampled channels a tuple, the
+    voltages a list.
 
     ``parts`` is the row split at commas. One check finds the fields after
     the pd_id plain ASCII without ``_``. When that check or ``int()`` and
     ``float()`` refuse the row, the field-by-field walk refuses it too and
     names the first bad field.
     """
+    *scalars, (channel_field, index) = _PD_NUMBERS
+    channels, volts = parts[6].split("|"), parts[7:]
     numbers = ",".join(parts[2:])
     if numbers.isascii() and "_" not in numbers:
         try:
             return (
-                int(parts[2]),
-                int(parts[3]),
-                float(parts[4]),
-                float(parts[5]),
-                tuple(map(int, parts[6].split("|"))),
-                list(map(float, parts[7:])),
+                *[kind(token) for (_, kind), token in zip(scalars, parts[2:6])],
+                tuple(map(index, channels)),
+                list(map(float, volts)),
             )
         except ValueError:
             pass
     return (
-        _parse_int(path, line_no, "scan_id", parts[2]),
-        _parse_int(path, line_no, "event", parts[3]),
-        _parse_float(path, line_no, "time_s", parts[4]),
-        _parse_float(path, line_no, "noise_floor_v", parts[5]),
-        tuple(_parse_int(path, line_no, "sampled_channels", c) for c in parts[6].split("|")),
-        [_parse_float(path, line_no, f"v{i}", tok) for i, tok in enumerate(parts[7:])],
+        *[_PARSE[kind](path, line_no, field, token) for (field, kind), token in zip(scalars, parts[2:6])],
+        tuple(_PARSE[index](path, line_no, channel_field, c) for c in channels),
+        [_parse_float(path, line_no, f"v{i}", token) for i, token in enumerate(volts)],
     )
 
 
@@ -483,7 +464,8 @@ def read_frames(path) -> list:
     differ from the earlier rows of its (scan, PD) record. When several lines
     are malformed, the error names the first. A row holding a number that
     parses but is not finite (``nan``, ``inf``, ``1e999``), or a PD row
-    holding a voltage off the supply rails, is malformed too.
+    holding a voltage off the supply rails or sampled channels that are not
+    strictly increasing element indices from 0 up, is malformed too.
     """
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0].strip() != FRAME_MAGIC:
@@ -502,6 +484,11 @@ def read_frames(path) -> list:
                     raise FrameParseError(path, line_no, "pd", "missing voltage fields")
                 pd_id = parts[1]
                 sid, event, time_s, floor, channels, volts = _pd_numbers(path, line_no, parts)
+                if channels[0] < 0 or any(a >= b for a, b in zip(channels, channels[1:])):
+                    raise FrameParseError(
+                        path, line_no, "sampled_channels",
+                        f"{parts[6]!r} is not a strictly increasing list of element indices from 0 up",
+                    )
                 if len(volts) != len(channels):
                     raise FrameParseError(
                         path, line_no, "voltages",
@@ -602,7 +589,7 @@ def correspondence_dump(result, board) -> str:
     """
     from .correspondence import pd_measurement_to_board
 
-    scan_ids = [sid for sid, _, _ in result.scan_reports]
+    scan_ids = np.array([sid for sid, _, _ in result.scan_reports])
     lines = ["pd_id,scan_id,alpha_deg,mu_mm,op_x_m,op_y_m,op_z_m,inlier"]
     for p, pd in enumerate(board.pd_modules):
         keys = result.keys[result.keys["pd"] == p]
@@ -614,21 +601,11 @@ def correspondence_dump(result, board) -> str:
         else:
             p_o = pd_measurement_to_board(pd, mu_mm * 1e-3)
             inlier = np.zeros(len(keys), dtype=int)
-        for k, key in enumerate(keys):
-            lines.append(
-                ",".join(
-                    [
-                        pd.pd_id,
-                        str(scan_ids[key["scan"]]),
-                        f"{alpha_deg[k]:.6f}",
-                        f"{mu_mm[k]:.4f}",
-                        f"{p_o[k, 0]:.6f}",
-                        f"{p_o[k, 1]:.6f}",
-                        f"{p_o[k, 2]:.6f}",
-                        str(inlier[k]),
-                    ]
-                )
-            )
+        columns = (scan_ids[keys["scan"]], alpha_deg, mu_mm, *p_o.T, inlier)
+        lines.extend(
+            f"{pd.pd_id},{sid},{a:.6f},{mu:.4f},{x:.6f},{y:.6f},{z:.6f},{kept}"
+            for sid, a, mu, x, y, z, kept in zip(*(c.tolist() for c in columns))
+        )
     return "\n".join(lines) + "\n"
 
 

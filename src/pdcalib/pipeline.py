@@ -120,6 +120,14 @@ def miss_reasons(miss, pds) -> list:
     ]
 
 
+def _miss_kind(code: int, pd) -> str:
+    """The reason of a miss code for ``pd``, the dim-beam one without a level and median."""
+    if code == _DIM:
+        margin = correspondence.DEFAULT_DETECTION_MARGIN
+        return f"{pd.pd_id}: struck beam reads below its row median + {margin:.0f}; PD clock offset?"
+    return MISS_REASONS[code].format(pd=pd.pd_id)
+
+
 def extract_frame_features(frames, table, scan, plane: preprocess.PlaneModel, scene: Scene):
     """Beam association, center fitting and range correction on a whole batch.
 
@@ -128,7 +136,8 @@ def extract_frame_features(frames, table, scan, plane: preprocess.PlaneModel, sc
     plane the key beams are slid onto. Each (scan, PD) keeps as its key beam
     the joined beam with the highest reflectivity among its usable fits, and
     that event's center. A frame's last record for a PD wins; a record of a
-    PD not on the board is ignored.
+    PD not on the board is ignored. A record that samples an element its
+    module lacks raises ValueError naming its scan and PD.
 
     A (scan, PD) misses when it has no events, when none of its events joins,
     when none of its fits is usable, or when its key beam reads less than its
@@ -144,6 +153,13 @@ def extract_frame_features(frames, table, scan, plane: preprocess.PlaneModel, sc
     n_pds = len(pds)
     index = {pd.pd_id: p for p, pd in enumerate(pds)}
     latest = {(k, index[r.pd_id]): r for k, f in enumerate(frames) for r in f.pd_records if r.pd_id in index}
+    for (k, p), r in latest.items():
+        lacking = [c for c in r.sampled_channels if not 0 <= c < pds[p].n_elements]
+        if lacking:
+            raise ValueError(
+                f"scan {frames[k].scan_id}: PD {pds[p].pd_id!r} samples element(s) {lacking}, "
+                f"which its module of {pds[p].n_elements} elements lacks"
+            )
     records = list(latest.values())
     record_cell = np.array([k * n_pds + p for k, p in latest], dtype=np.intp)  # a (scan, PD) cell is scan * n_pds + PD
     sizes = np.array([r.n_events for r in records], dtype=np.intp)
@@ -205,6 +221,8 @@ def calibrate_frames(frames, scene: Scene) -> BatchResult:
         For an empty batch, a frame with no board-sized cluster, if no PD
         collects enough (azimuth, center) pairs for a model, if no scan
         yields enough correspondences to solve, or if they are collinear.
+    ValueError
+        For a PD record that samples an element its module lacks.
     """
     if not frames:
         raise PipelineError("segmentation", "empty batch: no frames to calibrate")
@@ -226,10 +244,12 @@ def calibrate_frames(frames, scene: Scene) -> BatchResult:
     ]
 
     found = np.bincount(keys["pd"], minlength=len(pds))
-    reasons = [Counter(m[pd.pd_id] for m in misses if pd.pd_id in m) for pd in pds]
+    # each PD's misses by code, not by reason text: a dim-beam reason reads its own level and median
+    reasons = [Counter(code for code in miss["code"][:, p].tolist() if code) for p in range(len(pds))]
     if log.isEnabledFor(logging.DEBUG):
         for pd, hits, why in zip(pds, found, reasons):
-            log.debug("%s detected in %d/%d scans; misses %s", pd.pd_id, hits, n, dict(why))
+            counts = {_miss_kind(code, pd): count for code, count in why.items()}
+            log.debug("%s detected in %d/%d scans; misses %s", pd.pd_id, hits, n, counts)
     models: dict = {}
     refused = []  # why each PD got no model
     for p, pd in enumerate(pds):
@@ -237,7 +257,7 @@ def calibrate_frames(frames, scene: Scene) -> BatchResult:
         try:
             models[pd.pd_id] = correspondence.build_azimuth_center_model(mine["alpha"] / DEG, mine["mu"] / MM)
         except correspondence.ModelError as exc:
-            most = f", most often missed as {reasons[p].most_common(1)[0][0]!r}" if reasons[p] else ""
+            most = f", most often missed as {_miss_kind(reasons[p].most_common(1)[0][0], pd)!r}" if reasons[p] else ""
             refused.append(f"{pd.pd_id} detected in {found[p]}/{n} scans ({exc}){most}")
     if not models:
         raise PipelineError("correspondence", "; ".join(["no PD produced an azimuth-center model", *refused]))

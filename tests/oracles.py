@@ -652,7 +652,9 @@ def read_frames_reference(path):
     Each line is stripped and sorted by its record type in one loop, every
     PD row is parsed field by field with the reader's plain-ASCII checks,
     and the beam rows seen so far are parsed together when the loop ends or
-    a PD row fails, so that the first malformed line is named.
+    a PD row fails, so that the first malformed line is named. A PD row's
+    sampled channels must equal their own sorted set, all 0 or more, as a
+    module's element indices are.
     """
     FrameParseError = io.FrameParseError
     parse_int, parse_float = io._parse_int, io._parse_float
@@ -682,6 +684,11 @@ def read_frames_reference(path):
                 floor = parse_float(path, line_no, "noise_floor_v", parts[5])
                 channels = tuple(parse_int(path, line_no, "sampled_channels", c) for c in parts[6].split("|"))
                 volts = [parse_float(path, line_no, f"v{i}", tok) for i, tok in enumerate(parts[7:])]
+                if list(channels) != sorted(set(channels)) or channels[0] < 0:
+                    raise FrameParseError(
+                        path, line_no, "sampled_channels",
+                        f"{parts[6]!r} is not a strictly increasing list of element indices from 0 up",
+                    )
                 if len(volts) != len(channels):
                     raise FrameParseError(
                         path, line_no, "voltages",

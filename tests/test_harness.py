@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import os
@@ -75,6 +76,14 @@ class TestSweepSpec:
     def test_arrangement_label(self, orientation, label):
         assert arrangement_label(make_bench_scene(orientation).board) == label
 
+    def test_grid_value_zero_up_to_rounding_is_zero(self):
+        # -0.3 + 3 * 0.1 is 5.55e-17; a grid whose zero is exact keeps its bits
+        tilt = SweepSpec(parameter="tilt", start=-0.3, stop=0.3, step=0.1).values
+        assert tilt[3] == 0.0 and np.copysign(1.0, tilt[3]) == 1.0
+        for start, step in ((-3.0, 0.5), (-30.0, 5.0)):
+            grid = SweepSpec(start=start, stop=-start, step=step).values
+            assert grid.tobytes() == (start + step * np.arange(13)).tobytes()
+
     def test_dict_round_trip(self):
         spec = SweepSpec(parameter="x_position", start=-30, stop=30, step=5, scans_per_point=7, seed=2)
         assert sweep_from_dict(sweep_to_dict(spec)) == spec
@@ -105,6 +114,29 @@ class TestRunSweep:
     def test_worker_pool_matches_serial(self, horizontal_scene, mini_stats):
         par = run_sweep(horizontal_scene, MINI_SWEEP, workers=2)
         np.testing.assert_array_equal(par.points, mini_stats.points)
+
+    def test_worker_pool_capped_at_the_point_count(self, horizontal_scene, mini_stats, monkeypatch):
+        # a stand-in pool that records its size and runs the points here,
+        # so that no process is started
+        sizes = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        stats = run_sweep(horizontal_scene, MINI_SWEEP, workers=100_000)
+        assert sizes == [3]
+        np.testing.assert_array_equal(stats.points, mini_stats.points)
 
     def test_points_simulate_without_truth(self, horizontal_scene, monkeypatch):
         # nothing in the pipeline reads SimTruth, so a sweep point builds none
@@ -298,6 +330,30 @@ class TestCli:
         assert f"{bad}:{i + 1}: field 'sampled_channels'" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("channels", ["0|5|10|99", "-1|5|10|15", "15|10|5|0", "0|0|10|15"])
+    def test_sampled_channels_not_elements_of_the_module_exit_code_1(self, tmp_path, capsys, channels):
+        # the reader refuses a list that is not strictly increasing from 0
+        # up; the pipeline refuses an index past the module's 16 elements
+        out = tmp_path / "sim"
+        assert cli.main(["simulate", "--pd-orientation", "all", "--seed", "3", "--scans", "5", "--out", str(out)]) == 0
+        lines = (out / "frames.csv").read_text().splitlines()
+        edited = [k for k, line in enumerate(lines) if line.startswith("pd,h_bl,")]
+        for k in edited:
+            parts = lines[k].split(",")
+            lines[k] = ",".join([*parts[:6], channels, *parts[7:]])
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = cli.main(["calibrate", "--frames", str(bad), "--pd-orientation", "all", "--out", str(tmp_path / "cal")])
+        err = capsys.readouterr().err
+        assert code == 1
+        if channels.endswith("99"):
+            assert "error: scan 0: PD 'h_bl' samples element(s) [99], which its module of 16 elements lacks" in err
+        else:
+            assert f"error: {bad}:{edited[0] + 1}: field 'sampled_channels': {channels!r}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "cal").exists()
+
     def test_pipeline_failure_exit_code_2(self, tmp_path, horizontal_scene):
         # a board with no PD modules cannot produce correspondences
         scene = make_bench_scene("horizontal")
@@ -370,7 +426,7 @@ class TestCli:
         def numbers(table):
             return [line.split()[-4:] for line in table.splitlines() if "Accuracy" in line or "Precision" in line]
 
-        sweep_numbers = numbers((out / "sweep_yaw_summary.txt").read_text())
+        sweep_numbers = numbers((out / "sweep_yaw_horizontal_pd_summary.txt").read_text())
         assert len(sweep_numbers) == 2
         assert numbers(capsys.readouterr().out) == sweep_numbers
 
@@ -387,6 +443,18 @@ class TestCli:
         assert sorted(p.name for p in out.glob("sweep_yaw_*.csv")) == [
             f"sweep_yaw_vertical_pd_{stem}.csv" for stem in ("estimates", "points", "summary")
         ]
+
+    def test_sweeps_of_two_arrangements_keep_their_tables(self, tmp_path, capsys):
+        # each table is named by its sweep's axis and arrangement, as its CSVs are
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"start": 0, "stop": 0, "scans_per_point": 8}))
+        out = tmp_path / "sweep"
+        for orientation in ("vertical", "horizontal"):
+            argv = ["sweep", "--pd-orientation", orientation, "--sweep", str(spec_path), "--out", str(out)]
+            assert cli.main(argv) == 0
+        tables = sorted(out.glob("*.txt"))
+        assert [p.name for p in tables] == ["sweep_yaw_horizontal_pd_summary.txt", "sweep_yaw_vertical_pd_summary.txt"]
+        assert [p.read_text().splitlines()[2].split()[:2] for p in tables] == [["Horizontal", "PD"], ["Vertical", "PD"]]
 
     @pytest.mark.parametrize("command", ["simulate", "calibrate", "sweep"])
     def test_pd_orientation_with_scene_exit_code_1(self, tmp_path, capsys, command):
@@ -447,6 +515,13 @@ class TestCli:
         capsys.readouterr()
         assert cli.main([command, "--scans", str(scans), "--out", str(tmp_path / "o")]) == 1
         assert f"error: --scans must be at least 1, got {scans}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_exit_code_1(self, tmp_path, capsys, workers):
+        capsys.readouterr()
+        assert cli.main(["sweep", "--workers", str(workers), "--out", str(tmp_path / "o")]) == 1
+        assert f"error: --workers must be at least 1, got {workers}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_bad_sweep_spec_exit_code_1(self, tmp_path):

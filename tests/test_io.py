@@ -83,7 +83,7 @@ def _outcome(reader, path):
         return type(exc), getattr(exc, "line_no", None), getattr(exc, "field", None), str(exc)
 
 
-TOKENS = ["abc", "1_0", "5.0", "\u0662"]
+TOKENS = ["abc", "1_0", "5.0", "\u0662", "15|10|5|0"]
 
 
 @st.composite

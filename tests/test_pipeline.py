@@ -163,6 +163,25 @@ class TestOptionsAndErrors:
         assert "h_br detected in 0/5 scans; misses {'no voltage events': 5}" in lines
         assert "h_tl detected in 5/5 scans; misses {}" in lines
 
+    def test_misses_counted_by_code(self, horizontal_scene, horizontal_batch, caplog):
+        # one burst period late, every PD time names the next channel's dim
+        # return; each dim miss reads its own level, yet they are one cause
+        frames = []
+        for k, f in enumerate(horizontal_batch[:20]):
+            g = copy.copy(f)
+            g.pd_records = [
+                dataclasses.replace(r, sample_times=r.sample_times + horizontal_scene.lidar.pulse_burst_period)
+                for r in f.pd_records if not (r.pd_id == "h_tl" and k < 3)
+            ]
+            frames.append(g)
+        dim = "h_tl: struck beam reads below its row median + 10; PD clock offset?"
+        with caplog.at_level(logging.DEBUG, logger="pdcalib"), pytest.raises(PipelineError) as err:
+            calibrate_frames(frames, horizontal_scene)
+        assert "h_tl detected in 0/20 scans" in str(err.value)
+        assert f"most often missed as {dim!r}" in str(err.value)
+        lines = [rec.getMessage() for rec in caplog.records if rec.name == "pdcalib"]
+        assert f"h_tl detected in 0/20 scans; misses {{'no voltage events': 3, {dim!r}: 17}}" in lines
+
     def test_silent_by_default(self, horizontal_scene, horizontal_batch, caplog):
         calibrate_frames(horizontal_batch[:5], horizontal_scene)
         assert not [rec for rec in caplog.records if rec.name == "pdcalib"]
