@@ -17,6 +17,11 @@ import numpy as np
 SUPPLY_RAIL_V = 10.0
 
 
+def element_indices(channels) -> bool:
+    """Whether ``channels`` are strictly increasing element indices from 0 up, at least one."""
+    return len(channels) > 0 and channels[0] >= 0 and all(a < b for a, b in zip(channels, channels[1:]))
+
+
 @dataclass(frozen=True)
 class TiaParams:
     """TIA circuit and op-amp/photodiode part values.
@@ -55,7 +60,9 @@ class PdSignalRecord:
 
     ``element_voltages`` has one row per beam event (a laser pulse group on
     the detector) and one column per sampled element; ``sample_times`` gives
-    the event firing times. Voltages are clamped to the 0-10 V supply rails.
+    the event firing times, and ``sampled_channels`` the sampled elements'
+    indices, strictly increasing from 0 up. Voltages are clamped to the 0-10 V
+    supply rails.
     """
 
     pd_id: str
@@ -67,6 +74,10 @@ class PdSignalRecord:
     def __post_init__(self):
         v = self.element_voltages = np.atleast_2d(np.asarray(self.element_voltages, dtype=float))
         t = self.sample_times = np.atleast_1d(np.asarray(self.sample_times, dtype=float))
+        if not element_indices(self.sampled_channels):
+            raise ValueError(
+                f"sampled channels {tuple(self.sampled_channels)} are not strictly increasing element indices from 0 up"
+            )
         if v.shape[0] != t.shape[0]:
             raise ValueError("one sample time per beam event required")
         if v.shape[1] != len(self.sampled_channels):

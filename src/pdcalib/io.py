@@ -8,13 +8,18 @@ Scan-frame files are line-oriented delimited text with a fixed field order:
     # pd,pd_id,scan_id,event,time_s,noise_floor_v,sampled_channels,v0,v1,...
     pd,h_tl,0,0,0.0019457,0.1,0|5|10|15,2.66,1.11,0.146,0.0
 
-Beams are sorted by (channel, azimuth index) and PD events by (pd_id, time),
-so a frame always serializes byte-identically. Angles are stored in degrees
-at this boundary; everything in memory is radians. Numbers are plain ASCII
-decimals as Python's ``repr`` writes them; a beam or PD row holding
+The writer sorts beams by (channel, azimuth index) and PD events by
+(pd_id, time), so a frame always serializes byte-identically; the reader
+takes rows in any order, scans, PDs and row kinds mixed. Angles are stored
+in degrees at this boundary; everything in memory is radians.
+
+Both row kinds are parsed by numpy's text reader under one rule: numbers are
+plain ASCII decimals as Python's ``repr`` writes them, and a row holding
 ``1_0``, non-ASCII digits or a number that is not finite is refused. A PD's
 event indices are unique within its scan, and its sampled channels are
-element indices in strictly increasing order.
+element indices in strictly increasing order. When the reader refuses a
+file, the row walker (``_beam_row_error``, ``_walk_pd_rows``) reads its rows
+one at a time and names the line and field of the first malformed line.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .afe import SUPPLY_RAIL_V, PdSignalRecord, TiaParams
+from .afe import SUPPLY_RAIL_V, PdSignalRecord, TiaParams, element_indices
 from .bench import Scene
 from .geometry import DEG, MM, Pose6DOF
 from .harness import POINT_FIELDS, STD, SweepSpec
@@ -356,7 +361,10 @@ def _beam_row_error(path, rows, exc) -> FrameParseError:
         tokens = list(zip(BEAM_FIELDS, parts[1:]))
         for field, token in tokens:
             parse = _parse_int if _BEAM_ROW[field].kind == "i" else _parse_float
-            parse(path, line_no, field, token)
+            try:
+                parse(path, line_no, field, token)
+            except FrameParseError as error:
+                return error
     for field, token in tokens:  # of row lo, which the reader refuses
         try:
             _loadtxt([token], _BEAM_ROW[field])
@@ -378,40 +386,48 @@ _BEAM_VALUES = {
 }
 
 
-def _parse_beam_rows(path, rows) -> np.ndarray:
-    """The beam rows among ``rows``, the stripped lines from line 2 on, as ``_BEAM_ROW`` records.
+def _load_beam_rows(rows) -> np.ndarray:
+    """Beam rows as ``_BEAM_ROW`` records; raises one of ``_REFUSED``."""
+    return _loadtxt(rows, _BEAM_ROW) if rows else np.empty(0, _BEAM_ROW)  # numpy's reader warns on empty input
 
-    A row holding a number that parses but is not finite (``nan``, ``inf``,
-    ``1e999``), a range that is not positive or an elevation at or beyond
-    +-90 deg is refused too.
+
+def _beam_value_error(path, raw, numbered):
+    """The error for the first of the parsed beam rows ``raw`` holding a
+    number that is not finite (``nan``, ``inf``, ``1e999``), a range that is
+    not positive or an elevation at or beyond +-90 deg, or None.
+
+    ``numbered()`` gives the beam rows as (line_no, row), ``raw`` the first
+    ``len(raw)`` of them.
     """
-    lines = [row for row in rows if row.startswith("beam,")]
-    if not lines:
-        return np.empty(0, _BEAM_ROW)  # numpy's reader warns on empty input
-    try:
-        raw = _loadtxt(lines, _BEAM_ROW)
-    except _REFUSED as exc:
-        numbered = [(line_no, row) for line_no, row in enumerate(rows, 2) if row.startswith("beam,")]
-        raise _beam_row_error(path, numbered, exc) from None
     ok = np.column_stack([accept(raw[field]) for field, (accept, _) in _BEAM_VALUES.items()])
-    if not ok.all():
-        k, f = divmod(int(np.argmin(ok)), len(_BEAM_VALUES))  # the first row, then its first field
-        line_no = [n for n, row in enumerate(rows, 2) if row.startswith("beam,")][k]
-        field = list(_BEAM_VALUES)[f]
-        token = lines[k].split(",")[1 + BEAM_FIELDS.index(field)]
-        why = _BEAM_VALUES[field][1] if np.isfinite(raw[field][k]) else "is not a finite number"
-        raise FrameParseError(path, line_no, field, f"{token!r} {why}")
-    return raw
+    if ok.all():
+        return None
+    k, f = divmod(int(np.argmin(ok)), len(_BEAM_VALUES))  # the first row, then its first field
+    line_no, row = numbered()[k]
+    field = list(_BEAM_VALUES)[f]
+    token = row.split(",")[1 + BEAM_FIELDS.index(field)]
+    why = _BEAM_VALUES[field][1] if np.isfinite(raw[field][k]) else "is not a finite number"
+    return FrameParseError(path, line_no, field, f"{token!r} {why}")
+
+
+def _beam_table(raw):
+    """Parsed beam rows as one ``BEAM_DTYPE`` table in (scan, channel,
+    azimuth index) order, with its scan ids and the bounds of their runs."""
+    order = np.lexsort((raw["azimuth_index"], raw["channel"], raw["scan_id"]))
+    beams = np.empty(len(raw), BEAM_DTYPE)
+    for field, column, divisor in _BEAM_COLUMNS:
+        beams[column] = raw[field][order] * divisor
+    scan = raw["scan_id"][order]
+    new = np.ones(len(scan), dtype=bool)
+    new[1:] = scan[1:] != scan[:-1]
+    starts = np.flatnonzero(new)
+    return beams, scan[starts].tolist(), [*starts.tolist(), len(scan)]
 
 
 def _beams_by_scan(raw) -> dict:
-    """Parsed beam rows to ``BEAM_DTYPE`` arrays by scan id; each scan's rows keep their file order."""
-    beams = np.empty(len(raw), BEAM_DTYPE)
-    for field, column, divisor in _BEAM_COLUMNS:
-        beams[column] = raw[field] * divisor
-    order = np.argsort(raw["scan_id"], kind="stable")
-    scan_ids, starts = np.unique(raw["scan_id"][order], return_index=True)
-    return dict(zip(scan_ids.tolist(), np.split(beams[order], starts[1:])))
+    """Parsed beam rows to ``BEAM_DTYPE`` arrays by scan id, each in (channel, azimuth index) order."""
+    beams, scan_ids, bounds = _beam_table(raw)
+    return {sid: beams[lo:hi] for sid, lo, hi in zip(scan_ids, bounds, bounds[1:])}
 
 
 def _pd_numbers(path, line_no, parts) -> tuple:
@@ -443,40 +459,25 @@ def _pd_numbers(path, line_no, parts) -> tuple:
     )
 
 
-def _signal_records(pd_records) -> dict:
-    """The PD records by scan id, each scan's in pd_id order, their events by time."""
-    by_scan: dict = {}
-    for (sid, pd_id), (floor, channels, events) in sorted(pd_records.items()):
-        times, volts = zip(*sorted(events, key=lambda r: r[0]))
-        by_scan.setdefault(sid, []).append(PdSignalRecord(
-            pd_id=pd_id, element_voltages=np.array(volts), sample_times=np.array(times),
-            sampled_channels=channels, noise_floor=floor,
-        ))
-    return by_scan
+def _walk_pd_rows(path, rows, beam_error, beam_scans) -> list:
+    """The row walker: the PD rows among ``rows`` as ``_signal_records``
+    tables, read one row at a time, in file order.
 
+    ``rows`` are the rows other than beam rows, as (line_no, row).
+    ``beam_error(limit)`` gives the error for the first malformed beam row
+    above line ``limit`` (any line by default), or None, and ``beam_scans``
+    holds the scan ids of the beam rows.
 
-def read_frames(path) -> list:
-    """Parse a scan-frame file back into ScanFrame objects (no sim truth).
-
-    Raises FrameParseError for a malformed line, for a PD row whose scan
-    has no beam rows, for a PD row that repeats the (scan, PD, event) of an
-    earlier row, and for a PD row whose sampled channels or noise floor
-    differ from the earlier rows of its (scan, PD) record. When several lines
-    are malformed, the error names the first. A row holding a number that
-    parses but is not finite (``nan``, ``inf``, ``1e999``), or a PD row
-    holding a voltage off the supply rails or sampled channels that are not
-    strictly increasing element indices from 0 up, is malformed too.
+    Raises FrameParseError, as ``read_frames`` says, for the first malformed
+    line, beam rows included, and then for the first PD row of a scan that
+    has no beam rows.
     """
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0].strip() != FRAME_MAGIC:
-        raise FrameParseError(path, 1, "magic", f"expected {FRAME_MAGIC!r}")
-    rows = [line.strip() for line in lines[1:]]  # rows[k] is line k + 2
-    other_rows = [(line_no, row) for line_no, row in enumerate(rows, 2) if not row.startswith("beam,")]
-    pd_records: dict = {}  # (scan_id, pd_id) -> (noise floor, channels, [(time, volts)])
+    accepted = []  # (pd_id, scan_id, time_s, noise_floor_v, sampled_channels, voltages) per PD row
+    records: dict = {}  # (scan_id, pd_id) -> (noise floor, channels, line) of its first row
     first_pd_line: dict = {}  # scan_id -> line of its first PD row
     event_lines: dict = {}  # (scan_id, pd_id, event) -> line of its row
     try:
-        for line_no, row in other_rows:
+        for line_no, row in rows:
             kind = row.partition(",")[0]
             if kind == "pd":
                 parts = row.split(",")
@@ -484,7 +485,7 @@ def read_frames(path) -> list:
                     raise FrameParseError(path, line_no, "pd", "missing voltage fields")
                 pd_id = parts[1]
                 sid, event, time_s, floor, channels, volts = _pd_numbers(path, line_no, parts)
-                if channels[0] < 0 or any(a >= b for a, b in zip(channels, channels[1:])):
+                if not element_indices(channels):
                     raise FrameParseError(
                         path, line_no, "sampled_channels",
                         f"{parts[6]!r} is not a strictly increasing list of element indices from 0 up",
@@ -500,7 +501,7 @@ def read_frames(path) -> list:
                         path, line_no, "event",
                         f"event {event} of PD {pd_id!r}, scan {sid} repeats line {earlier}",
                     )
-                rec = pd_records.setdefault((sid, pd_id), (floor, channels, []))
+                rec = records.setdefault((sid, pd_id), (floor, channels, line_no))
                 if channels != rec[1]:
                     raise FrameParseError(
                         path, line_no, "sampled_channels",
@@ -508,7 +509,7 @@ def read_frames(path) -> list:
                         f"in earlier rows of PD {pd_id!r}, scan {sid}",
                     )
                 # a record's first row sets its floor, which the value checks below find finite
-                if rec[2] and floor != rec[0]:
+                if line_no != rec[2] and floor != rec[0]:
                     raise FrameParseError(
                         path, line_no, "noise_floor_v",
                         f"{floor!r} differs from {rec[0]!r} in earlier rows of PD {pd_id!r}, scan {sid}",
@@ -519,29 +520,192 @@ def read_frames(path) -> list:
                     field, value = bad[0]
                     why = "lies outside the 0-10 V supply range" if math.isfinite(value) else "is not a finite number"
                     raise FrameParseError(path, line_no, field, f"{value!r} {why}")
-                rec[2].append((time_s, volts))
+                accepted.append((pd_id, sid, time_s, floor, channels, volts))
                 first_pd_line.setdefault(sid, line_no)
             elif kind == "beam":  # a beam row with no fields
                 raise FrameParseError(path, line_no, "beam", f"expected {len(BEAM_FIELDS)} fields, got 0")
             elif row and not row.startswith("#"):
                 raise FrameParseError(path, line_no, "record", f"unknown record type {kind!r}")
     except FrameParseError as exc:
-        _parse_beam_rows(path, rows[: exc.line_no - 2])  # a malformed beam row above it comes first
-        raise
-    records = _signal_records(pd_records)
-    beams = _beams_by_scan(_parse_beam_rows(path, rows))
-
-    orphans = [(line_no, sid) for sid, line_no in first_pd_line.items() if sid not in beams]
+        error = beam_error(exc.line_no)  # a malformed beam row above it comes first
+        if error is None:
+            raise
+    else:
+        error = beam_error()
+    if error is not None:
+        raise error
+    orphans = [(line_no, sid) for sid, line_no in first_pd_line.items() if sid not in beam_scans]
     if orphans:
         line_no, sid = min(orphans)
         raise FrameParseError(path, line_no, "scan_id", f"PD row of scan {sid}, which has no beam rows")
-    frames = []
-    for sid in sorted(beams):
+    by_count: dict = {}
+    for row in accepted:
+        by_count.setdefault(len(row[4]), []).append(row)
+    return [
+        (list(pd_ids), np.array(sids), np.array(times), np.array(floors), list(channels), np.array(volts))
+        for pd_ids, sids, times, floors, channels, volts in (zip(*group) for group in by_count.values())
+    ]
+
+
+def _pd_columns(rows, beam_scans):
+    """The PD rows among ``rows`` as ``_signal_records`` tables, read as
+    columns, or None for the row walker to read them.
+
+    ``rows`` and ``beam_scans`` are as for ``_walk_pd_rows``, whose tables
+    this returns. Each group of PD rows with one voltage count is parsed by
+    numpy's reader in one call, each distinct sampled-channel text once, and
+    every check of the walker runs on the columns. None when a check fails,
+    when numpy's reader refuses a group, when a field after a pd_id is not
+    plain ASCII without ``_`` or holds ``\x1f`` (which numpy's reader takes
+    for a space and ``int()`` and ``float()`` refuse), and when a row is
+    other than a PD row, a comment or blank.
+    """
+    pd_rows = []
+    for _, row in rows:
+        if row.startswith("pd,"):
+            pd_rows.append(row)
+        elif row and not row.startswith("#"):
+            return None
+    parts = [row.split(",", 7) for row in pd_rows]  # kind, pd_id, scan_id, ..., sampled_channels, voltages
+    if any(len(p) < 1 + len(PD_FIELDS) + 1 for p in parts):
+        return None
+    numbers = [row[len(p[1]) + 4:] for row, p in zip(pd_rows, parts)]  # the fields after the pd_id
+    text = "\n".join(numbers)
+    if not text.isascii() or "_" in text or "\x1f" in text:
+        return None
+    channels = {}
+    for field in {p[6] for p in parts}:
         try:
-            frames.append(ScanFrame(scan_id=sid, beams=beams[sid], pd_records=records.get(sid, [])))
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
-    return frames
+            channels[field] = tuple(map(int, field.split("|")))
+        except ValueError:
+            return None
+        if not element_indices(channels[field]):
+            return None
+    groups: dict = {}  # voltage count -> its rows
+    for i, p in enumerate(parts):
+        groups.setdefault(p[7].count(",") + 1, []).append(i)
+    tables = []
+    scan, event, floor = np.empty(len(parts), dtype=int), np.empty(len(parts), dtype=int), np.empty(len(parts))
+    for count, group in groups.items():
+        width = max(len(numbers[i]) for i in group)
+        dtype = [*_PD_NUMBERS[:4], ("sampled_channels", f"U{width}"), ("volts", float, (count,))]
+        try:
+            table = _loadtxt([numbers[i] for i in group], dtype)
+        except _REFUSED:
+            return None
+        volts = table["volts"]
+        if not (
+            all(len(channels[parts[i][6]]) == count for i in group)
+            and np.isfinite(table["time_s"]).all() and np.isfinite(table["noise_floor_v"]).all()
+            and ((volts >= 0.0) & (volts <= SUPPLY_RAIL_V)).all()
+        ):
+            return None
+        scan[group], event[group], floor[group] = table["scan_id"], table["event"], table["noise_floor_v"]
+        tables.append((
+            [parts[i][1] for i in group], table["scan_id"], table["time_s"], table["noise_floor_v"],
+            [channels[parts[i][6]] for i in group], volts,
+        ))
+    # each (scan, PD, event) once, and one channel list and noise floor per (scan, PD) record
+    pd_code = {pd_id: k for k, pd_id in enumerate({p[1] for p in parts})}
+    channel_code = {channel_list: k for k, channel_list in enumerate(set(channels.values()))}
+    pd = np.array([pd_code[p[1]] for p in parts], dtype=int)
+    channel = np.array([channel_code[channels[p[6]]] for p in parts], dtype=int)
+    order = np.lexsort((event, pd, scan))
+    scan, pd, event, floor, channel = (column[order] for column in (scan, pd, event, floor, channel))
+    same = (scan[1:] == scan[:-1]) & (pd[1:] == pd[:-1])
+    if (same & ((event[1:] == event[:-1]) | (floor[1:] != floor[:-1]) | (channel[1:] != channel[:-1]))).any():
+        return None
+    if not np.isin(scan, beam_scans).all():
+        return None
+    return tables
+
+
+def _signal_records(tables) -> dict:
+    """The PD records by scan id, each scan's in pd_id order, their events by time.
+
+    ``tables`` hold the accepted PD rows, one table per voltage count, each
+    as (pd_ids, scan_ids, times, noise floors, sampled channels, voltages)
+    in file order; a (scan, PD) record's rows lie in one table. A record
+    takes its sampled channels and noise floor from its first row, and
+    events at one time keep their file order.
+    """
+    ids = sorted({pd_id for table in tables for pd_id in table[0]})
+    code = {pd_id: k for k, pd_id in enumerate(ids)}
+    found = []
+    for pd_ids, scans, times, floors, channels, volts in tables:
+        pd = np.array([code[pd_id] for pd_id in pd_ids])
+        order = np.lexsort((times, pd, scans))
+        scan, pd = scans[order], pd[order]
+        starts = np.flatnonzero(np.r_[True, (scan[1:] != scan[:-1]) | (pd[1:] != pd[:-1])])
+        first = np.minimum.reduceat(order, starts)  # each record's first row in the file
+        times, volts = times[order], volts[order]
+        for a, b, f in zip(starts.tolist(), [*starts[1:].tolist(), len(order)], first.tolist()):
+            found.append((int(scan[a]), ids[pd[a]], PdSignalRecord(
+                pd_id=ids[pd[a]], element_voltages=volts[a:b], sample_times=times[a:b],
+                sampled_channels=channels[f], noise_floor=float(floors[f]),
+            )))
+    found.sort(key=lambda item: item[:2])
+    by_scan: dict = {}
+    for sid, _, record in found:
+        by_scan.setdefault(sid, []).append(record)
+    return by_scan
+
+
+def read_frames(path) -> list:
+    """Parse a scan-frame file back into ScanFrame objects (no sim truth).
+
+    Raises FrameParseError for a malformed line, for a PD row whose scan
+    has no beam rows, for a PD row that repeats the (scan, PD, event) of an
+    earlier row, and for a PD row whose sampled channels or noise floor
+    differ from the earlier rows of its (scan, PD) record. When several lines
+    are malformed, the error names the first. A row holding a number that
+    parses but is not finite (``nan``, ``inf``, ``1e999``), or a PD row
+    holding a voltage off the supply rails or sampled channels that are not
+    strictly increasing element indices from 0 up, is malformed too.
+
+    The beam rows are parsed by numpy's reader in one call and the PD rows
+    as columns (``_pd_columns``); when either is refused, the row walker
+    (``_beam_row_error``, ``_walk_pd_rows``) names the first malformed line.
+    """
+    lines = Path(path).read_text().splitlines()
+    if not lines or lines[0].strip() != FRAME_MAGIC:
+        raise FrameParseError(path, 1, "magic", f"expected {FRAME_MAGIC!r}")
+    beam_rows, other_rows = [], []  # the beam rows; the other rows as (line_no, row)
+    for line_no, line in enumerate(lines[1:], 2):
+        row = line.strip()
+        if row.startswith("beam,"):
+            beam_rows.append(row)
+        else:
+            other_rows.append((line_no, row))
+
+    def numbered():  # the beam rows as (line_no, row), for an error
+        return [(n, row) for n, row in enumerate(map(str.strip, lines[1:]), 2) if row.startswith("beam,")]
+
+    try:
+        raw, refused = _load_beam_rows(beam_rows), None
+    except _REFUSED as exc:
+        raw, refused = None, _beam_row_error(path, numbered(), exc)
+
+    def beam_error(limit=math.inf):  # the error for the first malformed beam row above line limit, or None
+        if refused is not None and refused.line_no < limit:
+            return refused
+        if refused is None and limit == math.inf:
+            return _beam_value_error(path, raw, numbered)
+        above = [row for line_no, row in numbered() if line_no < limit]  # all parse when refused
+        return _beam_value_error(path, raw[:len(above)] if refused is None else _load_beam_rows(above), numbered)
+
+    if beam_error() is None:
+        beams, scan_ids, bounds = _beam_table(raw)
+        tables = _pd_columns(other_rows, scan_ids)
+    else:
+        beams, scan_ids, bounds, tables = None, [], None, None  # the walker raises
+    if tables is None:
+        tables = _walk_pd_rows(path, other_rows, beam_error, set(scan_ids))
+    records = _signal_records(tables)
+    try:
+        return ScanFrame.batch(scan_ids, beams, bounds, [records.get(sid, []) for sid in scan_ids])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 # the least value a points CSV accepts per field

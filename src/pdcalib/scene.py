@@ -22,7 +22,7 @@ import numpy as np
 
 # currents_to_record, the one-record form of _pd_records' AFE pass, stays a
 # name of this module: perfbench traces the simulator's AFE calls by it
-from .afe import PdSignalRecord, TiaParams, currents_to_record, peak_voltages  # noqa: F401
+from .afe import PdSignalRecord, TiaParams, currents_to_record, element_indices, peak_voltages  # noqa: F401
 from .geometry import DEG, TWO_PI, Pose6DOF, pose_to_matrix
 
 # beams whose spot center lies this far beyond the array ends still produce a
@@ -58,7 +58,7 @@ class PdPlacement:
         if self.orientation not in ("horizontal", "vertical"):
             raise ValueError(f"unknown PD orientation {self.orientation!r}")
         ch = tuple(self.sampled_channels)
-        if not ch or list(ch) != sorted(set(ch)) or ch[0] < 0 or ch[-1] >= self.n_elements:
+        if not element_indices(ch) or ch[-1] >= self.n_elements:
             raise ValueError("sampled_channels must be sorted, unique and in range")
 
     @property
@@ -241,17 +241,49 @@ BEAM_DTYPE = np.dtype(
 )
 
 
+def check_returns(beams, bounds, scan_ids):
+    """Check the returns of a batch of frames and wrap their azimuths, in place.
+
+    Frame k of the batch is ``beams[bounds[k]:bounds[k + 1]]``, a run of the
+    ``BEAM_DTYPE`` table ``beams`` in (channel, azimuth_index) order, and has
+    the scan id ``scan_ids[k]``. Every return must have finite angles, range
+    and reflectivity, r > 0 and |omega| < pi/2, and no two returns of a frame
+    may share (channel, azimuth_index). Azimuths outside [0, 2 pi) are
+    wrapped into it.
+
+    Raises ValueError for the first frame that breaks a rule, naming its
+    scan and the first rule it breaks, in the order above.
+    """
+    omega, alpha, r, ch, az = (beams[name] for name in ("omega", "alpha", "r", "channel", "azimuth_index"))
+    finite = np.isfinite(omega) & np.isfinite(alpha) & np.isfinite(r) & np.isfinite(beams["reflectivity"])
+    frame = np.repeat(np.arange(len(scan_ids)), np.diff(bounds))
+    dup = np.zeros(len(beams), dtype=bool)  # the return repeats the one before it in its frame
+    dup[1:] = (ch[1:] == ch[:-1]) & (az[1:] == az[:-1]) & (frame[1:] == frame[:-1])
+    bad = ~finite | (r <= 0) | (np.abs(omega) >= math.pi / 2) | dup
+    if bad.any():
+        k = frame[np.argmax(bad)]
+        lo, hi, scan_id = bounds[k], bounds[k + 1], scan_ids[k]
+        if not finite[lo:hi].all():
+            raise ValueError(f"scan {scan_id}: beam angles, ranges and reflectivities must be finite")
+        if np.any(r[lo:hi] <= 0):
+            raise ValueError(f"scan {scan_id}: beam range must be > 0, got {r[lo:hi].min()}")
+        if np.any(np.abs(omega[lo:hi]) >= math.pi / 2):
+            raise ValueError(f"scan {scan_id}: beam omega outside vertical FOV")
+        i = lo + np.argmax(dup[lo:hi])
+        raise ValueError(f"scan {scan_id}: duplicate beam (channel, azimuth_index) {(int(ch[i]), int(az[i]))}")
+    wrap = ~((alpha >= 0.0) & (alpha < TWO_PI))
+    alpha[wrap] %= TWO_PI
+
+
 @dataclass
 class ScanFrame:
     """One full sensor revolution over the scene.
 
     ``beams`` holds the returns as a structured array of ``BEAM_DTYPE``
     (anything convertible to one is accepted and copied), stored in
-    (channel, azimuth_index) order. Construction checks every return at
-    once: finite angles, range and reflectivity, r > 0 and |omega| < pi/2,
-    no two returns sharing (channel, azimuth_index); azimuths outside
-    [0, 2 pi) are wrapped into it. ``pd_records`` are this scan's PD records;
-    ``truth`` is the simulator's, None for a frame read from a file.
+    (channel, azimuth_index) order and checked by ``check_returns``.
+    ``pd_records`` are this scan's PD records; ``truth`` is the simulator's,
+    None for a frame read from a file.
     """
 
     scan_id: int
@@ -260,23 +292,30 @@ class ScanFrame:
     truth: SimTruth | None = None
 
     def __post_init__(self):
-        b = np.array(self.beams, dtype=BEAM_DTYPE)
-        omega, alpha, r = b["omega"], b["alpha"], b["r"]
-        if not np.isfinite([omega, alpha, r, b["reflectivity"]]).all():
-            raise ValueError(f"scan {self.scan_id}: beam angles, ranges and reflectivities must be finite")
-        if np.any(r <= 0):
-            raise ValueError(f"scan {self.scan_id}: beam range must be > 0, got {r.min()}")
-        if np.any(np.abs(omega) >= math.pi / 2):
-            raise ValueError(f"scan {self.scan_id}: beam omega outside vertical FOV")
-        wrap = ~((alpha >= 0.0) & (alpha < TWO_PI))
-        alpha[wrap] %= TWO_PI
-        b = b[np.lexsort((b["azimuth_index"], b["channel"]))]
-        ch, az = b["channel"], b["azimuth_index"]
-        dup = (np.diff(ch) == 0) & (np.diff(az) == 0)
-        if np.any(dup):
-            i = np.argmax(dup)
-            raise ValueError(f"scan {self.scan_id}: duplicate beam (channel, azimuth_index) {(int(ch[i]), int(az[i]))}")
+        b = np.asarray(self.beams, dtype=BEAM_DTYPE)
+        b = b[np.lexsort((b["azimuth_index"], b["channel"]))]  # a copy
+        check_returns(b, [0, len(b)], [self.scan_id])
         self.beams = b
+
+    @classmethod
+    def batch(cls, scan_ids, beams, bounds, pd_records, truths=None) -> list:
+        """The frames of one batch, checked together by ``check_returns``.
+
+        Frame k has the scan id ``scan_ids[k]``, the PD records
+        ``pd_records[k]`` and the truth ``truths[k]`` (None without
+        ``truths``), and its beams are the view ``beams[bounds[k]:bounds[k +
+        1]]`` of the ``BEAM_DTYPE`` table ``beams``, whose runs must each be
+        in (channel, azimuth_index) order already; the table's azimuths are
+        wrapped in place.
+        """
+        check_returns(beams, bounds, scan_ids)
+        frames = []
+        for k, scan_id in enumerate(scan_ids):
+            frame = cls.__new__(cls)  # checked above: skip __post_init__
+            frame.scan_id, frame.beams = scan_id, beams[bounds[k]:bounds[k + 1]]
+            frame.pd_records, frame.truth = pd_records[k], truths[k] if truths else None
+            frames.append(frame)
+        return frames
 
     def beam_arrays(self):
         """(omega, alpha, r, channel, azimuth_index, reflectivity) arrays.
@@ -596,32 +635,20 @@ def _simulate_block(board, lidar, rot, t, j, seeds, scan_ids, afe,
     beams["azimuth_index"] = j[az_idx]
     beams["reflectivity"] = refl
 
-    frames = []
-    for k, (scan_id, pd_records) in enumerate(zip(scan_ids, _pd_records(events, rngs, afe))):
+    truths = []
+    for k in range(len(scan_ids)) if with_truth else ():
         lo, hi = bounds[k], bounds[k + 1]
-        truth = None
-        if with_truth:
-            xz = points[lo:hi, ::2]
-            scan_events = [(pd, idx[edges[k]:edges[k + 1]]) for pd, idx, _, _, edges in events]
-            truth = SimTruth(
-                board_positions=points[lo:hi],
-                is_board=is_board[lo:hi],
-                on_pd_beam={
-                    pd.pd_id: _strict_on_pd_beam(pd, xz, is_board[lo:hi])
-                    for pd in board.pd_modules
-                },
-                pd_event_beams={pd.pd_id: [int(i - lo) for i in idx] for pd, idx in scan_events},
-                pd_event_centers={pd.pd_id: points[idx] for pd, idx in scan_events},
-            )
-        frames.append(
-            ScanFrame(
-                scan_id=scan_id,
-                beams=beams[lo:hi],
-                pd_records=pd_records,
-                truth=truth,
-            )
-        )
-    return frames
+        xz = points[lo:hi, ::2]
+        scan_events = [(pd, idx[edges[k]:edges[k + 1]]) for pd, idx, _, _, edges in events]
+        truths.append(SimTruth(
+            board_positions=points[lo:hi],
+            is_board=is_board[lo:hi],
+            on_pd_beam={pd.pd_id: _strict_on_pd_beam(pd, xz, is_board[lo:hi]) for pd in board.pd_modules},
+            pd_event_beams={pd.pd_id: [int(i - lo) for i in idx] for pd, idx in scan_events},
+            pd_event_centers={pd.pd_id: points[idx] for pd, idx in scan_events},
+        ))
+    # the returns come by scan, then channel, then azimuth (see _cast_rays)
+    return ScanFrame.batch(scan_ids, beams, bounds, _pd_records(events, rngs, afe), truths)
 
 
 def _pd_records(events, rngs, afe: AfeConfig) -> list:

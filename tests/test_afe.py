@@ -130,6 +130,13 @@ class TestCurrentsToRecord:
         with pytest.raises(ValueError, match="sampled channel"):
             PdSignalRecord("p", np.array([[1.0, 2.0]]), np.array([0.0]), (0, 5, 10))
 
+    @pytest.mark.parametrize("channels", [(15, 10, 5, 0), (-1, 5, 10, 15), (0, 5, 5, 15), ()])
+    def test_sampled_channels_must_be_increasing_element_indices(self, channels):
+        # a record whose channels the frame file would refuse must not be
+        # built in memory either, where the pipeline would take it silently
+        with pytest.raises(ValueError, match="not strictly increasing element indices from 0 up"):
+            PdSignalRecord("p", np.ones((1, len(channels))), np.array([0.0]), channels)
+
     def test_bad_pulse_width(self):
         with pytest.raises(ValueError):
             currents_to_record(np.zeros(16), TiaParams(), 0.0, 0.0, seed=0)

@@ -84,6 +84,13 @@ def _outcome(reader, path):
 
 
 TOKENS = ["abc", "1_0", "5.0", "\u0662", "15|10|5|0"]
+# number forms that numpy's reader and int() / float() might read apart, set
+# in PD rows only. The oracle checks no values, so a form that reads as a
+# float that is not finite goes only into a field that is not read as a float.
+PD_TOKENS = ["+5", "05", "5e0", "0x10", "inf", "-0.0", "1e999"]
+NOT_FINITE = ("inf", "1e999")
+# wider than any field of the rows it joins
+LONG_PD_ID = "h_" * 150
 
 
 @st.composite
@@ -93,23 +100,36 @@ def _rewritten_frame_text(draw, text):
     Beam and PD rows are interleaved in a random order; blank lines,
     comments and maybe a bare ``beam`` line are inserted; some lines are
     padded with whitespace or end in CRLF. The fault, if any, sets one
-    field of one row to a token the reader must refuse or read alike, drops
-    or adds a field, or repeats a PD row.
+    field of one row to a token the reader must refuse or read alike (or
+    the pd_id of a PD row to ``LONG_PD_ID``), drops or adds a field, or
+    repeats a PD row.
     """
     magic, *body = text.splitlines()
     rnd = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
     rnd.shuffle(body)
-    fault = draw(st.sampled_from(["none", "missing field", "extra field", "repeated event"] + TOKENS))
-    kind = draw(st.sampled_from(["beam,", "pd,"]))  # PD rows are few: pick the kind first
+    fault = draw(st.sampled_from(
+        ["none", "missing field", "extra field", "repeated event", "long pd_id"] + TOKENS + PD_TOKENS
+    ))
+    if fault in PD_TOKENS or fault == "long pd_id":
+        kind = "pd,"
+    else:
+        kind = draw(st.sampled_from(["beam,", "pd,"]))  # PD rows are few: pick the kind first
     k = rnd.choice([k for k, row in enumerate(body) if row.startswith(kind)])
     parts = body[k].split(",")
-    i = rnd.randrange(len(parts))
+    if fault in NOT_FINITE:  # into kind, pd_id, scan_id, event or sampled_channels
+        i = rnd.choice([0, 1, 2, 3, 6])
+    elif fault == "long pd_id":
+        i = 1
+    else:
+        i = rnd.randrange(len(parts))
     if fault == "missing field":
         del parts[i]
     elif fault == "extra field":
         parts.insert(i, "1.0")
-    elif fault in TOKENS:
+    elif fault in TOKENS + PD_TOKENS:
         parts[i] = fault
+    elif fault == "long pd_id":
+        parts[i] = LONG_PD_ID
     body[k] = ",".join(parts)
     if fault == "repeated event":
         body.insert(rnd.randrange(len(body) + 1), rnd.choice([row for row in body if row.startswith("pd,")]))
@@ -349,6 +369,18 @@ class TestFrameSerialization:
         assert err.value.line_no == 3
         assert err.value.field == ("time_s" if pd_first else "range_m")
 
+    def test_bad_beam_value_above_a_bad_pd_row_comes_first(self, tmp_path):
+        # numpy's reader refuses the beam row below the PD row, so the beam
+        # rows above the PD row are checked for values alone
+        path = tmp_path / "f.csv"
+        path.write_text("\n".join([
+            io.FRAME_MAGIC, "beam,0,5,21,4.2,-5.0,2.5,10.7", "beam,0,5,22,4.4,-5.0,nan,10.7",
+            "pd,h_tl,0,0,abc,0.1,0|5|10|15,2.66,1.11,0.146,0.0", "beam,0,5,23,4.6,-5.0,abc,10.7",
+        ]) + "\n")
+        with pytest.raises(FrameParseError, match="'nan' is not a finite number") as err:
+            read_frames(path)
+        assert (err.value.line_no, err.value.field) == (3, "range_m")
+
     @pytest.mark.parametrize(
         "field, token, message",
         [
@@ -455,6 +487,35 @@ class TestFrameSerialization:
         n = sum(line.startswith("beam,") for line in lines)
         assert len(calls) <= 2 * math.ceil(math.log2(n)) + 4
         assert sum(calls) <= 3 * n
+
+    @pytest.mark.parametrize(
+        "field, index, token", [("event", 3, "1_0"), ("time_s", 4, "abc"), ("sampled_channels", 6, "15|10|5|0")]
+    )
+    def test_late_bad_pd_row_found_without_a_second_beam_read(
+        self, tmp_path, monkeypatch, small_batch, field, index, token
+    ):
+        path = tmp_path / "frames.csv"
+        write_frames(small_batch, path)
+        lines = path.read_text().splitlines()
+        i = max(k for k, line in enumerate(lines) if line.startswith("pd,")) - 1
+        parts = lines[i].split(",")
+        parts[index] = token
+        lines[i] = ",".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        expected = _outcome(read_frames_reference, path)
+        assert expected[1:3] == (i + 1, field)
+        beam_rows, pd_rows = [], []
+        loadtxt = io._loadtxt
+
+        def counting(rows, dtype):
+            (beam_rows if np.dtype(dtype) == io._BEAM_ROW else pd_rows).append(len(rows))
+            return loadtxt(rows, dtype)
+
+        monkeypatch.setattr(io, "_loadtxt", counting)
+        assert _outcome(read_frames, path) == expected
+        # at most two calls, and no beam row read twice
+        assert len(beam_rows) <= 2 and sum(beam_rows) <= sum(line.startswith("beam,") for line in lines)
+        assert sum(pd_rows) <= sum(line.startswith("pd,") for line in lines)
 
     def test_duplicate_beam_in_scan_rejected(self, tmp_path, small_batch):
         path = tmp_path / "frames.csv"

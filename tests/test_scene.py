@@ -98,6 +98,47 @@ class TestModels:
         with pytest.raises(ValueError, match=r"duplicate beam \(channel, azimuth_index\) \(1, 3\)"):
             ScanFrame(scan_id=0, beams=rows, pd_records=[])
 
+    @pytest.mark.parametrize("fault", [None, "duplicate", "range", "omega", "reflectivity"])
+    def test_batch_checks_as_one_frame_at_a_time(self, fault):
+        # azimuths outside [0, 2 pi) to wrap; frames 0 and 1 meet at one
+        # cell, which is no duplicate; frame 1 breaks one rule and frame 2,
+        # later, a rule checked first within a frame
+        frames = [
+            [(0.1, -0.5, 2.0, 1, 2, 5.0)],
+            [(0.1, 0.2, 2.0, 1, 2, 5.0), (0.1, 7.0, 2.0, 1, 3, 5.0)],
+            [(0.1, 0.3, 2.0, 0, 1, 5.0), (0.1, 0.2, 2.0, 0, 0, 5.0)],
+        ]
+        if fault is not None:
+            frames[2][1] = (0.1, 0.2, float("nan"), 0, 0, 5.0)
+            edit = {
+                "duplicate": lambda rows: rows + [(0.1, 0.4, 2.0, 1, 3, 6.0)],
+                "range": lambda rows: [(0.1, 0.2, -1.0, 1, 2, 5.0), rows[1]],
+                "omega": lambda rows: [rows[0], (2.0, 7.0, 2.0, 1, 3, 5.0)],
+                "reflectivity": lambda rows: [(0.1, 0.2, 2.0, 1, 2, float("inf")), rows[1]],
+            }[fault]
+            frames[1] = edit(frames[1])
+        scan_ids = [10, 11, 12]
+        alone = []
+        for scan_id, rows in zip(scan_ids, frames):
+            try:
+                alone.append(ScanFrame(scan_id, rows, []).beams)
+            except ValueError as exc:
+                alone = str(exc)
+                break
+        table = np.array(
+            [row for rows in frames for row in sorted(rows, key=lambda row: row[3:5])], dtype=scene.BEAM_DTYPE
+        )
+        bounds = np.cumsum([0] + [len(rows) for rows in frames])
+        if fault is None:
+            batch = ScanFrame.batch(scan_ids, table, bounds, [[], [], []])
+            assert [f.beams.tobytes() for f in batch] == [b.tobytes() for b in alone]
+            assert all(f.beams.base is table for f in batch)
+        else:
+            assert "scan 11" in alone
+            with pytest.raises(ValueError) as err:
+                ScanFrame.batch(scan_ids, table, bounds, [[], [], []])
+            assert str(err.value) == alone
+
     def test_beams_held_in_cell_order(self):
         rows = [(0.1, 0.2, 2.0, 1, 3, 5.0), (0.1, 0.1, 2.0, 0, 9, 6.0), (0.1, 0.3, 2.0, 1, -2, 7.0),
                 (0.1, 0.4, 2.0, 0, 4, 8.0)]
