@@ -15,11 +15,15 @@ in degrees at this boundary; everything in memory is radians.
 
 Both row kinds are parsed by numpy's text reader under one rule: numbers are
 plain ASCII decimals as Python's ``repr`` writes them, and a row holding
-``1_0``, non-ASCII digits or a number that is not finite is refused. A PD's
-event indices are unique within its scan, and its sampled channels are
-element indices in strictly increasing order. When the reader refuses a
-file, the row walker (``_beam_row_error``, ``_walk_pd_rows``) reads its rows
-one at a time and names the line and field of the first malformed line.
+``1_0``, non-ASCII digits, a number padded with ``\x1f`` or a non-ASCII
+space, or a number that is not finite is refused. A PD's event indices are
+unique within its scan, and its sampled channels are element indices in
+strictly increasing order. Each rule is checked once, on the columns of one
+row kind, for the first row that breaks it, and the error names the line
+and field of the first malformed line of either kind. ``_row_values`` names
+the field of a row that numpy's reader refuses: the first such beam row is
+found by bisection, and a PD row by reading the rows of its refused
+voltage-count group one at a time.
 """
 
 from __future__ import annotations
@@ -51,9 +55,11 @@ _BEAM_COLUMNS = (
     ("reflectivity", "reflectivity", 1),
 )
 # A PD row after its pd_id, one (field, type) per field, in file order. The
-# sampled channels are "|"-separated, and the voltages v0, v1, ... (floats)
-# follow them, one per sampled channel.
-_PD_NUMBERS = (("scan_id", int), ("event", int), ("time_s", float), ("noise_floor_v", float), ("sampled_channels", int))
+# sampled channels are "|"-separated ints of any size, and the voltages v0,
+# v1, ... (floats) follow them, one per sampled channel.
+_PD_NUMBERS = (
+    ("scan_id", np.int64), ("event", np.int64), ("time_s", float), ("noise_floor_v", float), ("sampled_channels", int)
+)
 BEAM_FIELDS = ("scan_id", *(field for field, _, _ in _BEAM_COLUMNS))
 PD_FIELDS = ("pd_id", *(field for field, _ in _PD_NUMBERS))
 
@@ -304,7 +310,32 @@ def _parse_int(path, line_no, field, token):
         raise FrameParseError(path, line_no, field, f"not an integer: {token!r}")
 
 
-_PARSE = {int: _parse_int, float: _parse_float}
+def _plain(text) -> bool:
+    """Whether ``text`` is free of the characters that numpy's reader and
+    ``_parse_int`` / ``_parse_float`` read differently: non-ASCII ones and
+    ``_``, which the latter refuse, and ``\x1f``, which numpy's reader strips
+    as a space and int() and float() refuse."""
+    return text.isascii() and "_" not in text and "\x1f" not in text
+
+
+def _row_values(path, line_no, fields) -> list:
+    """The values of a row's numbers, given as (field, type, token) in row
+    order, each read by ``_parse_float`` for a float type and ``_parse_int``
+    otherwise; a numpy integer type must hold it, as numpy's reader requires.
+
+    The one field-by-field reader of both row kinds: it names the bad field
+    of a row that numpy's reader refuses or that is not ``_plain``. Raises
+    FrameParseError for the first field that breaks its rule.
+    """
+    values = []
+    for field, kind, token in fields:
+        value = (_parse_float if issubclass(kind, float) else _parse_int)(path, line_no, field, token)
+        if issubclass(kind, np.integer) and not np.iinfo(kind).min <= value <= np.iinfo(kind).max:
+            raise FrameParseError(
+                path, line_no, field, f"{token!r} is not a plain ASCII decimal that fits {np.dtype(kind)}"
+            )
+        values.append(value)
+    return values
 
 
 # A beam row as numpy's text reader parses it. All eight fields are read, so
@@ -327,55 +358,6 @@ def _loadtxt(lines, dtype):
         return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
 
 
-def _beam_row_error(path, rows, exc) -> FrameParseError:
-    """The error for the first malformed beam row, in file order.
-
-    ``rows`` are the beam rows as (line_no, line), which numpy's reader
-    refuses together. A row is malformed when it has the wrong field count,
-    when a field fails the PD rows' number checks (which refuse ``1_0`` and
-    non-ASCII digits), or when numpy's reader refuses a field that those
-    accept (an int beyond 64 bits). The first row the reader refuses is
-    found by bisection: each call parses the first half of the window known
-    to hold it, so about log2(n) calls parse n rows in all. A row above it,
-    which the reader takes, can fail only the number checks, and none does
-    when the text of them all is plain ASCII without ``_``; otherwise they
-    are checked row by row.
-    """
-    lines = [line for _, line in rows]
-    lo, hi = 0, len(lines)  # lines[:lo] parse; lines[lo:hi] hold one that does not
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        try:
-            _loadtxt(lines[lo:mid], _BEAM_ROW)
-            lo = mid
-        except _REFUSED:
-            hi = mid
-    above = "\n".join(lines[:lo])
-    first = 0 if not above.isascii() or "_" in above else lo
-    for line_no, line in rows[first:lo + 1]:
-        parts = line.split(",")
-        if len(parts) != len(_BEAM_ROW.names):
-            return FrameParseError(
-                path, line_no, "beam", f"expected {len(BEAM_FIELDS)} fields, got {len(parts) - 1}"
-            )
-        tokens = list(zip(BEAM_FIELDS, parts[1:]))
-        for field, token in tokens:
-            parse = _parse_int if _BEAM_ROW[field].kind == "i" else _parse_float
-            try:
-                parse(path, line_no, field, token)
-            except FrameParseError as error:
-                return error
-    for field, token in tokens:  # of row lo, which the reader refuses
-        try:
-            _loadtxt([token], _BEAM_ROW[field])
-        except _REFUSED:
-            return FrameParseError(
-                path, line_no, field,
-                f"{token!r} is not a plain ASCII decimal that fits {_BEAM_ROW[field]}",
-            )
-    return FrameParseError(path, line_no, "beam", str(exc))
-
-
 # the beam row values ScanFrame accepts, per float field; the elevation is
 # tested in radians, as ScanFrame tests it, so the two agree at 90 deg
 _BEAM_VALUES = {
@@ -386,28 +368,58 @@ _BEAM_VALUES = {
 }
 
 
-def _load_beam_rows(rows) -> np.ndarray:
-    """Beam rows as ``_BEAM_ROW`` records; raises one of ``_REFUSED``."""
-    return _loadtxt(rows, _BEAM_ROW) if rows else np.empty(0, _BEAM_ROW)  # numpy's reader warns on empty input
+def _beam_records(path, text, lines, rows):
+    """The beam rows ``rows`` (stripped, in file order) as ``_BEAM_ROW``
+    records, and the error for the first malformed one, or None. ``text`` is
+    the file's text and ``lines`` its lines.
 
-
-def _beam_value_error(path, raw, numbered):
-    """The error for the first of the parsed beam rows ``raw`` holding a
-    number that is not finite (``nan``, ``inf``, ``1e999``), a range that is
-    not positive or an elevation at or beyond +-90 deg, or None.
-
-    ``numbered()`` gives the beam rows as (line_no, row), ``raw`` the first
-    ``len(raw)`` of them.
+    The rows are parsed by numpy's reader in one call. When it refuses them,
+    the first row it refuses is found by bisection: each call parses the
+    first half of the window known to hold it, so about log2(n) calls parse
+    n rows in all, and the records are those of the rows above it. A row is
+    malformed when the reader refuses it, when it is not ``_plain`` (the
+    reader takes a number padded with ``\x1f`` or a non-ASCII space), and
+    when it holds a number that is not finite, a range that is not positive
+    or an elevation at or beyond +-90 deg. The error names the first such
+    row, and ``_row_values`` its field when a number of it does not read: a
+    row's numbers are read before their values are checked.
     """
+    refused = None
+    try:
+        raw = _loadtxt(rows, _BEAM_ROW) if rows else np.empty(0, _BEAM_ROW)  # numpy's reader warns on empty input
+    except _REFUSED as exc:
+        refused, parsed = exc, [np.empty(0, _BEAM_ROW)]
+        lo, hi = 0, len(rows)  # rows[:lo] parse; rows[lo:hi] hold one that does not
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            try:
+                parsed.append(_loadtxt(rows[lo:mid], _BEAM_ROW))
+                lo = mid
+            except _REFUSED:
+                hi = mid
+        raw = np.concatenate(parsed)
     ok = np.column_stack([accept(raw[field]) for field, (accept, _) in _BEAM_VALUES.items()])
-    if ok.all():
-        return None
-    k, f = divmod(int(np.argmin(ok)), len(_BEAM_VALUES))  # the first row, then its first field
-    line_no, row = numbered()[k]
-    field = list(_BEAM_VALUES)[f]
-    token = row.split(",")[1 + BEAM_FIELDS.index(field)]
+    bad = [len(raw)] if refused is not None else []  # the first row that breaks each rule
+    if not ok.all():
+        bad.append(int(np.argmin(ok.all(axis=1))))
+    if not text.isascii() or "\x1f" in text:  # the reader refuses a "_" itself
+        bad += [k for k, row in enumerate(rows[:len(raw)]) if not _plain(row)][:1]
+    if not bad:
+        return raw, None
+    k = min(bad)
+    line_no = [n for n, line in enumerate(lines[1:], 2) if line.strip().startswith("beam,")][k]
+    parts = rows[k].split(",")
+    if len(parts) != len(_BEAM_ROW.names):
+        return raw, FrameParseError(path, line_no, "beam", f"expected {len(BEAM_FIELDS)} fields, got {len(parts) - 1}")
+    try:
+        _row_values(path, line_no, [(field, _BEAM_ROW[field].type, t) for field, t in zip(BEAM_FIELDS, parts[1:])])
+    except FrameParseError as error:
+        return raw, error
+    if k == len(raw):
+        return raw, FrameParseError(path, line_no, "beam", str(refused))
+    field = list(_BEAM_VALUES)[int(np.argmin(ok[k]))]
     why = _BEAM_VALUES[field][1] if np.isfinite(raw[field][k]) else "is not a finite number"
-    return FrameParseError(path, line_no, field, f"{token!r} {why}")
+    return raw, FrameParseError(path, line_no, field, f"{parts[1 + BEAM_FIELDS.index(field)]!r} {why}")
 
 
 def _beam_table(raw):
@@ -424,200 +436,161 @@ def _beam_table(raw):
     return beams, scan[starts].tolist(), [*starts.tolist(), len(scan)]
 
 
-def _beams_by_scan(raw) -> dict:
-    """Parsed beam rows to ``BEAM_DTYPE`` arrays by scan id, each in (channel, azimuth index) order."""
-    beams, scan_ids, bounds = _beam_table(raw)
-    return {sid: beams[lo:hi] for sid, lo, hi in zip(scan_ids, bounds, bounds[1:])}
-
-
-def _pd_numbers(path, line_no, parts) -> tuple:
-    """(scan_id, event, time_s, noise_floor_v, sampled_channels, voltages) of
-    a PD row, typed by ``_PD_NUMBERS``: the sampled channels a tuple, the
-    voltages a list.
-
-    ``parts`` is the row split at commas. One check finds the fields after
-    the pd_id plain ASCII without ``_``. When that check or ``int()`` and
-    ``float()`` refuse the row, the field-by-field walk refuses it too and
-    names the first bad field.
-    """
+def _pd_fields(parts) -> list:
+    """A PD row's numbers as (field, type, token) for ``_row_values``;
+    ``parts`` is the row split at its first seven commas."""
     *scalars, (channel_field, index) = _PD_NUMBERS
-    channels, volts = parts[6].split("|"), parts[7:]
-    numbers = ",".join(parts[2:])
-    if numbers.isascii() and "_" not in numbers:
-        try:
-            return (
-                *[kind(token) for (_, kind), token in zip(scalars, parts[2:6])],
-                tuple(map(index, channels)),
-                list(map(float, volts)),
-            )
-        except ValueError:
-            pass
-    return (
-        *[_PARSE[kind](path, line_no, field, token) for (field, kind), token in zip(scalars, parts[2:6])],
-        tuple(_PARSE[index](path, line_no, channel_field, c) for c in channels),
-        [_parse_float(path, line_no, f"v{i}", token) for i, token in enumerate(volts)],
-    )
-
-
-def _walk_pd_rows(path, rows, beam_error, beam_scans) -> list:
-    """The row walker: the PD rows among ``rows`` as ``_signal_records``
-    tables, read one row at a time, in file order.
-
-    ``rows`` are the rows other than beam rows, as (line_no, row).
-    ``beam_error(limit)`` gives the error for the first malformed beam row
-    above line ``limit`` (any line by default), or None, and ``beam_scans``
-    holds the scan ids of the beam rows.
-
-    Raises FrameParseError, as ``read_frames`` says, for the first malformed
-    line, beam rows included, and then for the first PD row of a scan that
-    has no beam rows.
-    """
-    accepted = []  # (pd_id, scan_id, time_s, noise_floor_v, sampled_channels, voltages) per PD row
-    records: dict = {}  # (scan_id, pd_id) -> (noise floor, channels, line) of its first row
-    first_pd_line: dict = {}  # scan_id -> line of its first PD row
-    event_lines: dict = {}  # (scan_id, pd_id, event) -> line of its row
-    try:
-        for line_no, row in rows:
-            kind = row.partition(",")[0]
-            if kind == "pd":
-                parts = row.split(",")
-                if len(parts) < 1 + len(PD_FIELDS) + 1:
-                    raise FrameParseError(path, line_no, "pd", "missing voltage fields")
-                pd_id = parts[1]
-                sid, event, time_s, floor, channels, volts = _pd_numbers(path, line_no, parts)
-                if not element_indices(channels):
-                    raise FrameParseError(
-                        path, line_no, "sampled_channels",
-                        f"{parts[6]!r} is not a strictly increasing list of element indices from 0 up",
-                    )
-                if len(volts) != len(channels):
-                    raise FrameParseError(
-                        path, line_no, "voltages",
-                        f"{len(volts)} voltages for {len(channels)} sampled channels",
-                    )
-                earlier = event_lines.setdefault((sid, pd_id, event), line_no)
-                if earlier != line_no:
-                    raise FrameParseError(
-                        path, line_no, "event",
-                        f"event {event} of PD {pd_id!r}, scan {sid} repeats line {earlier}",
-                    )
-                rec = records.setdefault((sid, pd_id), (floor, channels, line_no))
-                if channels != rec[1]:
-                    raise FrameParseError(
-                        path, line_no, "sampled_channels",
-                        f"{parts[6]!r} differs from {'|'.join(map(str, rec[1]))!r} "
-                        f"in earlier rows of PD {pd_id!r}, scan {sid}",
-                    )
-                # a record's first row sets its floor, which the value checks below find finite
-                if line_no != rec[2] and floor != rec[0]:
-                    raise FrameParseError(
-                        path, line_no, "noise_floor_v",
-                        f"{floor!r} differs from {rec[0]!r} in earlier rows of PD {pd_id!r}, scan {sid}",
-                    )
-                bad = [(f, v) for f, v in (("time_s", time_s), ("noise_floor_v", floor)) if not math.isfinite(v)]
-                bad += [(f"v{i}", v) for i, v in enumerate(volts) if not 0.0 <= v <= SUPPLY_RAIL_V]
-                if bad:
-                    field, value = bad[0]
-                    why = "lies outside the 0-10 V supply range" if math.isfinite(value) else "is not a finite number"
-                    raise FrameParseError(path, line_no, field, f"{value!r} {why}")
-                accepted.append((pd_id, sid, time_s, floor, channels, volts))
-                first_pd_line.setdefault(sid, line_no)
-            elif kind == "beam":  # a beam row with no fields
-                raise FrameParseError(path, line_no, "beam", f"expected {len(BEAM_FIELDS)} fields, got 0")
-            elif row and not row.startswith("#"):
-                raise FrameParseError(path, line_no, "record", f"unknown record type {kind!r}")
-    except FrameParseError as exc:
-        error = beam_error(exc.line_no)  # a malformed beam row above it comes first
-        if error is None:
-            raise
-    else:
-        error = beam_error()
-    if error is not None:
-        raise error
-    orphans = [(line_no, sid) for sid, line_no in first_pd_line.items() if sid not in beam_scans]
-    if orphans:
-        line_no, sid = min(orphans)
-        raise FrameParseError(path, line_no, "scan_id", f"PD row of scan {sid}, which has no beam rows")
-    by_count: dict = {}
-    for row in accepted:
-        by_count.setdefault(len(row[4]), []).append(row)
     return [
-        (list(pd_ids), np.array(sids), np.array(times), np.array(floors), list(channels), np.array(volts))
-        for pd_ids, sids, times, floors, channels, volts in (zip(*group) for group in by_count.values())
+        *((field, kind, token) for (field, kind), token in zip(scalars, parts[2:6])),
+        *((channel_field, index, token) for token in parts[6].split("|")),
+        *((f"v{i}", float, token) for i, token in enumerate(parts[7].split(","))),
     ]
 
 
-def _pd_columns(rows, beam_scans):
-    """The PD rows among ``rows`` as ``_signal_records`` tables, read as
-    columns, or None for the row walker to read them.
+def _first(mask):
+    """The index of the first true entry of ``mask``, or None."""
+    return int(np.argmax(mask)) if mask.any() else None
 
-    ``rows`` and ``beam_scans`` are as for ``_walk_pd_rows``, whose tables
-    this returns. Each group of PD rows with one voltage count is parsed by
-    numpy's reader in one call, each distinct sampled-channel text once, and
-    every check of the walker runs on the columns. None when a check fails,
-    when numpy's reader refuses a group, when a field after a pd_id is not
-    plain ASCII without ``_`` or holds ``\x1f`` (which numpy's reader takes
-    for a space and ``int()`` and ``float()`` refuse), and when a row is
-    other than a PD row, a comment or blank.
+
+def _run_firsts(order, starts) -> np.ndarray:
+    """Each row's first row in the file among those of its run, where
+    ``order`` sorts the rows into runs that begin at the positions ``starts``."""
+    first = np.empty(len(order), dtype=int)
+    first[order] = np.repeat(np.minimum.reduceat(order, starts), np.diff([*starts, len(order)]))
+    return first
+
+
+def _pd_columns(path, rows):
+    """The PD rows ``rows``, (line_no, row) in file order, read as columns:
+    their ``_signal_records`` tables and their scan ids in file order, and
+    the error for the first malformed row; (None, None, error) when there is
+    one, else (tables, scan ids, None).
+
+    Each group of rows with one voltage count is parsed by numpy's reader in
+    one call, and each distinct sampled-channel text once. When the reader
+    refuses a group, or a row of it is not ``_plain`` or holds channels that
+    int() refuses, ``_row_values`` reads the group's rows, and no others, up
+    to the first it names. Each rule below is checked once, on the columns
+    of all rows above the first that cannot be read, and a row is named for
+    the first rule it breaks:
+
+    1. it has the fields of a PD row with at least one voltage;
+    2. its numbers are plain ASCII decimals of their types (``_row_values``);
+    3. its sampled channels are strictly increasing element indices from 0 up;
+    4. it holds one voltage per sampled channel;
+    5. its (scan, PD, event) is not that of an earlier row;
+    6. its sampled channels and 7. its noise floor are those of the first
+       row of its (scan, PD) record;
+    8. its time and noise floor are finite, and its voltages lie on the
+       0-10 V supply rails.
     """
-    pd_rows = []
-    for _, row in rows:
-        if row.startswith("pd,"):
-            pd_rows.append(row)
-        elif row and not row.startswith("#"):
-            return None
-    parts = [row.split(",", 7) for row in pd_rows]  # kind, pd_id, scan_id, ..., sampled_channels, voltages
-    if any(len(p) < 1 + len(PD_FIELDS) + 1 for p in parts):
-        return None
-    numbers = [row[len(p[1]) + 4:] for row, p in zip(pd_rows, parts)]  # the fields after the pd_id
-    text = "\n".join(numbers)
-    if not text.isascii() or "_" in text or "\x1f" in text:
-        return None
+    parts = [row.split(",", 7) for _, row in rows]  # kind, pd_id, scan_id, ..., sampled_channels, voltages
+    found = []  # (row, rule, error) for the first row that breaks each rule
+    cut = next((i for i, p in enumerate(parts) if len(p) < 1 + len(PD_FIELDS) + 1), len(rows))
+    if cut < len(rows):
+        found.append((cut, 1, FrameParseError(path, rows[cut][0], "pd", "missing voltage fields")))
+    numbers = [row[len(p[1]) + 4:] for (_, row), p in zip(rows[:cut], parts)]  # the fields after the pd_id
     channels = {}
-    for field in {p[6] for p in parts}:
+    for text in {p[6] for p in parts[:cut]}:
         try:
-            channels[field] = tuple(map(int, field.split("|")))
+            channels[text] = tuple(map(int, text.split("|")))
         except ValueError:
-            return None
-        if not element_indices(channels[field]):
-            return None
+            pass
+    counts = [p[7].count(",") + 1 for p in parts[:cut]]
     groups: dict = {}  # voltage count -> its rows
-    for i, p in enumerate(parts):
-        groups.setdefault(p[7].count(",") + 1, []).append(i)
-    tables = []
-    scan, event, floor = np.empty(len(parts), dtype=int), np.empty(len(parts), dtype=int), np.empty(len(parts))
+    for i, count in enumerate(counts):
+        groups.setdefault(count, []).append(i)
+    loaded = []  # (rows, voltage count, table) per group
     for count, group in groups.items():
-        width = max(len(numbers[i]) for i in group)
-        dtype = [*_PD_NUMBERS[:4], ("sampled_channels", f"U{width}"), ("volts", float, (count,))]
-        try:
-            table = _loadtxt([numbers[i] for i in group], dtype)
-        except _REFUSED:
-            return None
+        dtype = [
+            *_PD_NUMBERS[:4], ("sampled_channels", f"U{max(len(numbers[i]) for i in group)}"),
+            ("volts", float, (count,)),
+        ]
+        lines = [numbers[i] for i in group]
+        table = None
+        if _plain("\n".join(lines)) and all(parts[i][6] in channels for i in group):
+            try:
+                table = _loadtxt(lines, dtype)
+            except _REFUSED:
+                pass
+        if table is None:  # read the group's rows up to the first that breaks rule 2
+            values = []
+            for i in group:
+                try:
+                    values.append(_row_values(path, rows[i][0], _pd_fields(parts[i])))
+                except FrameParseError as error:
+                    found.append((i, 2, error))
+                    break
+            group = group[:len(values)]
+            table = np.array([(*v[:4], parts[i][6], v[-count:]) for i, v in zip(group, values)], dtype)
+        loaded.append((group, count, table))
+    cut = min([cut, *(i for i, _, _ in found)])
+    scan, event, floor = np.empty(cut, dtype=int), np.empty(cut, dtype=int), np.empty(cut)
+    for group, count, table in loaded:
+        k = int(np.searchsorted(group, cut))
+        rows_k, table = group[:k], table[:k]
+        scan[rows_k], event[rows_k], floor[rows_k] = table["scan_id"], table["event"], table["noise_floor_v"]
         volts = table["volts"]
-        if not (
-            all(len(channels[parts[i][6]]) == count for i in group)
-            and np.isfinite(table["time_s"]).all() and np.isfinite(table["noise_floor_v"]).all()
-            and ((volts >= 0.0) & (volts <= SUPPLY_RAIL_V)).all()
-        ):
-            return None
-        scan[group], event[group], floor[group] = table["scan_id"], table["event"], table["noise_floor_v"]
-        tables.append((
-            [parts[i][1] for i in group], table["scan_id"], table["time_s"], table["noise_floor_v"],
-            [channels[parts[i][6]] for i in group], volts,
-        ))
-    # each (scan, PD, event) once, and one channel list and noise floor per (scan, PD) record
-    pd_code = {pd_id: k for k, pd_id in enumerate({p[1] for p in parts})}
-    channel_code = {channel_list: k for k, channel_list in enumerate(set(channels.values()))}
-    pd = np.array([pd_code[p[1]] for p in parts], dtype=int)
-    channel = np.array([channel_code[channels[p[6]]] for p in parts], dtype=int)
-    order = np.lexsort((event, pd, scan))
-    scan, pd, event, floor, channel = (column[order] for column in (scan, pd, event, floor, channel))
-    same = (scan[1:] == scan[:-1]) & (pd[1:] == pd[:-1])
-    if (same & ((event[1:] == event[:-1]) | (floor[1:] != floor[:-1]) | (channel[1:] != channel[:-1]))).any():
-        return None
-    if not np.isin(scan, beam_scans).all():
-        return None
-    return tables
+        on_rails = (volts >= 0.0) & (volts <= SUPPLY_RAIL_V)
+        ok = np.column_stack([np.isfinite(table["time_s"]), np.isfinite(table["noise_floor_v"]), on_rails])
+        r = _first(~ok.all(axis=1))
+        if r is not None:
+            f = int(np.argmin(ok[r]))
+            field = ("time_s", "noise_floor_v", *(f"v{j}" for j in range(count)))[f]
+            value = float((table["time_s"][r], table["noise_floor_v"][r], *volts[r])[f])
+            why = "lies outside the 0-10 V supply range" if math.isfinite(value) else "is not a finite number"
+            found.append((rows_k[r], 8, FrameParseError(path, rows[rows_k[r]][0], field, f"{value!r} {why}")))
+    increasing = {text: element_indices(channel_list) for text, channel_list in channels.items()}
+    i = next((i for i in range(cut) if not increasing[parts[i][6]]), None)
+    if i is not None:
+        found.append((i, 3, FrameParseError(
+            path, rows[i][0], "sampled_channels",
+            f"{parts[i][6]!r} is not a strictly increasing list of element indices from 0 up",
+        )))
+    i = next((i for i in range(cut) if len(channels[parts[i][6]]) != counts[i]), None)
+    if i is not None:
+        found.append((i, 4, FrameParseError(
+            path, rows[i][0], "voltages", f"{counts[i]} voltages for {len(channels[parts[i][6]])} sampled channels"
+        )))
+    if cut:
+        pd_code = {pd_id: k for k, pd_id in enumerate({p[1] for p in parts[:cut]})}
+        channel_code = {channel_list: k for k, channel_list in enumerate(set(channels.values()))}
+        pd = np.array([pd_code[p[1]] for p in parts[:cut]], dtype=int)
+        channel = np.array([channel_code[channels[p[6]]] for p in parts[:cut]], dtype=int)
+        order = np.lexsort((event, pd, scan))
+        s, q, e = scan[order], pd[order], event[order]
+        new_record = np.r_[True, (s[1:] != s[:-1]) | (q[1:] != q[:-1])]
+        earlier = _run_firsts(order, np.flatnonzero(new_record | np.r_[True, e[1:] != e[:-1]]))
+        first = _run_firsts(order, np.flatnonzero(new_record))
+        own = np.arange(cut)
+        i = _first(earlier != own)
+        if i is not None:
+            found.append((i, 5, FrameParseError(
+                path, rows[i][0], "event",
+                f"event {event[i]} of PD {parts[i][1]!r}, scan {scan[i]} repeats line {rows[earlier[i]][0]}",
+            )))
+        i = _first(channel != channel[first])
+        if i is not None:
+            found.append((i, 6, FrameParseError(
+                path, rows[i][0], "sampled_channels",
+                f"{parts[i][6]!r} differs from {'|'.join(map(str, channels[parts[first[i]][6]]))!r} "
+                f"in earlier rows of PD {parts[i][1]!r}, scan {scan[i]}",
+            )))
+        i = _first((floor != floor[first]) & (first != own))  # a record's first row sets its floor
+        if i is not None:
+            found.append((i, 7, FrameParseError(
+                path, rows[i][0], "noise_floor_v",
+                f"{float(floor[i])!r} differs from {float(floor[first[i]])!r} "
+                f"in earlier rows of PD {parts[i][1]!r}, scan {scan[i]}",
+            )))
+    if found:
+        return None, None, min(found, key=lambda item: item[:2])[2]
+    tables = [
+        ([parts[i][1] for i in group], table["scan_id"], table["time_s"], table["noise_floor_v"],
+         [channels[parts[i][6]] for i in group], table["volts"])
+        for group, _, table in loaded
+    ]
+    return tables, scan, None
 
 
 def _signal_records(tables) -> dict:
@@ -658,49 +631,46 @@ def read_frames(path) -> list:
     has no beam rows, for a PD row that repeats the (scan, PD, event) of an
     earlier row, and for a PD row whose sampled channels or noise floor
     differ from the earlier rows of its (scan, PD) record. When several lines
-    are malformed, the error names the first. A row holding a number that
-    parses but is not finite (``nan``, ``inf``, ``1e999``), or a PD row
-    holding a voltage off the supply rails or sampled channels that are not
-    strictly increasing element indices from 0 up, is malformed too.
+    are malformed, the error names the first, of either row kind. A row
+    holding a number that parses but is not finite (``nan``, ``inf``,
+    ``1e999``), a beam row holding a range that is not positive or an
+    elevation at or beyond +-90 deg, or a PD row holding a voltage off the
+    supply rails or sampled channels that are not strictly increasing
+    element indices from 0 up, is malformed too.
 
-    The beam rows are parsed by numpy's reader in one call and the PD rows
-    as columns (``_pd_columns``); when either is refused, the row walker
-    (``_beam_row_error``, ``_walk_pd_rows``) names the first malformed line.
+    The beam rows are parsed by numpy's reader in one call
+    (``_beam_records``) and the PD rows as columns (``_pd_columns``); each
+    finds the first row that breaks each of its rules on the columns, and
+    ``_row_values`` names the bad field of a row that numpy's reader refuses.
+    The error names the first of those rows and of the rows of no known
+    kind; a PD row of a scan with no beam rows comes after them all.
     """
-    lines = Path(path).read_text().splitlines()
+    text = Path(path).read_text()
+    lines = text.splitlines()
     if not lines or lines[0].strip() != FRAME_MAGIC:
         raise FrameParseError(path, 1, "magic", f"expected {FRAME_MAGIC!r}")
-    beam_rows, other_rows = [], []  # the beam rows; the other rows as (line_no, row)
+    beam_rows, pd_rows, unknown = [], [], None  # the beam rows; the PD rows as (line_no, row); the first other row
     for line_no, line in enumerate(lines[1:], 2):
         row = line.strip()
         if row.startswith("beam,"):
             beam_rows.append(row)
-        else:
-            other_rows.append((line_no, row))
-
-    def numbered():  # the beam rows as (line_no, row), for an error
-        return [(n, row) for n, row in enumerate(map(str.strip, lines[1:]), 2) if row.startswith("beam,")]
-
-    try:
-        raw, refused = _load_beam_rows(beam_rows), None
-    except _REFUSED as exc:
-        raw, refused = None, _beam_row_error(path, numbered(), exc)
-
-    def beam_error(limit=math.inf):  # the error for the first malformed beam row above line limit, or None
-        if refused is not None and refused.line_no < limit:
-            return refused
-        if refused is None and limit == math.inf:
-            return _beam_value_error(path, raw, numbered)
-        above = [row for line_no, row in numbered() if line_no < limit]  # all parse when refused
-        return _beam_value_error(path, raw[:len(above)] if refused is None else _load_beam_rows(above), numbered)
-
-    if beam_error() is None:
-        beams, scan_ids, bounds = _beam_table(raw)
-        tables = _pd_columns(other_rows, scan_ids)
-    else:
-        beams, scan_ids, bounds, tables = None, [], None, None  # the walker raises
-    if tables is None:
-        tables = _walk_pd_rows(path, other_rows, beam_error, set(scan_ids))
+        elif row.partition(",")[0] == "pd":
+            pd_rows.append((line_no, row))
+        elif unknown is None and row == "beam":  # a beam row with no fields
+            unknown = FrameParseError(path, line_no, "beam", f"expected {len(BEAM_FIELDS)} fields, got 0")
+        elif unknown is None and row and not row.startswith("#"):
+            unknown = FrameParseError(path, line_no, "record", f"unknown record type {row.partition(',')[0]!r}")
+    raw, beam_error = _beam_records(path, text, lines, beam_rows)
+    tables, pd_scans, pd_error = _pd_columns(path, pd_rows)
+    errors = [error for error in (beam_error, pd_error, unknown) if error is not None]
+    if errors:
+        raise min(errors, key=lambda error: error.line_no)
+    beams, scan_ids, bounds = _beam_table(raw)
+    k = _first(~np.isin(pd_scans, scan_ids))
+    if k is not None:
+        raise FrameParseError(
+            path, pd_rows[k][0], "scan_id", f"PD row of scan {pd_scans[k]}, which has no beam rows"
+        )
     records = _signal_records(tables)
     try:
         return ScanFrame.batch(scan_ids, beams, bounds, [records.get(sid, []) for sid in scan_ids])

@@ -13,8 +13,8 @@ cluster at a time, the graph-labelling oracle is scipy's
 connected components, the feature oracle joins each PD event of one frame
 to its beam through a dict and fits it on its own, the RANSAC oracle scores one hypothesis line at
 a time, the scene oracle simulates one scan at a time with one
-element-current call per PD event, the frame-file oracle sorts and parses
-a file line by line, and the Cartesian-to-polar inverse checks the
+element-current call per PD event, the frame-file oracle reads and checks
+a file one line at a time, and the Cartesian-to-polar inverse checks the
 library's forward conversion.
 """
 
@@ -28,7 +28,7 @@ from scipy.spatial import cKDTree
 from scipy.special import ndtr
 
 from pdcalib import beam_center, io, preprocess
-from pdcalib.afe import PdSignalRecord, currents_to_record
+from pdcalib.afe import SUPPLY_RAIL_V, PdSignalRecord, currents_to_record
 from pdcalib.correspondence import KEY_DTYPE
 from pdcalib.geometry import (
     DEG,
@@ -602,59 +602,51 @@ def simulate_scan_reference(
     )
 
 
-def beam_row_error_reference(path, rows, exc):
-    """``io._beam_row_error`` one row at a time: one ``io._loadtxt`` call per row
-    until the first malformed one.
-
-    ``rows`` are the beam rows as (line_no, line). A row is malformed when it
-    has the wrong field count, when a field fails the PD rows' number checks
-    (which refuse ``1_0`` and non-ASCII digits), or when numpy's reader
-    refuses a field that those accept (an int beyond 64 bits).
-    """
-    for line_no, line in rows:
-        parts = line.split(",")
-        if len(parts) != len(io._BEAM_ROW.names):
-            return io.FrameParseError(
-                path, line_no, "beam", f"expected {len(io.BEAM_FIELDS)} fields, got {len(parts) - 1}"
-            )
-        tokens = list(zip(io.BEAM_FIELDS, parts[1:]))
-        for field, token in tokens:
-            parse = io._parse_int if io._BEAM_ROW[field].kind == "i" else io._parse_float
-            parse(path, line_no, field, token)
-        try:
-            io._loadtxt([line], io._BEAM_ROW)
-        except io._REFUSED:
-            for field, token in tokens:
-                try:
-                    io._loadtxt([token], io._BEAM_ROW[field])
-                except io._REFUSED:
-                    return io.FrameParseError(
-                        path, line_no, field,
-                        f"{token!r} is not a plain ASCII decimal that fits {io._BEAM_ROW[field]}",
-                    )
-    return io.FrameParseError(path, rows[0][0], "beam", str(exc))
+def _beams_by_scan(raw) -> dict:
+    """Parsed beam rows to ``BEAM_DTYPE`` arrays by scan id, each in (channel, azimuth index) order."""
+    beams, scan_ids, bounds = io._beam_table(raw)
+    return {sid: beams[lo:hi] for sid, lo, hi in zip(scan_ids, bounds, bounds[1:])}
 
 
-def _read_beams_reference(path, rows):
-    """Beam rows, as (line_no, line) in file order, to ``BEAM_DTYPE`` arrays by scan id."""
-    if not rows:
-        return {}
-    try:
-        raw = io._loadtxt([line for _, line in rows], io._BEAM_ROW)
-    except io._REFUSED as exc:
-        raise beam_row_error_reference(path, rows, exc) from None
-    return io._beams_by_scan(raw)
+def _int64(path, line_no, field, token):
+    value = io._parse_int(path, line_no, field, token)
+    if not -(2 ** 63) <= value < 2 ** 63:
+        raise io.FrameParseError(path, line_no, field, f"{token!r} is not a plain ASCII decimal that fits int64")
+    return value
+
+
+def _beam_row_reference(path, line_no, line):
+    """One beam row as its ``io._BEAM_ROW`` values, read by Python's int()
+    and float() under the reader's plain-ASCII checks; then each float must
+    be finite, the range positive and the elevation inside +-90 deg."""
+    parts = line.split(",")
+    if len(parts) != 1 + len(io.BEAM_FIELDS):
+        raise io.FrameParseError(
+            path, line_no, "beam", f"expected {len(io.BEAM_FIELDS)} fields, got {len(parts) - 1}"
+        )
+    ints = [_int64(path, line_no, field, token) for field, token in zip(io.BEAM_FIELDS[:3], parts[1:4])]
+    floats = [io._parse_float(path, line_no, field, token) for field, token in zip(io.BEAM_FIELDS[3:], parts[4:])]
+    for field, token, value in zip(io.BEAM_FIELDS[3:], parts[4:], floats):
+        if not math.isfinite(value):
+            raise io.FrameParseError(path, line_no, field, f"{token!r} is not a finite number")
+        if field == "omega_deg" and not abs(value * DEG) < math.pi / 2:
+            raise io.FrameParseError(path, line_no, field, f"{token!r} is not an elevation inside (-90, 90) deg")
+        if field == "range_m" and not value > 0:
+            raise io.FrameParseError(path, line_no, field, f"{token!r} is not a positive range")
+    return ("beam", *ints, *floats)
 
 
 def read_frames_reference(path):
-    """``io.read_frames`` one line at a time.
+    """``io.read_frames`` one line at a time, raising for the first malformed line.
 
-    Each line is stripped and sorted by its record type in one loop, every
-    PD row is parsed field by field with the reader's plain-ASCII checks,
-    and the beam rows seen so far are parsed together when the loop ends or
-    a PD row fails, so that the first malformed line is named. A PD row's
-    sampled channels must equal their own sorted set, all 0 or more, as a
-    module's element indices are.
+    Each line is stripped and read by its record type in one loop. Every
+    number is read by Python's int() and float() with the reader's
+    plain-ASCII checks, an int64 field must hold it, and its value is
+    checked at once: a beam row's floats finite, its range positive and
+    its elevation inside +-90 deg; a PD row's time and noise floor finite
+    and its voltages on the supply rails, after the checks against the
+    earlier rows of its record. A PD row's sampled channels must equal
+    their own sorted set, all 0 or more, as a module's element indices are.
     """
     FrameParseError = io.FrameParseError
     parse_int, parse_float = io._parse_int, io._parse_float
@@ -665,61 +657,63 @@ def read_frames_reference(path):
     pd_records = {}
     first_pd_line = {}
     event_lines = {}
-    try:
-        for line_no, raw in enumerate(lines[1:], start=2):
-            line = raw.strip()
-            kind = line.partition(",")[0]
-            if kind == "beam":
-                beam_rows.append((line_no, line))
-            elif not line or line.startswith("#"):
-                continue
-            elif kind == "pd":
-                parts = line.split(",")
-                if len(parts) < 1 + len(io.PD_FIELDS) + 1:
-                    raise FrameParseError(path, line_no, "pd", "missing voltage fields")
-                pd_id = parts[1]
-                sid = parse_int(path, line_no, "scan_id", parts[2])
-                event = parse_int(path, line_no, "event", parts[3])
-                time_s = parse_float(path, line_no, "time_s", parts[4])
-                floor = parse_float(path, line_no, "noise_floor_v", parts[5])
-                channels = tuple(parse_int(path, line_no, "sampled_channels", c) for c in parts[6].split("|"))
-                volts = [parse_float(path, line_no, f"v{i}", tok) for i, tok in enumerate(parts[7:])]
-                if list(channels) != sorted(set(channels)) or channels[0] < 0:
-                    raise FrameParseError(
-                        path, line_no, "sampled_channels",
-                        f"{parts[6]!r} is not a strictly increasing list of element indices from 0 up",
-                    )
-                if len(volts) != len(channels):
-                    raise FrameParseError(
-                        path, line_no, "voltages",
-                        f"{len(volts)} voltages for {len(channels)} sampled channels",
-                    )
-                earlier = event_lines.setdefault((sid, pd_id, event), line_no)
-                if earlier != line_no:
-                    raise FrameParseError(
-                        path, line_no, "event",
-                        f"event {event} of PD {pd_id!r}, scan {sid} repeats line {earlier}",
-                    )
-                rec = pd_records.setdefault((sid, pd_id), (floor, channels, []))
-                if channels != rec[1]:
-                    raise FrameParseError(
-                        path, line_no, "sampled_channels",
-                        f"{parts[6]!r} differs from {'|'.join(map(str, rec[1]))!r} "
-                        f"in earlier rows of PD {pd_id!r}, scan {sid}",
-                    )
-                if floor != rec[0]:
-                    raise FrameParseError(
-                        path, line_no, "noise_floor_v",
-                        f"{floor!r} differs from {rec[0]!r} in earlier rows of PD {pd_id!r}, scan {sid}",
-                    )
-                rec[2].append((time_s, volts))
-                first_pd_line.setdefault(sid, line_no)
-            else:
-                raise FrameParseError(path, line_no, "record", f"unknown record type {kind!r}")
-    except FrameParseError:
-        _read_beams_reference(path, beam_rows)
-        raise
-    beams = _read_beams_reference(path, beam_rows)
+    for line_no, raw in enumerate(lines[1:], start=2):
+        line = raw.strip()
+        kind = line.partition(",")[0]
+        if kind == "beam":
+            beam_rows.append(_beam_row_reference(path, line_no, line))
+        elif not line or line.startswith("#"):
+            continue
+        elif kind == "pd":
+            parts = line.split(",")
+            if len(parts) < 1 + len(io.PD_FIELDS) + 1:
+                raise FrameParseError(path, line_no, "pd", "missing voltage fields")
+            pd_id = parts[1]
+            sid = _int64(path, line_no, "scan_id", parts[2])
+            event = _int64(path, line_no, "event", parts[3])
+            time_s = parse_float(path, line_no, "time_s", parts[4])
+            floor = parse_float(path, line_no, "noise_floor_v", parts[5])
+            channels = tuple(parse_int(path, line_no, "sampled_channels", c) for c in parts[6].split("|"))
+            volts = [parse_float(path, line_no, f"v{i}", tok) for i, tok in enumerate(parts[7:])]
+            if list(channels) != sorted(set(channels)) or channels[0] < 0:
+                raise FrameParseError(
+                    path, line_no, "sampled_channels",
+                    f"{parts[6]!r} is not a strictly increasing list of element indices from 0 up",
+                )
+            if len(volts) != len(channels):
+                raise FrameParseError(
+                    path, line_no, "voltages",
+                    f"{len(volts)} voltages for {len(channels)} sampled channels",
+                )
+            earlier = event_lines.setdefault((sid, pd_id, event), line_no)
+            if earlier != line_no:
+                raise FrameParseError(
+                    path, line_no, "event",
+                    f"event {event} of PD {pd_id!r}, scan {sid} repeats line {earlier}",
+                )
+            rec = pd_records.setdefault((sid, pd_id), (floor, channels, []))
+            if channels != rec[1]:
+                raise FrameParseError(
+                    path, line_no, "sampled_channels",
+                    f"{parts[6]!r} differs from {'|'.join(map(str, rec[1]))!r} "
+                    f"in earlier rows of PD {pd_id!r}, scan {sid}",
+                )
+            if rec[2] and floor != rec[0]:  # the record's first row sets its floor
+                raise FrameParseError(
+                    path, line_no, "noise_floor_v",
+                    f"{floor!r} differs from {rec[0]!r} in earlier rows of PD {pd_id!r}, scan {sid}",
+                )
+            values = {"time_s": time_s, "noise_floor_v": floor, **{f"v{i}": v for i, v in enumerate(volts)}}
+            for field, value in values.items():
+                if not math.isfinite(value):
+                    raise FrameParseError(path, line_no, field, f"{value!r} is not a finite number")
+                if field.startswith("v") and not 0.0 <= value <= SUPPLY_RAIL_V:
+                    raise FrameParseError(path, line_no, field, f"{value!r} lies outside the 0-10 V supply range")
+            rec[2].append((time_s, volts))
+            first_pd_line.setdefault(sid, line_no)
+        else:
+            raise FrameParseError(path, line_no, "record", f"unknown record type {kind!r}")
+    beams = _beams_by_scan(np.array(beam_rows, io._BEAM_ROW))
 
     orphans = [(line_no, sid) for sid, line_no in first_pd_line.items() if sid not in beams]
     if orphans:

@@ -83,56 +83,52 @@ def _outcome(reader, path):
         return type(exc), getattr(exc, "line_no", None), getattr(exc, "field", None), str(exc)
 
 
-TOKENS = ["abc", "1_0", "5.0", "\u0662", "15|10|5|0"]
-# number forms that numpy's reader and int() / float() might read apart, set
-# in PD rows only. The oracle checks no values, so a form that reads as a
-# float that is not finite goes only into a field that is not read as a float.
-PD_TOKENS = ["+5", "05", "5e0", "0x10", "inf", "-0.0", "1e999"]
-NOT_FINITE = ("inf", "1e999")
+# tokens the reader must refuse or read alike in any field of either row
+# kind, number forms that numpy's reader and int() / float() might read
+# apart among them
+TOKENS = ["abc", "1_0", "5.0", "\u0662", "15|10|5|0", "+5", "05", "5e0", "0x10", "-0.0", "nan", "inf", "1e999"]
+# characters that numpy's reader strips from a number as spaces
+PADDING = ["\xa0", "\u2003", "\x1f"]
 # wider than any field of the rows it joins
 LONG_PD_ID = "h_" * 150
+FAULTS = ["none", "missing field", "extra field", "repeated event", "long pd_id", "padded"] + TOKENS
 
 
 @st.composite
 def _rewritten_frame_text(draw, text):
-    """A written frame file reshuffled into other valid forms, plus at most one fault.
+    """A written frame file reshuffled into other valid forms, plus one to three faults.
 
     Beam and PD rows are interleaved in a random order; blank lines,
     comments and maybe a bare ``beam`` line are inserted; some lines are
-    padded with whitespace or end in CRLF. The fault, if any, sets one
-    field of one row to a token the reader must refuse or read alike (or
-    the pd_id of a PD row to ``LONG_PD_ID``), drops or adds a field, or
-    repeats a PD row.
+    padded with whitespace or end in CRLF. A fault ("none" is one) sets one
+    field of one row to a token of ``TOKENS`` (or the pd_id of a PD row to
+    ``LONG_PD_ID``), pads it with a character of ``PADDING``, drops or adds
+    a field, or repeats a PD row.
     """
     magic, *body = text.splitlines()
     rnd = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
     rnd.shuffle(body)
-    fault = draw(st.sampled_from(
-        ["none", "missing field", "extra field", "repeated event", "long pd_id"] + TOKENS + PD_TOKENS
-    ))
-    if fault in PD_TOKENS or fault == "long pd_id":
-        kind = "pd,"
-    else:
-        kind = draw(st.sampled_from(["beam,", "pd,"]))  # PD rows are few: pick the kind first
-    k = rnd.choice([k for k, row in enumerate(body) if row.startswith(kind)])
-    parts = body[k].split(",")
-    if fault in NOT_FINITE:  # into kind, pd_id, scan_id, event or sampled_channels
-        i = rnd.choice([0, 1, 2, 3, 6])
-    elif fault == "long pd_id":
-        i = 1
-    else:
-        i = rnd.randrange(len(parts))
-    if fault == "missing field":
-        del parts[i]
-    elif fault == "extra field":
-        parts.insert(i, "1.0")
-    elif fault in TOKENS + PD_TOKENS:
-        parts[i] = fault
-    elif fault == "long pd_id":
-        parts[i] = LONG_PD_ID
-    body[k] = ",".join(parts)
-    if fault == "repeated event":
-        body.insert(rnd.randrange(len(body) + 1), rnd.choice([row for row in body if row.startswith("pd,")]))
+    for fault in draw(st.lists(st.sampled_from(FAULTS), min_size=1, max_size=3)):
+        if fault == "repeated event":
+            body.insert(rnd.randrange(len(body) + 1), rnd.choice([row for row in body if row.startswith("pd,")]))
+            continue
+        # PD rows are few: pick the kind first
+        kind = "pd," if fault == "long pd_id" else draw(st.sampled_from(["beam,", "pd,"]))
+        k = rnd.choice([k for k, row in enumerate(body) if row.startswith(kind)])
+        parts = body[k].split(",")
+        i = 1 if fault == "long pd_id" else rnd.randrange(len(parts))
+        if fault == "missing field":
+            del parts[i]
+        elif fault == "extra field":
+            parts.insert(i, "1.0")
+        elif fault == "padded":
+            pad = rnd.choice(PADDING)
+            parts[i] = rnd.choice([pad + parts[i], parts[i] + pad])
+        elif fault == "long pd_id":
+            parts[i] = LONG_PD_ID
+        elif fault != "none":
+            parts[i] = fault
+        body[k] = ",".join(parts)
     bare_beam = draw(st.sampled_from([False, False, True]))
     extras = ["", "#", "# beam,scan_id", "   "] + (["beam"] if bare_beam else [])
     for line in extras:
@@ -323,7 +319,9 @@ class TestFrameSerialization:
         "field, token",
         [(field, "abc") for field in io.BEAM_FIELDS]
         + [(field, "5.0") for field in ("scan_id", "channel", "azimuth_index")]
-        + [("range_m", "1_0"), ("channel", "1_0"), ("reflectivity", "\u0661\u0660")],
+        + [("range_m", "1_0"), ("channel", "1_0"), ("reflectivity", "\u0661\u0660")]
+        # numpy's reader strips these pads as spaces; the plain-decimal rule refuses them
+        + [("azimuth_index", "\xa022"), ("range_m", "2.5\u2003"), ("channel", "\x1f5")],
     )
     def test_error_names_line_and_field(self, tmp_path, small_batch, field, token):
         # a row in the middle of the beam block, so the line number is not
@@ -380,6 +378,33 @@ class TestFrameSerialization:
         with pytest.raises(FrameParseError, match="'nan' is not a finite number") as err:
             read_frames(path)
         assert (err.value.line_no, err.value.field) == (3, "range_m")
+
+    @pytest.mark.parametrize(
+        "token, message, later, field, bad",
+        [
+            ("nan", "is not a finite number", -1, "reflectivity", "abc"),
+            ("-1.0", "is not a positive range", 4, "azimuth_index", str(2 ** 70)),
+        ],
+        ids=["nan range, later abc", "negative range, later 2**70"],
+    )
+    def test_bad_beam_value_above_a_refused_beam_row_comes_first(
+        self, tmp_path, small_batch, token, message, later, field, bad
+    ):
+        # numpy's reader refuses the later beam row; the early row parses and
+        # breaks only a value rule, and its line comes first
+        path = tmp_path / "frames.csv"
+        write_frames(small_batch, path)
+        lines = path.read_text().splitlines()
+        beam_lines = [k for k, line in enumerate(lines) if line.startswith("beam,")]
+        for k, index, value in ((beam_lines[0], "range_m", token), (beam_lines[later], field, bad)):
+            parts = lines[k].split(",")
+            parts[1 + io.BEAM_FIELDS.index(index)] = value
+            lines[k] = ",".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FrameParseError, match=re.escape(f"{token!r} {message}")) as err:
+            read_frames(path)
+        assert (err.value.line_no, err.value.field) == (beam_lines[0] + 1, "range_m")
+        assert _outcome(read_frames_reference, path)[1:3] == (beam_lines[0] + 1, "range_m")
 
     @pytest.mark.parametrize(
         "field, token, message",
@@ -598,11 +623,14 @@ class TestFrameSerialization:
             ("noise_floor_v", 5, "0.1_0"),
             ("sampled_channels", 6, "0|5_0|10|15"),
             ("v0", 7, "\u0662.0"),
+            ("scan_id", 2, str(2 ** 70)),
+            ("event", 3, str(2 ** 70)),
         ],
-        ids=["scan_id", "event", "time_s", "noise_floor_v", "sampled_channels", "v0"],
+        ids=["scan_id", "event", "time_s", "noise_floor_v", "sampled_channels", "v0", "scan_id-2**70", "event-2**70"],
     )
     def test_pd_field_not_plain_ascii_rejected(self, tmp_path, small_batch, field, index, token):
-        # Python's int() and float() would read each of these tokens
+        # Python's int() and float() would read each of these tokens; an
+        # int64 column, as for a beam row, cannot hold 2**70
         path = tmp_path / "frames.csv"
         write_frames(small_batch, path)
         lines = path.read_text().splitlines()
