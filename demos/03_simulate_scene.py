@@ -33,7 +33,8 @@ print()
 print("=== reflectivity marks the modules ===")
 board_median = np.median(refl[frame.truth.is_board])
 print(f"row median reflectivity {board_median:.1f}")
-for pd_id, idx in frame.truth.on_pd_beam.items():
+for pd_id, beams in frame.truth.pd_event_beams.items():
+    idx = max(beams, key=lambda i: refl[i])  # the brightest of the beams that reach the module
     print(f"  beam on {pd_id}: reflectivity {refl[idx]:.1f} (elevated by {refl[idx] - board_median:.1f})")
 
 print()

@@ -49,7 +49,7 @@ reflectivity = frame.beams["reflectivity"][rows]
 xa, ya = augment_samples(np.broadcast_to(positions, volts.shape), volts)
 centers = fit_gaussian_batch(xa, ya).mu
 
-truth_pts = frame.truth.pd_event_centers[pd.pd_id]
+truth_pts = frame.truth.board_positions[frame.truth.pd_event_beams[pd.pd_id]]
 for k, mu in enumerate(centers):
     true_mu = truth_pts[k][0] - pd.offset[0] + pd.center_local
     print(f"event {k}: fitted center {mu / MM:7.3f} mm | true {true_mu / MM:7.3f} mm "

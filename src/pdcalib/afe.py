@@ -22,6 +22,20 @@ def element_indices(channels) -> bool:
     return len(channels) > 0 and channels[0] >= 0 and all(a < b for a, b in zip(channels, channels[1:]))
 
 
+def event_faults(n_channels, times, floors, volts) -> np.ndarray:
+    """The PD event rules: (n, 3 + m) bool for the (n, m) ``volts``, true where
+    an event's voltage count is not its ``n_channels``, its time or noise
+    floor is not finite, or a voltage lies off the 0-10 V supply rails, in
+    those columns; ``n_channels`` and ``floors`` are per event or shared."""
+    n, m = volts.shape
+    faults = np.empty((n, 3 + m), dtype=bool)
+    faults[:, 0] = np.not_equal(n_channels, m)
+    faults[:, 1] = ~np.isfinite(times)
+    faults[:, 2] = ~np.isfinite(floors)
+    faults[:, 3:] = ~((volts >= 0.0) & (volts <= SUPPLY_RAIL_V))
+    return faults
+
+
 @dataclass(frozen=True)
 class TiaParams:
     """TIA circuit and op-amp/photodiode part values.
@@ -80,15 +94,16 @@ class PdSignalRecord:
             )
         if v.shape[0] != t.shape[0]:
             raise ValueError("one sample time per beam event required")
-        if v.shape[1] != len(self.sampled_channels):
-            raise ValueError("one voltage column per sampled channel required")
-        # min and max propagate nan
-        if not (0.0 <= v.min(initial=0.0) and v.max(initial=0.0) <= SUPPLY_RAIL_V):
-            if not np.isfinite(v).all():
-                raise ValueError("element voltages must be finite")
-            raise ValueError("element voltages outside the 0-10 V supply range")
-        if not (np.isfinite(t).all() and math.isfinite(self.noise_floor)):
-            raise ValueError("sample times and the noise floor must be finite")
+        faults = event_faults(len(self.sampled_channels), t, self.noise_floor, v)
+        if faults.any():
+            event, column = divmod(int(np.argmax(faults)), faults.shape[1])
+            where = f"PD {self.pd_id!r}, event {event}"
+            if column == 0:
+                raise ValueError(f"{where}: {v.shape[1]} voltages for {len(self.sampled_channels)} sampled channels")
+            value = float((t[event], self.noise_floor, *v[event])[column - 1])
+            name = ("sample time", "noise floor", *(f"element voltage {j}" for j in range(v.shape[1])))[column - 1]
+            why = "lies outside the 0-10 V supply range" if math.isfinite(value) else "is not a finite number"
+            raise ValueError(f"{where}: {name} {value!r} {why}")
 
     @property
     def n_events(self) -> int:

@@ -21,7 +21,6 @@ and ``select_key_beam`` is its one-group case.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +56,7 @@ _DUPLICATE, _TOO_FEW, _SINGULAR, _NON_CONCAVE, _BAD_SIGMA, _OUTSIDE = range(1, l
 
 @dataclass(frozen=True)
 class GaussianFitResult:
-    """Result of one beam-center fit.
+    """Result of one beam-center fit that ``fit_gaussian_batch`` marks usable.
 
     mu and sigma are in meters along the PD axis, amplitude in volts.
     ``converged`` means |delta mu| between the final two passes was below
@@ -69,15 +68,6 @@ class GaussianFitResult:
     amplitude: float
     iterations_used: int
     converged: bool
-
-    def __post_init__(self):
-        if not (self.sigma > 0 and math.isfinite(self.sigma)):
-            raise GaussianFitError(f"non-positive or non-finite sigma {self.sigma}")
-        if not (MU_BOUNDS_M[0] <= self.mu <= MU_BOUNDS_M[1]):
-            raise GaussianFitError(
-                f"fitted center {self.mu * 1e3:.2f} mm outside the usable "
-                f"[{MU_BOUNDS_M[0] * 1e3:.0f}, {MU_BOUNDS_M[1] * 1e3:.0f}] mm window"
-            )
 
 
 @dataclass(frozen=True)
@@ -243,17 +233,11 @@ def fit_gaussian_iterative(
     Raises
     ------
     ValueError
-        For mismatched or non-1-D input, repeated positions or k_max < 1.
+        For mismatched or non-1-D input or k_max < 1 (the batched fit's).
     GaussianFitError
-        Where the batched fit marks the row failed, with the reason.
+        Where the batched fit marks the row failed (repeated positions too), with the reason.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("fit_gaussian_iterative expects matching 1-D x and y")
-    if len(np.unique(x)) != len(x):
-        raise ValueError("element positions must be distinct")
-    fit = fit_gaussian_batch(x[None], y[None], k_max, noise_floor)
+    fit = fit_gaussian_batch(np.asarray(x, dtype=float)[None], np.asarray(y, dtype=float)[None], k_max, noise_floor)
     if not fit.ok[0]:
         raise GaussianFitError(FIT_STATUS[fit.status[0]])
     return GaussianFitResult(

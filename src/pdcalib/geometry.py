@@ -79,12 +79,31 @@ class Pose6DOF:
         return np.array([self.phi, self.theta, self.psi, self.dx, self.dy, self.dz])
 
 
+# the values of a return that its rules test, in the order of a frame file's fields
+RETURN_VALUES = ("alpha", "omega", "r", "reflectivity")
+
+
+def return_faults(alpha, omega, r, reflectivity) -> np.ndarray:
+    """The return rules: (4, n) bool, one row per ``RETURN_VALUES`` entry and
+    one column per return, true where a value is not finite, a range not > 0
+    or an elevation (rad) not inside (-pi/2, pi/2)."""
+    return ~np.array([np.isfinite(alpha), np.abs(omega) < math.pi / 2, (r > 0) & (r < np.inf),
+                      np.isfinite(reflectivity)])
+
+
+def return_fault(name: str, value: float) -> str:
+    """Why ``value``, the return value ``name``, breaks its rule."""
+    rule = {"omega": "is not an elevation inside (-90, 90) deg", "r": "is not a positive range"}
+    return rule[name] if math.isfinite(value) else "is not a finite number"
+
+
 @dataclass(frozen=True)
 class PolarBeam:
     """One laser return in sensor polar coordinates.
 
     Scans and the key table keep their returns as columns (``ScanFrame.beams``,
-    ``correspondence.KEY_DTYPE``); this record checks a single return.
+    ``correspondence.KEY_DTYPE``); this record checks a single return
+    (``return_faults``).
 
     Parameters
     ----------
@@ -110,12 +129,11 @@ class PolarBeam:
     reflectivity: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.omega) and math.isfinite(self.alpha) and math.isfinite(self.r)):
-            raise ValueError("PolarBeam angles and range must be finite")
-        if self.r <= 0:
-            raise ValueError(f"PolarBeam.r must be > 0, got {self.r}")
-        if abs(self.omega) >= math.pi / 2:
-            raise ValueError(f"PolarBeam.omega outside vertical FOV: {self.omega}")
+        faults = return_faults(self.alpha, self.omega, self.r, self.reflectivity)
+        if faults.any():
+            name = RETURN_VALUES[int(np.argmax(faults))]
+            value = getattr(self, name)
+            raise ValueError(f"PolarBeam.{name} {value!r} {return_fault(name, value)}")
         if not (0.0 <= self.alpha < TWO_PI):
             object.__setattr__(self, "alpha", self.alpha % TWO_PI)
 

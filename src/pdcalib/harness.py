@@ -30,6 +30,8 @@ SWEEP_PARAMETERS = ("yaw", "tilt", "roll", "x_position", "y_position", "z_positi
 POINT_FIELDS = ("point_value", "solved", *(f"bias_{n}" for n in AXIS_NAMES), *(f"std_{n}" for n in AXIS_NAMES))
 BIAS = slice(2, 8)   # the bias_* columns of a points table
 STD = slice(8, 14)   # the std_* columns
+# the least value of each POINT_FIELDS column: a point has a solved scan, and no std is negative
+POINT_FLOORS = (-np.inf, 1, *(-np.inf,) * 6, *(0.0,) * 6)
 TO_DEG_MM = np.repeat([DEG, MM], 3)  # divides a pose vector or error (rad / m) into deg / mm
 STATS_FOOTER = (
     "accuracy = mean over reference points of |mean error|; "
@@ -91,8 +93,11 @@ class SweepStats:
     failures: list = field(default_factory=list)  # (point value, stage/message) tuples
 
     def __post_init__(self):
-        if np.any(self.points[:, STD] < 0):
-            raise ValueError("negative std")
+        faults = point_faults(self.points)
+        if faults.any():
+            row, column = divmod(int(np.argmax(faults)), len(POINT_FIELDS))
+            raise ValueError(f"points row {row}: {POINT_FIELDS[column]} {float(self.points[row, column])!r} is not "
+                             f"a finite number of at least {POINT_FLOORS[column]}")
 
     @property
     def per_axis_accuracy(self) -> np.ndarray:
@@ -103,6 +108,12 @@ class SweepStats:
     def per_axis_precision(self) -> np.ndarray:
         """(6,) mean per-point std per axis, in deg / mm."""
         return self.points[:, STD].mean(axis=0)
+
+
+def point_faults(points) -> np.ndarray:
+    """The point rules: true where a value of a points table (or row) is not
+    finite or lies below its column's ``POINT_FLOORS`` entry."""
+    return ~(np.isfinite(points) & (points >= POINT_FLOORS))
 
 
 def arrangement_label(board) -> str:

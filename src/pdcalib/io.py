@@ -16,14 +16,11 @@ in degrees at this boundary; everything in memory is radians.
 Both row kinds are parsed by numpy's text reader under one rule: numbers are
 plain ASCII decimals as Python's ``repr`` writes them, and a row holding
 ``1_0``, non-ASCII digits, a number padded with ``\x1f`` or a non-ASCII
-space, or a number that is not finite is refused. A PD's event indices are
-unique within its scan, and its sampled channels are element indices in
-strictly increasing order. Each rule is checked once, on the columns of one
-row kind, for the first row that breaks it, and the error names the line
-and field of the first malformed line of either kind. ``_row_values`` names
-the field of a row that numpy's reader refuses: the first such beam row is
-found by bisection, and a PD row by reading the rows of its refused
-voltage-count group one at a time.
+space, or a number that is not finite is refused. The value rules of a row
+are those of the type it fills, each written once in its module and checked
+once, on the columns of one row kind; the error names the line and field of
+the first malformed line of either kind. ``_row_values`` names the field of
+a row that numpy's reader refuses.
 """
 
 from __future__ import annotations
@@ -36,11 +33,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .afe import SUPPLY_RAIL_V, PdSignalRecord, TiaParams, element_indices
+from .afe import PdSignalRecord, TiaParams, element_indices, event_faults
 from .bench import Scene
-from .geometry import DEG, MM, Pose6DOF
-from .harness import POINT_FIELDS, STD, SweepSpec
-from .scene import BEAM_DTYPE, AfeConfig, BoardModel, LidarModel, PdPlacement, ScanFrame
+from .geometry import DEG, MM, RETURN_VALUES, Pose6DOF, return_fault, return_faults
+from .harness import POINT_FIELDS, POINT_FLOORS, SweepSpec, point_faults
+from .scene import BEAM_DTYPE, AfeConfig, BoardModel, LidarModel, PdPlacement, ScanFrame, repeated_returns
 
 FRAME_MAGIC = "pdcalib-scanframe,v=1"
 
@@ -55,10 +52,11 @@ _BEAM_COLUMNS = (
     ("reflectivity", "reflectivity", 1),
 )
 # A PD row after its pd_id, one (field, type) per field, in file order. The
-# sampled channels are "|"-separated ints of any size, and the voltages v0,
-# v1, ... (floats) follow them, one per sampled channel.
+# sampled channels are "|"-separated int64s, and the voltages v0, v1, ...
+# (floats) follow them, one per sampled channel.
 _PD_NUMBERS = (
-    ("scan_id", np.int64), ("event", np.int64), ("time_s", float), ("noise_floor_v", float), ("sampled_channels", int)
+    ("scan_id", np.int64), ("event", np.int64), ("time_s", float), ("noise_floor_v", float),
+    ("sampled_channels", np.int64),
 )
 BEAM_FIELDS = ("scan_id", *(field for field, _, _ in _BEAM_COLUMNS))
 PD_FIELDS = ("pd_id", *(field for field, _ in _PD_NUMBERS))
@@ -358,31 +356,21 @@ def _loadtxt(lines, dtype):
         return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
 
 
-# the beam row values ScanFrame accepts, per float field; the elevation is
-# tested in radians, as ScanFrame tests it, so the two agree at 90 deg
-_BEAM_VALUES = {
-    "azimuth_deg": (np.isfinite, "is not a finite number"),
-    "omega_deg": (lambda deg: np.abs(deg * DEG) < math.pi / 2, "is not an elevation inside (-90, 90) deg"),
-    "range_m": (lambda r: (r > 0) & (r < np.inf), "is not a positive range"),
-    "reflectivity": (np.isfinite, "is not a finite number"),
-}
-
-
 def _beam_records(path, text, lines, rows):
-    """The beam rows ``rows`` (stripped, in file order) as ``_BEAM_ROW``
-    records, and the error for the first malformed one, or None. ``text`` is
-    the file's text and ``lines`` its lines.
+    """The beam rows ``rows`` (stripped, in file order) as one ``BEAM_DTYPE``
+    table in (scan, channel, azimuth index) order, with its scan ids and the
+    bounds of their runs, and None; or None and the error for the first
+    malformed row. ``text`` is the file's text and ``lines`` its lines.
 
     The rows are parsed by numpy's reader in one call. When it refuses them,
     the first row it refuses is found by bisection: each call parses the
     first half of the window known to hold it, so about log2(n) calls parse
-    n rows in all, and the records are those of the rows above it. A row is
-    malformed when the reader refuses it, when it is not ``_plain`` (the
-    reader takes a number padded with ``\x1f`` or a non-ASCII space), and
-    when it holds a number that is not finite, a range that is not positive
-    or an elevation at or beyond +-90 deg. The error names the first such
-    row, and ``_row_values`` its field when a number of it does not read: a
-    row's numbers are read before their values are checked.
+    n rows in all, and the table holds the rows above it. A row is malformed
+    when the reader refuses it, when it is not ``_plain`` (the reader takes
+    a number padded with ``\x1f`` or a non-ASCII space), when it breaks
+    ``geometry.return_faults`` and when it repeats the cell of an earlier row
+    (``scene.repeated_returns``), in that order. The error names the first
+    such row, and ``_row_values`` its field when a number of it does not read.
     """
     refused = None
     try:
@@ -398,42 +386,44 @@ def _beam_records(path, text, lines, rows):
             except _REFUSED:
                 hi = mid
         raw = np.concatenate(parsed)
-    ok = np.column_stack([accept(raw[field]) for field, (accept, _) in _BEAM_VALUES.items()])
+    order = np.lexsort((raw["azimuth_index"], raw["channel"], raw["scan_id"]))
+    beams, scan = np.empty(len(raw), BEAM_DTYPE), raw["scan_id"][order]  # in (scan, channel, azimuth index) order
+    for field, column, divisor in _BEAM_COLUMNS:
+        beams[column] = raw[field][order] * divisor
+    faults = return_faults(*(beams[name] for name in RETURN_VALUES))
+    repeats = repeated_returns(scan, beams["channel"], beams["azimuth_index"])
     bad = [len(raw)] if refused is not None else []  # the first row that breaks each rule
-    if not ok.all():
-        bad.append(int(np.argmin(ok.all(axis=1))))
+    for broken in (faults.any(axis=0), repeats):
+        if broken.any():
+            bad.append(int(order[broken].min()))
     if not text.isascii() or "\x1f" in text:  # the reader refuses a "_" itself
         bad += [k for k, row in enumerate(rows[:len(raw)]) if not _plain(row)][:1]
     if not bad:
-        return raw, None
+        new = np.ones(len(scan), dtype=bool)
+        new[1:] = scan[1:] != scan[:-1]
+        starts = np.flatnonzero(new)
+        return (beams, scan[starts].tolist(), [*starts.tolist(), len(scan)]), None
     k = min(bad)
-    line_no = [n for n, line in enumerate(lines[1:], 2) if line.strip().startswith("beam,")][k]
-    parts = rows[k].split(",")
-    if len(parts) != len(_BEAM_ROW.names):
-        return raw, FrameParseError(path, line_no, "beam", f"expected {len(BEAM_FIELDS)} fields, got {len(parts) - 1}")
-    try:
+    beam_lines = [n for n, line in enumerate(lines[1:], 2) if line.strip().startswith("beam,")]
+    line_no, parts = beam_lines[k], rows[k].split(",")
+    try:  # the first check of the row that fails raises its error
+        if len(parts) != len(_BEAM_ROW.names):
+            raise FrameParseError(path, line_no, "beam", f"expected {len(BEAM_FIELDS)} fields, got {len(parts) - 1}")
         _row_values(path, line_no, [(field, _BEAM_ROW[field].type, t) for field, t in zip(BEAM_FIELDS, parts[1:])])
+        if k == len(raw):
+            raise FrameParseError(path, line_no, "beam", str(refused))
+        j = int(np.flatnonzero(order == k)[0])  # the row's place in the table
+        if faults[:, j].any():
+            f = int(np.argmax(faults[:, j]))  # RETURN_VALUES are the fields from azimuth_deg on
+            why = return_fault(RETURN_VALUES[f], float(beams[RETURN_VALUES[f]][j]))
+            raise FrameParseError(path, line_no, BEAM_FIELDS[3 + f], f"{parts[4 + f]!r} {why}")
+        cell = (int(beams["channel"][j]), int(beams["azimuth_index"][j]))
+        while repeats[j]:  # back to the first row of the cell, which the stable sort keeps first in the file
+            j -= 1
+        raise FrameParseError(path, line_no, "azimuth_index", f"beam (channel, azimuth_index) {cell} of scan "
+                              f"{scan[j]} repeats line {beam_lines[order[j]]}")
     except FrameParseError as error:
-        return raw, error
-    if k == len(raw):
-        return raw, FrameParseError(path, line_no, "beam", str(refused))
-    field = list(_BEAM_VALUES)[int(np.argmin(ok[k]))]
-    why = _BEAM_VALUES[field][1] if np.isfinite(raw[field][k]) else "is not a finite number"
-    return raw, FrameParseError(path, line_no, field, f"{parts[1 + BEAM_FIELDS.index(field)]!r} {why}")
-
-
-def _beam_table(raw):
-    """Parsed beam rows as one ``BEAM_DTYPE`` table in (scan, channel,
-    azimuth index) order, with its scan ids and the bounds of their runs."""
-    order = np.lexsort((raw["azimuth_index"], raw["channel"], raw["scan_id"]))
-    beams = np.empty(len(raw), BEAM_DTYPE)
-    for field, column, divisor in _BEAM_COLUMNS:
-        beams[column] = raw[field][order] * divisor
-    scan = raw["scan_id"][order]
-    new = np.ones(len(scan), dtype=bool)
-    new[1:] = scan[1:] != scan[:-1]
-    starts = np.flatnonzero(new)
-    return beams, scan[starts].tolist(), [*starts.tolist(), len(scan)]
+        return None, error
 
 
 def _pd_fields(parts) -> list:
@@ -469,20 +459,20 @@ def _pd_columns(path, rows):
     Each group of rows with one voltage count is parsed by numpy's reader in
     one call, and each distinct sampled-channel text once. When the reader
     refuses a group, or a row of it is not ``_plain`` or holds channels that
-    int() refuses, ``_row_values`` reads the group's rows, and no others, up
-    to the first it names. Each rule below is checked once, on the columns
-    of all rows above the first that cannot be read, and a row is named for
-    the first rule it breaks:
+    ``_row_values`` refuses, it reads the group's rows, and no others, up to
+    the first it names. Each rule below is checked once, on the columns of
+    all rows above the first that cannot be read, and a row is named for the
+    first rule it breaks:
 
     1. it has the fields of a PD row with at least one voltage;
     2. its numbers are plain ASCII decimals of their types (``_row_values``);
     3. its sampled channels are strictly increasing element indices from 0 up;
-    4. it holds one voltage per sampled channel;
+    4. it holds one voltage per sampled channel (``afe.event_faults``);
     5. its (scan, PD, event) is not that of an earlier row;
     6. its sampled channels and 7. its noise floor are those of the first
        row of its (scan, PD) record;
     8. its time and noise floor are finite, and its voltages lie on the
-       0-10 V supply rails.
+       0-10 V supply rails (``afe.event_faults``).
     """
     parts = [row.split(",", 7) for _, row in rows]  # kind, pd_id, scan_id, ..., sampled_channels, voltages
     found = []  # (row, rule, error) for the first row that breaks each rule
@@ -491,15 +481,14 @@ def _pd_columns(path, rows):
         found.append((cut, 1, FrameParseError(path, rows[cut][0], "pd", "missing voltage fields")))
     numbers = [row[len(p[1]) + 4:] for (_, row), p in zip(rows[:cut], parts)]  # the fields after the pd_id
     channels = {}
-    for text in {p[6] for p in parts[:cut]}:
+    for text in {p[6] for p in parts[:cut]}:  # each text once; _row_values names one that does not read below
         try:
-            channels[text] = tuple(map(int, text.split("|")))
-        except ValueError:
+            channels[text] = tuple(_row_values(path, 0, [(*_PD_NUMBERS[-1], t) for t in text.split("|")]))
+        except FrameParseError:
             pass
-    counts = [p[7].count(",") + 1 for p in parts[:cut]]
     groups: dict = {}  # voltage count -> its rows
-    for i, count in enumerate(counts):
-        groups.setdefault(count, []).append(i)
+    for i, p in enumerate(parts[:cut]):
+        groups.setdefault(p[7].count(",") + 1, []).append(i)
     loaded = []  # (rows, voltage count, table) per group
     for count, group in groups.items():
         dtype = [
@@ -530,14 +519,18 @@ def _pd_columns(path, rows):
         k = int(np.searchsorted(group, cut))
         rows_k, table = group[:k], table[:k]
         scan[rows_k], event[rows_k], floor[rows_k] = table["scan_id"], table["event"], table["noise_floor_v"]
-        volts = table["volts"]
-        on_rails = (volts >= 0.0) & (volts <= SUPPLY_RAIL_V)
-        ok = np.column_stack([np.isfinite(table["time_s"]), np.isfinite(table["noise_floor_v"]), on_rails])
-        r = _first(~ok.all(axis=1))
+        n_channels = [len(channels[parts[i][6]]) for i in rows_k]
+        faults = event_faults(n_channels, table["time_s"], table["noise_floor_v"], table["volts"])
+        r = _first(faults[:, 0])
         if r is not None:
-            f = int(np.argmin(ok[r]))
+            found.append((rows_k[r], 4, FrameParseError(
+                path, rows[rows_k[r]][0], "voltages", f"{count} voltages for {n_channels[r]} sampled channels"
+            )))
+        r = _first(faults[:, 1:].any(axis=1))
+        if r is not None:
+            f = int(np.argmax(faults[r, 1:]))
             field = ("time_s", "noise_floor_v", *(f"v{j}" for j in range(count)))[f]
-            value = float((table["time_s"][r], table["noise_floor_v"][r], *volts[r])[f])
+            value = float((table["time_s"][r], table["noise_floor_v"][r], *table["volts"][r])[f])
             why = "lies outside the 0-10 V supply range" if math.isfinite(value) else "is not a finite number"
             found.append((rows_k[r], 8, FrameParseError(path, rows[rows_k[r]][0], field, f"{value!r} {why}")))
     increasing = {text: element_indices(channel_list) for text, channel_list in channels.items()}
@@ -546,11 +539,6 @@ def _pd_columns(path, rows):
         found.append((i, 3, FrameParseError(
             path, rows[i][0], "sampled_channels",
             f"{parts[i][6]!r} is not a strictly increasing list of element indices from 0 up",
-        )))
-    i = next((i for i in range(cut) if len(channels[parts[i][6]]) != counts[i]), None)
-    if i is not None:
-        found.append((i, 4, FrameParseError(
-            path, rows[i][0], "voltages", f"{counts[i]} voltages for {len(channels[parts[i][6]])} sampled channels"
         )))
     if cut:
         pd_code = {pd_id: k for k, pd_id in enumerate({p[1] for p in parts[:cut]})}
@@ -627,23 +615,17 @@ def _signal_records(tables) -> dict:
 def read_frames(path) -> list:
     """Parse a scan-frame file back into ScanFrame objects (no sim truth).
 
-    Raises FrameParseError for a malformed line, for a PD row whose scan
-    has no beam rows, for a PD row that repeats the (scan, PD, event) of an
-    earlier row, and for a PD row whose sampled channels or noise floor
-    differ from the earlier rows of its (scan, PD) record. When several lines
-    are malformed, the error names the first, of either row kind. A row
-    holding a number that parses but is not finite (``nan``, ``inf``,
-    ``1e999``), a beam row holding a range that is not positive or an
-    elevation at or beyond +-90 deg, or a PD row holding a voltage off the
-    supply rails or sampled channels that are not strictly increasing
-    element indices from 0 up, is malformed too.
-
-    The beam rows are parsed by numpy's reader in one call
-    (``_beam_records``) and the PD rows as columns (``_pd_columns``); each
-    finds the first row that breaks each of its rules on the columns, and
-    ``_row_values`` names the bad field of a row that numpy's reader refuses.
-    The error names the first of those rows and of the rows of no known
-    kind; a PD row of a scan with no beam rows comes after them all.
+    Raises FrameParseError, and no other error, for a malformed file,
+    naming its first malformed line of either row kind, or else its first PD
+    row of a scan with no beam rows. A line is malformed when a number of it
+    does not read or is not finite (``nan``, ``inf``, ``1e999``), when it is
+    a beam row that breaks ``geometry.return_faults`` or repeats the (scan,
+    channel, azimuth index) cell of an earlier row (named with the line it
+    repeats), and when it is a PD row that breaks ``afe.event_faults`` or
+    ``afe.element_indices``, repeats the (scan, PD, event) of an earlier
+    row, or differs from the earlier rows of its (scan, PD) record in
+    sampled channels or noise floor. ``_beam_records`` and ``_pd_columns``
+    check each rule once, on the columns.
     """
     text = Path(path).read_text()
     lines = text.splitlines()
@@ -660,26 +642,19 @@ def read_frames(path) -> list:
             unknown = FrameParseError(path, line_no, "beam", f"expected {len(BEAM_FIELDS)} fields, got 0")
         elif unknown is None and row and not row.startswith("#"):
             unknown = FrameParseError(path, line_no, "record", f"unknown record type {row.partition(',')[0]!r}")
-    raw, beam_error = _beam_records(path, text, lines, beam_rows)
+    beam_table, beam_error = _beam_records(path, text, lines, beam_rows)
     tables, pd_scans, pd_error = _pd_columns(path, pd_rows)
     errors = [error for error in (beam_error, pd_error, unknown) if error is not None]
     if errors:
         raise min(errors, key=lambda error: error.line_no)
-    beams, scan_ids, bounds = _beam_table(raw)
+    beams, scan_ids, bounds = beam_table
     k = _first(~np.isin(pd_scans, scan_ids))
     if k is not None:
         raise FrameParseError(
             path, pd_rows[k][0], "scan_id", f"PD row of scan {pd_scans[k]}, which has no beam rows"
         )
     records = _signal_records(tables)
-    try:
-        return ScanFrame.batch(scan_ids, beams, bounds, [records.get(sid, []) for sid in scan_ids])
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-
-
-# the least value a points CSV accepts per field
-_POINT_FLOORS = {**dict.fromkeys(POINT_FIELDS, -math.inf), "solved": 1, **dict.fromkeys(POINT_FIELDS[STD], 0.0)}
+    return ScanFrame.batch(scan_ids, beams, bounds, [records.get(sid, []) for sid in scan_ids])
 
 
 def read_sweep_points(path) -> np.ndarray:
@@ -687,8 +662,8 @@ def read_sweep_points(path) -> np.ndarray:
 
     Raises FrameParseError for a header other than ``POINT_FIELDS``, a row
     with the wrong number of fields, a field that is not a number
-    (``solved``: an integer) or not finite, a negative ``std_*`` and a
-    ``solved`` below 1.
+    (``solved``: an integer) and a value that breaks ``harness.point_faults``
+    (not finite, a negative ``std_*``, a ``solved`` below 1).
     """
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != ",".join(POINT_FIELDS):
@@ -701,14 +676,18 @@ def read_sweep_points(path) -> np.ndarray:
         parts = line.split(",")
         if len(parts) != len(POINT_FIELDS):
             raise FrameParseError(path, line_no, "row", f"expected {len(POINT_FIELDS)} fields, got {len(parts)}")
-        row = []
+        row = []  # nan for a field that does not read
         for read, field, token in zip(parse, POINT_FIELDS, parts):
-            x = read(path, line_no, field, token)
-            if not math.isfinite(x):
-                raise FrameParseError(path, line_no, field, f"{token!r} is not a finite number")
-            if x < _POINT_FLOORS[field]:
-                raise FrameParseError(path, line_no, field, f"{token!r} is below {_POINT_FLOORS[field]}")
-            row.append(x)
+            try:
+                row.append(read(path, line_no, field, token))
+            except FrameParseError:
+                row.append(math.nan)
+        faults = point_faults(np.array(row, dtype=float))
+        if faults.any():
+            k = int(np.argmax(faults))
+            parse[k](path, line_no, POINT_FIELDS[k], parts[k])  # raises for a field that does not read
+            why = f"is below {POINT_FLOORS[k]}" if math.isfinite(row[k]) else "is not a finite number"
+            raise FrameParseError(path, line_no, POINT_FIELDS[k], f"{parts[k]!r} {why}")
         rows.append(row)
     return np.array(rows, dtype=float).reshape(-1, len(POINT_FIELDS))
 

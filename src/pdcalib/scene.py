@@ -23,7 +23,7 @@ import numpy as np
 # currents_to_record, the one-record form of _pd_records' AFE pass, stays a
 # name of this module: perfbench traces the simulator's AFE calls by it
 from .afe import PdSignalRecord, TiaParams, currents_to_record, element_indices, peak_voltages  # noqa: F401
-from .geometry import DEG, TWO_PI, Pose6DOF, pose_to_matrix
+from .geometry import DEG, RETURN_VALUES, TWO_PI, Pose6DOF, pose_to_matrix, return_fault, return_faults
 
 # beams whose spot center lies this far beyond the array ends still produce a
 # usable voltage event; farther ones have their peak outside the sampled span
@@ -222,10 +222,7 @@ class SimTruth:
 
     board_positions: np.ndarray          # (n_beams, 3) frame-O landing points
     is_board: np.ndarray                 # (n_beams,) bool, False = background
-    on_pd_beam: dict                     # pd_id -> beam index per the strict
-    #                                      center-in-active-rectangle rule (or None)
     pd_event_beams: dict                 # pd_id -> [beam index] in event order
-    pd_event_centers: dict               # pd_id -> (n_events, 3) true spot centers
 
 
 # one row per return; the columns of ScanFrame.beams
@@ -241,36 +238,41 @@ BEAM_DTYPE = np.dtype(
 )
 
 
+def repeated_returns(frame, channel, azimuth_index) -> np.ndarray:
+    """The one-return-per-cell rule, for returns in (frame, channel,
+    azimuth_index) order: true where a return repeats the cell of the
+    return before it."""
+    repeats = np.zeros(len(frame), dtype=bool)
+    repeats[1:] = (frame[1:] == frame[:-1]) & (channel[1:] == channel[:-1]) & (azimuth_index[1:] == azimuth_index[:-1])
+    return repeats
+
+
 def check_returns(beams, bounds, scan_ids):
     """Check the returns of a batch of frames and wrap their azimuths, in place.
 
     Frame k of the batch is ``beams[bounds[k]:bounds[k + 1]]``, a run of the
     ``BEAM_DTYPE`` table ``beams`` in (channel, azimuth_index) order, and has
-    the scan id ``scan_ids[k]``. Every return must have finite angles, range
-    and reflectivity, r > 0 and |omega| < pi/2, and no two returns of a frame
-    may share (channel, azimuth_index). Azimuths outside [0, 2 pi) are
-    wrapped into it.
+    the scan id ``scan_ids[k]``. Every return keeps the rules of
+    ``geometry.return_faults``, and no two returns of a frame share a cell
+    (``repeated_returns``). Azimuths outside [0, 2 pi) are wrapped into it.
 
-    Raises ValueError for the first frame that breaks a rule, naming its
-    scan and the first rule it breaks, in the order above.
+    Raises ValueError naming the scan and cell of the first return that
+    breaks a rule, with its first bad value, or else as a duplicate.
     """
-    omega, alpha, r, ch, az = (beams[name] for name in ("omega", "alpha", "r", "channel", "azimuth_index"))
-    finite = np.isfinite(omega) & np.isfinite(alpha) & np.isfinite(r) & np.isfinite(beams["reflectivity"])
+    alpha, ch, az = beams["alpha"], beams["channel"], beams["azimuth_index"]
     frame = np.repeat(np.arange(len(scan_ids)), np.diff(bounds))
-    dup = np.zeros(len(beams), dtype=bool)  # the return repeats the one before it in its frame
-    dup[1:] = (ch[1:] == ch[:-1]) & (az[1:] == az[:-1]) & (frame[1:] == frame[:-1])
-    bad = ~finite | (r <= 0) | (np.abs(omega) >= math.pi / 2) | dup
+    faults = return_faults(*(beams[name] for name in RETURN_VALUES))
+    repeats = repeated_returns(frame, ch, az)
+    bad = faults.any(axis=0) | repeats
     if bad.any():
-        k = frame[np.argmax(bad)]
-        lo, hi, scan_id = bounds[k], bounds[k + 1], scan_ids[k]
-        if not finite[lo:hi].all():
-            raise ValueError(f"scan {scan_id}: beam angles, ranges and reflectivities must be finite")
-        if np.any(r[lo:hi] <= 0):
-            raise ValueError(f"scan {scan_id}: beam range must be > 0, got {r[lo:hi].min()}")
-        if np.any(np.abs(omega[lo:hi]) >= math.pi / 2):
-            raise ValueError(f"scan {scan_id}: beam omega outside vertical FOV")
-        i = lo + np.argmax(dup[lo:hi])
-        raise ValueError(f"scan {scan_id}: duplicate beam (channel, azimuth_index) {(int(ch[i]), int(az[i]))}")
+        i = int(np.argmax(bad))
+        scan_id, cell = scan_ids[frame[i]], (int(ch[i]), int(az[i]))
+        if not faults[:, i].any():
+            raise ValueError(f"scan {scan_id}: duplicate beam (channel, azimuth_index) {cell}")
+        name = RETURN_VALUES[int(np.argmax(faults[:, i]))]
+        value = float(beams[name][i])
+        raise ValueError(f"scan {scan_id}: beam (channel, azimuth_index) {cell}: {name} {value!r} "
+                         f"{return_fault(name, value)}")
     wrap = ~((alpha >= 0.0) & (alpha < TWO_PI))
     alpha[wrap] %= TWO_PI
 
@@ -638,14 +640,11 @@ def _simulate_block(board, lidar, rot, t, j, seeds, scan_ids, afe,
     truths = []
     for k in range(len(scan_ids)) if with_truth else ():
         lo, hi = bounds[k], bounds[k + 1]
-        xz = points[lo:hi, ::2]
         scan_events = [(pd, idx[edges[k]:edges[k + 1]]) for pd, idx, _, _, edges in events]
         truths.append(SimTruth(
             board_positions=points[lo:hi],
             is_board=is_board[lo:hi],
-            on_pd_beam={pd.pd_id: _strict_on_pd_beam(pd, xz, is_board[lo:hi]) for pd in board.pd_modules},
             pd_event_beams={pd.pd_id: [int(i - lo) for i in idx] for pd, idx in scan_events},
-            pd_event_centers={pd.pd_id: points[idx] for pd, idx in scan_events},
         ))
     # the returns come by scan, then channel, then azimuth (see _cast_rays)
     return ScanFrame.batch(scan_ids, beams, bounds, _pd_records(events, rngs, afe), truths)
@@ -694,12 +693,3 @@ def _pd_records(events, rngs, afe: AfeConfig) -> list:
         )
         start += c.size
     return records
-
-
-def _strict_on_pd_beam(pd: PdPlacement, xz, is_board):
-    """Index of the board return whose spot center lies in the PD's active
-    rectangle nearest the array center, or None."""
-    along, cross = pd.along_cross(xz[:, 0], xz[:, 1])
-    inside = is_board & (np.abs(along) <= pd.half_span) & (np.abs(cross) <= 0.5 * pd.active_width)
-    cand = np.flatnonzero(inside)
-    return int(cand[np.argmin(np.abs(along[cand]))]) if cand.size else None

@@ -19,6 +19,7 @@ library's forward conversion.
 """
 
 import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -415,6 +416,15 @@ def element_currents_scalar(along, cross, sigma, pd, i_max):
     return i_max * frac / ref
 
 
+@dataclass
+class ReferenceTruth(SimTruth):
+    """The simulator's truth plus two fields only tests read."""
+
+    on_pd_beam: dict = None              # pd_id -> beam index per the strict
+    #                                      center-in-active-rectangle rule (or None)
+    pd_event_centers: dict = None        # pd_id -> (n_events, 3) true spot centers
+
+
 def simulate_scan_reference(
     board: BoardModel,
     lidar: LidarModel,
@@ -430,7 +440,8 @@ def simulate_scan_reference(
 
     The per-scan simulator ``scene.simulate_scans`` replaced: its own ray
     grid, reflectivity pass and one ``element_currents_scalar`` call per PD
-    event, drawing from ``default_rng(seed)`` in the same order.
+    event, drawing from ``default_rng(seed)`` in the same order. Its truth
+    is a ``ReferenceTruth``.
     """
     afe = afe or AfeConfig()
     rng = np.random.default_rng(seed)
@@ -587,7 +598,7 @@ def simulate_scan_reference(
 
     truth = None
     if with_truth:
-        truth = SimTruth(
+        truth = ReferenceTruth(
             board_positions=points,
             is_board=is_board,
             on_pd_beam=on_pd_strict,
@@ -602,12 +613,6 @@ def simulate_scan_reference(
     )
 
 
-def _beams_by_scan(raw) -> dict:
-    """Parsed beam rows to ``BEAM_DTYPE`` arrays by scan id, each in (channel, azimuth index) order."""
-    beams, scan_ids, bounds = io._beam_table(raw)
-    return {sid: beams[lo:hi] for sid, lo, hi in zip(scan_ids, bounds, bounds[1:])}
-
-
 def _int64(path, line_no, field, token):
     value = io._parse_int(path, line_no, field, token)
     if not -(2 ** 63) <= value < 2 ** 63:
@@ -616,9 +621,10 @@ def _int64(path, line_no, field, token):
 
 
 def _beam_row_reference(path, line_no, line):
-    """One beam row as its ``io._BEAM_ROW`` values, read by Python's int()
-    and float() under the reader's plain-ASCII checks; then each float must
-    be finite, the range positive and the elevation inside +-90 deg."""
+    """One beam row as (scan_id, channel, azimuth_index, azimuth_deg,
+    omega_deg, range_m, reflectivity), read by Python's int() and float()
+    under the reader's plain-ASCII checks; then each float must be finite,
+    the range positive and the elevation inside +-90 deg."""
     parts = line.split(",")
     if len(parts) != 1 + len(io.BEAM_FIELDS):
         raise io.FrameParseError(
@@ -633,7 +639,7 @@ def _beam_row_reference(path, line_no, line):
             raise io.FrameParseError(path, line_no, field, f"{token!r} is not an elevation inside (-90, 90) deg")
         if field == "range_m" and not value > 0:
             raise io.FrameParseError(path, line_no, field, f"{token!r} is not a positive range")
-    return ("beam", *ints, *floats)
+    return (*ints, *floats)
 
 
 def read_frames_reference(path):
@@ -643,17 +649,20 @@ def read_frames_reference(path):
     number is read by Python's int() and float() with the reader's
     plain-ASCII checks, an int64 field must hold it, and its value is
     checked at once: a beam row's floats finite, its range positive and
-    its elevation inside +-90 deg; a PD row's time and noise floor finite
-    and its voltages on the supply rails, after the checks against the
-    earlier rows of its record. A PD row's sampled channels must equal
-    their own sorted set, all 0 or more, as a module's element indices are.
+    its elevation inside +-90 deg, and then its (scan, channel, azimuth
+    index) cell not that of an earlier row; a PD row's time and noise floor
+    finite and its voltages on the supply rails, after the checks against
+    the earlier rows of its record. A PD row's sampled channels must be
+    int64s equal to their own sorted set, all 0 or more, as a module's
+    element indices are.
     """
     FrameParseError = io.FrameParseError
-    parse_int, parse_float = io._parse_int, io._parse_float
+    parse_float = io._parse_float
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0].strip() != io.FRAME_MAGIC:
         raise FrameParseError(path, 1, "magic", f"expected {io.FRAME_MAGIC!r}")
-    beam_rows = []
+    beams = {}  # scan id -> its returns as BEAM_DTYPE rows, in file order
+    beam_lines = {}  # (scan, channel, azimuth index) -> the line of its first row
     pd_records = {}
     first_pd_line = {}
     event_lines = {}
@@ -661,7 +670,14 @@ def read_frames_reference(path):
         line = raw.strip()
         kind = line.partition(",")[0]
         if kind == "beam":
-            beam_rows.append(_beam_row_reference(path, line_no, line))
+            sid, channel, az, alpha_deg, omega_deg, r, reflectivity = _beam_row_reference(path, line_no, line)
+            earlier = beam_lines.setdefault((sid, channel, az), line_no)
+            if earlier != line_no:
+                raise FrameParseError(
+                    path, line_no, "azimuth_index",
+                    f"beam (channel, azimuth_index) {(channel, az)} of scan {sid} repeats line {earlier}",
+                )
+            beams.setdefault(sid, []).append((omega_deg * DEG, alpha_deg * DEG, r, channel, az, reflectivity))
         elif not line or line.startswith("#"):
             continue
         elif kind == "pd":
@@ -673,7 +689,7 @@ def read_frames_reference(path):
             event = _int64(path, line_no, "event", parts[3])
             time_s = parse_float(path, line_no, "time_s", parts[4])
             floor = parse_float(path, line_no, "noise_floor_v", parts[5])
-            channels = tuple(parse_int(path, line_no, "sampled_channels", c) for c in parts[6].split("|"))
+            channels = tuple(_int64(path, line_no, "sampled_channels", c) for c in parts[6].split("|"))
             volts = [parse_float(path, line_no, f"v{i}", tok) for i, tok in enumerate(parts[7:])]
             if list(channels) != sorted(set(channels)) or channels[0] < 0:
                 raise FrameParseError(
@@ -713,7 +729,6 @@ def read_frames_reference(path):
             first_pd_line.setdefault(sid, line_no)
         else:
             raise FrameParseError(path, line_no, "record", f"unknown record type {kind!r}")
-    beams = _beams_by_scan(np.array(beam_rows, io._BEAM_ROW))
 
     orphans = [(line_no, sid) for sid, line_no in first_pd_line.items() if sid not in beams]
     if orphans:
@@ -736,8 +751,5 @@ def read_frames_reference(path):
                     noise_floor=floor,
                 )
             )
-        try:
-            frames.append(ScanFrame(scan_id=sid, beams=beams[sid], pd_records=records))
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
+        frames.append(ScanFrame(scan_id=sid, beams=beams[sid], pd_records=records))
     return frames

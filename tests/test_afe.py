@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -127,7 +128,7 @@ class TestCurrentsToRecord:
             PdSignalRecord("p", np.array([[1.0], [2.0]]), np.array([0.0]), (0,))
 
     def test_voltage_columns_match_sampled_channels(self):
-        with pytest.raises(ValueError, match="sampled channel"):
+        with pytest.raises(ValueError, match="^PD 'p', event 0: 2 voltages for 3 sampled channels$"):
             PdSignalRecord("p", np.array([[1.0, 2.0]]), np.array([0.0]), (0, 5, 10))
 
     @pytest.mark.parametrize("channels", [(15, 10, 5, 0), (-1, 5, 10, 15), (0, 5, 5, 15), ()])
@@ -143,11 +144,14 @@ class TestCurrentsToRecord:
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_values_refused(self, value):
-        with pytest.raises(ValueError, match="voltages must be finite"):
+        def refused(where):
+            return pytest.raises(ValueError, match=f"^{re.escape(f'{where} {value!r}')} is not a finite number$")
+
+        with refused("PD 'p', event 0: element voltage 1"):
             PdSignalRecord("p", np.array([[1.0, value]]), np.array([0.0]), (0, 5))
-        with pytest.raises(ValueError, match="must be finite"):
+        with refused("PD 'p', event 1: sample time"):
             PdSignalRecord("p", np.array([[1.0], [2.0]]), np.array([0.0, value]), (0,))
-        with pytest.raises(ValueError, match="must be finite"):
+        with refused("PD 'p', event 0: noise floor"):
             PdSignalRecord("p", np.array([[1.0]]), np.array([0.0]), (0,), noise_floor=value)
         assert PdSignalRecord("p", np.zeros((0, 2)), np.zeros(0), (0, 5)).n_events == 0
 

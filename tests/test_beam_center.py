@@ -8,7 +8,6 @@ from pdcalib.beam_center import (
     CONVERGENCE_TOL_M,
     FIT_STATUS,
     GaussianFitError,
-    GaussianFitResult,
     augment_samples,
     beams_on_pd,
     fit_gaussian_batch,
@@ -142,13 +141,8 @@ class TestGaussianFit:
             fit_gaussian_iterative(x, y, k_max=1, noise_floor=0.0)
 
     def test_duplicate_positions_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(GaussianFitError, match="^element positions must be distinct$"):
             fit_gaussian_iterative(np.array([0.0, 0.0, 1.0]), np.ones(3))
-
-    def test_result_bounds_enforced(self):
-        with pytest.raises(GaussianFitError):
-            GaussianFitResult(mu=40 * MM, sigma=5 * MM, amplitude=1.0,
-                              iterations_used=1, converged=True)
 
 
 class TestConvergedFlag:

@@ -2,6 +2,7 @@ import concurrent.futures
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -208,7 +209,8 @@ class TestReport:
         points = np.zeros((2, 14))
         points[:, 1] = 1
         points[:, STD] = -1.0
-        with pytest.raises(ValueError, match="negative std"):
+        message = "points row 0: std_yaw_deg -1.0 is not a finite number of at least 0.0"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             SweepStats(label="x", points=points)
 
 

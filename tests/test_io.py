@@ -551,8 +551,57 @@ class TestFrameSerialization:
         parts[7] = "99.0"  # same scan, channel and azimuth index; other reflectivity
         lines.insert(i + 1, ",".join(parts))
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="duplicate"):
+        cell = f"({parts[2]}, {parts[3]})"
+        message = f"{path}:{i + 2}: field 'azimuth_index': beam (channel, azimuth_index) {cell} of scan 0 repeats line"
+        with pytest.raises(FrameParseError, match=f"^{re.escape(message)} {i + 1}$") as err:
             read_frames(path)
+        assert (err.value.line_no, err.value.field) == (i + 2, "azimuth_index")
+        assert _outcome(read_frames_reference, path) == _outcome(read_frames, path)
+
+    def test_repeated_beam_row_comes_ahead_of_a_later_bad_pd_row(self, tmp_path, small_batch):
+        # the repeat is a malformed line of its own, so it competes with the
+        # PD rows by line
+        path = tmp_path / "frames.csv"
+        write_frames(small_batch, path)
+        lines = path.read_text().splitlines()
+        k = next(k for k, line in enumerate(lines) if line.startswith("pd,"))
+        parts = lines[k].split(",")
+        parts[4] = "nan"
+        lines[k] = ",".join(parts)
+        i = next(k for k, line in enumerate(lines) if line.startswith("beam,"))
+        lines.insert(i + 2, lines[i])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FrameParseError, match=f"repeats line {i + 1}$") as err:
+            read_frames(path)
+        assert (err.value.line_no, err.value.field) == (i + 3, "azimuth_index")
+        assert _outcome(read_frames_reference, path) == _outcome(read_frames, path)
+        del lines[i + 2]  # without the repeat, the PD row is named
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FrameParseError) as err:
+            read_frames(path)
+        assert (err.value.line_no, err.value.field) == (k + 1, "time_s")
+
+    @pytest.mark.parametrize("token", [str(2 ** 70), str(-(2 ** 63) - 1), str(2 ** 63)])
+    def test_sampled_channel_beyond_int64_rejected(self, tmp_path, small_batch, token):
+        # int64, as every other integer field; in the one-check column pass
+        # and in the field-by-field read of a refused voltage-count group
+        for refused_group in (False, True):
+            path = tmp_path / "frames.csv"
+            write_frames(small_batch, path)
+            lines = path.read_text().splitlines()
+            i = next(k for k, line in enumerate(lines) if line.startswith("pd,"))
+            parts = lines[i].split(",")
+            parts[6] = "0|" + token
+            lines[i] = ",".join(parts[:9])
+            if refused_group:  # a row of the same voltage count that numpy's reader refuses
+                row = lines[i].split(",")
+                row[3], row[8] = "99", "abc"
+                lines.append(",".join(row))
+            path.write_text("\n".join(lines) + "\n")
+            message = f"{path}:{i + 1}: field 'sampled_channels': {token!r} is not a plain ASCII decimal that fits"
+            with pytest.raises(FrameParseError, match=f"^{re.escape(message)} int64$"):
+                read_frames(path)
+            assert _outcome(read_frames_reference, path) == _outcome(read_frames, path)
 
     def test_pd_rows_of_a_scan_without_beams_rejected(self, tmp_path, small_batch):
         # keep only scan 0's beam rows: the PD rows of scans 1 and 2 belong

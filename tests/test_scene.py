@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from pdcalib import io, scene
 from pdcalib.afe import PdSignalRecord
 from pdcalib.bench import DEFAULT_BASE_POSE, make_bench_scene
 from pdcalib.geometry import PolarBeam, Pose6DOF, polar_to_cartesian_array, pose_to_matrix, transform_array
-from pdcalib.io import frames_to_text
+from pdcalib.io import frames_to_text, read_frames
 from pdcalib.scene import (
     AfeConfig,
     BoardModel,
@@ -161,28 +162,45 @@ class TestModels:
                 ray /= np.linalg.norm(ray, axis=1)[:, None]
                 np.testing.assert_allclose(ray, polar_to_cartesian_array(b["omega"], b["alpha"], 1.0), atol=1e-9)
 
-    def test_vectorized_checks_follow_the_polar_beam_rule(self):
+    def test_vectorized_checks_follow_the_polar_beam_rule(self, tmp_path):
         # PolarBeam checks one return at a time; ScanFrame must accept,
-        # reject and wrap exactly as it does
+        # reject and wrap exactly as it does, and the frame reader accept
+        # and reject the same rows
         rng = np.random.default_rng(4)
         alpha = np.concatenate([rng.uniform(-10.0, 10.0, 200), [0.0, 2 * math.pi, -1e-300, -0.0]])
         rows = [(0.1, a, 2.0, 0, k, 5.0) for k, a in enumerate(alpha)]
         frame = ScanFrame(scan_id=0, beams=rows, pd_records=[])
         expected = [PolarBeam(*row).alpha for row in rows]
         assert frame.beam_arrays()[1].tolist() == expected
-        for bad in ((0.1, 0.0, 0.0, 0, 0, 5.0), (0.1, 0.0, float("nan"), 0, 0, 5.0),
-                    (math.pi / 2, 0.0, 2.0, 0, 0, 5.0), (0.1, float("inf"), 2.0, 0, 0, 5.0)):
-            with pytest.raises(ValueError):
-                PolarBeam(*bad)
-            with pytest.raises(ValueError):
-                ScanFrame(scan_id=0, beams=[bad], pd_records=[])
+        nan, inf = float("nan"), float("inf")
+        cases = [
+            ((0.1, 0.0, 0.0, 0, 0, 5.0), False), ((0.1, 0.0, nan, 0, 0, 5.0), False),
+            ((math.pi / 2, 0.0, 2.0, 0, 0, 5.0), False), ((-2.0, 0.0, 2.0, 0, 0, 5.0), False),
+            ((0.1, inf, 2.0, 0, 0, 5.0), False), ((0.1, 0.2, 2.0, 0, 0, nan), False),
+            ((0.1, 0.2, 2.0, 0, 0, -inf), False), ((0.1, 0.2, inf, 0, 0, 5.0), False),
+            ((-1.5, 7.0, 1e-300, 0, 0, 0.0), True), ((0.1, -0.2, 2.0, 3, -4, 255.0), True),
+        ]
+        path = tmp_path / "frame.csv"
+        for row, accepted in cases:
+            omega, alpha, r, channel, azimuth_index, reflectivity = row
+            path.write_text(
+                f"{io.FRAME_MAGIC}\nbeam,0,{channel},{azimuth_index},{alpha / DEG!r},{omega / DEG!r},{r!r},"
+                f"{reflectivity!r}\n"
+            )
+            for build in (lambda: PolarBeam(*row), lambda: ScanFrame(0, [row], []), lambda: read_frames(path)):
+                if accepted:
+                    build()
+                else:
+                    with pytest.raises(ValueError):
+                        build()
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), float("1e999")])
     def test_non_finite_reflectivity_refused(self, value):
         rows = [(0.1, 0.01 * k, 2.0, 0, k, 5.0) for k in range(9)]
         ScanFrame(scan_id=0, beams=rows, pd_records=[])
         rows[7] = rows[7][:5] + (value,)
-        with pytest.raises(ValueError, match="reflectivities must be finite"):
+        message = f"scan 0: beam (channel, azimuth_index) (0, 7): reflectivity {value!r} is not a finite number"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ScanFrame(scan_id=0, beams=rows, pd_records=[])
 
     def test_frame_offset_round_trip(self):
@@ -266,11 +284,15 @@ class TestSimulation:
                 assert rec.n_events <= 3
 
     def test_on_pd_reflectivity_elevated(self):
+        # the strict beam of each PD (its spot center inside the active
+        # rectangle) is the oracle's: the simulator does not compute it
         sc = make_bench_scene("horizontal")
         frame = simulate_scan(sc.board, sc.lidar, sc.base_pose, seed=3, afe=sc.afe)
+        strict = simulate_scan_reference(sc.board, sc.lidar, sc.base_pose, seed=3, afe=sc.afe).truth.on_pd_beam
         _, _, _, _, _, refl = frame.beam_arrays()
         board_refl = refl[frame.truth.is_board]
-        for pd_id, idx in frame.truth.on_pd_beam.items():
+        assert strict.keys() == {pd.pd_id for pd in sc.board.pd_modules}
+        for pd_id, idx in strict.items():
             assert idx is not None
             assert refl[idx] > np.median(board_refl) + 10
 
@@ -433,12 +455,8 @@ def assert_same_frames(frames, reference):
             continue
         assert _same_bits(f.truth.board_positions, r.truth.board_positions)
         assert _same_bits(f.truth.is_board, r.truth.is_board)
-        assert f.truth.on_pd_beam == r.truth.on_pd_beam
         assert f.truth.pd_event_beams == r.truth.pd_event_beams
         assert all(type(i) is int for beams in f.truth.pd_event_beams.values() for i in beams)
-        assert f.truth.pd_event_centers.keys() == r.truth.pd_event_centers.keys()
-        for pd_id, centers in r.truth.pd_event_centers.items():
-            assert _same_bits(f.truth.pd_event_centers[pd_id], centers)
 
 
 def _bench_case(orientation, **kw):
