@@ -65,7 +65,7 @@ from .scene import (
     simulate_scan,
     simulate_scans,
 )
-from .solver import DegenerateCorrespondences, SolveReport, jacobian, solve
+from .solver import DegenerateCorrespondences, SolveReport, solve
 
 __version__ = "0.1.0"
 
@@ -104,7 +104,6 @@ __all__ = [
     "fit_gaussian_batch",
     "fit_gaussian_iterative",
     "fit_plane",
-    "jacobian",
     "make_bench_scene",
     "make_correspondences",
     "noise_gain",

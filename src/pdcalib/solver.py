@@ -41,7 +41,6 @@ class SolveReport:
     iterations: int
     converged: bool
     residuals: np.ndarray      # (N, 3) at the solution
-    covariance: np.ndarray     # (6, 6), scaled (J^T J)^-1
     correspondence_count: int = 0
 
     @property
@@ -49,43 +48,6 @@ class SolveReport:
         if self.residuals.size == 0:
             return 0.0
         return float(np.sqrt(np.mean(np.sum(self.residuals ** 2, axis=1))))
-
-
-def residuals(beta: Pose6DOF, p_l: np.ndarray, p_o: np.ndarray) -> np.ndarray:
-    """Stacked (N, 3) residuals ``p_O - (R p_L + T)``."""
-    return p_o - (p_l @ rotation_matrix(beta).T + beta.translation)
-
-
-def _jacobian_blocks(rot: np.ndarray, phi: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """(N, 3, 6) residual Jacobian per correspondence from each row's rotation
-    R (N, 3, 3), yaw phi (N,) and rotated point q = R p_L (N, 3).
-
-    ``R = Rz(phi) Ry(theta) Rx(psi)`` turns by each angle about an axis w
-    fixed in frame O, so dR/dangle = [w]x R and the rotation columns are
-    -(w x q): w is z for phi, Rz(phi) y = (-sin phi, cos phi, 0) for theta
-    and R x (R's first column) for psi.
-    """
-    axes = np.stack([
-        np.broadcast_to([0.0, 0.0, 1.0], q.shape),
-        np.stack([-np.sin(phi), np.cos(phi), np.zeros_like(phi)], axis=1),
-        rot[:, :, 0],
-    ], axis=1)
-    j = np.empty((len(q), 3, 6))
-    j[:, :, :3] = -np.swapaxes(np.cross(axes, q[:, None, :]), 1, 2)
-    j[:, :, 3:] = -np.eye(3)
-    return j
-
-
-def jacobian(beta: Pose6DOF, p_l: np.ndarray) -> np.ndarray:
-    """(3N, 6) Jacobian of the stacked residual w.r.t. the pose vector.
-
-    The translation block is -I for every correspondence; rotation columns
-    are -(dR/dangle) p_L.
-    """
-    rot = rotation_matrix(beta)
-    n = len(p_l)
-    blocks = _jacobian_blocks(np.broadcast_to(rot, (n, 3, 3)), np.full(n, beta.phi), p_l @ rot.T)
-    return blocks.reshape(-1, 6)
 
 
 def solve_groups(p_l: np.ndarray, p_o: np.ndarray, starts) -> list:
@@ -126,18 +88,9 @@ def solve_groups(p_l: np.ndarray, p_o: np.ndarray, starts) -> list:
         for m, tk in zip(r.tolist(), t.tolist())
     ]
     rot = np.array([rotation_matrix(b) for b in betas])[block]
-    q = np.einsum("nij,nj->ni", rot, p_l)
-    f = p_o - (q + t[block])
+    f = p_o - (np.einsum("nij,nj->ni", rot, p_l) + t[block])
     cost = np.add.reduceat(np.sum(f * f, axis=1), first)
-
-    # (J^T J)^-1 sigma^2 with sigma^2 = cost / (3n - 6); a degenerate
-    # block's J^T J is singular, and its entry is not a report anyway
     degenerate = s[:, 1] < 1e-12 * np.maximum(s[:, 0], 1e-300)
-    j = _jacobian_blocks(rot, np.array([b.phi for b in betas])[block], q)
-    jtj = np.add.reduceat(np.einsum("nai,naj->nij", j, j), first)
-    jtj[degenerate] = np.eye(6)
-    cov = (cost / np.maximum(3 * n - 6, 1))[:, None, None] * np.linalg.inv(jtj)
-
     for g, k in enumerate(keep):
         if degenerate[g]:
             out[k] = (None, f"collinear or rank-deficient correspondences ({n[g]} points)")
@@ -148,7 +101,6 @@ def solve_groups(p_l: np.ndarray, p_o: np.ndarray, starts) -> list:
             iterations=1,
             converged=True,
             residuals=f[first[g] : first[g] + n[g]],
-            covariance=cov[g],
             correspondence_count=int(n[g]),
         )
         out[k] = (report, "")

@@ -5,8 +5,8 @@ oracle is a dense grid search over (mu, sigma) with the amplitude solved in
 closed form, the one-event Guo fit is a plain scalar loop with the same
 arithmetic as the batched library fit, the rigid-fit oracle is the SVD (Kabsch) construction,
 the pose oracle is the damped Gauss-Newton (Levenberg-Marquardt) loop the
-closed-form solver replaced, the Jacobian oracle differentiates the solver's
-residual numerically, the segmentation oracle labels the full radius graph
+closed-form solver replaced, run on the solver's residual and its analytic
+Jacobian, the Jacobian oracle differentiates that residual numerically, the segmentation oracle labels the full radius graph
 of a scan's Cartesian points, the raster-link oracle builds every
 return-level link the run labelling compresses, the extent oracle checks one
 cluster at a time, the graph-labelling oracle is scipy's
@@ -37,6 +37,7 @@ from pdcalib.geometry import (
     Pose6DOF,
     polar_to_cartesian_array,
     pose_to_matrix,
+    rotation_matrix,
 )
 from pdcalib.scene import (
     BEAM_DTYPE,
@@ -49,7 +50,6 @@ from pdcalib.scene import (
     SimTruth,
     SimulationError,
 )
-from pdcalib.solver import jacobian, residuals
 
 
 def gaussian_nls_grid(x, y, mu_range=(-0.002, 0.017), sigma_range=(0.001, 0.015)):
@@ -133,6 +133,29 @@ def rigid_fit_svd(src, dst):
     d = np.sign(np.linalg.det(vt.T @ u.T))
     r = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
     return np.column_stack([r, cd - r @ cs])
+
+
+def residuals(beta, p_l, p_o):
+    """Stacked (N, 3) residuals ``p_O - (R p_L + T)`` of the solver's cost."""
+    return p_o - (p_l @ rotation_matrix(beta).T + beta.translation)
+
+
+def jacobian(beta, p_l):
+    """(3N, 6) analytic Jacobian of the stacked residual w.r.t. the pose vector.
+
+    ``R = Rz(phi) Ry(theta) Rx(psi)`` turns by each angle about an axis w
+    fixed in frame O, so dR/dangle = [w]x R and, with q = R p_L, the rotation
+    columns are -(w x q): w is z for phi, Rz(phi) y = (-sin phi, cos phi, 0)
+    for theta and R x (R's first column) for psi. The translation block is -I
+    for every correspondence.
+    """
+    rot = rotation_matrix(beta)
+    q = p_l @ rot.T
+    axes = np.array([[0.0, 0.0, 1.0], [-math.sin(beta.phi), math.cos(beta.phi), 0.0], rot[:, 0]])
+    j = np.empty((len(q), 3, 6))
+    j[:, :, :3] = -np.swapaxes(np.cross(axes, q[:, None, :]), 1, 2)
+    j[:, :, 3:] = -np.eye(3)
+    return j.reshape(-1, 6)
 
 
 def central_difference_jacobian(beta, p_l, p_o, step=1e-6):

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import central_difference_jacobian, gaussian_nls_grid, levenberg_marquardt, rigid_fit_svd
+from oracles import central_difference_jacobian, gaussian_nls_grid, jacobian, levenberg_marquardt, rigid_fit_svd
 from pdcalib.afe import TiaParams, q_factor
 from pdcalib.beam_center import (
     GaussianFitError,
@@ -23,7 +23,7 @@ from pdcalib.correspondence import build_azimuth_center_model
 from pdcalib.geometry import Pose6DOF, pose_to_matrix
 from pdcalib.harness import BIAS, SweepSpec, run_sweep, sweep_csvs
 from pdcalib.scene import BoardModel, LidarModel, simulate_scan
-from pdcalib.solver import jacobian, solve
+from pdcalib.solver import solve
 from test_solver import BOARD_POINTS_L, TRUTH, make_correspondences_from_pose, perturbed_starts
 
 MM = 1e-3

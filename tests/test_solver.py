@@ -6,16 +6,9 @@ import pytest
 
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import central_difference_jacobian, levenberg_marquardt, rigid_fit_svd
+from oracles import central_difference_jacobian, jacobian, levenberg_marquardt, residuals, rigid_fit_svd
 from pdcalib.geometry import Pose6DOF, polar_to_cartesian_array, pose_to_matrix, transform_array
-from pdcalib.solver import (
-    DegenerateCorrespondences,
-    SolveReport,
-    jacobian,
-    residuals,
-    solve,
-    solve_groups,
-)
+from pdcalib.solver import DegenerateCorrespondences, SolveReport, solve, solve_groups
 
 DEG = math.pi / 180.0
 MM = 1e-3
@@ -227,13 +220,6 @@ class TestSolve:
         with pytest.raises(DegenerateCorrespondences, match="collinear"):
             solve(p_l, p_o)
 
-    def test_covariance_shape_and_scale(self):
-        rng = np.random.default_rng(21)
-        p_l, p_o = make_correspondences_from_pose(TRUTH, BOARD_POINTS_L, noise=2e-3, rng=rng)
-        report = solve(p_l, p_o)
-        assert report.covariance.shape == (6, 6)
-        assert np.all(np.diag(report.covariance) >= 0)
-
 
 def board_block(draw, coplanar: bool):
     """(p_L, p_O) of one block: 3-8 board points seen from a sensor about
@@ -337,21 +323,6 @@ class TestStackedFit:
         assert np.linalg.norm(m_fit[:, 3] - m_lm[:, 3]) < 1e-8
         assert fit.final_cost <= cost_lm * (1 + 1e-9)
 
-    @settings(max_examples=40, deadline=None)
-    @given(stacked_blocks())
-    def test_covariance_matches_per_block_formula(self, case):
-        # each block's covariance is its own (J^T J)^-1 sigma^2, with
-        # sigma^2 = cost / (3n - 6), at the block's pose
-        blocks, _, bad = case
-        for k, ((p_l, p_o), (fit, _)) in enumerate(zip(blocks, solve_groups(*stack(blocks)))):
-            if k == bad:
-                continue
-            j = jacobian(fit.beta, p_l)
-            f = residuals(fit.beta, p_l, p_o).ravel()
-            expected = float(f @ f) / max(3 * len(p_l) - 6, 1) * np.linalg.inv(j.T @ j)
-            gap = np.max(np.abs(fit.covariance - expected)) / np.max(np.abs(expected))
-            assert gap < 1e-10
-
     def test_short_blocks_fail_alone(self):
         p_l, p_o = make_correspondences_from_pose(TRUTH, BOARD_POINTS_L)
         (short, reason), (fit, _) = solve_groups(np.vstack([p_l[:2], p_l]), np.vstack([p_o[:2], p_o]), [0, 2])
@@ -364,4 +335,4 @@ class TestStackedFit:
         ((fit, _),) = solve_groups(p_l, p_o, [0])
         report = solve(p_l, p_o)
         assert fit.beta == report.beta and fit.final_cost == report.final_cost
-        np.testing.assert_array_equal(fit.covariance, report.covariance)
+        np.testing.assert_array_equal(fit.residuals, report.residuals)
