@@ -1,17 +1,15 @@
 #!/usr/bin/env python3
 """Sub-millimeter beam centers from four diode samples.
 
-The DAQ reads only four of the sixteen array elements. Two anchor samples
-at the noise level are appended outside the array, the log of the profile
-is fit as a quadratic with iteratively reweighted least squares, and the
-vertex gives the center - to a fraction of a millimeter, an order below
-the ~9 mm beam spacing.
+The DAQ reads only four of the sixteen array elements. The log of those
+four voltages is fit as a quadratic with iteratively reweighted least
+squares, and the vertex gives the center - to a fraction of a millimeter,
+an order below the ~9 mm beam spacing.
 """
 
 import numpy as np
 
 from pdcalib import (
-    augment_samples,
     beams_on_pd,
     fit_gaussian_batch,
     find_pd_beam,
@@ -27,8 +25,7 @@ print("=== a noiseless sanity fit ===")
 x4 = np.array([0.0, 5.0, 10.0, 15.0]) * MM
 mu_true, sigma_true, amp = 6.8 * MM, 4.9 * MM, 2.9
 y4 = amp * np.exp(-((x4 - mu_true) ** 2) / (2 * sigma_true ** 2))
-x, y = augment_samples(x4, y4)
-fit = fit_gaussian_iterative(x, y)
+fit = fit_gaussian_iterative(x4, y4)
 print(f"truth   mu = {mu_true / MM:.3f} mm  sigma = {sigma_true / MM:.3f} mm")
 print(f"fitted  mu = {fit.mu / MM:.3f} mm  sigma = {fit.sigma / MM:.3f} mm  "
       f"amplitude = {fit.amplitude:.3f} V ({fit.iterations_used} passes)")
@@ -46,8 +43,7 @@ one_scan = np.zeros(len(frame.beams), int)
 rows = find_pd_beam(times, np.zeros(len(times), int), frame.beams, one_scan, scene.lidar)
 reflectivity = frame.beams["reflectivity"][rows]
 # all events of the module in one batched fit; a failed row reads NaN
-xa, ya = augment_samples(np.broadcast_to(positions, volts.shape), volts)
-centers = fit_gaussian_batch(xa, ya).mu
+centers = fit_gaussian_batch(np.broadcast_to(positions, volts.shape), volts).mu
 
 truth_pts = frame.truth.board_positions[frame.truth.pd_event_beams[pd.pd_id]]
 for k, mu in enumerate(centers):

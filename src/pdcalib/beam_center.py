@@ -8,10 +8,12 @@ predictions on subsequent passes, which suppresses the log-domain noise
 amplification of the small samples. The center follows from the quadratic
 coefficients as mu = -a1 / (2 a2), sigma^2 = -1 / (2 a2).
 
-Because only four array elements are sampled by the DAQ, two synthetic
-anchor samples at the noise level are appended outside the array span
-before fitting; they keep the quadratic concave when the spot sits near
-an array end.
+The DAQ samples only four array elements, and the fit uses those four
+voltages alone. Synthetic anchor samples at the noise level outside the
+array span (``augment_samples``) would keep the quadratic concave for a
+spot near an array end, but they pull every off-center spot toward the
+array middle: by 0.21 mm at 3 mm off center and 2.5 m range, noiseless,
+against at most 0.02 mm for the four-sample fit within 6 mm of the center.
 
 ``fit_gaussian_batch`` fits a stack of events at once, each row on its
 own; ``fit_gaussian_iterative`` is its one-row case. Likewise
@@ -25,10 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# anchor samples appended outside the 0-15 mm array span
+# anchor samples outside the 0-15 mm array span, which the pipeline no
+# longer appends; augment_samples and these constants are deleted once
+# perfbench stops tracing augment_samples (the benchmark change in ROADMAP.md)
 AUGMENT_POSITIONS_M = (-0.005, 0.020)
 AUGMENT_VALUE_V = 0.1
-# fits are meaningful only near the array: span plus the anchor margin
+# fits are meaningful only near the array: its 0-15 mm span plus 10 mm either side
 MU_BOUNDS_M = (-0.010, 0.025)
 
 DEFAULT_ITERATIONS = 10
@@ -90,7 +94,8 @@ class GaussianFitBatch:
 
 
 def augment_samples(x, y):
-    """Append the two low-level anchor samples to a measurement set.
+    """Append the two low-level anchor samples to a measurement set (the
+    pipeline fits the sampled voltages alone and does not call this).
 
     Adds (-5 mm, 0.1 V) and (20 mm, 0.1 V) exactly once, to a 1-D set or to
     every row of an (n, m) stack; calling it on an already-augmented set

@@ -32,8 +32,8 @@ VERTICAL_ROW_DEG = 1.0
 # pd_id -> (orientation, x_target, row_deg, phase): the module sits on the
 # channel row nearest row_deg, at the landing x nearest x_target moved by
 # phase times the local beam spacing. Horizontal modules take phase 0, so
-# that one beam lands at the array center at the nominal pose: the center
-# fit is symmetric (and therefore anchor-bias-free) at start-up.
+# that one beam lands at the array center at the nominal pose: its four
+# sampled voltages are symmetric about the center at start-up.
 #
 # A vertical strip cannot out-resolve the azimuth grid laterally: its
 # lateral claim is wrong by the offset of the nearest beam, a sawtooth in

@@ -184,9 +184,7 @@ def extract_frame_features(frames, table, scan, plane: preprocess.PlaneModel, sc
         x = np.array([pds[record_cell[k] % n_pds].element_positions()[list(records[k].sampled_channels)] for k in mine])
         volts = np.concatenate([records[k].element_voltages for k in mine])[use]
         floor = np.array([records[k].noise_floor for k in mine])[stacked]
-        mu[events[use]] = beam_center.fit_gaussian_batch(
-            *beam_center.augment_samples(x[stacked], volts), noise_floor=floor
-        ).mu
+        mu[events[use]] = beam_center.fit_gaussian_batch(x[stacked], volts, noise_floor=floor).mu
 
     refl = table["reflectivity"]
     key = beam_center.select_key_beams(mu[joined], refl[rows[joined]], times[joined], cell[joined], len(miss))

@@ -28,7 +28,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 from scipy.special import ndtr
 
-from pdcalib import beam_center, io, preprocess
+from pdcalib import io, preprocess
 from pdcalib.afe import SUPPLY_RAIL_V, PdSignalRecord, currents_to_record
 from pdcalib.correspondence import KEY_DTYPE
 from pdcalib.geometry import (
@@ -361,10 +361,7 @@ def frame_features(frame, roi, plane, scene, scan=0, margin=10.0):
             continue
         best = None
         for e, i in joined:
-            mu = guo_fit_scalar(
-                *beam_center.augment_samples(positions, rec.element_voltages[e]),
-                noise_floor=rec.noise_floor,
-            )
+            mu = guo_fit_scalar(positions, rec.element_voltages[e], noise_floor=rec.noise_floor)
             if mu is not None and (best is None or refl[i] > refl[best[0]]):
                 best = (i, mu)
         if best is None:

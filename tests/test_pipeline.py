@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from hypothesis import given, settings, strategies as st
+from scipy.special import ndtr
 
-from pdcalib import beam_center, preprocess
+from pdcalib import preprocess
+from pdcalib.afe import peak_voltages
 from pdcalib.bench import make_bench_scene
 from pdcalib.correspondence import KEY_DTYPE
 from pdcalib.geometry import Pose6DOF, polar_to_cartesian_array, pose_to_matrix, transform_array
@@ -16,7 +18,7 @@ from pdcalib.harness import simulate_point
 from pdcalib.pipeline import (
     PipelineError, board_plane, calibrate_frames, extract_frame_features, miss_reasons,
 )
-from pdcalib.scene import BoardModel, PdPlacement, ScanFrame, simulate_scan
+from pdcalib.scene import BoardModel, PdPlacement, ScanFrame, _element_currents, simulate_scan
 from pdcalib.solver import DegenerateCorrespondences
 from oracles import event_cell, frame_features, guo_fit_scalar
 
@@ -67,6 +69,31 @@ class TestFullBatch:
             errs.append(abs(pd.offset[0] + key["mu"] - pd.center_local - truth_x))
         assert len(errs) == 200
         assert np.median(errs) < 0.5 * MM
+
+    def test_noiseless_spot_centers_unbiased(self, horizontal_scene, horizontal_batch):
+        # noiseless spots -6..6 mm off the array center at 2.3, 2.5 and 2.7 m,
+        # made by the simulator's element currents and the AFE's peak
+        # voltages, replace h_tl's voltages in copies of one frame: the batch
+        # pass centers each within 0.05 mm of the truth. Anchor samples at
+        # -5 and 20 mm would pull a spot 3 mm off center at 2.5 m by 0.21 mm.
+        scene = horizontal_scene
+        pd, afe = scene.board.pd_modules[0], scene.afe
+        along = np.tile(np.arange(-6.0, 6.0 + 1e-9, 1.5) * MM, 3)
+        ranges = np.repeat([2.3, 2.5, 2.7], len(along) // 3)
+        currents = _element_currents(along, np.zeros_like(along), scene.lidar.spot_sigma(ranges), pd,
+                                     afe.peak_current, ndtr)
+        volts = peak_voltages(currents[:, list(pd.sampled_channels)], afe.tia, afe.pulse_width)
+        frame = horizontal_batch[0]
+        (rec,) = [r for r in frame.pd_records if r.pd_id == pd.pd_id]
+        frames = [
+            ScanFrame(k, frame.beams, [dataclasses.replace(rec, element_voltages=np.tile(v, (rec.n_events, 1)))])
+            for k, v in enumerate(volts)
+        ]
+        table, scan = batch_roi(frames, scene.board)
+        keys, _ = extract_frame_features(frames, table, scan, board_plane(table), scene)
+        np.testing.assert_array_equal(keys["scan"], np.arange(len(frames)))
+        bias = np.abs(keys["mu"] - (pd.center_local + along))
+        assert np.max(bias) <= 0.05 * MM, f"worst |bias| {np.max(bias) / MM:.3f} mm at {along[np.argmax(bias)] / MM} mm"
 
     def test_vertical_scene_solves(self, vertical_scene):
         frames = [
@@ -198,10 +225,7 @@ class TestOptionsAndErrors:
             cells = [event_cell(t, horizontal_scene.lidar) for t in rec.sample_times]
             (e,) = [e for e, cell in enumerate(cells) if cell == (key["channel"], key["azimuth_index"])]
             positions = pd.element_positions()[list(rec.sampled_channels)]
-            mu = guo_fit_scalar(
-                *beam_center.augment_samples(positions, rec.element_voltages[e]),
-                noise_floor=rec.noise_floor,
-            )
+            mu = guo_fit_scalar(positions, rec.element_voltages[e], noise_floor=rec.noise_floor)
             assert key["mu"] == mu
 
     def test_unsegmentable_frame_names_its_scan(self, horizontal_scene, horizontal_batch):
