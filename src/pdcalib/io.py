@@ -676,10 +676,11 @@ def read_sweep_points(path) -> np.ndarray:
         parts = line.split(",")
         if len(parts) != len(POINT_FIELDS):
             raise FrameParseError(path, line_no, "row", f"expected {len(POINT_FIELDS)} fields, got {len(parts)}")
-        row = []  # nan for a field that does not read
+        row = []  # nan for a field that does not read, inf for an integer past the float range
         for read, field, token in zip(parse, POINT_FIELDS, parts):
             try:
-                row.append(read(path, line_no, field, token))
+                read(path, line_no, field, token)
+                row.append(float(token))
             except FrameParseError:
                 row.append(math.nan)
         faults = point_faults(np.array(row, dtype=float))
