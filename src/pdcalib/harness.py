@@ -234,24 +234,23 @@ def sweep_csvs(scene: Scene, spec: SweepSpec, stats: SweepStats) -> dict:
 
 
 def report(stats_list) -> str:
-    """Human-readable summary table (tilt/roll/yaw/dX per PD arrangement).
+    """Human-readable summary table (tilt/roll/yaw/dX/dY/dZ per PD arrangement).
 
     Raises on empty input: an empty sweep is an error, never a blank table.
     """
     if not stats_list:
         raise ValueError("no sweep statistics to report")
     lw = max(14, max(len(s.label) for s in stats_list) + 2)
-    header = f"{'Estimation':<{lw + 10}}{'Tilt (deg)':>12}{'Roll (deg)':>12}{'Yaw (deg)':>12}{'dX (mm)':>10}"
+    header = (f"{'Estimation':<{lw + 10}}{'Tilt (deg)':>12}{'Roll (deg)':>12}{'Yaw (deg)':>12}"
+              f"{'dX (mm)':>10}{'dY (mm)':>10}{'dZ (mm)':>10}")
     lines = [header, "-" * len(header)]
+
+    def cells(v):
+        return f"{v[1]:>12.3f}{v[2]:>12.3f}{v[0]:>12.3f}{v[3]:>10.2f}{v[4]:>10.2f}{v[5]:>10.2f}"
+
     for stats in stats_list:
-        acc = stats.per_axis_accuracy
-        pre = stats.per_axis_precision
-        lines.append(
-            f"{stats.label:<{lw}}{'Accuracy':<10}{acc[1]:>12.3f}{acc[2]:>12.3f}{acc[0]:>12.3f}{acc[3]:>10.2f}"
-        )
-        lines.append(
-            f"{'':<{lw}}{'Precision':<10}{pre[1]:>12.3f}{pre[2]:>12.3f}{pre[0]:>12.3f}{pre[3]:>10.2f}"
-        )
+        lines.append(f"{stats.label:<{lw}}{'Accuracy':<10}{cells(stats.per_axis_accuracy)}")
+        lines.append(f"{'':<{lw}}{'Precision':<10}{cells(stats.per_axis_precision)}")
     lines.append("")
     lines.append(STATS_FOOTER)
     return "\n".join(lines) + "\n"

@@ -31,6 +31,8 @@ from pdcalib.io import sweep_from_dict, sweep_to_dict
 DEG = math.pi / 180.0
 
 MINI_SWEEP = SweepSpec(parameter="yaw", start=-1.0, stop=1.0, step=1.0, scans_per_point=8, seed=5)
+# an integer too large for a float
+HUGE = "1" + "0" * 400
 
 GOLDEN = Path(__file__).parent / "golden"
 ROOT = Path(__file__).resolve().parent.parent
@@ -200,6 +202,17 @@ class TestReport:
         assert lines[2].startswith("Horizontal PD")
         assert "Accuracy" in lines[2] and "Precision" in lines[3]
         assert "accuracy = mean over reference points" in table
+
+    def test_dz_sweep_table_shows_dz(self, horizontal_scene):
+        # the table prints all six axes, so a dz sweep's own error is in it
+        spec = SweepSpec(parameter="z_position", start=-2.0, stop=2.0, step=2.0, scans_per_point=8, seed=5)
+        stats = run_sweep(horizontal_scene, spec)
+        header, _, accuracy = report([stats]).splitlines()[:3]
+        assert header.split()[-6:] == ["dX", "(mm)", "dY", "(mm)", "dZ", "(mm)"]
+        summary = sweep_csvs(horizontal_scene, spec, stats)["summary"].splitlines()
+        columns = summary[0].split(",")
+        dz = summary[1].split(",")[columns.index("dz_mm")]
+        assert accuracy.split()[-1] == f"{float(dz):.2f}"
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -419,10 +432,10 @@ class TestCli:
         capsys.readouterr()
         assert cli.main(["report", str(points)]) == 0
 
-        # the points CSV holds 4 decimals, the tables print 3 (2 for dX):
-        # reading it back gives the numbers of the sweep's own table
+        # the points CSV holds 4 decimals, the tables print 3 (2 for dX, dY
+        # and dZ): reading it back gives the numbers of the sweep's own table
         def numbers(table):
-            return [line.split()[-4:] for line in table.splitlines() if "Accuracy" in line or "Precision" in line]
+            return [line.split()[-6:] for line in table.splitlines() if "Accuracy" in line or "Precision" in line]
 
         sweep_numbers = numbers((out / "sweep_yaw_horizontal_pd_summary.txt").read_text())
         assert len(sweep_numbers) == 2
@@ -477,8 +490,10 @@ class TestCli:
             (lambda parts: ["inf", *parts[1:]], ":3: field 'point_value': 'inf' is not a finite number"),
             (lambda parts: [*parts[:8], "-0.0100", *parts[9:]], ":3: field 'std_yaw_deg': '-0.0100' is below 0.0"),
             (lambda parts: [parts[0], "0", *parts[2:]], ":3: field 'solved': '0' is below 1"),
+            (lambda parts: [parts[0], HUGE, *parts[2:]], f":3: field 'solved': '{HUGE}' is not a finite number"),
         ],
-        ids=["short row", "word solved", "word bias", "nan bias", "inf point", "negative std", "no scan solved"],
+        ids=["short row", "word solved", "word bias", "nan bias", "inf point", "negative std", "no scan solved",
+             "solved past the float range"],
     )
     def test_malformed_points_row_exit_code_1(self, tmp_path, capsys, horizontal_scene, mini_stats, edit, names):
         lines = sweep_csvs(horizontal_scene, MINI_SWEEP, mini_stats)["points"].splitlines()
