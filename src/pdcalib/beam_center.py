@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# anchor samples outside the 0-15 mm array span, which the pipeline no
-# longer appends; augment_samples and these constants are deleted once
+# anchor samples outside the 0-15 mm array span, which the pipeline does not
+# append; augment_samples and these constants are deleted once
 # perfbench stops tracing augment_samples (the benchmark change in ROADMAP.md)
 AUGMENT_POSITIONS_M = (-0.005, 0.020)
 AUGMENT_VALUE_V = 0.1

@@ -91,6 +91,7 @@ def solve_groups(p_l: np.ndarray, p_o: np.ndarray, starts) -> list:
     f = p_o - (np.einsum("nij,nj->ni", rot, p_l) + t[block])
     cost = np.add.reduceat(np.sum(f * f, axis=1), first)
     degenerate = s[:, 1] < 1e-12 * np.maximum(s[:, 0], 1e-300)
+
     for g, k in enumerate(keep):
         if degenerate[g]:
             out[k] = (None, f"collinear or rank-deficient correspondences ({n[g]} points)")
