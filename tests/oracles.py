@@ -6,8 +6,9 @@ closed form, the one-event Guo fit is a plain scalar loop with the same
 arithmetic as the batched library fit, the rigid-fit oracle is the SVD (Kabsch) construction,
 the pose oracle is the damped Gauss-Newton (Levenberg-Marquardt) loop the
 closed-form solver replaced, run on the solver's residual and its analytic
-Jacobian, the Jacobian oracle differentiates that residual numerically, the segmentation oracle labels the full radius graph
-of a scan's Cartesian points, the raster-link oracle builds every
+Jacobian, the Jacobian oracle differentiates that residual numerically, the
+segmentation oracle labels the full radius graph of a scan's Cartesian
+points, the raster-link oracle builds every
 return-level link the run labelling compresses, the extent oracle checks one
 cluster at a time, the graph-labelling oracle is scipy's
 connected components, the feature oracle joins each PD event of one frame

@@ -73,9 +73,10 @@ class TestFullBatch:
     def test_noiseless_spot_centers_unbiased(self, horizontal_scene, horizontal_batch):
         # noiseless spots -6..6 mm off the array center at 2.3, 2.5 and 2.7 m,
         # made by the simulator's element currents and the AFE's peak
-        # voltages, replace h_tl's voltages in copies of one frame: the batch
-        # pass centers each within 0.05 mm of the truth. Anchor samples at
-        # -5 and 20 mm would pull a spot 3 mm off center at 2.5 m by 0.21 mm.
+        # voltages, replace the first module's voltages in copies of one
+        # frame: the batch pass centers each within 0.05 mm of the truth.
+        # Anchor samples at -5 and 20 mm would pull a spot 3 mm off center
+        # at 2.5 m by 0.21 mm.
         scene = horizontal_scene
         pd, afe = scene.board.pd_modules[0], scene.afe
         along = np.tile(np.arange(-6.0, 6.0 + 1e-9, 1.5) * MM, 3)
