@@ -32,6 +32,8 @@ import numpy as np
 # perfbench stops tracing augment_samples (the benchmark change in ROADMAP.md)
 AUGMENT_POSITIONS_M = (-0.005, 0.020)
 AUGMENT_VALUE_V = 0.1
+# samples at or below this voltage carry no spot signal; the fits clamp to it
+NOISE_FLOOR_V = 0.1
 # fits are meaningful only near the array: its 0-15 mm span plus 10 mm either side
 MU_BOUNDS_M = (-0.010, 0.025)
 
@@ -138,7 +140,7 @@ def fit_gaussian_batch(
     x,
     y,
     k_max: int = DEFAULT_ITERATIONS,
-    noise_floor=AUGMENT_VALUE_V,
+    noise_floor=NOISE_FLOOR_V,
 ) -> GaussianFitBatch:
     """Fit a Gaussian to each row of (position, peak-voltage) samples.
 
@@ -228,7 +230,7 @@ def fit_gaussian_iterative(
     x,
     y,
     k_max: int = DEFAULT_ITERATIONS,
-    noise_floor: float = AUGMENT_VALUE_V,
+    noise_floor: float = NOISE_FLOOR_V,
 ) -> GaussianFitResult:
     """Fit a Gaussian to one set of (position, peak-voltage) samples.
 

@@ -7,6 +7,7 @@ from pdcalib.beam_center import (
     AUGMENT_VALUE_V,
     CONVERGENCE_TOL_M,
     FIT_STATUS,
+    NOISE_FLOOR_V,
     GaussianFitError,
     augment_samples,
     beams_on_pd,
@@ -25,6 +26,28 @@ def gaussian(x, mu, sigma, amp):
     return amp * np.exp(-((x - mu) ** 2) / (2 * sigma ** 2))
 
 
+NOISY_TRIALS = 150
+
+
+def _noisy_fit_deltas(samples):
+    """|fit - grid NLS| and |fit - truth| of the centers of noisy spots in the
+    central fit window, each fitted on ``samples(noisy voltages)``, an (x, y)
+    pair; trials whose fit fails are left out."""
+    rng = np.random.default_rng(77)
+    deltas, errors = [], []
+    for _ in range(NOISY_TRIALS):
+        mu = rng.uniform(3.5, 11.5) * MM
+        x, y = samples(gaussian(X4, mu, 4.9 * MM, 2.9) + rng.normal(0.0, 0.1, size=4))
+        try:
+            fit = fit_gaussian_iterative(x, y)
+        except GaussianFitError:
+            continue
+        mu_ref, _, _ = gaussian_nls_grid(x, y)
+        deltas.append(abs(fit.mu - mu_ref))
+        errors.append(abs(fit.mu - mu))
+    return deltas, errors
+
+
 class TestAugmentation:
     def test_four_in_six_out(self):
         x, y = augment_samples(X4, gaussian(X4, 7.5 * MM, 5 * MM, 3.0))
@@ -39,6 +62,17 @@ class TestAugmentation:
         x, y = augment_samples(X4, np.ones(4))
         with pytest.raises(ValueError):
             augment_samples(x, y)
+
+    def test_anchored_noisy_fits_match_brute_force_oracle(self):
+        # the fit's check against the grid NLS, on the four samples plus their two anchors
+        def anchored(y):
+            x, y = augment_samples(X4, y)
+            return x, np.maximum(y, AUGMENT_VALUE_V)
+
+        deltas, errors = _noisy_fit_deltas(anchored)
+        assert len(deltas) > 0.9 * NOISY_TRIALS
+        assert np.median(deltas) < 0.05 * MM
+        assert np.mean(np.asarray(errors) < 0.5 * MM) > 0.95
 
     def test_stack_gets_anchors_on_every_row(self):
         y = np.arange(12.0).reshape(3, 4)
@@ -110,27 +144,14 @@ class TestGaussianFit:
             assert b <= a + 1e-12
 
     def test_noisy_fits_match_brute_force_oracle(self):
-        # smaller replica of the acceptance check: the iterative fit tracks a
-        # dense grid-search NLS on identical data to well under 0.05 mm median.
-        # The 0.5 mm headline applies to spots in the central fit window
-        # ([3.5, 11.5] mm); at the array ends both estimators degrade alike.
-        rng = np.random.default_rng(77)
-        n_trials = 150
-        deltas, errors = [], []
-        for _ in range(n_trials):
-            mu = rng.uniform(3.5, 11.5) * MM
-            clean = gaussian(X4, mu, 4.9 * MM, 2.9)
-            noisy = clean + rng.normal(0.0, 0.1, size=4)
-            x, y = augment_samples(X4, noisy)
-            y = np.maximum(y, AUGMENT_VALUE_V)
-            try:
-                fit = fit_gaussian_iterative(x, y)
-            except GaussianFitError:
-                continue
-            mu_ref, _, _ = gaussian_nls_grid(x, y)
-            deltas.append(abs(fit.mu - mu_ref))
-            errors.append(abs(fit.mu - mu))
-        assert len(deltas) > 0.9 * n_trials
+        # smaller replica of the acceptance check, on the pipeline's input:
+        # the four sampled voltages clamped at the noise floor. The iterative
+        # fit tracks a dense grid-search NLS on identical data to well under
+        # 0.05 mm median. The 0.5 mm headline applies to spots in the central
+        # fit window ([3.5, 11.5] mm); at the array ends both estimators
+        # degrade alike.
+        deltas, errors = _noisy_fit_deltas(lambda y: (X4, np.maximum(y, NOISE_FLOOR_V)))
+        assert len(deltas) > 0.9 * NOISY_TRIALS
         assert np.median(deltas) < 0.05 * MM
         assert np.mean(np.asarray(errors) < 0.5 * MM) > 0.95
 
