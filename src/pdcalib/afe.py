@@ -105,6 +105,45 @@ class PdSignalRecord:
             why = "lies outside the 0-10 V supply range" if math.isfinite(value) else "is not a finite number"
             raise ValueError(f"{where}: {name} {value!r} {why}")
 
+    @classmethod
+    def batch(cls, pd_ids, sampled_channels, noise_floors, bounds, sample_times, element_voltages) -> list:
+        """The records of one event table, checked together.
+
+        Record r has the pd_id ``pd_ids[r]``, the sampled channels
+        ``sampled_channels[r]`` and the noise floor ``noise_floors[r]``, and
+        its events are the views ``[bounds[r]:bounds[r + 1]]`` of the (n,)
+        ``sample_times`` and the (n, m) ``element_voltages``. The rules of a
+        record are checked once on the whole table (one ``event_faults``
+        pass, one ``element_indices`` call per distinct channel tuple).
+
+        Raises the ValueError that ``PdSignalRecord(...)`` raises for the
+        first record that breaks a rule.
+        """
+        t = np.asarray(sample_times, dtype=float)
+        v = np.asarray(element_voltages, dtype=float)
+        if v.shape[0] != t.shape[0]:
+            raise ValueError("one sample time per beam event required")
+        bounds, floors = np.asarray(bounds), np.asarray(noise_floors, dtype=float)
+        sizes = np.diff(bounds)
+        n_channels = np.repeat([len(channels) for channels in sampled_channels], sizes)
+        faults = event_faults(n_channels, t, np.repeat(floors, sizes), v).any(axis=1)
+        increasing = {channels: element_indices(channels) for channels in set(sampled_channels)}
+        bad = [r for r, channels in enumerate(sampled_channels) if not increasing[channels]][:1]
+        if faults.any():  # the record that holds the first bad event
+            bad.append(int(np.searchsorted(bounds, np.argmax(faults), side="right")) - 1)
+        bounds, floors = bounds.tolist(), floors.tolist()
+        if bad:  # raises the record's own error
+            r = min(bad)
+            cls(pd_ids[r], v[bounds[r]:bounds[r + 1]], t[bounds[r]:bounds[r + 1]], sampled_channels[r], floors[r])
+        records = []
+        for r, pd_id in enumerate(pd_ids):
+            record = cls.__new__(cls)  # checked above: skip __post_init__
+            a, b = bounds[r], bounds[r + 1]
+            record.pd_id, record.element_voltages, record.sample_times = pd_id, v[a:b], t[a:b]
+            record.sampled_channels, record.noise_floor = sampled_channels[r], floors[r]
+            records.append(record)
+        return records
+
     @property
     def n_events(self) -> int:
         return int(self.element_voltages.shape[0])

@@ -257,32 +257,67 @@ def load_sweep(path) -> SweepSpec:
 
 # ---------------------------------------------------------------- scan frames
 
+def _interleaved(*columns) -> list:
+    """The values of the equal-length ``columns``, row after row."""
+    flat = [None] * (len(columns) * len(columns[0]))
+    for j, column in enumerate(columns):
+        flat[j::len(columns)] = column
+    return flat
+
+
 def frames_to_text(frames) -> str:
-    """Serialize frames to the delimited-text format (deterministic)."""
-    lines = [FRAME_MAGIC, "# beam," + ",".join(BEAM_FIELDS)]
+    """Serialize frames to the delimited-text format (deterministic).
+
+    A frame's beam rows are written one run at a time, a run being a maximal
+    stretch of rows with one channel and one elevation (compared by its
+    bits, as 0.0 and -0.0 print apart): the run's template holds its scan
+    id, channel and elevation text once, and one ``%`` fills the run's other
+    fields. A PD record's rows likewise come from one template. The values
+    come from ``tolist()``, which gives Python ints and floats, whose repr
+    is the file form.
+    """
+    text = [f"{FRAME_MAGIC}\n# beam,{','.join(BEAM_FIELDS)}\n"]
     for frame in frames:
         b = frame.beams
-        columns = (b["channel"], b["azimuth_index"], b["alpha"] / DEG, b["omega"] / DEG, b["r"], b["reflectivity"])
-        # tolist() gives Python ints and floats, whose repr is the file form
-        lines.extend(
-            f"beam,{frame.scan_id},{ch},{az},{alpha_deg!r},{omega_deg!r},{range_m!r},{reflectivity!r}"
-            for ch, az, alpha_deg, omega_deg, range_m, reflectivity in zip(*(c.tolist() for c in columns))
+        channel, omega_deg = b["channel"], b["omega"] / DEG
+        bits = omega_deg.view(np.int64)
+        new = np.ones(len(b), dtype=bool)
+        new[1:] = (channel[1:] != channel[:-1]) | (bits[1:] != bits[:-1])
+        starts = np.flatnonzero(new)
+        values = _interleaved(*(c.tolist() for c in (b["azimuth_index"], b["alpha"] / DEG, b["r"], b["reflectivity"])))
+        ends = [*starts[1:].tolist(), len(b)]
+        runs = zip(starts.tolist(), ends, channel[starts].tolist(), omega_deg[starts].tolist())
+        text.extend(
+            f"beam,{frame.scan_id},{ch},%d,%r,{omega!r},%r,%r\n" * (hi - lo) % tuple(values[4 * lo:4 * hi])
+            for lo, hi, ch, omega in runs
         )
-    lines.append("# pd," + ",".join(PD_FIELDS) + ",v0,v1,...")
+    text.append(f"# pd,{','.join(PD_FIELDS)},v0,v1,...\n")
     for frame in frames:
         for rec in sorted(frame.pd_records, key=lambda r: r.pd_id):
-            head = f"pd,{rec.pd_id},{frame.scan_id}"
+            volts = rec.element_voltages
+            head = f"pd,{rec.pd_id.replace('%', '%%')},{frame.scan_id}"
             tail = f"{float(rec.noise_floor)!r},{'|'.join(map(str, rec.sampled_channels))}"
-            events = zip(rec.sample_times.tolist(), rec.element_voltages.tolist())
-            lines.extend(
-                f"{head},{e},{time_s!r},{tail}," + ",".join(map(repr, volts))
-                for e, (time_s, volts) in enumerate(events)
-            )
-    return "\n".join(lines) + "\n"
+            row = f"{head},%d,%r,{tail}," + ",".join(["%r"] * volts.shape[1]) + "\n"
+            values = _interleaved(range(len(volts)), rec.sample_times.tolist(), *volts.T.tolist())
+            text.append(row * len(volts) % tuple(values))
+    return "".join(text)
 
 
 def write_frames(frames, path):
-    Path(path).write_text(frames_to_text(frames))
+    Path(path).write_text(frames_to_text(frames), encoding="utf-8")
+
+
+def _read_text(path):
+    """The text of the file ``path`` as UTF-8, and None; or, for a file that
+    is not UTF-8, the text of the lines above the line of its first byte
+    that is not, and the FrameParseError that names that line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8"), None
+    except UnicodeDecodeError as exc:
+        above = (data[:exc.start].decode("utf-8") + "|").splitlines(keepends=True)[:-1]
+        why = f"byte {data[exc.start]:#04x} is not UTF-8 ({exc.reason})"
+        return "".join(above), FrameParseError(path, len(above) + 1, "encoding", why)
 
 
 def _check_plain(path, line_no, field, token):
@@ -588,7 +623,8 @@ def _signal_records(tables) -> dict:
     as (pd_ids, scan_ids, times, noise floors, sampled channels, voltages)
     in file order; a (scan, PD) record's rows lie in one table. A record
     takes its sampled channels and noise floor from its first row, and
-    events at one time keep their file order.
+    events at one time keep their file order. Each table's records are the
+    views of its rows in record order (``PdSignalRecord.batch``).
     """
     ids = sorted({pd_id for table in tables for pd_id in table[0]})
     code = {pd_id: k for k, pd_id in enumerate(ids)}
@@ -599,12 +635,12 @@ def _signal_records(tables) -> dict:
         scan, pd = scans[order], pd[order]
         starts = np.flatnonzero(np.r_[True, (scan[1:] != scan[:-1]) | (pd[1:] != pd[:-1])])
         first = np.minimum.reduceat(order, starts)  # each record's first row in the file
-        times, volts = times[order], volts[order]
-        for a, b, f in zip(starts.tolist(), [*starts[1:].tolist(), len(order)], first.tolist()):
-            found.append((int(scan[a]), ids[pd[a]], PdSignalRecord(
-                pd_id=ids[pd[a]], element_voltages=volts[a:b], sample_times=times[a:b],
-                sampled_channels=channels[f], noise_floor=float(floors[f]),
-            )))
+        names = [ids[k] for k in pd[starts].tolist()]
+        records = PdSignalRecord.batch(
+            names, [channels[f] for f in first.tolist()], floors[first], [*starts.tolist(), len(order)],
+            times[order], volts[order],
+        )
+        found.extend(zip(scan[starts].tolist(), names, records))
     found.sort(key=lambda item: item[:2])
     by_scan: dict = {}
     for sid, _, record in found:
@@ -617,7 +653,8 @@ def read_frames(path) -> list:
 
     Raises FrameParseError, and no other error, for a malformed file,
     naming its first malformed line of either row kind, or else its first PD
-    row of a scan with no beam rows. A line is malformed when a number of it
+    row of a scan with no beam rows. A line is malformed when it holds a
+    byte that is not UTF-8, when a number of it
     does not read or is not finite (``nan``, ``inf``, ``1e999``), when it is
     a beam row that breaks ``geometry.return_faults`` or repeats the (scan,
     channel, azimuth index) cell of an earlier row (named with the line it
@@ -627,8 +664,10 @@ def read_frames(path) -> list:
     sampled channels or noise floor. ``_beam_records`` and ``_pd_columns``
     check each rule once, on the columns.
     """
-    text = Path(path).read_text()
+    text, not_utf8 = _read_text(path)  # the lines above the first line that is not UTF-8
     lines = text.splitlines()
+    if not lines and not_utf8:
+        raise not_utf8
     if not lines or lines[0].strip() != FRAME_MAGIC:
         raise FrameParseError(path, 1, "magic", f"expected {FRAME_MAGIC!r}")
     beam_rows, pd_rows, unknown = [], [], None  # the beam rows; the PD rows as (line_no, row); the first other row
@@ -644,7 +683,7 @@ def read_frames(path) -> list:
             unknown = FrameParseError(path, line_no, "record", f"unknown record type {row.partition(',')[0]!r}")
     beam_table, beam_error = _beam_records(path, text, lines, beam_rows)
     tables, pd_scans, pd_error = _pd_columns(path, pd_rows)
-    errors = [error for error in (beam_error, pd_error, unknown) if error is not None]
+    errors = [error for error in (beam_error, pd_error, unknown, not_utf8) if error is not None]
     if errors:
         raise min(errors, key=lambda error: error.line_no)
     beams, scan_ids, bounds = beam_table
@@ -662,10 +701,14 @@ def read_sweep_points(path) -> np.ndarray:
 
     Raises FrameParseError for a header other than ``POINT_FIELDS``, a row
     with the wrong number of fields, a field that is not a number
-    (``solved``: an integer) and a value that breaks ``harness.point_faults``
-    (not finite, a negative ``std_*``, a ``solved`` below 1).
+    (``solved``: an integer), a value that breaks ``harness.point_faults``
+    (not finite, a negative ``std_*``, a ``solved`` below 1) and a byte
+    that is not UTF-8, naming the first line that holds one of them.
     """
-    lines = Path(path).read_text().splitlines()
+    text, not_utf8 = _read_text(path)  # the lines above the first line that is not UTF-8
+    lines = text.splitlines()
+    if not lines and not_utf8:
+        raise not_utf8
     if not lines or lines[0] != ",".join(POINT_FIELDS):
         raise FrameParseError(path, 1, "header", f"expected {','.join(POINT_FIELDS)!r}")
     parse = [_parse_int if f == "solved" else _parse_float for f in POINT_FIELDS]
@@ -690,6 +733,8 @@ def read_sweep_points(path) -> np.ndarray:
             why = f"is below {POINT_FLOORS[k]}" if math.isfinite(row[k]) else "is not a finite number"
             raise FrameParseError(path, line_no, POINT_FIELDS[k], f"{parts[k]!r} {why}")
         rows.append(row)
+    if not_utf8:
+        raise not_utf8
     return np.array(rows, dtype=float).reshape(-1, len(POINT_FIELDS))
 
 

@@ -659,7 +659,9 @@ def _pd_records(events, rngs, afe: AfeConfig) -> list:
     generator, covering its records' (event, sampled element) cells in
     board order, then row-major: the cells, in the order, of one draw per
     record, and so the same stream. The gain, noise and rail clamp are
-    ``afe.peak_voltages`` over every cell of the block at once.
+    ``afe.peak_voltages`` over every cell of the block at once, and the
+    records of each sampled width are the views of one event table, checked
+    once by ``PdSignalRecord.batch``.
     """
     parts, sizes = [], []  # per record (scan, pd, event times, sampled currents); cells per scan
     for k in range(len(rngs)):
@@ -680,16 +682,23 @@ def _pd_records(events, rngs, afe: AfeConfig) -> list:
         )
     currents = np.concatenate([c.ravel() for *_, c in parts])
     volts = peak_voltages(currents, afe.tia, afe.pulse_width, noise)
-    start = 0
-    for k, pd, times, c in parts:
-        records[k].append(
-            PdSignalRecord(
-                pd_id=pd.pd_id,
-                element_voltages=volts[start:start + c.size].reshape(c.shape),
-                sample_times=times,
-                sampled_channels=tuple(pd.sampled_channels),
-                noise_floor=afe.noise_floor,
-            )
+    cells = np.cumsum([0, *(c.size for *_, c in parts)]).tolist()
+    widths = {}  # sampled width -> its records' places in parts
+    for i, (*_, c) in enumerate(parts):
+        widths.setdefault(c.shape[1], []).append(i)
+    made = [None] * len(parts)
+    for width, members in widths.items():
+        pds = [parts[i][1] for i in members]
+        batch = PdSignalRecord.batch(
+            [pd.pd_id for pd in pds],
+            [tuple(pd.sampled_channels) for pd in pds],
+            [afe.noise_floor] * len(members),
+            np.cumsum([0, *(len(parts[i][2]) for i in members)]),
+            np.concatenate([parts[i][2] for i in members]),
+            np.concatenate([volts[cells[i]:cells[i + 1]] for i in members]).reshape(-1, width),
         )
-        start += c.size
+        for i, record in zip(members, batch):
+            made[i] = record
+    for (k, *_), record in zip(parts, made):
+        records[k].append(record)
     return records

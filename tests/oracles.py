@@ -15,8 +15,9 @@ connected components, the feature oracle joins each PD event of one frame
 to its beam through a dict and fits it on its own, the RANSAC oracle scores one hypothesis line at
 a time, the scene oracle simulates one scan at a time with one
 element-current call per PD event, the frame-file oracle reads and checks
-a file one line at a time, and the Cartesian-to-polar inverse checks the
-library's forward conversion.
+a file one line at a time, the frame-writer oracle formats each row with
+its own f-string, and the Cartesian-to-polar inverse checks the library's
+forward conversion.
 """
 
 import math
@@ -679,7 +680,7 @@ def read_frames_reference(path):
     """
     FrameParseError = io.FrameParseError
     parse_float = io._parse_float
-    lines = Path(path).read_text().splitlines()
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0].strip() != io.FRAME_MAGIC:
         raise FrameParseError(path, 1, "magic", f"expected {io.FRAME_MAGIC!r}")
     beams = {}  # scan id -> its returns as BEAM_DTYPE rows, in file order
@@ -774,3 +775,27 @@ def read_frames_reference(path):
             )
         frames.append(ScanFrame(scan_id=sid, beams=beams[sid], pd_records=records))
     return frames
+
+
+def frames_to_text_reference(frames) -> str:
+    """``io.frames_to_text`` one row at a time: each row is its own f-string."""
+    lines = [io.FRAME_MAGIC, "# beam," + ",".join(io.BEAM_FIELDS)]
+    for frame in frames:
+        b = frame.beams
+        columns = (b["channel"], b["azimuth_index"], b["alpha"] / DEG, b["omega"] / DEG, b["r"], b["reflectivity"])
+        # tolist() gives Python ints and floats, whose repr is the file form
+        lines.extend(
+            f"beam,{frame.scan_id},{ch},{az},{alpha_deg!r},{omega_deg!r},{range_m!r},{reflectivity!r}"
+            for ch, az, alpha_deg, omega_deg, range_m, reflectivity in zip(*(c.tolist() for c in columns))
+        )
+    lines.append("# pd," + ",".join(io.PD_FIELDS) + ",v0,v1,...")
+    for frame in frames:
+        for rec in sorted(frame.pd_records, key=lambda r: r.pd_id):
+            head = f"pd,{rec.pd_id},{frame.scan_id}"
+            tail = f"{float(rec.noise_floor)!r},{'|'.join(map(str, rec.sampled_channels))}"
+            events = zip(rec.sample_times.tolist(), rec.element_voltages.tolist())
+            lines.extend(
+                f"{head},{e},{time_s!r},{tail}," + ",".join(map(repr, volts))
+                for e, (time_s, volts) in enumerate(events)
+            )
+    return "\n".join(lines) + "\n"

@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pdcalib.afe import (
     PdSignalRecord,
@@ -154,6 +155,67 @@ class TestCurrentsToRecord:
         with refused("PD 'p', event 0: noise floor"):
             PdSignalRecord("p", np.array([[1.0]]), np.array([0.0]), (0,), noise_floor=value)
         assert PdSignalRecord("p", np.zeros((0, 2)), np.zeros(0), (0, 5)).n_events == 0
+
+
+def _mostly(good, bad):
+    """A value of ``good`` four times in five, else one of ``bad``."""
+    return st.integers(0, 4 * len(good) + len(bad) - 1).map(lambda k: [*good * 4, *bad][k])
+
+
+@st.composite
+def _event_table(draw):
+    """The arguments of ``PdSignalRecord.batch`` for 1 to 4 records of 0 to
+    3 events each, whose values may break a record rule."""
+    m = draw(st.integers(1, 3))
+    sizes = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    n = sum(sizes)
+    right = tuple(range(0, 5 * m, 5))
+    return (
+        [f"p{r}" for r in range(len(sizes))],
+        [draw(_mostly([right], [right + (99,), right[::-1], ()])) for _ in sizes],
+        [draw(_mostly([0.1], [math.nan])) for _ in sizes],
+        np.cumsum([0, *sizes]),
+        np.array([draw(_mostly([0.0, 1e-3], [math.inf])) for _ in range(n)]),
+        np.array([draw(_mostly([0.0, 1.0, 10.0], [-0.5, 10.5, math.nan])) for _ in range(n * m)]).reshape(n, m),
+    )
+
+
+def _records_or_error(build):
+    try:
+        records = build()
+    except ValueError as exc:
+        return str(exc)
+    return [
+        (r.pd_id, r.element_voltages.shape, r.element_voltages.tobytes(), r.sample_times.tobytes(),
+         r.sampled_channels, repr(r.noise_floor))
+        for r in records
+    ]
+
+
+class TestRecordBatch:
+    @settings(max_examples=150, deadline=None)
+    @given(table=_event_table())
+    def test_batch_is_its_records_built_one_by_one(self, table):
+        """The same records, or the error of the first record that breaks a rule."""
+        pd_ids, channels, floors, bounds, times, volts = table
+
+        def one_by_one():
+            return [
+                PdSignalRecord(pd_id, volts[a:b], times[a:b], channels[r], floors[r])
+                for r, (pd_id, a, b) in enumerate(zip(pd_ids, bounds, bounds[1:]))
+            ]
+
+        assert _records_or_error(lambda: PdSignalRecord.batch(*table)) == _records_or_error(one_by_one)
+
+    def test_records_are_views_of_the_table(self):
+        volts, times = np.arange(6.0).reshape(3, 2), np.zeros(3)
+        a, b = PdSignalRecord.batch(["a", "b"], [(0, 5), (0, 5)], [0.1, 0.1], [0, 1, 3], times, volts)
+        assert np.shares_memory(a.element_voltages, volts) and np.shares_memory(b.sample_times, times)
+        assert b.element_voltages.tolist() == [[2.0, 3.0], [4.0, 5.0]]
+
+    def test_one_time_per_event_required(self):
+        with pytest.raises(ValueError, match="^one sample time per beam event required$"):
+            PdSignalRecord.batch(["a"], [(0,)], [0.1], [0, 2], np.zeros(1), np.ones((2, 1)))
 
 
 class TestPeakVoltages:

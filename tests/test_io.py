@@ -10,15 +10,16 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from oracles import read_frames_reference
+from oracles import frames_to_text_reference, read_frames_reference
 from pdcalib import io
-from pdcalib.afe import TiaParams
+from pdcalib.afe import PdSignalRecord, TiaParams
 from pdcalib.bench import DEFAULT_BASE_POSE, Scene, make_bench_scene
 from pdcalib.geometry import DEG, Pose6DOF
+from pdcalib.harness import POINT_FIELDS, simulate_point
 from pdcalib.io import FrameParseError, frames_to_text, read_frames, write_frames
-from pdcalib.scene import AfeConfig, BoardModel, LidarModel, PdPlacement, ScanFrame, simulate_scan
+from pdcalib.scene import BEAM_DTYPE, AfeConfig, BoardModel, LidarModel, PdPlacement, ScanFrame, simulate_scan
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -46,6 +47,74 @@ def _scan_frames(draw):
         for channel, azimuth_index in keys
     ]
     return ScanFrame(scan_id=draw(INT64), beams=beams, pd_records=[])
+
+
+# elevations that the written frames share between rows, so that rows form
+# runs; 0.0 and -0.0 are equal but print apart
+ELEVATIONS = [0.0, -0.0, 0.1, -0.25, -HALF_PI_BELOW]
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _signal_record(draw):
+    """A valid PD record of 1 to 5 sampled channels and 0 to 3 events, with a
+    pd_id that may hold ``%``."""
+    channels = tuple(sorted(draw(st.sets(st.integers(0, 99), min_size=1, max_size=5))))
+    n = draw(st.integers(0, 3))
+    volts = [[draw(st.floats(0.0, 10.0)) for _ in channels] for _ in range(n)]
+    return PdSignalRecord(
+        pd_id=draw(st.text(max_size=6) | st.sampled_from(["%", "%d", "%%", "h_%r%s"])),
+        element_voltages=np.array(volts, dtype=float).reshape(n, len(channels)),
+        sample_times=np.array([draw(FINITE) for _ in range(n)], dtype=float),
+        sampled_channels=channels,
+        noise_floor=draw(FINITE),
+    )
+
+
+@st.composite
+def _written_frame(draw):
+    """A frame of 0 to 30 returns on a few channels, whose elevation changes
+    inside a channel and may recur in runs that are not adjacent, and 0 to 4
+    PD records."""
+    keys = draw(st.lists(st.tuples(st.sampled_from([-3, 0, 7, 2 ** 40]), INT64), max_size=30, unique=True))
+    beams = [
+        (
+            draw(st.sampled_from(ELEVATIONS) | _floats(-HALF_PI_BELOW, math.pi / 2, HALF_PI_BELOW)),
+            draw(_floats(0.0, 2 * math.pi, 5e-324)),
+            draw(_floats(5e-324, 1e300, 1.7976931348623157e308)),
+            channel,
+            azimuth_index,
+            draw(FINITE),
+        )
+        for channel, azimuth_index in keys
+    ]
+    return ScanFrame(scan_id=draw(INT64), beams=beams, pd_records=draw(st.lists(_signal_record(), max_size=4)))
+
+
+def _record(pd_id, channels, n):
+    return PdSignalRecord(pd_id, np.full((n, len(channels)), 0.5), np.arange(n) * 1e-3, channels)
+
+
+# the writer's edge cases, named in order: a frame with no returns; one with
+# one return; a channel whose elevation changes between its rows, -0.0 and
+# 0.0 among them, and recurs in runs that are not adjacent; the extreme
+# scan ids; PD records with no events and of several sample widths
+EDGE_FRAMES = [
+    ScanFrame(scan_id=0, beams=np.empty(0, BEAM_DTYPE), pd_records=[]),
+    ScanFrame(scan_id=-1, beams=[(0.1, 1.0, 2.0, 3, 4, 10.0)], pd_records=[]),
+    ScanFrame(
+        scan_id=5,
+        beams=[(omega, 1.0 + k, 2.0, 2, k, 10.0) for k, omega in enumerate([0.1, 0.1, -0.0, 0.0, 0.1, -0.0])]
+        + [(0.1, 1.0, 2.0, 3, 0, 10.0)],
+        pd_records=[],
+    ),
+    ScanFrame(scan_id=-(2 ** 63), beams=[(0.0, 1.0, 2.0, 0, 0, 10.0)], pd_records=[]),
+    ScanFrame(
+        scan_id=2 ** 63 - 1,
+        beams=[(0.0, 1.0, 2.0, 0, 0, 10.0)],
+        pd_records=[_record("b", (0, 5), 0), _record("a%d", (0,), 2), _record("c", (0, 1, 2, 3, 4), 3)],
+    ),
+]
 
 
 def _mid_beam_row(lines):
@@ -805,6 +874,90 @@ class TestFrameSerialization:
         with pytest.raises(FrameParseError) as err:
             read_frames(path)
         assert err.value.field == "record"
+
+
+class TestFrameText:
+    @settings(max_examples=60, deadline=None)
+    @given(frames=st.lists(_written_frame(), max_size=3))
+    @example(frames=EDGE_FRAMES)
+    def test_writer_matches_row_by_row_oracle(self, frames):
+        assert frames_to_text(frames) == frames_to_text_reference(frames)
+
+    def test_rewriting_a_read_file_gives_its_bytes(self, tmp_path):
+        """The written bytes of a mixed-PD batch come back from the frames
+        read from them, and from those of the file with its body reversed:
+        the writer's row order is canonical."""
+        scene = make_bench_scene("all")
+        path = tmp_path / "frames.csv"
+        write_frames(simulate_point(scene, scene.base_pose, 4, 7, with_truth=False), path)
+        written = path.read_bytes()
+        assert frames_to_text(read_frames(path)).encode() == written
+        magic, *body = written.decode().splitlines()
+        path.write_bytes(("\n".join([magic, *reversed(body)]) + "\n").encode())
+        assert frames_to_text(read_frames(path)).encode() == written
+
+    ROWS = [
+        io.FRAME_MAGIC.encode(),
+        b"beam,0,5,23,4.6,0.0,2.5,10.0",
+        b"beam,0,5,24,4.8,0.0,2.5,10.0",
+        b"pd,h,0,0,0.0,0.1,0|5,1.0,2.0",
+    ]
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n"])
+    @pytest.mark.parametrize(
+        "edits, line_no, field",
+        [
+            ({3: b"beam,0,5,24,4.8\xff,0.0,2.5,10.0"}, 3, "encoding"),
+            ({4: b"pd,h\xe9,0,0,0.0,0.1,0|5,1.0,2.0"}, 4, "encoding"),  # a pd_id in Latin-1
+            ({1: b"pdcalib-scanframe,v=1\xff"}, 1, "encoding"),
+            ({2: b"beam,0,5,23,abc,0.0,2.5,10.0", 4: b"pd,h\xe9,0,0,0.0,0.1,0|5,1.0,2.0"}, 2, "azimuth_deg"),
+            ({2: b"beam,0,5,23,4.6\xff,0.0,2.5,10.0", 4: b"pd,h,0,0,abc,0.1,0|5,1.0,2.0"}, 2, "encoding"),
+        ],
+    )
+    def test_byte_that_is_not_utf8_names_its_line(self, tmp_path, newline, edits, line_no, field):
+        """A frame file is UTF-8 whatever the locale: a line with a byte that
+        is not is malformed, named in its place among the others."""
+        rows = [edits.get(k, row) for k, row in enumerate(self.ROWS, 1)]
+        path = tmp_path / "f.csv"
+        path.write_bytes(newline.join(rows) + newline)
+        with pytest.raises(FrameParseError) as err:
+            read_frames(path)
+        assert (err.value.line_no, err.value.field) == (line_no, field)
+        if field == "encoding":
+            assert "is not UTF-8" in str(err.value)
+
+    def test_points_csv_byte_that_is_not_utf8_names_its_line(self, tmp_path):
+        path = tmp_path / "points.csv"
+        row = ",".join(["1"] * len(POINT_FIELDS)).encode()
+        path.write_bytes(b"\n".join([",".join(POINT_FIELDS).encode(), row, row[:-1] + b"\xff", row]) + b"\n")
+        with pytest.raises(FrameParseError) as err:
+            io.read_sweep_points(path)
+        assert (err.value.line_no, err.value.field) == (3, "encoding")
+
+    def test_frame_files_name_their_encoding(self, tmp_path):
+        """Writing and reading a frame file opens no file in the locale's
+        encoding (EncodingWarning is an error here), and a non-ASCII pd_id
+        is written as UTF-8."""
+        path = tmp_path / "frames.csv"
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = (
+            "import sys\n"
+            "from pdcalib.afe import PdSignalRecord\n"
+            "from pdcalib.io import read_frames, write_frames\n"
+            "from pdcalib.scene import ScanFrame\n"
+            "record = PdSignalRecord('h\\u00e9', [[1.0]], [0.0], (0,))\n"
+            "write_frames([ScanFrame(0, [(0.0, 1.0, 2.0, 0, 0, 10.0)], [record])], sys.argv[1])\n"
+            "print(read_frames(sys.argv[1])[0].pd_records[0].pd_id == 'h\\u00e9')\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning", "-c", code, str(path)],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "True"
+        assert "pd,h\u00e9,0,".encode("utf-8") in path.read_bytes()
 
 
 class TestDumps:

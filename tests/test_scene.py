@@ -474,6 +474,15 @@ def _moved_case(orientation, dy, surround, pd_reflectivity, **kw):
     return case
 
 
+def _widths_case():
+    """The mixed bench with modules of three sample widths, interleaved in board order."""
+    case = _bench_case("all")
+    widths = [(0, 5, 10, 15), (0, 3, 6, 9, 12, 15), (0, 15), (0, 5, 10, 15)]
+    modules = [dataclasses.replace(pd, sampled_channels=ch) for pd, ch in zip(case["board"].pd_modules, widths)]
+    case["board"] = dataclasses.replace(case["board"], pd_modules=tuple(modules))
+    return case
+
+
 # the bound on the reflectivity boost (scene._reach_sigmas) depends on the
 # surround (its spacing) and on the spot size (the range); at 6 m the PD
 # rows of the 2.5 m bench catch no events, at 1.2 m some modules do
@@ -487,6 +496,7 @@ CASES = {
     "far board, black surround, wall": lambda: _moved_case("vertical", -6.0, 0.0, 255.0, background_depth=1.5),
     "vertical": lambda: _bench_case("vertical"),
     "all PDs": lambda: _bench_case("all"),
+    "modules of several sample widths": _widths_case,
     "background wall": lambda: _bench_case("all", background_depth=0.4, background_reflectivity=55.0),
     "no noise": lambda: dict(
         _bench_case("horizontal"),
