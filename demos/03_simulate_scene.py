@@ -8,7 +8,7 @@ as consecutive beams sweep across it.
 
 import numpy as np
 
-from pdcalib import make_bench_scene, simulate_scan
+from pdcalib import make_bench_scene, simulate_scans
 
 scene = make_bench_scene("horizontal")
 print("=== bench scene ===")
@@ -19,8 +19,8 @@ for pd in scene.board.pd_modules:
     print(f"  {pd.pd_id}: {pd.orientation} at x={pd.offset[0]: .4f} m, z={pd.offset[1]: .4f} m")
 print(f"sensor at {scene.base_pose.translation} m (board frame)")
 
-frame = simulate_scan(scene.board, scene.lidar, scene.base_pose, seed=scene.seed, afe=scene.afe)
-omega, alpha, r, ch, az, refl = frame.beam_arrays()
+(frame,) = simulate_scans(scene.board, scene.lidar, scene.base_pose, seeds=[scene.seed], scan_ids=[0], afe=scene.afe)
+ch, refl = frame.beams["channel"], frame.beams["reflectivity"]
 print()
 print("=== scan footprint ===")
 print(f"{len(frame.beams)} returns over {len(set(ch))} channels")

@@ -9,15 +9,8 @@ an order below the ~9 mm beam spacing.
 
 import numpy as np
 
-from pdcalib import (
-    beams_on_pd,
-    fit_gaussian_batch,
-    find_pd_beam,
-    fit_gaussian_iterative,
-    make_bench_scene,
-    select_key_beam,
-    simulate_scan,
-)
+from pdcalib import find_pd_beam, fit_gaussian_batch, make_bench_scene, select_key_beams, simulate_scans
+from pdcalib.beam_center import DEFAULT_ITERATIONS
 
 MM = 1e-3
 
@@ -25,19 +18,19 @@ print("=== a noiseless sanity fit ===")
 x4 = np.array([0.0, 5.0, 10.0, 15.0]) * MM
 mu_true, sigma_true, amp = 6.8 * MM, 4.9 * MM, 2.9
 y4 = amp * np.exp(-((x4 - mu_true) ** 2) / (2 * sigma_true ** 2))
-fit = fit_gaussian_iterative(x4, y4)
+fit = fit_gaussian_batch(x4[None], y4[None])  # one event: a batch of one row
 print(f"truth   mu = {mu_true / MM:.3f} mm  sigma = {sigma_true / MM:.3f} mm")
-print(f"fitted  mu = {fit.mu / MM:.3f} mm  sigma = {fit.sigma / MM:.3f} mm  "
-      f"amplitude = {fit.amplitude:.3f} V ({fit.iterations_used} passes)")
+print(f"fitted  mu = {fit.mu[0] / MM:.3f} mm  sigma = {fit.sigma[0] / MM:.3f} mm  "
+      f"amplitude = {fit.amplitude[0]:.3f} V ({DEFAULT_ITERATIONS} passes)")
 
 print()
 print("=== centers from a simulated module, against ground truth ===")
 scene = make_bench_scene("horizontal")
-frame = simulate_scan(scene.board, scene.lidar, scene.base_pose, seed=11, afe=scene.afe)
+(frame,) = simulate_scans(scene.board, scene.lidar, scene.base_pose, seeds=[11], scan_ids=[0], afe=scene.afe)
 pd = scene.board.pd_modules[0]
 rec = next(r for r in frame.pd_records if r.pd_id == pd.pd_id)
 positions = pd.element_positions()[list(rec.sampled_channels)]
-times, volts = beams_on_pd(rec)
+times, volts = rec.sample_times, rec.element_voltages  # the simulator records events in firing order
 # each event's firing time names the beam that made it
 one_scan = np.zeros(len(frame.beams), int)
 rows = find_pd_beam(times, np.zeros(len(times), int), frame.beams, one_scan, scene.lidar)
@@ -51,7 +44,8 @@ for k, mu in enumerate(centers):
     print(f"event {k}: fitted center {mu / MM:7.3f} mm | true {true_mu / MM:7.3f} mm "
         f"| error {abs(mu - true_mu) / MM:.3f} mm | beam reflectivity {reflectivity[k]:5.1f}")
 
-key = select_key_beam(centers, reflectivity)
+# the module's events form one group, and its key event is that group's
+(key,) = select_key_beams(centers, reflectivity, times, np.zeros(len(times), int), 1)
 print(f"key beam = event {key} (its beam reads the highest reflectivity)")
 print()
 print("the module's surface out-reflects the black surround, so the beam")

@@ -23,18 +23,8 @@ Typical use::
     print(stats.per_axis_accuracy)
 """
 
-from .afe import PdSignalRecord, TiaParams, currents_to_record, noise_gain, q_factor, tia_step_response
-from .beam_center import (
-    GaussianFitBatch,
-    GaussianFitError,
-    GaussianFitResult,
-    augment_samples,
-    beams_on_pd,
-    fit_gaussian_batch,
-    fit_gaussian_iterative,
-    select_key_beam,
-    select_key_beams,
-)
+from .afe import PdSignalRecord, TiaParams, noise_gain, q_factor, tia_step_response
+from .beam_center import GaussianFitBatch, GaussianFitError, fit_gaussian_batch, select_key_beams
 from .bench import Scene, make_bench_scene
 from .correspondence import (
     AzimuthCenterModel,
@@ -43,17 +33,10 @@ from .correspondence import (
     find_pd_beam,
     make_correspondences,
 )
-from .geometry import (
-    PolarBeam,
-    Pose6DOF,
-    polar_to_cartesian_array,
-    pose_to_matrix,
-    rotation_matrix,
-    transform_array,
-)
+from .geometry import Pose6DOF, polar_to_cartesian_array, pose_to_matrix, rotation_matrix, transform_array
 from .harness import SweepSpec, SweepStats, report, run_single, run_sweep
 from .pipeline import BatchResult, PipelineError, calibrate_frames
-from .preprocess import PlaneModel, SegmentationError, fit_plane, refine_plane_ranges, segment_frames, segment_target
+from .preprocess import PlaneModel, SegmentationError, fit_plane, refine_plane_ranges, segment_frames
 from .scene import (
     AfeConfig,
     BoardModel,
@@ -62,7 +45,6 @@ from .scene import (
     ScanFrame,
     SimulationError,
     corner_error_bound,
-    simulate_scan,
     simulate_scans,
 )
 from .solver import DegenerateCorrespondences, SolveReport, solve
@@ -77,14 +59,12 @@ __all__ = [
     "DegenerateCorrespondences",
     "GaussianFitBatch",
     "GaussianFitError",
-    "GaussianFitResult",
     "LidarModel",
     "ModelError",
     "PdPlacement",
     "PdSignalRecord",
     "PipelineError",
     "PlaneModel",
-    "PolarBeam",
     "Pose6DOF",
     "ScanFrame",
     "Scene",
@@ -94,15 +74,11 @@ __all__ = [
     "SweepSpec",
     "SweepStats",
     "TiaParams",
-    "augment_samples",
-    "beams_on_pd",
     "build_azimuth_center_model",
     "calibrate_frames",
     "corner_error_bound",
-    "currents_to_record",
     "find_pd_beam",
     "fit_gaussian_batch",
-    "fit_gaussian_iterative",
     "fit_plane",
     "make_bench_scene",
     "make_correspondences",
@@ -116,10 +92,7 @@ __all__ = [
     "run_single",
     "run_sweep",
     "segment_frames",
-    "segment_target",
-    "select_key_beam",
     "select_key_beams",
-    "simulate_scan",
     "simulate_scans",
     "solve",
     "tia_step_response",

@@ -104,6 +104,8 @@ class PdSignalRecord:
             name = ("sample time", "noise floor", *(f"element voltage {j}" for j in range(v.shape[1])))[column - 1]
             why = "lies outside the 0-10 V supply range" if math.isfinite(value) else "is not a finite number"
             raise ValueError(f"{where}: {name} {value!r} {why}")
+        if not math.isfinite(self.noise_floor):  # a record without events, which event_faults never sees
+            raise ValueError(f"PD {self.pd_id!r}: noise floor {float(self.noise_floor)!r} is not a finite number")
 
     @classmethod
     def batch(cls, pd_ids, sampled_channels, noise_floors, bounds, sample_times, element_voltages) -> list:
@@ -129,6 +131,7 @@ class PdSignalRecord:
         faults = event_faults(n_channels, t, np.repeat(floors, sizes), v).any(axis=1)
         increasing = {channels: element_indices(channels) for channels in set(sampled_channels)}
         bad = [r for r, channels in enumerate(sampled_channels) if not increasing[channels]][:1]
+        bad += np.flatnonzero(~np.isfinite(floors))[:1].tolist()  # also of a record without events
         if faults.any():  # the record that holds the first bad event
             bad.append(int(np.searchsorted(bounds, np.argmax(faults), side="right")) - 1)
         bounds, floors = bounds.tolist(), floors.tolist()
@@ -255,6 +258,10 @@ def currents_to_record(
     the elements in ``sampled_channels`` are recorded, each as
     ``peak_voltages`` with N(0, noise_sigma) noise drawn in row-major order.
     ``seed`` may be an int or a Generator; the record's scan is its frame's.
+    The simulator records a whole block at once (``peak_voltages`` and
+    ``PdSignalRecord.batch``); this one-record case is kept only because
+    perfbench's ``install_layers`` wraps it by name (as
+    ``scene.currents_to_record``).
     """
     currents = np.atleast_2d(np.asarray(currents, dtype=float))
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)

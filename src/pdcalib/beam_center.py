@@ -16,9 +16,11 @@ array middle: by 0.21 mm at 3 mm off center and 2.5 m range, noiseless,
 against at most 0.02 mm for the four-sample fit within 6 mm of the center.
 
 ``fit_gaussian_batch`` fits a stack of events at once, each row on its
-own; ``fit_gaussian_iterative`` is its one-row case. Likewise
-``select_key_beams`` picks the key event of many groups of events at once,
-and ``select_key_beam`` is its one-group case.
+own, and ``select_key_beams`` picks the key event of many groups of events
+at once. The pipeline calls these two only; ``fit_gaussian_iterative``,
+``GaussianFitResult``, ``select_key_beam``, ``beams_on_pd`` and
+``augment_samples`` are kept only because perfbench's ``install_layers``
+wraps them by name.
 """
 
 from __future__ import annotations
@@ -66,7 +68,9 @@ class GaussianFitResult:
 
     mu and sigma are in meters along the PD axis, amplitude in volts.
     ``converged`` means |delta mu| between the final two passes was below
-    ``CONVERGENCE_TOL_M``.
+    ``CONVERGENCE_TOL_M``. Kept only as the return type of
+    ``fit_gaussian_iterative``, which perfbench's ``install_layers`` wraps by
+    name.
     """
 
     mu: float
@@ -96,8 +100,10 @@ class GaussianFitBatch:
 
 
 def augment_samples(x, y):
-    """Append the two low-level anchor samples to a measurement set (the
-    pipeline fits the sampled voltages alone and does not call this).
+    """Append the two low-level anchor samples to a measurement set.
+
+    The pipeline fits the sampled voltages alone and does not call this; it
+    is kept only because perfbench's ``install_layers`` wraps it by name.
 
     Adds (-5 mm, 0.1 V) and (20 mm, 0.1 V) exactly once, to a 1-D set or to
     every row of an (n, m) stack; calling it on an already-augmented set
@@ -118,22 +124,6 @@ def augment_samples(x, y):
 
 # normal matrix of the log-quadratic fit from the moments p[k] = sum(u^(4-k) w)
 _HANKEL = np.array([[0, 1, 2], [1, 2, 3], [2, 3, 4]])
-
-
-def _solve_rows(m: np.ndarray, b: np.ndarray):
-    """Solve the (n, 3, 3) systems m a = b; a singular row gives NaN and a flag."""
-    singular = np.zeros(len(m), dtype=bool)
-    try:
-        return np.linalg.solve(m, b[..., None])[..., 0], singular
-    except np.linalg.LinAlgError:
-        pass
-    a = np.full(b.shape, np.nan)
-    for i in range(len(m)):
-        try:
-            a[i] = np.linalg.solve(m[i : i + 1], b[i : i + 1, :, None])[0, :, 0]
-        except np.linalg.LinAlgError:
-            singular[i] = True
-    return a, singular
 
 
 def fit_gaussian_batch(
@@ -203,9 +193,16 @@ def fit_gaussian_batch(
             if dead.any():
                 m[dead] = identity
                 b[dead] = 0.0
-            a, singular = _solve_rows(m, b)
+            try:
+                a = np.linalg.solve(m, b[..., None])[..., 0]
+            except np.linalg.LinAlgError:
+                # the rows of an exactly zero pivot fail, and solve the identity too
+                singular = np.linalg.slogdet(m)[0] == 0
+                fail(singular, _SINGULAR)
+                m[singular] = identity
+                b[singular] = 0.0
+                a = np.linalg.solve(m, b[..., None])[..., 0]
             a2, a1, a0 = a.T
-            fail(singular, _SINGULAR)
             fail(a2 >= 0, _NON_CONCAVE)
             mu_prev, mu_local = mu_local, -a1 / (2.0 * a2)
             w = np.exp(a2[:, None] * u * u + a1[:, None] * u + a0[:, None]) ** 2
@@ -236,6 +233,8 @@ def fit_gaussian_iterative(
 
     The one-row case of ``fit_gaussian_batch``; see there for the
     parameters. ``x`` and ``y`` are 1-D and the positions must be distinct.
+    The pipeline does not call it; it is kept only because perfbench's
+    ``install_layers`` wraps it by name.
 
     Raises
     ------
@@ -276,7 +275,11 @@ def select_key_beams(centers, reflectivity, times, group, n_groups) -> np.ndarra
 
 def select_key_beam(centers, reflectivity) -> int:
     """Index of the key event among one record's events in firing order: the
-    one-group case of ``select_key_beams``. Raises if no fit succeeded."""
+    one-group case of ``select_key_beams``. Raises if no fit succeeded.
+
+    The pipeline does not call it; it is kept only because perfbench's
+    ``install_layers`` wraps it by name.
+    """
     n = len(centers)
     (key,) = select_key_beams(centers, reflectivity, np.zeros(n), np.zeros(n, dtype=np.intp), 1)
     if key < 0:
@@ -288,7 +291,8 @@ def beams_on_pd(record):
     """A PD record's events in firing order, one per event.
 
     Returns (times (n,), voltages (n, m)), sorted on time by a sort that
-    keeps the order of equal times.
+    keeps the order of equal times. The pipeline does not call it; it is
+    kept only because perfbench's ``install_layers`` wraps it by name.
     """
     order = np.argsort(record.sample_times, kind="stable")
     return record.sample_times[order], record.element_voltages[order]

@@ -118,11 +118,9 @@ def _cmd_calibrate(args) -> int:
         result = run_single(scene, n_scans=50 if args.scans is None else args.scans)
     args.out.mkdir(parents=True, exist_ok=True)
     text = io.solve_report_text(result.joint)
-    (args.out / "calibration.txt").write_text(text)
-    (args.out / "residuals.csv").write_text(io.residual_table(result.joint))
-    (args.out / "correspondences.csv").write_text(
-        io.correspondence_dump(result, scene.board)
-    )
+    (args.out / "calibration.txt").write_text(text, encoding="utf-8")
+    (args.out / "residuals.csv").write_text(io.residual_table(result.joint), encoding="utf-8")
+    (args.out / "correspondences.csv").write_text(io.correspondence_dump(result, scene.board), encoding="utf-8")
     solved = sum(1 for _, rep, _ in result.scan_reports if rep is not None)
     print(text, end="")
     print(f"  scans solved    : {solved}/{len(result.scan_reports)}")
@@ -138,7 +136,7 @@ def _cmd_sweep(args) -> int:
     stats = run_sweep(scene, spec, workers=args.workers)
     paths = write_sweep_outputs(args.out, scene, spec, stats)
     table = report([stats])
-    (args.out / f"{sweep_stem(spec, stats)}_summary.txt").write_text(table)
+    (args.out / f"{sweep_stem(spec, stats)}_summary.txt").write_text(table, encoding="utf-8")
     print(table, end="")
     for p in paths:
         print(f"wrote {p}")
@@ -160,7 +158,7 @@ def _cmd_report(args) -> int:
     print(table, end="")
     if args.out is not None:
         args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(table)
+        args.out.write_text(table, encoding="utf-8")
     return EXIT_OK
 
 

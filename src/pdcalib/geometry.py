@@ -103,7 +103,8 @@ class PolarBeam:
 
     Scans and the key table keep their returns as columns (``ScanFrame.beams``,
     ``correspondence.KEY_DTYPE``); this record checks a single return
-    (``return_faults``).
+    (``return_faults``). Nothing in the package builds one; it is kept only
+    because perfbench's ``install_layers`` counts its constructions.
 
     Parameters
     ----------

@@ -154,9 +154,9 @@ def _sweep_worker(args):
     try:
         result = run_point(scene, pose, spec.scans_per_point, spec.seed, point_index)
     except (PipelineError, SimulationError) as exc:
-        return point_index, None, str(exc)
+        return None, str(exc)
     est = np.array([rep.beta.as_vector() for _, rep, _ in result.scan_reports if rep is not None])
-    return point_index, est, ""
+    return est, ""
 
 
 def run_sweep(scene: Scene, spec: SweepSpec, workers: int = 1) -> SweepStats:
@@ -164,8 +164,9 @@ def run_sweep(scene: Scene, spec: SweepSpec, workers: int = 1) -> SweepStats:
     labelled by the scene's PD arrangement.
 
     Points are independent; with ``workers > 1`` they run in a process pool
-    of at most one process per point.
-    Results are keyed by point index, so the output is identical either way.
+    of at most one process per point. Either way the results come back in
+    point order and each point draws from its own seeds, so the output is
+    identical.
     Pipeline failures at a point are recorded and the sweep continues.
     """
     values = spec.values
@@ -178,10 +179,9 @@ def run_sweep(scene: Scene, spec: SweepSpec, workers: int = 1) -> SweepStats:
             outcomes = list(pool.map(_sweep_worker, jobs))
     else:
         outcomes = [_sweep_worker(j) for j in jobs]
-    outcomes.sort(key=lambda t: t[0])
 
     rows, estimates, failures = [], [], []
-    for (_, est, err), v in zip(outcomes, values):
+    for (est, err), v in zip(outcomes, values):
         if est is None or len(est) == 0:
             failures.append((float(v), err or "no scan solved"))
             continue
@@ -270,6 +270,6 @@ def write_sweep_outputs(out_dir, scene: Scene, spec: SweepSpec, stats: SweepStat
     paths = []
     for kind, text in sweep_csvs(scene, spec, stats).items():
         p = out / f"{stem}_{kind}.csv"
-        p.write_text(text)
+        p.write_text(text, encoding="utf-8")
         paths.append(p)
     return paths

@@ -237,12 +237,12 @@ def sweep_from_dict(data: dict) -> SweepSpec:
 
 
 def save_scene(scene: Scene, path):
-    Path(path).write_text(json.dumps(scene_to_dict(scene), indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(scene_to_dict(scene), indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def load_scene(path) -> Scene:
     try:
-        return scene_from_dict(json.loads(Path(path).read_text()))
+        return scene_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise ValueError(f"bad scene config {path}: {exc}") from exc
 
@@ -250,7 +250,7 @@ def load_scene(path) -> Scene:
 def load_sweep(path) -> SweepSpec:
     """The sweep spec of a JSON file; ValueError for a file that cannot be read or is not a spec."""
     try:
-        return sweep_from_dict(json.loads(Path(path).read_text()))
+        return sweep_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
     except (OSError, ValueError) as exc:
         raise ValueError(f"bad sweep spec: {exc}") from exc
 

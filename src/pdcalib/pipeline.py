@@ -241,22 +241,18 @@ def calibrate_frames(frames, scene: Scene) -> BatchResult:
         FrameFeatures(keys[bounds[k] : bounds[k + 1]], misses[k]) for k in range(n)
     ]
 
-    found = np.bincount(keys["pd"], minlength=len(pds))
-    # each PD's misses by code, not by reason text: a dim-beam reason reads its own level and median
-    reasons = [Counter(code for code in miss["code"][:, p].tolist() if code) for p in range(len(pds))]
-    if log.isEnabledFor(logging.DEBUG):
-        for pd, hits, why in zip(pds, found, reasons):
-            counts = {_miss_kind(code, pd): count for code, count in why.items()}
-            log.debug("%s detected in %d/%d scans; misses %s", pd.pd_id, hits, n, counts)
     models: dict = {}
     refused = []  # why each PD got no model
     for p, pd in enumerate(pds):
         mine = keys[keys["pd"] == p]
+        # counted by kind, not by reason text: a dim-beam reason reads its own level and median
+        why = Counter(_miss_kind(code, pd) for code in miss["code"][:, p].tolist() if code)
+        log.debug("%s detected in %d/%d scans; misses %s", pd.pd_id, len(mine), n, dict(why))
         try:
             models[pd.pd_id] = correspondence.build_azimuth_center_model(mine["alpha"] / DEG, mine["mu"] / MM)
         except correspondence.ModelError as exc:
-            most = f", most often missed as {_miss_kind(reasons[p].most_common(1)[0][0], pd)!r}" if reasons[p] else ""
-            refused.append(f"{pd.pd_id} detected in {found[p]}/{n} scans ({exc}){most}")
+            most = f", most often missed as {why.most_common(1)[0][0]!r}" if why else ""
+            refused.append(f"{pd.pd_id} detected in {len(mine)}/{n} scans ({exc}){most}")
     if not models:
         raise PipelineError("correspondence", "; ".join(["no PD produced an azimuth-center model", *refused]))
 

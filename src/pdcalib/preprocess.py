@@ -12,9 +12,8 @@ Euclidean clustering's, and give the same clusters except where an
 occluder spanning every row cuts the board in two, which is refused. The
 board is the cluster whose extents match what the raster can sample of it
 at the cluster's range. ``segment_frames`` segments every frame of a batch
-in one such pass, on one raster whose rows are (frame, channel) pairs;
-``segment_target`` is its one-frame case. The board's plane is fit by total
-least squares and refined in range space, and the ROI returns are slid
+in one such pass, on one raster whose rows are (frame, channel) pairs. The
+board's plane is fit by total least squares and refined in range space, and the ROI returns are slid
 along their rays onto that plane, which removes most of the ranging noise.
 """
 
@@ -203,18 +202,40 @@ def segment_frames(beams, sizes, board_width: float, board_height: float) -> np.
 
     ``beams`` holds the batch's returns (``BEAM_DTYPE``) frame after frame,
     each frame's in (channel, azimuth index) order: the concatenation of the
-    frames' ``beams``. Frame k holds ``sizes[k]`` of them. Each frame is
-    segmented as ``segment_target`` segments it, in one pass over the batch.
-    A raster row is a (frame, channel) pair, and an empty row between two
-    frames keeps links from crossing them. One labelling and one extent
-    check cover the clusters of every frame; only a frame with returns near
-    its board's box gets the pairwise gap check.
+    frames' ``beams``. Frame k holds ``sizes[k]`` of them.
+
+    Each frame is clustered on its (channel, azimuth index) raster: a return
+    is linked to the next ``AZIMUTH_REACH`` returns of its channel in azimuth
+    order and to the next channel's returns within ``AZIMUTH_REACH`` azimuth
+    indices, wherever the two lie within ``CLUSTER_TOLERANCE`` in 3-D. The
+    links are labelled by runs along each channel (``_raster_components``).
+    A frame's board is the cluster whose bounding extents best match the
+    configured board dimensions (within ``EXTENT_TOLERANCE`` relative error
+    of the spreads the raster can sample at the cluster's range; see
+    ``_extent_error``).
+
+    Every raster link is also a link of single-linkage Euclidean clustering
+    at ``CLUSTER_TOLERANCE``, so raster clusters can only split those
+    clusters; dropouts are bridged, because the next returns in azimuth
+    order skip missing ones. An occluder in front of the board that spans
+    every row and is at least ``AZIMUTH_REACH`` returns wide does split the
+    board. A frame's ROI is always a whole single-linkage cluster: a board
+    piece with a return outside it within ``CLUSTER_TOLERANCE`` raises
+    instead.
+
+    The whole batch is segmented in one pass. A raster row is a (frame,
+    channel) pair, and an empty row between two frames keeps links from
+    crossing them. One labelling and one extent check cover the clusters of
+    every frame; only a frame with returns near its board's box gets the
+    pairwise gap check.
 
     Raises
     ------
     SegmentationError
-        For the first frame in batch order that ``segment_target`` refuses,
-        with that frame's message and its index as ``frame``.
+        For the first frame in batch order that is empty, holds no cluster
+        matching the board (with per-cluster diagnostics) or whose matching
+        cluster is a piece of a board split by an occluder, with that
+        frame's message and its index as ``frame``.
     ValueError
         If ``sizes`` do not split ``beams``.
     """
@@ -294,33 +315,11 @@ def segment_frames(beams, sizes, board_width: float, board_height: float) -> np.
 
 
 def segment_target(frame, board_width: float, board_height: float) -> np.ndarray:
-    """Indices of the frame's beams that belong to the target board.
+    """Indices of one frame's beams that belong to the target board: the
+    one-frame case of ``segment_frames``, which documents the algorithm.
 
-    Clusters the scan on its (channel, azimuth index) raster: a return is
-    linked to the next ``AZIMUTH_REACH`` returns of its channel in azimuth
-    order and to the next channel's returns within ``AZIMUTH_REACH`` azimuth
-    indices, wherever the two lie within ``CLUSTER_TOLERANCE`` in 3-D. The
-    links are labelled by runs along each channel (``_raster_components``).
-    Returns the cluster whose bounding extents best match the configured
-    board dimensions (within ``EXTENT_TOLERANCE`` relative error of the
-    spreads the raster can sample at the cluster's range; see
-    ``_extent_error``). This is the one-frame case of ``segment_frames``,
-    which segments a whole batch in one pass.
-
-    Every raster link is also a link of single-linkage Euclidean clustering
-    at ``CLUSTER_TOLERANCE``, so raster clusters can only split those
-    clusters; dropouts are bridged, because the next returns in azimuth
-    order skip missing ones. An occluder in front of the board that spans
-    every row and is at least ``AZIMUTH_REACH`` returns wide does split the
-    board. The returned ROI is always a whole single-linkage cluster: a
-    board piece with a return outside it within ``CLUSTER_TOLERANCE``
-    raises instead.
-
-    Raises
-    ------
-    SegmentationError
-        With per-cluster diagnostics if nothing matches, or if the matching
-        cluster is a piece of a board split by an occluder.
+    The pipeline does not call it; it is kept only because perfbench's
+    ``install_layers`` wraps it by name.
     """
     return segment_frames(frame.beams, [len(frame.beams)], board_width, board_height)
 

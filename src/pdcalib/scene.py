@@ -323,6 +323,8 @@ class ScanFrame:
         """(omega, alpha, r, channel, azimuth_index, reflectivity) arrays.
 
         Fresh contiguous copies of the columns: callers may modify them.
+        Nothing in the package calls it; it is kept only because perfbench's
+        ``install_layers`` wraps it by name.
         """
         return tuple(np.ascontiguousarray(self.beams[name]) for name in BEAM_DTYPE.names)
 
@@ -385,6 +387,8 @@ def simulate_scan(
     """Simulate one revolution of the sensor viewing the board.
 
     The one-scan case of ``simulate_scans``, which documents the arguments.
+    Nothing in the package calls it; it is kept only because perfbench's
+    ``install_layers`` wraps it by name (as ``harness.simulate_scan``).
     """
     (frame,) = simulate_scans(
         board, lidar, pose, [seed], [scan_id], afe=afe, background_depth=background_depth,

@@ -154,6 +154,11 @@ class TestCurrentsToRecord:
             PdSignalRecord("p", np.array([[1.0], [2.0]]), np.array([0.0, value]), (0,))
         with refused("PD 'p', event 0: noise floor"):
             PdSignalRecord("p", np.array([[1.0]]), np.array([0.0]), (0,), noise_floor=value)
+        # a record without events has no event rows to check its floor on
+        with refused("PD 'p': noise floor"):
+            PdSignalRecord("p", np.zeros((0, 1)), np.zeros(0), (0,), noise_floor=value)
+        with refused("PD 'p': noise floor"):
+            PdSignalRecord.batch(["p"], [(0,)], [value], [0, 0], np.zeros(0), np.zeros((0, 1)))
         assert PdSignalRecord("p", np.zeros((0, 2)), np.zeros(0), (0, 5)).n_events == 0
 
 

@@ -935,29 +935,52 @@ class TestFrameText:
         assert (err.value.line_no, err.value.field) == (3, "encoding")
 
     def test_frame_files_name_their_encoding(self, tmp_path):
-        """Writing and reading a frame file opens no file in the locale's
-        encoding (EncodingWarning is an error here), and a non-ASCII pd_id
-        is written as UTF-8."""
+        """Writing and reading a frame file, and every file the CLI reads or
+        writes, opens no file in the locale's encoding (EncodingWarning is an
+        error here), and a non-ASCII pd_id is written as UTF-8."""
         path = tmp_path / "frames.csv"
+        # the horizontal bench scene with non-ASCII pd_ids, as raw UTF-8 JSON
+        config = io.scene_to_dict(make_bench_scene("horizontal"))
+        for pd in config["board"]["pd_modules"]:
+            pd["pd_id"] = pd["pd_id"].replace("h_", "h\u00e9_")
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(json.dumps(config, ensure_ascii=False), encoding="utf-8")
+        sweep_path = tmp_path / "sweep.json"
+        sweep_path.write_text('{"start": -1, "stop": 1, "step": 1, "scans_per_point": 8}', encoding="utf-8")
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         code = (
             "import sys\n"
             "from pdcalib.afe import PdSignalRecord\n"
+            "from pdcalib.cli import main\n"
             "from pdcalib.io import read_frames, write_frames\n"
             "from pdcalib.scene import ScanFrame\n"
             "record = PdSignalRecord('h\\u00e9', [[1.0]], [0.0], (0,))\n"
             "write_frames([ScanFrame(0, [(0.0, 1.0, 2.0, 0, 0, 10.0)], [record])], sys.argv[1])\n"
             "print(read_frames(sys.argv[1])[0].pd_records[0].pd_id == 'h\\u00e9')\n"
+            "scene, sweep, out = sys.argv[2:]\n"
+            "for argv in (\n"
+            "    ['simulate', '--scene', scene, '--scans', '8', '--out', out],\n"
+            "    ['calibrate', '--frames', out + '/frames.csv', '--scene', out + '/scene.json', '--out', out],\n"
+            "    ['sweep', '--scene', scene, '--sweep', sweep, '--out', out],\n"
+            "    ['report', out + '/sweep_yaw_horizontal_pd_points.csv', '--out', out + '/report.txt'],\n"
+            "):\n"
+            "    if main(argv):\n"
+            "        sys.exit(f'{argv[0]} failed')\n"
         )
+        out = tmp_path / "cli"
         done = subprocess.run(
-            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning", "-c", code, str(path)],
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning", "-c", code,
+             str(path), str(scene_path), str(sweep_path), str(out)],
             env=env, capture_output=True, text=True,
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "True"
+        assert done.stdout.splitlines()[0] == "True"
         assert "pd,h\u00e9,0,".encode("utf-8") in path.read_bytes()
+        assert "\nh\u00e9_tl,".encode("utf-8") in (out / "correspondences.csv").read_bytes()
+        assert io.load_scene(out / "scene.json").board.pd_modules[0].pd_id == "h\u00e9_tl"
+        assert "Accuracy" in (out / "report.txt").read_text(encoding="utf-8")
 
 
 class TestDumps:
