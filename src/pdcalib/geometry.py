@@ -152,6 +152,21 @@ def polar_to_cartesian_array(omega, alpha, r) -> np.ndarray:
     return np.stack([r * co * np.sin(alpha), r * co * np.cos(alpha), r * np.sin(omega)], axis=-1)
 
 
+def polar_rays(omega, alpha, r):
+    """Sensor-frame points and unit ray directions of 1-D polar returns from
+    one evaluation of their trig.
+
+    Returns two (N, 3) arrays, bit for bit ``polar_to_cartesian_array(omega,
+    alpha, r)`` and ``polar_to_cartesian_array(omega, alpha, 1.0)``. Each is
+    the transpose of a (3, N) array, so each of its columns is contiguous.
+    """
+    omega, alpha, r = (np.ascontiguousarray(v, dtype=float) for v in (omega, alpha, r))
+    co, so = np.cos(omega), np.sin(omega)
+    sa, ca = np.sin(alpha), np.cos(alpha)
+    rc = r * co
+    return np.array([rc * sa, rc * ca, r * so]).T, np.array([co * sa, co * ca, so]).T
+
+
 def rotation_matrix(p: Pose6DOF) -> np.ndarray:
     """3x3 rotation Rz(phi) @ Ry(theta) @ Rx(psi)."""
     cf, sf = math.cos(p.phi), math.sin(p.phi)

@@ -197,12 +197,14 @@ def _extent_error(spread, omega, alpha, r, channel, azimuth_index, bounds, board
     return np.maximum(off(e1, board_width, rng * step), off(e2, board_height, rng * pitch)), e1, e2
 
 
-def segment_frames(beams, sizes, board_width: float, board_height: float) -> np.ndarray:
+def segment_frames(beams, points, sizes, board_width: float, board_height: float) -> np.ndarray:
     """Row indices of every frame's board returns in a batch of frames.
 
     ``beams`` holds the batch's returns (``BEAM_DTYPE``) frame after frame,
     each frame's in (channel, azimuth index) order: the concatenation of the
-    frames' ``beams``. Frame k holds ``sizes[k]`` of them.
+    frames' ``beams``. Frame k holds ``sizes[k]`` of them. ``points`` are
+    their (N, 3) sensor-frame points (``geometry.polar_rays``); the links
+    test them column by column, fastest where each column is contiguous.
 
     Each frame is clustered on its (channel, azimuth index) raster: a return
     is linked to the next ``AZIMUTH_REACH`` returns of its channel in azimuth
@@ -237,9 +239,12 @@ def segment_frames(beams, sizes, board_width: float, board_height: float) -> np.
         cluster is a piece of a board split by an occluder, with that
         frame's message and its index as ``frame``.
     ValueError
-        If ``sizes`` do not split ``beams``.
+        If ``sizes`` do not split ``beams``, or ``points`` is not one row per return.
     """
     sizes = np.asarray(sizes, dtype=np.intp)
+    pts = np.asarray(points, dtype=float)
+    if pts.shape != (len(beams), 3):
+        raise ValueError(f"points of shape {pts.shape} for {len(beams)} returns")
     if sizes.sum() != len(beams) or np.any(sizes < 0):
         raise ValueError(f"frame sizes {sizes.tolist()} do not split the batch's {len(beams)} returns")
     if len(sizes) == 0:
@@ -248,10 +253,8 @@ def segment_frames(beams, sizes, board_width: float, board_height: float) -> np.
         raise SegmentationError("empty frame: no clusters (0 points)", 0)
     offset = np.cumsum(sizes) - sizes
     scan = np.repeat(np.arange(len(sizes)), sizes)
-    omega, alpha, r, channel, azimuth_index = (
-        np.ascontiguousarray(beams[name]) for name in ("omega", "alpha", "r", "channel", "azimuth_index")
-    )
-    pts = polar_to_cartesian_array(omega, alpha, r)
+    omega, alpha, r = beams["omega"], beams["alpha"], beams["r"]  # read only at the clusters' returns
+    channel, azimuth_index = (np.ascontiguousarray(beams[name]) for name in ("channel", "azimuth_index"))
     span = int(channel.max() - channel.min())
     labels = _raster_components(pts, scan * (span + 2) + channel, azimuth_index, CLUSTER_TOLERANCE)
 
@@ -321,7 +324,9 @@ def segment_target(frame, board_width: float, board_height: float) -> np.ndarray
     The pipeline does not call it; it is kept only because perfbench's
     ``install_layers`` wraps it by name.
     """
-    return segment_frames(frame.beams, [len(frame.beams)], board_width, board_height)
+    b = frame.beams
+    points = polar_to_cartesian_array(b["omega"], b["alpha"], b["r"])
+    return segment_frames(b, points, [len(b)], board_width, board_height)
 
 
 def fit_plane(points: np.ndarray) -> PlaneModel:
@@ -335,7 +340,7 @@ def fit_plane(points: np.ndarray) -> PlaneModel:
     ValueError
         For fewer than 3 points or a degenerate (collinear) cloud.
     """
-    pts = np.asarray(points, dtype=float)
+    pts = np.ascontiguousarray(points, dtype=float)  # the sums then round alike for any layout
     if pts.ndim != 2 or pts.shape[1] != 3 or len(pts) < 3:
         raise ValueError("fit_plane expects an (N>=3, 3) point array")
     centroid = pts.mean(axis=0)
@@ -352,8 +357,9 @@ def fit_plane(points: np.ndarray) -> PlaneModel:
     return PlaneModel(normal=normal, d=d, inlier_rms=rms, inlier_count=len(pts))
 
 
-def refine_plane_ranges(omega, alpha, r, plane0: PlaneModel) -> PlaneModel:
-    """Refit the plane by least squares on the range residuals.
+def refine_plane_ranges(dirs, r, plane0: PlaneModel) -> PlaneModel:
+    """Refit the plane by least squares on the range residuals of returns
+    with unit ray directions ``dirs`` (N, 3) and ranges ``r``.
 
     A ranging sensor's noise lives along each beam, not isotropically; the
     plain total-least-squares fit then inherits a deterministic tilt of
@@ -364,7 +370,7 @@ def refine_plane_ranges(omega, alpha, r, plane0: PlaneModel) -> PlaneModel:
     seeds the iteration.
     """
     r = np.asarray(r, dtype=float)
-    dirs = polar_to_cartesian_array(omega, alpha, 1.0)
+    ux, uy, uz = np.asarray(dirs, dtype=float).T
 
     # gauge-fixed plane (a, -1, b) . p = e: the sensor-facing normal has a
     # negative boresight component, so m_y = -1 removes the scale freedom
@@ -376,14 +382,14 @@ def refine_plane_ranges(omega, alpha, r, plane0: PlaneModel) -> PlaneModel:
     a, b = n0[0] / -n0[1], n0[2] / -n0[1]
     e = d0 / -n0[1]
     for _ in range(PLANE_REFINE_ITERATIONS):
-        c = a * dirs[:, 0] - dirs[:, 1] + b * dirs[:, 2]
+        c = a * ux - uy + b * uz
         if np.any(np.abs(c) < 1e-9):
             raise ValueError("beam parallel to the plane during refinement")
-        pred = e / c
-        f = r - pred
+        f = r - e / c
+        g = e / c ** 2
         j = np.empty((len(r), 3))
-        j[:, 0] = (e / c ** 2) * dirs[:, 0]
-        j[:, 1] = (e / c ** 2) * dirs[:, 2]
+        j[:, 0] = g * ux
+        j[:, 1] = g * uz
         j[:, 2] = -1.0 / c
         step = np.linalg.solve(j.T @ j, -(j.T @ f))
         a, b, e = a + step[0], b + step[1], e + step[2]
@@ -391,7 +397,7 @@ def refine_plane_ranges(omega, alpha, r, plane0: PlaneModel) -> PlaneModel:
     scale = np.linalg.norm(m)
     n = m / scale
     d = e / scale
-    resid = r - e / (a * dirs[:, 0] - dirs[:, 1] + b * dirs[:, 2])
+    resid = r - e / (a * ux - uy + b * uz)
     rms = float(np.sqrt(np.mean(resid ** 2)))
     return PlaneModel(normal=n, d=float(d), inlier_rms=rms, inlier_count=len(r))
 

@@ -12,7 +12,10 @@ points, the raster-link oracle builds every
 return-level link the run labelling compresses, the extent oracle checks one
 cluster at a time, the graph-labelling oracle is scipy's
 connected components, the feature oracle joins each PD event of one frame
-to its beam through a dict and fits it on its own, the RANSAC oracle scores one hypothesis line at
+to its beam through a dict and fits it on its own, the batch feature oracle
+fits every joined event and takes row medians by one lexsort, the
+stage-by-stage calibration oracle computes each stage's ray geometry
+anew, the RANSAC oracle scores one hypothesis line at
 a time, the scene oracle simulates one scan at a time with one
 element-current call per PD event, the frame-file oracle reads and checks
 a file one line at a time, the frame-writer oracle formats each row with
@@ -30,11 +33,12 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 from scipy.special import ndtr
 
-from pdcalib import io, preprocess
+from pdcalib import beam_center, correspondence, io, pipeline, preprocess, solver
 from pdcalib.afe import SUPPLY_RAIL_V, PdSignalRecord, currents_to_record
 from pdcalib.correspondence import KEY_DTYPE
 from pdcalib.geometry import (
     DEG,
+    MM,
     TWO_PI,
     Pose6DOF,
     polar_to_cartesian_array,
@@ -799,3 +803,114 @@ def frames_to_text_reference(frames) -> str:
                 for e, (time_s, volts) in enumerate(events)
             )
     return "\n".join(lines) + "\n"
+
+
+def row_medians_lexsort(refl, row, at):
+    """Median reflectivity of the row of each table entry ``at``: the mean of
+    the middle one or two levels, from one lexsort of every entry of the rows
+    asked for. ``row`` numbers every entry's row, in any order."""
+    kept = np.flatnonzero(np.isin(row, row[at]))
+    order = kept[np.lexsort((refl[kept], row[kept]))]
+    ranked, rows = refl[order], row[order]
+    lo = np.searchsorted(rows, row[at], "left")
+    hi = np.searchsorted(rows, row[at], "right")
+    return (ranked[(lo + hi - 1) // 2] + ranked[(lo + hi) // 2]) / 2
+
+
+def frame_features_full_fit(frames, table, scan, plane, scene):
+    """``pipeline.extract_frame_features`` by fitting every joined event:
+    one fit per sample width of all its joined events, one
+    ``select_key_beams`` over them, and the row medians by
+    ``row_medians_lexsort``. Returns the key table and the miss table."""
+    pds = scene.board.pd_modules
+    n_pds = len(pds)
+    index = {pd.pd_id: p for p, pd in enumerate(pds)}
+    latest = {(k, index[r.pd_id]): r for k, f in enumerate(frames) for r in f.pd_records if r.pd_id in index}
+    records = list(latest.values())
+    record_cell = np.array([k * n_pds + p for k, p in latest], dtype=np.intp)
+    sizes = np.array([r.n_events for r in records], dtype=np.intp)
+    record = np.repeat(np.arange(len(records)), sizes)
+    cell = record_cell[record]
+    times = np.concatenate([np.zeros(0)] + [r.sample_times for r in records])
+
+    no_events, unjoined, no_fit, dim_beam = range(1, 5)
+    miss = np.zeros(len(frames) * n_pds, pipeline.MISS_DTYPE)
+    miss["code"] = no_events
+    miss["code"][cell] = unjoined
+    rows = correspondence.find_pd_beam(times, cell // n_pds, table, scan, scene.lidar)
+    joined = np.flatnonzero(rows >= 0)
+    miss["code"][cell[joined]] = no_fit
+
+    mu = np.full(len(times), np.nan)
+    widths = np.array([len(r.sampled_channels) for r in records], dtype=np.intp)
+    for width in np.unique(widths):
+        mine = np.flatnonzero(widths == width)
+        events = np.flatnonzero(widths[record] == width)
+        use = rows[events] >= 0
+        stacked = np.repeat(np.arange(len(mine)), sizes[mine])[use]
+        x = np.array([pds[record_cell[k] % n_pds].element_positions()[list(records[k].sampled_channels)] for k in mine])
+        volts = np.concatenate([records[k].element_voltages for k in mine])[use]
+        floor = np.array([records[k].noise_floor for k in mine])[stacked]
+        mu[events[use]] = beam_center.fit_gaussian_batch(x[stacked], volts, noise_floor=floor).mu
+
+    refl = table["reflectivity"]
+    key = beam_center.select_key_beams(mu[joined], refl[rows[joined]], times[joined], cell[joined], len(miss))
+    hit = np.flatnonzero(key >= 0)
+    event = joined[key[hit]]
+    at = rows[event]
+    out = np.zeros(len(hit), dtype=KEY_DTYPE)
+    for name in table.dtype.names:
+        out[name] = table[name][at]
+    out["scan"], out["pd"] = np.divmod(hit, n_pds)
+    out["mu"] = mu[event]
+
+    c = table["channel"] - table["channel"].min(initial=0)
+    medians = row_medians_lexsort(refl, scan * (c.max(initial=0) + 1) + c, at)
+    dim = ~(out["reflectivity"] >= medians + correspondence.DEFAULT_DETECTION_MARGIN)
+    miss["code"][hit] = np.where(dim, dim_beam, 0)
+    miss["level"][hit[dim]] = out["reflectivity"][dim]
+    miss["median"][hit[dim]] = medians[dim]
+    out = out[~dim]
+    out["r"] = preprocess.range_to_plane(out["omega"], out["alpha"], plane)
+    return out, miss.reshape(len(frames), n_pds)
+
+
+def calibrate_frames_by_stage(frames, scene):
+    """``pipeline.calibrate_frames`` one stage after another, each stage
+    computing its own ray geometry: segmentation its points, the TLS plane
+    fit the ROI returns' points and the range refinement their directions,
+    all by ``polar_to_cartesian_array``; the features by
+    ``frame_features_full_fit``. Returns a dict of the ``BatchResult``
+    fields it reproduces."""
+    board = scene.board
+    sizes = [len(f.beams) for f in frames]
+    beams = np.concatenate([f.beams for f in frames])
+    points = polar_to_cartesian_array(beams["omega"], beams["alpha"], beams["r"])
+    rows = preprocess.segment_frames(beams, points, sizes, board.width, board.height)
+    table, scan = beams[rows], np.repeat(np.arange(len(frames)), sizes)[rows]
+    omega, alpha, r = np.stack([table["omega"], table["alpha"], table["r"]])
+    tls = preprocess.fit_plane(polar_to_cartesian_array(omega, alpha, r))
+    plane = preprocess.refine_plane_ranges(polar_to_cartesian_array(omega, alpha, 1.0), r, tls)
+    keys, _ = frame_features_full_fit(frames, table, scan, plane, scene)
+
+    pds = board.pd_modules
+    models = {}
+    for p, pd in enumerate(pds):
+        mine = keys[keys["pd"] == p]
+        try:
+            models[pd.pd_id] = correspondence.build_azimuth_center_model(mine["alpha"] / DEG, mine["mu"] / MM)
+        except correspondence.ModelError:
+            pass
+    corr, p_o = correspondence.make_correspondences(models, keys, pds)
+    p_l = polar_to_cartesian_array(corr["omega"], corr["alpha"], corr["r"])
+    counts = np.bincount(corr["scan"], minlength=len(frames))
+    reports = [report for report, _ in solver.solve_groups(p_l, p_o, np.cumsum(counts) - counts)]
+    joint_rows = np.repeat(counts >= 3, counts)
+    return dict(
+        models=models,
+        scan_reports=reports,
+        joint=solver.solve(p_l[joint_rows], p_o[joint_rows]),
+        keys=keys,
+        correspondences=corr[joint_rows],
+        p_o=p_o[joint_rows],
+    )

@@ -8,6 +8,7 @@ from oracles import cartesian_to_polar
 from pdcalib.geometry import (
     PolarBeam,
     Pose6DOF,
+    polar_rays,
     polar_to_cartesian_array,
     pose_to_matrix,
     rotation_matrix,
@@ -55,6 +56,33 @@ class TestPolarConversion:
     def test_range_preserved(self):
         # the sin(omega) z-row keeps |p| == r; the misprinted sin(alpha) would not
         assert np.linalg.norm(to_cartesian(10 * DEG, 30 * DEG, 3.7)) == pytest.approx(3.7, abs=1e-12)
+
+    @given(
+        returns=st.lists(
+            st.tuples(st.floats(-89 * DEG, 89 * DEG), st.floats(-20.0, 20.0), st.floats(0.01, 300.0)),
+            max_size=40,
+        )
+    )
+    def test_rays_equal_the_conversion_bitwise(self, returns):
+        # azimuths outside [0, 2 pi) too: the pipeline converts what a frame holds
+        omega, alpha, r = np.array(returns, dtype=float).reshape(-1, 3).T.copy()
+        points, dirs = polar_rays(omega, alpha, r)
+        for got, want in ((points, polar_to_cartesian_array(omega, alpha, r)),
+                          (dirs, polar_to_cartesian_array(omega, alpha, 1.0))):
+            assert got.shape == want.shape == (len(returns), 3)
+            assert np.ascontiguousarray(got).view(np.uint64).tolist() == want.view(np.uint64).tolist()
+            assert all(got[:, c].flags.c_contiguous for c in range(3))
+
+    def test_rays_equal_the_conversion_bitwise_on_a_batch(self):
+        # a batch long enough for every vectorised loop and its tail
+        rng = np.random.default_rng(5)
+        n = 10_007
+        omega, alpha, r = rng.uniform(-1.5, 1.5, n), rng.uniform(-4 * math.pi, 6 * math.pi, n), rng.uniform(0.1, 100, n)
+        points, dirs = polar_rays(omega, alpha, r)
+        assert np.array_equal(np.ascontiguousarray(points).view(np.uint64),
+                              polar_to_cartesian_array(omega, alpha, r).view(np.uint64))
+        assert np.array_equal(np.ascontiguousarray(dirs).view(np.uint64),
+                              polar_to_cartesian_array(omega, alpha, 1.0).view(np.uint64))
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):

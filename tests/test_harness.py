@@ -258,7 +258,9 @@ class TestRunSingleGolden:
         golden_path = GOLDEN / "single_horizontal.txt"
         assert text == golden_path.read_text()
 
-    @pytest.mark.parametrize("orientation, name", [("all", "mixed"), ("vertical", "vertical")])
+    @pytest.mark.parametrize(
+        "orientation, name", [("all", "mixed"), ("vertical", "vertical"), ("horizontal", "horizontal")]
+    )
     def test_calibrate_frames_matches_committed_goldens(self, tmp_path, orientation, name):
         sim, cal = tmp_path / "sim", tmp_path / "cal"
         common = ["--pd-orientation", orientation]

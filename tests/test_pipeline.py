@@ -2,37 +2,44 @@ import copy
 import dataclasses
 import logging
 import math
+import time
 
 import numpy as np
 import pytest
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import ndtr
 
 from pdcalib import preprocess
 from pdcalib.afe import peak_voltages
 from pdcalib.bench import make_bench_scene
 from pdcalib.correspondence import KEY_DTYPE
-from pdcalib.geometry import Pose6DOF, polar_to_cartesian_array, pose_to_matrix, transform_array
+from pdcalib.geometry import Pose6DOF, polar_rays, polar_to_cartesian_array, pose_to_matrix, transform_array
 from pdcalib.harness import simulate_point
 from pdcalib.pipeline import (
-    PipelineError, board_plane, calibrate_frames, extract_frame_features, miss_reasons,
+    STAGES, PipelineError, _row_medians, board_plane, calibrate_frames, extract_frame_features, miss_reasons,
 )
-from pdcalib.scene import BoardModel, PdPlacement, ScanFrame, _element_currents, simulate_scan
+from pdcalib.scene import BoardModel, PdPlacement, ScanFrame, _element_currents, simulate_scan, simulate_scans
 from pdcalib.solver import DegenerateCorrespondences
-from oracles import event_cell, frame_features, guo_fit_scalar
+from oracles import (
+    calibrate_frames_by_stage, event_cell, frame_features, frame_features_full_fit, guo_fit_scalar,
+    row_medians_lexsort,
+)
 
 DEG = math.pi / 180.0
 MM = 1e-3
 
 
 def batch_roi(frames, board):
-    """The ROI table of a batch and the frame of each row, from one
-    segmentation pass as ``calibrate_frames`` makes it."""
+    """The ROI table of a batch, the frame of each row and the board plane,
+    from one segmentation pass and one plane fit as ``calibrate_frames``
+    makes them."""
     beams = np.concatenate([f.beams for f in frames])
     sizes = [len(f.beams) for f in frames]
-    rows = preprocess.segment_frames(beams, sizes, board.width, board.height)
-    return beams[rows], np.repeat(np.arange(len(frames)), sizes)[rows]
+    points, dirs = polar_rays(beams["omega"], beams["alpha"], beams["r"])
+    rows = preprocess.segment_frames(beams, points, sizes, board.width, board.height)
+    table = beams[rows]
+    return table, np.repeat(np.arange(len(frames)), sizes)[rows], board_plane(points[rows], dirs[rows], table["r"])
 
 
 class TestFullBatch:
@@ -90,8 +97,7 @@ class TestFullBatch:
             ScanFrame(k, frame.beams, [dataclasses.replace(rec, element_voltages=np.tile(v, (rec.n_events, 1)))])
             for k, v in enumerate(volts)
         ]
-        table, scan = batch_roi(frames, scene.board)
-        keys, _ = extract_frame_features(frames, table, scan, board_plane(table), scene)
+        keys, _ = extract_frame_features(frames, *batch_roi(frames, scene.board), scene, {})
         np.testing.assert_array_equal(keys["scan"], np.arange(len(frames)))
         bias = np.abs(keys["mu"] - (pd.center_local + along))
         assert np.max(bias) <= 0.05 * MM, f"worst |bias| {np.max(bias) / MM:.3f} mm at {along[np.argmax(bias)] / MM} mm"
@@ -158,9 +164,9 @@ class TestOptionsAndErrors:
         calls = []
         segment = preprocess.segment_frames
 
-        def counted(beams, sizes, *args, **kwargs):
+        def counted(beams, points, sizes, *args, **kwargs):
             calls.append(list(sizes))
-            return segment(beams, sizes, *args, **kwargs)
+            return segment(beams, points, sizes, *args, **kwargs)
 
         monkeypatch.setattr(preprocess, "segment_frames", counted)
         monkeypatch.setattr(preprocess, "segment_target", None)
@@ -171,9 +177,8 @@ class TestOptionsAndErrors:
     def test_feature_extraction_misses_recorded(self, horizontal_scene, horizontal_batch):
         frames = horizontal_batch[:4]
         board = horizontal_scene.board
-        table, scan = batch_roi(frames, board)
-        plane = board_plane(table)
-        keys, miss = extract_frame_features(frames, table, scan, plane, horizontal_scene)
+        table, scan, plane = batch_roi(frames, board)
+        keys, miss = extract_frame_features(frames, table, scan, plane, horizontal_scene, {})
         misses = miss_reasons(miss, board.pd_modules)
         n_pd = len(board.pd_modules)
         assert keys["scan"].tolist() == np.repeat(np.arange(4), n_pd).tolist()
@@ -343,11 +348,10 @@ class TestBatchFeaturePass:
         pds = scene.board.pd_modules
         for k, p, kind in faults:
             _inject(frames[k % n], pose, pds[p % len(pds)], kind, scene.lidar)
-        table, scan = batch_roi(frames, scene.board)
-        plane = board_plane(table)
+        table, scan, plane = batch_roi(frames, scene.board)
         rois = [preprocess.segment_target(f, scene.board.width, scene.board.height) for f in frames]
 
-        keys, miss = extract_frame_features(frames, table, scan, plane, scene)
+        keys, miss = extract_frame_features(frames, table, scan, plane, scene, {})
         misses = miss_reasons(miss, pds)
         assert len(misses) == n
         want = [frame_features(f, roi, plane, scene, scan=k) for k, (f, roi) in enumerate(zip(frames, rois))]
@@ -408,3 +412,154 @@ class TestBlindCalibration:
             assert len(ft.key_beams) == 3
             assert "PD clock offset" in ft.misses[late]
         assert all(rep is not None for _, rep, _ in result.scan_reports)
+
+
+class TestStageTimings:
+    def test_every_stage_timed_within_the_wall_time(self, horizontal_scene, horizontal_batch, caplog):
+        start = time.perf_counter()
+        with caplog.at_level(logging.DEBUG, logger="pdcalib"):
+            result = calibrate_frames(horizontal_batch[:8], horizontal_scene)
+        wall = time.perf_counter() - start
+        assert tuple(result.timings) == STAGES
+        assert all(t >= 0.0 for t in result.timings.values())
+        assert sum(result.timings.values()) <= wall
+        lines = [rec.getMessage() for rec in caplog.records if rec.name == "pdcalib"]
+        assert sum(line.startswith("stage times (ms): segment ") for line in lines) == 1
+
+
+class TestRowMedians:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_runs_match_lexsort_oracle(self, data):
+        # runs of 1 and 2 returns, tied and signed-zero levels, several key
+        # rows in one run, and always the first and the last run; runs past
+        # 16 returns too, where an unstable sort would reorder equal levels
+        sizes = data.draw(st.lists(st.one_of(st.integers(1, 6), st.integers(17, 120)), min_size=1, max_size=10))
+        gaps = data.draw(st.lists(st.integers(1, 3), min_size=len(sizes), max_size=len(sizes)))
+        row = np.repeat(np.cumsum(gaps), sizes)
+        levels = st.sampled_from([-0.0, 0.0, 1.0, 2.5, 40.0, 255.0])
+        refl = np.array(data.draw(st.lists(levels, min_size=len(row), max_size=len(row))), dtype=float)
+        picks = data.draw(st.lists(st.integers(0, len(row) - 1), max_size=8))
+        at = np.array([0, len(row) - 1, *picks], dtype=np.intp)
+        got = _row_medians(refl, row, at)
+        assert got.view(np.uint64).tolist() == row_medians_lexsort(refl, row, at).view(np.uint64).tolist()
+
+
+# the voltages an edited event carries: its own event's, flat at 0 V (a dead
+# module), U-shaped (a non-concave log fit), or a spot 40 mm along the module
+# (a center outside the usable window)
+EVENT_VOLTS = ("own", "dead", "non-concave", "outside")
+
+
+def _event_volts(kind, rec, e, pd):
+    x = pd.element_positions()[list(rec.sampled_channels)]
+    if kind == "own":
+        return rec.element_voltages[e]
+    if kind == "dead":
+        return np.zeros(len(x))
+    if kind == "non-concave":
+        return 1.0 + 16.0 * ((x - x.mean()) / (x.max() - x.min())) ** 2
+    return 9.0 * np.exp(-((x - 40 * MM) ** 2) / (2 * (15 * MM) ** 2))
+
+
+def _beam_at(frame, t, lidar):
+    """Index of the frame's return that the firing time ``t`` names, or None."""
+    cell = event_cell(t, lidar)
+    b = frame.beams
+    hit = np.flatnonzero((b["channel"] == cell[0]) & (b["azimuth_index"] == cell[1])) if cell else []
+    return hit[0] if len(hit) else None
+
+
+class TestKeyFirstFit:
+    """Fitting each (scan, PD)'s first event in key order, and the others only
+    where that fit is unusable, gives the key table and miss codes of fitting
+    every joined event."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        orientation=st.sampled_from(sorted(SCENES)),
+        seed=st.integers(0, 2 ** 16),
+        n=st.integers(1, 3),
+        edits=st.lists(
+            st.tuples(
+                st.integers(0, 2), st.integers(0, 7),
+                st.booleans(),  # drop an element: a second sample width in the batch
+                st.lists(st.tuples(
+                    st.integers(0, 9),           # which of the record's events
+                    st.integers(-1, 1),          # the beam it names: that event's, or an azimuth neighbour
+                    st.sampled_from(EVENT_VOLTS),
+                    st.booleans(),               # tie its beam's level to the first edited event's
+                ), min_size=1, max_size=5),
+            ),
+            max_size=6,
+        ),
+    )
+    @example(orientation="horizontal", seed=1, n=2, edits=[
+        (0, 0, False, [(0, 0, "dead", False), (0, 0, "own", False)]),
+        (1, 1, True, [(0, 0, "outside", False), (0, 1, "own", True), (0, 0, "own", False)]),
+        (0, 2, False, [(0, 0, "non-concave", False), (0, -1, "own", True), (0, 1, "own", True)]),
+    ])
+    def test_matches_fitting_every_event(self, orientation, seed, n, edits):
+        scene = SCENES[orientation]
+        lidar, pds = scene.lidar, scene.board.pd_modules
+        frames = [
+            simulate_scan(scene.board, lidar, scene.base_pose, seed=seed + k, scan_id=k, afe=scene.afe,
+                          with_truth=False)
+            for k in range(n)
+        ]
+        for k, p, narrow, events in edits:
+            frame, pd = frames[k % n], pds[p % len(pds)]
+            mine = [r for r in frame.pd_records if r.pd_id == pd.pd_id]
+            if not mine or mine[-1].n_events == 0:
+                continue
+            rec = mine[-1]
+            times, volts = [], []
+            for e, shift, kind, tie in events:
+                e %= rec.n_events
+                times.append(rec.sample_times[e] + shift * lidar.firing_period)
+                volts.append(_event_volts(kind, rec, e, pd))
+                first, beam = _beam_at(frame, times[0], lidar), _beam_at(frame, times[-1], lidar)
+                if tie and first is not None and beam is not None:
+                    frame.beams["reflectivity"][beam] = frame.beams["reflectivity"][first]
+            new = dataclasses.replace(rec, sample_times=np.array(times), element_voltages=np.array(volts))
+            if narrow:
+                new = dataclasses.replace(new, element_voltages=np.delete(new.element_voltages, 1, axis=1),
+                                          sampled_channels=new.sampled_channels[:1] + new.sampled_channels[2:])
+            frame.pd_records = [r for r in frame.pd_records if r.pd_id != pd.pd_id] + [new]
+        table, scan, plane = batch_roi(frames, scene.board)
+        keys, miss = extract_frame_features(frames, table, scan, plane, scene, {})
+        want_keys, want_miss = frame_features_full_fit(frames, table, scan, plane, scene)
+        assert keys.tobytes() == want_keys.tobytes()
+        assert miss.tobytes() == want_miss.tobytes()
+
+
+def _bits(x):
+    """``x`` with every float and array as its bytes, for bit-for-bit comparison."""
+    if dataclasses.is_dataclass(x):
+        return {f.name: _bits(getattr(x, f.name)) for f in dataclasses.fields(x)}
+    if isinstance(x, dict):
+        return {k: _bits(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_bits(v) for v in x]
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if isinstance(x, float):
+        return x.hex()
+    return x
+
+
+class TestSharedRayGeometry:
+    def test_background_wall_batch_matches_stage_oracle(self):
+        # a wall behind the board: segmentation keeps a strict subset of the
+        # returns, so the ROI gather of the shared geometry is exercised
+        scene = SCENES["all"]
+        frames = simulate_scans(scene.board, scene.lidar, scene.base_pose, seeds=range(500, 512),
+                                scan_ids=range(12), afe=scene.afe, background_depth=0.4,
+                                background_reflectivity=55.0, with_truth=False)
+        table, _, _ = batch_roi(frames, scene.board)
+        assert len(table) < sum(len(f.beams) for f in frames)
+        result = calibrate_frames(frames, scene)
+        want = calibrate_frames_by_stage(frames, scene)
+        assert _bits([report for _, report, _ in result.scan_reports]) == _bits(want.pop("scan_reports"))
+        for name, value in want.items():
+            assert _bits(getattr(result, name)) == _bits(value), name

@@ -27,6 +27,12 @@ from pdcalib.scene import AfeConfig, BoardModel, LidarModel, ScanFrame, simulate
 
 DEG = math.pi / 180.0
 
+
+def points_of(beams):
+    """The (N, 3) sensor-frame points of a batch's returns."""
+    return polar_to_cartesian_array(beams["omega"], beams["alpha"], beams["r"])
+
+
 QUIET = LidarModel(range_noise_sigma=0.0, azimuth_jitter_sigma_deg=0.0)
 AFE0 = AfeConfig(voltage_noise_sigma=0.0)
 POSE = Pose6DOF(0, 0, 0, -0.7, -2.5, 0)
@@ -65,7 +71,7 @@ class TestSegmentation:
         n = len(frame.beams)
         for sizes in ([n - 1], [n, 1], [n + 1, -1]):
             with pytest.raises(ValueError, match="do not split"):
-                segment_frames(frame.beams, sizes, 1.0, 0.54)
+                segment_frames(frame.beams, points_of(frame.beams), sizes, 1.0, 0.54)
 
     def test_no_matching_extent_rejected(self):
         frame = simulate_scan(BoardModel(), QUIET, POSE, seed=0, afe=AFE0)
@@ -304,10 +310,10 @@ class TestRasterSegmentation:
                 refused = (k, str(exc))
                 break
         if refused is None:
-            np.testing.assert_array_equal(segment_frames(beams, sizes, 1.0, 0.54), np.concatenate(rois))
+            np.testing.assert_array_equal(segment_frames(beams, points_of(beams), sizes, 1.0, 0.54), np.concatenate(rois))
         else:
             with pytest.raises(SegmentationError) as err:
-                segment_frames(beams, sizes, 1.0, 0.54)
+                segment_frames(beams, points_of(beams), sizes, 1.0, 0.54)
             assert (err.value.frame, str(err.value)) == refused
 
         if len(beams) == 0:
@@ -468,7 +474,7 @@ class TestRangeRefinement:
             frame = simulate_scan(BoardModel(), lidar, POSE, seed=7000 + seed)
             omega, alpha, r, _, _, _ = frame.beam_arrays()
             tls = fit_plane(polar_to_cartesian_array(omega, alpha, r))
-            ref = refine_plane_ranges(omega, alpha, r, tls)
+            ref = refine_plane_ranges(polar_to_cartesian_array(omega, alpha, 1.0), r, tls)
             for plane, acc in ((tls, tls_errs), (ref, ref_errs)):
                 yaw = math.atan2(plane.normal[0], -plane.normal[1]) - math.atan2(
                     n_true[0], -n_true[1]
@@ -481,7 +487,7 @@ class TestRangeRefinement:
         frame = simulate_scan(BoardModel(), QUIET, POSE, seed=0, afe=AFE0)
         omega, alpha, r, _, _, _ = frame.beam_arrays()
         tls = fit_plane(polar_to_cartesian_array(omega, alpha, r))
-        ref = refine_plane_ranges(omega, alpha, r, tls)
+        ref = refine_plane_ranges(polar_to_cartesian_array(omega, alpha, 1.0), r, tls)
         n_true, d_true = true_plane_in_sensor_frame(POSE)
         np.testing.assert_allclose(ref.normal, n_true, atol=1e-10)
         assert ref.d == pytest.approx(d_true, abs=1e-10)
