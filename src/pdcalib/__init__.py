@@ -40,6 +40,7 @@ from .preprocess import PlaneModel, SegmentationError, fit_plane, refine_plane_r
 from .scene import (
     AfeConfig,
     BoardModel,
+    FrameBatch,
     LidarModel,
     PdPlacement,
     ScanFrame,
@@ -57,6 +58,7 @@ __all__ = [
     "BatchResult",
     "BoardModel",
     "DegenerateCorrespondences",
+    "FrameBatch",
     "GaussianFitBatch",
     "GaussianFitError",
     "LidarModel",

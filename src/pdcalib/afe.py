@@ -4,13 +4,15 @@ The trans-impedance amplifier is modeled as the first-order system
 ``V(t) = I_d * R_f * (1 - exp(-t / (R_f * C_f)))``. Stability is checked
 through the noise gain (one zero, one pole) and the quality factor derived
 from the loop phase margin; the default part values give Q ~ 0.47, i.e. an
-overdamped, non-oscillating response.
+overdamped, non-oscillating response. A batch's PD records are one
+``EventTable``, whose ``PdSignalRecord``s are views built on demand.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -107,49 +109,111 @@ class PdSignalRecord:
         if not math.isfinite(self.noise_floor):  # a record without events, which event_faults never sees
             raise ValueError(f"PD {self.pd_id!r}: noise floor {float(self.noise_floor)!r} is not a finite number")
 
-    @classmethod
-    def batch(cls, pd_ids, sampled_channels, noise_floors, bounds, sample_times, element_voltages) -> list:
-        """The records of one event table, checked together.
-
-        Record r has the pd_id ``pd_ids[r]``, the sampled channels
-        ``sampled_channels[r]`` and the noise floor ``noise_floors[r]``, and
-        its events are the views ``[bounds[r]:bounds[r + 1]]`` of the (n,)
-        ``sample_times`` and the (n, m) ``element_voltages``. The rules of a
-        record are checked once on the whole table (one ``event_faults``
-        pass, one ``element_indices`` call per distinct channel tuple).
-
-        Raises the ValueError that ``PdSignalRecord(...)`` raises for the
-        first record that breaks a rule.
-        """
-        t = np.asarray(sample_times, dtype=float)
-        v = np.asarray(element_voltages, dtype=float)
-        if v.shape[0] != t.shape[0]:
-            raise ValueError("one sample time per beam event required")
-        bounds, floors = np.asarray(bounds), np.asarray(noise_floors, dtype=float)
-        sizes = np.diff(bounds)
-        n_channels = np.repeat([len(channels) for channels in sampled_channels], sizes)
-        faults = event_faults(n_channels, t, np.repeat(floors, sizes), v).any(axis=1)
-        increasing = {channels: element_indices(channels) for channels in set(sampled_channels)}
-        bad = [r for r, channels in enumerate(sampled_channels) if not increasing[channels]][:1]
-        bad += np.flatnonzero(~np.isfinite(floors))[:1].tolist()  # also of a record without events
-        if faults.any():  # the record that holds the first bad event
-            bad.append(int(np.searchsorted(bounds, np.argmax(faults), side="right")) - 1)
-        bounds, floors = bounds.tolist(), floors.tolist()
-        if bad:  # raises the record's own error
-            r = min(bad)
-            cls(pd_ids[r], v[bounds[r]:bounds[r + 1]], t[bounds[r]:bounds[r + 1]], sampled_channels[r], floors[r])
-        records = []
-        for r, pd_id in enumerate(pd_ids):
-            record = cls.__new__(cls)  # checked above: skip __post_init__
-            a, b = bounds[r], bounds[r + 1]
-            record.pd_id, record.element_voltages, record.sample_times = pd_id, v[a:b], t[a:b]
-            record.sampled_channels, record.noise_floor = sampled_channels[r], floors[r]
-            records.append(record)
-        return records
-
     @property
     def n_events(self) -> int:
         return int(self.element_voltages.shape[0])
+
+
+class EventGroup(NamedTuple):
+    """The events of an ``EventTable``'s records of one sample width m.
+
+    Record ``records[i]`` (ascending) owns the rows ``bounds[i]:bounds[i + 1]``
+    of the (n,) firing ``times`` and the (n, m) peak ``volts``.
+    """
+
+    records: np.ndarray
+    bounds: np.ndarray
+    times: np.ndarray
+    volts: np.ndarray
+
+
+@dataclass(eq=False)
+class EventTable:
+    """The PD records of a batch of scans as one table.
+
+    Record r is PD ``pd_ids[r]``'s record of the batch's frame ``frames[r]``,
+    with the sampled channels ``channels[r]`` and the noise floor
+    ``floors[r]``; records come by frame (``frames`` ascends), each frame's
+    in its own order. Their events are grouped by sample width, one
+    ``EventGroup`` per distinct width in ``groups``. ``check`` holds the
+    record rules; nothing else checks them.
+    """
+
+    frames: np.ndarray   # (n_records,) intp
+    pd_ids: list         # (n_records,) str
+    channels: list       # (n_records,) tuple of element indices
+    floors: np.ndarray   # (n_records,) V
+    groups: tuple        # EventGroup per sample width
+
+    @classmethod
+    def of_records(cls, frames, pd_ids, channels, floors, times, volts) -> EventTable:
+        """The table of records given one by one: record r is as in the
+        class docstring, with the (n_r,) event ``times[r]`` and the (n_r, m_r)
+        ``volts[r]``; a record of width m_r joins that width's group."""
+        widths: dict = {}  # sample width -> its records
+        for r, v in enumerate(volts):
+            widths.setdefault(np.shape(v)[1], []).append(r)
+        groups = tuple(
+            EventGroup(
+                np.array(members, dtype=np.intp),
+                np.cumsum([0, *(len(times[r]) for r in members)]),
+                np.concatenate([np.asarray(times[r], dtype=float) for r in members]),
+                np.concatenate([np.asarray(volts[r], dtype=float) for r in members]),
+            )
+            for members in widths.values()
+        )
+        return cls(np.asarray(frames, dtype=np.intp), list(pd_ids), list(channels), np.asarray(floors, dtype=float),
+                   groups)
+
+    def check(self):
+        """Check the record rules once on the whole table: per group one
+        ``event_faults`` pass and one ``element_indices`` call per distinct
+        channel tuple.
+
+        Raises the ValueError that ``PdSignalRecord(...)`` raises for the
+        first record that breaks a rule, and "one sample time per beam event
+        required" for a group with more or fewer times than voltage rows.
+        """
+        increasing = {channels: element_indices(channels) for channels in set(self.channels)}
+        bad = [r for r, channels in enumerate(self.channels) if not increasing[channels]][:1]
+        bad += np.flatnonzero(~np.isfinite(self.floors))[:1].tolist()  # also of a record without events
+        for records, bounds, times, volts in self.groups:
+            if volts.shape[0] != times.shape[0]:
+                raise ValueError("one sample time per beam event required")
+            sizes = np.diff(bounds)
+            n_channels = np.repeat([len(self.channels[r]) for r in records.tolist()], sizes)
+            faults = event_faults(n_channels, times, np.repeat(self.floors[records], sizes), volts).any(axis=1)
+            if faults.any():  # the record that holds the group's first bad event
+                bad.append(int(records[np.searchsorted(bounds, np.argmax(faults), side="right") - 1]))
+        if bad:  # raises the record's own error
+            r = min(bad)
+            times, volts = self.views()[r]
+            PdSignalRecord(self.pd_ids[r], volts, times, self.channels[r], float(self.floors[r]))
+
+    def frame_bounds(self, n_frames: int) -> list:
+        """Where each frame's records lie: frame k's are ``bounds[k]:bounds[k + 1]``."""
+        return np.searchsorted(self.frames, np.arange(n_frames + 1)).tolist()
+
+    def views(self) -> list:
+        """Every record's (times, volts), views of its group's, in record order."""
+        out = [None] * len(self.pd_ids)
+        for records, bounds, times, volts in self.groups:
+            bounds = bounds.tolist()
+            for i, r in enumerate(records.tolist()):
+                out[r] = times[bounds[i]:bounds[i + 1]], volts[bounds[i]:bounds[i + 1]]
+        return out
+
+    def records(self) -> list:
+        """Every record as a ``PdSignalRecord`` of views of the table, in
+        record order; the table is taken as checked."""
+        out = []
+        for pd_id, channels, floor, (times, volts) in zip(self.pd_ids, self.channels, self.floors.tolist(),
+                                                          self.views()):
+            record = PdSignalRecord.__new__(PdSignalRecord)  # checked: skip __post_init__
+            record.pd_id, record.element_voltages, record.sample_times = pd_id, volts, times
+            record.sampled_channels, record.noise_floor = channels, floor
+            out.append(record)
+        return out
 
 
 def tia_step_response(i_d: float, t, p: TiaParams):
@@ -258,8 +322,8 @@ def currents_to_record(
     the elements in ``sampled_channels`` are recorded, each as
     ``peak_voltages`` with N(0, noise_sigma) noise drawn in row-major order.
     ``seed`` may be an int or a Generator; the record's scan is its frame's.
-    The simulator records a whole block at once (``peak_voltages`` and
-    ``PdSignalRecord.batch``); this one-record case is kept only because
+    The simulator records a whole block at once (``peak_voltages`` and one
+    ``EventTable``); this one-record case is kept only because
     perfbench's ``install_layers`` wraps it by name (as
     ``scene.currents_to_record``).
     """

@@ -113,7 +113,10 @@ def _cmd_calibrate(args) -> int:
         raise ValueError(f"{given[0]} sets up simulated scans and cannot be used with --frames")
     scene = _load_scene(args)
     if args.frames is not None:
-        result = calibrate_frames(io.read_frames(args.frames), scene)
+        frames = io.read_frames(args.frames)
+        if not len(frames):
+            raise ValueError(f"{args.frames} holds no scan frames")
+        result = calibrate_frames(frames, scene)
     else:
         result = run_single(scene, n_scans=50 if args.scans is None else args.scans)
     args.out.mkdir(parents=True, exist_ok=True)

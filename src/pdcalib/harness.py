@@ -20,7 +20,7 @@ from .geometry import DEG, MM, Pose6DOF
 from .pipeline import BatchResult, PipelineError, calibrate_frames
 # simulate_scan stays importable here: perfbench/workloads.py wraps
 # harness.simulate_scan by name when it installs its tracing layers
-from .scene import SimulationError, simulate_scan, simulate_scans  # noqa: F401
+from .scene import FrameBatch, SimulationError, simulate_scan, simulate_scans  # noqa: F401
 
 AXIS_NAMES = ("yaw_deg", "tilt_deg", "roll_deg", "dx_mm", "dy_mm", "dz_mm")
 # the axis a sweep moves, one per AXIS_NAMES entry and in its order; grid
@@ -129,8 +129,8 @@ def _point_seed(master: int, point_index: int, scan_index: int) -> int:
 
 
 def simulate_point(scene: Scene, pose: Pose6DOF, n_scans: int, seed: int,
-                   point_index: int = 0, with_truth: bool = True) -> list:
-    """Simulate the repeated scans of one reference point (seed-chained)."""
+                   point_index: int = 0, with_truth: bool = True) -> FrameBatch:
+    """Simulate the repeated scans of one reference point (seed-chained), as one batch."""
     return simulate_scans(
         scene.board,
         scene.lidar,

@@ -8,19 +8,23 @@ Scan-frame files are line-oriented delimited text with a fixed field order:
     # pd,pd_id,scan_id,event,time_s,noise_floor_v,sampled_channels,v0,v1,...
     pd,h_tl,0,0,0.0019457,0.1,0|5|10|15,2.66,1.11,0.146,0.0
 
-The writer sorts beams by (channel, azimuth index) and PD events by
-(pd_id, time), so a frame always serializes byte-identically; the reader
-takes rows in any order, scans, PDs and row kinds mixed. Angles are stored
-in degrees at this boundary; everything in memory is radians.
+A file holds one batch of scans, a ``scene.FrameBatch``. The writer
+formats the batch's tables, beams by (channel, azimuth index) and PD
+events by (pd_id, time), so a frame always serializes byte-identically;
+the reader takes rows in any order, scans, PDs and row kinds mixed, and
+builds the batch straight from its column tables, sorting the beam rows
+only when they are out of order. Angles are stored in degrees at this
+boundary; everything in memory is radians.
 
 Both row kinds are parsed by numpy's text reader under one rule: numbers are
 plain ASCII decimals as Python's ``repr`` writes them, and a row holding
 ``1_0``, non-ASCII digits, a number padded with ``\x1f`` or a non-ASCII
 space, or a number that is not finite is refused. The value rules of a row
 are those of the type it fills, each written once in its module and checked
-once, on the columns of one row kind; the error names the line and field of
-the first malformed line of either kind. ``_row_values`` names the field of
-a row that numpy's reader refuses.
+once, on the columns of one row kind, and they are the batch's checks: no
+rule runs again on the batch. The error names the line and field of the
+first malformed line of either kind. ``_row_values`` names the field of a
+row that numpy's reader refuses.
 """
 
 from __future__ import annotations
@@ -33,11 +37,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .afe import PdSignalRecord, TiaParams, element_indices, event_faults
+from .afe import EventGroup, EventTable, TiaParams, element_indices, event_faults
 from .bench import Scene
 from .geometry import DEG, MM, RETURN_VALUES, Pose6DOF, return_fault, return_faults
 from .harness import POINT_FIELDS, POINT_FLOORS, SweepSpec, point_faults
-from .scene import BEAM_DTYPE, AfeConfig, BoardModel, LidarModel, PdPlacement, ScanFrame, repeated_returns
+from .scene import (
+    BEAM_DTYPE, AfeConfig, BoardModel, FrameBatch, LidarModel, PdPlacement, cell_descents, repeated_returns,
+    wrap_azimuths,
+)
 
 FRAME_MAGIC = "pdcalib-scanframe,v=1"
 
@@ -266,19 +273,22 @@ def _interleaved(*columns) -> list:
 
 
 def frames_to_text(frames) -> str:
-    """Serialize frames to the delimited-text format (deterministic).
+    """Serialize a ``FrameBatch``, or a list of ``ScanFrame``s made into
+    one, to the delimited-text format (deterministic).
 
-    A frame's beam rows are written one run at a time, a run being a maximal
-    stretch of rows with one channel and one elevation (compared by its
-    bits, as 0.0 and -0.0 print apart): the run's template holds its scan
-    id, channel and elevation text once, and one ``%`` fills the run's other
-    fields. A PD record's rows likewise come from one template. The values
-    come from ``tolist()``, which gives Python ints and floats, whose repr
-    is the file form.
+    A frame's beam rows, its rows of the batch's table, are written one run
+    at a time, a run being a maximal stretch of rows with one channel and
+    one elevation (compared by its bits, as 0.0 and -0.0 print apart): the
+    run's template holds its scan id, channel and elevation text once, and
+    one ``%`` fills the run's other fields. A PD record's rows likewise come
+    from one template, filled from its events in the event table. The
+    values come from ``tolist()``, which gives Python ints and floats, whose
+    repr is the file form.
     """
+    batch = FrameBatch.of_frames(frames)
     text = [f"{FRAME_MAGIC}\n# beam,{','.join(BEAM_FIELDS)}\n"]
-    for frame in frames:
-        b = frame.beams
+    for k, scan_id in enumerate(batch.scan_ids):
+        b = batch.beams[batch.bounds[k]:batch.bounds[k + 1]]
         channel, omega_deg = b["channel"], b["omega"] / DEG
         bits = omega_deg.view(np.int64)
         new = np.ones(len(b), dtype=bool)
@@ -288,22 +298,25 @@ def frames_to_text(frames) -> str:
         ends = [*starts[1:].tolist(), len(b)]
         runs = zip(starts.tolist(), ends, channel[starts].tolist(), omega_deg[starts].tolist())
         text.extend(
-            f"beam,{frame.scan_id},{ch},%d,%r,{omega!r},%r,%r\n" * (hi - lo) % tuple(values[4 * lo:4 * hi])
+            f"beam,{scan_id},{ch},%d,%r,{omega!r},%r,%r\n" * (hi - lo) % tuple(values[4 * lo:4 * hi])
             for lo, hi, ch, omega in runs
         )
     text.append(f"# pd,{','.join(PD_FIELDS)},v0,v1,...\n")
-    for frame in frames:
-        for rec in sorted(frame.pd_records, key=lambda r: r.pd_id):
-            volts = rec.element_voltages
-            head = f"pd,{rec.pd_id.replace('%', '%%')},{frame.scan_id}"
-            tail = f"{float(rec.noise_floor)!r},{'|'.join(map(str, rec.sampled_channels))}"
+    ev = batch.events
+    events, floors, at = ev.views(), ev.floors.tolist(), ev.frame_bounds(len(batch))
+    for k, scan_id in enumerate(batch.scan_ids):
+        for r in sorted(range(at[k], at[k + 1]), key=ev.pd_ids.__getitem__):
+            times, volts = events[r]
+            head = f"pd,{ev.pd_ids[r].replace('%', '%%')},{scan_id}"
+            tail = f"{floors[r]!r},{'|'.join(map(str, ev.channels[r]))}"
             row = f"{head},%d,%r,{tail}," + ",".join(["%r"] * volts.shape[1]) + "\n"
-            values = _interleaved(range(len(volts)), rec.sample_times.tolist(), *volts.T.tolist())
-            text.append(row * len(volts) % tuple(values))
+            values = _interleaved(range(len(times)), times.tolist(), *volts.T.tolist())
+            text.append(row * len(times) % tuple(values))
     return "".join(text)
 
 
 def write_frames(frames, path):
+    """Write a ``FrameBatch``, or a list of ``ScanFrame``s, as a frame file (``frames_to_text``)."""
     Path(path).write_text(frames_to_text(frames), encoding="utf-8")
 
 
@@ -395,7 +408,9 @@ def _beam_records(path, text, lines, rows):
     """The beam rows ``rows`` (stripped, in file order) as one ``BEAM_DTYPE``
     table in (scan, channel, azimuth index) order, with its scan ids and the
     bounds of their runs, and None; or None and the error for the first
-    malformed row. ``text`` is the file's text and ``lines`` its lines.
+    malformed row. ``text`` is the file's text and ``lines`` its lines. The
+    rows are sorted only when ``scene.cell_descents`` finds them out of
+    order, and the azimuths of an accepted table are wrapped into [0, 2 pi).
 
     The rows are parsed by numpy's reader in one call. When it refuses them,
     the first row it refuses is found by bisection: each call parses the
@@ -421,10 +436,14 @@ def _beam_records(path, text, lines, rows):
             except _REFUSED:
                 hi = mid
         raw = np.concatenate(parsed)
-    order = np.lexsort((raw["azimuth_index"], raw["channel"], raw["scan_id"]))
-    beams, scan = np.empty(len(raw), BEAM_DTYPE), raw["scan_id"][order]  # in (scan, channel, azimuth index) order
+    beams, scan = np.empty(len(raw), BEAM_DTYPE), raw["scan_id"]
+    if cell_descents(scan, raw["channel"], raw["azimuth_index"]).any():  # the writer's order never does
+        order = np.lexsort((raw["azimuth_index"], raw["channel"], scan))
+        raw, scan = raw[order], scan[order]  # in (scan, channel, azimuth index) order
+    else:
+        order = np.arange(len(raw))
     for field, column, divisor in _BEAM_COLUMNS:
-        beams[column] = raw[field][order] * divisor
+        beams[column] = raw[field] * divisor if divisor != 1 else raw[field]
     faults = return_faults(*(beams[name] for name in RETURN_VALUES))
     repeats = repeated_returns(scan, beams["channel"], beams["azimuth_index"])
     bad = [len(raw)] if refused is not None else []  # the first row that breaks each rule
@@ -434,6 +453,7 @@ def _beam_records(path, text, lines, rows):
     if not text.isascii() or "\x1f" in text:  # the reader refuses a "_" itself
         bad += [k for k, row in enumerate(rows[:len(raw)]) if not _plain(row)][:1]
     if not bad:
+        wrap_azimuths(beams["alpha"])
         new = np.ones(len(scan), dtype=bool)
         new[1:] = scan[1:] != scan[:-1]
         starts = np.flatnonzero(new)
@@ -487,7 +507,7 @@ def _run_firsts(order, starts) -> np.ndarray:
 
 def _pd_columns(path, rows):
     """The PD rows ``rows``, (line_no, row) in file order, read as columns:
-    their ``_signal_records`` tables and their scan ids in file order, and
+    their ``_event_table`` tables and their scan ids in file order, and
     the error for the first malformed row; (None, None, error) when there is
     one, else (tables, scan ids, None).
 
@@ -616,40 +636,46 @@ def _pd_columns(path, rows):
     return tables, scan, None
 
 
-def _signal_records(tables) -> dict:
-    """The PD records by scan id, each scan's in pd_id order, their events by time.
+def _event_table(tables, scan_ids) -> EventTable:
+    """The accepted PD rows as the event table of the frames of ``scan_ids``
+    (ascending): a record per (scan, PD), by scan and then pd_id, its events
+    by time.
 
-    ``tables`` hold the accepted PD rows, one table per voltage count, each
-    as (pd_ids, scan_ids, times, noise floors, sampled channels, voltages)
-    in file order; a (scan, PD) record's rows lie in one table. A record
-    takes its sampled channels and noise floor from its first row, and
-    events at one time keep their file order. Each table's records are the
-    views of its rows in record order (``PdSignalRecord.batch``).
+    ``tables`` hold the rows, one table per voltage count, each as (pd_ids,
+    scan_ids, times, noise floors, sampled channels, voltages) in file
+    order; a (scan, PD) record's rows lie in one table, which is that
+    width's ``EventGroup``. A record takes its sampled channels and noise
+    floor from its first row, and events at one time keep their file order.
     """
     ids = sorted({pd_id for table in tables for pd_id in table[0]})
     code = {pd_id: k for k, pd_id in enumerate(ids)}
-    found = []
+    parts = []  # per table: its records' scans, pd codes and first rows, and its group's event bounds
+    groups = []
     for pd_ids, scans, times, floors, channels, volts in tables:
         pd = np.array([code[pd_id] for pd_id in pd_ids])
         order = np.lexsort((times, pd, scans))
         scan, pd = scans[order], pd[order]
         starts = np.flatnonzero(np.r_[True, (scan[1:] != scan[:-1]) | (pd[1:] != pd[:-1])])
         first = np.minimum.reduceat(order, starts)  # each record's first row in the file
-        names = [ids[k] for k in pd[starts].tolist()]
-        records = PdSignalRecord.batch(
-            names, [channels[f] for f in first.tolist()], floors[first], [*starts.tolist(), len(order)],
-            times[order], volts[order],
-        )
-        found.extend(zip(scan[starts].tolist(), names, records))
-    found.sort(key=lambda item: item[:2])
-    by_scan: dict = {}
-    for sid, _, record in found:
-        by_scan.setdefault(sid, []).append(record)
-    return by_scan
+        parts.append((scan[starts], pd[starts], first))
+        groups.append((np.r_[starts, len(order)], times[order], volts[order]))
+    scan, pd = (np.concatenate([np.zeros(0, dtype=int), *(part[i] for part in parts)]) for i in (0, 1))
+    order = np.lexsort((pd, scan))  # the records by scan and then pd_id
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    lo = np.cumsum([0, *(len(part[0]) for part in parts)])  # table t's records are lo[t]:lo[t + 1]
+    channels = [tables[t][4][f] for t, (_, _, first) in enumerate(parts) for f in first.tolist()]
+    floors = np.concatenate([np.zeros(0), *(tables[t][3][first] for t, (_, _, first) in enumerate(parts))])
+    return EventTable(
+        np.searchsorted(scan_ids, scan[order]), [ids[k] for k in pd[order].tolist()],
+        [channels[r] for r in order.tolist()], floors[order],
+        tuple(EventGroup(rank[lo[t]:lo[t + 1]], *group) for t, group in enumerate(groups)),
+    )
 
 
-def read_frames(path) -> list:
-    """Parse a scan-frame file back into ScanFrame objects (no sim truth).
+def read_frames(path) -> FrameBatch:
+    """Parse a scan-frame file into one ``FrameBatch`` (no sim truth), its
+    frames in scan id order.
 
     Raises FrameParseError, and no other error, for a malformed file,
     naming its first malformed line of either row kind, or else its first PD
@@ -662,7 +688,8 @@ def read_frames(path) -> list:
     ``afe.element_indices``, repeats the (scan, PD, event) of an earlier
     row, or differs from the earlier rows of its (scan, PD) record in
     sampled channels or noise floor. ``_beam_records`` and ``_pd_columns``
-    check each rule once, on the columns.
+    check each rule once, on the columns; they are the batch's checks, so
+    the batch is built from their tables with none run again.
     """
     text, not_utf8 = _read_text(path)  # the lines above the first line that is not UTF-8
     lines = text.splitlines()
@@ -692,8 +719,7 @@ def read_frames(path) -> list:
         raise FrameParseError(
             path, pd_rows[k][0], "scan_id", f"PD row of scan {pd_scans[k]}, which has no beam rows"
         )
-    records = _signal_records(tables)
-    return ScanFrame.batch(scan_ids, beams, bounds, [records.get(sid, []) for sid in scan_ids])
+    return FrameBatch.trusted(scan_ids, beams, bounds, _event_table(tables, scan_ids))
 
 
 def read_sweep_points(path) -> np.ndarray:

@@ -1,15 +1,18 @@
 """End-to-end calibration of a batch of scan frames.
 
 One batch is a set of repeated scans of the rig at a fixed reference pose
-(the bench repeats 50 revolutions per test point). The trig of every
-return's angles is evaluated once (``geometry.polar_rays``). One
+(the bench repeats 50 revolutions per test point), held as one
+``scene.FrameBatch``: its returns table and its PD event table are read
+here directly, and a list of ``ScanFrame``s becomes a batch once, on entry.
+The trig of every return's angles is evaluated once (``geometry.polar_rays``). One
 segmentation pass over the batch's points finds every frame's board
 returns, and they form one ROI table with a scan column. The board plane is
 fit once to the ROI returns' points and ray directions, because every scan
 sees the same board. Then one feature pass runs over the whole batch:
 
-1. the PD events of every frame form one event table, and one call joins
-   each event to the ROI row its firing time names;
+1. the batch's event table, less the records that do not count, gives
+   every PD event, and one call joins each to the ROI row its firing time
+   names;
 2. per (scan, module), the first joined event in key order is fit, and the
    others only where that fit is unusable, in one batch per sample width;
    one grouped selection keeps per (scan, module) the event with a usable
@@ -41,6 +44,7 @@ import numpy as np
 from . import beam_center, correspondence, preprocess, solver
 from .bench import Scene
 from .geometry import DEG, MM, polar_rays, polar_to_cartesian_array
+from .scene import FrameBatch
 
 log = logging.getLogger("pdcalib")
 
@@ -149,9 +153,11 @@ def _miss_kind(code: int, pd) -> str:
     return MISS_REASONS[code].format(pd=pd.pd_id)
 
 
-def extract_frame_features(frames, table, scan, plane: preprocess.PlaneModel, scene: Scene, timings: dict):
+def extract_frame_features(batch: FrameBatch, table, scan, plane: preprocess.PlaneModel, scene: Scene,
+                           timings: dict):
     """Beam association, center fitting and range correction on a whole batch.
 
+    ``batch`` is the ``FrameBatch``, whose event table the pass reads;
     ``table`` and ``scan`` are the batch's ROI table and the frame index of
     each row (from ``preprocess.segment_frames``); ``plane`` is the board
     plane the key beams are slid onto. Each (scan, PD) keeps as its key beam
@@ -177,26 +183,32 @@ def extract_frame_features(frames, table, scan, plane: preprocess.PlaneModel, sc
     (n_scans, n_pds) miss table (``MISS_DTYPE``), which ``miss_reasons``
     spells out.
     """
-    pds = scene.board.pd_modules
+    pds, ev = scene.board.pd_modules, batch.events
     n_pds = len(pds)
     with _stage(timings, "association"):
         index = {pd.pd_id: p for p, pd in enumerate(pds)}
-        latest = {(k, index[r.pd_id]): r for k, f in enumerate(frames) for r in f.pd_records if r.pd_id in index}
+        latest = {(k, index[pd_id]): r for r, (k, pd_id) in enumerate(zip(ev.frames.tolist(), ev.pd_ids))
+                  if pd_id in index}
         for (k, p), r in latest.items():
-            lacking = [c for c in r.sampled_channels if not 0 <= c < pds[p].n_elements]
+            lacking = [c for c in ev.channels[r] if not 0 <= c < pds[p].n_elements]
             if lacking:
                 raise ValueError(
-                    f"scan {frames[k].scan_id}: PD {pds[p].pd_id!r} samples element(s) {lacking}, "
+                    f"scan {batch.scan_ids[k]}: PD {pds[p].pd_id!r} samples element(s) {lacking}, "
                     f"which its module of {pds[p].n_elements} elements lacks"
                 )
-        records = list(latest.values())
-        record_cell = np.array([k * n_pds + p for k, p in latest], dtype=np.intp)  # a (scan, PD) cell is scan * n_pds + PD
-        sizes = np.array([r.n_events for r in records], dtype=np.intp)
-        record = np.repeat(np.arange(len(records)), sizes)  # the event table: record, cell, time
-        cell = record_cell[record]
-        times = np.concatenate([np.zeros(0)] + [r.sample_times for r in records])
+        record_cell = np.full(len(ev.pd_ids), -1, dtype=np.intp)  # a (scan, PD) cell is scan * n_pds + PD
+        record_cell[list(latest.values())] = [k * n_pds + p for k, p in latest]
+        # the events of the kept records, one sample-width group after another:
+        # per group its kept records, their event counts and the mask of their events
+        groups = []
+        for records, bounds, group_times, volts in ev.groups:
+            own, sizes = record_cell[records] >= 0, np.diff(bounds)
+            groups.append((records[own], sizes[own], np.repeat(own, sizes), group_times, volts))
+        cell = np.concatenate([np.zeros(0, dtype=np.intp), *(np.repeat(record_cell[r], n) for r, n, *_ in groups)])
+        times = np.concatenate([np.zeros(0), *(t[events] for _, _, events, t, _ in groups)])
+        offsets = np.cumsum([0, *(n.sum() for _, n, *_ in groups)])  # group g's events: offsets[g]:offsets[g + 1]
 
-        miss = np.zeros(len(frames) * n_pds, MISS_DTYPE)
+        miss = np.zeros(len(batch) * n_pds, MISS_DTYPE)
         miss["code"] = _NO_EVENTS
         miss["code"][cell] = _UNJOINED
         rows = correspondence.find_pd_beam(times, cell // n_pds, table, scan, scene.lidar)
@@ -204,27 +216,26 @@ def extract_frame_features(frames, table, scan, plane: preprocess.PlaneModel, sc
         miss["code"][cell[joined]] = _NO_FIT
 
     with _stage(timings, "center_fit"):
-        # per sample width, the element positions, voltages and noise floor
-        # of each of its events, stacked in record order
-        widths = np.array([len(r.sampled_channels) for r in records], dtype=np.intp)
-        kinds = np.unique(widths)
-        kind = np.searchsorted(kinds, widths)[record]
-        positions = [pd.element_positions() for pd in pds]
-        stacks = []
-        for width in kinds:
-            mine = np.flatnonzero(widths == width)
-            stacked = np.repeat(np.arange(len(mine)), sizes[mine])
-            x = np.array([positions[record_cell[k] % n_pds][list(records[k].sampled_channels)] for k in mine])
-            volts = np.concatenate([records[k].element_voltages for k in mine])
-            floor = np.array([records[k].noise_floor for k in mine])
-            stacks.append((np.flatnonzero(widths[record] == width), x[stacked], volts, floor[stacked]))
+        known = {}  # (PD, sampled channels) -> the positions of those elements
+
+        def positions(r):
+            key = (record_cell[r] % n_pds, ev.channels[r])
+            if key not in known:
+                known[key] = pds[key[0]].element_positions()[list(key[1])]
+            return known[key]
+
+        stacks = []  # per group, the element positions, voltages and noise floor of each event
+        for kept, sizes, events, _, volts in groups:
+            x = np.array([positions(r) for r in kept.tolist()]).reshape(len(kept), volts.shape[1])
+            stacks.append((np.repeat(x, sizes, axis=0), volts[events], np.repeat(ev.floors[kept], sizes)))
         mu = np.full(len(times), np.nan)
 
         def fit(events):
-            for g in np.unique(kind[events]):
-                own, x, volts, floor = stacks[g]
-                at = np.searchsorted(own, events[kind[events] == g])
-                mu[own[at]] = beam_center.fit_gaussian_batch(x[at], volts[at], noise_floor=floor[at]).mu
+            for (x, volts, floor), lo, hi in zip(stacks, offsets, offsets[1:]):
+                part = events[(events >= lo) & (events < hi)]
+                if len(part):
+                    at = part - lo
+                    mu[part] = beam_center.fit_gaussian_batch(x[at], volts[at], noise_floor=floor[at]).mu
 
         refl = table["reflectivity"]
         level, when, group = refl[rows[joined]], times[joined], cell[joined]
@@ -256,13 +267,15 @@ def extract_frame_features(frames, table, scan, plane: preprocess.PlaneModel, sc
         miss["median"][hit[dim]] = medians[dim]
         out = out[~dim]
         out["r"] = preprocess.range_to_plane(out["omega"], out["alpha"], plane)
-    return out, miss.reshape(len(frames), n_pds)
+    return out, miss.reshape(len(batch), n_pds)
 
 
 def calibrate_frames(frames, scene: Scene) -> BatchResult:
     """Full calibration over a batch of frames taken at one rig pose.
 
-    Nothing about the pose is assumed: the PD event times name the beams.
+    ``frames`` is a ``FrameBatch``, or a list of ``ScanFrame``s, which
+    becomes one here (``FrameBatch.of_frames``) and nowhere else. Nothing
+    about the pose is assumed: the PD event times name the beams.
 
     Raises
     ------
@@ -273,27 +286,27 @@ def calibrate_frames(frames, scene: Scene) -> BatchResult:
     ValueError
         For a PD record that samples an element its module lacks.
     """
-    if not frames:
+    batch = FrameBatch.of_frames(frames)
+    n = len(batch)
+    if not n:
         raise PipelineError("segmentation", "empty batch: no frames to calibrate")
     timings: dict = {}
     with _stage(timings, "segment"):
-        sizes = [len(f.beams) for f in frames]
-        beams = np.concatenate([f.beams for f in frames])
+        beams, sizes = batch.beams, np.diff(batch.bounds)
         points, dirs = polar_rays(beams["omega"], beams["alpha"], beams["r"])
         try:
             rows = preprocess.segment_frames(beams, points, sizes, scene.board.width, scene.board.height)
         except preprocess.SegmentationError as exc:
-            raise PipelineError("segmentation", f"scan {frames[exc.frame].scan_id}: {exc}") from exc
+            raise PipelineError("segmentation", f"scan {batch.scan_ids[exc.frame]}: {exc}") from exc
         # ``take`` copies whole rows, where indexing copies a structured table field by field
-        table, scan = beams.take(rows), np.repeat(np.arange(len(frames)), sizes)[rows]
+        table, scan = beams.take(rows), np.repeat(np.arange(n), sizes)[rows]
         points, dirs = points[rows], dirs[rows]  # the ROI returns' geometry, which only the plane fit needs
     with _stage(timings, "plane"):
         plane = board_plane(points, dirs, table["r"])
     del points, dirs
     pds = scene.board.pd_modules
-    keys, miss = extract_frame_features(frames, table, scan, plane, scene, timings)
+    keys, miss = extract_frame_features(batch, table, scan, plane, scene, timings)
     misses = miss_reasons(miss, pds)
-    n = len(frames)
     bounds = np.searchsorted(keys["scan"], np.arange(n + 1))
     features = [
         FrameFeatures(keys[bounds[k] : bounds[k + 1]], misses[k]) for k in range(n)
@@ -320,10 +333,10 @@ def calibrate_frames(frames, scene: Scene) -> BatchResult:
         p_l = polar_to_cartesian_array(rows["omega"], rows["alpha"], rows["r"])
         sizes = np.bincount(rows["scan"], minlength=n)
         scan_reports = []  # (scan_id, SolveReport | None, note)
-        for f, (report, note) in zip(frames, solver.solve_groups(p_l, p_o, np.cumsum(sizes) - sizes)):
+        for scan_id, (report, note) in zip(batch.scan_ids, solver.solve_groups(p_l, p_o, np.cumsum(sizes) - sizes)):
             if report is not None and report.correspondence_count == 3:
                 note = "low-confidence (3 points)"
-            scan_reports.append((f.scan_id, report, note))
+            scan_reports.append((scan_id, report, note))
         # a scan of fewer than 3 correspondences gets no fit, and adds none to the joint one
         joint_rows = np.repeat(sizes >= 3, sizes)
         if not joint_rows.any():

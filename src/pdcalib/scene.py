@@ -9,20 +9,23 @@ per-revolution azimuth phase fluctuation. Beams whose footprint reaches a
 photodetector module also produce per-element photocurrents that are run
 through the analog front end into sampled voltage records.
 
-Everything is a pure function of (models, pose, seed): equal seeds give
-bit-identical frames.
+A simulation returns one ``FrameBatch``: its returns in one table, its PD
+records in one ``afe.EventTable``, checked once; its ``ScanFrame``s are
+views of those tables. Everything is a pure function of (models, pose,
+seed): equal seeds give bit-identical frames.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 # currents_to_record, the one-record form of _pd_records' AFE pass, stays a
 # name of this module: perfbench traces the simulator's AFE calls by it
-from .afe import PdSignalRecord, TiaParams, currents_to_record, element_indices, peak_voltages  # noqa: F401
+from .afe import EventTable, TiaParams, currents_to_record, element_indices, peak_voltages  # noqa: F401
 from .geometry import DEG, RETURN_VALUES, TWO_PI, Pose6DOF, pose_to_matrix, return_fault, return_faults
 
 # beams whose spot center lies this far beyond the array ends still produce a
@@ -247,6 +250,21 @@ def repeated_returns(frame, channel, azimuth_index) -> np.ndarray:
     return repeats
 
 
+def cell_descents(frame, channel, azimuth_index) -> np.ndarray:
+    """The (frame, channel, azimuth_index) order rule, in one vectorised
+    pass: true where a return's cell comes before the cell of the return
+    before it (one entry fewer than the returns)."""
+    f0, f1, c0, c1 = frame[:-1], frame[1:], channel[:-1], channel[1:]
+    later = (c1 > c0) | ((c1 == c0) & (azimuth_index[1:] >= azimuth_index[:-1]))
+    return ~((f1 > f0) | ((f1 == f0) & later))
+
+
+def wrap_azimuths(alpha):
+    """Wrap the azimuths outside [0, 2 pi) into it, in place."""
+    wrap = ~((alpha >= 0.0) & (alpha < TWO_PI))
+    alpha[wrap] %= TWO_PI
+
+
 def check_returns(beams, bounds, scan_ids):
     """Check the returns of a batch of frames and wrap their azimuths, in place.
 
@@ -259,7 +277,7 @@ def check_returns(beams, bounds, scan_ids):
     Raises ValueError naming the scan and cell of the first return that
     breaks a rule, with its first bad value, or else as a duplicate.
     """
-    alpha, ch, az = beams["alpha"], beams["channel"], beams["azimuth_index"]
+    ch, az = beams["channel"], beams["azimuth_index"]
     frame = np.repeat(np.arange(len(scan_ids)), np.diff(bounds))
     faults = return_faults(*(beams[name] for name in RETURN_VALUES))
     repeats = repeated_returns(frame, ch, az)
@@ -273,8 +291,7 @@ def check_returns(beams, bounds, scan_ids):
         value = float(beams[name][i])
         raise ValueError(f"scan {scan_id}: beam (channel, azimuth_index) {cell}: {name} {value!r} "
                          f"{return_fault(name, value)}")
-    wrap = ~((alpha >= 0.0) & (alpha < TWO_PI))
-    alpha[wrap] %= TWO_PI
+    wrap_azimuths(beams["alpha"])
 
 
 @dataclass
@@ -285,7 +302,8 @@ class ScanFrame:
     (anything convertible to one is accepted and copied), stored in
     (channel, azimuth_index) order and checked by ``check_returns``.
     ``pd_records`` are this scan's PD records; ``truth`` is the simulator's,
-    None for a frame read from a file.
+    None for a frame read from a file. A ``FrameBatch``'s frames are views of
+    its tables.
     """
 
     scan_id: int
@@ -299,26 +317,6 @@ class ScanFrame:
         check_returns(b, [0, len(b)], [self.scan_id])
         self.beams = b
 
-    @classmethod
-    def batch(cls, scan_ids, beams, bounds, pd_records, truths=None) -> list:
-        """The frames of one batch, checked together by ``check_returns``.
-
-        Frame k has the scan id ``scan_ids[k]``, the PD records
-        ``pd_records[k]`` and the truth ``truths[k]`` (None without
-        ``truths``), and its beams are the view ``beams[bounds[k]:bounds[k +
-        1]]`` of the ``BEAM_DTYPE`` table ``beams``, whose runs must each be
-        in (channel, azimuth_index) order already; the table's azimuths are
-        wrapped in place.
-        """
-        check_returns(beams, bounds, scan_ids)
-        frames = []
-        for k, scan_id in enumerate(scan_ids):
-            frame = cls.__new__(cls)  # checked above: skip __post_init__
-            frame.scan_id, frame.beams = scan_id, beams[bounds[k]:bounds[k + 1]]
-            frame.pd_records, frame.truth = pd_records[k], truths[k] if truths else None
-            frames.append(frame)
-        return frames
-
     def beam_arrays(self):
         """(omega, alpha, r, channel, azimuth_index, reflectivity) arrays.
 
@@ -327,6 +325,90 @@ class ScanFrame:
         ``install_layers`` wraps it by name.
         """
         return tuple(np.ascontiguousarray(self.beams[name]) for name in BEAM_DTYPE.names)
+
+
+class FrameBatch(Sequence):
+    """The scans of one batch as two checked tables.
+
+    ``beams`` is every frame's returns as one ``BEAM_DTYPE`` table in
+    (frame, channel, azimuth_index) order: frame k has the scan id
+    ``scan_ids[k]`` and the rows ``bounds[k]:bounds[k + 1]``. ``events`` is
+    the PD event table (``afe.EventTable``), whose record frames index the
+    batch's frames. ``truths`` holds the simulator's truth per frame, or is
+    None.
+
+    Building a batch checks its rules once: each frame's rows must be in
+    (channel, azimuth_index) order (``cell_descents``), the returns keep
+    ``check_returns`` (which wraps the azimuths in place) and the records
+    ``EventTable.check``; a ValueError names the first bad return, or else
+    the first bad record. ``trusted`` skips the checks for tables whose
+    rules the caller has checked.
+
+    A batch is also the sequence of its frames: ``batch[k]`` is a
+    ``ScanFrame`` whose beams and records are views of the tables, all built
+    at the first access; a slice is a list of them.
+    """
+
+    def __init__(self, scan_ids, beams, bounds, events: EventTable, truths=None):
+        self._set(scan_ids, beams, bounds, events, truths)
+        descents = cell_descents(np.repeat(np.arange(len(self)), np.diff(self.bounds)), beams["channel"],
+                                 beams["azimuth_index"])
+        if descents.any():
+            k = int(np.searchsorted(self.bounds, np.argmax(descents) + 1, side="right")) - 1
+            raise ValueError(f"scan {self.scan_ids[k]}: beams not in (channel, azimuth_index) order")
+        frames = events.frames
+        if np.any(frames[1:] < frames[:-1]) or np.any((frames < 0) | (frames >= len(self))):
+            raise ValueError("PD records must come by frame, each in a frame of the batch")
+        check_returns(beams, self.bounds, self.scan_ids)
+        events.check()
+
+    def _set(self, scan_ids, beams, bounds, events, truths):
+        self.scan_ids, self.beams, self.bounds = list(scan_ids), beams, [int(b) for b in bounds]
+        self.events, self.truths, self._frames = events, truths, None
+
+    @classmethod
+    def trusted(cls, scan_ids, beams, bounds, events: EventTable) -> FrameBatch:
+        """The batch of tables whose rules the caller has checked and whose
+        azimuths it has wrapped, as ``io.read_frames`` does: no check runs."""
+        batch = cls.__new__(cls)
+        batch._set(scan_ids, beams, bounds, events, None)
+        return batch
+
+    @classmethod
+    def of_frames(cls, frames) -> FrameBatch:
+        """``frames`` itself when it is a batch, else the checked batch of
+        the list of ``ScanFrame``s, its beams and records copied into one
+        table each."""
+        if isinstance(frames, cls):
+            return frames
+        records = [(k, r) for k, f in enumerate(frames) for r in f.pd_records]
+        events = EventTable.of_records(
+            [k for k, _ in records], [r.pd_id for _, r in records], [r.sampled_channels for _, r in records],
+            [r.noise_floor for _, r in records], [r.sample_times for _, r in records],
+            [r.element_voltages for _, r in records],
+        )
+        beams = np.concatenate([np.empty(0, BEAM_DTYPE), *(f.beams for f in frames)])
+        bounds = np.cumsum([0, *(len(f.beams) for f in frames)])
+        return cls([f.scan_id for f in frames], beams, bounds, events, [f.truth for f in frames])
+
+    def __len__(self) -> int:
+        return len(self.scan_ids)
+
+    def __getitem__(self, k):
+        if self._frames is None:
+            self._frames = self._views()
+        return self._frames[k]
+
+    def _views(self) -> list:
+        """Every frame as a ``ScanFrame`` of views of the tables."""
+        records, at = self.events.records(), self.events.frame_bounds(len(self))
+        frames = []
+        for k, scan_id in enumerate(self.scan_ids):
+            frame = ScanFrame.__new__(ScanFrame)  # checked with the batch: skip __post_init__
+            frame.scan_id, frame.beams = scan_id, self.beams[self.bounds[k]:self.bounds[k + 1]]
+            frame.pd_records, frame.truth = records[at[k]:at[k + 1]], self.truths[k] if self.truths else None
+            frames.append(frame)
+        return frames
 
 
 def _gauss_rect_fraction(center_a, center_c, half_a, half_c, sigma, ndtr):
@@ -412,8 +494,8 @@ def simulate_scans(
     background_depth: float | None = None,
     background_reflectivity: float = 40.0,
     with_truth: bool = True,
-) -> list:
-    """Simulate revolutions of the sensor viewing the board, one per seed.
+) -> FrameBatch:
+    """Simulate revolutions of the sensor viewing the board, one per seed, as one batch.
 
     ``pose`` is the ground truth mapping sensor-frame points into the board
     frame. Frame k has id ``scan_ids[k]`` and draws its azimuth phase, range
@@ -441,14 +523,33 @@ def simulate_scans(
     m = pose_to_matrix(pose)
     rot, t = m[:, :3], m[:, 3]
     j = _azimuth_window(board, lidar, rot, t)
-    frames = []
+    # the returns come by scan, then channel, then azimuth (see _cast_rays),
+    # each block's written into one table as it is made, so that no second
+    # copy of the table is ever held: when a block does not fit, the table
+    # grows in place to hold every scan at the mean count so far, and a
+    # tenth more; the rows never written, whose pages are never touched, are
+    # cut off in place once no view of the table exists
+    beams, bounds, truths, records = np.empty(0, dtype=BEAM_DTYPE), [0], [], []
     for lo in range(0, len(seeds), _SCANS_PER_PASS):
         hi = lo + _SCANS_PER_PASS
-        frames += _simulate_block(
-            board, lidar, rot, t, j, seeds[lo:hi], scan_ids[lo:hi], afe,
-            background_depth, background_reflectivity, with_truth, ndtr,
+        columns, counts, block_truths, block_records = _simulate_block(
+            board, lidar, rot, t, j, seeds[lo:hi], afe, background_depth, background_reflectivity, with_truth, ndtr,
         )
-    return frames
+        start = bounds[-1]
+        bounds.extend((start + np.cumsum(counts)).tolist())
+        if bounds[-1] > len(beams):
+            beams.resize(int(1.1 * bounds[-1] * len(seeds) / (lo + len(counts))) + 1, refcheck=False)
+        for name, values in zip(BEAM_DTYPE.names, columns):
+            beams[name][start:bounds[-1]] = values
+        truths += block_truths
+        records += [(lo + k, *record) for k, *record in block_records]
+    beams.resize(bounds[-1], refcheck=False)
+    events = EventTable.of_records(
+        [k for k, *_ in records], [pd.pd_id for _, pd, _, _ in records],
+        [tuple(pd.sampled_channels) for _, pd, _, _ in records], [afe.noise_floor] * len(records),
+        [times for *_, times, _ in records], [volts for *_, volts in records],
+    )
+    return FrameBatch(scan_ids, beams, bounds, events, truths if with_truth else None)
 
 
 def _azimuth_window(board: BoardModel, lidar: LidarModel, rot, t) -> np.ndarray:
@@ -576,9 +677,12 @@ def _reach_sigmas(board: BoardModel, size, sigma_max, ndtr) -> float:
     return _ZERO_REACH_SIGMAS
 
 
-def _simulate_block(board, lidar, rot, t, j, seeds, scan_ids, afe,
-                    background_depth, background_reflectivity, with_truth, ndtr) -> list:
-    """The frames of one block of scans at one pose (see ``simulate_scans``)."""
+def _simulate_block(board, lidar, rot, t, j, seeds, afe, background_depth, background_reflectivity,
+                    with_truth, ndtr) -> tuple:
+    """One block of scans at one pose (see ``simulate_scans``): its returns'
+    ``BEAM_DTYPE`` columns, by scan, then channel, then azimuth, each scan's
+    return count, its truths (none without ``with_truth``) and its PD
+    records (``_pd_records``)."""
     rngs = [np.random.default_rng(seed) for seed in seeds]
     phase = np.array([rng.normal(0.0, lidar.azimuth_jitter_sigma_deg * DEG) for rng in rngs])
     (s_idx, ch_idx, az_idx), alpha, is_board, ranges, points = _cast_rays(
@@ -633,16 +737,11 @@ def _simulate_block(board, lidar, rot, t, j, seeds, scan_ids, afe,
         events.append((pd, idx, times, currents, edges))
     refl = np.clip(refl + np.concatenate(refl_noise), 0.0, 255.0)
 
-    beams = np.empty(len(s_idx), dtype=BEAM_DTYPE)
-    beams["omega"] = lidar.vertical_angles[ch_idx]
-    beams["alpha"] = alpha % TWO_PI
-    beams["r"] = ranges + np.concatenate(r_noise)
-    beams["channel"] = ch_idx
-    beams["azimuth_index"] = j[az_idx]
-    beams["reflectivity"] = refl
+    # the BEAM_DTYPE columns, in its order
+    columns = (lidar.vertical_angles[ch_idx], alpha % TWO_PI, ranges + np.concatenate(r_noise), ch_idx, j[az_idx], refl)
 
     truths = []
-    for k in range(len(scan_ids)) if with_truth else ():
+    for k in range(len(seeds)) if with_truth else ():
         lo, hi = bounds[k], bounds[k + 1]
         scan_events = [(pd, idx[edges[k]:edges[k + 1]]) for pd, idx, _, _, edges in events]
         truths.append(SimTruth(
@@ -650,12 +749,12 @@ def _simulate_block(board, lidar, rot, t, j, seeds, scan_ids, afe,
             is_board=is_board[lo:hi],
             pd_event_beams={pd.pd_id: [int(i - lo) for i in idx] for pd, idx in scan_events},
         ))
-    # the returns come by scan, then channel, then azimuth (see _cast_rays)
-    return ScanFrame.batch(scan_ids, beams, bounds, _pd_records(events, rngs, afe), truths)
+    return columns, counts, truths, _pd_records(events, rngs, afe)
 
 
 def _pd_records(events, rngs, afe: AfeConfig) -> list:
-    """Each scan's PD records, in board order, from one AFE pass per block.
+    """The PD records of a block, by scan and then in board order, from one
+    AFE pass: per record (scan, pd, event times, (n, sampled) voltages).
 
     ``events`` holds per PD (pd, beam indices, times, sampled currents,
     per-scan edges), as ``_simulate_block`` builds it. Scan k has one record
@@ -663,9 +762,7 @@ def _pd_records(events, rngs, afe: AfeConfig) -> list:
     generator, covering its records' (event, sampled element) cells in
     board order, then row-major: the cells, in the order, of one draw per
     record, and so the same stream. The gain, noise and rail clamp are
-    ``afe.peak_voltages`` over every cell of the block at once, and the
-    records of each sampled width are the views of one event table, checked
-    once by ``PdSignalRecord.batch``.
+    ``afe.peak_voltages`` over every cell of the block at once.
     """
     parts, sizes = [], []  # per record (scan, pd, event times, sampled currents); cells per scan
     for k in range(len(rngs)):
@@ -676,9 +773,8 @@ def _pd_records(events, rngs, afe: AfeConfig) -> list:
                 parts.append((k, pd, times[a:b], currents[a:b]))
                 n += currents[a:b].size
         sizes.append(n)
-    records = [[] for _ in rngs]
     if not parts:
-        return records
+        return []
     noise = None
     if afe.voltage_noise_sigma > 0:
         noise = np.concatenate(
@@ -687,22 +783,7 @@ def _pd_records(events, rngs, afe: AfeConfig) -> list:
     currents = np.concatenate([c.ravel() for *_, c in parts])
     volts = peak_voltages(currents, afe.tia, afe.pulse_width, noise)
     cells = np.cumsum([0, *(c.size for *_, c in parts)]).tolist()
-    widths = {}  # sampled width -> its records' places in parts
-    for i, (*_, c) in enumerate(parts):
-        widths.setdefault(c.shape[1], []).append(i)
-    made = [None] * len(parts)
-    for width, members in widths.items():
-        pds = [parts[i][1] for i in members]
-        batch = PdSignalRecord.batch(
-            [pd.pd_id for pd in pds],
-            [tuple(pd.sampled_channels) for pd in pds],
-            [afe.noise_floor] * len(members),
-            np.cumsum([0, *(len(parts[i][2]) for i in members)]),
-            np.concatenate([parts[i][2] for i in members]),
-            np.concatenate([volts[cells[i]:cells[i + 1]] for i in members]).reshape(-1, width),
-        )
-        for i, record in zip(members, batch):
-            made[i] = record
-    for (k, *_), record in zip(parts, made):
-        records[k].append(record)
-    return records
+    return [
+        (k, pd, times, volts[cells[i]:cells[i + 1]].reshape(c.shape))
+        for i, (k, pd, times, c) in enumerate(parts)
+    ]

@@ -23,6 +23,7 @@ its own f-string, and the Cartesian-to-polar inverse checks the library's
 forward conversion.
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -914,3 +915,18 @@ def calibrate_frames_by_stage(frames, scene):
         correspondences=corr[joint_rows],
         p_o=p_o[joint_rows],
     )
+
+
+def bits(x):
+    """``x`` with every float and array as its bytes, for bit-for-bit comparison."""
+    if dataclasses.is_dataclass(x):
+        return {f.name: bits(getattr(x, f.name)) for f in dataclasses.fields(x)}
+    if isinstance(x, dict):
+        return {k: bits(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [bits(v) for v in x]
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if isinstance(x, float):
+        return x.hex()
+    return x

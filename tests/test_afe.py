@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pdcalib.afe import (
+    EventGroup,
+    EventTable,
     PdSignalRecord,
     TiaParams,
     currents_to_record,
@@ -158,8 +160,18 @@ class TestCurrentsToRecord:
         with refused("PD 'p': noise floor"):
             PdSignalRecord("p", np.zeros((0, 1)), np.zeros(0), (0,), noise_floor=value)
         with refused("PD 'p': noise floor"):
-            PdSignalRecord.batch(["p"], [(0,)], [value], [0, 0], np.zeros(0), np.zeros((0, 1)))
+            _checked_records(["p"], [(0,)], [value], [0, 0], np.zeros(0), np.zeros((0, 1)))
         assert PdSignalRecord("p", np.zeros((0, 2)), np.zeros(0), (0, 5)).n_events == 0
+
+
+def _checked_records(pd_ids, channels, floors, bounds, times, volts) -> list:
+    """The records of a one-frame, one-group ``EventTable``, checked first."""
+    table = EventTable(
+        np.zeros(len(pd_ids), dtype=np.intp), list(pd_ids), list(channels), np.asarray(floors, dtype=float),
+        (EventGroup(np.arange(len(pd_ids)), np.asarray(bounds), times, volts),),
+    )
+    table.check()
+    return table.records()
 
 
 def _mostly(good, bad):
@@ -169,8 +181,8 @@ def _mostly(good, bad):
 
 @st.composite
 def _event_table(draw):
-    """The arguments of ``PdSignalRecord.batch`` for 1 to 4 records of 0 to
-    3 events each, whose values may break a record rule."""
+    """The arguments of ``_checked_records`` for 1 to 4 records of 0 to 3
+    events each, whose values may break a record rule."""
     m = draw(st.integers(1, 3))
     sizes = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
     n = sum(sizes)
@@ -210,17 +222,17 @@ class TestRecordBatch:
                 for r, (pd_id, a, b) in enumerate(zip(pd_ids, bounds, bounds[1:]))
             ]
 
-        assert _records_or_error(lambda: PdSignalRecord.batch(*table)) == _records_or_error(one_by_one)
+        assert _records_or_error(lambda: _checked_records(*table)) == _records_or_error(one_by_one)
 
     def test_records_are_views_of_the_table(self):
         volts, times = np.arange(6.0).reshape(3, 2), np.zeros(3)
-        a, b = PdSignalRecord.batch(["a", "b"], [(0, 5), (0, 5)], [0.1, 0.1], [0, 1, 3], times, volts)
+        a, b = _checked_records(["a", "b"], [(0, 5), (0, 5)], [0.1, 0.1], [0, 1, 3], times, volts)
         assert np.shares_memory(a.element_voltages, volts) and np.shares_memory(b.sample_times, times)
         assert b.element_voltages.tolist() == [[2.0, 3.0], [4.0, 5.0]]
 
     def test_one_time_per_event_required(self):
         with pytest.raises(ValueError, match="^one sample time per beam event required$"):
-            PdSignalRecord.batch(["a"], [(0,)], [0.1], [0, 2], np.zeros(1), np.ones((2, 1)))
+            _checked_records(["a"], [(0,)], [0.1], [0, 2], np.zeros(1), np.ones((2, 1)))
 
 
 class TestPeakVoltages:

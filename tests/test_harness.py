@@ -317,6 +317,15 @@ class TestCli:
         assert f"{flag} sets up simulated scans and cannot be used with --frames" in err
         assert not (tmp_path / "cal").exists()
 
+    def test_frame_file_with_no_frames_exit_code_1(self, tmp_path, capsys):
+        # a file of the magic line alone is an input error, as a sweep
+        # points CSV without points is, not a pipeline failure
+        empty = tmp_path / "f.csv"
+        empty.write_text("pdcalib-scanframe,v=1\n")
+        assert cli.main(["calibrate", "--frames", str(empty), "--out", str(tmp_path / "cal")]) == 1
+        assert capsys.readouterr().err == f"error: {empty} holds no scan frames\n"
+        assert not (tmp_path / "cal").exists()
+
     def test_malformed_frames_exit_code_1(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("pdcalib-scanframe,v=1\nbeam,0,oops\n")

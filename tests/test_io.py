@@ -12,14 +12,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import frames_to_text_reference, read_frames_reference
+from oracles import bits, frames_to_text_reference, read_frames_reference
 from pdcalib import io
-from pdcalib.afe import PdSignalRecord, TiaParams
+from pdcalib.afe import EventTable, PdSignalRecord, TiaParams
 from pdcalib.bench import DEFAULT_BASE_POSE, Scene, make_bench_scene
 from pdcalib.geometry import DEG, Pose6DOF
 from pdcalib.harness import POINT_FIELDS, simulate_point
 from pdcalib.io import FrameParseError, frames_to_text, read_frames, write_frames
-from pdcalib.scene import BEAM_DTYPE, AfeConfig, BoardModel, LidarModel, PdPlacement, ScanFrame, simulate_scan
+from pdcalib.pipeline import calibrate_frames
+from pdcalib.scene import (
+    BEAM_DTYPE, AfeConfig, BoardModel, FrameBatch, LidarModel, PdPlacement, ScanFrame, simulate_scan,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -842,7 +845,7 @@ class TestFrameSerialization:
     def test_magic_only_file_has_no_frames(self, tmp_path):
         path = tmp_path / "f.csv"
         path.write_text(io.FRAME_MAGIC + "\n# beam," + ",".join(io.BEAM_FIELDS) + "\n")
-        assert read_frames(path) == []
+        assert list(read_frames(path)) == []
 
     @pytest.mark.filterwarnings("error")
     def test_pd_only_file_rejected(self, tmp_path):
@@ -981,6 +984,113 @@ class TestFrameText:
         assert "\nh\u00e9_tl,".encode("utf-8") in (out / "correspondences.csv").read_bytes()
         assert io.load_scene(out / "scene.json").board.pd_modules[0].pd_id == "h\u00e9_tl"
         assert "Accuracy" in (out / "report.txt").read_text(encoding="utf-8")
+
+
+def _mostly(good, bad):
+    """A value of ``good`` four times in five, else one of ``bad``."""
+    return st.integers(0, 4 * len(good) + len(bad) - 1).map(lambda k: [*good * 4, *bad][k])
+
+
+@st.composite
+def _checked_batch(draw):
+    """A batch of 1 to 3 frames as its raw tables, and the frames' rows and
+    records one by one: 1 to 4 returns per frame and 0 to 3 records, whose
+    values may break a return or record rule (a repeated cell, a range not
+    above 0, an elevation off +-90 deg, a non-finite reflectivity; channels
+    not increasing from 0, a voltage count unlike the channel count, a
+    non-finite time or floor, a voltage off the rails). Azimuths may lie
+    outside [0, 2 pi), to wrap."""
+    frames, records = [], []
+    faulty = draw(st.booleans())  # whether the returns may break a rule; the records may in any case
+    for k in range(draw(st.integers(1, 3))):
+        cell = st.tuples(st.integers(0, 2), st.integers(0, 3))
+        cells = draw(st.lists(cell, min_size=1, max_size=4, unique=not faulty))
+        rows = [
+            (
+                draw(_mostly([0.1, -0.2], [2.0] if faulty else [])),
+                draw(st.sampled_from([0.5, -0.5, 7.0])),
+                draw(_mostly([2.0, 3.5], [-1.0, math.nan] if faulty else [])),
+                channel,
+                azimuth_index,
+                draw(_mostly([10.0, 80.0], [math.inf] if faulty else [])),
+            )
+            for channel, azimuth_index in cells
+        ]
+        frames.append(rows)
+        for _ in range(draw(st.integers(0, 3))):
+            m, n = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+            right = tuple(range(0, 5 * m, 5))
+            records.append((
+                k, f"p{len(records)}", draw(_mostly([right], [right + (99,), right[::-1], ()])),
+                draw(_mostly([0.1], [math.nan])),
+                np.array([draw(_mostly([0.0, 1e-3], [math.inf])) for _ in range(n)]),
+                np.array([draw(_mostly([0.0, 1.0, 10.0], [-0.5, 10.5, math.nan])) for _ in range(n * m)]).reshape(n, m),
+            ))
+    return frames, records
+
+
+def _batch_or_error(build):
+    try:
+        frames = list(build())
+    except ValueError as exc:
+        return str(exc)
+    return _frame_bits(frames)
+
+
+class TestFrameBatch:
+    """A list of frames becomes a batch once, and the batch's tables give
+    what the frames give: the same checks, text and calibration."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_checked_batch())
+    def test_batch_checks_as_frames_and_records_one_by_one(self, case):
+        """The batch's frames, or the error of the first bad return (frames
+        in order, a frame's returns in cell order), or else of the first bad
+        record, as ``ScanFrame`` and ``PdSignalRecord`` raise them."""
+        frames, records = case
+        scan_ids = [10 + k for k in range(len(frames))]
+
+        def one_by_one():
+            beams = [ScanFrame(scan_id, rows, []).beams for scan_id, rows in zip(scan_ids, frames)]
+            made = [
+                (k, PdSignalRecord(pd_id, volts, times, channels, floor))
+                for k, pd_id, channels, floor, times, volts in records
+            ]
+            by_frame = [[r for j, r in made if j == k] for k in range(len(frames))]
+            return [ScanFrame(scan_id, b, mine) for scan_id, b, mine in zip(scan_ids, beams, by_frame)]
+
+        def batch():
+            table = np.array(
+                [row for rows in frames for row in sorted(rows, key=lambda row: row[3:5])], dtype=BEAM_DTYPE
+            )
+            bounds = np.cumsum([0, *(len(rows) for rows in frames)])
+            columns = [list(column) for column in zip(*records)] or [[]] * 6
+            return FrameBatch(scan_ids, table, bounds, EventTable.of_records(*columns))
+
+        assert _batch_or_error(batch) == _batch_or_error(one_by_one)
+
+    def test_one_conversion_gives_one_result(self, tmp_path):
+        """A batch read from a file, the list of its frames and the batch
+        read from the file with its body reversed calibrate bit for bit
+        alike; the reversed file reads into the same tables, and the batch
+        and its list write the same text."""
+        scene = make_bench_scene("all")
+        path, reversed_path = tmp_path / "frames.csv", tmp_path / "reversed.csv"
+        write_frames(simulate_point(scene, scene.base_pose, 12, 5, with_truth=False), path)
+        magic, *body = path.read_text().splitlines()
+        reversed_path.write_text("\n".join([magic, *reversed(body)]) + "\n")
+        batch, back = read_frames(path), read_frames(reversed_path)
+        assert back.scan_ids == batch.scan_ids and back.bounds == batch.bounds
+        assert back.beams.tobytes() == batch.beams.tobytes()
+        assert _frame_bits(back) == _frame_bits(batch)
+        assert frames_to_text(batch) == frames_to_text(list(batch)) == path.read_text()
+        results = [_result_bits(calibrate_frames(frames, scene)) for frames in (batch, list(batch), back)]
+        assert results[0] == results[1] == results[2]
+
+
+def _result_bits(result) -> dict:
+    """A ``BatchResult`` as bytes and hex floats, all but its stage times."""
+    return {name: value for name, value in bits(result).items() if name != "timings"}
 
 
 class TestDumps:

@@ -10,13 +10,14 @@ from scipy.special import ndtr
 
 from oracles import element_currents_scalar, simulate_scan_reference
 from pdcalib import io, scene
-from pdcalib.afe import PdSignalRecord
+from pdcalib.afe import EventTable, PdSignalRecord
 from pdcalib.bench import DEFAULT_BASE_POSE, make_bench_scene
 from pdcalib.geometry import PolarBeam, Pose6DOF, polar_to_cartesian_array, pose_to_matrix, transform_array
 from pdcalib.io import frames_to_text, read_frames
 from pdcalib.scene import (
     AfeConfig,
     BoardModel,
+    FrameBatch,
     LidarModel,
     PdPlacement,
     ScanFrame,
@@ -130,15 +131,31 @@ class TestModels:
             [row for rows in frames for row in sorted(rows, key=lambda row: row[3:5])], dtype=scene.BEAM_DTYPE
         )
         bounds = np.cumsum([0] + [len(rows) for rows in frames])
+        no_events = EventTable.of_records([], [], [], [], [], [])
         if fault is None:
-            batch = ScanFrame.batch(scan_ids, table, bounds, [[], [], []])
+            batch = FrameBatch(scan_ids, table, bounds, no_events)
             assert [f.beams.tobytes() for f in batch] == [b.tobytes() for b in alone]
             assert all(f.beams.base is table for f in batch)
         else:
             assert "scan 11" in alone
             with pytest.raises(ValueError) as err:
-                ScanFrame.batch(scan_ids, table, bounds, [[], [], []])
+                FrameBatch(scan_ids, table, bounds, no_events)
             assert str(err.value) == alone
+
+    def test_batch_refuses_rows_or_records_out_of_order(self):
+        # the batch's tables come in (frame, channel, azimuth_index) order and
+        # its records by frame; an empty frame 0 shifts nothing
+        rows = [(0.1, 0.2, 2.0, 0, 1, 5.0), (0.1, 0.2, 2.0, 1, 0, 5.0), (0.1, 0.2, 2.0, 0, 3, 5.0)]
+        table = np.array(rows, dtype=scene.BEAM_DTYPE)
+        no_events = EventTable.of_records([], [], [], [], [], [])
+        with pytest.raises(ValueError, match=r"^scan 9: beams not in \(channel, azimuth_index\) order$"):
+            FrameBatch([7, 8, 9], table.copy(), [0, 0, 1, 3], no_events)
+        assert len(FrameBatch([7, 8, 9], table.copy(), [0, 0, 2, 3], no_events)) == 3
+        record = ([0.0], np.ones((1, 1)))
+        for frames in ([1, 0], [0, 3]):
+            events = EventTable.of_records(frames, ["a", "b"], [(0,), (0,)], [0.1, 0.1], *zip(record, record))
+            with pytest.raises(ValueError, match="^PD records must come by frame, each in a frame of the batch$"):
+                FrameBatch([7, 8, 9], table.copy(), [0, 0, 2, 3], events)
 
     def test_beams_held_in_cell_order(self):
         rows = [(0.1, 0.2, 2.0, 1, 3, 5.0), (0.1, 0.1, 2.0, 0, 9, 6.0), (0.1, 0.3, 2.0, 1, -2, 7.0),
@@ -600,7 +617,7 @@ class TestSimulateScansOracle:
 
     def test_arguments(self):
         kw = CASES["horizontal"]()
-        assert simulate_scans(seeds=[], scan_ids=[], **kw) == []
+        assert list(simulate_scans(seeds=[], scan_ids=[], **kw)) == []
         with pytest.raises(ValueError, match="2 seeds for 1 scan ids"):
             simulate_scans(seeds=[1, 2], scan_ids=[0], **kw)
 
