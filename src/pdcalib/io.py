@@ -443,7 +443,7 @@ def _beam_records(path, text, lines, rows):
     else:
         order = np.arange(len(raw))
     for field, column, divisor in _BEAM_COLUMNS:
-        beams[column] = raw[field] * divisor if divisor != 1 else raw[field]
+        beams[column] = raw[field] * divisor
     faults = return_faults(*(beams[name] for name in RETURN_VALUES))
     repeats = repeated_returns(scan, beams["channel"], beams["azimuth_index"])
     bad = [len(raw)] if refused is not None else []  # the first row that breaks each rule

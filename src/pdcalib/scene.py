@@ -524,12 +524,13 @@ def simulate_scans(
     rot, t = m[:, :3], m[:, 3]
     j = _azimuth_window(board, lidar, rot, t)
     # the returns come by scan, then channel, then azimuth (see _cast_rays),
-    # each block's written into one table as it is made, so that no second
-    # copy of the table is ever held: when a block does not fit, the table
-    # grows in place to hold every scan at the mean count so far, and a
-    # tenth more; the rows never written, whose pages are never touched, are
-    # cut off in place once no view of the table exists
-    beams, bounds, truths, records = np.empty(0, dtype=BEAM_DTYPE), [0], [], []
+    # and each block's are written into one table as they are made, so that
+    # no second copy of the table is ever held. The table has a row for every
+    # ray of the grid, the most the scans can return (one per cell); the rows
+    # never written, whose pages are never touched, are cut off in place at
+    # the end
+    beams = np.empty(len(seeds) * len(lidar.vertical_angles) * len(j), dtype=BEAM_DTYPE)
+    bounds, truths, records = [0], [], []
     for lo in range(0, len(seeds), _SCANS_PER_PASS):
         hi = lo + _SCANS_PER_PASS
         columns, counts, block_truths, block_records = _simulate_block(
@@ -537,8 +538,6 @@ def simulate_scans(
         )
         start = bounds[-1]
         bounds.extend((start + np.cumsum(counts)).tolist())
-        if bounds[-1] > len(beams):
-            beams.resize(int(1.1 * bounds[-1] * len(seeds) / (lo + len(counts))) + 1, refcheck=False)
         for name, values in zip(BEAM_DTYPE.names, columns):
             beams[name][start:bounds[-1]] = values
         truths += block_truths
