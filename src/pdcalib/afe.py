@@ -5,7 +5,9 @@ The trans-impedance amplifier is modeled as the first-order system
 through the noise gain (one zero, one pole) and the quality factor derived
 from the loop phase margin; the default part values give Q ~ 0.47, i.e. an
 overdamped, non-oscillating response. A batch's PD records are one
-``EventTable``, whose ``PdSignalRecord``s are views built on demand.
+``EventTable``, which the simulator, the reader and hand-built frames all
+build by one rule (``EventTable.of_events``), and whose
+``PdSignalRecord``s are views built on demand.
 """
 
 from __future__ import annotations
@@ -134,9 +136,9 @@ class EventTable:
     Record r is PD ``pd_ids[r]``'s record of the batch's frame ``frames[r]``,
     with the sampled channels ``channels[r]`` and the noise floor
     ``floors[r]``; records come by frame (``frames`` ascends), each frame's
-    in its own order. Their events are grouped by sample width, one
-    ``EventGroup`` per distinct width in ``groups``. ``check`` holds the
-    record rules; nothing else checks them.
+    in its own order, which ``of_events`` sets. Their events are grouped by
+    sample width, one ``EventGroup`` per distinct width in ``groups``.
+    ``check`` holds the record rules; nothing else checks them.
     """
 
     frames: np.ndarray   # (n_records,) intp
@@ -146,33 +148,51 @@ class EventTable:
     groups: tuple        # EventGroup per sample width
 
     @classmethod
-    def of_records(cls, frames, pd_ids, channels, floors, times, volts) -> EventTable:
-        """The table of records given one by one: record r is as in the
-        class docstring, with the (n_r,) event ``times[r]`` and the (n_r, m_r)
-        ``volts[r]``; a record of width m_r joins that width's group."""
-        widths: dict = {}  # sample width -> its records
-        for r, v in enumerate(volts):
-            widths.setdefault(np.shape(v)[1], []).append(r)
-        groups = tuple(
-            EventGroup(
-                np.array(members, dtype=np.intp),
-                np.cumsum([0, *(len(times[r]) for r in members)]),
-                np.concatenate([np.asarray(times[r], dtype=float) for r in members]),
-                np.concatenate([np.asarray(volts[r], dtype=float) for r in members]),
-            )
-            for members in widths.values()
-        )
-        return cls(np.asarray(frames, dtype=np.intp), list(pd_ids), list(channels), np.asarray(floors, dtype=float),
-                   groups)
+    def of_events(cls, parts, pd_ids) -> EventTable:
+        """The table of the events ``parts``: the one rule by which the
+        simulator, the reader and ``FrameBatch.of_frames`` build one.
 
-    def check(self):
+        A part is one sample width's event columns (frames, keys, times,
+        volts, channels, floors): per event its frame, its record key (an
+        index into ``pd_ids``), its time, its row of the (n, m) ``volts``, its
+        sampled channels and its noise floor. A record is the events of one
+        (frame, key), all of one width; records come by frame and then by
+        key. A record's events come by time, events at one time in the order
+        given, and it takes its channels and floor from its first event as
+        given. Each distinct width, in the order of its first record, is one
+        group."""
+        frame, key, time, floor = (
+            np.concatenate([np.zeros(0, dtype), *(np.asarray(part[i], dtype) for part in parts)])
+            for i, dtype in ((0, np.intp), (1, np.intp), (2, float), (5, float))
+        )
+        width = np.concatenate([np.zeros(0, np.intp), *(np.full(len(part[2]), np.shape(part[3])[1]) for part in parts)])
+        record = frame * len(pd_ids) + key  # in (frame, key) order, as keys index pd_ids
+        order = np.lexsort((time, record))
+        _, starts, sizes = np.unique(record[order], return_index=True, return_counts=True)
+        first = np.minimum.reduceat(order, starts)  # each record's first event as given
+        channels = [c for part in parts for c in part[4]]
+        widths, at = np.unique(width[first], return_index=True)
+        groups = []
+        for w in widths[np.argsort(at)].tolist():
+            mine, records = width == w, np.flatnonzero(width[first] == w)
+            events = order[mine[order]]  # the width's events in record order
+            volts = np.concatenate([np.asarray(part[3], float) for part in parts if np.shape(part[3])[1] == w])
+            groups.append(EventGroup(records, np.r_[0, np.cumsum(sizes[records])], time[events],
+                                     volts[(np.cumsum(mine) - 1)[events]]))
+        return cls(frame[first], [pd_ids[k] for k in key[first].tolist()], [channels[i] for i in first.tolist()],
+                   floor[first], tuple(groups))
+
+    def check(self, scan_ids):
         """Check the record rules once on the whole table: per group one
         ``event_faults`` pass and one ``element_indices`` call per distinct
-        channel tuple.
+        channel tuple; ``scan_ids[k]`` is the scan id of frame k.
 
         Raises the ValueError that ``PdSignalRecord(...)`` raises for the
         first record that breaks a rule, and "one sample time per beam event
         required" for a group with more or fewer times than voltage rows.
+        Else raises ValueError naming the scan and the PD of the first record
+        whose PD has an earlier record in its frame: a frame holds one record
+        per PD.
         """
         increasing = {channels: element_indices(channels) for channels in set(self.channels)}
         bad = [r for r, channels in enumerate(self.channels) if not increasing[channels]][:1]
@@ -189,6 +209,11 @@ class EventTable:
             r = min(bad)
             times, volts = self.views()[r]
             PdSignalRecord(self.pd_ids[r], volts, times, self.channels[r], float(self.floors[r]))
+        held = set()
+        for k, pd_id in zip(self.frames.tolist(), self.pd_ids):
+            if (k, pd_id) in held:
+                raise ValueError(f"scan {scan_ids[k]}: PD {pd_id!r} has more than one record")
+            held.add((k, pd_id))
 
     def frame_bounds(self, n_frames: int) -> list:
         """Where each frame's records lie: frame k's are ``bounds[k]:bounds[k + 1]``."""

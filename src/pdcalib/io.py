@@ -12,9 +12,12 @@ A file holds one batch of scans, a ``scene.FrameBatch``. The writer
 formats the batch's tables, beams by (channel, azimuth index) and PD
 events by (pd_id, time), so a frame always serializes byte-identically;
 the reader takes rows in any order, scans, PDs and row kinds mixed, and
-builds the batch straight from its column tables, sorting the beam rows
-only when they are out of order. Angles are stored in degrees at this
-boundary; everything in memory is radians.
+builds the batch straight from its column tables: the beams, sorted only
+when their rows are out of order, and the PD events by
+``afe.EventTable.of_events``, the rule the simulator and
+``FrameBatch.of_frames`` follow too, so a batch of frames is the batch its
+file reads back as. Angles are stored in degrees at this boundary;
+everything in memory is radians.
 
 Both row kinds are parsed by numpy's text reader under one rule: numbers are
 plain ASCII decimals as Python's ``repr`` writes them, and a row holding
@@ -37,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .afe import EventGroup, EventTable, TiaParams, element_indices, event_faults
+from .afe import EventTable, TiaParams, element_indices, event_faults
 from .bench import Scene
 from .geometry import DEG, MM, RETURN_VALUES, Pose6DOF, return_fault, return_faults
 from .harness import POINT_FIELDS, POINT_FLOORS, SweepSpec, point_faults
@@ -507,9 +510,11 @@ def _run_firsts(order, starts) -> np.ndarray:
 
 def _pd_columns(path, rows):
     """The PD rows ``rows``, (line_no, row) in file order, read as columns:
-    their ``_event_table`` tables and their scan ids in file order, and
-    the error for the first malformed row; (None, None, error) when there is
-    one, else (tables, scan ids, None).
+    their ``EventTable.of_events`` parts, one per voltage count with scan ids
+    for frames and each row's code in the sorted pd_ids as its key, those
+    pd_ids, their scan ids in file order, and the error for the first
+    malformed row; (None, None, None, error) when there is one, else
+    (parts, pd_ids, scan ids, None).
 
     Each group of rows with one voltage count is parsed by numpy's reader in
     one call, and each distinct sampled-channel text once. When the reader
@@ -595,10 +600,11 @@ def _pd_columns(path, rows):
             path, rows[i][0], "sampled_channels",
             f"{parts[i][6]!r} is not a strictly increasing list of element indices from 0 up",
         )))
+    ids = sorted({p[1] for p in parts[:cut]})
+    pd_code = {pd_id: k for k, pd_id in enumerate(ids)}
+    pd = np.array([pd_code[p[1]] for p in parts[:cut]], dtype=int)
     if cut:
-        pd_code = {pd_id: k for k, pd_id in enumerate({p[1] for p in parts[:cut]})}
         channel_code = {channel_list: k for k, channel_list in enumerate(set(channels.values()))}
-        pd = np.array([pd_code[p[1]] for p in parts[:cut]], dtype=int)
         channel = np.array([channel_code[channels[p[6]]] for p in parts[:cut]], dtype=int)
         order = np.lexsort((event, pd, scan))
         s, q, e = scan[order], pd[order], event[order]
@@ -627,50 +633,13 @@ def _pd_columns(path, rows):
                 f"in earlier rows of PD {parts[i][1]!r}, scan {scan[i]}",
             )))
     if found:
-        return None, None, min(found, key=lambda item: item[:2])[2]
+        return None, None, None, min(found, key=lambda item: item[:2])[2]
     tables = [
-        ([parts[i][1] for i in group], table["scan_id"], table["time_s"], table["noise_floor_v"],
-         [channels[parts[i][6]] for i in group], table["volts"])
+        (table["scan_id"], pd[group], table["time_s"], table["volts"], [channels[parts[i][6]] for i in group],
+         table["noise_floor_v"])
         for group, _, table in loaded
     ]
-    return tables, scan, None
-
-
-def _event_table(tables, scan_ids) -> EventTable:
-    """The accepted PD rows as the event table of the frames of ``scan_ids``
-    (ascending): a record per (scan, PD), by scan and then pd_id, its events
-    by time.
-
-    ``tables`` hold the rows, one table per voltage count, each as (pd_ids,
-    scan_ids, times, noise floors, sampled channels, voltages) in file
-    order; a (scan, PD) record's rows lie in one table, which is that
-    width's ``EventGroup``. A record takes its sampled channels and noise
-    floor from its first row, and events at one time keep their file order.
-    """
-    ids = sorted({pd_id for table in tables for pd_id in table[0]})
-    code = {pd_id: k for k, pd_id in enumerate(ids)}
-    parts = []  # per table: its records' scans, pd codes and first rows, and its group's event bounds
-    groups = []
-    for pd_ids, scans, times, floors, channels, volts in tables:
-        pd = np.array([code[pd_id] for pd_id in pd_ids])
-        order = np.lexsort((times, pd, scans))
-        scan, pd = scans[order], pd[order]
-        starts = np.flatnonzero(np.r_[True, (scan[1:] != scan[:-1]) | (pd[1:] != pd[:-1])])
-        first = np.minimum.reduceat(order, starts)  # each record's first row in the file
-        parts.append((scan[starts], pd[starts], first))
-        groups.append((np.r_[starts, len(order)], times[order], volts[order]))
-    scan, pd = (np.concatenate([np.zeros(0, dtype=int), *(part[i] for part in parts)]) for i in (0, 1))
-    order = np.lexsort((pd, scan))  # the records by scan and then pd_id
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    lo = np.cumsum([0, *(len(part[0]) for part in parts)])  # table t's records are lo[t]:lo[t + 1]
-    channels = [tables[t][4][f] for t, (_, _, first) in enumerate(parts) for f in first.tolist()]
-    floors = np.concatenate([np.zeros(0), *(tables[t][3][first] for t, (_, _, first) in enumerate(parts))])
-    return EventTable(
-        np.searchsorted(scan_ids, scan[order]), [ids[k] for k in pd[order].tolist()],
-        [channels[r] for r in order.tolist()], floors[order],
-        tuple(EventGroup(rank[lo[t]:lo[t + 1]], *group) for t, group in enumerate(groups)),
-    )
+    return tables, ids, scan, None
 
 
 def read_frames(path) -> FrameBatch:
@@ -709,7 +678,7 @@ def read_frames(path) -> FrameBatch:
         elif unknown is None and row and not row.startswith("#"):
             unknown = FrameParseError(path, line_no, "record", f"unknown record type {row.partition(',')[0]!r}")
     beam_table, beam_error = _beam_records(path, text, lines, beam_rows)
-    tables, pd_scans, pd_error = _pd_columns(path, pd_rows)
+    tables, pd_ids, pd_scans, pd_error = _pd_columns(path, pd_rows)
     errors = [error for error in (beam_error, pd_error, unknown, not_utf8) if error is not None]
     if errors:
         raise min(errors, key=lambda error: error.line_no)
@@ -719,7 +688,8 @@ def read_frames(path) -> FrameBatch:
         raise FrameParseError(
             path, pd_rows[k][0], "scan_id", f"PD row of scan {pd_scans[k]}, which has no beam rows"
         )
-    return FrameBatch.trusted(scan_ids, beams, bounds, _event_table(tables, scan_ids))
+    events = EventTable.of_events([(np.searchsorted(scan_ids, scans), *rest) for scans, *rest in tables], pd_ids)
+    return FrameBatch.trusted(scan_ids, beams, bounds, events)
 
 
 def read_sweep_points(path) -> np.ndarray:

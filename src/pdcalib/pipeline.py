@@ -162,9 +162,9 @@ def extract_frame_features(batch: FrameBatch, table, scan, plane: preprocess.Pla
     each row (from ``preprocess.segment_frames``); ``plane`` is the board
     plane the key beams are slid onto. Each (scan, PD) keeps as its key beam
     the joined beam with the highest reflectivity among its usable fits, and
-    that event's center. A frame's last record for a PD wins; a record of a
-    PD not on the board is ignored. A record that samples an element its
-    module lacks raises ValueError naming its scan and PD.
+    that event's center. A record of a PD not on the board is ignored. A
+    record that samples an element its module lacks raises ValueError naming
+    its scan and PD.
 
     Fit rows are independent, so only the events that can be key beams are
     fit: first each (scan, PD)'s first event in key order (highest level,
@@ -187,17 +187,17 @@ def extract_frame_features(batch: FrameBatch, table, scan, plane: preprocess.Pla
     n_pds = len(pds)
     with _stage(timings, "association"):
         index = {pd.pd_id: p for p, pd in enumerate(pds)}
-        latest = {(k, index[pd_id]): r for r, (k, pd_id) in enumerate(zip(ev.frames.tolist(), ev.pd_ids))
-                  if pd_id in index}
-        for (k, p), r in latest.items():
+        record_cell = np.full(len(ev.pd_ids), -1, dtype=np.intp)  # a (scan, PD) cell is scan * n_pds + PD
+        on_board = [(r, k, index[pd_id]) for r, (k, pd_id) in enumerate(zip(ev.frames.tolist(), ev.pd_ids))
+                    if pd_id in index]
+        for r, k, p in on_board:
             lacking = [c for c in ev.channels[r] if not 0 <= c < pds[p].n_elements]
             if lacking:
                 raise ValueError(
                     f"scan {batch.scan_ids[k]}: PD {pds[p].pd_id!r} samples element(s) {lacking}, "
                     f"which its module of {pds[p].n_elements} elements lacks"
                 )
-        record_cell = np.full(len(ev.pd_ids), -1, dtype=np.intp)  # a (scan, PD) cell is scan * n_pds + PD
-        record_cell[list(latest.values())] = [k * n_pds + p for k, p in latest]
+            record_cell[r] = k * n_pds + p
         # the events of the kept records, one sample-width group after another:
         # per group its kept records, their event counts and the mask of their events
         groups = []

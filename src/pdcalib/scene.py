@@ -10,9 +10,10 @@ photodetector module also produce per-element photocurrents that are run
 through the analog front end into sampled voltage records.
 
 A simulation returns one ``FrameBatch``: its returns in one table, its PD
-records in one ``afe.EventTable``, checked once; its ``ScanFrame``s are
-views of those tables. Everything is a pure function of (models, pose,
-seed): equal seeds give bit-identical frames.
+events in one ``afe.EventTable``, built from each module's event columns by
+``EventTable.of_events``, the reader's rule, and checked once; its
+``ScanFrame``s are views of those tables. Everything is a pure function of
+(models, pose, seed): equal seeds give bit-identical frames.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# currents_to_record, the one-record form of _pd_records' AFE pass, stays a
-# name of this module: perfbench traces the simulator's AFE calls by it
+# currents_to_record, one (scan, PD) record's share of _pd_records' AFE pass
+# over a block's event columns, stays a name of this module: perfbench traces
+# the simulator's AFE calls by it
 from .afe import EventTable, TiaParams, currents_to_record, element_indices, peak_voltages  # noqa: F401
 from .geometry import DEG, RETURN_VALUES, TWO_PI, Pose6DOF, pose_to_matrix, return_fault, return_faults
 
@@ -360,7 +362,7 @@ class FrameBatch(Sequence):
         if np.any(frames[1:] < frames[:-1]) or np.any((frames < 0) | (frames >= len(self))):
             raise ValueError("PD records must come by frame, each in a frame of the batch")
         check_returns(beams, self.bounds, self.scan_ids)
-        events.check()
+        events.check(self.scan_ids)
 
     def _set(self, scan_ids, beams, bounds, events, truths):
         self.scan_ids, self.beams, self.bounds = list(scan_ids), beams, [int(b) for b in bounds]
@@ -378,14 +380,18 @@ class FrameBatch(Sequence):
     def of_frames(cls, frames) -> FrameBatch:
         """``frames`` itself when it is a batch, else the checked batch of
         the list of ``ScanFrame``s, its beams and records copied into one
-        table each."""
+        table each: the batch its frame file reads back as. Each record has
+        its own key, so a frame's records come by pd_id, and two of one PD
+        are refused; a record's events come by time, and a record with no
+        events is dropped."""
         if isinstance(frames, cls):
             return frames
-        records = [(k, r) for k, f in enumerate(frames) for r in f.pd_records]
-        events = EventTable.of_records(
-            [k for k, _ in records], [r.pd_id for _, r in records], [r.sampled_channels for _, r in records],
-            [r.noise_floor for _, r in records], [r.sample_times for _, r in records],
-            [r.element_voltages for _, r in records],
+        records = [(k, r) for k, f in enumerate(frames) for r in sorted(f.pd_records, key=lambda r: r.pd_id)]
+        events = EventTable.of_events(
+            [(np.full(r.n_events, k), np.full(r.n_events, key), r.sample_times, r.element_voltages,
+              [r.sampled_channels] * r.n_events, np.full(r.n_events, r.noise_floor, dtype=float))
+             for key, (k, r) in enumerate(records)],
+            [r.pd_id for _, r in records],
         )
         beams = np.concatenate([np.empty(0, BEAM_DTYPE), *(f.beams for f in frames)])
         bounds = np.cumsum([0, *(len(f.beams) for f in frames)])
@@ -530,10 +536,10 @@ def simulate_scans(
     # never written, whose pages are never touched, are cut off in place at
     # the end
     beams = np.empty(len(seeds) * len(lidar.vertical_angles) * len(j), dtype=BEAM_DTYPE)
-    bounds, truths, records = [0], [], []
+    bounds, truths, parts = [0], [], []
     for lo in range(0, len(seeds), _SCANS_PER_PASS):
         hi = lo + _SCANS_PER_PASS
-        columns, counts, block_truths, block_records = _simulate_block(
+        columns, counts, block_truths, block_parts = _simulate_block(
             board, lidar, rot, t, j, seeds[lo:hi], afe, background_depth, background_reflectivity, with_truth, ndtr,
         )
         start = bounds[-1]
@@ -541,13 +547,9 @@ def simulate_scans(
         for name, values in zip(BEAM_DTYPE.names, columns):
             beams[name][start:bounds[-1]] = values
         truths += block_truths
-        records += [(lo + k, *record) for k, *record in block_records]
+        parts += [(lo + scans, *rest) for scans, *rest in block_parts]
     beams.resize(bounds[-1], refcheck=False)
-    events = EventTable.of_records(
-        [k for k, *_ in records], [pd.pd_id for _, pd, _, _ in records],
-        [tuple(pd.sampled_channels) for _, pd, _, _ in records], [afe.noise_floor] * len(records),
-        [times for *_, times, _ in records], [volts for *_, volts in records],
-    )
+    events = EventTable.of_events(parts, [pd.pd_id for pd in board.pd_modules])
     return FrameBatch(scan_ids, beams, bounds, events, truths if with_truth else None)
 
 
@@ -681,7 +683,7 @@ def _simulate_block(board, lidar, rot, t, j, seeds, afe, background_depth, backg
     """One block of scans at one pose (see ``simulate_scans``): its returns'
     ``BEAM_DTYPE`` columns, by scan, then channel, then azimuth, each scan's
     return count, its truths (none without ``with_truth``) and its PD
-    records (``_pd_records``)."""
+    events (``_pd_records``)."""
     rngs = [np.random.default_rng(seed) for seed in seeds]
     phase = np.array([rng.normal(0.0, lidar.azimuth_jitter_sigma_deg * DEG) for rng in rngs])
     (s_idx, ch_idx, az_idx), alpha, is_board, ranges, points = _cast_rays(
@@ -731,9 +733,7 @@ def _simulate_block(board, lidar, rot, t, j, seeds, afe, background_depth, backg
         order = np.lexsort((times, s_idx[idx]))
         near, idx, times = near[order], idx[order], times[order]
         currents = _element_currents(along[near], cross[near], sigma_b[near], pd, afe.peak_current, ndtr)
-        currents = currents[:, list(pd.sampled_channels)]
-        edges = np.searchsorted(s_idx[idx], np.arange(len(seeds) + 1))
-        events.append((pd, idx, times, currents, edges))
+        events.append((pd, idx, s_idx[idx], times, currents[:, list(pd.sampled_channels)]))
     refl = np.clip(refl + np.concatenate(refl_noise), 0.0, 255.0)
 
     # the BEAM_DTYPE columns, in its order
@@ -742,47 +742,42 @@ def _simulate_block(board, lidar, rot, t, j, seeds, afe, background_depth, backg
     truths = []
     for k in range(len(seeds)) if with_truth else ():
         lo, hi = bounds[k], bounds[k + 1]
-        scan_events = [(pd, idx[edges[k]:edges[k + 1]]) for pd, idx, _, _, edges in events]
         truths.append(SimTruth(
             board_positions=points[lo:hi],
             is_board=is_board[lo:hi],
-            pd_event_beams={pd.pd_id: [int(i - lo) for i in idx] for pd, idx in scan_events},
+            pd_event_beams={pd.pd_id: (idx[scans == k] - lo).tolist() for pd, idx, scans, *_ in events},
         ))
     return columns, counts, truths, _pd_records(events, rngs, afe)
 
 
 def _pd_records(events, rngs, afe: AfeConfig) -> list:
-    """The PD records of a block, by scan and then in board order, from one
-    AFE pass: per record (scan, pd, event times, (n, sampled) voltages).
+    """The PD events of a block from one AFE pass, as ``EventTable.of_events``
+    parts: per PD, in board order, its events' columns (scans in the block,
+    board index as the key, times, (n, sampled) voltages, sampled channels,
+    noise floors).
 
-    ``events`` holds per PD (pd, beam indices, times, sampled currents,
-    per-scan edges), as ``_simulate_block`` builds it. Scan k has one record
-    per PD with events in it. Its voltage noise is one normal draw from its
-    generator, covering its records' (event, sampled element) cells in
-    board order, then row-major: the cells, in the order, of one draw per
-    record, and so the same stream. The gain, noise and rail clamp are
-    ``afe.peak_voltages`` over every cell of the block at once.
+    ``events`` holds per PD (pd, beam indices, scans, times, sampled
+    currents), as ``_simulate_block`` builds it, by scan and then time. Scan
+    k's voltage noise is one normal draw from its generator, covering its
+    (event, sampled element) cells PD by PD in board order, then row-major:
+    one lexsort of (scan, PD) places each draw on the block's cells, which
+    lie PD by PD. The gain, noise and rail clamp are ``afe.peak_voltages``
+    over every cell of the block at once.
     """
-    parts, sizes = [], []  # per record (scan, pd, event times, sampled currents); cells per scan
-    for k in range(len(rngs)):
-        n = 0
-        for pd, _, times, currents, edges in events:
-            a, b = edges[k], edges[k + 1]
-            if a < b:
-                parts.append((k, pd, times[a:b], currents[a:b]))
-                n += currents[a:b].size
-        sizes.append(n)
-    if not parts:
-        return []
+    cells = np.cumsum([0, *(c.size for *_, c in events)])
     noise = None
     if afe.voltage_noise_sigma > 0:
-        noise = np.concatenate(
-            [rng.normal(0.0, afe.voltage_noise_sigma, size=n) for rng, n in zip(rngs, sizes) if n]
-        )
-    currents = np.concatenate([c.ravel() for *_, c in parts])
-    volts = peak_voltages(currents, afe.tia, afe.pulse_width, noise)
-    cells = np.cumsum([0, *(c.size for *_, c in parts)]).tolist()
+        cell_scan = np.concatenate([np.zeros(0, int), *(np.repeat(s, c.shape[1]) for _, _, s, _, c in events)])
+        order = np.lexsort((np.repeat(np.arange(len(events)), np.diff(cells)), cell_scan))  # by scan, then PD
+        noise = np.empty(cells[-1])
+        noise[order] = np.concatenate([
+            np.zeros(0), *(rng.normal(0.0, afe.voltage_noise_sigma, size=n)
+                           for rng, n in zip(rngs, np.bincount(cell_scan, minlength=len(rngs))))
+        ])
+    volts = peak_voltages(np.concatenate([np.zeros(0), *(c.ravel() for *_, c in events)]), afe.tia,
+                          afe.pulse_width, noise)
     return [
-        (k, pd, times, volts[cells[i]:cells[i + 1]].reshape(c.shape))
-        for i, (k, pd, times, c) in enumerate(parts)
+        (s, np.full(len(s), p), times, volts[cells[p]:cells[p + 1]].reshape(c.shape),
+         [tuple(pd.sampled_channels)] * len(s), np.full(len(s), afe.noise_floor))
+        for p, (pd, _, s, times, c) in enumerate(events)
     ]

@@ -783,7 +783,9 @@ def read_frames_reference(path):
 
 
 def frames_to_text_reference(frames) -> str:
-    """``io.frames_to_text`` one row at a time: each row is its own f-string."""
+    """``io.frames_to_text`` one row at a time: each row is its own f-string.
+    A record's events are written by time, and a record with no events is
+    left out."""
     lines = [io.FRAME_MAGIC, "# beam," + ",".join(io.BEAM_FIELDS)]
     for frame in frames:
         b = frame.beams
@@ -795,10 +797,11 @@ def frames_to_text_reference(frames) -> str:
         )
     lines.append("# pd," + ",".join(io.PD_FIELDS) + ",v0,v1,...")
     for frame in frames:
-        for rec in sorted(frame.pd_records, key=lambda r: r.pd_id):
+        for rec in sorted((r for r in frame.pd_records if r.n_events), key=lambda r: r.pd_id):
             head = f"pd,{rec.pd_id},{frame.scan_id}"
             tail = f"{float(rec.noise_floor)!r},{'|'.join(map(str, rec.sampled_channels))}"
-            events = zip(rec.sample_times.tolist(), rec.element_voltages.tolist())
+            order = np.argsort(rec.sample_times, kind="stable")
+            events = zip(rec.sample_times[order].tolist(), rec.element_voltages[order].tolist())
             lines.extend(
                 f"{head},{e},{time_s!r},{tail}," + ",".join(map(repr, volts))
                 for e, (time_s, volts) in enumerate(events)

@@ -170,7 +170,7 @@ def _checked_records(pd_ids, channels, floors, bounds, times, volts) -> list:
         np.zeros(len(pd_ids), dtype=np.intp), list(pd_ids), list(channels), np.asarray(floors, dtype=float),
         (EventGroup(np.arange(len(pd_ids)), np.asarray(bounds), times, volts),),
     )
-    table.check()
+    table.check([0])
     return table.records()
 
 
@@ -233,6 +233,27 @@ class TestRecordBatch:
     def test_one_time_per_event_required(self):
         with pytest.raises(ValueError, match="^one sample time per beam event required$"):
             _checked_records(["a"], [(0,)], [0.1], [0, 2], np.zeros(1), np.ones((2, 1)))
+
+    def test_of_events_rule(self):
+        """Records by frame and then key; a record's events by time, ties in
+        the order given, its channels and floor from its first event as
+        given; one group per width, in the order of its first record, over
+        the parts of that width."""
+        narrow = ([1, 0], [0, 1], [2.0, 0.0], [[1.0], [2.0]], [(0,), (0,)], [0.1, 0.2])
+        wide = ([0, 0, 1], [0, 0, 1], [5.0, 5.0, 0.0], [[4.0, 4.5], [5.0, 5.5], [6.0, 6.5]], [(0, 5), (0, 6), (0, 5)],
+                [0.4, 0.5, 0.6])
+        late = ([1], [0], [1.0], [[3.0]], [(0,)], [0.3])  # the second event of record (1, 0), the first by time
+        table = EventTable.of_events([narrow, wide, late], ["x", "y"])
+        assert table.frames.tolist() == [0, 0, 1, 1]
+        assert table.pd_ids == ["x", "y", "x", "y"]
+        assert table.channels == [(0, 5), (0,), (0,), (0, 5)]
+        assert table.floors.tolist() == [0.4, 0.2, 0.1, 0.6]
+        assert [[a.tolist() for a in group] for group in table.groups] == [
+            [[0, 3], [0, 2, 3], [5.0, 5.0, 0.0], [[4.0, 4.5], [5.0, 5.5], [6.0, 6.5]]],
+            [[1, 2], [0, 1, 3], [0.0, 1.0, 2.0], [[2.0], [3.0], [1.0]]],
+        ]
+        empty = EventTable.of_events([], [])
+        assert (len(empty.frames), empty.pd_ids, empty.groups) == (0, [], ())
 
 
 class TestPeakVoltages:

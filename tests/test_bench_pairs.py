@@ -57,6 +57,16 @@ class TestWorkloadList:
             bench_pairs.workload_list(text)
 
 
+class TestSrcLines:
+    def test_counts_the_package_lines_as_wc_does(self, tmp_path):
+        package = tmp_path / "src" / "pdcalib"
+        package.mkdir(parents=True)
+        (package / "a.py").write_text("x = 1\ny = 2\n")
+        (package / "b.py").write_text("z = 3")  # no final newline: wc -l counts 0
+        (package / "notes.txt").write_text("\n\n")
+        assert bench_pairs.src_lines(tmp_path) == 2
+
+
 class TestMain:
     def test_every_workload_lands_in_the_one_file(self, tmp_path, monkeypatch):
         spec = {"run_seconds": 1, "end_to_end": [
@@ -84,6 +94,7 @@ class TestMain:
         ]) == 0
 
         doc = json.loads(out.read_text())
+        assert doc["src_lines"] == {"parent": 0, "change": 0}  # trees without a src/pdcalib
         assert list(doc["workloads"]) == ["older", "w1", "w2"]
         for name in ("w1", "w2"):
             entry = doc["workloads"][name]

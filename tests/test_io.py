@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import bits, frames_to_text_reference, read_frames_reference
 from pdcalib import io
@@ -78,7 +78,7 @@ def _signal_record(draw):
 def _written_frame(draw):
     """A frame of 0 to 30 returns on a few channels, whose elevation changes
     inside a channel and may recur in runs that are not adjacent, and 0 to 4
-    PD records."""
+    PD records of distinct pd_ids."""
     keys = draw(st.lists(st.tuples(st.sampled_from([-3, 0, 7, 2 ** 40]), INT64), max_size=30, unique=True))
     beams = [
         (
@@ -91,7 +91,8 @@ def _written_frame(draw):
         )
         for channel, azimuth_index in keys
     ]
-    return ScanFrame(scan_id=draw(INT64), beams=beams, pd_records=draw(st.lists(_signal_record(), max_size=4)))
+    records = draw(st.lists(_signal_record(), max_size=4, unique_by=lambda r: r.pd_id))
+    return ScanFrame(scan_id=draw(INT64), beams=beams, pd_records=records)
 
 
 def _record(pd_id, channels, n):
@@ -879,12 +880,41 @@ class TestFrameSerialization:
         assert err.value.field == "record"
 
 
+def _event_bits(events) -> tuple:
+    """An ``EventTable`` as its fields' dtypes, shapes and bytes."""
+    arrays = [events.frames, events.floors, *(a for group in events.groups for a in group)]
+    return events.pd_ids, events.channels, [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+def _file_safe(frames) -> bool:
+    """Whether every pd_id of ``frames`` can be a frame file's field: no comma and no line break."""
+    return all("," not in r.pd_id and "".join(r.pd_id.splitlines()) == r.pd_id for f in frames for r in f.pd_records)
+
+
 class TestFrameText:
     @settings(max_examples=60, deadline=None)
     @given(frames=st.lists(_written_frame(), max_size=3))
     @example(frames=EDGE_FRAMES)
     def test_writer_matches_row_by_row_oracle(self, frames):
         assert frames_to_text(frames) == frames_to_text_reference(frames)
+
+    @settings(max_examples=60, deadline=None)
+    @given(frames=st.lists(_written_frame(), max_size=3, unique_by=lambda f: f.scan_id))
+    @example(frames=EDGE_FRAMES)
+    @example(frames=[  # a record written in the order given and read back by time
+        ScanFrame(0, [(0.0, 1.0, 2.0, 0, 0, 10.0)], [PdSignalRecord("p", [[1.0], [2.0]], [5e-3, 1e-3], (0,))])
+    ])
+    def test_file_round_trip_is_a_fixed_point(self, tmp_path_factory, frames):
+        """A batch of frames is the batch its file reads back as, its event
+        table field by field and bit for bit (events by time, records with
+        no events dropped), and that batch writes the file's text again."""
+        assume(_file_safe(frames))
+        frames = sorted((f for f in frames if len(f.beams)), key=lambda f: f.scan_id)  # the frames a file holds
+        path = tmp_path_factory.mktemp("frames") / "frames.csv"
+        write_frames(frames, path)
+        back = read_frames(path)
+        assert _event_bits(back.events) == _event_bits(FrameBatch.of_frames(frames).events)
+        assert frames_to_text(back) == path.read_text(encoding="utf-8")
 
     def test_rewriting_a_read_file_gives_its_bytes(self, tmp_path):
         """The written bytes of a mixed-PD batch come back from the frames
@@ -1046,15 +1076,17 @@ class TestFrameBatch:
     def test_batch_checks_as_frames_and_records_one_by_one(self, case):
         """The batch's frames, or the error of the first bad return (frames
         in order, a frame's returns in cell order), or else of the first bad
-        record, as ``ScanFrame`` and ``PdSignalRecord`` raise them."""
+        record with events, as ``ScanFrame`` and ``PdSignalRecord`` raise
+        them for its events by time."""
         frames, records = case
         scan_ids = [10 + k for k in range(len(frames))]
 
-        def one_by_one():
+        def one_by_one():  # each record's events by time; a record with none is dropped
             beams = [ScanFrame(scan_id, rows, []).beams for scan_id, rows in zip(scan_ids, frames)]
             made = [
-                (k, PdSignalRecord(pd_id, volts, times, channels, floor))
+                (k, PdSignalRecord(pd_id, volts[order], times[order], channels, floor))
                 for k, pd_id, channels, floor, times, volts in records
+                for order in [np.argsort(times, kind="stable")] if len(times)
             ]
             by_frame = [[r for j, r in made if j == k] for k in range(len(frames))]
             return [ScanFrame(scan_id, b, mine) for scan_id, b, mine in zip(scan_ids, beams, by_frame)]
@@ -1064,8 +1096,12 @@ class TestFrameBatch:
                 [row for rows in frames for row in sorted(rows, key=lambda row: row[3:5])], dtype=BEAM_DTYPE
             )
             bounds = np.cumsum([0, *(len(rows) for rows in frames)])
-            columns = [list(column) for column in zip(*records)] or [[]] * 6
-            return FrameBatch(scan_ids, table, bounds, EventTable.of_records(*columns))
+            parts = [
+                (np.full(len(times), k), np.full(len(times), key), times, volts, [channels] * len(times),
+                 np.full(len(times), floor))
+                for key, (k, _, channels, floor, times, volts) in enumerate(records)
+            ]
+            return FrameBatch(scan_ids, table, bounds, EventTable.of_events(parts, [r[1] for r in records]))
 
         assert _batch_or_error(batch) == _batch_or_error(one_by_one)
 

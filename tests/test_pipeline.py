@@ -267,11 +267,13 @@ class TestOptionsAndErrors:
 SCENES = {o: make_bench_scene(o) for o in ("horizontal", "vertical", "all")}
 
 
-RECORD_FAULTS = ("delete", "flat-volts", "clock", "drop-channel", "same-time", "no-events", "off-board", "repeat")
+RECORD_FAULTS = ("delete", "flat-volts", "clock", "drop-channel", "same-time", "no-events", "off-board")
 
 
-def _faulty_records(r, kind, lidar):
-    """The records that replace PD record ``r`` under a record fault."""
+def _faulty_records(r, kind, lidar, n_records):
+    """The records that replace PD record ``r`` of a frame of ``n_records``
+    under a record fault; a copy off the board takes an id no other record
+    of the frame has."""
     if kind == "delete":
         return []
     if kind == "flat-volts":
@@ -286,9 +288,7 @@ def _faulty_records(r, kind, lidar):
     if kind == "no-events":
         return [dataclasses.replace(r, element_voltages=r.element_voltages[:0], sample_times=r.sample_times[:0])]
     if kind == "off-board":
-        return [r, dataclasses.replace(r, pd_id="off-board")]
-    if kind == "repeat":  # the later record, dimmer, is the one that counts
-        return [r, dataclasses.replace(r, element_voltages=r.element_voltages * 0.9)]
+        return [r, dataclasses.replace(r, pd_id=f"off-board {n_records}")]
     return [r]
 
 
@@ -296,11 +296,13 @@ def _inject(frame, pose, pd, kind, lidar):
     """One fault on one PD of a frame: its record deleted, its voltages flat
     at the noise floor, its clock half a firing period late, one element
     unsampled, two events at one time, no events, a copy under an id not on
-    the board, the record repeated, the beams around it flattened to their
-    row median, or its two brightest row beams tied at one level."""
+    the board, the beams around it flattened to their row median, or its two
+    brightest row beams tied at one level."""
     if kind in RECORD_FAULTS:
+        n = len(frame.pd_records)
         frame.pd_records = [
-            out for r in frame.pd_records for out in (_faulty_records(r, kind, lidar) if r.pd_id == pd.pd_id else [r])
+            out for r in frame.pd_records
+            for out in (_faulty_records(r, kind, lidar, n) if r.pd_id == pd.pd_id else [r])
         ]
         return
     b = frame.beams
@@ -361,6 +363,20 @@ class TestBatchFeaturePass:
         assert keys.dtype == KEY_DTYPE
         assert keys.tolist() == np.concatenate([rows for rows, _ in want]).tolist()
         assert [list(m.items()) for m in misses] == [list(m.items()) for _, m in want]
+
+
+def test_two_records_of_one_pd_in_a_frame_refused(tmp_path, horizontal_scene, horizontal_batch):
+    """A frame holds one record per PD: a second one, here a dimmer copy,
+    is refused by the calibration and the writer alike, naming its scan
+    and PD."""
+    frames = [copy.copy(f) for f in horizontal_batch[:3]]
+    r = frames[1].pd_records[0]
+    frames[1].pd_records = [*frames[1].pd_records, dataclasses.replace(r, element_voltages=r.element_voltages * 0.9)]
+    message = f"^scan {frames[1].scan_id}: PD {r.pd_id!r} has more than one record$"
+    with pytest.raises(ValueError, match=message):
+        calibrate_frames(frames, horizontal_scene)
+    with pytest.raises(ValueError, match=message):
+        write_frames(frames, tmp_path / "frames.csv")
 
 
 class TestBlindCalibration:

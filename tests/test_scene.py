@@ -10,7 +10,7 @@ from scipy.special import ndtr
 
 from oracles import element_currents_scalar, simulate_scan_reference
 from pdcalib import io, scene
-from pdcalib.afe import EventTable, PdSignalRecord
+from pdcalib.afe import EventGroup, EventTable, PdSignalRecord
 from pdcalib.bench import DEFAULT_BASE_POSE, make_bench_scene
 from pdcalib.geometry import PolarBeam, Pose6DOF, polar_to_cartesian_array, pose_to_matrix, transform_array
 from pdcalib.io import frames_to_text, read_frames
@@ -131,7 +131,7 @@ class TestModels:
             [row for rows in frames for row in sorted(rows, key=lambda row: row[3:5])], dtype=scene.BEAM_DTYPE
         )
         bounds = np.cumsum([0] + [len(rows) for rows in frames])
-        no_events = EventTable.of_records([], [], [], [], [], [])
+        no_events = EventTable.of_events([], [])
         if fault is None:
             batch = FrameBatch(scan_ids, table, bounds, no_events)
             assert [f.beams.tobytes() for f in batch] == [b.tobytes() for b in alone]
@@ -147,13 +147,13 @@ class TestModels:
         # its records by frame; an empty frame 0 shifts nothing
         rows = [(0.1, 0.2, 2.0, 0, 1, 5.0), (0.1, 0.2, 2.0, 1, 0, 5.0), (0.1, 0.2, 2.0, 0, 3, 5.0)]
         table = np.array(rows, dtype=scene.BEAM_DTYPE)
-        no_events = EventTable.of_records([], [], [], [], [], [])
+        no_events = EventTable.of_events([], [])
         with pytest.raises(ValueError, match=r"^scan 9: beams not in \(channel, azimuth_index\) order$"):
             FrameBatch([7, 8, 9], table.copy(), [0, 0, 1, 3], no_events)
         assert len(FrameBatch([7, 8, 9], table.copy(), [0, 0, 2, 3], no_events)) == 3
-        record = ([0.0], np.ones((1, 1)))
+        group = EventGroup(np.arange(2), np.arange(3), np.zeros(2), np.ones((2, 1)))
         for frames in ([1, 0], [0, 3]):
-            events = EventTable.of_records(frames, ["a", "b"], [(0,), (0,)], [0.1, 0.1], *zip(record, record))
+            events = EventTable(np.array(frames), ["a", "b"], [(0,), (0,)], np.full(2, 0.1), (group,))
             with pytest.raises(ValueError, match="^PD records must come by frame, each in a frame of the batch$"):
                 FrameBatch([7, 8, 9], table.copy(), [0, 0, 2, 3], events)
 

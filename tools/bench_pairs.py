@@ -21,6 +21,10 @@ metrics: every run's value and each side's median. Each workload is its own entr
 every workload of the command (and keeps those of earlier commands); the
 file is rewritten after every pair.
 
+The file's ``src_lines`` gives each tree's line count of
+``src/pdcalib/*.py``, as ``wc -l`` counts it, so a change that is meant to
+shrink the package shows it next to its timings.
+
 With ``--accuracy``, each tree also runs the four acceptance sweeps once
 (``YAW_SPEC`` and ``X_SPEC`` of its ``tests/test_acceptance.py``, horizontal
 and vertical PDs) in a fresh interpreter on its own sources, and the file's
@@ -99,6 +103,11 @@ def first_op_seconds(tree: Path, workload: str, seed: int) -> float:
     """The scaled time of the first op of the last untraced run in ``tree``."""
     report = tree / ".perfbench_out" / f"report-{workload}-{seed}-trace0.json"
     return json.loads(report.read_text())["op_scaled_seconds"][0]
+
+
+def src_lines(tree: Path) -> int:
+    """The line count of ``tree``'s ``src/pdcalib/*.py``, as ``wc -l`` counts it."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "pdcalib").glob("*.py"))
 
 
 def summary(values: list) -> dict:
@@ -188,6 +197,7 @@ def main(argv=None) -> int:
     doc["command"] = f"python3 perfbench/run.py --workload W --seed S --seconds {spec['run_seconds']}"
     doc["machine"] = {"nproc": os.cpu_count(), "python": platform.python_version(),
                       "platform": platform.platform()}
+    doc["src_lines"] = {side: src_lines(tree) for side, tree in sides.items()}
 
     if args.accuracy:
         doc["accuracy"] = {
