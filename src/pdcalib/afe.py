@@ -21,6 +21,12 @@ import numpy as np
 SUPPLY_RAIL_V = 10.0
 
 
+def pd_id_fault(pd_id) -> str:
+    """Why ``pd_id`` cannot be a field of the frame file and the dumps (split at commas and line breaks), or ""."""
+    split = "," in pd_id or "".join(pd_id.splitlines()) != pd_id
+    return f"PD id {pd_id!r} holds a comma or a line break" if split else ""
+
+
 def element_indices(channels) -> bool:
     """Whether ``channels`` are strictly increasing element indices from 0 up, at least one."""
     return len(channels) > 0 and channels[0] >= 0 and all(a < b for a, b in zip(channels, channels[1:]))
@@ -117,14 +123,11 @@ class PdSignalRecord:
 
 
 class EventGroup(NamedTuple):
-    """The events of an ``EventTable``'s records of one sample width m.
+    """The events of an ``EventTable``'s records of one sample width m:
+    event i, of the (n,) firing ``times`` and the (n, m) peak ``volts``,
+    belongs to record ``record[i]``, in ascending order."""
 
-    Record ``records[i]`` (ascending) owns the rows ``bounds[i]:bounds[i + 1]``
-    of the (n,) firing ``times`` and the (n, m) peak ``volts``.
-    """
-
-    records: np.ndarray
-    bounds: np.ndarray
+    record: np.ndarray
     times: np.ndarray
     volts: np.ndarray
 
@@ -137,8 +140,9 @@ class EventTable:
     with the sampled channels ``channels[r]`` and the noise floor
     ``floors[r]``; records come by frame (``frames`` ascends), each frame's
     in its own order, which ``of_events`` sets. Their events are grouped by
-    sample width, one ``EventGroup`` per distinct width in ``groups``.
-    ``check`` holds the record rules; nothing else checks them.
+    sample width, one ``EventGroup`` per distinct width in ``groups``, and
+    each event carries its record. ``check`` holds the record rules; nothing
+    else checks them.
     """
 
     frames: np.ndarray   # (n_records,) intp
@@ -159,8 +163,8 @@ class EventTable:
         (frame, key), all of one width; records come by frame and then by
         key. A record's events come by time, events at one time in the order
         given, and it takes its channels and floor from its first event as
-        given. Each distinct width, in the order of its first record, is one
-        group."""
+        given; every record has at least one event. Each distinct width, in
+        the order of its first record, is one group."""
         frame, key, time, floor = (
             np.concatenate([np.zeros(0, dtype), *(np.asarray(part[i], dtype) for part in parts)])
             for i, dtype in ((0, np.intp), (1, np.intp), (2, float), (5, float))
@@ -168,49 +172,54 @@ class EventTable:
         width = np.concatenate([np.zeros(0, np.intp), *(np.full(len(part[2]), np.shape(part[3])[1]) for part in parts)])
         record = frame * len(pd_ids) + key  # in (frame, key) order, as keys index pd_ids
         order = np.lexsort((time, record))
-        _, starts, sizes = np.unique(record[order], return_index=True, return_counts=True)
+        _, starts, rank = np.unique(record[order], return_index=True, return_inverse=True)
         first = np.minimum.reduceat(order, starts)  # each record's first event as given
         channels = [c for part in parts for c in part[4]]
         widths, at = np.unique(width[first], return_index=True)
         groups = []
         for w in widths[np.argsort(at)].tolist():
-            mine, records = width == w, np.flatnonzero(width[first] == w)
-            events = order[mine[order]]  # the width's events in record order
+            mine = width[order] == w  # the width's events in record order
+            events = order[mine]
             volts = np.concatenate([np.asarray(part[3], float) for part in parts if np.shape(part[3])[1] == w])
-            groups.append(EventGroup(records, np.r_[0, np.cumsum(sizes[records])], time[events],
-                                     volts[(np.cumsum(mine) - 1)[events]]))
+            groups.append(EventGroup(rank[mine], time[events], volts[(np.cumsum(width == w) - 1)[events]]))
         return cls(frame[first], [pd_ids[k] for k in key[first].tolist()], [channels[i] for i in first.tolist()],
                    floor[first], tuple(groups))
 
     def check(self, scan_ids):
         """Check the record rules once on the whole table: per group one
-        ``event_faults`` pass and one ``element_indices`` call per distinct
+        ``event_faults`` pass, which reads each event's channel count and
+        floor from its record, and one ``element_indices`` call per distinct
         channel tuple; ``scan_ids[k]`` is the scan id of frame k.
 
         Raises the ValueError that ``PdSignalRecord(...)`` raises for the
-        first record that breaks a rule, and "one sample time per beam event
-        required" for a group with more or fewer times than voltage rows.
-        Else raises ValueError naming the scan and the PD of the first record
-        whose PD has an earlier record in its frame: a frame holds one record
-        per PD.
+        first record that breaks a rule, prefixed "scan S: ", and "one sample
+        time per beam event required" for a group with more or fewer times
+        than voltage rows. Else raises ValueError naming the scan and the PD of
+        the first record whose pd_id has a ``pd_id_fault`` or whose PD has an
+        earlier record in its frame: a frame holds one record per PD.
         """
         increasing = {channels: element_indices(channels) for channels in set(self.channels)}
         bad = [r for r, channels in enumerate(self.channels) if not increasing[channels]][:1]
         bad += np.flatnonzero(~np.isfinite(self.floors))[:1].tolist()  # also of a record without events
-        for records, bounds, times, volts in self.groups:
+        n_channels = np.array([len(channels) for channels in self.channels], dtype=np.intp)
+        for record, times, volts in self.groups:
             if volts.shape[0] != times.shape[0]:
                 raise ValueError("one sample time per beam event required")
-            sizes = np.diff(bounds)
-            n_channels = np.repeat([len(self.channels[r]) for r in records.tolist()], sizes)
-            faults = event_faults(n_channels, times, np.repeat(self.floors[records], sizes), volts).any(axis=1)
+            faults = event_faults(n_channels[record], times, self.floors[record], volts).any(axis=1)
             if faults.any():  # the record that holds the group's first bad event
-                bad.append(int(records[np.searchsorted(bounds, np.argmax(faults), side="right") - 1]))
-        if bad:  # raises the record's own error
+                bad.append(int(record[np.argmax(faults)]))
+        if bad:  # raises the record's own error, for its events alone
             r = min(bad)
-            times, volts = self.views()[r]
-            PdSignalRecord(self.pd_ids[r], volts, times, self.channels[r], float(self.floors[r]))
+            mine = [(t[record == r], v[record == r]) for record, t, v in self.groups if r in record]
+            times, volts = mine[0] if mine else (np.zeros(0), np.zeros((0, len(self.channels[r]))))
+            try:
+                PdSignalRecord(self.pd_ids[r], volts, times, self.channels[r], float(self.floors[r]))
+            except ValueError as exc:
+                raise ValueError(f"scan {scan_ids[int(self.frames[r])]}: {exc}") from None
         held = set()
         for k, pd_id in zip(self.frames.tolist(), self.pd_ids):
+            if pd_id_fault(pd_id):
+                raise ValueError(f"scan {scan_ids[k]}: {pd_id_fault(pd_id)}")
             if (k, pd_id) in held:
                 raise ValueError(f"scan {scan_ids[k]}: PD {pd_id!r} has more than one record")
             held.add((k, pd_id))
@@ -220,13 +229,15 @@ class EventTable:
         return np.searchsorted(self.frames, np.arange(n_frames + 1)).tolist()
 
     def views(self) -> list:
-        """Every record's (times, volts), views of its group's, in record order."""
+        """Every record's (times, volts), views of its group's, in record
+        order. Only a table built by hand can hold a record with no events:
+        it reads back as no times and (0, len(channels)) voltages."""
         out = [None] * len(self.pd_ids)
-        for records, bounds, times, volts in self.groups:
-            bounds = bounds.tolist()
-            for i, r in enumerate(records.tolist()):
-                out[r] = times[bounds[i]:bounds[i + 1]], volts[bounds[i]:bounds[i + 1]]
-        return out
+        for record, times, volts in self.groups:
+            runs, starts = np.unique(record, return_index=True)
+            for r, lo, hi in zip(runs.tolist(), starts.tolist(), [*starts[1:].tolist(), len(record)]):
+                out[r] = times[lo:hi], volts[lo:hi]
+        return [view or (np.zeros(0), np.zeros((0, len(channels)))) for view, channels in zip(out, self.channels)]
 
     def records(self) -> list:
         """Every record as a ``PdSignalRecord`` of views of the table, in

@@ -162,9 +162,10 @@ def extract_frame_features(batch: FrameBatch, table, scan, plane: preprocess.Pla
     each row (from ``preprocess.segment_frames``); ``plane`` is the board
     plane the key beams are slid onto. Each (scan, PD) keeps as its key beam
     the joined beam with the highest reflectivity among its usable fits, and
-    that event's center. A record of a PD not on the board is ignored. A
-    record that samples an element its module lacks raises ValueError naming
-    its scan and PD.
+    that event's center. Each event reads its noise floor and element
+    positions (its channels times ``element_pitch``) from its record; a
+    record of a PD not on the board is ignored, and one that samples an
+    element its module lacks raises ValueError naming its scan and PD.
 
     Fit rows are independent, so only the events that can be key beams are
     fit: first each (scan, PD)'s first event in key order (highest level,
@@ -187,26 +188,22 @@ def extract_frame_features(batch: FrameBatch, table, scan, plane: preprocess.Pla
     n_pds = len(pds)
     with _stage(timings, "association"):
         index = {pd.pd_id: p for p, pd in enumerate(pds)}
-        record_cell = np.full(len(ev.pd_ids), -1, dtype=np.intp)  # a (scan, PD) cell is scan * n_pds + PD
-        on_board = [(r, k, index[pd_id]) for r, (k, pd_id) in enumerate(zip(ev.frames.tolist(), ev.pd_ids))
-                    if pd_id in index]
-        for r, k, p in on_board:
-            lacking = [c for c in ev.channels[r] if not 0 <= c < pds[p].n_elements]
+        record_pd = np.array([index.get(pd_id, -1) for pd_id in ev.pd_ids], dtype=np.intp)  # -1: off the board
+        for r in np.flatnonzero(record_pd >= 0).tolist():
+            pd = pds[record_pd[r]]
+            lacking = [c for c in ev.channels[r] if not 0 <= c < pd.n_elements]
             if lacking:
                 raise ValueError(
-                    f"scan {batch.scan_ids[k]}: PD {pds[p].pd_id!r} samples element(s) {lacking}, "
-                    f"which its module of {pds[p].n_elements} elements lacks"
+                    f"scan {batch.scan_ids[ev.frames[r]]}: PD {pd.pd_id!r} samples element(s) {lacking}, "
+                    f"which its module of {pd.n_elements} elements lacks"
                 )
-            record_cell[r] = k * n_pds + p
-        # the events of the kept records, one sample-width group after another:
-        # per group its kept records, their event counts and the mask of their events
-        groups = []
-        for records, bounds, group_times, volts in ev.groups:
-            own, sizes = record_cell[records] >= 0, np.diff(bounds)
-            groups.append((records[own], sizes[own], np.repeat(own, sizes), group_times, volts))
-        cell = np.concatenate([np.zeros(0, dtype=np.intp), *(np.repeat(record_cell[r], n) for r, n, *_ in groups)])
-        times = np.concatenate([np.zeros(0), *(t[events] for _, _, events, t, _ in groups)])
-        offsets = np.cumsum([0, *(n.sum() for _, n, *_ in groups)])  # group g's events: offsets[g]:offsets[g + 1]
+        # per sample-width group, the (record, times, volts) of the on-board records' events
+        groups = [(record[on], times[on], volts[on]) for record, times, volts in ev.groups
+                  for on in [record_pd[record] >= 0]]
+        times = np.concatenate([np.zeros(0), *(times for _, times, _ in groups)])
+        offsets = np.cumsum([0, *(len(times) for _, times, _ in groups)])  # group g's events: offsets[g]:offsets[g + 1]
+        # a (scan, PD) cell is scan * n_pds + PD
+        cell = np.concatenate([np.zeros(0, dtype=np.intp), *(ev.frames[r] * n_pds + record_pd[r] for r, *_ in groups)])
 
         miss = np.zeros(len(batch) * n_pds, MISS_DTYPE)
         miss["code"] = _NO_EVENTS
@@ -216,26 +213,16 @@ def extract_frame_features(batch: FrameBatch, table, scan, plane: preprocess.Pla
         miss["code"][cell[joined]] = _NO_FIT
 
     with _stage(timings, "center_fit"):
-        known = {}  # (PD, sampled channels) -> the positions of those elements
-
-        def positions(r):
-            key = (record_cell[r] % n_pds, ev.channels[r])
-            if key not in known:
-                known[key] = pds[key[0]].element_positions()[list(key[1])]
-            return known[key]
-
-        stacks = []  # per group, the element positions, voltages and noise floor of each event
-        for kept, sizes, events, _, volts in groups:
-            x = np.array([positions(r) for r in kept.tolist()]).reshape(len(kept), volts.shape[1])
-            stacks.append((np.repeat(x, sizes, axis=0), volts[events], np.repeat(ev.floors[kept], sizes)))
+        pitch = np.array([pd.element_pitch for pd in pds])
         mu = np.full(len(times), np.nan)
 
         def fit(events):
-            for (x, volts, floor), lo, hi in zip(stacks, offsets, offsets[1:]):
+            for (group_record, _, volts), lo, hi in zip(groups, offsets, offsets[1:]):
                 part = events[(events >= lo) & (events < hi)]
                 if len(part):
-                    at = part - lo
-                    mu[part] = beam_center.fit_gaussian_batch(x[at], volts[at], noise_floor=floor[at]).mu
+                    r = group_record[part - lo]
+                    x = np.array([ev.channels[i] for i in r.tolist()]) * pitch[record_pd[r], None]
+                    mu[part] = beam_center.fit_gaussian_batch(x, volts[part - lo], noise_floor=ev.floors[r]).mu
 
         refl = table["reflectivity"]
         level, when, group = refl[rows[joined]], times[joined], cell[joined]

@@ -27,7 +27,7 @@ import numpy as np
 # currents_to_record, one (scan, PD) record's share of _pd_records' AFE pass
 # over a block's event columns, stays a name of this module: perfbench traces
 # the simulator's AFE calls by it
-from .afe import EventTable, TiaParams, currents_to_record, element_indices, peak_voltages  # noqa: F401
+from .afe import EventTable, TiaParams, currents_to_record, element_indices, pd_id_fault, peak_voltages  # noqa: F401
 from .geometry import DEG, RETURN_VALUES, TWO_PI, Pose6DOF, pose_to_matrix, return_fault, return_faults
 
 # beams whose spot center lies this far beyond the array ends still produce a
@@ -133,12 +133,11 @@ class BoardModel:
             raise ValueError("board reflectivities must lie on the 0-255 intensity scale")
         seen = set()
         for pd in self.pd_modules:
-            # the id keys the PD's records and is a field of the frame file
-            # and the dumps, which split at commas and line breaks
+            # the id keys the PD's records and is a field of the frame file and the dumps
             if pd.pd_id in seen:
                 raise ValueError(f"PD id {pd.pd_id!r} is used by more than one module")
-            if "," in pd.pd_id or "".join(pd.pd_id.splitlines()) != pd.pd_id:
-                raise ValueError(f"PD id {pd.pd_id!r} holds a comma or a line break")
+            if pd_id_fault(pd.pd_id):
+                raise ValueError(pd_id_fault(pd.pd_id))
             seen.add(pd.pd_id)
             ox, oz = pd.offset
             ax, az = pd.axis

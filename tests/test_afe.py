@@ -159,16 +159,17 @@ class TestCurrentsToRecord:
         # a record without events has no event rows to check its floor on
         with refused("PD 'p': noise floor"):
             PdSignalRecord("p", np.zeros((0, 1)), np.zeros(0), (0,), noise_floor=value)
-        with refused("PD 'p': noise floor"):
-            _checked_records(["p"], [(0,)], [value], [0, 0], np.zeros(0), np.zeros((0, 1)))
+        with refused("scan 0: PD 'p': noise floor"):
+            _checked_records(["p"], [(0,)], [value], np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros((0, 1)))
         assert PdSignalRecord("p", np.zeros((0, 2)), np.zeros(0), (0, 5)).n_events == 0
 
 
-def _checked_records(pd_ids, channels, floors, bounds, times, volts) -> list:
-    """The records of a one-frame, one-group ``EventTable``, checked first."""
+def _checked_records(pd_ids, channels, floors, record, times, volts) -> list:
+    """The records of a one-frame, one-group ``EventTable`` of scan 0, whose
+    event i belongs to record ``record[i]``, checked first."""
     table = EventTable(
         np.zeros(len(pd_ids), dtype=np.intp), list(pd_ids), list(channels), np.asarray(floors, dtype=float),
-        (EventGroup(np.arange(len(pd_ids)), np.asarray(bounds), times, volts),),
+        (EventGroup(np.asarray(record, dtype=np.intp), times, volts),),
     )
     table.check([0])
     return table.records()
@@ -182,7 +183,8 @@ def _mostly(good, bad):
 @st.composite
 def _event_table(draw):
     """The arguments of ``_checked_records`` for 1 to 4 records of 0 to 3
-    events each, whose values may break a record rule."""
+    events each, whose values may break a record rule; only such a table,
+    built by hand, holds a record with no events."""
     m = draw(st.integers(1, 3))
     sizes = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
     n = sum(sizes)
@@ -191,7 +193,7 @@ def _event_table(draw):
         [f"p{r}" for r in range(len(sizes))],
         [draw(_mostly([right], [right + (99,), right[::-1], ()])) for _ in sizes],
         [draw(_mostly([0.1], [math.nan])) for _ in sizes],
-        np.cumsum([0, *sizes]),
+        np.repeat(np.arange(len(sizes)), sizes),
         np.array([draw(_mostly([0.0, 1e-3], [math.inf])) for _ in range(n)]),
         np.array([draw(_mostly([0.0, 1.0, 10.0], [-0.5, 10.5, math.nan])) for _ in range(n * m)]).reshape(n, m),
     )
@@ -213,26 +215,33 @@ class TestRecordBatch:
     @settings(max_examples=150, deadline=None)
     @given(table=_event_table())
     def test_batch_is_its_records_built_one_by_one(self, table):
-        """The same records, or the error of the first record that breaks a rule."""
-        pd_ids, channels, floors, bounds, times, volts = table
+        """The same records, or the error of the first record that breaks a
+        rule, naming its scan; a record with no events has as many voltage
+        columns as sampled channels."""
+        pd_ids, channels, floors, record, times, volts = table
 
         def one_by_one():
-            return [
-                PdSignalRecord(pd_id, volts[a:b], times[a:b], channels[r], floors[r])
-                for r, (pd_id, a, b) in enumerate(zip(pd_ids, bounds, bounds[1:]))
-            ]
+            out = []
+            for r, pd_id in enumerate(pd_ids):
+                mine = record == r
+                v = volts[mine] if mine.any() else np.zeros((0, len(channels[r])))
+                try:
+                    out.append(PdSignalRecord(pd_id, v, times[mine], channels[r], floors[r]))
+                except ValueError as exc:
+                    raise ValueError(f"scan 0: {exc}") from None
+            return out
 
         assert _records_or_error(lambda: _checked_records(*table)) == _records_or_error(one_by_one)
 
     def test_records_are_views_of_the_table(self):
         volts, times = np.arange(6.0).reshape(3, 2), np.zeros(3)
-        a, b = _checked_records(["a", "b"], [(0, 5), (0, 5)], [0.1, 0.1], [0, 1, 3], times, volts)
+        a, b = _checked_records(["a", "b"], [(0, 5), (0, 5)], [0.1, 0.1], [0, 1, 1], times, volts)
         assert np.shares_memory(a.element_voltages, volts) and np.shares_memory(b.sample_times, times)
         assert b.element_voltages.tolist() == [[2.0, 3.0], [4.0, 5.0]]
 
     def test_one_time_per_event_required(self):
         with pytest.raises(ValueError, match="^one sample time per beam event required$"):
-            _checked_records(["a"], [(0,)], [0.1], [0, 2], np.zeros(1), np.ones((2, 1)))
+            _checked_records(["a"], [(0,)], [0.1], [0, 0], np.zeros(1), np.ones((2, 1)))
 
     def test_of_events_rule(self):
         """Records by frame and then key; a record's events by time, ties in
@@ -249,11 +258,48 @@ class TestRecordBatch:
         assert table.channels == [(0, 5), (0,), (0,), (0, 5)]
         assert table.floors.tolist() == [0.4, 0.2, 0.1, 0.6]
         assert [[a.tolist() for a in group] for group in table.groups] == [
-            [[0, 3], [0, 2, 3], [5.0, 5.0, 0.0], [[4.0, 4.5], [5.0, 5.5], [6.0, 6.5]]],
-            [[1, 2], [0, 1, 3], [0.0, 1.0, 2.0], [[2.0], [3.0], [1.0]]],
+            [[0, 0, 3], [5.0, 5.0, 0.0], [[4.0, 4.5], [5.0, 5.5], [6.0, 6.5]]],
+            [[1, 2, 2], [0.0, 1.0, 2.0], [[2.0], [3.0], [1.0]]],
         ]
         empty = EventTable.of_events([], [])
         assert (len(empty.frames), empty.pd_ids, empty.groups) == (0, [], ())
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_of_events_gives_each_event_its_record(self, data):
+        """Over parts of 1 to 3 widths, 1 to 4 events per record, in shuffled
+        order and with tied times: the records are the (frame, key)s given,
+        each in exactly one group with at least one event; each group's
+        ``record`` ascends; and its records' ``views()`` joined give back
+        its times and volts."""
+        cells = data.draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=1, max_size=6,
+                                   unique=True))
+        widths = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3, unique=True))
+        events = [  # (frame, key, time, width) per event
+            (k, key, data.draw(st.sampled_from([0.0, 1.0, 2.0])), w)
+            for k, key in cells
+            for w in [data.draw(st.sampled_from(widths))]
+            for _ in range(data.draw(st.integers(1, 4)))
+        ]
+        events = data.draw(st.permutations(events))
+        parts = []
+        for w in widths:
+            mine = [e for e in events if e[3] == w]
+            cut = data.draw(st.integers(0, len(mine)))  # a width's events may come in two parts
+            for chunk in (mine[:cut], mine[cut:]):
+                volts = np.arange(len(parts) * 100.0, len(parts) * 100.0 + len(chunk) * w).reshape(len(chunk), w)
+                parts.append(([e[0] for e in chunk], [e[1] for e in chunk], [e[2] for e in chunk], volts,
+                              [tuple(range(w))] * len(chunk), [0.1] * len(chunk)))
+        table = EventTable.of_events(parts, ["a", "b", "c"])
+        assert list(zip(table.frames.tolist(), table.pd_ids)) == [(k, "abc"[key]) for k, key in sorted(cells)]
+        owners = [r for group in table.groups for r in np.unique(group.record).tolist()]
+        assert sorted(owners) == list(range(len(cells)))
+        views = table.views()
+        for record, times, volts in table.groups:
+            assert np.all(np.diff(record) >= 0)
+            mine = np.unique(record).tolist()
+            assert np.concatenate([views[r][0] for r in mine]).tobytes() == times.tobytes()
+            assert np.concatenate([views[r][1] for r in mine]).tobytes() == volts.tobytes()
 
 
 class TestPeakVoltages:

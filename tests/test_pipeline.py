@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import itertools
 import logging
 import math
 import time
@@ -270,10 +271,10 @@ SCENES = {o: make_bench_scene(o) for o in ("horizontal", "vertical", "all")}
 RECORD_FAULTS = ("delete", "flat-volts", "clock", "drop-channel", "same-time", "no-events", "off-board")
 
 
-def _faulty_records(r, kind, lidar, n_records):
-    """The records that replace PD record ``r`` of a frame of ``n_records``
-    under a record fault; a copy off the board takes an id no other record
-    of the frame has."""
+def _faulty_records(r, kind, lidar, held):
+    """The records that replace PD record ``r`` of a frame whose records
+    hold the pd_ids ``held`` under a record fault; a copy off the board
+    takes the first ``off-board j`` that no record of the frame holds."""
     if kind == "delete":
         return []
     if kind == "flat-volts":
@@ -288,7 +289,8 @@ def _faulty_records(r, kind, lidar, n_records):
     if kind == "no-events":
         return [dataclasses.replace(r, element_voltages=r.element_voltages[:0], sample_times=r.sample_times[:0])]
     if kind == "off-board":
-        return [r, dataclasses.replace(r, pd_id=f"off-board {n_records}")]
+        free = next(f"off-board {j}" for j in itertools.count() if f"off-board {j}" not in held)
+        return [r, dataclasses.replace(r, pd_id=free)]
     return [r]
 
 
@@ -299,10 +301,10 @@ def _inject(frame, pose, pd, kind, lidar):
     the board, the beams around it flattened to their row median, or its two
     brightest row beams tied at one level."""
     if kind in RECORD_FAULTS:
-        n = len(frame.pd_records)
+        held = {r.pd_id for r in frame.pd_records}
         frame.pd_records = [
             out for r in frame.pd_records
-            for out in (_faulty_records(r, kind, lidar, n) if r.pd_id == pd.pd_id else [r])
+            for out in (_faulty_records(r, kind, lidar, held) if r.pd_id == pd.pd_id else [r])
         ]
         return
     b = frame.beams
@@ -338,6 +340,10 @@ class TestBatchFeaturePass:
                       st.sampled_from([*RECORD_FAULTS, "flatten", "tie"])),
             max_size=6,
         ),
+    )
+    @example(  # a deletion frees an id that an off-board copy took
+        orientation="all", seed=0, n=1, jitter=(0.0, 0.0, 0.0, 0.0), dropout=0.0,
+        faults=[(0, 0, "off-board"), (0, 0, "delete"), (0, 1, "off-board")],
     )
     def test_batch_pass_matches_per_frame_oracle(self, orientation, seed, n, jitter, dropout, faults):
         scene = SCENES[orientation]

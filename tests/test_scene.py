@@ -151,7 +151,7 @@ class TestModels:
         with pytest.raises(ValueError, match=r"^scan 9: beams not in \(channel, azimuth_index\) order$"):
             FrameBatch([7, 8, 9], table.copy(), [0, 0, 1, 3], no_events)
         assert len(FrameBatch([7, 8, 9], table.copy(), [0, 0, 2, 3], no_events)) == 3
-        group = EventGroup(np.arange(2), np.arange(3), np.zeros(2), np.ones((2, 1)))
+        group = EventGroup(np.arange(2), np.zeros(2), np.ones((2, 1)))
         for frames in ([1, 0], [0, 3]):
             events = EventTable(np.array(frames), ["a", "b"], [(0,), (0,)], np.full(2, 0.1), (group,))
             with pytest.raises(ValueError, match="^PD records must come by frame, each in a frame of the batch$"):
