@@ -39,7 +39,8 @@ for pd_id, beams in frame.truth.pd_event_beams.items():
 
 print()
 print("=== voltages from one module ===")
-rec = frame.pd_records[0]
+pd = scene.board.pd_modules[0]
+rec = next(r for r in frame.pd_records if r.pd_id == pd.pd_id)
 print(f"{rec.pd_id}: {rec.n_events} beam events, sampled elements {rec.sampled_channels}")
 for t, volts in zip(rec.sample_times, rec.element_voltages):
     bars = "  ".join(f"{v:5.2f}" for v in volts)

@@ -5,9 +5,9 @@ The trans-impedance amplifier is modeled as the first-order system
 through the noise gain (one zero, one pole) and the quality factor derived
 from the loop phase margin; the default part values give Q ~ 0.47, i.e. an
 overdamped, non-oscillating response. A batch's PD records are one
-``EventTable``, which the simulator, the reader and hand-built frames all
-build by one rule (``EventTable.of_events``), and whose
-``PdSignalRecord``s are views built on demand.
+``EventTable``, ordered by frame and then pd_id by the one rule that builds
+it, ``EventTable.of_events``; its ``PdSignalRecord``s are views built on
+demand.
 """
 
 from __future__ import annotations
@@ -134,19 +134,17 @@ class EventGroup(NamedTuple):
 
 @dataclass(eq=False)
 class EventTable:
-    """The PD records of a batch of scans as one table.
-
-    Record r is PD ``pd_ids[r]``'s record of the batch's frame ``frames[r]``,
-    with the sampled channels ``channels[r]`` and the noise floor
-    ``floors[r]``; records come by frame (``frames`` ascends), each frame's
-    in its own order, which ``of_events`` sets. Their events are grouped by
-    sample width, one ``EventGroup`` per distinct width in ``groups``, and
-    each event carries its record. ``check`` holds the record rules; nothing
-    else checks them.
-    """
+    """The PD records of a batch of scans as one table, by frame and then
+    by pd_id: record r is PD ``pd_ids[pd[r]]``'s in the batch's frame
+    ``frames[r]``, with the sampled channels ``channels[r]`` and the noise
+    floor ``floors[r]``; ``pd_ids`` ascends, one per PD with a record. The
+    events are grouped by sample width, one ``EventGroup`` per width in
+    ``groups``, each event carrying its record. ``check`` holds the record
+    rules; nothing else checks them."""
 
     frames: np.ndarray   # (n_records,) intp
-    pd_ids: list         # (n_records,) str
+    pd: np.ndarray       # (n_records,) intp, index into pd_ids
+    pd_ids: tuple        # ascending distinct str
     channels: list       # (n_records,) tuple of element indices
     floors: np.ndarray   # (n_records,) V
     groups: tuple        # EventGroup per sample width
@@ -160,17 +158,20 @@ class EventTable:
         volts, channels, floors): per event its frame, its record key (an
         index into ``pd_ids``), its time, its row of the (n, m) ``volts``, its
         sampled channels and its noise floor. A record is the events of one
-        (frame, key), all of one width; records come by frame and then by
-        key. A record's events come by time, events at one time in the order
-        given, and it takes its channels and floor from its first event as
-        given; every record has at least one event. Each distinct width, in
-        the order of its first record, is one group."""
+        (frame, key), all of one width; records come by frame, then by
+        pd_id, then by key. A record's events come by time, events at one
+        time in the order given, and it takes its channels and floor from its
+        first event as given; every record has at least one event. Each
+        distinct width, in the order of its first record, is one group."""
         frame, key, time, floor = (
             np.concatenate([np.zeros(0, dtype), *(np.asarray(part[i], dtype) for part in parts)])
             for i, dtype in ((0, np.intp), (1, np.intp), (2, float), (5, float))
         )
         width = np.concatenate([np.zeros(0, np.intp), *(np.full(len(part[2]), np.shape(part[3])[1]) for part in parts)])
-        record = frame * len(pd_ids) + key  # in (frame, key) order, as keys index pd_ids
+        # the keys used, and their pd_ids sorted as Python strs (a numpy str array drops trailing NULs)
+        keys, key_at = np.unique(key, return_inverse=True)
+        ids, code = np.unique(np.array([pd_ids[k] for k in keys.tolist()], dtype=object), return_inverse=True)
+        record = (frame * len(ids) + code[key_at]) * len(keys) + key_at  # in (frame, pd_id, key) order
         order = np.lexsort((time, record))
         _, starts, rank = np.unique(record[order], return_index=True, return_inverse=True)
         first = np.minimum.reduceat(order, starts)  # each record's first event as given
@@ -182,21 +183,23 @@ class EventTable:
             events = order[mine]
             volts = np.concatenate([np.asarray(part[3], float) for part in parts if np.shape(part[3])[1] == w])
             groups.append(EventGroup(rank[mine], time[events], volts[(np.cumsum(width == w) - 1)[events]]))
-        return cls(frame[first], [pd_ids[k] for k in key[first].tolist()], [channels[i] for i in first.tolist()],
-                   floor[first], tuple(groups))
+        return cls(frame[first], code[key_at[first]], tuple(ids.tolist()),
+                   [channels[i] for i in first.tolist()], floor[first], tuple(groups))
 
     def check(self, scan_ids):
         """Check the record rules once on the whole table: per group one
         ``event_faults`` pass, which reads each event's channel count and
-        floor from its record, and one ``element_indices`` call per distinct
-        channel tuple; ``scan_ids[k]`` is the scan id of frame k.
+        floor from its record, one ``element_indices`` call per distinct
+        channel tuple and one ``pd_id_fault`` call per pd_id;
+        ``scan_ids[k]`` is the scan id of frame k. Records must come by
+        (frame, pd), as ``FrameBatch`` requires: a tie is a second record.
 
         Raises the ValueError that ``PdSignalRecord(...)`` raises for the
         first record that breaks a rule, prefixed "scan S: ", and "one sample
         time per beam event required" for a group with more or fewer times
         than voltage rows. Else raises ValueError naming the scan and the PD of
-        the first record whose pd_id has a ``pd_id_fault`` or whose PD has an
-        earlier record in its frame: a frame holds one record per PD.
+        the first record whose pd_id has a ``pd_id_fault`` or that is a second
+        record of its PD in its frame.
         """
         increasing = {channels: element_indices(channels) for channels in set(self.channels)}
         bad = [r for r, channels in enumerate(self.channels) if not increasing[channels]][:1]
@@ -213,26 +216,22 @@ class EventTable:
             mine = [(t[record == r], v[record == r]) for record, t, v in self.groups if r in record]
             times, volts = mine[0] if mine else (np.zeros(0), np.zeros((0, len(self.channels[r]))))
             try:
-                PdSignalRecord(self.pd_ids[r], volts, times, self.channels[r], float(self.floors[r]))
+                PdSignalRecord(self.pd_ids[self.pd[r]], volts, times, self.channels[r], float(self.floors[r]))
             except ValueError as exc:
                 raise ValueError(f"scan {scan_ids[int(self.frames[r])]}: {exc}") from None
-        held = set()
-        for k, pd_id in zip(self.frames.tolist(), self.pd_ids):
-            if pd_id_fault(pd_id):
-                raise ValueError(f"scan {scan_ids[k]}: {pd_id_fault(pd_id)}")
-            if (k, pd_id) in held:
-                raise ValueError(f"scan {scan_ids[k]}: PD {pd_id!r} has more than one record")
-            held.add((k, pd_id))
-
-    def frame_bounds(self, n_frames: int) -> list:
-        """Where each frame's records lie: frame k's are ``bounds[k]:bounds[k + 1]``."""
-        return np.searchsorted(self.frames, np.arange(n_frames + 1)).tolist()
+        faults = [pd_id_fault(pd_id) for pd_id in self.pd_ids]
+        refused = np.array([bool(fault) for fault in faults], dtype=bool)[self.pd]
+        refused[1:] |= (self.frames[1:] == self.frames[:-1]) & (self.pd[1:] == self.pd[:-1])  # a repeated cell
+        if refused.any():
+            r = int(np.argmax(refused))
+            why = faults[self.pd[r]] or f"PD {self.pd_ids[self.pd[r]]!r} has more than one record"
+            raise ValueError(f"scan {scan_ids[int(self.frames[r])]}: {why}")
 
     def views(self) -> list:
         """Every record's (times, volts), views of its group's, in record
         order. Only a table built by hand can hold a record with no events:
         it reads back as no times and (0, len(channels)) voltages."""
-        out = [None] * len(self.pd_ids)
+        out = [None] * len(self.frames)
         for record, times, volts in self.groups:
             runs, starts = np.unique(record, return_index=True)
             for r, lo, hi in zip(runs.tolist(), starts.tolist(), [*starts[1:].tolist(), len(record)]):
@@ -243,10 +242,10 @@ class EventTable:
         """Every record as a ``PdSignalRecord`` of views of the table, in
         record order; the table is taken as checked."""
         out = []
-        for pd_id, channels, floor, (times, volts) in zip(self.pd_ids, self.channels, self.floors.tolist(),
-                                                          self.views()):
+        for p, channels, floor, (times, volts) in zip(self.pd.tolist(), self.channels, self.floors.tolist(),
+                                                      self.views()):
             record = PdSignalRecord.__new__(PdSignalRecord)  # checked: skip __post_init__
-            record.pd_id, record.element_voltages, record.sample_times = pd_id, volts, times
+            record.pd_id, record.element_voltages, record.sample_times = self.pd_ids[p], volts, times
             record.sampled_channels, record.noise_floor = channels, floor
             out.append(record)
         return out

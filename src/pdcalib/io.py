@@ -9,15 +9,15 @@ Scan-frame files are line-oriented delimited text with a fixed field order:
     pd,h_tl,0,0,0.0019457,0.1,0|5|10|15,2.66,1.11,0.146,0.0
 
 A file holds one batch of scans, a ``scene.FrameBatch``. The writer
-formats the batch's tables, beams by (channel, azimuth index) and PD
-events by (pd_id, time), so a frame always serializes byte-identically;
-the reader takes rows in any order, scans, PDs and row kinds mixed, and
-builds the batch straight from its column tables: the beams, sorted only
-when their rows are out of order, and the PD events by
-``afe.EventTable.of_events``, the rule the simulator and
-``FrameBatch.of_frames`` follow too, so a batch of frames is the batch its
-file reads back as. Angles are stored in degrees at this boundary;
-everything in memory is radians.
+formats the batch's tables in their order, beams by (channel, azimuth
+index) and PD records as ``afe.EventTable.of_events`` orders them, so a
+frame always serializes byte-identically; it refuses a batch that the file
+would not give back. The reader takes rows in any order, scans, PDs and
+row kinds mixed, and builds the batch straight from its column tables: the
+beams, sorted only when their rows are out of order, and the PD events by
+``EventTable.of_events``, as the simulator and ``FrameBatch.of_frames`` do,
+so a batch is the batch its file reads back as. Angles are stored in
+degrees at this boundary; everything in memory is radians.
 
 Both row kinds are parsed by numpy's text reader under one rule: numbers are
 plain ASCII decimals as Python's ``repr`` writes them, and a row holding
@@ -277,7 +277,10 @@ def _interleaved(*columns) -> list:
 
 def frames_to_text(frames) -> str:
     """Serialize a ``FrameBatch``, or a list of ``ScanFrame``s made into
-    one, to the delimited-text format (deterministic).
+    one, to the delimited-text format (deterministic). Raises ValueError for
+    what ``FrameBatch.of_frames`` refuses, then for a frame the file would
+    not give back: one with no returns, or whose scan id is not above the
+    one before.
 
     A frame's beam rows, its rows of the batch's table, are written one run
     at a time, a run being a maximal stretch of rows with one channel and
@@ -292,6 +295,9 @@ def frames_to_text(frames) -> str:
     text = [f"{FRAME_MAGIC}\n# beam,{','.join(BEAM_FIELDS)}\n"]
     for k, scan_id in enumerate(batch.scan_ids):
         b = batch.beams[batch.bounds[k]:batch.bounds[k + 1]]
+        if not len(b) or k and scan_id <= batch.scan_ids[k - 1]:
+            why = f"follows scan {batch.scan_ids[k - 1]}" if len(b) else "has no returns"
+            raise ValueError(f"scan {scan_id}: {why}, so a frame file would not read it back as written")
         channel, omega_deg = b["channel"], b["omega"] / DEG
         bits = omega_deg.view(np.int64)
         new = np.ones(len(b), dtype=bool)
@@ -306,15 +312,11 @@ def frames_to_text(frames) -> str:
         )
     text.append(f"# pd,{','.join(PD_FIELDS)},v0,v1,...\n")
     ev = batch.events
-    events, floors, at = ev.views(), ev.floors.tolist(), ev.frame_bounds(len(batch))
-    for k, scan_id in enumerate(batch.scan_ids):
-        for r in sorted(range(at[k], at[k + 1]), key=ev.pd_ids.__getitem__):
-            times, volts = events[r]
-            head = f"pd,{ev.pd_ids[r].replace('%', '%%')},{scan_id}"
-            tail = f"{floors[r]!r},{'|'.join(map(str, ev.channels[r]))}"
-            row = f"{head},%d,%r,{tail}," + ",".join(["%r"] * volts.shape[1]) + "\n"
-            values = _interleaved(range(len(times)), times.tolist(), *volts.T.tolist())
-            text.append(row * len(times) % tuple(values))
+    ids = [pd_id.replace("%", "%%") for pd_id in ev.pd_ids]
+    for k, p, channels, floor, (times, volts) in zip(ev.frames.tolist(), ev.pd.tolist(), ev.channels,
+                                                     ev.floors.tolist(), ev.views()):
+        row = f"pd,{ids[p]},{batch.scan_ids[k]},%d,%r,{floor!r},{'|'.join(map(str, channels))}" + ",%r" * len(channels)
+        text.append(f"{row}\n" * len(times) % tuple(_interleaved(range(len(times)), times.tolist(), *volts.T.tolist())))
     return "".join(text)
 
 
@@ -600,9 +602,7 @@ def _pd_columns(path, rows):
             path, rows[i][0], "sampled_channels",
             f"{parts[i][6]!r} is not a strictly increasing list of element indices from 0 up",
         )))
-    ids = sorted({p[1] for p in parts[:cut]})
-    pd_code = {pd_id: k for k, pd_id in enumerate(ids)}
-    pd = np.array([pd_code[p[1]] for p in parts[:cut]], dtype=int)
+    ids, pd = np.unique(np.array([p[1] for p in parts[:cut]], dtype=object), return_inverse=True)  # as Python strs
     if cut:
         channel_code = {channel_list: k for k, channel_list in enumerate(set(channels.values()))}
         channel = np.array([channel_code[channels[p[6]]] for p in parts[:cut]], dtype=int)
@@ -639,7 +639,7 @@ def _pd_columns(path, rows):
          table["noise_floor_v"])
         for group, _, table in loaded
     ]
-    return tables, ids, scan, None
+    return tables, ids.tolist(), scan, None
 
 
 def read_frames(path) -> FrameBatch:

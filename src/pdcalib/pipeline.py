@@ -188,7 +188,7 @@ def extract_frame_features(batch: FrameBatch, table, scan, plane: preprocess.Pla
     n_pds = len(pds)
     with _stage(timings, "association"):
         index = {pd.pd_id: p for p, pd in enumerate(pds)}
-        record_pd = np.array([index.get(pd_id, -1) for pd_id in ev.pd_ids], dtype=np.intp)  # -1: off the board
+        record_pd = np.array([index.get(pd_id, -1) for pd_id in ev.pd_ids], dtype=np.intp)[ev.pd]  # -1: off the board
         for r in np.flatnonzero(record_pd >= 0).tolist():
             pd = pds[record_pd[r]]
             lacking = [c for c in ev.channels[r] if not 0 <= c < pd.n_elements]

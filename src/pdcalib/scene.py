@@ -11,9 +11,9 @@ through the analog front end into sampled voltage records.
 
 A simulation returns one ``FrameBatch``: its returns in one table, its PD
 events in one ``afe.EventTable``, built from each module's event columns by
-``EventTable.of_events``, the reader's rule, and checked once; its
-``ScanFrame``s are views of those tables. Everything is a pure function of
-(models, pose, seed): equal seeds give bit-identical frames.
+``EventTable.of_events`` (records by frame, then pd_id) and checked once;
+its ``ScanFrame``s are views of those tables. Everything is a pure function
+of (models, pose, seed): equal seeds give bit-identical frames.
 """
 
 from __future__ import annotations
@@ -339,11 +339,11 @@ class FrameBatch(Sequence):
     None.
 
     Building a batch checks its rules once: each frame's rows must be in
-    (channel, azimuth_index) order (``cell_descents``), the returns keep
-    ``check_returns`` (which wraps the azimuths in place) and the records
-    ``EventTable.check``; a ValueError names the first bad return, or else
-    the first bad record. ``trusted`` skips the checks for tables whose
-    rules the caller has checked.
+    (channel, azimuth_index) order (``cell_descents``) and its records in
+    pd_id order, the returns keep ``check_returns`` (which wraps the
+    azimuths in place) and the records ``EventTable.check``; a ValueError
+    names the first bad return, or else the first bad record. ``trusted``
+    skips the checks for tables whose rules the caller has checked.
 
     A batch is also the sequence of its frames: ``batch[k]`` is a
     ``ScanFrame`` whose beams and records are views of the tables, all built
@@ -357,9 +357,10 @@ class FrameBatch(Sequence):
         if descents.any():
             k = int(np.searchsorted(self.bounds, np.argmax(descents) + 1, side="right")) - 1
             raise ValueError(f"scan {self.scan_ids[k]}: beams not in (channel, azimuth_index) order")
-        frames = events.frames
-        if np.any(frames[1:] < frames[:-1]) or np.any((frames < 0) | (frames >= len(self))):
-            raise ValueError("PD records must come by frame, each in a frame of the batch")
+        frames, pd, ids = events.frames, events.pd, events.pd_ids  # a tie of (frame, pd) is check's to name
+        if (np.any(np.diff(frames * len(ids) + pd) < 0) or np.any((frames < 0) | (frames >= len(self)))
+                or np.any((pd < 0) | (pd >= len(ids))) or any(a >= b for a, b in zip(ids, ids[1:]))):
+            raise ValueError("PD records must come by frame and then by pd_id, each of a frame and a PD of the batch")
         check_returns(beams, self.bounds, self.scan_ids)
         events.check(self.scan_ids)
 
@@ -379,13 +380,13 @@ class FrameBatch(Sequence):
     def of_frames(cls, frames) -> FrameBatch:
         """``frames`` itself when it is a batch, else the checked batch of
         the list of ``ScanFrame``s, its beams and records copied into one
-        table each: the batch its frame file reads back as. Each record has
-        its own key, so a frame's records come by pd_id, and two of one PD
-        are refused; a record's events come by time, and a record with no
-        events is dropped."""
+        table each by ``EventTable.of_events``. Each record has its own key,
+        so two of one PD stay two records, which the check refuses; a
+        record's events come by time, and a record with no events is
+        dropped."""
         if isinstance(frames, cls):
             return frames
-        records = [(k, r) for k, f in enumerate(frames) for r in sorted(f.pd_records, key=lambda r: r.pd_id)]
+        records = [(k, r) for k, f in enumerate(frames) for r in f.pd_records]
         events = EventTable.of_events(
             [(np.full(r.n_events, k), np.full(r.n_events, key), r.sample_times, r.element_voltages,
               [r.sampled_channels] * r.n_events, np.full(r.n_events, r.noise_floor, dtype=float))
@@ -406,7 +407,7 @@ class FrameBatch(Sequence):
 
     def _views(self) -> list:
         """Every frame as a ``ScanFrame`` of views of the tables."""
-        records, at = self.events.records(), self.events.frame_bounds(len(self))
+        records, at = self.events.records(), np.searchsorted(self.events.frames, np.arange(len(self) + 1)).tolist()
         frames = []
         for k, scan_id in enumerate(self.scan_ids):
             frame = ScanFrame.__new__(ScanFrame)  # checked with the batch: skip __post_init__

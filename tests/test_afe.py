@@ -165,11 +165,12 @@ class TestCurrentsToRecord:
 
 
 def _checked_records(pd_ids, channels, floors, record, times, volts) -> list:
-    """The records of a one-frame, one-group ``EventTable`` of scan 0, whose
-    event i belongs to record ``record[i]``, checked first."""
+    """The records of a one-frame, one-group ``EventTable`` of scan 0, one
+    per id of the ascending ``pd_ids``, whose event i belongs to record
+    ``record[i]``, checked first."""
     table = EventTable(
-        np.zeros(len(pd_ids), dtype=np.intp), list(pd_ids), list(channels), np.asarray(floors, dtype=float),
-        (EventGroup(np.asarray(record, dtype=np.intp), times, volts),),
+        np.zeros(len(pd_ids), dtype=np.intp), np.arange(len(pd_ids)), tuple(pd_ids), list(channels),
+        np.asarray(floors, dtype=float), (EventGroup(np.asarray(record, dtype=np.intp), times, volts),),
     )
     table.check([0])
     return table.records()
@@ -244,34 +245,35 @@ class TestRecordBatch:
             _checked_records(["a"], [(0,)], [0.1], [0, 0], np.zeros(1), np.ones((2, 1)))
 
     def test_of_events_rule(self):
-        """Records by frame and then key; a record's events by time, ties in
-        the order given, its channels and floor from its first event as
-        given; one group per width, in the order of its first record, over
-        the parts of that width."""
+        """Records by frame and then pd_id, whatever the keys' order; a
+        record's events by time, ties in the order given, its channels and
+        floor from its first event as given; one group per width, in the
+        order of its first record, over the parts of that width."""
         narrow = ([1, 0], [0, 1], [2.0, 0.0], [[1.0], [2.0]], [(0,), (0,)], [0.1, 0.2])
         wide = ([0, 0, 1], [0, 0, 1], [5.0, 5.0, 0.0], [[4.0, 4.5], [5.0, 5.5], [6.0, 6.5]], [(0, 5), (0, 6), (0, 5)],
                 [0.4, 0.5, 0.6])
         late = ([1], [0], [1.0], [[3.0]], [(0,)], [0.3])  # the second event of record (1, 0), the first by time
-        table = EventTable.of_events([narrow, wide, late], ["x", "y"])
+        table = EventTable.of_events([narrow, wide, late], ["y", "x"])
         assert table.frames.tolist() == [0, 0, 1, 1]
-        assert table.pd_ids == ["x", "y", "x", "y"]
-        assert table.channels == [(0, 5), (0,), (0,), (0, 5)]
-        assert table.floors.tolist() == [0.4, 0.2, 0.1, 0.6]
+        assert (table.pd.tolist(), table.pd_ids) == ([0, 1, 0, 1], ("x", "y"))
+        assert table.channels == [(0,), (0, 5), (0, 5), (0,)]
+        assert table.floors.tolist() == [0.2, 0.4, 0.6, 0.1]
         assert [[a.tolist() for a in group] for group in table.groups] == [
-            [[0, 0, 3], [5.0, 5.0, 0.0], [[4.0, 4.5], [5.0, 5.5], [6.0, 6.5]]],
-            [[1, 2, 2], [0.0, 1.0, 2.0], [[2.0], [3.0], [1.0]]],
+            [[0, 3, 3], [0.0, 1.0, 2.0], [[2.0], [3.0], [1.0]]],
+            [[1, 1, 2], [5.0, 5.0, 0.0], [[4.0, 4.5], [5.0, 5.5], [6.0, 6.5]]],
         ]
         empty = EventTable.of_events([], [])
-        assert (len(empty.frames), empty.pd_ids, empty.groups) == (0, [], ())
+        assert (len(empty.frames), len(empty.pd), empty.pd_ids, empty.groups) == (0, 0, (), ())
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_of_events_gives_each_event_its_record(self, data):
         """Over parts of 1 to 3 widths, 1 to 4 events per record, in shuffled
-        order and with tied times: the records are the (frame, key)s given,
-        each in exactly one group with at least one event; each group's
-        ``record`` ascends; and its records' ``views()`` joined give back
-        its times and volts."""
+        order and with tied times, and keys whose pd_ids repeat and are out
+        of order: the records are the (frame, key)s given, by frame, pd_id
+        and key, each in exactly one group with at least one event; each
+        group's ``record`` ascends; and its records' ``views()`` joined give
+        back its times and volts."""
         cells = data.draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=1, max_size=6,
                                    unique=True))
         widths = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3, unique=True))
@@ -289,9 +291,14 @@ class TestRecordBatch:
             for chunk in (mine[:cut], mine[cut:]):
                 volts = np.arange(len(parts) * 100.0, len(parts) * 100.0 + len(chunk) * w).reshape(len(chunk), w)
                 parts.append(([e[0] for e in chunk], [e[1] for e in chunk], [e[2] for e in chunk], volts,
-                              [tuple(range(w))] * len(chunk), [0.1] * len(chunk)))
-        table = EventTable.of_events(parts, ["a", "b", "c"])
-        assert list(zip(table.frames.tolist(), table.pd_ids)) == [(k, "abc"[key]) for k, key in sorted(cells)]
+                              [tuple(range(w))] * len(chunk), [10.0 * e[0] + e[1] for e in chunk]))
+        ids = ["c", "a", "c"]
+        table = EventTable.of_events(parts, ids)
+        cells = sorted(cells, key=lambda cell: (cell[0], ids[cell[1]], cell[1]))
+        assert table.pd_ids == tuple(sorted({ids[key] for _, key in cells}))
+        assert [table.pd_ids[p] for p in table.pd.tolist()] == [ids[key] for _, key in cells]
+        assert table.frames.tolist() == [k for k, _ in cells]
+        assert table.floors.tolist() == [10.0 * k + key for k, key in cells]  # each record's own (frame, key)
         owners = [r for group in table.groups for r in np.unique(group.record).tolist()]
         assert sorted(owners) == list(range(len(cells)))
         views = table.views()

@@ -36,7 +36,14 @@ def _floats(lo, hi, *edges):
 
 
 @st.composite
-def _scan_frames(draw):
+def _batch(draw, frame):
+    """0 to 3 frames, each drawn by ``frame(scan_id)``, with strictly
+    ascending scan ids, as a frame file holds them."""
+    return [draw(frame(scan_id)) for scan_id in sorted(draw(st.sets(INT64, max_size=3)))]
+
+
+@st.composite
+def _scan_frames(draw, scan_id):
     keys = draw(st.lists(st.tuples(INT64, INT64), min_size=1, max_size=12, unique=True))
     beams = [
         (
@@ -49,7 +56,7 @@ def _scan_frames(draw):
         )
         for channel, azimuth_index in keys
     ]
-    return ScanFrame(scan_id=draw(INT64), beams=beams, pd_records=[])
+    return ScanFrame(scan_id=scan_id, beams=beams, pd_records=[])
 
 
 # elevations that the written frames share between rows, so that rows form
@@ -75,11 +82,12 @@ def _signal_record(draw):
 
 
 @st.composite
-def _written_frame(draw):
-    """A frame of 0 to 30 returns on a few channels, whose elevation changes
+def _written_frame(draw, scan_id):
+    """A frame of 1 to 30 returns on a few channels, whose elevation changes
     inside a channel and may recur in runs that are not adjacent, and 0 to 4
     PD records of distinct pd_ids."""
-    keys = draw(st.lists(st.tuples(st.sampled_from([-3, 0, 7, 2 ** 40]), INT64), max_size=30, unique=True))
+    keys = draw(st.lists(st.tuples(st.sampled_from([-3, 0, 7, 2 ** 40]), INT64), min_size=1, max_size=30,
+                         unique=True))
     beams = [
         (
             draw(st.sampled_from(ELEVATIONS) | _floats(-HALF_PI_BELOW, math.pi / 2, HALF_PI_BELOW)),
@@ -92,19 +100,19 @@ def _written_frame(draw):
         for channel, azimuth_index in keys
     ]
     records = draw(st.lists(_signal_record(), max_size=4, unique_by=lambda r: r.pd_id))
-    return ScanFrame(scan_id=draw(INT64), beams=beams, pd_records=records)
+    return ScanFrame(scan_id=scan_id, beams=beams, pd_records=records)
 
 
 def _record(pd_id, channels, n):
     return PdSignalRecord(pd_id, np.full((n, len(channels)), 0.5), np.arange(n) * 1e-3, channels)
 
 
-# the writer's edge cases, named in order: a frame with no returns; one with
-# one return; a channel whose elevation changes between its rows, -0.0 and
-# 0.0 among them, and recurs in runs that are not adjacent; the extreme
-# scan ids; PD records with no events and of several sample widths
+# the writer's edge cases, by scan id as a file holds them: the extreme scan
+# ids, first and last; a frame with one return; a channel whose elevation
+# changes between its rows, -0.0 and 0.0 among them, and recurs in runs that
+# are not adjacent; PD records with no events and of several sample widths
 EDGE_FRAMES = [
-    ScanFrame(scan_id=0, beams=np.empty(0, BEAM_DTYPE), pd_records=[]),
+    ScanFrame(scan_id=-(2 ** 63), beams=[(0.0, 1.0, 2.0, 0, 0, 10.0)], pd_records=[]),
     ScanFrame(scan_id=-1, beams=[(0.1, 1.0, 2.0, 3, 4, 10.0)], pd_records=[]),
     ScanFrame(
         scan_id=5,
@@ -112,7 +120,6 @@ EDGE_FRAMES = [
         + [(0.1, 1.0, 2.0, 3, 0, 10.0)],
         pd_records=[],
     ),
-    ScanFrame(scan_id=-(2 ** 63), beams=[(0.0, 1.0, 2.0, 0, 0, 10.0)], pd_records=[]),
     ScanFrame(
         scan_id=2 ** 63 - 1,
         beams=[(0.0, 1.0, 2.0, 0, 0, 10.0)],
@@ -779,19 +786,19 @@ class TestFrameSerialization:
         assert err.value.field == "event"
 
     @settings(max_examples=40, deadline=None)
-    @given(frames=st.lists(_scan_frames(), max_size=3, unique_by=lambda f: f.scan_id))
+    @given(frames=_batch(_scan_frames))
     def test_beams_read_back_bit_for_bit(self, tmp_path_factory, frames):
         """The reader returns the written bits; angles pass through degrees."""
         path = tmp_path_factory.mktemp("frames") / "frames.csv"
         write_frames(frames, path)
         expected = []
-        for frame in sorted(frames, key=lambda f: f.scan_id):
+        for frame in frames:
             b = frame.beams[np.lexsort((frame.beams["azimuth_index"], frame.beams["channel"]))]
             b["omega"] = b["omega"] / DEG * DEG
             b["alpha"] = b["alpha"] / DEG * DEG
             expected.append(ScanFrame(frame.scan_id, b, []).beams)  # wraps alpha as the reader does
         back = read_frames(path)
-        assert [f.scan_id for f in back] == sorted(f.scan_id for f in frames)
+        assert [f.scan_id for f in back] == [f.scan_id for f in frames]
         assert [f.beams.tobytes() for f in back] == [b.tobytes() for b in expected]
 
     @settings(max_examples=60, deadline=None)
@@ -882,25 +889,32 @@ class TestFrameSerialization:
 
 def _event_bits(events) -> tuple:
     """An ``EventTable`` as its fields' dtypes, shapes and bytes."""
-    arrays = [events.frames, events.floors, *(a for group in events.groups for a in group)]
+    arrays = [events.frames, events.pd, events.floors, *(a for group in events.groups for a in group)]
     return events.pd_ids, events.channels, [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
 
 
 def _unwritable(frames):
-    """The error that writing ``frames`` raises for the first record, by
-    frame and then pd_id, whose pd_id cannot be a frame file's field (it
-    holds a comma or a line break), or None; a record with no events writes
-    no rows and is dropped."""
+    """The error that writing ``frames`` raises, or None: for the first
+    record, by frame and then pd_id, whose pd_id cannot be a frame file's
+    field (it holds a comma or a line break), else for the first frame that
+    the file would not give back, one with no returns or whose scan id is
+    not above the one before; a record with no events writes no rows and is
+    dropped."""
     for f in frames:
         for r in sorted(f.pd_records, key=lambda r: r.pd_id):
             if r.n_events and ("," in r.pd_id or "".join(r.pd_id.splitlines()) != r.pd_id):
                 return f"scan {f.scan_id}: PD id {r.pd_id!r} holds a comma or a line break"
+    for before, f in zip([None, *frames], frames):
+        if not len(f.beams):
+            return f"scan {f.scan_id}: has no returns, so a frame file would not read it back as written"
+        if before is not None and f.scan_id <= before.scan_id:
+            return f"scan {f.scan_id}: follows scan {before.scan_id}, so a frame file would not read it back as written"
     return None
 
 
 class TestFrameText:
     @settings(max_examples=60, deadline=None)
-    @given(frames=st.lists(_written_frame(), max_size=3))
+    @given(frames=_batch(_written_frame))
     @example(frames=EDGE_FRAMES)
     def test_writer_matches_row_by_row_oracle(self, frames):
         refused = _unwritable(frames)
@@ -911,7 +925,7 @@ class TestFrameText:
             assert frames_to_text(frames) == frames_to_text_reference(frames)
 
     @settings(max_examples=60, deadline=None)
-    @given(frames=st.lists(_written_frame(), max_size=3, unique_by=lambda f: f.scan_id))
+    @given(frames=_batch(_written_frame))
     @example(frames=EDGE_FRAMES)
     @example(frames=[  # a record written in the order given and read back by time
         ScanFrame(0, [(0.0, 1.0, 2.0, 0, 0, 10.0)], [PdSignalRecord("p", [[1.0], [2.0]], [5e-3, 1e-3], (0,))])
@@ -919,13 +933,22 @@ class TestFrameText:
     @example(frames=[  # a pd_id the file would split into two fields
         ScanFrame(3, [(0.0, 1.0, 2.0, 0, 0, 10.0)], [PdSignalRecord("a,b", [[1.0]], [0.0], (0,))])
     ])
+    @example(frames=[  # a frame with no returns, which the file would drop, and then refuse its record
+        ScanFrame(0, [(0.0, 1.0, 2.0, 0, 0, 10.0)], []), ScanFrame(1, np.empty(0, BEAM_DTYPE), [_record("p", (0,), 1)])
+    ])
+    @example(frames=[  # scan ids the file would read back sorted
+        ScanFrame(5, [(0.0, 1.0, 2.0, 0, 0, 10.0)], []), ScanFrame(2, [(0.0, 1.0, 2.0, 0, 0, 10.0)], [])
+    ])
+    @example(frames=[  # one scan id twice, whose frames the file would read back as one
+        ScanFrame(5, [(0.0, 1.0, 2.0, 0, 0, 10.0)], []), ScanFrame(5, [(0.0, 1.0, 2.0, 1, 0, 10.0)], [])
+    ])
     def test_file_round_trip_is_a_fixed_point(self, tmp_path_factory, frames):
-        """A batch of frames is the batch its file reads back as, its event
-        table field by field and bit for bit (events by time, records with
-        no events dropped), and that batch writes the file's text again; a
-        pd_id that the file cannot hold is refused before anything is
-        written."""
-        frames = sorted((f for f in frames if len(f.beams)), key=lambda f: f.scan_id)  # the frames a file holds
+        """A batch of frames is the batch its file reads back as, its scan
+        ids, frame bounds and event table field by field and bit for bit
+        (events by time, records with no events dropped), and that batch
+        writes the file's text again; a batch that the file would not give
+        back (a pd_id the file cannot hold, a frame with no returns, scan ids
+        that do not strictly ascend) is refused before anything is written."""
         path = tmp_path_factory.mktemp("frames") / "frames.csv"
         refused = _unwritable(frames)
         if refused:
@@ -934,8 +957,9 @@ class TestFrameText:
             assert not path.exists()
             return
         write_frames(frames, path)
-        back = read_frames(path)
-        assert _event_bits(back.events) == _event_bits(FrameBatch.of_frames(frames).events)
+        back, batch = read_frames(path), FrameBatch.of_frames(frames)
+        assert (back.scan_ids, back.bounds) == (batch.scan_ids, batch.bounds)
+        assert _event_bits(back.events) == _event_bits(batch.events)
         assert frames_to_text(back) == path.read_text(encoding="utf-8")
 
     def test_rewriting_a_read_file_gives_its_bytes(self, tmp_path):

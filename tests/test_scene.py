@@ -144,7 +144,8 @@ class TestModels:
 
     def test_batch_refuses_rows_or_records_out_of_order(self):
         # the batch's tables come in (frame, channel, azimuth_index) order and
-        # its records by frame; an empty frame 0 shifts nothing
+        # its records by (frame, pd) cell, with ascending pd_ids; an empty
+        # frame 0 shifts nothing, and a tied cell is a second record of one PD
         rows = [(0.1, 0.2, 2.0, 0, 1, 5.0), (0.1, 0.2, 2.0, 1, 0, 5.0), (0.1, 0.2, 2.0, 0, 3, 5.0)]
         table = np.array(rows, dtype=scene.BEAM_DTYPE)
         no_events = EventTable.of_events([], [])
@@ -152,10 +153,18 @@ class TestModels:
             FrameBatch([7, 8, 9], table.copy(), [0, 0, 1, 3], no_events)
         assert len(FrameBatch([7, 8, 9], table.copy(), [0, 0, 2, 3], no_events)) == 3
         group = EventGroup(np.arange(2), np.zeros(2), np.ones((2, 1)))
-        for frames in ([1, 0], [0, 3]):
-            events = EventTable(np.array(frames), ["a", "b"], [(0,), (0,)], np.full(2, 0.1), (group,))
-            with pytest.raises(ValueError, match="^PD records must come by frame, each in a frame of the batch$"):
-                FrameBatch([7, 8, 9], table.copy(), [0, 0, 2, 3], events)
+
+        def events(frames, pd, pd_ids=("a", "b")):
+            return EventTable(np.array(frames), np.array(pd), pd_ids, [(0,), (0,)], np.full(2, 0.1), (group,))
+
+        assert len(FrameBatch([7, 8, 9], table.copy(), [0, 0, 2, 3], events([1, 1], [0, 1]))) == 3
+        for bad in (events([1, 0], [0, 1]), events([0, 3], [0, 1]), events([1, 1], [1, 0]), events([1, 1], [0, 2]),
+                    events([1, 2], [0, 1], ("b", "a")), events([1, 2], [0, 1], ("a", "a"))):
+            with pytest.raises(ValueError, match="^PD records must come by frame and then by pd_id, each of a frame "
+                                                 "and a PD of the batch$"):
+                FrameBatch([7, 8, 9], table.copy(), [0, 0, 2, 3], bad)
+        with pytest.raises(ValueError, match="^scan 8: PD 'b' has more than one record$"):
+            FrameBatch([7, 8, 9], table.copy(), [0, 0, 2, 3], events([1, 1], [1, 1]))
 
     def test_beams_held_in_cell_order(self):
         rows = [(0.1, 0.2, 2.0, 1, 3, 5.0), (0.1, 0.1, 2.0, 0, 9, 6.0), (0.1, 0.3, 2.0, 1, -2, 7.0),
@@ -453,7 +462,8 @@ def _same_bits(a, b):
 
 
 def assert_same_frames(frames, reference):
-    """Equal frame text, beam bits and SimTruth fields, scan for scan."""
+    """Equal frame text, beam bits, records in pd_id order and SimTruth
+    fields, scan for scan."""
     assert len(frames) == len(reference)
     # first differing line only: a diff of whole frame files is slow and long
     text, ref_text = frames_to_text(frames).splitlines(), frames_to_text(reference).splitlines()
@@ -463,8 +473,9 @@ def assert_same_frames(frames, reference):
     for f, r in zip(frames, reference):
         assert f.scan_id == r.scan_id
         assert _same_bits(f.beams, r.beams)
-        assert [rec.pd_id for rec in f.pd_records] == [rec.pd_id for rec in r.pd_records]
-        for a, b in zip(f.pd_records, r.pd_records):
+        by_id = sorted(r.pd_records, key=lambda rec: rec.pd_id)  # the reference keeps board order
+        assert [rec.pd_id for rec in f.pd_records] == [rec.pd_id for rec in by_id]
+        for a, b in zip(f.pd_records, by_id):
             assert _same_bits(a.element_voltages, b.element_voltages)
             assert _same_bits(a.sample_times, b.sample_times)
         if r.truth is None:
@@ -556,18 +567,39 @@ class TestSimulateScansOracle:
 
     def test_one_record_per_scan_and_pd_with_events(self):
         # each frame keeps one record per PD with events in its scan, in
-        # board order; a PD without events in a scan has no record there
+        # pd_id order; a PD without events in a scan has no record there
         for case in ("all PDs", "near board, black surround"):
             kw = CASES[case]()
             frames = simulate_scans(seeds=range(12), scan_ids=range(12), **kw)
             board_order = [pd.pd_id for pd in kw["board"].pd_modules]
             for f in frames:
                 beams = f.truth.pd_event_beams
-                with_events = [pd_id for pd_id in board_order if beams[pd_id]]
+                with_events = [pd_id for pd_id in sorted(board_order) if beams[pd_id]]
                 assert [r.pd_id for r in f.pd_records] == with_events
                 assert [r.n_events for r in f.pd_records] == [len(beams[pd_id]) for pd_id in with_events]
                 assert all(isinstance(r, PdSignalRecord) for r in f.pd_records)
         assert any(len(f.pd_records) < len(board_order) for f in frames)
+
+    @pytest.mark.parametrize("with_truth", [True, False])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_batch_is_a_fixed_point_of_its_file(self, tmp_path, case, with_truth):
+        """The batch a file of simulated scans reads back as is the simulated
+        batch, table for table and bit for bit, its angles taken through
+        the file's degrees."""
+        batch = simulate_scans(seeds=range(30, 41), scan_ids=range(3, 14), with_truth=with_truth, **CASES[case]())
+        io.write_frames(batch, tmp_path / "frames.csv")
+        back = read_frames(tmp_path / "frames.csv")
+        beams = batch.beams.copy()
+        for name in ("omega", "alpha"):
+            beams[name] = beams[name] / DEG * DEG
+        scene.wrap_azimuths(beams["alpha"])
+
+        def tables(b, beams):
+            ev = b.events
+            arrays = [beams, ev.frames, ev.pd, ev.floors, *(a for group in ev.groups for a in group)]
+            return b.scan_ids, b.bounds, ev.pd_ids, ev.channels, [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+        assert tables(back, back.beams) == tables(batch, beams)
 
     def test_no_event_in_a_block(self):
         kw = CASES["far board, grey surround"]()
