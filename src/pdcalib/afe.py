@@ -4,17 +4,16 @@ The trans-impedance amplifier is modeled as the first-order system
 ``V(t) = I_d * R_f * (1 - exp(-t / (R_f * C_f)))``. Stability is checked
 through the noise gain (one zero, one pole) and the quality factor derived
 from the loop phase margin; the default part values give Q ~ 0.47, i.e. an
-overdamped, non-oscillating response. A batch's PD records are one
-``EventTable``, ordered by frame and then pd_id by the one rule that builds
-it, ``EventTable.of_events``; its ``PdSignalRecord``s are views built on
-demand.
+overdamped, non-oscillating response. A batch's PD records and their
+events are one ``EventTable``, a row per event whatever its record's sample
+width, built by ``EventTable.of_events``; its ``PdSignalRecord``s are views
+built on demand.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -27,9 +26,14 @@ def pd_id_fault(pd_id) -> str:
     return f"PD id {pd_id!r} holds a comma or a line break" if split else ""
 
 
+def fits_int64(value) -> bool:
+    """Whether ``value`` is an integer, not a bool, that an int64 field of the frame file holds."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and -2 ** 63 <= value < 2 ** 63
+
+
 def element_indices(channels) -> bool:
-    """Whether ``channels`` are strictly increasing element indices from 0 up, at least one."""
-    return len(channels) > 0 and channels[0] >= 0 and all(a < b for a, b in zip(channels, channels[1:]))
+    """Whether ``channels`` are strictly increasing ``fits_int64`` element indices from 0 up, at least one."""
+    return len(channels) > 0 and all(fits_int64(b) and a < b for a, b in zip((-1, *channels), channels))
 
 
 def event_faults(n_channels, times, floors, volts) -> np.ndarray:
@@ -122,32 +126,26 @@ class PdSignalRecord:
         return int(self.element_voltages.shape[0])
 
 
-class EventGroup(NamedTuple):
-    """The events of an ``EventTable``'s records of one sample width m:
-    event i, of the (n,) firing ``times`` and the (n, m) peak ``volts``,
-    belongs to record ``record[i]``, in ascending order."""
-
-    record: np.ndarray
-    times: np.ndarray
-    volts: np.ndarray
-
-
 @dataclass(eq=False)
 class EventTable:
     """The PD records of a batch of scans as one table, by frame and then
     by pd_id: record r is PD ``pd_ids[pd[r]]``'s in the batch's frame
-    ``frames[r]``, with the sampled channels ``channels[r]`` and the noise
-    floor ``floors[r]``; ``pd_ids`` ascends, one per PD with a record. The
-    events are grouped by sample width, one ``EventGroup`` per width in
-    ``groups``, each event carrying its record. ``check`` holds the record
-    rules; nothing else checks them."""
+    ``frames[r]``, with the sampled channels ``channels[r]``, the noise
+    floor ``floors[r]`` and ``widths[r]`` voltages per event; ``pd_ids``
+    ascends, one per PD with a record. Event i, of the firing ``times`` and
+    the peak ``volts``, belongs to record ``record[i]``, which ascends;
+    ``volts`` has a column per voltage of the widest record, 0 past an
+    event's own. ``check`` holds the record rules; nothing else checks them."""
 
     frames: np.ndarray   # (n_records,) intp
     pd: np.ndarray       # (n_records,) intp, index into pd_ids
     pd_ids: tuple        # ascending distinct str
     channels: list       # (n_records,) tuple of element indices
     floors: np.ndarray   # (n_records,) V
-    groups: tuple        # EventGroup per sample width
+    widths: np.ndarray   # (n_records,) intp, voltages per event
+    record: np.ndarray   # (n_events,) intp
+    times: np.ndarray    # (n_events,) s
+    volts: np.ndarray    # (n_events, max(widths)) V
 
     @classmethod
     def of_events(cls, parts, pd_ids) -> EventTable:
@@ -161,13 +159,15 @@ class EventTable:
         (frame, key), all of one width; records come by frame, then by
         pd_id, then by key. A record's events come by time, events at one
         time in the order given, and it takes its channels and floor from its
-        first event as given; every record has at least one event. Each
-        distinct width, in the order of its first record, is one group."""
+        first event as given; every record has at least one event."""
         frame, key, time, floor = (
             np.concatenate([np.zeros(0, dtype), *(np.asarray(part[i], dtype) for part in parts)])
             for i, dtype in ((0, np.intp), (1, np.intp), (2, float), (5, float))
         )
         width = np.concatenate([np.zeros(0, np.intp), *(np.full(len(part[2]), np.shape(part[3])[1]) for part in parts)])
+        flat = np.concatenate([np.zeros(0), *(np.ravel(part[3]) for part in parts)])  # the voltages, event by event
+        volts = np.zeros((len(width), width.max(initial=0)))
+        volts[np.arange(volts.shape[1]) < width[:, None]] = flat  # each event's row, padded with 0 to the widest
         # the keys used, and their pd_ids sorted as Python strs (a numpy str array drops trailing NULs)
         keys, key_at = np.unique(key, return_inverse=True)
         ids, code = np.unique(np.array([pd_ids[k] for k in keys.tolist()], dtype=object), return_inverse=True)
@@ -176,45 +176,36 @@ class EventTable:
         _, starts, rank = np.unique(record[order], return_index=True, return_inverse=True)
         first = np.minimum.reduceat(order, starts)  # each record's first event as given
         channels = [c for part in parts for c in part[4]]
-        widths, at = np.unique(width[first], return_index=True)
-        groups = []
-        for w in widths[np.argsort(at)].tolist():
-            mine = width[order] == w  # the width's events in record order
-            events = order[mine]
-            volts = np.concatenate([np.asarray(part[3], float) for part in parts if np.shape(part[3])[1] == w])
-            groups.append(EventGroup(rank[mine], time[events], volts[(np.cumsum(width == w) - 1)[events]]))
-        return cls(frame[first], code[key_at[first]], tuple(ids.tolist()),
-                   [channels[i] for i in first.tolist()], floor[first], tuple(groups))
+        return cls(frame[first], code[key_at[first]], tuple(ids.tolist()), [channels[i] for i in first.tolist()],
+                   floor[first], width[first], rank, time[order], volts[order])
 
     def check(self, scan_ids):
-        """Check the record rules once on the whole table: per group one
-        ``event_faults`` pass, which reads each event's channel count and
+        """Check the record rules once on the whole table: one
+        ``event_faults`` pass over the events, which reads each event's
         floor from its record, one ``element_indices`` call per distinct
         channel tuple and one ``pd_id_fault`` call per pd_id;
         ``scan_ids[k]`` is the scan id of frame k. Records must come by
         (frame, pd), as ``FrameBatch`` requires: a tie is a second record.
 
-        Raises the ValueError that ``PdSignalRecord(...)`` raises for the
-        first record that breaks a rule, prefixed "scan S: ", and "one sample
-        time per beam event required" for a group with more or fewer times
-        than voltage rows. Else raises ValueError naming the scan and the PD of
-        the first record whose pd_id has a ``pd_id_fault`` or that is a second
-        record of its PD in its frame.
+        Raises "one sample time per beam event required" for a table with
+        more or fewer times or records than voltage rows. Else raises the
+        ValueError that ``PdSignalRecord(...)`` raises for the first record
+        that breaks a rule, prefixed "scan S: ". Else raises ValueError
+        naming the scan and the PD of the first record whose pd_id has a
+        ``pd_id_fault`` or that is a second record of its PD in its frame.
         """
+        record, (n, m) = self.record, self.volts.shape
+        if not len(record) == len(self.times) == n:
+            raise ValueError("one sample time per beam event required")
         increasing = {channels: element_indices(channels) for channels in set(self.channels)}
-        bad = [r for r, channels in enumerate(self.channels) if not increasing[channels]][:1]
-        bad += np.flatnonzero(~np.isfinite(self.floors))[:1].tolist()  # also of a record without events
+        bad = ~np.array([increasing[channels] for channels in self.channels], dtype=bool) | ~np.isfinite(self.floors)
         n_channels = np.array([len(channels) for channels in self.channels], dtype=np.intp)
-        for record, times, volts in self.groups:
-            if volts.shape[0] != times.shape[0]:
-                raise ValueError("one sample time per beam event required")
-            faults = event_faults(n_channels[record], times, self.floors[record], volts).any(axis=1)
-            if faults.any():  # the record that holds the group's first bad event
-                bad.append(int(record[np.argmax(faults)]))
-        if bad:  # raises the record's own error, for its events alone
-            r = min(bad)
-            mine = [(t[record == r], v[record == r]) for record, t, v in self.groups if r in record]
-            times, volts = mine[0] if mine else (np.zeros(0), np.zeros((0, len(self.channels[r]))))
+        faults = event_faults(m, self.times, self.floors[record], self.volts)
+        faults[:, 3:] &= np.arange(m) < self.widths[record, None]  # the voltages past its width are not its own
+        bad[record[faults.any(axis=1) | (np.minimum(self.widths, m) != n_channels)[record]]] = True
+        if bad.any():  # raises the record's own error, for its events alone
+            r = int(np.argmax(bad))
+            times, volts = self.views()[r]
             try:
                 PdSignalRecord(self.pd_ids[self.pd[r]], volts, times, self.channels[r], float(self.floors[r]))
             except ValueError as exc:
@@ -228,15 +219,11 @@ class EventTable:
             raise ValueError(f"scan {scan_ids[int(self.frames[r])]}: {why}")
 
     def views(self) -> list:
-        """Every record's (times, volts), views of its group's, in record
-        order. Only a table built by hand can hold a record with no events:
-        it reads back as no times and (0, len(channels)) voltages."""
-        out = [None] * len(self.frames)
-        for record, times, volts in self.groups:
-            runs, starts = np.unique(record, return_index=True)
-            for r, lo, hi in zip(runs.tolist(), starts.tolist(), [*starts[1:].tolist(), len(record)]):
-                out[r] = times[lo:hi], volts[lo:hi]
-        return [view or (np.zeros(0), np.zeros((0, len(channels)))) for view, channels in zip(out, self.channels)]
+        """Every record's (times, volts), views of its run of the table's,
+        in record order. Only a table built by hand can hold a record with
+        no events: it reads back as no times and (0, width) voltages."""
+        at = np.searchsorted(self.record, np.arange(len(self.frames) + 1)).tolist()
+        return [(self.times[lo:hi], self.volts[lo:hi, :w]) for lo, hi, w in zip(at, at[1:], self.widths.tolist())]
 
     def records(self) -> list:
         """Every record as a ``PdSignalRecord`` of views of the table, in

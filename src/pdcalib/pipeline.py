@@ -14,7 +14,7 @@ sees the same board. Then one feature pass runs over the whole batch:
    every PD event, and one call joins each to the ROI row its firing time
    names;
 2. per (scan, module), the first joined event in key order is fit, and the
-   others only where that fit is unusable, in one batch per sample width;
+   others only where that fit is unusable, in one call per sample width;
    one grouped selection keeps per (scan, module) the event with a usable
    fit whose beam reads the highest reflectivity;
 3. each kept beam slides along its ray onto the plane (range correction).
@@ -189,21 +189,17 @@ def extract_frame_features(batch: FrameBatch, table, scan, plane: preprocess.Pla
     with _stage(timings, "association"):
         index = {pd.pd_id: p for p, pd in enumerate(pds)}
         record_pd = np.array([index.get(pd_id, -1) for pd_id in ev.pd_ids], dtype=np.intp)[ev.pd]  # -1: off the board
-        for r in np.flatnonzero(record_pd >= 0).tolist():
+        n_elements = np.array([*(pd.n_elements for pd in pds), 0])[record_pd]  # [-1]: off the board, ignored
+        lacking = (record_pd >= 0) & (np.array([c[-1] for c in ev.channels], dtype=np.intp) >= n_elements)
+        if lacking.any():  # a record's last channel is its highest
+            r = int(np.argmax(lacking))
             pd = pds[record_pd[r]]
-            lacking = [c for c in ev.channels[r] if not 0 <= c < pd.n_elements]
-            if lacking:
-                raise ValueError(
-                    f"scan {batch.scan_ids[ev.frames[r]]}: PD {pd.pd_id!r} samples element(s) {lacking}, "
-                    f"which its module of {pd.n_elements} elements lacks"
-                )
-        # per sample-width group, the (record, times, volts) of the on-board records' events
-        groups = [(record[on], times[on], volts[on]) for record, times, volts in ev.groups
-                  for on in [record_pd[record] >= 0]]
-        times = np.concatenate([np.zeros(0), *(times for _, times, _ in groups)])
-        offsets = np.cumsum([0, *(len(times) for _, times, _ in groups)])  # group g's events: offsets[g]:offsets[g + 1]
-        # a (scan, PD) cell is scan * n_pds + PD
-        cell = np.concatenate([np.zeros(0, dtype=np.intp), *(ev.frames[r] * n_pds + record_pd[r] for r, *_ in groups)])
+            raise ValueError(f"scan {batch.scan_ids[ev.frames[r]]}: PD {pd.pd_id!r} samples element(s) "
+                             f"{[c for c in ev.channels[r] if c >= pd.n_elements]}, "
+                             f"which its module of {pd.n_elements} elements lacks")
+        on = np.flatnonzero(record_pd[ev.record] >= 0)  # the events of on-board records
+        record, times = ev.record[on], ev.times[on]
+        cell = ev.frames[record] * n_pds + record_pd[record]  # a (scan, PD) cell is scan * n_pds + PD
 
         miss = np.zeros(len(batch) * n_pds, MISS_DTYPE)
         miss["code"] = _NO_EVENTS
@@ -217,12 +213,12 @@ def extract_frame_features(batch: FrameBatch, table, scan, plane: preprocess.Pla
         mu = np.full(len(times), np.nan)
 
         def fit(events):
-            for (group_record, _, volts), lo, hi in zip(groups, offsets, offsets[1:]):
-                part = events[(events >= lo) & (events < hi)]
-                if len(part):
-                    r = group_record[part - lo]
-                    x = np.array([ev.channels[i] for i in r.tolist()]) * pitch[record_pd[r], None]
-                    mu[part] = beam_center.fit_gaussian_batch(x, volts[part - lo], noise_floor=ev.floors[r]).mu
+            width = ev.widths[record[events]]
+            for m in np.unique(width).tolist():  # one call per sample width, on its voltage columns
+                part = events[width == m]
+                r = record[part]
+                x = np.array([ev.channels[i] for i in r.tolist()]) * pitch[record_pd[r], None]
+                mu[part] = beam_center.fit_gaussian_batch(x, ev.volts[on[part], :m], noise_floor=ev.floors[r]).mu
 
         refl = table["reflectivity"]
         level, when, group = refl[rows[joined]], times[joined], cell[joined]

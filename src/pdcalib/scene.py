@@ -24,10 +24,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .afe import EventTable, TiaParams, element_indices, fits_int64, pd_id_fault, peak_voltages
 # currents_to_record, one (scan, PD) record's share of _pd_records' AFE pass
 # over a block's event columns, stays a name of this module: perfbench traces
 # the simulator's AFE calls by it
-from .afe import EventTable, TiaParams, currents_to_record, element_indices, pd_id_fault, peak_voltages  # noqa: F401
+from .afe import currents_to_record  # noqa: F401
 from .geometry import DEG, RETURN_VALUES, TWO_PI, Pose6DOF, pose_to_matrix, return_fault, return_faults
 
 # beams whose spot center lies this far beyond the array ends still produce a
@@ -338,12 +339,13 @@ class FrameBatch(Sequence):
     batch's frames. ``truths`` holds the simulator's truth per frame, or is
     None.
 
-    Building a batch checks its rules once: each frame's rows must be in
-    (channel, azimuth_index) order (``cell_descents``) and its records in
-    pd_id order, the returns keep ``check_returns`` (which wraps the
-    azimuths in place) and the records ``EventTable.check``; a ValueError
-    names the first bad return, or else the first bad record. ``trusted``
-    skips the checks for tables whose rules the caller has checked.
+    Building a batch checks its rules once: each scan id must be an int64
+    (``afe.fits_int64``), each frame's rows in (channel, azimuth_index)
+    order (``cell_descents``), its records in pd_id order and their events
+    by record, the returns keep ``check_returns`` (which wraps the azimuths
+    in place) and the records ``EventTable.check``; a ValueError names the
+    first bad scan id, return or record. ``trusted`` skips the checks for
+    tables whose rules the caller has checked.
 
     A batch is also the sequence of its frames: ``batch[k]`` is a
     ``ScanFrame`` whose beams and records are views of the tables, all built
@@ -352,15 +354,20 @@ class FrameBatch(Sequence):
 
     def __init__(self, scan_ids, beams, bounds, events: EventTable, truths=None):
         self._set(scan_ids, beams, bounds, events, truths)
+        bad = [scan_id for scan_id in self.scan_ids if not fits_int64(scan_id)]
+        if bad:
+            raise ValueError(f"scan id {bad[0]!r} is not an integer that fits int64")
         descents = cell_descents(np.repeat(np.arange(len(self)), np.diff(self.bounds)), beams["channel"],
                                  beams["azimuth_index"])
         if descents.any():
             k = int(np.searchsorted(self.bounds, np.argmax(descents) + 1, side="right")) - 1
             raise ValueError(f"scan {self.scan_ids[k]}: beams not in (channel, azimuth_index) order")
-        frames, pd, ids = events.frames, events.pd, events.pd_ids  # a tie of (frame, pd) is check's to name
+        frames, pd, ids, record = events.frames, events.pd, events.pd_ids, events.record  # a tied cell is check's
         if (np.any(np.diff(frames * len(ids) + pd) < 0) or np.any((frames < 0) | (frames >= len(self)))
-                or np.any((pd < 0) | (pd >= len(ids))) or any(a >= b for a, b in zip(ids, ids[1:]))):
-            raise ValueError("PD records must come by frame and then by pd_id, each of a frame and a PD of the batch")
+                or np.any((pd < 0) | (pd >= len(ids))) or any(a >= b for a, b in zip(ids, ids[1:]))
+                or np.any(np.diff(record) < 0) or np.any((record < 0) | (record >= len(frames)))):
+            raise ValueError("PD records must come by frame and then by pd_id, each of a frame and a PD of the batch, "
+                             "and their events by record")
         check_returns(beams, self.bounds, self.scan_ids)
         events.check(self.scan_ids)
 

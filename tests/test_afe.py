@@ -3,10 +3,9 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pdcalib.afe import (
-    EventGroup,
     EventTable,
     PdSignalRecord,
     TiaParams,
@@ -165,12 +164,17 @@ class TestCurrentsToRecord:
 
 
 def _checked_records(pd_ids, channels, floors, record, times, volts) -> list:
-    """The records of a one-frame, one-group ``EventTable`` of scan 0, one
-    per id of the ascending ``pd_ids``, whose event i belongs to record
-    ``record[i]``, checked first."""
+    """The records of a one-frame ``EventTable`` of scan 0, one per id of
+    the ascending ``pd_ids``, whose event i belongs to record ``record[i]``,
+    checked first. A record's width is that of ``volts``, or its channel
+    count when it has no events; ``volts`` is padded with 0 to the widest."""
+    record = np.asarray(record, dtype=np.intp)
+    widths = np.array([volts.shape[1] if r in record else len(c) for r, c in enumerate(channels)], dtype=np.intp)
+    if widths.max() > volts.shape[1]:
+        volts = np.pad(volts, ((0, 0), (0, widths.max() - volts.shape[1])))
     table = EventTable(
         np.zeros(len(pd_ids), dtype=np.intp), np.arange(len(pd_ids)), tuple(pd_ids), list(channels),
-        np.asarray(floors, dtype=float), (EventGroup(np.asarray(record, dtype=np.intp), times, volts),),
+        np.asarray(floors, dtype=float), widths, record, times, volts,
     )
     table.check([0])
     return table.records()
@@ -212,6 +216,32 @@ def _records_or_error(build):
     ]
 
 
+@st.composite
+def _event_parts(draw):
+    """``EventTable.of_events`` parts of 1 to 3 widths over 1 to 6 (frame,
+    key) records, keys under 3, of 1 to 4 events each, in shuffled order and
+    with tied times; a width's events may come in two parts. Each part's
+    voltages are its own, and each event's floor names its (frame, key)."""
+    cells = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=1, max_size=6, unique=True))
+    widths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3, unique=True))
+    events = [  # (frame, key, time, width) per event
+        (k, key, draw(st.sampled_from([0.0, 1.0, 2.0])), w)
+        for k, key in cells
+        for w in [draw(st.sampled_from(widths))]
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    events = draw(st.permutations(events))
+    parts = []
+    for w in widths:
+        mine = [e for e in events if e[3] == w]
+        cut = draw(st.integers(0, len(mine)))
+        for chunk in (mine[:cut], mine[cut:]):
+            volts = np.arange(len(parts) * 100.0, len(parts) * 100.0 + len(chunk) * w).reshape(len(chunk), w)
+            parts.append(([e[0] for e in chunk], [e[1] for e in chunk], [e[2] for e in chunk], volts,
+                          [tuple(range(w))] * len(chunk), [10.0 * e[0] + e[1] for e in chunk]))
+    return parts
+
+
 class TestRecordBatch:
     @settings(max_examples=150, deadline=None)
     @given(table=_event_table())
@@ -247,8 +277,8 @@ class TestRecordBatch:
     def test_of_events_rule(self):
         """Records by frame and then pd_id, whatever the keys' order; a
         record's events by time, ties in the order given, its channels and
-        floor from its first event as given; one group per width, in the
-        order of its first record, over the parts of that width."""
+        floor from its first event as given; one row per event, in record
+        order, its voltages padded with 0 to the widest record's."""
         narrow = ([1, 0], [0, 1], [2.0, 0.0], [[1.0], [2.0]], [(0,), (0,)], [0.1, 0.2])
         wide = ([0, 0, 1], [0, 0, 1], [5.0, 5.0, 0.0], [[4.0, 4.5], [5.0, 5.5], [6.0, 6.5]], [(0, 5), (0, 6), (0, 5)],
                 [0.4, 0.5, 0.6])
@@ -258,55 +288,49 @@ class TestRecordBatch:
         assert (table.pd.tolist(), table.pd_ids) == ([0, 1, 0, 1], ("x", "y"))
         assert table.channels == [(0,), (0, 5), (0, 5), (0,)]
         assert table.floors.tolist() == [0.2, 0.4, 0.6, 0.1]
-        assert [[a.tolist() for a in group] for group in table.groups] == [
-            [[0, 3, 3], [0.0, 1.0, 2.0], [[2.0], [3.0], [1.0]]],
-            [[1, 1, 2], [5.0, 5.0, 0.0], [[4.0, 4.5], [5.0, 5.5], [6.0, 6.5]]],
-        ]
+        assert table.widths.tolist() == [1, 2, 2, 1]
+        assert table.record.tolist() == [0, 1, 1, 2, 3, 3]
+        assert table.times.tolist() == [0.0, 5.0, 5.0, 0.0, 1.0, 2.0]
+        assert table.volts.tolist() == [[2.0, 0.0], [4.0, 4.5], [5.0, 5.5], [6.0, 6.5], [3.0, 0.0], [1.0, 0.0]]
         empty = EventTable.of_events([], [])
-        assert (len(empty.frames), len(empty.pd), empty.pd_ids, empty.groups) == (0, 0, (), ())
+        assert (len(empty.frames), len(empty.pd), empty.pd_ids, len(empty.widths)) == (0, 0, (), 0)
+        assert (len(empty.record), len(empty.times), empty.volts.shape) == (0, 0, (0, 0))
 
     @settings(max_examples=100, deadline=None)
-    @given(data=st.data())
-    def test_of_events_gives_each_event_its_record(self, data):
-        """Over parts of 1 to 3 widths, 1 to 4 events per record, in shuffled
-        order and with tied times, and keys whose pd_ids repeat and are out
-        of order: the records are the (frame, key)s given, by frame, pd_id
-        and key, each in exactly one group with at least one event; each
-        group's ``record`` ascends; and its records' ``views()`` joined give
-        back its times and volts."""
-        cells = data.draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=1, max_size=6,
-                                   unique=True))
-        widths = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3, unique=True))
-        events = [  # (frame, key, time, width) per event
-            (k, key, data.draw(st.sampled_from([0.0, 1.0, 2.0])), w)
-            for k, key in cells
-            for w in [data.draw(st.sampled_from(widths))]
-            for _ in range(data.draw(st.integers(1, 4)))
-        ]
-        events = data.draw(st.permutations(events))
-        parts = []
-        for w in widths:
-            mine = [e for e in events if e[3] == w]
-            cut = data.draw(st.integers(0, len(mine)))  # a width's events may come in two parts
-            for chunk in (mine[:cut], mine[cut:]):
-                volts = np.arange(len(parts) * 100.0, len(parts) * 100.0 + len(chunk) * w).reshape(len(chunk), w)
-                parts.append(([e[0] for e in chunk], [e[1] for e in chunk], [e[2] for e in chunk], volts,
-                              [tuple(range(w))] * len(chunk), [10.0 * e[0] + e[1] for e in chunk]))
+    @given(parts=_event_parts())
+    @example(parts=[  # a part with no events, wider than every record
+        ([0], [1], [0.0], [[1.0]], [(0,)], [0.5]), ([], [], [], np.zeros((0, 3)), [], []),
+    ])
+    @example(parts=[  # records of one width: nothing is padded
+        ([1, 0, 1], [0, 2, 0], [1.0, 0.0, 1.0], [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], [(0, 5)] * 3, [0.5, 0.5, 0.5]),
+    ])
+    def test_of_events_gives_each_event_its_record(self, parts):
+        """Over parts of 1 to 3 widths: the records are the (frame, key)s
+        given, by frame, pd_id and key, each with the channels and floor of
+        its first event as given; ``record`` ascends; ``volts`` is as wide
+        as the widest record, 0 past each event's record's width; and each
+        record's ``views()`` are its own events by time, ties in the order
+        given, bit for bit."""
         ids = ["c", "a", "c"]
+        given = {}  # (frame, key) -> its events as given: (time, volts, channels, floor)
+        for frames, keys, times, volts, channels, floors in parts:
+            for event in zip(frames, keys, times, np.asarray(volts, dtype=float), channels, floors):
+                given.setdefault(event[:2], []).append(event[2:])
+        cells = sorted(given, key=lambda cell: (cell[0], ids[cell[1]], cell[1]))
         table = EventTable.of_events(parts, ids)
-        cells = sorted(cells, key=lambda cell: (cell[0], ids[cell[1]], cell[1]))
         assert table.pd_ids == tuple(sorted({ids[key] for _, key in cells}))
         assert [table.pd_ids[p] for p in table.pd.tolist()] == [ids[key] for _, key in cells]
         assert table.frames.tolist() == [k for k, _ in cells]
-        assert table.floors.tolist() == [10.0 * k + key for k, key in cells]  # each record's own (frame, key)
-        owners = [r for group in table.groups for r in np.unique(group.record).tolist()]
-        assert sorted(owners) == list(range(len(cells)))
-        views = table.views()
-        for record, times, volts in table.groups:
-            assert np.all(np.diff(record) >= 0)
-            mine = np.unique(record).tolist()
-            assert np.concatenate([views[r][0] for r in mine]).tobytes() == times.tobytes()
-            assert np.concatenate([views[r][1] for r in mine]).tobytes() == volts.tobytes()
+        assert table.channels == [given[cell][0][2] for cell in cells]
+        assert table.floors.tolist() == [given[cell][0][3] for cell in cells]
+        assert table.widths.tolist() == [len(given[cell][0][1]) for cell in cells]
+        assert np.all(np.diff(table.record) >= 0)
+        assert table.volts.shape == (len(table.record), max(table.widths.tolist()))
+        assert not table.volts[np.arange(table.volts.shape[1]) >= table.widths[table.record, None]].any()
+        for cell, (times, volts) in zip(cells, table.views()):
+            mine = sorted(given[cell], key=lambda event: event[0])
+            assert times.tobytes() == np.array([event[0] for event in mine]).tobytes()
+            assert volts.tobytes() == np.array([event[1] for event in mine]).tobytes()
 
 
 class TestPeakVoltages:

@@ -270,6 +270,15 @@ class TestRunSingleGolden:
             assert (cal / f).read_text() == (GOLDEN / f"calibrate_frames_{name}_{f}").read_text(), f
 
 
+    def test_calibrate_frames_of_several_sample_widths_matches_committed_goldens(self, tmp_path):
+        # the committed scene whose modules sample 4, 6, 2 and 4 elements
+        sim, cal, common = tmp_path / "sim", tmp_path / "cal", ["--scene", str(GOLDEN / "bench_scene_widths.json")]
+        assert cli.main(["simulate", "--scans", "10", "--seed", "7", "--out", str(sim), *common]) == 0
+        assert cli.main(["calibrate", "--frames", str(sim / "frames.csv"), "--out", str(cal), *common]) == 0
+        for f in ("calibration.txt", "residuals.csv", "correspondences.csv"):
+            assert (cal / f).read_text() == (GOLDEN / f"calibrate_frames_widths_{f}").read_text(), f
+
+
 class TestCli:
     def test_simulate_and_calibrate_round_trip(self, tmp_path):
         out = tmp_path / "sim"

@@ -889,17 +889,38 @@ class TestFrameSerialization:
 
 def _event_bits(events) -> tuple:
     """An ``EventTable`` as its fields' dtypes, shapes and bytes."""
-    arrays = [events.frames, events.pd, events.floors, *(a for group in events.groups for a in group)]
+    arrays = [events.frames, events.pd, events.floors, events.widths, events.record, events.times, events.volts]
     return events.pd_ids, events.channels, [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+def _int64(value) -> bool:
+    """Whether ``value`` is an int, not a bool, that an int64 field of the file holds."""
+    return isinstance(value, int) and not isinstance(value, bool) and -(2 ** 63) <= value < 2 ** 63
+
+
+def _sampling(channel):
+    """A one-event record of ``channel``, set after the record's own check."""
+    record = _record("p", (0,), 1)
+    record.sampled_channels = (channel,)
+    return record
 
 
 def _unwritable(frames):
     """The error that writing ``frames`` raises, or None: for the first
-    record, by frame and then pd_id, whose pd_id cannot be a frame file's
-    field (it holds a comma or a line break), else for the first frame that
-    the file would not give back, one with no returns or whose scan id is
-    not above the one before; a record with no events writes no rows and is
-    dropped."""
+    frame whose scan id is not an int64, else for the first record, by
+    frame and then pd_id, that samples a channel that is not one, else for
+    the first whose pd_id cannot be a frame file's field (it holds a comma
+    or a line break), else for the first frame that the file would not give
+    back, one with no returns or whose scan id is not above the one before;
+    a record with no events writes no rows and is dropped."""
+    for f in frames:
+        if not _int64(f.scan_id):
+            return f"scan id {f.scan_id!r} is not an integer that fits int64"
+    for f in frames:
+        for r in sorted(f.pd_records, key=lambda r: r.pd_id):
+            if r.n_events and not all(map(_int64, r.sampled_channels)):
+                why = "are not strictly increasing element indices from 0 up"
+                return f"scan {f.scan_id}: sampled channels {tuple(r.sampled_channels)} {why}"
     for f in frames:
         for r in sorted(f.pd_records, key=lambda r: r.pd_id):
             if r.n_events and ("," in r.pd_id or "".join(r.pd_id.splitlines()) != r.pd_id):
@@ -942,13 +963,21 @@ class TestFrameText:
     @example(frames=[  # one scan id twice, whose frames the file would read back as one
         ScanFrame(5, [(0.0, 1.0, 2.0, 0, 0, 10.0)], []), ScanFrame(5, [(0.0, 1.0, 2.0, 1, 0, 10.0)], [])
     ])
+    # scan ids and a channel that the file's int64 fields would not read back
+    @example(frames=[ScanFrame(2 ** 70, [(0.0, 1.0, 2.0, 0, 0, 10.0)], [])])
+    @example(frames=[ScanFrame(True, [(0.0, 1.0, 2.0, 0, 0, 10.0)], [])])
+    @example(frames=[ScanFrame(3.0, [(0.0, 1.0, 2.0, 0, 0, 10.0)], [])])
+    @example(frames=[ScanFrame(0, [(0.0, 1.0, 2.0, 0, 0, 10.0)], [_sampling(2 ** 70)])])
+    @example(frames=[ScanFrame(0, [(0.0, 1.0, 2.0, 0, 0, 10.0)], [_sampling(True)])])
+    @example(frames=[ScanFrame(0, [(0.0, 1.0, 2.0, 0, 0, 10.0)], [_sampling(3.0)])])
     def test_file_round_trip_is_a_fixed_point(self, tmp_path_factory, frames):
         """A batch of frames is the batch its file reads back as, its scan
         ids, frame bounds and event table field by field and bit for bit
         (events by time, records with no events dropped), and that batch
         writes the file's text again; a batch that the file would not give
-        back (a pd_id the file cannot hold, a frame with no returns, scan ids
-        that do not strictly ascend) is refused before anything is written."""
+        back (a scan id or a channel that is not an int64, a pd_id the file
+        cannot hold, a frame with no returns, scan ids that do not strictly
+        ascend) is refused before anything is written."""
         path = tmp_path_factory.mktemp("frames") / "frames.csv"
         refused = _unwritable(frames)
         if refused:

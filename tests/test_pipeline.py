@@ -245,6 +245,20 @@ class TestOptionsAndErrors:
             calibrate_frames([horizontal_batch[0], stub], horizontal_scene)
         assert err.value.stage == "segmentation"
 
+    def test_first_on_board_record_lacking_an_element_is_named(self, horizontal_scene, horizontal_batch):
+        # a record off the board may sample any element; of the on-board
+        # ones, the first that samples past its module is named
+        frames = [copy.copy(f) for f in horizontal_batch[:3]]
+        off_board = dataclasses.replace(frames[0].pd_records[0], pd_id="zz", sampled_channels=(0, 5, 10, 99))
+        frames[0].pd_records = [*frames[0].pd_records, off_board]
+        for k in (1, 2):
+            *rest, last = frames[k].pd_records
+            frames[k].pd_records = [*rest, dataclasses.replace(last, sampled_channels=(0, 5, 10, 50 + k))]
+        pd_id = frames[1].pd_records[-1].pd_id
+        with pytest.raises(ValueError, match=rf"^scan 1: PD '{pd_id}' samples element\(s\) \[51\], which its module "
+                                             r"of 16 elements lacks$"):
+            calibrate_frames(frames, horizontal_scene)
+
     def test_three_point_scans_flagged_low_confidence(self, horizontal_scene, horizontal_batch):
         # drop one module's voltages in every scan: 3 correspondences still
         # solve, flagged; drop two in scan 5: that scan gets no report and

@@ -10,7 +10,7 @@ from scipy.special import ndtr
 
 from oracles import element_currents_scalar, simulate_scan_reference
 from pdcalib import io, scene
-from pdcalib.afe import EventGroup, EventTable, PdSignalRecord
+from pdcalib.afe import EventTable, PdSignalRecord
 from pdcalib.bench import DEFAULT_BASE_POSE, make_bench_scene
 from pdcalib.geometry import PolarBeam, Pose6DOF, polar_to_cartesian_array, pose_to_matrix, transform_array
 from pdcalib.io import frames_to_text, read_frames
@@ -144,24 +144,27 @@ class TestModels:
 
     def test_batch_refuses_rows_or_records_out_of_order(self):
         # the batch's tables come in (frame, channel, azimuth_index) order and
-        # its records by (frame, pd) cell, with ascending pd_ids; an empty
-        # frame 0 shifts nothing, and a tied cell is a second record of one PD
+        # its records by (frame, pd) cell, with ascending pd_ids, and its
+        # events by record; an empty frame 0 shifts nothing, and a tied cell
+        # is a second record of one PD
         rows = [(0.1, 0.2, 2.0, 0, 1, 5.0), (0.1, 0.2, 2.0, 1, 0, 5.0), (0.1, 0.2, 2.0, 0, 3, 5.0)]
         table = np.array(rows, dtype=scene.BEAM_DTYPE)
         no_events = EventTable.of_events([], [])
         with pytest.raises(ValueError, match=r"^scan 9: beams not in \(channel, azimuth_index\) order$"):
             FrameBatch([7, 8, 9], table.copy(), [0, 0, 1, 3], no_events)
         assert len(FrameBatch([7, 8, 9], table.copy(), [0, 0, 2, 3], no_events)) == 3
-        group = EventGroup(np.arange(2), np.zeros(2), np.ones((2, 1)))
 
-        def events(frames, pd, pd_ids=("a", "b")):
-            return EventTable(np.array(frames), np.array(pd), pd_ids, [(0,), (0,)], np.full(2, 0.1), (group,))
+        def events(frames, pd, pd_ids=("a", "b"), record=(0, 1)):
+            return EventTable(np.array(frames), np.array(pd), pd_ids, [(0,), (0,)], np.full(2, 0.1),
+                              np.ones(2, dtype=np.intp), np.array(record), np.zeros(2), np.ones((2, 1)))
 
         assert len(FrameBatch([7, 8, 9], table.copy(), [0, 0, 2, 3], events([1, 1], [0, 1]))) == 3
         for bad in (events([1, 0], [0, 1]), events([0, 3], [0, 1]), events([1, 1], [1, 0]), events([1, 1], [0, 2]),
-                    events([1, 2], [0, 1], ("b", "a")), events([1, 2], [0, 1], ("a", "a"))):
+                    events([1, 2], [0, 1], ("b", "a")), events([1, 2], [0, 1], ("a", "a")),
+                    events([1, 2], [0, 1], record=(1, 0)), events([1, 2], [0, 1], record=(0, 2)),
+                    events([1, 2], [0, 1], record=(-1, 0))):
             with pytest.raises(ValueError, match="^PD records must come by frame and then by pd_id, each of a frame "
-                                                 "and a PD of the batch$"):
+                                                 "and a PD of the batch, and their events by record$"):
                 FrameBatch([7, 8, 9], table.copy(), [0, 0, 2, 3], bad)
         with pytest.raises(ValueError, match="^scan 8: PD 'b' has more than one record$"):
             FrameBatch([7, 8, 9], table.copy(), [0, 0, 2, 3], events([1, 1], [1, 1]))
@@ -436,6 +439,11 @@ class TestBenchScene:
         golden = Path(__file__).parent / "golden" / f"bench_scene_{orientation}.json"
         assert path.read_bytes() == golden.read_bytes()
 
+    def test_widths_golden_scene_is_the_mixed_bench_of_several_widths(self, tmp_path):
+        path = tmp_path / "scene.json"
+        io.save_scene(dataclasses.replace(make_bench_scene("all"), board=_widths_case()["board"]), path)
+        assert path.read_bytes() == (Path(__file__).parent / "golden" / "bench_scene_widths.json").read_bytes()
+
     @pytest.mark.parametrize(
         "pose",
         [Pose6DOF(dx=-0.7, dy=2.5), dataclasses.replace(DEFAULT_BASE_POSE, phi=1.5)],
@@ -596,7 +604,7 @@ class TestSimulateScansOracle:
 
         def tables(b, beams):
             ev = b.events
-            arrays = [beams, ev.frames, ev.pd, ev.floors, *(a for group in ev.groups for a in group)]
+            arrays = [beams, ev.frames, ev.pd, ev.floors, ev.widths, ev.record, ev.times, ev.volts]
             return b.scan_ids, b.bounds, ev.pd_ids, ev.channels, [(a.dtype, a.shape, a.tobytes()) for a in arrays]
 
         assert tables(back, back.beams) == tables(batch, beams)
